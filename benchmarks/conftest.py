@@ -1,12 +1,10 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark runs the regenerating code for one experiment id of
-DESIGN.md's experiment index exactly once per measurement round (the
-experiment functions are relatively heavy), records the wall-clock time via
-pytest-benchmark, and — more importantly — asserts the *qualitative shape*
-the paper claims (who wins, what fails, what stays flat).  Absolute numbers
-are recorded in ``benchmark.extra_info`` so they can be copied into
-EXPERIMENTS.md.
+Every benchmark runs the regenerating code for one experiment exactly once
+per measurement round (the experiment functions are relatively heavy),
+records the wall-clock time via pytest-benchmark, and — more importantly —
+asserts the *qualitative shape* the paper claims (who wins, what fails, what
+stays flat).  Absolute numbers are recorded in ``benchmark.extra_info``.
 
 At session end every benchmark's wall-clock stats and ``extra_info`` are
 persisted as one ``bench`` record in a :class:`repro.runtime.RunStore`

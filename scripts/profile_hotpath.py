@@ -183,8 +183,8 @@ def _compare_configs(args, workload, scheme, fraction) -> int:
         result = simulator.run()
         return time.perf_counter() - start, result
 
-    # Best of three per configuration: the first run also warms the shared
-    # δ-biased stream cache, so the minimum reflects steady-state cost.
+    # Best of three per configuration, so the minimum reflects steady-state
+    # cost rather than a scheduling spike.
     fast_seconds, fast_result = min((run(DEFAULT_ENGINE_CONFIG) for _ in range(3)), key=lambda pair: pair[0])
     reference_seconds, reference_result = min(
         (run(REFERENCE_ENGINE_CONFIG) for _ in range(3)), key=lambda pair: pair[0]

@@ -17,11 +17,15 @@ With the default expansion factor of 3 the binary rate is 1/3 and each block
 corrects up to ``k`` byte errors out of ``3k`` byte positions — i.e. a
 constant fraction of corrupted bits, which is all the analysis in Section 5
 requires.
+
+Bits and symbols convert through ``bytes`` and ``int`` in C: a bit list is
+one byte per bit, translated to ASCII digits and parsed as a binary number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Sequence
 
 from repro.coding.reed_solomon import DecodingError, ReedSolomonCode
@@ -30,6 +34,21 @@ from repro.utils.bitstring import Symbol
 __all__ = ["BinaryBlockCode", "DecodingError"]
 
 _BITS_PER_SYMBOL = 8
+_BITS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_DIGITS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _pack(flags: bytes, num_symbols: int) -> bytes:
+    """One byte per bit (0 or 1, LSB of each symbol first) to ``num_symbols`` symbols."""
+    value = int(flags[::-1].translate(_BITS_TO_DIGITS), 2) if flags else 0
+    return value.to_bytes(num_symbols, "little")
+
+
+def _unpack(symbols: bytes) -> List[int]:
+    """Inverse of :func:`_pack`: the bits of ``symbols``, LSB of each symbol first."""
+    width = _BITS_PER_SYMBOL * len(symbols)
+    digits = format(int.from_bytes(symbols, "little"), f"0{width}b").encode()
+    return list(digits.translate(_DIGITS_TO_BITS)[::-1])
 
 
 @dataclass(frozen=True)
@@ -72,6 +91,7 @@ class BinaryBlockCode:
         max_k = max(1, self.max_block_symbols // self.expansion)
         return min(self.message_symbols, max_k)
 
+    @cached_property
     def _blocks(self) -> List[ReedSolomonCode]:
         """The RS code of every block, in order."""
         blocks: List[ReedSolomonCode] = []
@@ -86,36 +106,14 @@ class BinaryBlockCode:
             remaining -= k
         return blocks
 
-    @property
+    @cached_property
     def codeword_bits(self) -> int:
         """Total number of bits in an encoded message."""
-        return sum(code.block_length for code in self._blocks()) * _BITS_PER_SYMBOL
+        return sum(code.block_length for code in self._blocks) * _BITS_PER_SYMBOL
 
     @property
     def rate(self) -> float:
         return self.message_bits / self.codeword_bits
-
-    # -- bit/symbol conversion -----------------------------------------------------
-
-    @staticmethod
-    def _bits_to_symbols(bits: Sequence[int], num_symbols: int) -> List[int]:
-        symbols = []
-        for index in range(num_symbols):
-            value = 0
-            for offset in range(_BITS_PER_SYMBOL):
-                position = index * _BITS_PER_SYMBOL + offset
-                if position < len(bits) and bits[position]:
-                    value |= 1 << offset
-            symbols.append(value)
-        return symbols
-
-    @staticmethod
-    def _symbols_to_bits(symbols: Sequence[int]) -> List[int]:
-        bits: List[int] = []
-        for symbol in symbols:
-            for offset in range(_BITS_PER_SYMBOL):
-                bits.append((symbol >> offset) & 1)
-        return bits
 
     # -- public API ------------------------------------------------------------------
 
@@ -123,14 +121,13 @@ class BinaryBlockCode:
         """Encode ``message_bits`` bits into ``codeword_bits`` bits."""
         if len(bits) != self.message_bits:
             raise ValueError(f"expected {self.message_bits} message bits, got {len(bits)}")
-        symbols = self._bits_to_symbols(bits, self.message_symbols)
-        out_bits: List[int] = []
+        symbols = _pack(bytes(bits), self.message_symbols)
+        codeword = bytearray()
         cursor = 0
-        for code in self._blocks():
-            block_message = symbols[cursor:cursor + code.message_length]
+        for code in self._blocks:
+            codeword += bytes(code.encode(symbols[cursor:cursor + code.message_length]))
             cursor += code.message_length
-            out_bits.extend(self._symbols_to_bits(code.encode(block_message)))
-        return out_bits
+        return _unpack(codeword)
 
     def decode(self, received: Sequence[Symbol]) -> List[int]:
         """Decode a received bit sequence (entries may be 0, 1 or ``None``).
@@ -141,26 +138,20 @@ class BinaryBlockCode:
         """
         padded: List[Symbol] = list(received[: self.codeword_bits])
         padded.extend([None] * (self.codeword_bits - len(padded)))
+        # An erased bit reads 0 and erases its symbol.
+        erased = set()
+        position = -1
+        for _ in range(padded.count(None)):
+            position = padded.index(None, position + 1)
+            padded[position] = 0
+            erased.add(position // _BITS_PER_SYMBOL)
+        word = _pack(bytes(padded), self.codeword_bits // _BITS_PER_SYMBOL)
 
-        message_symbols: List[int] = []
-        bit_cursor = 0
-        for code in self._blocks():
-            block_bits = padded[bit_cursor:bit_cursor + code.block_length * _BITS_PER_SYMBOL]
-            bit_cursor += code.block_length * _BITS_PER_SYMBOL
-            word: List[int] = []
-            erasures: List[int] = []
-            for symbol_index in range(code.block_length):
-                value = 0
-                erased = False
-                for offset in range(_BITS_PER_SYMBOL):
-                    bit = block_bits[symbol_index * _BITS_PER_SYMBOL + offset]
-                    if bit is None:
-                        erased = True
-                    elif bit:
-                        value |= 1 << offset
-                word.append(value)
-                if erased:
-                    erasures.append(symbol_index)
-            message_symbols.extend(code.decode(word, erasure_positions=erasures))
-        all_bits = self._symbols_to_bits(message_symbols)
-        return all_bits[: self.message_bits]
+        message = bytearray()
+        cursor = 0
+        for code in self._blocks:
+            end = cursor + code.block_length
+            erasures = [symbol - cursor for symbol in sorted(erased) if cursor <= symbol < end]
+            message += bytes(code.decode(word[cursor:end], erasure_positions=erasures))
+            cursor = end
+        return _unpack(message)[: self.message_bits]

@@ -8,7 +8,7 @@ finite-field arithmetic it needs.
 The field is GF(2)[x] / (x^8 + x^4 + x^3 + x^2 + 1) (the 0x11D polynomial
 familiar from CCSDS / QR-code Reed–Solomon).  Multiplication and inversion go
 through log/antilog tables built once at import time from the generator
-element 2.
+element 2; the polynomial helpers index the tables inline.
 """
 
 from __future__ import annotations
@@ -37,7 +37,9 @@ def _build_tables() -> tuple:
     return exp, log
 
 
-_EXP, _LOG = _build_tables()
+#: Antilog table (``EXP[i] = 2^i``, doubled so a sum of two logs needs no
+#: reduction) and log table (``LOG[0]`` is unused).
+EXP, LOG = _build_tables()
 
 
 def gf_add(a: int, b: int) -> int:
@@ -49,7 +51,7 @@ def gf_mul(a: int, b: int) -> int:
     """Multiplication in GF(256)."""
     if a == 0 or b == 0:
         return 0
-    return _EXP[_LOG[a] + _LOG[b]]
+    return EXP[LOG[a] + LOG[b]]
 
 
 def gf_pow(a: int, exponent: int) -> int:
@@ -60,16 +62,16 @@ def gf_pow(a: int, exponent: int) -> int:
         if exponent < 0:
             raise ZeroDivisionError("cannot raise 0 to a negative power in GF(256)")
         return 0
-    log_a = _LOG[a]
+    log_a = LOG[a]
     exponent = exponent % (FIELD_SIZE - 1)
-    return _EXP[(log_a * exponent) % (FIELD_SIZE - 1)]
+    return EXP[(log_a * exponent) % (FIELD_SIZE - 1)]
 
 
 def gf_inv(a: int) -> int:
     """Multiplicative inverse in GF(256)."""
     if a == 0:
         raise ZeroDivisionError("0 has no inverse in GF(256)")
-    return _EXP[(FIELD_SIZE - 1) - _LOG[a]]
+    return EXP[(FIELD_SIZE - 1) - LOG[a]]
 
 
 def gf_div(a: int, b: int) -> int:
@@ -102,13 +104,13 @@ def poly_add(a: Sequence[int], b: Sequence[int]) -> List[int]:
 def poly_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
     """Multiply two polynomials over GF(256)."""
     out = [0] * (len(a) + len(b) - 1)
+    logs_b = [(j, LOG[coeff_b]) for j, coeff_b in enumerate(b) if coeff_b]
     for i, coeff_a in enumerate(a):
         if coeff_a == 0:
             continue
-        for j, coeff_b in enumerate(b):
-            if coeff_b == 0:
-                continue
-            out[i + j] ^= gf_mul(coeff_a, coeff_b)
+        log_a = LOG[coeff_a]
+        for j, log_b in logs_b:
+            out[i + j] ^= EXP[log_a + log_b]
     return poly_trim(out)
 
 
@@ -119,9 +121,12 @@ def poly_scale(poly: Sequence[int], scalar: int) -> List[int]:
 
 def poly_eval(poly: Sequence[int], x: int) -> int:
     """Evaluate a polynomial at ``x`` (Horner's rule, low-degree-first layout)."""
+    if x == 0:
+        return poly[0] if len(poly) else 0
+    log_x = LOG[x]
     result = 0
-    for coeff in reversed(list(poly)):
-        result = gf_mul(result, x) ^ coeff
+    for coeff in reversed(poly):
+        result = (EXP[LOG[result] + log_x] if result else 0) ^ coeff
     return result
 
 
@@ -146,12 +151,14 @@ def poly_divmod(numerator: Sequence[int], denominator: Sequence[int]) -> tuple:
     quotient = [0] * max(1, len(num) - len(den) + 1)
     remainder = list(num)
     den_deg = len(den) - 1
-    den_lead_inv = gf_inv(den[-1])
+    log_lead_inv = (FIELD_SIZE - 1) - LOG[den[-1]]
+    logs_den = [(i, LOG[coeff]) for i, coeff in enumerate(den) if coeff]
     for shift in range(len(num) - len(den), -1, -1):
-        coeff = gf_mul(remainder[shift + den_deg], den_lead_inv)
-        quotient[shift] = coeff
-        if coeff == 0:
+        top = remainder[shift + den_deg]
+        if top == 0:
             continue
-        for i, den_coeff in enumerate(den):
-            remainder[shift + i] ^= gf_mul(coeff, den_coeff)
+        log_coeff = (LOG[top] + log_lead_inv) % (FIELD_SIZE - 1)
+        quotient[shift] = EXP[log_coeff]
+        for i, log_den in logs_den:
+            remainder[shift + i] ^= EXP[log_coeff + log_den]
     return poly_trim(quotient), poly_trim(remainder)

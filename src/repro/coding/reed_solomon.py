@@ -8,28 +8,33 @@ the Reed–Solomon component here and a binary wrapper in
 :mod:`repro.coding.block_code`.
 
 Encoding is systematic (parity symbols followed by message symbols in the
-low-degree-first coefficient layout).  Decoding handles both symbol errors
-and declared erasures — the latter matter because a *deletion* on a
+low-degree-first coefficient layout).  The parity is the remainder of
+``M(x)·x^p`` by the generator, computed by an LFSR whose register is one
+Python integer: each message symbol costs a shift and an XOR with a cached
+row ``f·g(x)`` per feedback value ``f``.  Decoding handles both symbol
+errors and declared erasures — the latter matter because a *deletion* on a
 synchronous, fully-scheduled exchange is perceived by the receiver as an
 erasure (paper §3.2, footnote 9).
 
-The decoder follows the classical pipeline: syndromes → erasure locator →
+A word whose systematic part re-encodes to its parity is a codeword and is
+accepted as is (equivalent to all syndromes vanishing).  Otherwise the
+decoder follows the classical pipeline: syndromes → erasure locator →
 modified syndromes → Sugiyama (extended Euclidean) solution of the key
-equation → Chien search → Forney error values.  It corrects any pattern with
+equation → Chien search → Forney error values, all on the log/antilog
+tables of :mod:`repro.coding.gf256`.  It corrects any pattern with
 ``2 * errors + erasures <= n - k``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple
 
 from repro.coding.gf256 import (
-    GENERATOR,
-    gf_div,
-    gf_inv,
-    gf_mul,
-    gf_pow,
+    EXP,
+    FIELD_SIZE,
+    LOG,
     poly_add,
     poly_deg,
     poly_divmod,
@@ -38,9 +43,45 @@ from repro.coding.gf256 import (
     poly_trim,
 )
 
+_ORDER = FIELD_SIZE - 1
+
 
 class DecodingError(Exception):
     """Raised when a received word is not decodable within the code's radius."""
+
+
+@lru_cache(maxsize=None)
+def _generator(parity: int) -> Tuple[int, ...]:
+    """g(x) = prod_{i=0}^{p-1} (x - alpha^i), low-degree-first."""
+    gen = [1]
+    for i in range(parity):
+        gen = poly_mul(gen, [EXP[i], 1])
+    return tuple(gen)
+
+
+@lru_cache(maxsize=None)
+def _feedback_rows(parity: int) -> Tuple[int, ...]:
+    """``f·(g(x) - x^p)`` packed one coefficient per byte, for every symbol f."""
+    logs = [LOG[coeff] if coeff else None for coeff in _generator(parity)[:parity]]
+    rows = [0] * FIELD_SIZE
+    for value in range(1, FIELD_SIZE):
+        log_f = LOG[value]
+        row = bytes(0 if log_g is None else EXP[log_f + log_g] for log_g in logs)
+        rows[value] = int.from_bytes(row, "little")
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _syndrome_rows(parity: int) -> Tuple[bytes, ...]:
+    """Row i holds ``alpha^(ij)`` for j = 0..p-1."""
+    return tuple(bytes(EXP[(i * j) % _ORDER] for j in range(parity)) for i in range(parity))
+
+
+@lru_cache(maxsize=None)
+def _scale_table(value: int) -> bytes:
+    """A ``bytes.translate`` table multiplying every symbol by ``value``."""
+    log_value = LOG[value]
+    return bytes([0] + [EXP[log_value + LOG[symbol]] for symbol in range(1, FIELD_SIZE)])
 
 
 @dataclass(frozen=True)
@@ -81,12 +122,20 @@ class ReedSolomonCode:
 
     def generator_polynomial(self) -> List[int]:
         """g(x) = prod_{i=0}^{p-1} (x - alpha^i), low-degree-first."""
-        gen = [1]
-        for i in range(self.parity_length):
-            gen = poly_mul(gen, [gf_pow(GENERATOR, i), 1])
-        return gen
+        return list(_generator(self.parity_length))
 
     # -- encoding ---------------------------------------------------------------
+
+    def _parity(self, message: bytes) -> bytes:
+        """The parity symbols of a ``k``-symbol message (not validated)."""
+        parity = self.parity_length
+        rows = _feedback_rows(parity)
+        top = 8 * (parity - 1)
+        mask = (1 << (8 * parity)) - 1
+        register = 0
+        for symbol in reversed(message):
+            register = ((register << 8) & mask) ^ rows[(register >> top) ^ symbol]
+        return register.to_bytes(parity, "little")
 
     def encode(self, message: Sequence[int]) -> List[int]:
         """Encode ``k`` message symbols into ``n`` codeword symbols.
@@ -102,11 +151,7 @@ class ReedSolomonCode:
         for symbol in message:
             if not 0 <= symbol < 256:
                 raise ValueError(f"message symbol {symbol} outside GF(256)")
-        shifted = [0] * self.parity_length + message
-        _, remainder = poly_divmod(shifted, self.generator_polynomial())
-        remainder = list(remainder) + [0] * (self.parity_length - len(remainder))
-        codeword = remainder[: self.parity_length] + message
-        return codeword
+        return list(self._parity(bytes(message))) + message
 
     def extract_message(self, codeword: Sequence[int]) -> List[int]:
         """Read the systematic message symbols out of a codeword."""
@@ -117,15 +162,33 @@ class ReedSolomonCode:
     # -- decoding ---------------------------------------------------------------
 
     def syndromes(self, received: Sequence[int]) -> List[int]:
-        """S_j = R(alpha^j) for j = 0..p-1."""
-        return [poly_eval(list(received), gf_pow(GENERATOR, j)) for j in range(self.parity_length)]
+        """S_j = R(alpha^j) for j = 0..p-1.
+
+        Computed as D(alpha^j) for the parity difference
+        ``D = R mod g = received parity - re-encoded parity`` (the codeword
+        part of R vanishes at every root of g): row i of ``alpha^(ij)``
+        scaled by ``D_i`` with one ``bytes.translate`` per coefficient.
+        """
+        parity = self.parity_length
+        word = bytes(received)
+        difference = int.from_bytes(word[:parity], "little") ^ int.from_bytes(
+            self._parity(word[parity:]), "little"
+        )
+        total = 0
+        for row, coeff in zip(_syndrome_rows(parity), difference.to_bytes(parity, "little")):
+            if coeff:
+                total ^= int.from_bytes(row.translate(_scale_table(coeff)), "little")
+        return list(total.to_bytes(parity, "little"))
+
+    def _is_codeword(self, word: List[int]) -> bool:
+        return self._parity(bytes(word[self.parity_length:])) == bytes(word[: self.parity_length])
 
     def decode(
         self,
         received: Sequence[int],
         erasure_positions: Optional[Sequence[int]] = None,
     ) -> List[int]:
-        """Correct a received word in place and return the decoded *message*.
+        """Correct a received word and return the decoded *message*.
 
         ``erasure_positions`` are codeword indices known to be unreliable
         (their symbol values are still taken from ``received``; callers
@@ -141,23 +204,14 @@ class ReedSolomonCode:
         if len(erasures) > self.parity_length:
             raise DecodingError("more erasures than parity symbols")
 
-        synd = self.syndromes(word)
-        if all(s == 0 for s in synd):
-            return self.extract_message(word)
-
-        corrected = self._correct(word, synd, erasures)
-        if any(s != 0 for s in self.syndromes(corrected)):
+        if self._is_codeword(word):
+            return word[self.parity_length:]
+        corrected = self._correct(word, self.syndromes(word), erasures)
+        if not self._is_codeword(corrected):
             raise DecodingError("residual syndromes after correction")
-        return self.extract_message(corrected)
+        return corrected[self.parity_length:]
 
     # -- internals ---------------------------------------------------------------
-
-    def _erasure_locator(self, erasures: Sequence[int]) -> List[int]:
-        """Gamma(x) = prod (1 - X_i x) with X_i = alpha^position."""
-        locator = [1]
-        for position in erasures:
-            locator = poly_mul(locator, [1, gf_pow(GENERATOR, position)])
-        return locator
 
     def _solve_key_equation(self, modified_syndrome: List[int], num_erasures: int) -> tuple:
         """Sugiyama's extended-Euclidean solution of the key equation.
@@ -177,49 +231,47 @@ class ReedSolomonCode:
             v_prev, v_curr = v_curr, poly_add(v_prev, poly_mul(quotient, v_curr))
         return poly_trim(v_curr), poly_trim(r_curr)
 
-    @staticmethod
-    def _formal_derivative(poly: Sequence[int]) -> List[int]:
-        """d/dx of a polynomial over a characteristic-2 field."""
-        derivative = [poly[k] if k % 2 == 1 else 0 for k in range(1, len(poly))]
-        return poly_trim(derivative or [0])
-
     def _correct(self, word: List[int], synd: List[int], erasures: List[int]) -> List[int]:
-        gamma = self._erasure_locator(erasures)
+        parity = self.parity_length
+        # Erasure locator Gamma(x) = prod (1 - X_i x) with X_i = alpha^position.
+        gamma = [1]
+        for position in erasures:
+            gamma = poly_mul(gamma, [1, EXP[position]])
         syndrome_poly = poly_trim(synd)
-        modified = poly_mul(syndrome_poly, gamma)
-        modified = poly_trim(modified[: self.parity_length])
+        modified = poly_trim(poly_mul(syndrome_poly, gamma)[:parity])
 
-        if all(c == 0 for c in modified):
-            # All discrepancies are explained by the erasures alone.
-            error_locator: List[int] = [1]
-            evaluator = poly_trim(poly_mul(syndrome_poly, gamma)[: self.parity_length])
-        else:
-            error_locator, evaluator = self._solve_key_equation(modified, len(erasures))
+        if any(modified):
+            error_locator, _ = self._solve_key_equation(modified, len(erasures))
             if error_locator == [0]:
                 raise DecodingError("degenerate error locator")
+        else:
+            # All discrepancies are explained by the erasures alone.
+            error_locator = [1]
 
         errata_locator = poly_mul(error_locator, gamma)
-        # Chien search over all codeword positions.
-        positions: List[int] = []
-        for position in range(self.block_length):
-            x_inv = gf_inv(gf_pow(GENERATOR, position))
-            if poly_eval(errata_locator, x_inv) == 0:
-                positions.append(position)
+        # Chien search over all codeword positions: X_i^{-1} = alpha^(-position).
+        positions = [
+            position
+            for position in range(self.block_length)
+            if poly_eval(errata_locator, EXP[_ORDER - position]) == 0
+        ]
         if len(positions) != poly_deg(errata_locator):
             raise DecodingError("errata locator does not split over the field")
 
         # The evaluator must correspond to the full errata locator:
         # Omega(x) = S(x) * Psi(x) mod x^p (scalar factors cancel in Forney).
-        omega = poly_trim(poly_mul(syndrome_poly, errata_locator)[: self.parity_length])
-        derivative = self._formal_derivative(errata_locator)
+        omega = poly_trim(poly_mul(syndrome_poly, errata_locator)[:parity])
+        # Formal derivative (characteristic 2: only odd-degree terms survive).
+        derivative = poly_trim([coeff if k % 2 else 0 for k, coeff in enumerate(errata_locator)][1:] or [0])
 
         corrected = list(word)
         for position in positions:
-            x_i = gf_pow(GENERATOR, position)
-            x_inv = gf_inv(x_i)
+            x_inv = EXP[_ORDER - position]
             denominator = poly_eval(derivative, x_inv)
             if denominator == 0:
                 raise DecodingError("Forney denominator vanished")
-            magnitude = gf_mul(x_i, gf_div(poly_eval(omega, x_inv), denominator))
-            corrected[position] ^= magnitude
+            numerator = poly_eval(omega, x_inv)
+            if numerator:
+                # X_i * Omega(X_i^-1) / Psi'(X_i^-1)
+                corrected[position] ^= EXP[(position + LOG[numerator] - LOG[denominator]) % _ORDER]
         return corrected

@@ -15,7 +15,7 @@ All inter-party communication goes through :class:`NoisyNetwork`, so the
 adversary sees (and may corrupt) every symbol, and the communication /
 corruption accounting used by the theorems is collected in one place.
 
-Engineering notes (full discussion in DESIGN.md):
+Engineering notes:
 
 * The iteration budget defaults to a small multiple of |Π| instead of the
   paper's ``100·|Π|`` — the analysis constants are loose.  With
@@ -383,7 +383,7 @@ class InteractiveCodingSimulator:
             # purpose can request: the inner-product seed for a full-width
             # input (raw inputs are capped at _RAW_INPUT_CAP_BITS, fingerprint
             # inputs at FINGERPRINT_BITS).  Capacity determines the slot
-            # offsets, so this is part of the documented 1.0 CRS stream break.
+            # offsets, so this is part of the documented 2.0 CRS stream break.
             max_input_bits = (
                 _RAW_INPUT_CAP_BITS
                 if self.scheme.hash_input_mode == "raw"

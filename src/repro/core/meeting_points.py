@@ -12,7 +12,7 @@ consistent and the party reports status ``"simulate"``.
 
 The implementation follows Haeupler's meeting-points protocol (which the
 paper adapts as its Algorithm 7 — the appendix text is not fully available in
-our source, see DESIGN.md):
+our source):
 
 * ``k`` counts consecutive consistency phases spent in the current search;
 * ``E`` counts phases in which the two parties appear to disagree about ``k``

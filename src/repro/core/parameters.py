@@ -22,7 +22,7 @@ Algorithm C    yes       m·log log m     Θ(log m)       ε/(m·log log m)
 
 The analysis constants (the "100" iterations, the C₁…C₇ of the potential) are
 proof artefacts; we expose them as tunable fields with practical defaults and
-record the paper's values in the docstrings (see DESIGN.md §3, substitution 1).
+record the paper's values in the docstrings.
 """
 
 from __future__ import annotations
@@ -66,13 +66,14 @@ class SchemeParameters:
     hash_constant_bits: int = 8
 
     #: How transcripts are fed to the inner-product hash: "fingerprint"
-    #: (compress to 128 bits first; default, see DESIGN.md) or "raw".
+    #: (compress to 128 bits first; default, see :mod:`repro.hashing.inner_product`)
+    #: or "raw".
     hash_input_mode: str = "fingerprint"
 
     #: Iteration budget: ``ceil(iteration_factor * |Π|) + extra_iterations``
     #: iterations, at least ``min_iterations``.  The paper uses factor 100 and
     #: no early stop; the default is far smaller because the analysis constants
-    #: are loose (substitution 1 in DESIGN.md).
+    #: are loose.
     iteration_factor: float = 4.0
     extra_iterations: int = 6
     min_iterations: int = 8
@@ -91,7 +92,7 @@ class SchemeParameters:
     #: chunks (engineering optimisation; see engine docs).
     early_stop: bool = True
 
-    #: Ablation switches (DESIGN.md §6).
+    #: Ablation switches (see :mod:`repro.experiments.ablations`).
     enable_flag_passing: bool = True
     enable_rewind_phase: bool = True
 

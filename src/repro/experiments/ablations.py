@@ -1,4 +1,4 @@
-"""Ablations of the design choices called out in DESIGN.md §6.
+"""Ablations of the scheme's design choices.
 
 The paper motivates each ingredient of the scheme with a failure mode that
 would appear without it; these ablations make those failure modes measurable:

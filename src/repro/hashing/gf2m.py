@@ -7,16 +7,15 @@ bits are the coefficients of a polynomial over GF(2); multiplication is
 carry-less multiplication followed by reduction modulo a fixed irreducible
 polynomial.
 
-Only the operations the generator needs are provided: multiplication,
-exponentiation, the GF(2) inner product of two elements' coefficient
-vectors, and a table-driven :class:`FixedMultiplier` for the hot
-multiply-by-a-constant step of sequential δ-biased expansion.
+Only the operations the generator's reference path needs are provided:
+multiplication, exponentiation and the GF(2) inner product of two elements'
+coefficient vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict
 
 #: Irreducible polynomials (including the leading x^r term) for supported degrees.
 IRREDUCIBLE_POLYNOMIALS: Dict[int, int] = {
@@ -93,58 +92,7 @@ class GF2m:
         """GF(2) inner product of the coefficient vectors of two elements."""
         return (a & b).bit_count() & 1
 
-    def fixed_multiplier(self, constant: int) -> "FixedMultiplier":
-        """A table-driven multiplier for repeated products with ``constant``."""
-        return FixedMultiplier(self, constant)
-
     def _check(self, value: int) -> None:
         if value < 0 or value >= self.order:
             raise ValueError(f"{value} is not an element of GF(2^{self.degree})")
 
-
-class FixedMultiplier:
-    """Multiplication by one fixed field element via byte-indexed tables.
-
-    Multiplication by a constant is a GF(2)-linear map, so the product of an
-    arbitrary element with the constant is the XOR of the per-byte partial
-    products ``(byte << 8k) * constant``.  Precomputing those 256-entry tables
-    turns the per-step field multiplication of sequential δ-biased expansion
-    (``power ← power · y``) into a handful of C-level shifts, masks and XORs —
-    the results are bit-identical to :meth:`GF2m.mul` (the table entries *are*
-    reduced products).
-
-    Building the tables costs ``degree`` reductions plus O(256 · degree/8)
-    XORs (each byte entry extends a previously-filled entry by one bit), so
-    construction is cheap enough to do lazily on first use.
-    """
-
-    __slots__ = ("field", "constant", "_tables")
-
-    def __init__(self, field: GF2m, constant: int) -> None:
-        field._check(constant)
-        self.field = field
-        self.constant = constant
-        num_bits = field.degree
-        # Reduced products of the constant with every power of x ...
-        bit_products: List[int] = []
-        for bit in range(num_bits):
-            bit_products.append(field.reduce(carryless_multiply(1 << bit, constant)))
-        # ... combined into byte-indexed tables by dynamic programming: every
-        # byte value extends the entry with its lowest set bit cleared.
-        tables: List[List[int]] = []
-        for k in range(0, num_bits, 8):
-            table = [0] * 256
-            for byte in range(1, 256):
-                low = byte & -byte
-                table[byte] = table[byte ^ low] ^ bit_products[k + low.bit_length() - 1]
-            tables.append(table)
-        self._tables: Tuple[List[int], ...] = tuple(tables)
-
-    def mul(self, value: int) -> int:
-        """``value * constant`` in the field (bit-identical to ``GF2m.mul``)."""
-        self.field._check(value)
-        out = 0
-        for table in self._tables:
-            out ^= table[value & 0xFF]
-            value >>= 8
-        return out

@@ -242,10 +242,6 @@ class CrsSeedSource(SlotAddressedSeedSource):
     link: Tuple[int, int]
     field_degree: int = 64
     slot_capacity_bits: int = 4096
-    #: ``False`` expands the δ-biased string through the original per-bit
-    #: field-multiplication loop (the expansion reference); ``True`` uses the
-    #: LFSR stream fast path.  Bit-identical either way.
-    table_expansion: bool = True
     #: Cache-miss slot derivations performed by this source (``repro.obs``).
     derivations: int = 0
     _generator: SmallBiasGenerator = field(init=False)
@@ -258,11 +254,7 @@ class CrsSeedSource(SlotAddressedSeedSource):
         label = f"crs|{self.master_seed}|{self.link}|link-seed".encode("utf-8")
         digest = hashlib.sha256(label).digest()
         link_seed = int.from_bytes(digest, "little") & ((1 << (2 * self.field_degree)) - 1)
-        self._generator = SmallBiasGenerator(
-            seed_bits=link_seed,
-            field_degree=self.field_degree,
-            table_stepping=self.table_expansion,
-        )
+        self._generator = SmallBiasGenerator(seed_bits=link_seed, field_degree=self.field_degree)
 
 
 @dataclass
@@ -287,10 +279,6 @@ class ExchangedSeedSource(SlotAddressedSeedSource):
     link_seed: int
     field_degree: int = 64
     slot_capacity_bits: int = 4096
-    #: ``False`` expands the δ-biased string through the original per-bit
-    #: field-multiplication loop (the pre-fast-path reference); ``True`` uses
-    #: the LFSR stream fast path.  Bit-identical either way.
-    table_expansion: bool = True
     #: Cache-miss slot derivations performed by this source (``repro.obs``).
     derivations: int = 0
     _generator: SmallBiasGenerator = field(init=False)
@@ -300,30 +288,24 @@ class ExchangedSeedSource(SlotAddressedSeedSource):
     )
 
     def __post_init__(self) -> None:
-        self._generator = SmallBiasGenerator(
-            seed_bits=self.link_seed,
-            field_degree=self.field_degree,
-            table_stepping=self.table_expansion,
-        )
+        self._generator = SmallBiasGenerator(seed_bits=self.link_seed, field_degree=self.field_degree)
 
     def share_generator_with(self, other: "ExchangedSeedSource") -> None:
         """Share the expansion machinery (and derived slots) with a sibling.
 
         The two endpoints of a link whose randomness exchange succeeded hold
         the same ``link_seed`` and therefore expand the same δ-biased string;
-        sharing the generator lets them share the lazily-built stream cache,
-        and sharing the slot caches means each (iteration, purpose) slot is
-        expanded once per link instead of once per endpoint.  Only valid for
-        equal seeds (the derived values are identical by construction, so
-        aliasing the caches is observationally invisible).
+        sharing the generator lets them share its lazily-built expansion
+        state (this source's own generator is then never read, so it never
+        bootstraps), and sharing the slot caches means each (iteration,
+        purpose) slot is expanded once per link instead of once per endpoint.
+        Only valid for equal seeds (the derived values are identical by
+        construction, so aliasing the caches is observationally invisible).
         """
         if (other.link_seed, other.field_degree) != (self.link_seed, self.field_degree):
             raise ValueError("generator sharing requires identical link seeds and field degrees")
-        if (other.slot_capacity_bits, other.table_expansion) != (
-            self.slot_capacity_bits,
-            self.table_expansion,
-        ):
-            raise ValueError("generator sharing requires identical slot layouts and expansion paths")
+        if other.slot_capacity_bits != self.slot_capacity_bits:
+            raise ValueError("generator sharing requires identical slot layouts")
         self._generator = other._generator
         self._cache = other._cache
         self._batch_cache = other._batch_cache

@@ -2,7 +2,7 @@
 
 Algorithm A/B replace the long common random string with a short seed that
 both endpoints of a link expand into a δ-biased string (paper §2.3,
-Lemma 2.5, citing Naor–Naor and Alon–Goldreich–Håstad–Peres).  We implement
+Lemma 2.5, citing Naor–Naor and Alon–Goldreich–Håstad–Peralta).  We implement
 the AGHP *powering construction*:
 
     seed = (x, y) with x, y ∈ GF(2^r);   bit_i = ⟨x, y^i⟩
@@ -12,104 +12,77 @@ the first ℓ bits of this generator is at most ℓ / 2^r, so choosing
 ``r = Θ(log(ℓ/δ))`` gives a δ-biased distribution from a 2r-bit seed —
 matching the seed length ``Θ(log(1/δ) + log ℓ)`` of Lemma 2.5.
 
-``SmallBiasGenerator`` supports random access (``bit(i)``) and efficient
-sequential block generation (``packed_bits`` / ``packed_slots``), which is
-what the seed manager uses to carve per-iteration hash seeds out of the
-expanded string.  Sequential generation materialises the expanded string as
-one packed integer grown by an LFSR doubling step: ``s_i = ⟨x, y^i⟩`` is a
-linear functional of the state orbit of the (linear) map ``· y``, so the
-stream satisfies a linear recurrence of order at most ``r``.  The generator
-bootstraps ``2r`` bits with the reference loop, recovers the minimal
-connection polynomial with a packed Berlekamp–Massey pass, and then roughly
-doubles the cached stream per extension with whole-stream shift/XOR kernels —
-no per-bit Python work at all.  The per-bit reference path (:meth:`bits`)
-keeps the plain field-multiplication loop, and the equivalence suite pins the
-two bit-identical.
+:meth:`SmallBiasGenerator.bits` is the definition: one field multiplication
+per bit.  The seed manager instead reads a few short slots at large offsets
+(:meth:`~SmallBiasGenerator.packed_slots`), and each slot is computed on its
+own by LFSR jump-ahead:
 
-The expanded stream is a pure function of the seed ``(x, y)`` and the field
-degree, so the fast path shares one expansion state per distinct seed across
-*all* generator instances in the process (a bounded module-level cache).
-Repeated trials over the same CRS — a parameter sweep, a benchmark rerun —
-bootstrap and extend each per-link stream once instead of once per
-simulator.
+* ``s_i = ⟨x, y^i⟩`` is a linear functional of the orbit of the linear map
+  ``· y``, so the stream satisfies a linear recurrence of order at most r.
+  On the first read the generator computes the first 2r bits and recovers
+  the minimal recurrence with Berlekamp–Massey, as a characteristic polynomial
+  ``X^shift · conn`` with ``conn(0) = 1`` and ``deg conn = D``.
+* Past the ``shift`` head, ``u_t = s_{shift+t}`` obeys ``conn``, so for any o
+
+      u_{o+t} = ⊕_{j ∈ X^o mod conn} u_{t+j}.
+
+  A slot of ℓ bits at offset o costs one polynomial ``X^o mod conn`` and one
+  shift/XOR per coefficient over a base prefix of ``ℓ + D − 1`` bits.  The
+  base prefix grows by the same identity.
+* ``X^o mod conn`` is assembled from a table of ``X^(2^m) mod conn``, each
+  entry the square of the one before; each slot advances from the power of
+  the slot read before it.
+
+Polynomial products cost one Python-int multiply each: every GF(2)
+coefficient is spread into a byte of its own, where an integer product
+cannot carry into the next coefficient (a byte collects at most r ≤ 128
+terms), and the low bit of each byte is the GF(2) product.  Field products
+fold the part above X^r back with one more product, products modulo ``conn``
+are reduced by Barrett reduction.
+
+Nothing is cached across generator instances: the state of a seed is built
+lazily on its first read and lives on the instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import reduce
+from itertools import compress, count as naturals
+from operator import xor
+from typing import List, Optional, Sequence, Tuple
 
 from repro.hashing.gf2m import GF2m
 
 
-def _poly_mulmod(a: int, b: int, modulus: int, degree: int) -> int:
-    """``a · b mod modulus`` over GF(2)[x]; ``modulus`` is monic of ``degree``."""
-    product = 0
-    while a:
-        low = a & -a
-        product ^= b << (low.bit_length() - 1)
-        a ^= low
-    top = product.bit_length() - 1
+_BITS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _byte_ones(width: int) -> int:
+    """``width`` bytes of value 1: keeps the GF(2) coefficients of a spread product."""
+    return int.from_bytes(b"\x01" * width, "big")
+
+
+def _spread(value: int, width: int) -> int:
+    """``value < 2^width`` with bit ``i`` moved to bit ``8i``."""
+    return int.from_bytes(format(value, f"0{width}b").encode(), "big") & _byte_ones(width)
+
+
+def _reverse(value: int, width: int) -> int:
+    """The low ``width`` bits of ``value`` in reverse order."""
+    return int(format(value, f"0{width}b")[::-1], 2)
+
+
+def _poly_floordiv(numerator: int, denominator: int) -> int:
+    """Quotient of GF(2)[X] division (bit j = coefficient of X^j)."""
+    degree = denominator.bit_length() - 1
+    quotient = 0
+    top = numerator.bit_length() - 1
     while top >= degree:
-        product ^= modulus << (top - degree)
-        top = product.bit_length() - 1
-    return product
-
-
-def _poly_powmod(base: int, exponent: int, modulus: int, degree: int) -> int:
-    """``base ** exponent mod modulus`` over GF(2)[x] by square and multiply."""
-    result = 1
-    base = _poly_mulmod(base, 1, modulus, degree)  # reduce in case deg(base) >= degree
-    while exponent:
-        if exponent & 1:
-            result = _poly_mulmod(result, base, modulus, degree)
-        base = _poly_mulmod(base, base, modulus, degree)
-        exponent >>= 1
-    return result
-
-
-#: Block size of the chunked stream-extension phase.  Small enough that the
-#: XOR base stays cache-friendly, large enough that the one-time
-#: ``x^chunk mod conn`` exponentiation amortises over a handful of blocks.
-_EXTENSION_CHUNK_BITS = 1 << 15
-
-
-class _StreamState:
-    """Mutable LFSR expansion state for one ``(x, y, field_degree)`` seed.
-
-    ``stream`` holds the first ``length`` expanded bits packed LSB-first;
-    ``lfsr`` is ``None`` until bootstrapped, then the
-    ``(shift, conn, conn_degree, inv_step, jump)`` tuple documented on
-    :class:`SmallBiasGenerator`.  The state is shared by every fast-path
-    generator instance with the same seed, so it must only ever *grow* —
-    which the expansion code guarantees.
-    """
-
-    __slots__ = ("stream", "length", "lfsr")
-
-    def __init__(self) -> None:
-        self.stream = 0
-        self.length = 0
-        self.lfsr: Optional[Tuple[int, int, int, int, int]] = None
-
-
-#: Process-level expansion cache: seeds are pure inputs, so sharing the
-#: expanded stream across generator instances is observationally invisible
-#: (the equivalence suite pins the output against the per-bit reference
-#: either way).  Bounded FIFO so pathological seed churn cannot grow it
-#: without limit.
-_STREAM_STATES: Dict[Tuple[int, int, int], _StreamState] = {}
-_STREAM_STATE_CAPACITY = 512
-
-
-def _shared_stream_state(x: int, y: int, field_degree: int) -> _StreamState:
-    key = (x, y, field_degree)
-    state = _STREAM_STATES.get(key)
-    if state is None:
-        if len(_STREAM_STATES) >= _STREAM_STATE_CAPACITY:
-            _STREAM_STATES.pop(next(iter(_STREAM_STATES)))
-        state = _STREAM_STATES[key] = _StreamState()
-    return state
+        quotient |= 1 << (top - degree)
+        numerator ^= denominator << (top - degree)
+        top = numerator.bit_length() - 1
+    return quotient
 
 
 def _minimal_connection_polynomial(stream: int, count: int) -> Tuple[int, int]:
@@ -120,10 +93,7 @@ def _minimal_connection_polynomial(stream: int, count: int) -> Tuple[int, int]:
     ``i ≥ L``.  Discrepancies are whole-register popcounts over the
     bit-reversed stream instead of per-term Python loops.
     """
-    rbits = 0
-    for i in range(count):
-        if (stream >> i) & 1:
-            rbits |= 1 << (count - 1 - i)
+    rbits = _reverse(stream, count)
     connection, backup = 1, 1
     complexity, gap = 0, 1
     for i in range(count):
@@ -140,6 +110,65 @@ def _minimal_connection_polynomial(stream: int, count: int) -> Tuple[int, int]:
             connection ^= backup << gap
             gap += 1
     return connection, complexity
+
+
+class _JumpAhead:
+    """Powers of X modulo a connection polynomial, kept byte-spread.
+
+    ``power(k)`` is ``X^k mod conn``, one coefficient per byte.  It multiplies
+    the previous call's power by table entries ``X^(2^m) mod conn`` (each the
+    square of the one before), so increasing offsets cost one product per set
+    bit of the gap between them.
+    """
+
+    __slots__ = ("degree", "_ones", "_low", "_conn", "_mu", "_table", "_cursor")
+
+    def __init__(self, conn: int, degree: int) -> None:
+        self.degree = degree
+        self._ones = _byte_ones(2 * degree)
+        self._low = _byte_ones(degree)
+        self._conn = _spread(conn, degree + 1)
+        # Barrett constant: the quotient of X^(2D) by conn (exact over GF(2)[X]
+        # for any product of two reduced polynomials).
+        self._mu = _spread(_poly_floordiv(1 << (2 * degree), conn), degree + 1)
+        self._table: List[int] = [self._reduce(_spread(2, 2))]
+        self._cursor: Tuple[int, int] = (0, 1)
+
+    def _reduce(self, product: int) -> int:
+        """A spread polynomial of degree < 2D modulo conn."""
+        shift = 8 * self.degree
+        quotient = (((product >> shift) * self._mu) & self._ones) >> shift
+        return (product ^ ((quotient * self._conn) & self._ones)) & self._low
+
+    def _mulmod(self, a: int, b: int) -> int:
+        return self._reduce((a * b) & self._ones)
+
+    def entry(self, m: int) -> int:
+        """``X^(2^m) mod conn``, spread."""
+        table = self._table
+        while len(table) <= m:
+            table.append(self._mulmod(table[-1], table[-1]))
+        return table[m]
+
+    def power(self, k: int) -> int:
+        """``X^k mod conn``, spread."""
+        start, value = self._cursor
+        if k < start:
+            start, value = 0, 1
+        gap = k - start
+        while gap:
+            low = gap & -gap
+            value = self._mulmod(value, self.entry(low.bit_length() - 1))
+            gap ^= low
+        self._cursor = (k, value)
+        return value
+
+
+def _xor_shifts(base: int, coefficients: int, degree: int) -> int:
+    """``⊕_j c_j · (base >> j)`` for spread ``coefficients``: a jump-ahead
+    step for every bit of ``base`` at once."""
+    positions = compress(naturals(), coefficients.to_bytes(degree, "little"))
+    return reduce(xor, map(base.__rshift__, positions), 0)
 
 
 def required_field_degree(output_length: int, delta: float) -> int:
@@ -166,11 +195,6 @@ class SmallBiasGenerator:
 
     seed_bits: int
     field_degree: int = 64
-    #: ``False`` routes sequential generation through the original per-bit
-    #: field-multiplication loop instead of the table-driven step — the
-    #: reference path the equivalence suite and the hashing benchmark compare
-    #: against.
-    table_stepping: bool = True
 
     def __post_init__(self) -> None:
         self.field = GF2m(self.field_degree)
@@ -182,142 +206,114 @@ class SmallBiasGenerator:
         # average over seeds, but we keep them as-is for faithfulness (the
         # probability of drawing them is 2^-r).
         #
-        # The fast sequential path caches the expanded string as one packed
-        # integer, grown on demand by the LFSR doubling step.  The state's
-        # ``lfsr`` tuple is (shift, conn, conn_degree, inv_step, jump): the
-        # stream s satisfies x^shift·conn as a characteristic polynomial with
-        # conn(0) = 1; ``jump`` is x^(length - shift) mod conn, kept in
-        # lockstep with the cached stream; ``inv_step`` is x^(1 - deg conn)
-        # mod conn, the constant that advances ``jump`` across one doubling.
-        # Fast-path instances with the same seed share one process-level
-        # state, so a stream is bootstrapped and extended once per seed.
-        if self.table_stepping:
-            self._state = _shared_stream_state(self.x, self.y, self.field_degree)
-        else:
-            self._state = _StreamState()
+        # Expansion state, built on the first packed read: ``_stream`` holds
+        # the first ``_known`` bits, the recurrence is ``X^_shift · conn`` and
+        # ``_jumps`` (None when conn = 1, i.e. the stream is zero past the
+        # head) computes powers of X modulo conn.
+        self._stream = 0
+        self._known = 0
+        self._shift = 0
+        self._degree = 0
+        self._jumps: Optional[_JumpAhead] = None
 
-    def _bootstrap_stream(self) -> None:
-        """Seed the stream cache: 2r stepped bits + Berlekamp–Massey.
+    def _bootstrap(self) -> None:
+        """Compute 2r bits and find their minimal recurrence (Berlekamp–Massey).
 
-        The AGHP stream is a linear functional of the ``· y`` orbit in
-        GF(2^r), so its linear complexity is at most ``r``; 2r terms therefore
-        determine the minimal connection polynomial exactly, and the LFSR
-        extension reproduces the reference stream bit for bit (pinned by the
-        hashing equivalence suite).  The 2r bootstrap terms are stepped with
-        small nibble-indexed tables for the (linear) ``· y`` map — exact field
-        products, so bit-identical to the :meth:`bits` reference loop at a
-        fraction of its cost.
+        The stream's linear complexity is at most r, so 2r terms determine
+        its minimal connection polynomial, and jump-ahead over it reproduces
+        :meth:`bits` exactly.  The 2r terms come from a baby-step/giant-step
+        split, ``s_{aB+b} = ⟨w_b, y^(aB)⟩`` with ``w_b`` the adjoint of
+        ``· y^b`` applied to x: B + 2r/B field products instead of 2r.  A
+        field product is one integer product of byte-spread operands, folded
+        back below X^r with another (a byte then holds a small sum, whose low
+        bit is the GF(2) coefficient).
         """
-        state = self._state
-        field = self.field
         degree = self.field_degree
-        basis: List[int] = []
-        product = self.y
-        for _ in range(degree):
-            basis.append(product)
-            product = field.reduce(product << 1)
-        step_tables: List[List[int]] = []
-        for base_bit in range(0, degree, 4):
-            table = [0] * 16
-            for value in range(1, 16):
-                low = value & -value
-                table[value] = table[value ^ low] ^ basis[base_bit + low.bit_length() - 1]
-            step_tables.append(table)
         count = 2 * degree
-        stream = 0
-        x = self.x
+        shift = 8 * degree
+        head = (1 << shift) - 1
+        low = _byte_ones(degree)
+        ones = _byte_ones(2 * degree)
+        tail = self.field.modulus ^ (1 << degree)
+        spread_tail = _spread(tail, degree)
+
+        def multiply(a: int, b: int) -> int:
+            product = (a * b) & ones
+            # X^r = tail: two folds bring the degree below r.
+            product = (product & head) + (product >> shift) * spread_tail
+            return ((product & head) + (product >> shift) * spread_tail) & low
+
+        # x'_k = <x, X^k mod f> for k < 2r - 1, so that <x, p mod f> = <x', p>
+        # for an unreduced product p: X^k = X^(k-r) · tail.
+        extended = self.x
+        fresh = degree - tail.bit_length() + 1
+        for known in range(degree, 2 * degree - 1, fresh):
+            block = _xor_shifts(extended >> (known - degree), spread_tail, degree)
+            extended |= (block & ((1 << fresh) - 1)) << known
+        spread_x = _spread(extended & ((1 << (2 * degree - 1)) - 1), 2 * degree - 1)
+        # Baby steps: w_b with <w_b, z> = <x, y^b · z>, the correlation of x'
+        # with y^b.  Giant steps: y^(aB).  Then s_{aB+b} = <w_b, y^(aB)>.
+        baby = 1 << (degree.bit_length() // 2)  # a power of two near √r: it divides 2r
+        y = _spread(self.y, degree)
+        wide = _byte_ones(3 * degree)
+        adjoints = []
         power = 1
-        for i in range(count):
-            if (x & power).bit_count() & 1:
-                stream |= 1 << i
-            shifted = power
-            stepped = 0
-            for table in step_tables:
-                stepped ^= table[shifted & 0xF]
-                shifted >>= 4
-            power = stepped
-        state.stream = stream
-        state.length = count
+        for _ in range(baby):
+            reverse = int.from_bytes(power.to_bytes(degree, "little"), "big")
+            adjoints.append((((spread_x * reverse) & wide) >> (8 * degree - 8)) & low)
+            power = multiply(power, y)
+        giants = [1]
+        for _ in range(count // baby - 1):
+            giants.append(multiply(giants[-1], power))
+        parities = bytes([(w & g).bit_count() & 1 for g in giants for w in adjoints])
+        stream = int(parities[::-1].translate(_BITS_TO_DIGITS), 2)
+        self._stream = stream
+        self._known = count
         connection, complexity = _minimal_connection_polynomial(stream, count)
         # Characteristic form: bit-reverse C over degree L, then strip the
-        # x^shift factor (present exactly when the minimal polynomial has a
+        # X^shift factor (present exactly when the minimal polynomial has a
         # pre-periodic head, e.g. y = 0) so conn is invertible at 0.
-        reversed_conn = 0
-        for j in range(complexity + 1):
-            if (connection >> j) & 1:
-                reversed_conn |= 1 << (complexity - j)
-        if complexity == 0:
-            state.lfsr = (0, 1, 0, 0, 0)  # all-zero stream
-            return
-        shift = (reversed_conn & -reversed_conn).bit_length() - 1
-        conn = reversed_conn >> shift
-        conn_degree = complexity - shift
-        if conn_degree == 0:
-            state.lfsr = (shift, 1, 0, 0, 0)  # zero beyond the first `shift` bits
-            return
-        # x is invertible mod conn because conn(0) = 1: x·(conn + 1)/x ≡ 1.
-        inverse_x = (conn ^ 1) >> 1
-        inv_step = _poly_powmod(inverse_x, conn_degree - 1, conn, conn_degree)
-        jump = _poly_powmod(2, count - shift, conn, conn_degree)
-        state.lfsr = (shift, conn, conn_degree, inv_step, jump)
+        characteristic = _reverse(connection, complexity + 1)
+        self._shift = (characteristic & -characteristic).bit_length() - 1
+        conn = characteristic >> self._shift
+        self._degree = conn.bit_length() - 1
+        if self._degree:
+            self._jumps = _JumpAhead(conn, self._degree)
 
-    def _ensure_stream(self, length: int) -> None:
-        """Grow the cached stream to at least ``length`` bits."""
-        state = self._state
-        if length <= state.length:
-            return
-        if state.lfsr is None:
-            self._bootstrap_stream()
-            if length <= state.length:
-                return
-        shift, conn, conn_degree, inv_step, jump = state.lfsr
-        if conn_degree == 0:
-            # Eventually-zero stream: every bit past the cached prefix is 0.
-            state.length = length
-            return
-        stream = state.stream
-        stream_len = state.length
-        chunk_bits = _EXTENSION_CHUNK_BITS
-        while stream_len < length and stream_len - shift < chunk_bits + conn_degree:
-            # Doubling phase (small streams).  With jump = x^have mod conn
-            # (have counted past the shift head), s_{shift+have+t} =
-            # ⊕_{j ∈ jump} s_{shift+t+j}, valid for t < have - deg(conn) + 1 —
-            # one shift/XOR per set coefficient over the cached stream.
-            have = stream_len - shift
-            fresh = have - conn_degree + 1
-            block = 0
-            coefficients = jump
-            base = stream >> shift
-            while coefficients:
-                low = coefficients & -coefficients
-                block ^= base >> (low.bit_length() - 1)
-                coefficients ^= low
-            stream |= (block & ((1 << fresh) - 1)) << stream_len
-            stream_len += fresh
-            # jump ← x^(2·have - deg + 1) = jump² · x^(1 - deg) mod conn.
-            jump = _poly_mulmod(_poly_mulmod(jump, jump, conn, conn_degree), inv_step, conn, conn_degree)
-        if stream_len < length:
-            # Chunked phase (long streams): append fixed-size blocks computed
-            # against the short stream *prefix* instead of the whole cached
-            # stream, keeping the per-generated-bit cost constant.  The same
-            # identity applies — s_{shift+have+t} = ⊕_{j ∈ jump} s_{shift+t+j}
-            # for t < chunk — and t + j stays inside the prefix window.
-            base = (stream >> shift) & ((1 << (chunk_bits + conn_degree)) - 1)
-            chunk_mask = (1 << chunk_bits) - 1
-            chunk_step = _poly_powmod(2, chunk_bits, conn, conn_degree)
-            while stream_len < length:
-                block = 0
-                coefficients = jump
-                while coefficients:
-                    low = coefficients & -coefficients
-                    block ^= base >> (low.bit_length() - 1)
-                    coefficients ^= low
-                stream |= (block & chunk_mask) << stream_len
-                stream_len += chunk_bits
-                jump = _poly_mulmod(jump, chunk_step, conn, conn_degree)
-        state.stream = stream
-        state.length = stream_len
-        state.lfsr = (shift, conn, conn_degree, inv_step, jump)
+    def _extend(self, length: int) -> None:
+        """Grow the known stream prefix to at least ``length`` bits.
+
+        With ``have`` bits known past the head and ``2^m <= have``, the
+        identity at ``o = 2^m`` yields ``u_{2^m} .. u_{2^m + have - D}`` from
+        the known prefix, i.e. ``2^m - D + 1 >= 1`` new bits.
+        """
+        jumps = self._jumps
+        shift, degree = self._shift, self._degree
+        stream, known = self._stream, self._known
+        while known < length:
+            have = known - shift
+            m = have.bit_length() - 1
+            fresh = (1 << m) - degree + 1
+            block = _xor_shifts(stream >> shift, jumps.entry(m), degree)
+            stream |= ((block >> (have - (1 << m))) & ((1 << fresh) - 1)) << known
+            known += fresh
+        self._stream, self._known = stream, known
+
+    def _read(self, offset: int, count: int) -> int:
+        if not self._known:
+            self._bootstrap()
+        end = offset + count
+        if end > self._known and self._jumps is not None:
+            base_length = count + self._degree - 1
+            start = offset - self._shift
+            if start >= base_length:
+                self._extend(self._shift + base_length)
+                base = (self._stream >> self._shift) & ((1 << base_length) - 1)
+                block = _xor_shifts(base, self._jumps.power(start), self._degree)
+                return block & ((1 << count) - 1)
+            self._extend(end)
+        # Past ``_known`` an eventually-zero stream (no jumps) reads zeros.
+        return (self._stream >> offset) & ((1 << count) - 1)
 
     @classmethod
     def from_bit_list(cls, bits: List[int], field_degree: int = 64) -> "SmallBiasGenerator":
@@ -342,7 +338,7 @@ class SmallBiasGenerator:
         return GF2m.inner_product_bit(self.x, power)
 
     def bits(self, offset: int, count: int) -> List[int]:
-        """``count`` consecutive bits starting at ``offset`` (sequential generation)."""
+        """``count`` consecutive bits starting at ``offset`` (the definition)."""
         if offset < 0 or count < 0:
             raise ValueError("offset and count must be non-negative")
         out: List[int] = []
@@ -355,38 +351,23 @@ class SmallBiasGenerator:
     def packed_bits(self, offset: int, count: int) -> int:
         """Same as :meth:`bits` but packed into an integer (bit 0 = first bit).
 
-        This is the fast sequential path: one whole-register slice out of the
-        LFSR-extended stream cache instead of per-bit field multiplications.
-        Bit-identical to packing the output of :meth:`bits` (pinned by the
-        hashing equivalence suite); with ``table_stepping=False`` it *is* that
-        packing loop.
+        Computed by jump-ahead (see the module docstring); bit-identical to
+        packing the output of :meth:`bits`.
         """
         if offset < 0 or count < 0:
             raise ValueError("offset and count must be non-negative")
-        if not self.table_stepping:
-            value = 0
-            for position, bit in enumerate(self.bits(offset, count)):
-                if bit:
-                    value |= 1 << position
-            return value
         if count == 0:
             return 0
-        self._ensure_stream(offset + count)
-        return (self._state.stream >> offset) & ((1 << count) - 1)
+        return self._read(offset, count)
 
     def packed_slots(self, offset_lengths: Sequence[Tuple[int, int]]) -> Tuple[int, ...]:
-        """Read several ``(offset, length)`` slots in one sequential pass.
+        """Read several ``(offset, length)`` slots, each by its own jump.
 
         Slots must be given in increasing-offset order and must not overlap.
-        All slots are served from the shared stream cache, which is extended
-        once to cover the furthest slot.  This is what
-        :class:`~repro.hashing.seeds.ExchangedSeedSource` (and, since the
-        unified expansion contract, :class:`~repro.hashing.seeds.CrsSeedSource`)
-        uses to pull a whole iteration's seed slots out of the δ-biased string
-        in one read.
+        This is what :class:`~repro.hashing.seeds.ExchangedSeedSource` and
+        :class:`~repro.hashing.seeds.CrsSeedSource` use to pull a whole
+        iteration's seed slots out of the δ-biased string in one call.
         """
-        if not self.table_stepping:
-            return tuple(self.packed_bits(offset, count) for offset, count in offset_lengths)
         values: List[int] = []
         position: Optional[int] = None
         for offset, count in offset_lengths:
@@ -394,7 +375,7 @@ class SmallBiasGenerator:
                 raise ValueError("offset and count must be non-negative")
             if position is not None and offset < position:
                 raise ValueError("slots must be given in increasing-offset order")
-            values.append(self.packed_bits(offset, count))
+            values.append(self._read(offset, count) if count else 0)
             position = offset + count
         return tuple(values)
 

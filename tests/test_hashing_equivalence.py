@@ -4,8 +4,8 @@ Mirrors ``tests/test_transport.py``: every layer of the batched hashing
 machinery is run side by side with its per-call / per-bit reference over
 random inputs, and the two must agree bit for bit —
 
-* ``SmallBiasGenerator`` table-driven stepping vs the per-bit
-  field-multiplication loop (``table_stepping=False``),
+* ``SmallBiasGenerator`` jump-ahead reads vs :meth:`bits`, the per-bit
+  field-multiplication definition,
 * ``SeedSource.seeds_for_iteration`` native overrides vs the per-call
   ``seed_for`` loop, for both seed-source implementations,
 * ``InnerProductHash.digest_many`` vs one ``digest`` per value,
@@ -44,18 +44,15 @@ from repro.utils.rng import make_rng
 
 class TestSmallBiasExpansionEquivalence:
     def test_table_stepping_matches_per_bit_reference(self):
+        """Jump-ahead reads equal the per-bit definition, :meth:`bits`."""
         rng = make_rng(11)
         for degree in (8, 16, 32, 64, 128):
             seed = rng.getrandbits(2 * degree)
-            fast = SmallBiasGenerator(seed_bits=seed, field_degree=degree)
-            reference = SmallBiasGenerator(
-                seed_bits=seed, field_degree=degree, table_stepping=False
-            )
+            generator = SmallBiasGenerator(seed_bits=seed, field_degree=degree)
             for _ in range(6):
                 offset = rng.randint(0, 10_000)
                 count = rng.randint(0, 400)
-                assert fast.packed_bits(offset, count) == reference.packed_bits(offset, count)
-                assert fast.packed_bits(offset, count) == bits_to_int(fast.bits(offset, count))
+                assert generator.packed_bits(offset, count) == bits_to_int(generator.bits(offset, count))
 
     def test_packed_slots_matches_per_slot_reads(self):
         rng = make_rng(12)
@@ -73,7 +70,7 @@ class TestSmallBiasExpansionEquivalence:
 
     def test_cursor_resume_across_sequential_reads(self):
         """Monotone packed_slots calls (the per-iteration access pattern) stay
-        correct when the generator resumes from its cursor memo."""
+        correct when each jump advances from the previous slot's."""
         rng = make_rng(13)
         fast = SmallBiasGenerator(seed_bits=rng.getrandbits(128))
         cold = SmallBiasGenerator(seed_bits=fast.seed_bits)
@@ -137,7 +134,7 @@ class TestSeedBatchEquivalence:
             seed = rng.getrandbits(128)
             batched = ExchangedSeedSource(link_seed=seed)
             per_call = ExchangedSeedSource(link_seed=seed)
-            reference = ExchangedSeedSource(link_seed=seed, table_expansion=False)
+            reference = SmallBiasGenerator(seed_bits=seed)
             for iteration in sorted(rng.sample(range(12), 3)):
                 layout = _random_layout(rng)
                 expected = tuple(
@@ -145,7 +142,10 @@ class TestSeedBatchEquivalence:
                     for purpose, length in zip(SEED_PURPOSES, layout.lengths)
                 )
                 assert batched.seeds_for_iteration(iteration, layout) == expected
-                assert reference.seeds_for_iteration(iteration, layout) == expected
+                for purpose_index, length in enumerate(layout.lengths):
+                    if length:
+                        offset = (iteration * len(SEED_PURPOSES) + purpose_index) * batched.slot_capacity_bits
+                        assert expected[purpose_index] == bits_to_int(reference.bits(offset, length))
 
     def test_default_batch_implementation_loops_seed_for(self):
         """The abstract default (no native override) is the per-call loop."""
@@ -165,7 +165,7 @@ class TestSeedBatchEquivalence:
         b = ExchangedSeedSource(link_seed=2)
         with pytest.raises(ValueError):
             b.share_generator_with(a)
-        c = ExchangedSeedSource(link_seed=1, table_expansion=False)
+        c = ExchangedSeedSource(link_seed=1, slot_capacity_bits=2048)
         with pytest.raises(ValueError):
             c.share_generator_with(a)
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 from repro.adversary.strategies import DeletionAdversary, LinkTargetedAdversary, RandomNoiseAdversary
 from repro.core.randomness_exchange import run_randomness_exchange
-from repro.hashing.seeds import ExchangedSeedSource
+from repro.hashing.seeds import ExchangedSeedSource, seed_layout
+from repro.hashing.small_bias import SmallBiasGenerator
 from repro.network.topologies import line_topology, star_topology
 from repro.network.transport import NoisyNetwork
 from repro.utils.rng import make_rng
@@ -30,6 +31,25 @@ class TestCleanExchange:
             source_v = report.seed_sources[(v, u)]
             assert isinstance(source_u, ExchangedSeedSource)
             assert source_u.seed_for(0, "mp_prefix", 256) == source_v.seed_for(0, "mp_prefix", 256)
+
+    def test_each_agreed_link_bootstraps_one_generator(self, monkeypatch):
+        """A receiver's own generator, replaced by the sender's, never bootstraps."""
+        bootstrapped = []
+        original = SmallBiasGenerator._bootstrap
+
+        def record(generator):
+            bootstrapped.append(generator)
+            original(generator)
+
+        monkeypatch.setattr(SmallBiasGenerator, "_bootstrap", record)
+        graph = star_topology(5)
+        report = run_randomness_exchange(graph, NoisyNetwork(graph), make_rng(2), field_degree=32)
+        layout = seed_layout(mp_counter=64, mp_prefix=256)
+        for source in report.seed_sources.values():
+            source.seeds_for_iteration(3, layout)
+        assert len(bootstrapped) == graph.num_edges
+        senders = [report.seed_sources[edge]._generator for edge in graph.edges]
+        assert all(any(generator is sender for sender in senders) for generator in bootstrapped)
 
     def test_communication_scales_with_links(self):
         small_graph = line_topology(3)

@@ -103,19 +103,30 @@ class TestDecoding:
             code.decode(word, erasure_positions=[0, 1, 2, 3, 4])
 
     def test_beyond_radius_raises_or_miscorrects(self):
+        """Beyond the radius the decoder raises or lands on *some* codeword,
+        and a successful decode is always a bounded-distance decode: the
+        message of a codeword within (n - k) // 2 symbols of the word."""
         code = ReedSolomonCode(10, 6)
         message = [1, 2, 3, 4, 5, 6]
-        word = code.encode(message)
         rng = random.Random(0)
-        for position in range(6):
-            word[position] ^= rng.randrange(1, 256)
-        try:
-            decoded = code.decode(word)
-        except DecodingError:
-            return
-        # If it decodes, it must decode to a different codeword (list decoding
-        # is out of scope); either way the call must not loop or crash.
-        assert decoded != message or decoded == message
+        outcomes = set()
+        for trial in range(100):
+            # Even trials: 6 errors on the codeword of ``message``.  Odd
+            # trials: 2 errors on another codeword, which is just as far
+            # beyond the radius of ``message``'s codeword.
+            source = message if trial % 2 == 0 else [rng.randrange(256) for _ in range(6)]
+            word = code.encode(source)
+            for position in rng.sample(range(10), 6 if trial % 2 == 0 else 2):
+                word[position] ^= rng.randrange(1, 256)
+            try:
+                decoded = code.decode(word)
+            except DecodingError:
+                outcomes.add("raised")
+                continue
+            outcomes.add("decoded")
+            distance = sum(a != b for a, b in zip(code.encode(decoded), word))
+            assert distance <= code.parity_length // 2
+        assert outcomes == {"raised", "decoded"}
 
     def test_wrong_length_rejected(self):
         code = ReedSolomonCode(10, 6)

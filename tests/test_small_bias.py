@@ -5,13 +5,17 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.hashing.gf2m import GF2m
 from repro.hashing.small_bias import (
     SmallBiasGenerator,
     empirical_bias,
     required_field_degree,
     seed_length_bits,
 )
+from repro.utils.bitstring import bits_to_int
 
 
 class TestParameters:
@@ -98,3 +102,101 @@ class TestBias:
             parities.append(sum(bits[i] for i in subset) % 2)
         fraction_of_ones = sum(parities) / len(parities)
         assert 0.2 <= fraction_of_ones <= 0.8
+
+
+# ------------------------------------------------------------ jump-ahead --
+
+DEGREES = (8, 16, 32, 64, 128)
+
+
+def _gf4_element() -> int:
+    """An element of order 3 in GF(2^64): it lies in the GF(4) subfield."""
+    field = GF2m(64)
+    for a in range(2, 100):
+        y = field.pow(a, ((1 << 64) - 1) // 3)
+        if y != 1:
+            return y
+    raise AssertionError("no element of order 3 found")
+
+
+def _degenerate_seeds(degree: int):
+    """Seeds whose stream has linear complexity below r (or a zero head)."""
+    rng = random.Random(degree)
+    x = rng.getrandbits(degree) | 1
+    seeds = {
+        "x=0": rng.getrandbits(degree) << degree,
+        "y=0": x,
+        "y=0,x even": x ^ 1,
+        "y=1": x | (1 << degree),
+        "random": rng.getrandbits(2 * degree),
+    }
+    if degree == 64:
+        seeds["y in GF(4)"] = x | (_gf4_element() << 64)
+    return seeds
+
+
+def _reference(generator: SmallBiasGenerator, offset: int, count: int) -> int:
+    return bits_to_int(generator.bits(offset, count))
+
+
+class TestJumpAheadExpansion:
+    """Jump-ahead reads against the per-bit definition, :meth:`bits`."""
+
+    @pytest.mark.parametrize("degree", DEGREES)
+    def test_low_linear_complexity_seeds(self, degree):
+        for name, seed in _degenerate_seeds(degree).items():
+            generator = SmallBiasGenerator(seed_bits=seed, field_degree=degree)
+            reads = [(0, 3), (1, 40), (2 * degree - 5, 30), (3000, 200), (70_000, 90)]
+            for offset, count in reads:
+                assert generator.packed_bits(offset, count) == _reference(generator, offset, count), (name, offset)
+
+    @pytest.mark.parametrize("degree", DEGREES)
+    def test_slots_before_and_after_the_head(self, degree):
+        """y = 0 gives ``X · 1`` as characteristic polynomial: one head bit
+        (bit 0 = x_0), zeros after it, at any distance."""
+        generator = SmallBiasGenerator(seed_bits=1, field_degree=degree)
+        slots = [(0, 1), (1, 5), (10, 3 * degree), (50_000, 64)]
+        assert generator.packed_slots(slots) == (1, 0, 0, 0)
+        assert generator.packed_slots(slots) == tuple(_reference(generator, *slot) for slot in slots)
+
+    def test_zero_length_slots(self):
+        generator = SmallBiasGenerator(seed_bits=random.Random(1).getrandbits(128))
+        assert generator.packed_bits(12_345, 0) == 0
+        slots = [(0, 0), (100, 0), (100, 50), (4096, 0), (9000, 20)]
+        values = generator.packed_slots(slots)
+        assert values == tuple(_reference(generator, *slot) for slot in slots)
+        assert values[0] == values[1] == values[3] == 0
+
+    def test_packed_bits_after_packed_slots(self):
+        """Reads behind the last jump restart from X^0 and stay exact."""
+        generator = SmallBiasGenerator(seed_bits=random.Random(2).getrandbits(128))
+        slots = [(3 * 4096, 256), (4 * 4096, 700), (9 * 4096, 256)]
+        assert generator.packed_slots(slots) == tuple(_reference(generator, *slot) for slot in slots)
+        for offset, count in [(5000, 300), (0, 128), (100, 1000), (40_000, 10)]:
+            assert generator.packed_bits(offset, count) == _reference(generator, offset, count)
+
+
+@st.composite
+def _seed_and_slots(draw):
+    degree = draw(st.sampled_from(DEGREES))
+    seed = draw(
+        st.one_of(
+            st.integers(0, (1 << (2 * degree)) - 1),
+            st.sampled_from(sorted(_degenerate_seeds(degree).values())),
+        )
+    )
+    slots = []
+    position = 0
+    for gap, length in draw(st.lists(st.tuples(st.integers(0, 20_000), st.integers(0, 300)), max_size=5)):
+        position += gap
+        slots.append((position, length))
+        position += length
+    return degree, seed, slots
+
+
+@settings(max_examples=60, deadline=None)
+@given(_seed_and_slots())
+def test_packed_slots_match_bits_property(case):
+    degree, seed, slots = case
+    generator = SmallBiasGenerator(seed_bits=seed, field_degree=degree)
+    assert generator.packed_slots(slots) == tuple(_reference(generator, *slot) for slot in slots)
