@@ -71,19 +71,6 @@ def _feedback_rows(parity: int) -> Tuple[int, ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
-def _syndrome_rows(parity: int) -> Tuple[bytes, ...]:
-    """Row i holds ``alpha^(ij)`` for j = 0..p-1."""
-    return tuple(bytes(EXP[(i * j) % _ORDER] for j in range(parity)) for i in range(parity))
-
-
-@lru_cache(maxsize=None)
-def _scale_table(value: int) -> bytes:
-    """A ``bytes.translate`` table multiplying every symbol by ``value``."""
-    log_value = LOG[value]
-    return bytes([0] + [EXP[log_value + LOG[symbol]] for symbol in range(1, FIELD_SIZE)])
-
-
 @dataclass(frozen=True)
 class ReedSolomonCode:
     """A systematic RS(n, k) code over GF(256).
@@ -162,23 +149,8 @@ class ReedSolomonCode:
     # -- decoding ---------------------------------------------------------------
 
     def syndromes(self, received: Sequence[int]) -> List[int]:
-        """S_j = R(alpha^j) for j = 0..p-1.
-
-        Computed as D(alpha^j) for the parity difference
-        ``D = R mod g = received parity - re-encoded parity`` (the codeword
-        part of R vanishes at every root of g): row i of ``alpha^(ij)``
-        scaled by ``D_i`` with one ``bytes.translate`` per coefficient.
-        """
-        parity = self.parity_length
-        word = bytes(received)
-        difference = int.from_bytes(word[:parity], "little") ^ int.from_bytes(
-            self._parity(word[parity:]), "little"
-        )
-        total = 0
-        for row, coeff in zip(_syndrome_rows(parity), difference.to_bytes(parity, "little")):
-            if coeff:
-                total ^= int.from_bytes(row.translate(_scale_table(coeff)), "little")
-        return list(total.to_bytes(parity, "little"))
+        """S_j = R(alpha^j) for j = 0..p-1."""
+        return [poly_eval(received, EXP[j]) for j in range(self.parity_length)]
 
     def _is_codeword(self, word: List[int]) -> bool:
         return self._parity(bytes(word[self.parity_length:])) == bytes(word[: self.parity_length])
@@ -213,11 +185,11 @@ class ReedSolomonCode:
 
     # -- internals ---------------------------------------------------------------
 
-    def _solve_key_equation(self, modified_syndrome: List[int], num_erasures: int) -> tuple:
+    def _solve_key_equation(self, modified_syndrome: List[int], num_erasures: int) -> List[int]:
         """Sugiyama's extended-Euclidean solution of the key equation.
 
-        Returns (error_locator, evaluator) such that
-        ``error_locator * modified_syndrome = evaluator (mod x^p)``.
+        Returns the error locator Λ with ``Λ * modified_syndrome = Ω (mod x^p)``
+        for an evaluator Ω of degree below ``(p + erasures) / 2``.
         """
         parity = self.parity_length
         r_prev: List[int] = [0] * parity + [1]  # x^p
@@ -229,7 +201,7 @@ class ReedSolomonCode:
             quotient, remainder = poly_divmod(r_prev, r_curr)
             r_prev, r_curr = r_curr, remainder
             v_prev, v_curr = v_curr, poly_add(v_prev, poly_mul(quotient, v_curr))
-        return poly_trim(v_curr), poly_trim(r_curr)
+        return poly_trim(v_curr)
 
     def _correct(self, word: List[int], synd: List[int], erasures: List[int]) -> List[int]:
         parity = self.parity_length
@@ -241,7 +213,7 @@ class ReedSolomonCode:
         modified = poly_trim(poly_mul(syndrome_poly, gamma)[:parity])
 
         if any(modified):
-            error_locator, _ = self._solve_key_equation(modified, len(erasures))
+            error_locator = self._solve_key_equation(modified, len(erasures))
             if error_locator == [0]:
                 raise DecodingError("degenerate error locator")
         else:

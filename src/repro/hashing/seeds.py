@@ -270,10 +270,10 @@ class ExchangedSeedSource(SlotAddressedSeedSource):
     (iteration, purpose) slot; the same deterministic layout is used by both
     endpoints, so no coordination is needed.
 
-    The batched path reads all of an iteration's slots in one sequential pass
-    over the δ-biased string (:meth:`SmallBiasGenerator.packed_slots`) —
-    identical bits to per-slot reads because the slot offsets are the same
-    deterministic function of (iteration, purpose) on both paths.
+    The batched path reads all of an iteration's slots in one call
+    (:meth:`SmallBiasGenerator.packed_slots`) — identical bits to per-slot
+    reads because the slot offsets are the same deterministic function of
+    (iteration, purpose) on both paths.
     """
 
     link_seed: int

@@ -230,7 +230,7 @@ def test_reed_solomon_matches_oracle(case):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_binary_block_code_matches_oracle(data):
-    message_bits = data.draw(st.sampled_from([8, 13, 64, 128, 200]))
+    message_bits = data.draw(st.sampled_from([8, 13, 64, 128, 200, 720]))  # 720: two RS blocks
     code = BinaryBlockCode(message_bits=message_bits, expansion=data.draw(st.sampled_from([2, 3])))
     bits = data.draw(st.lists(st.integers(0, 1), min_size=message_bits, max_size=message_bits))
     codeword = code.encode(bits)
