@@ -40,8 +40,14 @@ import abc
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from repro.network.channel import Symbol, TransmissionContext, WindowContext
-from repro.utils.bitstring import pack_symbols, unpack_symbols
+from repro.network.channel import RoundContext, Symbol, TransmissionContext, WindowContext
+from repro.utils.bitstring import (
+    pack_symbols,
+    plane_digits,
+    positions_to_int,
+    set_positions,
+    unpack_symbols,
+)
 
 
 @dataclass
@@ -110,8 +116,35 @@ class NoiseBudget:
         self.corruptions_spent += amount
 
 
+#: The methods a native round kernel stands in for (see
+#: :meth:`Adversary.__init_subclass__`).
+_ROUND_KERNEL_INPUTS = ("corrupt", "corrupt_window", "corrupt_window_packed", "notify_delivery")
+
+
+def _owner(cls: type, name: str) -> type:
+    """The class in ``cls``'s MRO whose body defines ``name``."""
+    return next(klass for klass in cls.__mro__ if name in klass.__dict__)
+
+
 class Adversary(abc.ABC):
-    """Base class for all noise models."""
+    """Base class for all noise models.
+
+    The entry points, by the transport path that calls them:
+
+    * :meth:`corrupt` — one slot (``transmit``, the per-slot reference path);
+    * :meth:`corrupt_window` — one window of symbols on one link
+      (``exchange_window``);
+    * :meth:`corrupt_window_packed` — one window as a ``(bits, present)``
+      plane on one link (``exchange_window_packed``: meeting points);
+    * :meth:`corrupt_round_packed` — one lockstep round over every directed
+      link as a round frame (``exchange_round``: flag passing, simulation
+      and rewind);
+    * :meth:`corruption_schedule` — the pure slot-addressed schedule
+      (``exchange_phase``).
+
+    Each base implementation is built on the entry point above it, so an
+    adversary that only writes :meth:`corrupt` works on every path.
+    """
 
     #: Human-readable name used by experiment reports.
     name: str = "adversary"
@@ -219,6 +252,74 @@ class Adversary(abc.ABC):
         delivered = self.corrupt_window(ctx, tuple(unpack_symbols(bits, present, count)))
         return pack_symbols(delivered)
 
+    def corrupt_round_packed(self, ctx: RoundContext, bits: int, present: int) -> Tuple[int, int]:
+        """Corrupt one lockstep round over every directed link in one call.
+
+        ``(bits, present)`` is a *round frame*: bit ``j`` is the slot of link
+        ``ctx.links[j]`` in round ``ctx.round_index``, with the
+        :func:`~repro.utils.bitstring.pack_symbols` convention.  Returns the
+        delivered frame.
+
+        This base implementation is the per-link loop: for each link in
+        ``ctx.links`` order, one width-1
+        :meth:`corrupt_window_packed` call, skipping silent links when
+        :attr:`may_insert` is ``False``.  Native overrides must be
+        bit-identical to it: same delivered frame, same RNG stream
+        consumption, same budget counters (``check_contract``'s round-frame
+        law).  They must also stay linear in the frame: no per-slot shift or
+        mask of a whole-frame integer.
+
+        A native kernel is only trusted by the class that wrote it (or its
+        subclasses that leave ``corrupt``, ``corrupt_window``,
+        ``corrupt_window_packed`` and ``notify_delivery`` alone).  A subclass
+        that overrides one of those falls back to this loop automatically;
+        see :meth:`__init_subclass__`.
+        """
+        links = ctx.links
+        count = len(links)
+        kernel = self.corrupt_window_packed
+        window = ctx.window
+        present_digits = plane_digits(present, count)
+        bit_digits = plane_digits(bits, count)
+        ones: List[int] = []
+        delivered: List[int] = []
+        for position in range(count) if self.may_insert else set_positions(present):
+            if present_digits[position] == "1":
+                sent_bits, sent_present = (1 if bit_digits[position] == "1" else 0), 1
+            else:
+                sent_bits = sent_present = 0
+            got_bits, got_present = kernel(window(position), sent_bits, sent_present, 1)
+            if got_bits & ~got_present or got_present >> 1:
+                raise ValueError(
+                    f"adversary delivered planes ({got_bits}, {got_present}) for a "
+                    f"1-round window on link {links[position]}"
+                )
+            if got_present:
+                delivered.append(position)
+                if got_bits:
+                    ones.append(position)
+        return positions_to_int(ones, count), positions_to_int(delivered, count)
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        """Demote a native round kernel the subclass may have outgrown.
+
+        A native :meth:`corrupt_round_packed` encodes what the per-slot and
+        per-window methods of the class that wrote it do.  If a subclass
+        overrides one of those (or ``notify_delivery``) but inherits the
+        round kernel, the kernel would silently keep the old behaviour, so
+        the subclass gets the per-link base loop instead, which calls the
+        overridden methods.
+        """
+        super().__init_subclass__(**kwargs)
+        kernel_owner = _owner(cls, "corrupt_round_packed")
+        if kernel_owner is Adversary:
+            return
+        # An MRO walk, not issubclass: ABC subclass checks are not ready
+        # while the class is still being created.
+        if all(_owner(cls, name) in kernel_owner.__mro__ for name in _ROUND_KERNEL_INPUTS):
+            return
+        cls.corrupt_round_packed = Adversary.corrupt_round_packed  # type: ignore[method-assign]
+
     def corruption_schedule(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
         """Pure evaluation of the delivery schedule for one window on one link.
 
@@ -279,6 +380,9 @@ class NoiselessAdversary(Adversary):
     def corrupt_window_packed(
         self, ctx: WindowContext, bits: int, present: int, count: int
     ) -> Tuple[int, int]:
+        return bits, present
+
+    def corrupt_round_packed(self, ctx: RoundContext, bits: int, present: int) -> Tuple[int, int]:
         return bits, present
 
     def corruption_schedule(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:

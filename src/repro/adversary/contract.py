@@ -1,6 +1,6 @@
 """Conformance checking for the adversary contracts.
 
-Two layers of guarantees hold the transport's transmission paths together:
+These guarantees hold the transport's transmission paths together:
 
 * every adversary's ``corrupt_window`` must be **bit-identical** to the
   per-slot fallback (same delivered symbols, same RNG stream consumption,
@@ -9,13 +9,17 @@ Two layers of guarantees hold the transport's transmission paths together:
   (and leave the same state) as packing the ``corrupt_window`` output — the
   packed transport path is only legal because the corruption mask it applies
   is the one the symbol-sequence path would have produced;
+* every adversary's ``corrupt_round_packed`` must deliver the same round
+  frame (and leave the same state) as the per-link loop of width-1
+  ``corrupt_window_packed`` calls in link order — the **round-frame law**,
+  which is what makes one adversary call per lockstep round legal;
 * a :attr:`~repro.adversary.base.Adversary.slot_addressed` adversary must
   additionally satisfy the slot-addressed laws — purity, slot
   decomposability, path agreement (see
   :meth:`~repro.adversary.base.Adversary.corruption_schedule`) — which is
   what makes whole-phase round merging legal.
 
-:func:`check_contract` probes both layers on deterministic fuzz windows and
+:func:`check_contract` probes every law on deterministic fuzz windows and
 raises :class:`ContractViolation` on the first broken law.  It is exported as
 ``repro.adversary.check_contract`` so third-party adversaries get the same
 tool the stock ones are tested with (``tests/test_adversaries.py`` applies it
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.adversary.base import Adversary, NoiseBudget
-from repro.network.channel import Symbol, WindowContext
+from repro.network.channel import RoundContext, Symbol, WindowContext
 from repro.utils.bitstring import pack_symbols
 from repro.utils.rng import make_rng
 
@@ -201,6 +205,66 @@ def _check_packed_equivalence(
             )
 
 
+def _probe_frames(
+    links: Sequence[Tuple[int, int]],
+    phases: Sequence[str],
+    frames: int,
+    round_span: int,
+    seed: int,
+) -> List[Tuple[RoundContext, int, int]]:
+    """Deterministic fuzz round frames over ``links``: all silence, all
+    traffic, then random mixes, at rounds spread over ``[0, round_span)``."""
+    rng = make_rng(seed)
+    count = len(links)
+    full = (1 << count) - 1
+    probes: List[Tuple[RoundContext, int, int]] = []
+    for index in range(frames):
+        if index == 0:
+            present = 0
+        elif index == 1:
+            present = full
+        else:
+            present = rng.getrandbits(count)
+        bits = rng.getrandbits(count) & present
+        ctx = RoundContext(
+            tuple(links),
+            phases[index % len(phases)],
+            iteration=index % 3,
+            round_index=index * round_span // frames,
+        )
+        probes.append((ctx, bits, present))
+    return probes
+
+
+def _check_round_equivalence(
+    adv: Adversary,
+    probes: Sequence[Tuple[RoundContext, int, int]],
+) -> None:
+    """corrupt_round_packed must equal the per-link corrupt_window_packed loop:
+    same delivered frame, same state afterwards."""
+    native = copy.deepcopy(adv)
+    reference = copy.deepcopy(adv)
+    native.reset()
+    reference.reset()
+    for ctx, bits, present in probes:
+        got = native.corrupt_round_packed(ctx, bits, present)
+        expected = Adversary.corrupt_round_packed(reference, ctx, bits, present)
+        if got != expected:
+            raise ContractViolation(
+                "round-frame",
+                f"{type(adv).__name__}.corrupt_round_packed delivers {got!r} on "
+                f"{ctx!r} with frame {(bits, present)!r} but the per-link loop "
+                f"delivers {expected!r}",
+            )
+        if _state_snapshot(native) != _state_snapshot(reference):
+            raise ContractViolation(
+                "round-frame",
+                f"{type(adv).__name__}.corrupt_round_packed left different state "
+                f"than the per-link loop after {ctx!r} (RNG streams or budget "
+                "counters diverged)",
+            )
+
+
 def _check_slot_addressed(
     adv: Adversary,
     probes: Sequence[Tuple[WindowContext, Tuple[Symbol, ...]]],
@@ -285,9 +349,11 @@ def check_contract(
 ) -> ContractReport:
     """Probe ``adv`` against every contract it declares.
 
-    Always checks batched-vs-per-slot equivalence and packed-vs-batched
+    Always checks batched-vs-per-slot equivalence, packed-vs-batched
     equivalence (``corrupt_window_packed`` delivering the same corruption
-    mask, plane invariant included).  When
+    mask, plane invariant included) and the round-frame law
+    (``corrupt_round_packed`` against the per-link loop, on ``2 * windows``
+    random frames over ``links``).  When
     ``adv.slot_addressed`` is ``True``, additionally probes the slot-addressed
     laws (purity, slot decomposability, path agreement); when ``False``,
     verifies that :meth:`~repro.adversary.base.Adversary.corruption_schedule`
@@ -304,9 +370,12 @@ def check_contract(
     probe_links = tuple(links) if links is not None else _DEFAULT_LINKS
     probe_phases = tuple(phases) if phases is not None else _DEFAULT_PHASES
     probes = _probe_windows(probe_links, probe_phases, window_rounds, windows, seed)
-    laws: List[str] = ["batched-equivalence", "packed-equivalence"]
+    laws: List[str] = ["batched-equivalence", "packed-equivalence", "round-frame"]
     _check_batched_equivalence(adv, probes)
     _check_packed_equivalence(adv, probes)
+    _check_round_equivalence(
+        adv, _probe_frames(probe_links, probe_phases, 2 * windows, windows * window_rounds, seed)
+    )
     if adv.slot_addressed:
         _check_slot_addressed(adv, probes)
         laws += ["purity", "slot-decomposability", "path-agreement"]

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.adversary.base import Adversary, NoiseBudget
-from repro.network.channel import Symbol, TransmissionContext, WindowContext
+from repro.network.channel import RoundContext, Symbol, TransmissionContext, WindowContext
+from repro.utils.bitstring import plane_digits, positions_to_int, set_positions
 from repro.utils.rng import make_rng, slot_rng
 
 
@@ -40,6 +41,32 @@ def _corrupt_randomly(rng: random.Random, symbol: Symbol) -> Symbol:
     if symbol is None:
         return rng.choice([0, 1])  # insertion
     return rng.choice([1 - symbol, None])  # substitution or deletion
+
+
+def _apply_flips(
+    bits: int, present: int, bit_flips: List[int], present_flips: List[int], count: int
+) -> Tuple[int, int]:
+    """Toggle the listed slots of the two planes (one pass each, not per slot)."""
+    if bit_flips:
+        bits ^= positions_to_int(bit_flips, count)
+    if present_flips:
+        present ^= positions_to_int(present_flips, count)
+    return bits, present
+
+
+def _corrupt_slot(
+    rng: random.Random, slot: int, sent: bool, bit_flips: List[int], present_flips: List[int]
+) -> None:
+    """Corrupt the transmitted bit ``sent`` at ``slot`` like
+    :func:`_corrupt_randomly`, recording the plane bits that toggle: a
+    deletion clears the slot's present bit (and its bit if it was 1), a
+    substitution flips its bit."""
+    if _corrupt_randomly(rng, int(sent)) is None:
+        present_flips.append(slot)
+        if sent:
+            bit_flips.append(slot)
+    else:
+        bit_flips.append(slot)
 
 
 def _pass_through_observing(budget: NoiseBudget, symbols: Sequence[Symbol]) -> List[Symbol]:
@@ -177,83 +204,95 @@ class RandomNoiseAdversary(Adversary):
     def corrupt_window_packed(
         self, ctx: WindowContext, bits: int, present: int, count: int
     ) -> Tuple[int, int]:
-        # Insertions touch silent slots too; that rare configuration keeps
-        # the generic unpack fallback.  Otherwise only the transmitted slots
-        # matter, so the kernel walks the set bits of ``present`` LSB-first —
-        # which is exactly offset order, preserving the RNG draw sequence of
-        # the symbol paths draw for draw.
-        if self.insertion_probability > 0.0:
-            return super().corrupt_window_packed(ctx, bits, present, count)
-        probability = self.corruption_probability
         if self.slot_addressed:
-            if probability <= 0.0:
-                return bits, present
-            sender, receiver = ctx.link
-            base = ctx.base_round
-            seed = self.seed
-            remaining = present
-            while remaining:
-                low = remaining & -remaining
-                remaining ^= low
-                rng = slot_rng(seed, base + low.bit_length() - 1, sender, receiver)
-                if rng.random() >= probability:
-                    continue
-                received = _corrupt_randomly(rng, (bits >> (low.bit_length() - 1)) & 1)
-                if received is None:
-                    bits &= ~low
-                    present ^= low
-                elif received:
-                    bits |= low
-                else:
-                    bits &= ~low
-            return bits, present
+            return self._slot_addressed_packed(ctx, bits, present, count)
+        return self._sequential_packed(bits, present, count)
+
+    def corrupt_round_packed(self, ctx: RoundContext, bits: int, present: int) -> Tuple[int, int]:
+        # The sequential coins depend only on slot order, and a frame's slot
+        # order is the link order of the per-link loop: the frame is one
+        # window over its links.  Slot-addressed coins are keyed on the link,
+        # so that mode keeps the per-link loop.
+        if self.slot_addressed:
+            return super().corrupt_round_packed(ctx, bits, present)
+        return self._sequential_packed(bits, present, len(ctx.links))
+
+    def _sequential_packed(self, bits: int, present: int, count: int) -> Tuple[int, int]:
+        """The sequential-mode window kernel, linear in ``count``.
+
+        Slots are visited in offset order, so the RNG draws and the budget
+        counters (mirrored locally, written back once) follow the symbol
+        path draw for draw.  Silent slots are only visited when insertions
+        are on.
+        """
+        probability = self.corruption_probability
+        insertion = self.insertion_probability
         budget = self.budget
-        if probability <= 0.0:
+        if probability <= 0.0 and insertion <= 0.0:
             if budget is not None and present:
                 budget.observe_transmissions(present.bit_count())
             return bits, present
         rng = self._rng
         rand = rng.random
-        if budget is None:
-            remaining = present
-            while remaining:
-                low = remaining & -remaining
-                remaining ^= low
-                if rand() >= probability:
+        present_digits = plane_digits(present, count)
+        bit_digits = plane_digits(bits, count)
+        bit_flips: List[int] = []
+        present_flips: List[int] = []
+        budgeted = budget is not None
+        if budgeted:
+            seen = budget.transmissions_seen
+            spent = budget.corruptions_spent
+            fraction = budget.fraction
+            allowance = budget.absolute_allowance
+            allowance_at = budget.allowance_at
+        for slot in range(count) if insertion > 0.0 else set_positions(present):
+            if present_digits[slot] == "1":
+                if budgeted:
+                    seen += 1
+                if probability <= 0.0 or rand() >= probability:
                     continue
-                received = _corrupt_randomly(rng, (bits >> (low.bit_length() - 1)) & 1)
-                if received is None:
-                    bits &= ~low
-                    present ^= low
-                elif received:
-                    bits |= low
-                else:
-                    bits &= ~low
-            return bits, present
-        seen = budget.transmissions_seen
-        spent = budget.corruptions_spent
-        fraction = budget.fraction
-        allowance = budget.absolute_allowance
-        allowance_at = budget.allowance_at
-        remaining = present
-        while remaining:
-            low = remaining & -remaining
-            remaining ^= low
-            seen += 1
-            if rand() >= probability or spent + 1 > allowance_at(fraction, seen, allowance):
-                continue
-            received = _corrupt_randomly(rng, (bits >> (low.bit_length() - 1)) & 1)
-            spent += 1
-            if received is None:
-                bits &= ~low
-                present ^= low
-            elif received:
-                bits |= low
+                if budgeted:
+                    if spent + 1 > allowance_at(fraction, seen, allowance):
+                        continue
+                    spent += 1
+                _corrupt_slot(rng, slot, bit_digits[slot] == "1", bit_flips, present_flips)
             else:
-                bits &= ~low
-        budget.transmissions_seen = seen
-        budget.corruptions_spent = spent
-        return bits, present
+                if rand() >= insertion:
+                    continue
+                if budgeted:
+                    if spent + 1 > allowance_at(fraction, seen, allowance):
+                        continue
+                    spent += 1
+                present_flips.append(slot)
+                if _corrupt_randomly(rng, None):
+                    bit_flips.append(slot)
+        if budgeted:
+            budget.transmissions_seen = seen
+            budget.corruptions_spent = spent
+        return _apply_flips(bits, present, bit_flips, present_flips, count)
+
+    def _slot_addressed_packed(
+        self, ctx: WindowContext, bits: int, present: int, count: int
+    ) -> Tuple[int, int]:
+        # Insertions touch silent slots too; that rare configuration keeps
+        # the generic unpack fallback.
+        if self.insertion_probability > 0.0:
+            return super().corrupt_window_packed(ctx, bits, present, count)
+        probability = self.corruption_probability
+        if probability <= 0.0:
+            return bits, present
+        sender, receiver = ctx.link
+        base = ctx.base_round
+        seed = self.seed
+        bit_digits = plane_digits(bits, count)
+        bit_flips: List[int] = []
+        present_flips: List[int] = []
+        for slot in set_positions(present):
+            rng = slot_rng(seed, base + slot, sender, receiver)
+            if rng.random() >= probability:
+                continue
+            _corrupt_slot(rng, slot, bit_digits[slot] == "1", bit_flips, present_flips)
+        return _apply_flips(bits, present, bit_flips, present_flips, count)
 
     def reset(self) -> None:
         self._rng = make_rng(self.seed)
@@ -294,6 +333,17 @@ class LinkTargetedAdversary(Adversary):
     slot_addressed: bool = False
 
     def __post_init__(self) -> None:
+        # A list target would never compare equal to a link tuple, so the
+        # attack would silently never fire: normalise to a 2-tuple of nodes.
+        try:
+            target = tuple(self.target)
+        except TypeError:
+            target = ()
+        if len(target) != 2 or not all(isinstance(node, int) for node in target):
+            raise ValueError(
+                f"target must be a directed link (sender, receiver), got {self.target!r}"
+            )
+        self.target = target
         if self.slot_addressed and (self.max_corruptions is not None or self.fraction != 0.0):
             raise ValueError(
                 "slot-addressed LinkTargetedAdversary is probability-only: "
@@ -370,13 +420,39 @@ class LinkTargetedAdversary(Adversary):
         # Off-target windows pass their planes through untouched; only the
         # sequential mode's budget observes their realised communication
         # (the slot-addressed mode never touches the budget).
-        if ctx.link != tuple(self.target) or (
+        if ctx.link != self.target or (
             self.phases is not None and ctx.phase not in self.phases
         ):
-            if not self.slot_addressed and present:
-                self._budget.observe_transmissions(present.bit_count())
+            self._observe(present)
             return bits, present
         return super().corrupt_window_packed(ctx, bits, present, count)
+
+    def corrupt_round_packed(self, ctx: RoundContext, bits: int, present: int) -> Tuple[int, int]:
+        # Only the target's bit can change.  The links before and after it
+        # are bulk-observed in that order, so a fraction budget sees the
+        # counter values the per-link loop would give it.
+        position = ctx.index.get(self.target)
+        if position is None or (self.phases is not None and ctx.phase not in self.phases):
+            self._observe(present)
+            return bits, present
+        mask = 1 << position
+        if not present & mask:
+            # A silent target is a no-op: this adversary never inserts.
+            self._observe(present)
+            return bits, present
+        self._observe(present & (mask - 1))
+        got_bits, got_present = self.corrupt_window_packed(
+            ctx.window(position), (bits >> position) & 1, 1, 1
+        )
+        self._observe(present >> (position + 1))
+        bits = (bits & ~mask) | (got_bits << position)
+        present = (present & ~mask) | (got_present << position)
+        return bits, present
+
+    def _observe(self, present: int) -> None:
+        """Bulk-observe the transmissions of ``present`` (sequential mode only)."""
+        if not self.slot_addressed and present:
+            self._budget.observe_transmissions(present.bit_count())
 
     def reset(self) -> None:
         self._rng = make_rng(self.seed)
@@ -736,6 +812,17 @@ class CompositeAdversary(Adversary):
             bits, present = component.corrupt_window_packed(ctx, bits, present, count)
         return bits, present
 
+    def corrupt_round_packed(self, ctx: RoundContext, bits: int, present: int) -> Tuple[int, int]:
+        # Chaining whole frames is the window argument again: each component
+        # reaches link j having processed links 0..j-1 in both orders, and a
+        # non-inserting component treats a silent slot as a no-op, so its own
+        # skip of silent links matches the composite's.
+        if not self._chain_windows:
+            return super().corrupt_round_packed(ctx, bits, present)
+        for component in self.components:
+            bits, present = component.corrupt_round_packed(ctx, bits, present)
+        return bits, present
+
     def corruption_schedule(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
         if not self.slot_addressed:
             return super().corruption_schedule(ctx, symbols)  # raises
@@ -791,25 +878,57 @@ class PhaseTargetedAdaptiveAdversary(Adversary):
         self._budget.spend()
         return _corrupt_randomly(self._rng, sent)
 
+    def _targets(self, phase: str, iteration: int) -> bool:
+        return phase in self.phases and (
+            self.max_iteration is None or iteration <= self.max_iteration
+        )
+
     def corrupt_window(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
         # Windows outside the targeted phases (or beyond the iteration cap)
         # only feed the budget's notion of realised communication.
-        if ctx.phase not in self.phases or (
-            self.max_iteration is not None and ctx.iteration > self.max_iteration
-        ):
+        if not self._targets(ctx.phase, ctx.iteration):
             return _pass_through_observing(self._budget, symbols)
         return super().corrupt_window(ctx, symbols)
 
     def corrupt_window_packed(
         self, ctx: WindowContext, bits: int, present: int, count: int
     ) -> Tuple[int, int]:
-        if ctx.phase not in self.phases or (
-            self.max_iteration is not None and ctx.iteration > self.max_iteration
-        ):
-            if present:
-                self._budget.observe_transmissions(present.bit_count())
+        return self._packed(ctx.phase, ctx.iteration, bits, present, count)
+
+    def corrupt_round_packed(self, ctx: RoundContext, bits: int, present: int) -> Tuple[int, int]:
+        # Decisions depend on the phase, the iteration and slot order only,
+        # so a frame is one window over its links.
+        return self._packed(ctx.phase, ctx.iteration, bits, present, len(ctx.links))
+
+    def _packed(
+        self, phase: str, iteration: int, bits: int, present: int, count: int
+    ) -> Tuple[int, int]:
+        """The packed kernel: one popcount off target, else one pass over the
+        transmitted slots with the budget counters mirrored locally."""
+        if not present:
             return bits, present
-        return super().corrupt_window_packed(ctx, bits, present, count)
+        budget = self._budget
+        if not self._targets(phase, iteration):
+            budget.observe_transmissions(present.bit_count())
+            return bits, present
+        rng = self._rng
+        seen = budget.transmissions_seen
+        spent = budget.corruptions_spent
+        fraction = budget.fraction
+        allowance = budget.absolute_allowance
+        allowance_at = budget.allowance_at
+        bit_digits = plane_digits(bits, count)
+        bit_flips: List[int] = []
+        present_flips: List[int] = []
+        for slot in set_positions(present):
+            seen += 1
+            if spent + 1 > allowance_at(fraction, seen, allowance):
+                continue
+            spent += 1
+            _corrupt_slot(rng, slot, bit_digits[slot] == "1", bit_flips, present_flips)
+        budget.transmissions_seen = seen
+        budget.corruptions_spent = spent
+        return _apply_flips(bits, present, bit_flips, present_flips, count)
 
     def reset(self) -> None:
         self._rng = make_rng(self.seed)

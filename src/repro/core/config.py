@@ -15,7 +15,9 @@ The switches, fastest first:
 ``packed``
     Carry protocol windows as packed ``(bits, present)`` integer planes end
     to end — transport, adversary kernels, statistics and the
-    meeting-points hash exchange (``exchange_window_packed``).
+    meeting-points hash exchange (``exchange_window_packed``) — and run
+    each flag-passing / simulation / rewind round as one round frame over
+    every directed link (``exchange_round``).
 ``merge_phases``
     Merge each flag-passing / simulation / rewind phase into a single
     transport dispatch when the adversary honours the slot-addressed

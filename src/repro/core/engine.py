@@ -58,7 +58,7 @@ from repro.network.spanning_tree import SpanningTree
 from repro.network.transport import NoisyNetwork
 from repro.obs import Tracer, get_obs, link_label
 from repro.protocols.base import PartyLogic, Protocol
-from repro.utils.bitstring import symbol_to_bit
+from repro.utils.bitstring import pack_slots, plane_digits, set_positions, symbol_to_bit
 from repro.utils.rng import fork, fork_seed
 
 
@@ -78,7 +78,7 @@ class PartyRuntime:
         return sorted(self.transcripts)
 
     def min_chunk(self) -> int:
-        return min(len(self.transcripts[v]) for v in self.transcripts)
+        return min(map(len, self.transcripts.values()))
 
     def build_received_map(self) -> Dict[Tuple[int, int], int]:
         """Everything this party has received so far, for protocol replay."""
@@ -160,7 +160,11 @@ class InteractiveCodingSimulator:
         #: ``(bits, present)`` integer planes through
         #: :meth:`~repro.network.transport.NoisyNetwork.exchange_window_packed`
         #: (one ``corrupt_window_packed`` kernel call and O(1)-popcount
-        #: accounting per link) instead of per-slot symbol sequences.
+        #: accounting per link), and each lockstep round of the flag-passing,
+        #: simulation and rewind phases is one round frame through
+        #: :meth:`~repro.network.transport.NoisyNetwork.exchange_round` (one
+        #: ``corrupt_round_packed`` call per round), instead of per-slot
+        #: symbol sequences.
         self.packed = config.packed
         #: The ambient observability context, captured once (a plain
         #: attribute, for the same fingerprint-invisibility reason).  With the
@@ -179,6 +183,10 @@ class InteractiveCodingSimulator:
         self.network = NoisyNetwork(
             self.graph, adversary=self.adversary, batched=config.batched_transport
         )
+        #: Round-frame layout: bit ``j`` of a lockstep round is link
+        #: ``self._links[j]``, and ``self._link_bit`` maps a link to its bit.
+        self._links = self.graph.directed_edges()
+        self._link_bit = self.graph.directed_edge_index()
         self.runtimes: Dict[int, PartyRuntime] = {}
         self.iterations_budget = self.scheme.iterations(self.chunked.num_real_chunks)
         self._counters: Dict[str, int] = {
@@ -530,6 +538,9 @@ class InteractiveCodingSimulator:
             return
 
         depth = self.tree.depth
+        parent = self.tree.parent
+        level_of = self.tree.level
+        link_bit = self._link_bit
         up_value: Dict[int, int] = {
             party: runtime.status_flag for party, runtime in self.runtimes.items()
         }
@@ -538,41 +549,29 @@ class InteractiveCodingSimulator:
         # to its parent one round after all its children have spoken.  The
         # levels are genuinely sequential — each level's message is the AND of
         # what the previous (deeper) level *delivered* — so each level is one
-        # width-1 window; sparse dispatch keeps the cost proportional to the
-        # level's population instead of the whole link set.
-        sparse = self.batch_rounds
+        # round frame.
         for level in range(depth, 1, -1):
-            messages: Dict[Tuple[int, int], List[int]] = {}
-            for node in self.graph.nodes:
-                if self.tree.level[node] == level:
-                    parent = self.tree.parent[node]
-                    messages[(node, parent)] = [up_value[node]]
-            delivered = self.network.exchange_window(
-                messages, 1, "flag_passing", iteration, sparse=sparse
-            )
-            for node in self.graph.nodes:
-                if self.tree.level[node] == level:
-                    parent = self.tree.parent[node]
-                    received = self._delivered_symbol(delivered, (node, parent))
-                    up_value[parent] &= 1 if received == 1 else 0
+            senders = [node for node in self.graph.nodes if level_of[node] == level]
+            slots = [(link_bit[(node, parent[node])], up_value[node]) for node in senders]
+            delivered = self._round_digits(slots, "flag_passing", iteration)[0]
+            for node, (position, _) in zip(senders, slots):
+                if delivered[position] != "1":
+                    up_value[parent[node]] = 0
 
         down_value: Dict[int, int] = {self.tree.root: up_value[self.tree.root]}
 
         # Broadcast: root first, then level by level.
         for level in range(1, depth):
-            messages = {}
+            slots = [
+                (link_bit[(node, child)], down_value[node])
+                for node in self.graph.nodes
+                if level_of[node] == level and node in down_value
+                for child in self.tree.children[node]
+            ]
+            delivered = self._round_digits(slots, "flag_passing", iteration)[0]
             for node in self.graph.nodes:
-                if self.tree.level[node] == level and node in down_value:
-                    for child in self.tree.children[node]:
-                        messages[(node, child)] = [down_value[node]]
-            delivered = self.network.exchange_window(
-                messages, 1, "flag_passing", iteration, sparse=sparse
-            )
-            for node in self.graph.nodes:
-                if self.tree.level[node] == level + 1:
-                    parent = self.tree.parent[node]
-                    received = self._delivered_symbol(delivered, (parent, node))
-                    bit = 1 if received == 1 else 0
+                if level_of[node] == level + 1:
+                    bit = 1 if delivered[link_bit[(parent[node], node)]] == "1" else 0
                     down_value[node] = bit & self.runtimes[node].status_flag
 
         for party, runtime in self.runtimes.items():
@@ -630,21 +629,21 @@ class InteractiveCodingSimulator:
         if self._use_merged_phases():
             self._simulation_phase_merged(iteration)
             return
-        sparse = self.batch_rounds
+        link_bit = self._link_bit
+        links = self._links
         # Round 0: parties that should not simulate send ⊥ (encoded as a 1) to
         # every neighbour; everyone listens.
-        bot_messages: Dict[Tuple[int, int], List[int]] = {}
-        for runtime in self.runtimes.values():
-            if runtime.net_correct == 0:
-                for neighbor in runtime.neighbors():
-                    bot_messages[(runtime.party, neighbor)] = [1]
-        delivered = self.network.exchange_window(
-            bot_messages, 1, "simulation", iteration, sparse=sparse
-        )
+        bot_slots = [
+            (link_bit[(runtime.party, neighbor)], 1)
+            for runtime in self.runtimes.values()
+            if runtime.net_correct == 0
+            for neighbor in runtime.neighbors()
+        ]
+        delivered_bits, _ = self._exchange_round(bot_slots, "simulation", iteration)
         bot_from: Dict[int, Set[int]] = {party: set() for party in self.graph.nodes}
-        for (sender, receiver), symbols in delivered.items():
-            if symbols and symbols[0] == 1:
-                bot_from[receiver].add(sender)
+        for position in set_positions(delivered_bits):
+            sender, receiver = links[position]
+            bot_from[receiver].add(sender)
 
         # Which links each party simulates this phase, and at which chunk index.
         active: Dict[int, Dict[int, int]] = {}
@@ -679,8 +678,14 @@ class InteractiveCodingSimulator:
             self.network.advance_rounds(window)
             self.network.idle_rounds_collapsed += window
             return
+        may_insert = self.adversary.may_insert
         for offset in range(window):
-            messages: Dict[Tuple[int, int], List[int]] = {}
+            # (party, neighbor, round index) of every slot this round: sends
+            # are looked up on the round's schedule (a link appears at most
+            # once per round), receives are the same slots seen from the
+            # other end.
+            slots: List[Tuple[int, int]] = []
+            reads: List[Tuple[int, int, int, int]] = []
             for party, links in active.items():
                 if not links:
                     continue
@@ -690,36 +695,30 @@ class InteractiveCodingSimulator:
                     if offset >= chunk.num_rounds:
                         continue
                     round_index = chunk.round_indices[offset]
-                    for sender, receiver in self.chunked.chunk_round_links(chunk_index)[offset]:
-                        if sender == party and receiver == neighbor:
-                            bit = self.runtimes[party].logic.send_bit(
-                                round_index, neighbor, workspace["received_map"]
-                            )
-                            messages[(party, neighbor)] = [bit]
-                            workspace["sent"][neighbor][round_index] = bit
-            if not messages and not self.adversary.may_insert:
+                    scheduled = self.chunked.chunk_round_links(chunk_index)[offset]
+                    if (party, neighbor) in scheduled:
+                        bit = self.runtimes[party].logic.send_bit(
+                            round_index, neighbor, workspace["received_map"]
+                        )
+                        slots.append((link_bit[(party, neighbor)], bit))
+                        workspace["sent"][neighbor][round_index] = bit
+                    if (neighbor, party) in scheduled:
+                        reads.append((party, neighbor, round_index, link_bit[(neighbor, party)]))
+            if not slots and not may_insert:
                 # Nothing scheduled anywhere this round; skip the exchange but
                 # keep the clock honest.
                 self.network.advance_rounds(1)
                 self.network.idle_rounds_collapsed += 1
                 continue
-            delivered = self.network.exchange_window(
-                messages, 1, "simulation", iteration, sparse=sparse
-            )
-            for party, links in active.items():
-                if not links:
-                    continue
+            bit_digits, present_digits = self._round_digits(slots, "simulation", iteration)
+            for party, neighbor, round_index, position in reads:
+                if present_digits[position] == "1":
+                    symbol: Symbol = 1 if bit_digits[position] == "1" else 0
+                else:
+                    symbol = None
                 workspace = workspaces[party]
-                for neighbor, chunk_index in links.items():
-                    chunk = self.chunked.chunk(chunk_index)
-                    if offset >= chunk.num_rounds:
-                        continue
-                    round_index = chunk.round_indices[offset]
-                    for sender, receiver in self.chunked.chunk_round_links(chunk_index)[offset]:
-                        if sender == neighbor and receiver == party:
-                            symbol = self._delivered_symbol(delivered, (neighbor, party))
-                            workspace["recv"][neighbor][round_index] = symbol
-                            workspace["received_map"][(round_index, neighbor)] = symbol_to_bit(symbol)
+                workspace["recv"][neighbor][round_index] = symbol
+                workspace["received_map"][(round_index, neighbor)] = symbol_to_bit(symbol)
 
         # Append the freshly simulated chunk records.
         for party, links in active.items():
@@ -854,10 +853,11 @@ class InteractiveCodingSimulator:
             for party, runtime in self.runtimes.items()
         }
         rounds = self.scheme.rewind_round_count(self.graph)
-        sparse = self.batch_rounds
         recorder = self._obs.recorder
+        link_bit = self._link_bit
+        links = self._links
         for round_index in range(rounds):
-            messages: Dict[Tuple[int, int], List[int]] = {}
+            slots: List[Tuple[int, int]] = []
             for runtime in self.runtimes.values():
                 party = runtime.party
                 min_chunk = runtime.min_chunk()
@@ -867,7 +867,7 @@ class InteractiveCodingSimulator:
                     if already[party][neighbor]:
                         continue
                     if len(runtime.transcripts[neighbor]) > min_chunk:
-                        messages[(party, neighbor)] = [1]
+                        slots.append((link_bit[(party, neighbor)], 1))
                         runtime.transcripts[neighbor].truncate_last(1)
                         already[party][neighbor] = True
                         self._counters["rewinds_sent"] += 1
@@ -879,7 +879,7 @@ class InteractiveCodingSimulator:
                                 role="sender",
                                 depth=len(runtime.transcripts[neighbor]),
                             )
-            if not messages and not self.adversary.may_insert:
+            if not slots and not self.adversary.may_insert:
                 if self.batch_rounds:
                     # Quiescent tail: with nothing sent and nothing insertable,
                     # nothing was delivered, so the state feeding the next
@@ -893,28 +893,29 @@ class InteractiveCodingSimulator:
                 self.network.advance_rounds(1)
                 self.network.idle_rounds_collapsed += 1
                 continue
-            delivered = self.network.exchange_window(
-                messages, 1, "rewind", iteration, sparse=sparse
+            delivered_bits, _ = self._exchange_round(slots, "rewind", iteration)
+            # Every link that delivered a 1, in the order the parties scan
+            # their neighbours (party, then neighbour, ascending).
+            requests = sorted(
+                (receiver, sender)
+                for sender, receiver in (links[position] for position in set_positions(delivered_bits))
             )
-            for runtime in self.runtimes.values():
-                party = runtime.party
-                for neighbor in runtime.neighbors():
-                    if self._delivered_symbol(delivered, (neighbor, party)) != 1:
-                        continue
-                    if runtime.link_status[neighbor] == STATUS_MEETING_POINTS:
-                        continue
-                    if already[party][neighbor]:
-                        continue
-                    runtime.transcripts[neighbor].truncate_last(1)
-                    already[party][neighbor] = True
-                    if recorder is not None:
-                        recorder.emit(
-                            "rewind",
-                            iteration=iteration,
-                            link=link_label(party, neighbor),
-                            role="receiver",
-                            depth=len(runtime.transcripts[neighbor]),
-                        )
+            for party, neighbor in requests:
+                runtime = self.runtimes[party]
+                if runtime.link_status[neighbor] == STATUS_MEETING_POINTS:
+                    continue
+                if already[party][neighbor]:
+                    continue
+                runtime.transcripts[neighbor].truncate_last(1)
+                already[party][neighbor] = True
+                if recorder is not None:
+                    recorder.emit(
+                        "rewind",
+                        iteration=iteration,
+                        link=link_label(party, neighbor),
+                        role="receiver",
+                        depth=len(runtime.transcripts[neighbor]),
+                    )
 
     def _rewind_phase_merged(self, iteration: int) -> None:
         """Phase (iv) under the slot-addressed contract: one merged dispatch.
@@ -984,14 +985,47 @@ class InteractiveCodingSimulator:
 
     # --------------------------------------------------------- bookkeeping --
 
-    @staticmethod
-    def _delivered_symbol(
-        delivered: Dict[Tuple[int, int], List[Symbol]], link: Tuple[int, int]
-    ) -> Symbol:
-        """First delivered symbol on ``link``; a link a sparse exchange omitted
-        from the result carried pure silence."""
-        window = delivered.get(link)
-        return window[0] if window is not None else None
+    def _exchange_round(
+        self, slots: List[Tuple[int, int]], phase: str, iteration: int
+    ) -> Tuple[int, int]:
+        """One lockstep round: send ``bit`` on the link at each ``(position, bit)``
+        of ``slots`` (positions in ``graph.directed_edges()``), return the
+        delivered round frame ``(bits, present)``.
+
+        With ``packed`` the frame goes to
+        :meth:`~repro.network.transport.NoisyNetwork.exchange_round` as is.
+        Otherwise this adapter turns it into the symbol-list messages of a
+        width-1 :meth:`~repro.network.transport.NoisyNetwork.exchange_window`
+        (sparse under ``batch_rounds``), so the reference configuration
+        still runs per-slot ``transmit`` through the same phase bodies.
+        """
+        count = len(self._links)
+        if self.packed:
+            bits, present = pack_slots(slots, count)
+            return self.network.exchange_round(bits, present, phase, iteration)
+        links = self._links
+        messages = {links[position]: [bit] for position, bit in slots}
+        delivered = self.network.exchange_window(
+            messages, 1, phase, iteration, sparse=self.batch_rounds
+        )
+        link_bit = self._link_bit
+        return pack_slots(
+            [
+                (link_bit[link], symbols[0])
+                for link, symbols in delivered.items()
+                if symbols[0] is not None
+            ],
+            count,
+        )
+
+    def _round_digits(
+        self, slots: List[Tuple[int, int]], phase: str, iteration: int
+    ) -> Tuple[str, str]:
+        """:meth:`_exchange_round`, with the delivered frame as per-link digit
+        strings (``plane_digits``) so every read is O(1)."""
+        count = len(self._links)
+        bits, present = self._exchange_round(slots, phase, iteration)
+        return plane_digits(bits, count), plane_digits(present, count)
 
     def _transcript(self, owner: int, neighbor: int) -> LinkTranscript:
         return self.runtimes[owner].transcripts[neighbor]

@@ -22,7 +22,9 @@ the number of corruptions of each kind, and per-phase breakdowns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro.utils.bitstring import set_positions
 
 Symbol = Optional[int]  # 0, 1 or None (silence / the paper's "*")
 
@@ -138,6 +140,49 @@ class WindowContext:
         return hash((self.link, self.phase, self.iteration, self.base_round))
 
 
+class RoundContext:
+    """Metadata describing one lockstep round over every directed link.
+
+    The round-frame path hands one ``RoundContext`` to
+    :meth:`~repro.adversary.base.Adversary.corrupt_round_packed` together
+    with a ``(bits, present)`` plane in which bit ``j`` is link
+    ``links[j]``.  ``index`` maps each link back to its bit;
+    :meth:`window` materialises the single-slot :class:`WindowContext` of
+    one link, which is what the per-link fallback consumes.
+    """
+
+    __slots__ = ("links", "index", "phase", "iteration", "round_index")
+
+    def __init__(
+        self,
+        links: Sequence[Tuple[int, int]],
+        phase: str,
+        iteration: int = -1,
+        round_index: int = 0,
+        index: Optional[Dict[Tuple[int, int], int]] = None,
+    ) -> None:
+        self.links = links
+        self.index = index if index is not None else {link: j for j, link in enumerate(links)}
+        self.phase = phase
+        self.iteration = iteration
+        self.round_index = round_index
+
+    def window(self, position: int) -> WindowContext:
+        """The one-round window context of link ``links[position]``."""
+        return WindowContext(
+            link=self.links[position],
+            phase=self.phase,
+            iteration=self.iteration,
+            base_round=self.round_index,
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"RoundContext(links={len(self.links)}, phase={self.phase!r}, "
+            f"iteration={self.iteration}, round_index={self.round_index})"
+        )
+
+
 @dataclass
 class ChannelStats:
     """Running totals of transmissions and corruptions."""
@@ -250,26 +295,70 @@ class ChannelStats:
         with differing bits, a deletion is present→absent, an insertion is
         absent→present.
         """
+        corruptions = self._record_planes(
+            ctx.phase, sent_bits, sent_present, received_bits, received_present
+        ).bit_count()
+        if corruptions:
+            link_corruptions = self.corruptions_by_link
+            link_corruptions[ctx.link] = link_corruptions.get(ctx.link, 0) + corruptions
+
+    def record_round_packed(
+        self,
+        ctx: RoundContext,
+        sent_bits: int,
+        sent_present: int,
+        received_bits: int,
+        received_present: int,
+    ) -> List[int]:
+        """Account one round frame; return the positions of its corrupted links.
+
+        Equivalent to one :meth:`record_window_packed` per link of the frame
+        in ``ctx.links`` order.  Totals and per-phase counts are popcounts;
+        only the corrupted links are visited, in ascending position.
+        """
+        corrupted = self._record_planes(
+            ctx.phase, sent_bits, sent_present, received_bits, received_present
+        )
+        positions = set_positions(corrupted)
+        link_corruptions = self.corruptions_by_link
+        links = ctx.links
+        for position in positions:
+            link = links[position]
+            link_corruptions[link] = link_corruptions.get(link, 0) + 1
+        return positions
+
+    def _record_planes(
+        self,
+        phase: str,
+        sent_bits: int,
+        sent_present: int,
+        received_bits: int,
+        received_present: int,
+    ) -> int:
+        """Account everything but the per-link breakdown; return the mask of
+        corrupted slots."""
+        flipped = (sent_bits ^ received_bits) & sent_present & received_present
+        deleted = sent_present & ~received_present
+        inserted = received_present & ~sent_present
         transmissions = sent_present.bit_count()
-        delivered = received_present.bit_count()
-        both = sent_present & received_present
-        substitutions = ((sent_bits ^ received_bits) & both).bit_count()
-        deletions = (sent_present & ~received_present).bit_count()
-        insertions = (received_present & ~sent_present).bit_count()
-        self.delivered_symbols += delivered
+        self.delivered_symbols += received_present.bit_count()
         if transmissions:
             self.transmissions += transmissions
             phase_counts = self.transmissions_by_phase
-            phase_counts[ctx.phase] = phase_counts.get(ctx.phase, 0) + transmissions
-        corruptions = substitutions + deletions + insertions
-        if corruptions:
+            phase_counts[phase] = phase_counts.get(phase, 0) + transmissions
+        corrupted = flipped | deleted | inserted
+        if corrupted:
+            substitutions = flipped.bit_count()
+            deletions = deleted.bit_count()
+            insertions = inserted.bit_count()
             self.substitutions += substitutions
             self.deletions += deletions
             self.insertions += insertions
             phase_corruptions = self.corruptions_by_phase
-            phase_corruptions[ctx.phase] = phase_corruptions.get(ctx.phase, 0) + corruptions
-            link_corruptions = self.corruptions_by_link
-            link_corruptions[ctx.link] = link_corruptions.get(ctx.link, 0) + corruptions
+            phase_corruptions[phase] = (
+                phase_corruptions.get(phase, 0) + substitutions + deletions + insertions
+            )
+        return corrupted
 
     def snapshot(self) -> Dict[str, float]:
         """A plain-dict summary convenient for reports and benchmarks."""

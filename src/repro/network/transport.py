@@ -11,9 +11,15 @@ receiver.  It
   of the coding scheme transmits a fixed-length burst of symbols on many
   links in parallel, one symbol per round per direction.
 
-Four transmission paths exist:
+Five transmission paths exist:
 
-* the **packed fast path** (default on the engine hot path):
+* the **round-frame path** (default for the engine's lockstep phases: flag
+  passing, simulation and rewind): ``exchange_round`` carries one round
+  over *every* directed link as one ``(bits, present)`` plane, bit ``j``
+  being link ``graph.directed_edges()[j]`` — one
+  :meth:`~repro.adversary.base.Adversary.corrupt_round_packed` call per
+  round, popcount accounting, and only corrupted links visited;
+* the **packed window path** (default for the meeting-points exchange):
   ``exchange_window_packed`` carries each directed link's window as a
   ``(bits, present)`` integer plane pair (the
   :func:`~repro.utils.bitstring.pack_symbols` convention) end to end — one
@@ -46,16 +52,35 @@ this class so the accounting cannot be bypassed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.adversary.base import Adversary, NoiselessAdversary
-from repro.network.channel import ChannelStats, Symbol, TransmissionContext, WindowContext
+from repro.network.channel import (
+    ChannelStats,
+    RoundContext,
+    Symbol,
+    TransmissionContext,
+    WindowContext,
+)
 from repro.network.graph import Graph
 from repro.obs.context import get_obs
 from repro.obs.recorder import link_label
-from repro.utils.bitstring import unpack_symbols
+from repro.utils.bitstring import plane_digits, unpack_symbols
 
 _VALID_SYMBOLS = (0, 1, None)
+
+
+def _frame_reader(bits: int, present: int, count: int) -> Callable[[int], Symbol]:
+    """Symbol lookup by slot for a ``(bits, present)`` plane, O(1) per read."""
+    bit_digits = plane_digits(bits, count)
+    present_digits = plane_digits(present, count)
+
+    def read(position: int) -> Symbol:
+        if present_digits[position] != "1":
+            return None
+        return 1 if bit_digits[position] == "1" else 0
+
+    return read
 
 
 @dataclass
@@ -379,6 +404,65 @@ class NoisyNetwork:
             received[link] = (dbits, dpresent)
         self.advance_rounds(window_rounds)
         return received
+
+    def exchange_round(
+        self,
+        bits: int,
+        present: int,
+        phase: str,
+        iteration: int = -1,
+    ) -> Tuple[int, int]:
+        """Run one lockstep round over every directed link as one round frame.
+
+        ``(bits, present)`` is a plane over the links: bit ``j`` is the slot
+        of ``graph.directed_edges()[j]``, with the
+        :func:`~repro.utils.bitstring.pack_symbols` convention.  The
+        adversary sees the whole frame in one
+        :meth:`~repro.adversary.base.Adversary.corrupt_round_packed` call;
+        totals and per-phase counts are popcounts, and only corrupted links
+        are visited for ``corruptions_by_link`` and the flight recorder, in
+        link order.  Returns the delivered frame.
+
+        Deliveries, statistics, recorder events and clock are those of a
+        width-1 :meth:`exchange_window` with ``sparse=True`` carrying the
+        same symbols (``tests/test_transport.py`` replays a trial's rounds
+        through both).
+        """
+        links = self.graph.directed_edges()
+        count = len(links)
+        if bits & ~present:
+            raise ValueError("round frame sets bits outside its present mask")
+        if present >> count:
+            raise ValueError(f"round frame has symbols beyond the {count} directed links")
+        adversary = self.adversary
+        ctx = RoundContext(
+            links, phase, iteration, self.current_round, self.graph.directed_edge_index()
+        )
+        dbits, dpresent = adversary.corrupt_round_packed(ctx, bits, present)
+        if dbits & ~dpresent:
+            raise ValueError("adversary delivered a round frame with bits outside its present mask")
+        if dpresent >> count:
+            raise ValueError(
+                f"adversary delivered a round frame with symbols beyond the {count} directed links"
+            )
+        self.windows_exchanged += 1
+        self.packed_dispatches += 1
+        if adversary.may_insert:
+            self.dense_dispatches += 1
+        else:
+            self.sparse_dispatches += 1
+        corrupted = self.stats.record_round_packed(ctx, bits, present, dbits, dpresent)
+        recorder = self.recorder
+        if corrupted and recorder is not None:
+            sent = _frame_reader(bits, present, count)
+            received = _frame_reader(dbits, dpresent, count)
+            for position in corrupted:
+                recorder.record_window(
+                    link_label(*links[position]), phase, iteration, ctx.round_index,
+                    (sent(position),), (received(position),),
+                )
+        self.current_round += 1
+        return dbits, dpresent
 
     def exchange_window_per_slot(
         self,

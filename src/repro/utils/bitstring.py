@@ -148,6 +148,70 @@ def pack_symbols(symbols: Sequence[Symbol]) -> Tuple[int, int]:
     return bits, present
 
 
+def plane_digits(value: int, count: int) -> str:
+    """The binary digits of ``value``, least significant first, padded to ``count``.
+
+    ``plane_digits(value, count)[i] == "1"`` exactly when bit ``i`` is set.
+    One conversion costs O(count); reading a slot is then O(1), where
+    ``(value >> i) & 1`` costs O(count) per slot on a long plane.
+
+    >>> plane_digits(6, 4)
+    '0110'
+    >>> plane_digits(0, 0)
+    ''
+    """
+    return (format(value, "b") if value else "").zfill(count)[::-1]
+
+
+def set_positions(value: int) -> List[int]:
+    """Ascending positions of the set bits of ``value``, in time linear in its length.
+
+    >>> set_positions(0b10110)
+    [1, 2, 4]
+    """
+    digits = format(value, "b")[::-1]
+    find = digits.find
+    positions: List[int] = []
+    position = find("1")
+    while position >= 0:
+        positions.append(position)
+        position = find("1", position + 1)
+    return positions
+
+
+def positions_to_int(positions: Iterable[int], count: int) -> int:
+    """The integer whose set bits are exactly ``positions`` (all below ``count``).
+
+    Linear in ``count``: the bits are collected in a byte buffer, so no
+    intermediate integer is ever rebuilt.
+
+    >>> positions_to_int([1, 2, 4], 5)
+    22
+    """
+    buffer = bytearray((count + 7) >> 3)
+    for position in positions:
+        buffer[position >> 3] |= 1 << (position & 7)
+    return int.from_bytes(buffer, "little")
+
+
+def pack_slots(slots: Iterable[Tuple[int, Bit]], count: int) -> Tuple[int, int]:
+    """The ``(bits, present)`` planes carrying bit ``b`` at each ``(position, b)``.
+
+    Every other slot below ``count`` is silent.  Linear in ``count``, like
+    :func:`positions_to_int`.
+
+    >>> pack_slots([(0, 1), (2, 0), (3, 1)], 4)
+    (9, 13)
+    """
+    present: List[int] = []
+    ones: List[int] = []
+    for position, bit in slots:
+        present.append(position)
+        if bit:
+            ones.append(position)
+    return positions_to_int(ones, count), positions_to_int(present, count)
+
+
 def unpack_symbols(bits: int, present: int, count: int) -> List[Symbol]:
     """Inverse of :func:`pack_symbols`: expand ``count`` slots back to symbols.
 

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.adversary import ContractViolation, check_contract
 from repro.adversary.base import Adversary, NoiseBudget, NoiselessAdversary
+from repro.adversary.contract import _state_snapshot
 from repro.adversary.oblivious import AdditiveObliviousAdversary, FixingObliviousAdversary
 from repro.adversary.strategies import (
     BurstAdversary,
@@ -17,7 +22,9 @@ from repro.adversary.strategies import (
     RandomNoiseAdversary,
     RotatingLinkAdaptiveAdversary,
 )
-from repro.network.channel import Symbol, TransmissionContext, WindowContext
+from repro.experiments.table1 import _adaptive_factory, _oblivious_factory
+from repro.network.channel import RoundContext, Symbol, TransmissionContext, WindowContext
+from repro.network.topologies import random_connected_topology
 
 
 def _ctx(round_index=0, sender=0, receiver=1, phase="simulation", iteration=0):
@@ -157,6 +164,47 @@ class TestLinkTargeted:
         adversary = LinkTargetedAdversary(target=(0, 1), fraction=0.5, seed=0)
         hits = sum(1 for i in range(20) if adversary.corrupt(_ctx(round_index=i), 1) != 1)
         assert 8 <= hits <= 10  # roughly half of the observed transmissions
+
+    @pytest.mark.parametrize("slot_addressed", [False, True])
+    def test_list_target_attacks_like_the_tuple_target(self, slot_addressed):
+        """A list target used to compare unequal to every link, so it never fired."""
+        limits = {} if slot_addressed else {"max_corruptions": 50}
+
+        def build(target):
+            return LinkTargetedAdversary(
+                target=target, seed=3, slot_addressed=slot_addressed, **limits
+            )
+
+        listed, paired = build([0, 1]), build((0, 1))
+        assert listed.target == (0, 1)
+        window = (1, 0, None, 1, 1, 0, 1, 0)
+        bits, present = 0b10011001, 0b11111011
+        links = ((0, 1), (1, 0), (1, 2), (2, 1))
+        delivered = {}
+        for adversary in (listed, paired):
+            delivered[id(adversary)] = [
+                [adversary.corrupt(_ctx(round_index=r), 1) for r in range(8)],
+                adversary.corrupt_window(_window_ctx(base_round=10), window),
+                adversary.corrupt_window_packed(_window_ctx(base_round=20), bits, present, 8),
+                [
+                    adversary.corrupt_round_packed(
+                        RoundContext(links, "simulation", 0, round_index=30 + r), 0b0111, 0b1111
+                    )
+                    for r in range(8)
+                ],
+            ]
+            if slot_addressed:
+                delivered[id(adversary)].append(
+                    adversary.corruption_schedule(_window_ctx(base_round=40), window)
+                )
+        assert delivered[id(listed)] == delivered[id(paired)]
+        assert delivered[id(listed)][0] != [1] * 8  # the attack really fires
+        assert _state_snapshot(listed) == _state_snapshot(paired)
+
+    @pytest.mark.parametrize("target", [(0, 1, 2), (0,), "01", 5, (0, "1"), None])
+    def test_rejects_targets_that_are_not_links(self, target):
+        with pytest.raises(ValueError, match="directed link"):
+            LinkTargetedAdversary(target=target, max_corruptions=1)
 
 
 class TestBurst:
@@ -548,6 +596,127 @@ STOCK_CONTRACT_CASES = {
 }
 
 
+#: Configurations the round-frame kernels must also get right: a budgeted
+#: inserting ``RandomNoise`` (the budget mirror runs through silent slots)
+#: and the two Table 1 composites, whose ``LinkTargeted`` leg attacks
+#: ``(0, 1)`` in the simulation phase.
+ROUND_FRAME_EXTRA_CASES = {
+    "random-noise-budgeted-inserting": lambda: RandomNoiseAdversary(
+        corruption_probability=0.5,
+        insertion_probability=0.3,
+        seed=12,
+        budget=NoiseBudget(fraction=0.3, absolute_allowance=1),
+    ),
+    "table1-oblivious": lambda: _oblivious_factory(13, 0.3),
+    "table1-adaptive": lambda: _adaptive_factory(14, 0.3),
+}
+ROUND_FRAME_CASES = {**STOCK_CONTRACT_CASES, **ROUND_FRAME_EXTRA_CASES}
+
+
+def _round_frames(links, phases, frames, seed):
+    """Random ``(ctx, bits, present)`` round frames over ``links``."""
+    rng = random.Random(seed)
+    out = []
+    for index in range(frames):
+        present = rng.getrandbits(len(links))
+        bits = rng.getrandbits(len(links)) & present
+        ctx = RoundContext(links, phases[index % len(phases)], index % 3, round_index=3 * index)
+        out.append((ctx, bits, present))
+    return out
+
+
+class TestRoundFrame:
+    """`corrupt_round_packed`: one adversary call per lockstep round."""
+
+    @pytest.mark.parametrize(
+        "builder", list(ROUND_FRAME_EXTRA_CASES.values()), ids=list(ROUND_FRAME_EXTRA_CASES)
+    )
+    def test_round_frame_law_holds(self, builder):
+        # The stock configurations run the law in TestCheckContract.
+        assert "round-frame" in check_contract(builder()).laws
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        case=st.sampled_from(sorted(ROUND_FRAME_CASES)),
+        nodes=st.integers(min_value=2, max_value=9),
+        graph_seed=st.integers(min_value=0, max_value=10_000),
+        frame_seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_native_kernels_match_the_per_link_loop(self, case, nodes, graph_seed, frame_seed):
+        links = random_connected_topology(nodes, edge_probability=0.5, seed=graph_seed).directed_edges()
+        native = ROUND_FRAME_CASES[case]()
+        reference = ROUND_FRAME_CASES[case]()
+        phases = ("flag_passing", "simulation", "rewind", "meeting_points")
+        for ctx, bits, present in _round_frames(links, phases, 12, frame_seed):
+            got = native.corrupt_round_packed(ctx, bits, present)
+            assert got == Adversary.corrupt_round_packed(reference, ctx, bits, present)
+            assert got[0] & ~got[1] == 0 and got[1] >> len(links) == 0
+            assert _state_snapshot(native) == _state_snapshot(reference)
+
+    def test_stock_kernels_are_native(self):
+        for klass in (
+            NoiselessAdversary,
+            RandomNoiseAdversary,
+            LinkTargetedAdversary,
+            PhaseTargetedAdaptiveAdversary,
+            CompositeAdversary,
+        ):
+            assert klass.corrupt_round_packed is not Adversary.corrupt_round_packed, klass
+        assert DeletionAdversary.corrupt_round_packed is Adversary.corrupt_round_packed
+
+    def test_inherited_kernel_is_not_trusted_after_an_override(self):
+        """A subclass that changes a per-window method must not keep the
+        parent's round kernel, which encodes the parent's behaviour."""
+
+        class DeletesEverything(RandomNoiseAdversary):
+            def corrupt_window_packed(self, ctx, bits, present, count):
+                return 0, 0
+
+        assert DeletesEverything.corrupt_round_packed is Adversary.corrupt_round_packed
+        links = ((0, 1), (1, 0), (1, 2), (2, 1))
+        ctx = RoundContext(links, "simulation", 0, round_index=0)
+        adversary = DeletesEverything(corruption_probability=0.0, seed=0)
+        assert adversary.corrupt_round_packed(ctx, 0b0101, 0b0111) == (0, 0)
+
+    @pytest.mark.parametrize(
+        "override", ["corrupt", "corrupt_window", "corrupt_window_packed", "notify_delivery"]
+    )
+    def test_every_kernel_input_demotes(self, override):
+        namespace = {override: getattr(Adversary, override)}
+        subclass = type("Override", (PhaseTargetedAdaptiveAdversary,), namespace)
+        assert subclass.corrupt_round_packed is Adversary.corrupt_round_packed
+
+    def test_own_kernel_is_trusted(self):
+        class Rewritten(RandomNoiseAdversary):
+            def corrupt_window_packed(self, ctx, bits, present, count):
+                return bits, present
+
+            def corrupt_round_packed(self, ctx, bits, present):
+                return bits, present
+
+        assert Rewritten.corrupt_round_packed is not Adversary.corrupt_round_packed
+
+    def test_rejects_round_kernel_divergence(self):
+        class DivergentRoundAdversary(DeletionAdversary):
+            def corrupt_round_packed(self, ctx, bits, present):
+                return bits, present  # skips the per-link RNG draws
+
+        divergent = DivergentRoundAdversary(deletion_probability=0.5, seed=1)
+        with pytest.raises(ContractViolation, match="round-frame"):
+            check_contract(divergent)
+
+    def test_base_loop_rejects_invalid_window_output(self):
+        class WidePlanes(NoiselessAdversary):
+            corrupt_round_packed = Adversary.corrupt_round_packed
+
+            def corrupt_window_packed(self, ctx, bits, present, count):
+                return 2, 3  # claims a second slot in a 1-round window
+
+        ctx = RoundContext(((0, 1), (1, 0)), "simulation")
+        with pytest.raises(ValueError, match=r"1-round window on link \(0, 1\)"):
+            WidePlanes().corrupt_round_packed(ctx, 1, 1)
+
+
 class TestCheckContract:
     """`repro.adversary.check_contract` conformance over every stock adversary."""
 
@@ -561,6 +730,7 @@ class TestCheckContract:
         assert report.slot_addressed is adversary.slot_addressed
         assert "batched-equivalence" in report.laws
         assert "packed-equivalence" in report.laws
+        assert "round-frame" in report.laws
         if adversary.slot_addressed:
             assert {"purity", "slot-decomposability", "path-agreement"} <= set(report.laws)
         else:
@@ -672,7 +842,6 @@ class TestCheckContract:
         would pass dark and fail observed (or vice versa).  Pin report
         equality and identical end state across the two runs.
         """
-        from repro.adversary.contract import _state_snapshot
         from repro.obs import FlightRecorder, use_obs
 
         dark_report = check_contract(builder())

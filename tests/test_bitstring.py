@@ -13,8 +13,12 @@ from repro.utils.bitstring import (
     hamming_distance,
     int_to_bits,
     longest_common_prefix_length,
+    pack_slots,
     pack_symbols,
     parity,
+    plane_digits,
+    positions_to_int,
+    set_positions,
     symbol_to_bit,
     symbols_to_bits,
     unpack_symbols,
@@ -155,6 +159,33 @@ class TestPackedSymbolPlanes:
         assert dpresent == present
         flips = (bits ^ dbits) & present
         assert flips.bit_count() == sum(1 for s in symbols if s is not None)
+
+
+class TestRoundFrameHelpers:
+    """The linear plane helpers the round-frame path reads and writes with."""
+
+    def test_zero_width_and_zero_value(self):
+        assert plane_digits(0, 0) == ""
+        assert plane_digits(0, 3) == "000"
+        assert set_positions(0) == []
+        assert positions_to_int([], 0) == 0
+        assert pack_slots([], 5) == (0, 0)
+
+    @given(symbol_windows)
+    def test_helpers_agree_with_pack_symbols(self, symbols):
+        count = len(symbols)
+        bits, present = pack_symbols(symbols)
+        assert pack_slots(
+            [(index, symbol) for index, symbol in enumerate(symbols) if symbol is not None], count
+        ) == (bits, present)
+        digits = plane_digits(present, count)
+        assert len(digits) == count
+        assert [index for index, digit in enumerate(digits) if digit == "1"] == set_positions(present)
+        assert positions_to_int(set_positions(bits), count) == bits
+        assert [
+            (1 if plane_digits(bits, count)[i] == "1" else 0) if digits[i] == "1" else None
+            for i in range(count)
+        ] == list(symbols)
 
 
 class TestPackedTranscriptRoundTrip:

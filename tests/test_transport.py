@@ -27,8 +27,14 @@ from repro.adversary.strategies import (
     RandomNoiseAdversary,
     RotatingLinkAdaptiveAdversary,
 )
+from repro.core.engine import InteractiveCodingSimulator
+from repro.core.parameters import crs_oblivious_scheme
+from repro.experiments.table1 import _adaptive_factory, _oblivious_factory
+from repro.experiments.workloads import gossip_workload
 from repro.network.topologies import line_topology, random_connected_topology
 from repro.network.transport import NoisyNetwork
+from repro.obs import FlightRecorder, use_obs
+from repro.utils.bitstring import pack_slots, plane_digits, set_positions
 from repro.utils.rng import make_rng
 
 
@@ -436,7 +442,7 @@ class TestDispatchCounters:
         assert (network.windows_exchanged, network.dense_dispatches) == (1, 1)
 
     def test_deliveries_and_stats_are_bit_identical_under_an_obs_scope(self):
-        from repro.obs import MetricsRegistry, Tracer, use_obs
+        from repro.obs import MetricsRegistry, Tracer
 
         graph = line_topology(4)
         messages = {(0, 1): [1, 0, 1], (2, 1): [0, 1, 0], (3, 2): [1, 1, 1]}
@@ -558,3 +564,195 @@ class TestPhaseExchange:
         assert network.current_round == 3
         assert network.stats.transmissions == 2
         assert (network.windows_exchanged, network.merged_dispatches) == (1, 1)
+
+
+# --------------------------------------------------------------------------
+# Round frames: one adversary call per lockstep round.
+# --------------------------------------------------------------------------
+
+def _frame_to_messages(graph, bits, present):
+    """The width-1 symbol-list messages carrying a round frame."""
+    links = graph.directed_edges()
+    digits = plane_digits(bits, len(links))
+    return {links[position]: [int(digits[position])] for position in set_positions(present)}
+
+
+def _messages_to_frame(graph, delivered):
+    """A width-1 exchange's result as a round frame (missing links are silent)."""
+    index = graph.directed_edge_index()
+    return pack_slots(
+        [(index[link], symbols[0]) for link, symbols in delivered.items() if symbols[0] is not None],
+        len(index),
+    )
+
+
+def _captured_trial_rounds(adversary):
+    """Every ``exchange_round`` call of one real storm-noise trial, with the
+    clock reading it was made at."""
+    workload = gossip_workload("clique", 5, 4, seed=3)
+    sim = InteractiveCodingSimulator(workload.protocol, crs_oblivious_scheme(), adversary, seed=3)
+    original = sim.network.exchange_round
+    rounds = []
+
+    def spy(bits, present, phase, iteration=-1):
+        rounds.append((sim.network.current_round, bits, present, phase, iteration))
+        return original(bits, present, phase, iteration)
+
+    sim.network.exchange_round = spy
+    sim.run()
+    return workload.graph, rounds
+
+
+#: Adversaries the trial replay runs under: the sweep's inserting noise, the
+#: Table 1 composites, a fraction budget and the stateful targeted kinds.
+_REPLAY_ADVERSARIES = {
+    "random-noise-inserting": lambda: RandomNoiseAdversary(
+        corruption_probability=0.08, insertion_probability=0.02, seed=5
+    ),
+    "random-noise-budgeted": lambda: RandomNoiseAdversary(
+        corruption_probability=0.3,
+        insertion_probability=0.1,
+        seed=6,
+        budget=NoiseBudget(fraction=0.05, absolute_allowance=2),
+    ),
+    "table1-oblivious": lambda: _oblivious_factory(7, 0.05),
+    "table1-adaptive": lambda: _adaptive_factory(8, 0.05),
+    "link-targeted-list": lambda: LinkTargetedAdversary(
+        target=[0, 1], fraction=0.3, seed=9
+    ),
+    "deletion": lambda: DeletionAdversary(deletion_probability=0.1, seed=10),
+    "echo-spoofing": lambda: EchoSpoofingAdversary(target=(0, 1), fraction=0.3, seed=11),
+}
+
+
+class TestExchangeRound:
+    @pytest.fixture(scope="class")
+    def trial(self):
+        graph, rounds = _captured_trial_rounds(
+            RandomNoiseAdversary(corruption_probability=0.08, insertion_probability=0.02, seed=1)
+        )
+        phases = {phase for _, _, _, phase, _ in rounds}
+        assert phases == {"flag_passing", "simulation", "rewind"}
+        return graph, rounds
+
+    @pytest.mark.parametrize("name", sorted(_REPLAY_ADVERSARIES))
+    def test_replayed_trial_rounds_match_the_window_paths(self, trial, name):
+        """A real trial's lockstep rounds through exchange_round, batched
+        exchange_window and per-slot exchange_window: same deliveries, stats,
+        recorder events (in order) and clock."""
+        graph, rounds = trial
+        networks = {}
+        recorders = {}
+        for path in ("round", "batched", "per-slot"):
+            recorders[path] = FlightRecorder(capacity=100_000)
+            with use_obs(recorder=recorders[path]):
+                networks[path] = NoisyNetwork(
+                    graph, adversary=_REPLAY_ADVERSARIES[name](), batched=path != "per-slot"
+                )
+        for clock, bits, present, phase, iteration in rounds:
+            frames = {}
+            for path, network in networks.items():
+                network.advance_rounds(clock - network.current_round)
+                if path == "round":
+                    frames[path] = network.exchange_round(bits, present, phase, iteration)
+                else:
+                    delivered = network.exchange_window(
+                        _frame_to_messages(graph, bits, present), 1, phase, iteration, sparse=True
+                    )
+                    frames[path] = _messages_to_frame(graph, delivered)
+            assert frames["round"] == frames["batched"] == frames["per-slot"]
+        reference = networks["per-slot"]
+        events = {path: recorder.finish_trial(success=False)["events"] for path, recorder in recorders.items()}
+        for path in ("round", "batched"):
+            assert vars(networks[path].stats) == vars(reference.stats), path
+            assert networks[path].current_round == reference.current_round, path
+            assert events[path] == events["per-slot"], path
+            assert _adversary_state(networks[path].adversary) == _adversary_state(reference.adversary)
+        assert reference.stats.transmissions > 0
+
+    def test_replay_exercises_corruption(self, trial):
+        graph, rounds = trial
+        network = NoisyNetwork(graph, adversary=_REPLAY_ADVERSARIES["random-noise-inserting"]())
+        for clock, bits, present, phase, iteration in rounds:
+            network.advance_rounds(clock - network.current_round)
+            network.exchange_round(bits, present, phase, iteration)
+        stats = network.stats
+        assert stats.substitutions and stats.deletions and stats.insertions
+
+    @pytest.mark.parametrize("adversary_name", sorted(STOCK_ADVERSARIES))
+    def test_random_frames_match_the_window_path(self, adversary_name):
+        builder = STOCK_ADVERSARIES[adversary_name]
+        for trial in range(6):
+            layout_rng = make_rng(4000 * trial + 29)
+            graph = _random_graph(layout_rng)
+            pattern_seed = layout_rng.randint(0, 2**31)
+            round_network = NoisyNetwork(graph, adversary=builder(trial, graph, make_rng(pattern_seed)))
+            window_network = NoisyNetwork(graph, adversary=builder(trial, graph, make_rng(pattern_seed)))
+            count = len(graph.directed_edges())
+            traffic_rng = make_rng(layout_rng.randint(0, 2**31))
+            for step in range(8):
+                present = traffic_rng.getrandbits(count)
+                bits = traffic_rng.getrandbits(count) & present
+                phase = traffic_rng.choice(_PHASES)
+                got = round_network.exchange_round(bits, present, phase, step)
+                delivered = window_network.exchange_window(
+                    _frame_to_messages(graph, bits, present), 1, phase, step, sparse=True
+                )
+                assert got == _messages_to_frame(graph, delivered), (adversary_name, trial, step)
+            assert round_network.stats == window_network.stats
+            assert round_network.current_round == window_network.current_round == 8
+            assert _adversary_state(round_network.adversary) == _adversary_state(
+                window_network.adversary
+            )
+
+    def test_rejects_bits_outside_present(self):
+        network = NoisyNetwork(line_topology(3))
+        with pytest.raises(ValueError) as error:
+            network.exchange_round(0b10, 0b01, "simulation")
+        assert str(error.value) == "round frame sets bits outside its present mask"
+        assert network.current_round == 0
+
+    def test_rejects_symbols_beyond_the_links(self):
+        network = NoisyNetwork(line_topology(3))  # 4 directed links
+        with pytest.raises(ValueError) as error:
+            network.exchange_round(0, 1 << 4, "simulation")
+        assert str(error.value) == "round frame has symbols beyond the 4 directed links"
+
+    def test_rejects_adversary_bits_outside_present(self):
+        class LeakyFrames(NoiselessAdversary):
+            def corrupt_round_packed(self, ctx, bits, present):
+                return 0b1, 0
+
+        network = NoisyNetwork(line_topology(3), adversary=LeakyFrames())
+        with pytest.raises(ValueError) as error:
+            network.exchange_round(0, 0, "simulation")
+        assert str(error.value) == (
+            "adversary delivered a round frame with bits outside its present mask"
+        )
+
+    def test_rejects_adversary_symbols_beyond_the_links(self):
+        class WideFrames(NoiselessAdversary):
+            def corrupt_round_packed(self, ctx, bits, present):
+                return 0, 1 << 4
+
+        network = NoisyNetwork(line_topology(3), adversary=WideFrames())
+        with pytest.raises(ValueError) as error:
+            network.exchange_round(0, 0, "simulation")
+        assert str(error.value) == (
+            "adversary delivered a round frame with symbols beyond the 4 directed links"
+        )
+        assert network.stats.transmissions == 0
+
+    def test_one_adversary_call_per_round(self):
+        class CountingNoise(RandomNoiseAdversary):
+            def corrupt_round_packed(self, ctx, bits, present):
+                self.calls = getattr(self, "calls", 0) + 1
+                return super().corrupt_round_packed(ctx, bits, present)
+
+        graph = random_connected_topology(6, edge_probability=0.8, seed=2)
+        adversary = CountingNoise(corruption_probability=0.1, insertion_probability=0.1, seed=3)
+        network = NoisyNetwork(graph, adversary=adversary)
+        for step in range(5):
+            network.exchange_round(0, 0, "rewind", step)
+        assert adversary.calls == 5
+        assert (network.windows_exchanged, network.packed_dispatches, network.dense_dispatches) == (5, 5, 5)
