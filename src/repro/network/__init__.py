@@ -2,6 +2,7 @@
 
 from repro.network.channel import (
     ChannelStats,
+    RoundContext,
     Symbol,
     TransmissionContext,
     WindowContext,
@@ -24,6 +25,7 @@ from repro.network.transport import NoisyNetwork
 
 __all__ = [
     "ChannelStats",
+    "RoundContext",
     "Symbol",
     "TransmissionContext",
     "WindowContext",
