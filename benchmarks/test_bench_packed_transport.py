@@ -9,12 +9,12 @@ round over every link, because that is what the engine calls.  The workload
 replays the window mix of ``scripts/profile_hotpath.py``'s representative
 trial (gossip clique n=8, CRS scheme, nominal noise): dense ``4·τ``-round
 meeting-points windows on every directed link plus thin single-round
-windows, under a slot-addressed additive-oblivious pattern at the trial's
-nominal noise fraction.
+windows, under an additive-oblivious pattern at the trial's nominal noise
+fraction.
 
 Both paths must produce bit-identical ``ChannelStats`` and clock — the
 equivalence itself is pinned much harder by ``tests/test_transport.py`` and
-the packed mode of ``tests/test_phase_merge_fuzz.py``.  The speedup over the
+``tests/test_engine_fuzz.py``.  The speedup over the
 per-slot path is reported in ``extra_info``, not asserted: an in-tree slow
 path is not the measure of a change (``perfbench`` compares with the parent
 commit), and a ratio between two timings on a shared host flakes.  Plane

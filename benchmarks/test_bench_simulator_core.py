@@ -88,11 +88,10 @@ def test_batched_window_transport_speedup(benchmark, run_once):
 
     # Capture the cell's window-exchange workload from one real trial.  The
     # capture profile routes every window through ``exchange_window`` (the
-    # default profile's packed/merged dispatches would bypass the spy and
-    # starve the replay of the dense meeting-points windows this gate is
-    # about; the packed layer has its own gate in
-    # ``test_bench_packed_transport.py``).
-    capture_config = DEFAULT_ENGINE_CONFIG.with_overrides(packed=False, merge_phases=False)
+    # default profile's packed dispatches would bypass the spy and starve the
+    # replay of the dense meeting-points windows this gate is about; the
+    # packed layer has its own gate in ``test_bench_packed_transport.py``).
+    capture_config = DEFAULT_ENGINE_CONFIG.with_overrides(packed=False)
     captured = []
     sim = InteractiveCodingSimulator(
         workload.protocol, scheme=scheme, adversary=factory(0), seed=0, config=capture_config

@@ -17,11 +17,9 @@ The execution-path switches map straight onto
 :class:`repro.core.config.EngineConfig` fields: ``--per-slot`` routes the
 trial through the single-slot compatibility transport instead of the batched
 one — diffing the two profiles shows exactly what the batched window path
-removed (and whether a regression crept back in).  ``--no-merge`` does the
-same for whole-phase round merging (the flag/simulation/rewind phases run
-the per-round reference schedule), and ``--no-packed`` for the packed
-``(bits, present)`` plane pipeline (the meeting-points exchange falls back
-to symbol tuples).
+removed (and whether a regression crept back in).  ``--no-packed`` does the
+same for the packed ``(bits, present)`` plane pipeline (the meeting-points
+exchange and the lockstep round frames fall back to symbol tuples).
 
 ``--compare`` skips the profiler and instead times the trial twice — once
 under the default (fully fast) engine configuration and once under
@@ -99,11 +97,6 @@ def parse_args(argv=None) -> argparse.Namespace:
         "--per-slot",
         action="store_true",
         help="profile the single-slot compatibility transport instead of the batched path",
-    )
-    parser.add_argument(
-        "--no-merge",
-        action="store_true",
-        help="disable whole-phase round merging (profile the per-round reference schedule)",
     )
     parser.add_argument(
         "--packed",
@@ -218,7 +211,6 @@ def main(argv=None) -> int:
     adversary = RandomNoiseFactory(fraction=fraction)(args.seed)
     config = DEFAULT_ENGINE_CONFIG.with_overrides(
         batched_transport=not args.per_slot,
-        merge_phases=not args.no_merge,
         packed=args.packed,
     )
 

@@ -15,16 +15,13 @@ see.  The batched hot path is ``corrupt_window``: the transport hands the
 adversary one whole window of slots on one directed link and gets the full
 delivered sequence back.  The base implementation of ``corrupt_window``
 falls back to per-slot ``corrupt`` calls, and every override is required to
-be bit-identical to that fallback.  Corruption accounting is done by the
-transport, not by the adversary, so an adversary cannot under-report its own
-noise.
-
-On top of both sits the opt-in **slot-addressed contract**
-(``Adversary.slot_addressed`` + ``corruption_schedule``): corruption as a
-pure function of ``(round, link, symbol)`` with no cross-slot state, which
-is what lets the engine merge a whole phase's rounds into a single
-transport dispatch.  See :meth:`Adversary.corruption_schedule` for the laws
-and ``repro.adversary.check_contract`` for the conformance probe.
+be bit-identical to that fallback.  Two packed entry points sit on top:
+``corrupt_window_packed`` takes one link's window as a ``(bits, present)``
+plane, and ``corrupt_round_packed`` takes one lockstep round over every
+directed link as a round frame.  Each base implementation is built on the
+one below it; ``repro.adversary.check_contract`` probes that every override
+agrees with its fallback.  Corruption accounting is done by the transport,
+not by the adversary, so an adversary cannot under-report its own noise.
 
 The theorems bound the noise as a *fraction of the actual communication* of
 the executed instance, which is not known in advance.  :class:`NoiseBudget`
@@ -138,9 +135,7 @@ class Adversary(abc.ABC):
       plane on one link (``exchange_window_packed``: meeting points);
     * :meth:`corrupt_round_packed` — one lockstep round over every directed
       link as a round frame (``exchange_round``: flag passing, simulation
-      and rewind);
-    * :meth:`corruption_schedule` — the pure slot-addressed schedule
-      (``exchange_phase``).
+      and rewind).
 
     Each base implementation is built on the entry point above it, so an
     adversary that only writes :meth:`corrupt` works on every path.
@@ -151,21 +146,6 @@ class Adversary(abc.ABC):
 
     #: Whether the adversary commits to its noise before seeing the execution.
     oblivious: bool = True
-
-    #: The slot-addressed contract flag.  ``True`` declares that this
-    #: adversary's corruption decision for every channel slot is a *pure
-    #: function of (absolute round, directed link, sent symbol)* — no
-    #: sequential RNG streams, no budgets fed by realised communication, no
-    #: cross-slot state of any kind — and that :meth:`corruption_schedule`
-    #: implements exactly that function.  Under the contract the engine may
-    #: legally precompute a whole phase's delivery schedule and merge the
-    #: phase's rounds into one transport dispatch
-    #: (:meth:`~repro.network.transport.NoisyNetwork.exchange_phase`):
-    #: evaluating a slot early, twice, or grouped into a different window is
-    #: guaranteed to be unobservable.  Stateful adversaries must truthfully
-    #: report ``False`` and keep the lockstep round-by-round path.
-    #: ``repro.adversary.check_contract`` probes the laws below.
-    slot_addressed: bool = False
 
     #: Whether the adversary may deliver symbols on slots where the sender was
     #: silent (insertions).  This is a real, load-bearing attribute of the
@@ -320,42 +300,6 @@ class Adversary(abc.ABC):
             return
         cls.corrupt_round_packed = Adversary.corrupt_round_packed  # type: ignore[method-assign]
 
-    def corruption_schedule(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        """Pure evaluation of the delivery schedule for one window on one link.
-
-        Only available when :attr:`slot_addressed` is ``True``.  Returns the
-        delivered window, like :meth:`corrupt_window`, but under much stronger
-        laws — the *slot-addressed contract*:
-
-        * **purity** — the call reads and writes no mutable state: two
-          independent evaluations of the same ``(ctx, symbols)`` return the
-          same schedule, and the adversary's observable state (RNG streams,
-          budgets, counters) is identical before and after;
-        * **slot decomposability** — slot ``i`` of a window evaluation equals
-          the single-slot evaluation at the same absolute round:
-          ``corruption_schedule(ctx, symbols)[i] ==
-          corruption_schedule(ctx_at(base_round + i), (symbols[i],))[0]``;
-        * **path agreement** — while ``slot_addressed`` holds,
-          :meth:`corrupt` and :meth:`corrupt_window` delegate to (or agree
-          bit for bit with) this function, so the per-slot, batched-window
-          and merged-phase transmission paths all deliver the same symbols.
-
-        These laws are what make whole-phase round merging legal: the engine
-        evaluates slots the moment it knows the sent symbol (data-dependent,
-        out of dispatch order) and the transport accounts the whole phase in
-        one pass, with no way for the grouping to change the outcome.
-        ``repro.adversary.check_contract`` probes all three laws.
-        """
-        if not self.slot_addressed:
-            raise RuntimeError(
-                f"{type(self).__name__} is not slot-addressed: corruption_schedule is only "
-                "defined when slot_addressed is True"
-            )
-        raise NotImplementedError(
-            f"{type(self).__name__} declares slot_addressed=True but does not "
-            "implement corruption_schedule"
-        )
-
     def notify_delivery(self, ctx: TransmissionContext, sent: Symbol, received: Symbol) -> None:
         """Hook called after every slot; adaptive adversaries may record state."""
 
@@ -369,7 +313,6 @@ class NoiselessAdversary(Adversary):
     name = "noiseless"
     oblivious = True
     may_insert = False
-    slot_addressed = True  # the identity channel is trivially pure
 
     def corrupt(self, ctx: TransmissionContext, sent: Symbol) -> Symbol:
         return sent
@@ -384,6 +327,3 @@ class NoiselessAdversary(Adversary):
 
     def corrupt_round_packed(self, ctx: RoundContext, bits: int, present: int) -> Tuple[int, int]:
         return bits, present
-
-    def corruption_schedule(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        return list(symbols)

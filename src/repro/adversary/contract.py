@@ -1,4 +1,4 @@
-"""Conformance checking for the adversary contracts.
+"""Conformance checking for the adversary contract.
 
 These guarantees hold the transport's transmission paths together:
 
@@ -12,12 +12,7 @@ These guarantees hold the transport's transmission paths together:
 * every adversary's ``corrupt_round_packed`` must deliver the same round
   frame (and leave the same state) as the per-link loop of width-1
   ``corrupt_window_packed`` calls in link order — the **round-frame law**,
-  which is what makes one adversary call per lockstep round legal;
-* a :attr:`~repro.adversary.base.Adversary.slot_addressed` adversary must
-  additionally satisfy the slot-addressed laws — purity, slot
-  decomposability, path agreement (see
-  :meth:`~repro.adversary.base.Adversary.corruption_schedule`) — which is
-  what makes whole-phase round merging legal.
+  which is what makes one adversary call per lockstep round legal.
 
 :func:`check_contract` probes every law on deterministic fuzz windows and
 raises :class:`ContractViolation` on the first broken law.  It is exported as
@@ -58,7 +53,7 @@ _DEFAULT_PHASES: Tuple[str, ...] = (
 
 
 class ContractViolation(AssertionError):
-    """An adversary broke one of the contract laws it declared."""
+    """An adversary broke one of the contract laws."""
 
     def __init__(self, law: str, message: str) -> None:
         super().__init__(f"[{law}] {message}")
@@ -70,7 +65,6 @@ class ContractReport:
     """What :func:`check_contract` verified for one adversary."""
 
     adversary: str
-    slot_addressed: bool
     windows_probed: int
     laws: Tuple[str, ...]
 
@@ -265,79 +259,6 @@ def _check_round_equivalence(
             )
 
 
-def _check_slot_addressed(
-    adv: Adversary,
-    probes: Sequence[Tuple[WindowContext, Tuple[Symbol, ...]]],
-) -> None:
-    """Purity, slot decomposability and path agreement of corruption_schedule."""
-    subject = copy.deepcopy(adv)
-    subject.reset()
-    independent = copy.deepcopy(subject)
-    for ctx, symbols in probes:
-        before = _state_snapshot(subject)
-        first = list(subject.corruption_schedule(ctx, symbols))
-        second = list(subject.corruption_schedule(ctx, symbols))
-        if first != second:
-            raise ContractViolation(
-                "purity",
-                f"{type(adv).__name__}.corruption_schedule is not deterministic on "
-                f"{ctx!r}: {first!r} then {second!r}",
-            )
-        if _state_snapshot(subject) != before:
-            raise ContractViolation(
-                "purity",
-                f"{type(adv).__name__}.corruption_schedule mutated state on {ctx!r} "
-                "(a slot-addressed adversary must not touch RNG streams, budgets or "
-                "any other mutable state)",
-            )
-        # An independent probe object (never having seen the other windows)
-        # must produce the same schedule: no hidden cross-window coupling.
-        if list(independent.corruption_schedule(ctx, symbols)) != first:
-            raise ContractViolation(
-                "purity",
-                f"{type(adv).__name__}.corruption_schedule on {ctx!r} differs "
-                "between two independently constructed probes",
-            )
-        slot_contexts = [
-            WindowContext(
-                link=ctx.link,
-                phase=ctx.phase,
-                iteration=ctx.iteration,
-                base_round=ctx.base_round + offset,
-            )
-            for offset in range(len(symbols))
-        ]
-        for offset, symbol in enumerate(symbols):
-            slot_ctx = slot_contexts[offset]
-            single = subject.corruption_schedule(slot_ctx, (symbol,))
-            if single[0] != first[offset]:
-                raise ContractViolation(
-                    "slot-decomposability",
-                    f"{type(adv).__name__}: slot {offset} of the window schedule on "
-                    f"{ctx!r} is {first[offset]!r} but the single-slot evaluation at "
-                    f"round {slot_ctx.base_round} gives {single[0]!r}",
-                )
-        for offset, symbol in enumerate(symbols):
-            if not adv.may_insert and symbol is None:
-                continue  # the per-slot transport never consults corrupt here
-            slot_ctx = slot_contexts[offset]
-            direct = subject.corrupt(slot_ctx.slot(0), symbol)
-            if direct != first[offset]:
-                raise ContractViolation(
-                    "path-agreement",
-                    f"{type(adv).__name__}.corrupt at round {slot_ctx.base_round} "
-                    f"on {ctx.link} delivers {direct!r} but corruption_schedule "
-                    f"delivers {first[offset]!r}",
-                )
-        window_path = list(subject.corrupt_window(ctx, symbols))
-        if window_path != first:
-            raise ContractViolation(
-                "path-agreement",
-                f"{type(adv).__name__}.corrupt_window on {ctx!r} delivers "
-                f"{window_path!r} but corruption_schedule delivers {first!r}",
-            )
-
-
 def check_contract(
     adv: Adversary,
     *,
@@ -347,17 +268,13 @@ def check_contract(
     windows: int = 8,
     seed: int = 2024,
 ) -> ContractReport:
-    """Probe ``adv`` against every contract it declares.
+    """Probe ``adv`` against every adversary contract law.
 
-    Always checks batched-vs-per-slot equivalence, packed-vs-batched
-    equivalence (``corrupt_window_packed`` delivering the same corruption
-    mask, plane invariant included) and the round-frame law
-    (``corrupt_round_packed`` against the per-link loop, on ``2 * windows``
-    random frames over ``links``).  When
-    ``adv.slot_addressed`` is ``True``, additionally probes the slot-addressed
-    laws (purity, slot decomposability, path agreement); when ``False``,
-    verifies that :meth:`~repro.adversary.base.Adversary.corruption_schedule`
-    refuses to run.  The probe windows are deterministic in ``seed`` and span
+    Checks batched-vs-per-slot equivalence, packed-vs-batched equivalence
+    (``corrupt_window_packed`` delivering the same corruption mask, plane
+    invariant included) and the round-frame law (``corrupt_round_packed``
+    against the per-link loop, on ``2 * windows`` random frames over
+    ``links``).  The probe windows are deterministic in ``seed`` and span
     absolute rounds ``[0, windows * window_rounds)`` — configure adversaries
     whose behaviour is round- or link-keyed (bursts, patterns, targets) to
     overlap that region and the default ``links`` so the interesting branches
@@ -370,31 +287,13 @@ def check_contract(
     probe_links = tuple(links) if links is not None else _DEFAULT_LINKS
     probe_phases = tuple(phases) if phases is not None else _DEFAULT_PHASES
     probes = _probe_windows(probe_links, probe_phases, window_rounds, windows, seed)
-    laws: List[str] = ["batched-equivalence", "packed-equivalence", "round-frame"]
     _check_batched_equivalence(adv, probes)
     _check_packed_equivalence(adv, probes)
     _check_round_equivalence(
         adv, _probe_frames(probe_links, probe_phases, 2 * windows, windows * window_rounds, seed)
     )
-    if adv.slot_addressed:
-        _check_slot_addressed(adv, probes)
-        laws += ["purity", "slot-decomposability", "path-agreement"]
-    else:
-        ctx, symbols = probes[0]
-        try:
-            copy.deepcopy(adv).corruption_schedule(ctx, symbols)
-        except RuntimeError:
-            pass
-        else:
-            raise ContractViolation(
-                "truthful-flag",
-                f"{type(adv).__name__} reports slot_addressed=False but "
-                "corruption_schedule did not refuse to run",
-            )
-        laws.append("truthful-flag")
     return ContractReport(
         adversary=adv.name,
-        slot_addressed=adv.slot_addressed,
         windows_probed=len(probes),
-        laws=tuple(laws),
+        laws=("batched-equivalence", "packed-equivalence", "round-frame"),
     )

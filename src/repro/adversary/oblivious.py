@@ -38,10 +38,9 @@ SlotKey = Tuple[int, int, int]  # (round_index, sender, receiver)
 def _index_pattern_by_link(pattern: Dict[SlotKey, object]) -> Dict[Tuple[int, int], Dict[int, object]]:
     """Group an oblivious pattern by directed link (round -> value).
 
-    Built eagerly at construction time: the slot-addressed purity law forbids
-    ``corruption_schedule`` (and the packed kernels that share its pattern)
-    from writing any state, so lazy memoisation on first use is off the
-    table.
+    Built once at construction time: the pattern is immutable, so the index
+    never goes stale, and the window kernels that read it stay free of state
+    writes (an oblivious adversary's state is fixed before the run starts).
     """
     by_link: Dict[Tuple[int, int], Dict[int, object]] = {}
     for (round_index, sender, receiver), value in pattern.items():
@@ -71,10 +70,6 @@ class AdditiveObliviousAdversary(Adversary):
     pattern: Dict[SlotKey, int] = field(default_factory=dict)
     name: str = "oblivious-additive"
     oblivious: bool = True
-    # The pattern is immutable and indexed by absolute (round, link): the
-    # noise is a pure function of the slot coordinates and the sent symbol,
-    # which is the slot-addressed contract verbatim.
-    slot_addressed: bool = True
 
     def __post_init__(self) -> None:
         for key, offset in self.pattern.items():
@@ -90,7 +85,7 @@ class AdditiveObliviousAdversary(Adversary):
             return sent
         return apply_additive_noise(sent, offset)
 
-    def corruption_schedule(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
+    def corrupt_window(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
         # Precompute the additive noise mask of this window from the pattern;
         # clean windows (the common case) pass through with no per-slot work.
         pattern = self.pattern
@@ -105,8 +100,6 @@ class AdditiveObliviousAdversary(Adversary):
             sent if offset == 0 else apply_additive_noise(sent, offset)
             for sent, offset in zip(symbols, mask)
         ]
-
-    corrupt_window = corruption_schedule
 
     def corrupt_window_packed(
         self, ctx: WindowContext, bits: int, present: int, count: int
@@ -166,9 +159,6 @@ class FixingObliviousAdversary(Adversary):
     pattern: Dict[SlotKey, Symbol] = field(default_factory=dict)
     name: str = "oblivious-fixing"
     oblivious: bool = True
-    # Like the additive adversary: an immutable pattern keyed on absolute
-    # slot coordinates, pure in (round, link, symbol).
-    slot_addressed: bool = True
 
     def __post_init__(self) -> None:
         for key, value in self.pattern.items():
@@ -183,7 +173,7 @@ class FixingObliviousAdversary(Adversary):
             return self.pattern[key]
         return sent
 
-    def corruption_schedule(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
+    def corrupt_window(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
         # ``None`` is a legal pattern value (force silence), so membership is
         # resolved with a private sentinel rather than ``dict.get``'s default.
         pattern = self.pattern
@@ -200,8 +190,6 @@ class FixingObliviousAdversary(Adversary):
             sent if fixed is missing else fixed
             for sent, fixed in zip(symbols, out)
         ]
-
-    corrupt_window = corruption_schedule
 
     def corrupt_window_packed(
         self, ctx: WindowContext, bits: int, present: int, count: int

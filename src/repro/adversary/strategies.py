@@ -26,7 +26,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from repro.adversary.base import Adversary, NoiseBudget
 from repro.network.channel import RoundContext, Symbol, TransmissionContext, WindowContext
 from repro.utils.bitstring import plane_digits, positions_to_int, set_positions
-from repro.utils.rng import make_rng, slot_rng
+from repro.utils.rng import make_rng
 
 
 def _flip(symbol: Symbol) -> Symbol:
@@ -90,13 +90,6 @@ class RandomNoiseAdversary(Adversary):
     the coin flips depend only on the slot index and the adversary's own seed.
     ``insertion_probability`` controls extra insertions on silent slots
     (0 disables them and lets the transport skip silent slots entirely).
-
-    With ``slot_addressed=True`` the coins come from per-slot derived streams
-    (:func:`~repro.utils.rng.slot_rng`) instead of one sequential generator,
-    making every decision a pure function of ``(seed, round, link, symbol)``.
-    The noise distribution is the same, the realised pattern differs from the
-    sequential mode; a ``budget`` is rejected because a fraction budget feeds
-    on realised communication, which is cross-slot state.
     """
 
     corruption_probability: float = 0.0
@@ -105,43 +98,16 @@ class RandomNoiseAdversary(Adversary):
     budget: Optional[NoiseBudget] = None
     name: str = "random-noise"
     oblivious: bool = True
-    slot_addressed: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.corruption_probability <= 1.0:
             raise ValueError("corruption_probability must lie in [0, 1]")
         if not 0.0 <= self.insertion_probability <= 1.0:
             raise ValueError("insertion_probability must lie in [0, 1]")
-        if self.slot_addressed and self.budget is not None:
-            raise ValueError(
-                "slot-addressed RandomNoiseAdversary cannot carry a NoiseBudget: "
-                "a fraction budget feeds on realised communication, which is "
-                "cross-slot state"
-            )
         self._rng = make_rng(self.seed)
         self.may_insert = self.insertion_probability > 0.0
 
-    def _slot_symbol(self, round_index: int, sender: int, receiver: int, sent: Symbol) -> Symbol:
-        """The pure per-slot decision of the slot-addressed mode."""
-        probability = self.insertion_probability if sent is None else self.corruption_probability
-        if probability <= 0.0:
-            return sent
-        rng = slot_rng(self.seed, round_index, sender, receiver)
-        if rng.random() >= probability:
-            return sent
-        return _corrupt_randomly(rng, sent)
-
-    def corruption_schedule(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        if not self.slot_addressed:
-            return super().corruption_schedule(ctx, symbols)  # raises
-        sender, receiver = ctx.link
-        base = ctx.base_round
-        slot = self._slot_symbol
-        return [slot(base + offset, sender, receiver, sent) for offset, sent in enumerate(symbols)]
-
     def corrupt(self, ctx: TransmissionContext, sent: Symbol) -> Symbol:
-        if self.slot_addressed:
-            return self._slot_symbol(ctx.round_index, ctx.sender, ctx.receiver, sent)
         if self.budget is not None and sent is not None:
             self.budget.observe_transmission()
         probability = self.insertion_probability if sent is None else self.corruption_probability
@@ -155,8 +121,6 @@ class RandomNoiseAdversary(Adversary):
         return corrupted
 
     def corrupt_window(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        if self.slot_addressed:
-            return self.corruption_schedule(ctx, symbols)
         # The RNG stream must match the per-slot path draw for draw, so the
         # corruption mask is drawn in offset order — but in one tight pass
         # with everything bound locally and no per-slot contexts (the budget
@@ -204,21 +168,16 @@ class RandomNoiseAdversary(Adversary):
     def corrupt_window_packed(
         self, ctx: WindowContext, bits: int, present: int, count: int
     ) -> Tuple[int, int]:
-        if self.slot_addressed:
-            return self._slot_addressed_packed(ctx, bits, present, count)
-        return self._sequential_packed(bits, present, count)
+        return self._plane_kernel(bits, present, count)
 
     def corrupt_round_packed(self, ctx: RoundContext, bits: int, present: int) -> Tuple[int, int]:
-        # The sequential coins depend only on slot order, and a frame's slot
-        # order is the link order of the per-link loop: the frame is one
-        # window over its links.  Slot-addressed coins are keyed on the link,
-        # so that mode keeps the per-link loop.
-        if self.slot_addressed:
-            return super().corrupt_round_packed(ctx, bits, present)
-        return self._sequential_packed(bits, present, len(ctx.links))
+        # The coins depend only on slot order, and a frame's slot order is
+        # the link order of the per-link loop: the frame is one window over
+        # its links.
+        return self._plane_kernel(bits, present, len(ctx.links))
 
-    def _sequential_packed(self, bits: int, present: int, count: int) -> Tuple[int, int]:
-        """The sequential-mode window kernel, linear in ``count``.
+    def _plane_kernel(self, bits: int, present: int, count: int) -> Tuple[int, int]:
+        """The packed window kernel, linear in ``count``.
 
         Slots are visited in offset order, so the RNG draws and the budget
         counters (mirrored locally, written back once) follow the symbol
@@ -271,29 +230,6 @@ class RandomNoiseAdversary(Adversary):
             budget.corruptions_spent = spent
         return _apply_flips(bits, present, bit_flips, present_flips, count)
 
-    def _slot_addressed_packed(
-        self, ctx: WindowContext, bits: int, present: int, count: int
-    ) -> Tuple[int, int]:
-        # Insertions touch silent slots too; that rare configuration keeps
-        # the generic unpack fallback.
-        if self.insertion_probability > 0.0:
-            return super().corrupt_window_packed(ctx, bits, present, count)
-        probability = self.corruption_probability
-        if probability <= 0.0:
-            return bits, present
-        sender, receiver = ctx.link
-        base = ctx.base_round
-        seed = self.seed
-        bit_digits = plane_digits(bits, count)
-        bit_flips: List[int] = []
-        present_flips: List[int] = []
-        for slot in set_positions(present):
-            rng = slot_rng(seed, base + slot, sender, receiver)
-            if rng.random() >= probability:
-                continue
-            _corrupt_slot(rng, slot, bit_digits[slot] == "1", bit_flips, present_flips)
-        return _apply_flips(bits, present, bit_flips, present_flips, count)
-
     def reset(self) -> None:
         self._rng = make_rng(self.seed)
         if self.budget is not None:
@@ -313,12 +249,6 @@ class LinkTargetedAdversary(Adversary):
     communication (the theorems' noise model) or by an absolute
     ``max_corruptions`` (useful for "exactly k errors" experiments); when
     ``max_corruptions`` is set it is the only limit that applies.
-
-    With ``slot_addressed=True`` the attack becomes probability-only: every
-    transmitted slot on the target link (in a targeted phase) is corrupted
-    independently with ``corruption_probability`` from its own derived stream.
-    Both limits are cross-slot state, so the mode requires
-    ``max_corruptions is None`` and ``fraction == 0.0``.
     """
 
     target: Tuple[int, int] = (0, 1)
@@ -330,7 +260,6 @@ class LinkTargetedAdversary(Adversary):
     name: str = "link-targeted"
     oblivious: bool = True
     may_insert: bool = False
-    slot_addressed: bool = False
 
     def __post_init__(self) -> None:
         # A list target would never compare equal to a link tuple, so the
@@ -344,46 +273,11 @@ class LinkTargetedAdversary(Adversary):
                 f"target must be a directed link (sender, receiver), got {self.target!r}"
             )
         self.target = target
-        if self.slot_addressed and (self.max_corruptions is not None or self.fraction != 0.0):
-            raise ValueError(
-                "slot-addressed LinkTargetedAdversary is probability-only: "
-                "max_corruptions and fraction are cross-slot limits and must "
-                "stay at None / 0.0"
-            )
         self._rng = make_rng(self.seed)
         self._budget = NoiseBudget(fraction=self.fraction)
         self._spent = 0
 
-    def _slot_symbol(
-        self, round_index: int, sender: int, receiver: int, phase: str, sent: Symbol
-    ) -> Symbol:
-        """The pure per-slot decision of the slot-addressed mode."""
-        if sent is None or (sender, receiver) != self.target:
-            return sent
-        if self.phases is not None and phase not in self.phases:
-            return sent
-        rng = slot_rng(self.seed, round_index, sender, receiver)
-        if rng.random() >= self.corruption_probability:
-            return sent
-        return _corrupt_randomly(rng, sent)
-
-    def corruption_schedule(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        if not self.slot_addressed:
-            return super().corruption_schedule(ctx, symbols)  # raises
-        if ctx.link != self.target or (self.phases is not None and ctx.phase not in self.phases):
-            return list(symbols)
-        sender, receiver = ctx.link
-        base = ctx.base_round
-        phase = ctx.phase
-        slot = self._slot_symbol
-        return [
-            slot(base + offset, sender, receiver, phase, sent)
-            for offset, sent in enumerate(symbols)
-        ]
-
     def corrupt(self, ctx: TransmissionContext, sent: Symbol) -> Symbol:
-        if self.slot_addressed:
-            return self._slot_symbol(ctx.round_index, ctx.sender, ctx.receiver, ctx.phase, sent)
         if sent is not None:
             self._budget.observe_transmission()
         if (ctx.sender, ctx.receiver) != self.target:
@@ -405,8 +299,6 @@ class LinkTargetedAdversary(Adversary):
         return _corrupt_randomly(self._rng, sent)
 
     def corrupt_window(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        if self.slot_addressed:
-            return self.corruption_schedule(ctx, symbols)
         # Only one directed link is ever attacked, so every other window is a
         # pure pass-through: observe the realised communication in bulk and
         # skip the per-slot machinery entirely.
@@ -418,8 +310,7 @@ class LinkTargetedAdversary(Adversary):
         self, ctx: WindowContext, bits: int, present: int, count: int
     ) -> Tuple[int, int]:
         # Off-target windows pass their planes through untouched; only the
-        # sequential mode's budget observes their realised communication
-        # (the slot-addressed mode never touches the budget).
+        # budget observes their realised communication.
         if ctx.link != self.target or (
             self.phases is not None and ctx.phase not in self.phases
         ):
@@ -450,8 +341,8 @@ class LinkTargetedAdversary(Adversary):
         return bits, present
 
     def _observe(self, present: int) -> None:
-        """Bulk-observe the transmissions of ``present`` (sequential mode only)."""
-        if not self.slot_addressed and present:
+        """Bulk-observe the transmissions of ``present``."""
+        if present:
             self._budget.observe_transmissions(present.bit_count())
 
     def reset(self) -> None:
@@ -467,56 +358,25 @@ class BurstAdversary(Adversary):
     Models the "all the noise lands in one short interval" worst case; the
     total damage is still capped by ``max_corruptions`` so experiments can
     relate it to a noise fraction after the fact.
-
-    With ``slot_addressed=True`` the cap goes away (``max_corruptions`` must
-    be ``None`` — a spend counter is cross-slot state): every transmitted
-    slot inside ``[start_round, end_round]`` is corrupted, each from its own
-    derived stream, which is the pure "total blackout interval" burst.
     """
 
     start_round: int = 0
     end_round: int = 0
-    max_corruptions: Optional[int] = 0
+    max_corruptions: int = 0
     seed: int = 0
     name: str = "burst"
     oblivious: bool = True
     may_insert: bool = False
-    slot_addressed: bool = False
 
     def __post_init__(self) -> None:
         if self.end_round < self.start_round:
             raise ValueError("end_round must be >= start_round")
-        if self.slot_addressed:
-            if self.max_corruptions is not None:
-                raise ValueError(
-                    "slot-addressed BurstAdversary corrupts its whole interval: "
-                    "max_corruptions is a cross-slot counter and must be None"
-                )
-        elif self.max_corruptions is None:
-            raise ValueError("max_corruptions may only be None when slot_addressed is True")
+        if not isinstance(self.max_corruptions, int):
+            raise TypeError(f"max_corruptions must be an int, got {self.max_corruptions!r}")
         self._rng = make_rng(self.seed)
         self._spent = 0
 
-    def _slot_symbol(self, round_index: int, sender: int, receiver: int, sent: Symbol) -> Symbol:
-        """The pure per-slot decision of the slot-addressed mode."""
-        if sent is None or not self.start_round <= round_index <= self.end_round:
-            return sent
-        return _corrupt_randomly(slot_rng(self.seed, round_index, sender, receiver), sent)
-
-    def corruption_schedule(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        if not self.slot_addressed:
-            return super().corruption_schedule(ctx, symbols)  # raises
-        last_round = ctx.base_round + len(symbols) - 1
-        if last_round < self.start_round or ctx.base_round > self.end_round:
-            return list(symbols)
-        sender, receiver = ctx.link
-        base = ctx.base_round
-        slot = self._slot_symbol
-        return [slot(base + offset, sender, receiver, sent) for offset, sent in enumerate(symbols)]
-
     def corrupt(self, ctx: TransmissionContext, sent: Symbol) -> Symbol:
-        if self.slot_addressed:
-            return self._slot_symbol(ctx.round_index, ctx.sender, ctx.receiver, sent)
         if sent is None:
             return sent
         if not self.start_round <= ctx.round_index <= self.end_round:
@@ -527,8 +387,6 @@ class BurstAdversary(Adversary):
         return _corrupt_randomly(self._rng, sent)
 
     def corrupt_window(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        if self.slot_addressed:
-            return self.corruption_schedule(ctx, symbols)
         # Windows disjoint from the burst interval (or after the cap is
         # exhausted) touch no state at all — not even the RNG.
         last_round = ctx.base_round + len(symbols) - 1
@@ -543,13 +401,15 @@ class BurstAdversary(Adversary):
     def corrupt_window_packed(
         self, ctx: WindowContext, bits: int, present: int, count: int
     ) -> Tuple[int, int]:
-        # Windows disjoint from the burst interval (or, in the sequential
-        # mode, after the cap is exhausted) pass their planes straight
-        # through; overlapping windows take the generic unpack fallback.
+        # Windows disjoint from the burst interval (or after the cap is
+        # exhausted) pass their planes straight through; overlapping windows
+        # take the generic unpack fallback.
         last_round = ctx.base_round + count - 1
-        if last_round < self.start_round or ctx.base_round > self.end_round:
-            return bits, present
-        if not self.slot_addressed and self._spent >= self.max_corruptions:
+        if (
+            self._spent >= self.max_corruptions
+            or last_round < self.start_round
+            or ctx.base_round > self.end_round
+        ):
             return bits, present
         return super().corrupt_window_packed(ctx, bits, present, count)
 
@@ -564,11 +424,6 @@ class DeletionAdversary(Adversary):
 
     Useful for isolating the insertion/deletion aspect of the noise model
     (e.g. to show that baselines relying purely on timing fail).
-
-    With ``slot_addressed=True`` each deletion coin comes from the slot's own
-    derived stream (pure in ``(seed, round, link)``); a ``budget`` is
-    rejected for the same cross-slot reason as in
-    :class:`RandomNoiseAdversary`.
     """
 
     deletion_probability: float = 0.0
@@ -577,39 +432,13 @@ class DeletionAdversary(Adversary):
     name: str = "deletion"
     oblivious: bool = True
     may_insert: bool = False
-    slot_addressed: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.deletion_probability <= 1.0:
             raise ValueError("deletion_probability must lie in [0, 1]")
-        if self.slot_addressed and self.budget is not None:
-            raise ValueError(
-                "slot-addressed DeletionAdversary cannot carry a NoiseBudget: "
-                "a fraction budget feeds on realised communication, which is "
-                "cross-slot state"
-            )
         self._rng = make_rng(self.seed)
 
-    def _slot_symbol(self, round_index: int, sender: int, receiver: int, sent: Symbol) -> Symbol:
-        """The pure per-slot decision of the slot-addressed mode."""
-        if sent is None or self.deletion_probability <= 0.0:
-            return sent
-        rng = slot_rng(self.seed, round_index, sender, receiver)
-        if rng.random() >= self.deletion_probability:
-            return sent
-        return None
-
-    def corruption_schedule(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        if not self.slot_addressed:
-            return super().corruption_schedule(ctx, symbols)  # raises
-        sender, receiver = ctx.link
-        base = ctx.base_round
-        slot = self._slot_symbol
-        return [slot(base + offset, sender, receiver, sent) for offset, sent in enumerate(symbols)]
-
     def corrupt(self, ctx: TransmissionContext, sent: Symbol) -> Symbol:
-        if self.slot_addressed:
-            return self._slot_symbol(ctx.round_index, ctx.sender, ctx.receiver, sent)
         if sent is None:
             return sent
         if self.budget is not None:
@@ -623,8 +452,6 @@ class DeletionAdversary(Adversary):
         return None
 
     def corrupt_window(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        if self.slot_addressed:
-            return self.corruption_schedule(ctx, symbols)
         # Per-slot ``corrupt`` draws the RNG for every transmitted slot (even
         # at probability 0), so the batch path must too — one draw per
         # non-silent slot, in offset order.
@@ -667,24 +494,9 @@ class DeletionAdversary(Adversary):
         # bits of ``present`` LSB-first (= offset order, preserving the draw
         # sequence) and never touches ``bits`` except to keep the
         # bits-subset-of-present invariant.
-        probability = self.deletion_probability
-        if self.slot_addressed:
-            if probability <= 0.0:
-                return bits, present
-            sender, receiver = ctx.link
-            base = ctx.base_round
-            seed = self.seed
-            remaining = present
-            while remaining:
-                low = remaining & -remaining
-                remaining ^= low
-                rng = slot_rng(seed, base + low.bit_length() - 1, sender, receiver)
-                if rng.random() < probability:
-                    bits &= ~low
-                    present ^= low
-            return bits, present
-        # The sequential mode draws once per transmitted slot even at
+        # Per-slot ``corrupt`` draws once per transmitted slot even at
         # probability 0, so the loop below must too.
+        probability = self.deletion_probability
         rand = self._rng.random
         budget = self.budget
         if budget is None:
@@ -763,13 +575,6 @@ class CompositeAdversary(Adversary):
             type(component).notify_delivery is Adversary.notify_delivery
             for component in self._flattened()
         )
-        # A chain of pure schedules is itself pure: slot i of the composite
-        # depends only on slot i of every component.  Any stateful component
-        # (or one that needs the per-slot notify replay) poisons the whole
-        # composite, which then truthfully reports slot_addressed=False.
-        self.slot_addressed = self._chain_windows and all(
-            component.slot_addressed for component in self._flattened()
-        )
 
     def _flattened(self) -> Iterable[Adversary]:
         for component in self.components:
@@ -822,14 +627,6 @@ class CompositeAdversary(Adversary):
         for component in self.components:
             bits, present = component.corrupt_round_packed(ctx, bits, present)
         return bits, present
-
-    def corruption_schedule(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        if not self.slot_addressed:
-            return super().corruption_schedule(ctx, symbols)  # raises
-        out = list(symbols)
-        for component in self.components:
-            out = component.corruption_schedule(ctx, out)
-        return out
 
     def notify_delivery(self, ctx: TransmissionContext, sent: Symbol, received: Symbol) -> None:
         for component in self.components:

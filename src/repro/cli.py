@@ -134,8 +134,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     )
     for switch, what in [
         ("fast-hashing", "table-stepped small-bias hashing"),
-        ("batch-rounds", "whole-window round batching"),
-        ("merge-phases", "merged per-phase round loops"),
         ("batched-transport", "batched window exchange"),
         ("packed", "packed (bitmask-plane) transport and transcripts"),
     ]:
@@ -157,8 +155,6 @@ def _engine_config(args: argparse.Namespace) -> Optional[EngineConfig]:
         name: False
         for flag, name in [
             ("engine_no_fast_hashing", "fast_hashing"),
-            ("engine_no_batch_rounds", "batch_rounds"),
-            ("engine_no_merge_phases", "merge_phases"),
             ("engine_no_batched_transport", "batched_transport"),
             ("engine_no_packed", "packed"),
         ]

@@ -39,7 +39,7 @@ from repro.adversary.base import Adversary, NoiselessAdversary
 from repro.analysis.metrics import RunMetrics
 from repro.analysis.potential import PotentialTrace, compute_snapshot
 from repro.core.chunking import ChunkedProtocol
-from repro.core.config import DEFAULT_ENGINE_CONFIG, EngineConfig, warn_legacy_engine_switch
+from repro.core.config import DEFAULT_ENGINE_CONFIG, EngineConfig
 from repro.core.meeting_points import (
     _RAW_INPUT_CAP_BITS,
     STATUS_MEETING_POINTS,
@@ -98,11 +98,6 @@ class InteractiveCodingSimulator:
         adversary: Optional[Adversary] = None,
         seed: int = 0,
         config: Optional[EngineConfig] = None,
-        *,
-        fast_hashing: Optional[bool] = None,
-        batch_rounds: Optional[bool] = None,
-        merge_phases: Optional[bool] = None,
-        batched: Optional[bool] = None,
     ) -> None:
         self.protocol = protocol
         self.graph: Graph = protocol.graph
@@ -112,23 +107,6 @@ class InteractiveCodingSimulator:
 
         if config is None:
             config = DEFAULT_ENGINE_CONFIG
-        # Legacy per-switch keywords: honoured, but deprecated in favour of
-        # one EngineConfig (each spelling warns once per process).
-        legacy = {
-            "fast_hashing": fast_hashing,
-            "batch_rounds": batch_rounds,
-            "merge_phases": merge_phases,
-            "batched": batched,
-        }
-        overrides = {}
-        for name, value in legacy.items():
-            if value is None:
-                continue
-            field = "batched_transport" if name == "batched" else name
-            warn_legacy_engine_switch(name, field)
-            overrides[field] = value
-        if overrides:
-            config = config.with_overrides(**overrides)
         #: The execution configuration this simulator was built with.  The
         #: switches below are copied out as plain *mutable* attributes rather
         #: than read from the frozen config (or from scheme fields) for two
@@ -140,22 +118,6 @@ class InteractiveCodingSimulator:
         #: Batched meeting-points hashing (seeds_for_iteration + digest_many
         #: + packed digests) instead of per-call derivation.
         self.fast_hashing = config.fast_hashing
-        #: Engine-side window scheduling: sparse exchange_window dispatch for
-        #: rounds that transmit on a handful of links, plus one-call clock
-        #: advancement over provably idle round spans.  Bit-identical to the
-        #: round-by-round schedule (same adversary calls in the same order).
-        self.batch_rounds = config.batch_rounds
-        #: Whole-phase round merging: when the adversary honours the
-        #: slot-addressed contract
-        #: (:attr:`~repro.adversary.base.Adversary.slot_addressed`), the
-        #: flag-passing / simulation / rewind phases each become one
-        #: :meth:`~repro.network.transport.NoisyNetwork.exchange_phase`
-        #: dispatch instead of one dispatch per round.  Bit-identical to the
-        #: lockstep schedule in deliveries, statistics and round accounting
-        #: (pinned by tests/test_phase_merge_fuzz.py); silently ignored for
-        #: stateful adversaries, which truthfully report
-        #: ``slot_addressed=False``.
-        self.merge_phases = config.merge_phases
         #: Packed-plane hot path: the meeting-points exchange travels as
         #: ``(bits, present)`` integer planes through
         #: :meth:`~repro.network.transport.NoisyNetwork.exchange_window_packed`
@@ -322,7 +284,6 @@ class InteractiveCodingSimulator:
             "transport.windows_exchanged": network.windows_exchanged,
             "transport.sparse_dispatches": network.sparse_dispatches,
             "transport.dense_dispatches": network.dense_dispatches,
-            "transport.merged_dispatches": network.merged_dispatches,
             "transport.packed_dispatches": network.packed_dispatches,
             "transport.idle_rounds_collapsed": network.idle_rounds_collapsed,
             "transport.transmissions": stats.transmissions,
@@ -524,17 +485,10 @@ class InteractiveCodingSimulator:
 
     # ------------------------------------------------- phase (ii): flag passing --
 
-    def _use_merged_phases(self) -> bool:
-        """Whole-phase merging is on and the adversary's contract permits it."""
-        return self.merge_phases and self.adversary.slot_addressed
-
     def _flag_passing_phase(self, iteration: int) -> None:
         if not self.scheme.enable_flag_passing:
             for runtime in self.runtimes.values():
                 runtime.net_correct = runtime.status_flag
-            return
-        if self._use_merged_phases():
-            self._flag_passing_phase_merged(iteration)
             return
 
         depth = self.tree.depth
@@ -580,55 +534,9 @@ class InteractiveCodingSimulator:
             else:
                 runtime.net_correct = down_value.get(party, 0)
 
-    def _flag_passing_phase_merged(self, iteration: int) -> None:
-        """Phase (ii) under the slot-addressed contract: one merged dispatch.
-
-        The convergecast/broadcast schedule is the lockstep body's, level for
-        level, but each level's single round becomes one offset of a
-        whole-phase :class:`~repro.network.transport.PhaseExchange`: every
-        flag is evaluated against the adversary's pure schedule the moment it
-        is computed (the levels stay data-dependent — each sends the AND of
-        what the previous level *delivered*), and the transport accounts the
-        whole phase in one pass at commit.
-        """
-        depth = self.tree.depth
-        rounds = 2 * (depth - 1) if depth > 1 else 0
-        phase = self.network.exchange_phase(rounds, "flag_passing", iteration)
-        up_value: Dict[int, int] = {
-            party: runtime.status_flag for party, runtime in self.runtimes.items()
-        }
-        offset = 0
-        for level in range(depth, 1, -1):
-            for node in self.graph.nodes:
-                if self.tree.level[node] == level:
-                    parent = self.tree.parent[node]
-                    received = phase.send((node, parent), offset, up_value[node])
-                    up_value[parent] &= 1 if received == 1 else 0
-            offset += 1
-
-        down_value: Dict[int, int] = {self.tree.root: up_value[self.tree.root]}
-        for level in range(1, depth):
-            for node in self.graph.nodes:
-                if self.tree.level[node] == level and node in down_value:
-                    for child in self.tree.children[node]:
-                        received = phase.send((node, child), offset, down_value[node])
-                        bit = 1 if received == 1 else 0
-                        down_value[child] = bit & self.runtimes[child].status_flag
-            offset += 1
-        phase.commit()
-
-        for party, runtime in self.runtimes.items():
-            if party == self.tree.root:
-                runtime.net_correct = down_value[self.tree.root]
-            else:
-                runtime.net_correct = down_value.get(party, 0)
-
     # ------------------------------------------------- phase (iii): simulation --
 
     def _simulation_phase(self, iteration: int) -> None:
-        if self._use_merged_phases():
-            self._simulation_phase_merged(iteration)
-            return
         link_bit = self._link_bit
         links = self._links
         # Round 0: parties that should not simulate send ⊥ (encoded as a 1) to
@@ -645,7 +553,7 @@ class InteractiveCodingSimulator:
             sender, receiver = links[position]
             bot_from[receiver].add(sender)
 
-        # Which links each party simulates this phase, and at which chunk index.
+        # The chunk index each party simulates on each of its links this phase.
         active: Dict[int, Dict[int, int]] = {}
         for runtime in self.runtimes.values():
             if runtime.net_correct != 1:
@@ -659,17 +567,17 @@ class InteractiveCodingSimulator:
 
         # Per-party working state for the chunk being simulated.
         workspaces: Dict[int, Dict[str, object]] = {}
-        for party, links in active.items():
-            if not links:
+        for party, chunks in active.items():
+            if not chunks:
                 continue
             workspaces[party] = {
                 "received_map": self.runtimes[party].build_received_map(),
-                "sent": {neighbor: {} for neighbor in links},
-                "recv": {neighbor: {} for neighbor in links},
+                "sent": {neighbor: {} for neighbor in chunks},
+                "recv": {neighbor: {} for neighbor in chunks},
             }
 
         window = self.chunked.max_chunk_rounds()
-        if self.batch_rounds and not workspaces and not self.adversary.may_insert:
+        if not workspaces and not self.adversary.may_insert:
             # No party simulates anything this phase and the adversary cannot
             # insert: every one of the window's rounds is provably silent, so
             # the whole span collapses into one clock advancement (the
@@ -686,11 +594,11 @@ class InteractiveCodingSimulator:
             # other end.
             slots: List[Tuple[int, int]] = []
             reads: List[Tuple[int, int, int, int]] = []
-            for party, links in active.items():
-                if not links:
+            for party, chunks in active.items():
+                if not chunks:
                     continue
                 workspace = workspaces[party]
-                for neighbor, chunk_index in links.items():
+                for neighbor, chunk_index in chunks.items():
                     chunk = self.chunked.chunk(chunk_index)
                     if offset >= chunk.num_rounds:
                         continue
@@ -721,114 +629,12 @@ class InteractiveCodingSimulator:
                 workspace["received_map"][(round_index, neighbor)] = symbol_to_bit(symbol)
 
         # Append the freshly simulated chunk records.
-        for party, links in active.items():
-            if not links:
+        for party, chunks in active.items():
+            if not chunks:
                 continue
             workspace = workspaces[party]
             runtime = self.runtimes[party]
-            for neighbor, chunk_index in links.items():
-                view: List[Symbol] = []
-                for slot in self.chunked.link_slots(chunk_index, party, neighbor):
-                    if slot.sender == party:
-                        view.append(workspace["sent"][neighbor].get(slot.round_index))
-                    else:
-                        view.append(workspace["recv"][neighbor].get(slot.round_index))
-                record = ChunkRecord(
-                    chunk_index=chunk_index,
-                    link_view=tuple(view),
-                    received_by_round=tuple(sorted(workspace["recv"][neighbor].items())),
-                )
-                runtime.transcripts[neighbor].append(record)
-
-    def _simulation_phase_merged(self, iteration: int) -> None:
-        """Phase (iii) under the slot-addressed contract: one merged dispatch.
-
-        Offset 0 is the ⊥ round, offsets ``1 + r`` the chunk rounds.  Sends
-        and reads go through the phase handle, so inserted symbols on links
-        nobody sent on surface exactly as in the dense lockstep schedule, and
-        rounds where nothing is scheduled (and nothing can be inserted) skip
-        their read pass just like the lockstep clock-skip does.
-        """
-        window = self.chunked.max_chunk_rounds()
-        may_insert = self.adversary.may_insert
-        phase = self.network.exchange_phase(1 + window, "simulation", iteration)
-
-        # Round 0: parties that should not simulate send ⊥ (encoded as a 1).
-        for runtime in self.runtimes.values():
-            if runtime.net_correct == 0:
-                for neighbor in runtime.neighbors():
-                    phase.send((runtime.party, neighbor), 0, 1)
-        bot_from: Dict[int, Set[int]] = {party: set() for party in self.graph.nodes}
-        for (sender, receiver), symbol in phase.delivered_map(0).items():
-            if symbol == 1:
-                bot_from[receiver].add(sender)
-
-        active: Dict[int, Dict[int, int]] = {}
-        for runtime in self.runtimes.values():
-            if runtime.net_correct != 1:
-                active[runtime.party] = {}
-                continue
-            active[runtime.party] = {
-                neighbor: len(runtime.transcripts[neighbor]) + 1
-                for neighbor in runtime.neighbors()
-                if neighbor not in bot_from[runtime.party]
-            }
-
-        workspaces: Dict[int, Dict[str, object]] = {}
-        for party, links in active.items():
-            if not links:
-                continue
-            workspaces[party] = {
-                "received_map": self.runtimes[party].build_received_map(),
-                "sent": {neighbor: {} for neighbor in links},
-                "recv": {neighbor: {} for neighbor in links},
-            }
-
-        for offset in range(window):
-            sent_any = False
-            for party, links in active.items():
-                if not links:
-                    continue
-                workspace = workspaces[party]
-                for neighbor, chunk_index in links.items():
-                    chunk = self.chunked.chunk(chunk_index)
-                    if offset >= chunk.num_rounds:
-                        continue
-                    round_index = chunk.round_indices[offset]
-                    for sender, receiver in self.chunked.chunk_round_links(chunk_index)[offset]:
-                        if sender == party and receiver == neighbor:
-                            bit = self.runtimes[party].logic.send_bit(
-                                round_index, neighbor, workspace["received_map"]
-                            )
-                            phase.send((party, neighbor), 1 + offset, bit)
-                            workspace["sent"][neighbor][round_index] = bit
-                            sent_any = True
-            if not sent_any and not may_insert:
-                # Nothing scheduled anywhere this round and nothing insertable:
-                # the lockstep schedule skips the exchange (and its read pass).
-                continue
-            for party, links in active.items():
-                if not links:
-                    continue
-                workspace = workspaces[party]
-                for neighbor, chunk_index in links.items():
-                    chunk = self.chunked.chunk(chunk_index)
-                    if offset >= chunk.num_rounds:
-                        continue
-                    round_index = chunk.round_indices[offset]
-                    for sender, receiver in self.chunked.chunk_round_links(chunk_index)[offset]:
-                        if sender == neighbor and receiver == party:
-                            symbol = phase.delivered((neighbor, party), 1 + offset)
-                            workspace["recv"][neighbor][round_index] = symbol
-                            workspace["received_map"][(round_index, neighbor)] = symbol_to_bit(symbol)
-        phase.commit()
-
-        for party, links in active.items():
-            if not links:
-                continue
-            workspace = workspaces[party]
-            runtime = self.runtimes[party]
-            for neighbor, chunk_index in links.items():
+            for neighbor, chunk_index in chunks.items():
                 view: List[Symbol] = []
                 for slot in self.chunked.link_slots(chunk_index, party, neighbor):
                     if slot.sender == party:
@@ -845,9 +651,6 @@ class InteractiveCodingSimulator:
     # --------------------------------------------------- phase (iv): rewind --
 
     def _rewind_phase(self, iteration: int) -> None:
-        if self._use_merged_phases():
-            self._rewind_phase_merged(iteration)
-            return
         already: Dict[int, Dict[int, bool]] = {
             party: {neighbor: False for neighbor in runtime.neighbors()}
             for party, runtime in self.runtimes.items()
@@ -880,19 +683,14 @@ class InteractiveCodingSimulator:
                                 depth=len(runtime.transcripts[neighbor]),
                             )
             if not slots and not self.adversary.may_insert:
-                if self.batch_rounds:
-                    # Quiescent tail: with nothing sent and nothing insertable,
-                    # nothing was delivered, so the state feeding the next
-                    # round's message computation (transcripts, `already`
-                    # flags) is unchanged — every remaining round is provably
-                    # identical to this one.  Advance the clock over the whole
-                    # tail in one call instead of one empty round at a time.
-                    self.network.advance_rounds(rounds - round_index)
-                    self.network.idle_rounds_collapsed += rounds - round_index
-                    return
-                self.network.advance_rounds(1)
-                self.network.idle_rounds_collapsed += 1
-                continue
+                # Quiescent tail: with nothing sent and nothing insertable,
+                # nothing was delivered, so the state feeding the next round's
+                # message computation (transcripts, `already` flags) is
+                # unchanged — every remaining round is provably identical to
+                # this one.  Advance the clock over the whole tail in one call.
+                self.network.advance_rounds(rounds - round_index)
+                self.network.idle_rounds_collapsed += rounds - round_index
+                return
             delivered_bits, _ = self._exchange_round(slots, "rewind", iteration)
             # Every link that delivered a 1, in the order the parties scan
             # their neighbours (party, then neighbour, ascending).
@@ -917,72 +715,6 @@ class InteractiveCodingSimulator:
                         depth=len(runtime.transcripts[neighbor]),
                     )
 
-    def _rewind_phase_merged(self, iteration: int) -> None:
-        """Phase (iv) under the slot-addressed contract: one merged dispatch.
-
-        The rounds stay data-dependent — each round's rewind requests depend
-        on the transcripts as truncated by the previous round's deliveries —
-        but every slot is evaluated through the phase handle the moment it is
-        sent.  A round with nothing sent under a non-inserting adversary
-        proves the rest of the phase quiescent (nothing delivered, state
-        unchanged), so the loop stops early; commit still advances the full
-        phase clock, like the lockstep quiescent-tail collapse.
-        """
-        already: Dict[int, Dict[int, bool]] = {
-            party: {neighbor: False for neighbor in runtime.neighbors()}
-            for party, runtime in self.runtimes.items()
-        }
-        rounds = self.scheme.rewind_round_count(self.graph)
-        may_insert = self.adversary.may_insert
-        recorder = self._obs.recorder
-        phase = self.network.exchange_phase(rounds, "rewind", iteration)
-        for round_index in range(rounds):
-            sent_any = False
-            for runtime in self.runtimes.values():
-                party = runtime.party
-                min_chunk = runtime.min_chunk()
-                for neighbor in runtime.neighbors():
-                    if runtime.link_status[neighbor] == STATUS_MEETING_POINTS:
-                        continue
-                    if already[party][neighbor]:
-                        continue
-                    if len(runtime.transcripts[neighbor]) > min_chunk:
-                        phase.send((party, neighbor), round_index, 1)
-                        runtime.transcripts[neighbor].truncate_last(1)
-                        already[party][neighbor] = True
-                        self._counters["rewinds_sent"] += 1
-                        sent_any = True
-                        if recorder is not None:
-                            recorder.emit(
-                                "rewind",
-                                iteration=iteration,
-                                link=link_label(party, neighbor),
-                                role="sender",
-                                depth=len(runtime.transcripts[neighbor]),
-                            )
-            if not sent_any and not may_insert:
-                break
-            for runtime in self.runtimes.values():
-                party = runtime.party
-                for neighbor in runtime.neighbors():
-                    if phase.delivered((neighbor, party), round_index) != 1:
-                        continue
-                    if runtime.link_status[neighbor] == STATUS_MEETING_POINTS:
-                        continue
-                    if already[party][neighbor]:
-                        continue
-                    runtime.transcripts[neighbor].truncate_last(1)
-                    already[party][neighbor] = True
-                    if recorder is not None:
-                        recorder.emit(
-                            "rewind",
-                            iteration=iteration,
-                            link=link_label(party, neighbor),
-                            role="receiver",
-                            depth=len(runtime.transcripts[neighbor]),
-                        )
-        phase.commit()
-
     # --------------------------------------------------------- bookkeeping --
 
     def _exchange_round(
@@ -995,9 +727,9 @@ class InteractiveCodingSimulator:
         With ``packed`` the frame goes to
         :meth:`~repro.network.transport.NoisyNetwork.exchange_round` as is.
         Otherwise this adapter turns it into the symbol-list messages of a
-        width-1 :meth:`~repro.network.transport.NoisyNetwork.exchange_window`
-        (sparse under ``batch_rounds``), so the reference configuration
-        still runs per-slot ``transmit`` through the same phase bodies.
+        width-1 sparse :meth:`~repro.network.transport.NoisyNetwork.exchange_window`,
+        so the reference configuration still runs per-slot ``transmit``
+        through the same phase bodies.
         """
         count = len(self._links)
         if self.packed:
@@ -1006,7 +738,7 @@ class InteractiveCodingSimulator:
         links = self._links
         messages = {links[position]: [bit] for position, bit in slots}
         delivered = self.network.exchange_window(
-            messages, 1, phase, iteration, sparse=self.batch_rounds
+            messages, 1, phase, iteration, sparse=True
         )
         link_bit = self._link_bit
         return pack_slots(

@@ -11,7 +11,7 @@ receiver.  It
   of the coding scheme transmits a fixed-length burst of symbols on many
   links in parallel, one symbol per round per direction.
 
-Five transmission paths exist:
+Four transmission paths exist:
 
 * the **round-frame path** (default for the engine's lockstep phases: flag
   passing, simulation and rewind): ``exchange_round`` carries one round
@@ -36,14 +36,7 @@ Five transmission paths exist:
   ``notify_delivery`` pipeline, and ``exchange_window_per_slot`` runs a whole
   window through it.  The two paths are bit-identical for every adversary
   honouring the ``corrupt_window`` contract (the equivalence suite in
-  ``tests/test_transport.py`` pins this for all stock adversaries);
-* the **merged phase path**: ``exchange_phase`` opens one
-  :class:`PhaseExchange` covering a whole phase's rounds for adversaries
-  honouring the slot-addressed contract
-  (:attr:`~repro.adversary.base.Adversary.slot_addressed`).  The engine
-  evaluates each slot the moment it knows the sent symbol — data-dependent
-  rounds included — and the transport records the entire phase in one
-  accounting pass at commit, bit-identical to the lockstep schedules above.
+  ``tests/test_transport.py`` pins this for all stock adversaries).
 
 The engine never talks to the adversary directly; everything goes through
 this class so the accounting cannot be bypassed.
@@ -104,7 +97,6 @@ class NoisyNetwork:
     windows_exchanged: int = 0
     sparse_dispatches: int = 0
     dense_dispatches: int = 0
-    merged_dispatches: int = 0
     packed_dispatches: int = 0
     idle_rounds_collapsed: int = 0
 
@@ -528,30 +520,6 @@ class NoisyNetwork:
         self.advance_rounds(window_rounds)
         return received
 
-    # -- merged phase transmission --------------------------------------------
-
-    def exchange_phase(
-        self,
-        window_rounds: int,
-        phase: str,
-        iteration: int = -1,
-    ) -> "PhaseExchange":
-        """Open one merged dispatch covering a whole ``window_rounds``-round phase.
-
-        Only legal when the adversary honours the slot-addressed contract
-        (:attr:`~repro.adversary.base.Adversary.slot_addressed`): corruption
-        is a pure function of ``(round, link, symbol)``, so each slot's
-        delivery can be evaluated the moment the sent symbol is known —
-        data-dependent rounds included, in any order — and the whole phase
-        can be accounted in a single pass.  Use the returned
-        :class:`PhaseExchange` to ``send`` symbols at per-phase round
-        offsets, read deliveries (including insertions on silent links), and
-        finally ``commit`` the statistics and clock.  Bit-identical to the
-        lockstep per-round dispatch in deliveries, :class:`ChannelStats` and
-        round accounting.
-        """
-        return PhaseExchange(self, window_rounds, phase, iteration)
-
     def _validate_window(
         self,
         messages: Dict[Tuple[int, int], Sequence[Symbol]],
@@ -584,225 +552,3 @@ class NoisyNetwork:
     def communication(self) -> int:
         """Total number of transmissions so far (= communication in bits)."""
         return self.stats.transmissions
-
-
-class PhaseExchange:
-    """One merged transport dispatch covering a whole phase's rounds.
-
-    Created by :meth:`NoisyNetwork.exchange_phase`.  The engine drives it in
-    three moves:
-
-    * :meth:`send` — transmit one symbol on one directed link at a per-phase
-      round offset and get the delivered symbol back immediately (the
-      adversary's pure :meth:`~repro.adversary.base.Adversary.corruption_schedule`
-      is evaluated on that single slot);
-    * :meth:`delivered` / :meth:`delivered_map` — read what a receiver
-      observes on any slot, including insertions on links nobody sent on
-      (served from a lazily evaluated all-silence *baseline schedule* per
-      link, one ``corruption_schedule`` call covering the whole phase);
-    * :meth:`commit` — one :meth:`~repro.network.channel.ChannelStats.record_window`
-      accounting pass per link over the full phase window, then one clock
-      advancement.
-
-    Slot decomposability (law two of the contract) is what makes the mix of
-    single-slot evaluations and whole-window baselines coherent: every slot's
-    delivery is the same however the slots are grouped, so the statistics
-    committed here are bit-identical to the lockstep per-round dispatch.
-    """
-
-    __slots__ = (
-        "_network",
-        "_adversary",
-        "_may_insert",
-        "_rounds",
-        "_phase",
-        "_iteration",
-        "_base_round",
-        "_links",
-        "_sent",
-        "_received",
-        "_baselines",
-        "_committed",
-    )
-
-    def __init__(
-        self,
-        network: NoisyNetwork,
-        window_rounds: int,
-        phase: str,
-        iteration: int = -1,
-    ) -> None:
-        adversary = network.adversary
-        if not adversary.slot_addressed:
-            raise ValueError(
-                f"{type(adversary).__name__} is not slot-addressed: exchange_phase "
-                "requires the corruption_schedule contract (slot_addressed=True)"
-            )
-        if window_rounds < 0:
-            raise ValueError("window_rounds must be non-negative")
-        self._network = network
-        self._adversary = adversary
-        self._may_insert = adversary.may_insert
-        self._rounds = window_rounds
-        self._phase = phase
-        self._iteration = iteration
-        self._base_round = network.current_round
-        self._links = network.graph.directed_edge_set()
-        self._sent: Dict[Tuple[Tuple[int, int], int], Symbol] = {}
-        self._received: Dict[Tuple[Tuple[int, int], int], Symbol] = {}
-        self._baselines: Dict[Tuple[int, int], List[Symbol]] = {}
-        self._committed = False
-
-    @property
-    def rounds(self) -> int:
-        return self._rounds
-
-    def send(self, link: Tuple[int, int], offset: int, symbol: Symbol) -> Symbol:
-        """Transmit ``symbol`` on ``link`` at phase-round ``offset``; return
-        what the receiver observes on that slot."""
-        if self._committed:
-            raise RuntimeError("phase already committed")
-        if link not in self._links:
-            raise ValueError(
-                f"message keyed on unknown link {link}: not a directed edge of the network"
-            )
-        if symbol not in _VALID_SYMBOLS:
-            raise ValueError(f"invalid channel symbol {symbol!r}")
-        if not 0 <= offset < self._rounds:
-            raise ValueError(
-                f"offset {offset} outside the {self._rounds}-round phase window"
-            )
-        key = (link, offset)
-        if key in self._sent:
-            raise ValueError(f"slot {offset} on link {link} already carried a symbol this phase")
-        ctx = WindowContext(
-            link=link,
-            phase=self._phase,
-            iteration=self._iteration,
-            base_round=self._base_round + offset,
-        )
-        delivered = self._adversary.corruption_schedule(ctx, (symbol,))[0]
-        if delivered not in _VALID_SYMBOLS:
-            raise ValueError(f"adversary produced invalid symbol {delivered!r}")
-        self._sent[key] = symbol
-        self._received[key] = delivered
-        return delivered
-
-    def _baseline(self, link: Tuple[int, int]) -> List[Symbol]:
-        """The all-silence delivery schedule of ``link`` over the whole phase."""
-        schedule = self._baselines.get(link)
-        if schedule is None:
-            ctx = WindowContext(
-                link=link,
-                phase=self._phase,
-                iteration=self._iteration,
-                base_round=self._base_round,
-            )
-            schedule = list(self._adversary.corruption_schedule(ctx, (None,) * self._rounds))
-            if len(schedule) != self._rounds:
-                raise ValueError(
-                    f"adversary delivered {len(schedule)} symbols for a "
-                    f"{self._rounds}-round window on link {link}"
-                )
-            for value in schedule:
-                if value not in _VALID_SYMBOLS:
-                    raise ValueError(f"adversary produced invalid symbol {value!r}")
-            self._baselines[link] = schedule
-        return schedule
-
-    def delivered(self, link: Tuple[int, int], offset: int) -> Symbol:
-        """What the receiver observes on ``link`` at ``offset``.
-
-        Serves the evaluated delivery for slots something was sent on, the
-        silence baseline (insertions) for untouched slots under an inserting
-        adversary, and ``None`` otherwise — exactly what the dense lockstep
-        dispatch would have put in its result mapping.
-        """
-        if link not in self._links:
-            raise ValueError(
-                f"message keyed on unknown link {link}: not a directed edge of the network"
-            )
-        if not 0 <= offset < self._rounds:
-            raise ValueError(
-                f"offset {offset} outside the {self._rounds}-round phase window"
-            )
-        key = (link, offset)
-        if key in self._received:
-            return self._received[key]
-        if not self._may_insert:
-            return None
-        return self._baseline(link)[offset]
-
-    def delivered_map(self, offset: int) -> Dict[Tuple[int, int], Symbol]:
-        """All links delivering a (non-``None``) symbol at phase-round ``offset``."""
-        out: Dict[Tuple[int, int], Symbol] = {}
-        if self._may_insert:
-            for link in self._network.graph.directed_edges():
-                value = self.delivered(link, offset)
-                if value is not None:
-                    out[link] = value
-        else:
-            for (link, slot_offset), value in self._received.items():
-                if slot_offset == offset and value is not None:
-                    out[link] = value
-        return out
-
-    def commit(self) -> None:
-        """Account the whole phase and advance the clock — one pass per link."""
-        if self._committed:
-            raise RuntimeError("phase already committed")
-        self._committed = True
-        network = self._network
-        rounds = self._rounds
-        stats = network.stats
-        may_insert = self._may_insert
-        network.windows_exchanged += 1
-        network.merged_dispatches += 1
-        recorder = network.recorder
-        per_link_sent: Dict[Tuple[int, int], Dict[int, Symbol]] = {}
-        for (link, offset), symbol in self._sent.items():
-            per_link_sent.setdefault(link, {})[offset] = symbol
-        silence = [None] * rounds
-        received = self._received
-        for link in network.graph.directed_edges():
-            overrides = per_link_sent.get(link)
-            if overrides is None:
-                if not may_insert:
-                    continue  # all-silent link, non-inserting adversary: no slot carries bits
-                baseline = self._baseline(link)
-                if any(value is not None for value in baseline):
-                    ctx = WindowContext(
-                        link=link,
-                        phase=self._phase,
-                        iteration=self._iteration,
-                        base_round=self._base_round,
-                    )
-                    stats.record_window(ctx, silence, baseline)
-                    if recorder is not None:
-                        recorder.record_window(
-                            link_label(*link), self._phase, self._iteration,
-                            self._base_round, silence, baseline,
-                        )
-                continue
-            sent_window = [overrides.get(offset) for offset in range(rounds)]
-            if may_insert:
-                baseline = self._baseline(link)
-                delivered_window = [
-                    received[(link, offset)] if (link, offset) in received else baseline[offset]
-                    for offset in range(rounds)
-                ]
-            else:
-                delivered_window = [received.get((link, offset)) for offset in range(rounds)]
-            ctx = WindowContext(
-                link=link,
-                phase=self._phase,
-                iteration=self._iteration,
-                base_round=self._base_round,
-            )
-            stats.record_window(ctx, sent_window, delivered_window)
-            if recorder is not None:
-                recorder.record_window(
-                    link_label(*link), self._phase, self._iteration,
-                    self._base_round, sent_window, delivered_window,
-                )
-        network.advance_rounds(rounds)

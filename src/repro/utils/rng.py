@@ -35,35 +35,6 @@ def make_rng(seed: int) -> random.Random:
     return random.Random(seed)
 
 
-_M64 = (1 << 64) - 1
-
-
-def slot_seed(seed: int, round_index: int, sender: int, receiver: int) -> int:
-    """A child seed derived purely from one channel slot's coordinates.
-
-    Slot-addressed adversaries draw their randomness from a generator seeded
-    with this value instead of a sequential stream, so every coin they toss
-    is a pure function of ``(seed, round, link)`` — independent of the order
-    in which slots are evaluated and of how they are grouped into windows.
-    The derivation chains a splitmix64-style finalizer over the coordinates;
-    it is stable across interpreter runs (no salted hashing).
-    """
-    x = (seed ^ FORK_MULTIPLIER) & _M64
-    for part in (round_index, sender, receiver):
-        x = (x + part + 0x632BE59BD9B4E019) & _M64
-        x ^= x >> 30
-        x = (x * 0xBF58476D1CE4E5B9) & _M64
-        x ^= x >> 27
-        x = (x * 0x94D049BB133111EB) & _M64
-        x ^= x >> 31
-    return x
-
-
-def slot_rng(seed: int, round_index: int, sender: int, receiver: int) -> random.Random:
-    """A fresh generator for one channel slot (see :func:`slot_seed`)."""
-    return random.Random(slot_seed(seed, round_index, sender, receiver))
-
-
 def fork(seed: int, label: str) -> random.Random:
     """Derive an independent generator from ``seed`` and a textual ``label``."""
     return random.Random((seed * FORK_MULTIPLIER + stable_label_hash(label)) & FORK_SEED_MASK)

@@ -165,15 +165,13 @@ class TestLinkTargeted:
         hits = sum(1 for i in range(20) if adversary.corrupt(_ctx(round_index=i), 1) != 1)
         assert 8 <= hits <= 10  # roughly half of the observed transmissions
 
-    @pytest.mark.parametrize("slot_addressed", [False, True])
-    def test_list_target_attacks_like_the_tuple_target(self, slot_addressed):
+    @pytest.mark.parametrize("fraction_budget", [False, True])
+    def test_list_target_attacks_like_the_tuple_target(self, fraction_budget):
         """A list target used to compare unequal to every link, so it never fired."""
-        limits = {} if slot_addressed else {"max_corruptions": 50}
+        limits = {"fraction": 0.5} if fraction_budget else {"max_corruptions": 50}
 
         def build(target):
-            return LinkTargetedAdversary(
-                target=target, seed=3, slot_addressed=slot_addressed, **limits
-            )
+            return LinkTargetedAdversary(target=target, seed=3, **limits)
 
         listed, paired = build([0, 1]), build((0, 1))
         assert listed.target == (0, 1)
@@ -193,10 +191,6 @@ class TestLinkTargeted:
                     for r in range(8)
                 ],
             ]
-            if slot_addressed:
-                delivered[id(adversary)].append(
-                    adversary.corruption_schedule(_window_ctx(base_round=40), window)
-                )
         assert delivered[id(listed)] == delivered[id(paired)]
         assert delivered[id(listed)][0] != [1] * 8  # the attack really fires
         assert _state_snapshot(listed) == _state_snapshot(paired)
@@ -222,6 +216,10 @@ class TestBurst:
     def test_invalid_window(self):
         with pytest.raises(ValueError):
             BurstAdversary(start_round=5, end_round=1)
+
+    def test_max_corruptions_must_be_an_int(self):
+        with pytest.raises(TypeError, match="max_corruptions must be an int"):
+            BurstAdversary(start_round=0, end_round=9, max_corruptions=None)
 
 
 class TestDeletion:
@@ -557,31 +555,11 @@ STOCK_CONTRACT_CASES = {
     "random-noise-budgeted": lambda: RandomNoiseAdversary(
         corruption_probability=0.4, seed=2, budget=NoiseBudget(fraction=0.2)
     ),
-    "random-noise-slot": lambda: RandomNoiseAdversary(
-        corruption_probability=0.3, insertion_probability=0.2, seed=1, slot_addressed=True
-    ),
     "deletion": lambda: DeletionAdversary(deletion_probability=0.3, seed=3),
-    "deletion-slot": lambda: DeletionAdversary(
-        deletion_probability=0.3, seed=3, slot_addressed=True
-    ),
     "link-targeted": lambda: LinkTargetedAdversary(
         target=(0, 1), fraction=0.3, corruption_probability=0.8, seed=4
     ),
-    "link-targeted-slot": lambda: LinkTargetedAdversary(
-        target=(0, 1), corruption_probability=0.8, seed=4, slot_addressed=True
-    ),
     "burst": lambda: BurstAdversary(start_round=10, end_round=40, max_corruptions=6, seed=5),
-    "burst-slot": lambda: BurstAdversary(
-        start_round=10, end_round=40, max_corruptions=None, seed=5, slot_addressed=True
-    ),
-    "composite-slot": lambda: CompositeAdversary(
-        components=(
-            RandomNoiseAdversary(corruption_probability=0.2, seed=6, slot_addressed=True),
-            BurstAdversary(
-                start_round=20, end_round=50, max_corruptions=None, seed=7, slot_addressed=True
-            ),
-        )
-    ),
     "composite-stateful": lambda: CompositeAdversary(
         components=(
             RandomNoiseAdversary(corruption_probability=0.2, seed=6),
@@ -727,82 +705,13 @@ class TestCheckContract:
         adversary = builder()
         report = check_contract(adversary)
         assert report.adversary == adversary.name
-        assert report.slot_addressed is adversary.slot_addressed
-        assert "batched-equivalence" in report.laws
-        assert "packed-equivalence" in report.laws
-        assert "round-frame" in report.laws
-        if adversary.slot_addressed:
-            assert {"purity", "slot-decomposability", "path-agreement"} <= set(report.laws)
-        else:
-            assert "truthful-flag" in report.laws
+        assert report.laws == ("batched-equivalence", "packed-equivalence", "round-frame")
 
     def test_checker_does_not_mutate_the_subject(self):
         adversary = RandomNoiseAdversary(corruption_probability=0.5, seed=42)
         stream_before = adversary._rng.getstate()
         check_contract(adversary)
         assert adversary._rng.getstate() == stream_before
-
-    def test_rejects_stateful_adversary_lying_about_slot_addressing(self):
-        class LyingAdversary(RandomNoiseAdversary):
-            """Claims the contract but draws from its sequential stream.
-
-            All three paths agree bit for bit (so batched-equivalence holds),
-            yet every evaluation advances ``self._rng`` — the purity law is
-            what must catch it.
-            """
-
-            def corrupt(self, ctx, sent):
-                if sent is None:
-                    return None
-                return sent if self._rng.random() >= 0.5 else 1 - sent
-
-            def corruption_schedule(self, ctx, symbols):
-                return [self.corrupt(None, sent) for sent in symbols]
-
-            corrupt_window = corruption_schedule
-            # Drop the parent's native packed kernel (it replays the *stock*
-            # corrupt, not ours) so packed-equivalence holds via the fallback
-            # and the purity law is what must catch the lie.
-            corrupt_window_packed = Adversary.corrupt_window_packed
-
-        lying = LyingAdversary(corruption_probability=0.0, seed=0)
-        lying.slot_addressed = True
-        with pytest.raises(ContractViolation, match="purity"):
-            check_contract(lying)
-
-    def test_rejects_window_position_dependent_schedule(self):
-        class OffsetKeyedAdversary(NoiselessAdversary):
-            """Pure and stateless, but keyed on window offset, not round."""
-
-            def corruption_schedule(self, ctx, symbols):
-                return [
-                    (None if sent is None else 1 - sent) if offset == 0 else sent
-                    for offset, sent in enumerate(symbols)
-                ]
-
-        with pytest.raises(ContractViolation, match="slot-decomposability"):
-            check_contract(OffsetKeyedAdversary())
-
-    def test_rejects_schedule_disagreeing_with_corrupt(self):
-        class DisagreeingAdversary(NoiselessAdversary):
-            # Restore the per-slot fallbacks so the batched and packed paths
-            # both replay the divergent ``corrupt`` (their equivalence laws
-            # hold) and only the schedule/corrupt disagreement is left to catch.
-            corrupt_window = Adversary.corrupt_window
-            corrupt_window_packed = Adversary.corrupt_window_packed
-
-            def corrupt(self, ctx, sent):
-                return None if sent == 1 else sent
-
-        with pytest.raises(ContractViolation, match="path-agreement"):
-            check_contract(DisagreeingAdversary())
-
-    def test_rejects_untruthful_flag(self):
-        class NotReallyStatefulAdversary(NoiselessAdversary):
-            slot_addressed = False
-
-        with pytest.raises(ContractViolation, match="truthful-flag"):
-            check_contract(NotReallyStatefulAdversary())
 
     def test_rejects_batched_divergence(self):
         class DivergentBatchAdversary(DeletionAdversary):
@@ -850,91 +759,3 @@ class TestCheckContract:
             observed_report = check_contract(observed_subject)
         assert observed_report == dark_report
         assert _state_snapshot(observed_subject) == _state_snapshot(builder())
-
-
-class TestSlotAddressedModes:
-    """Unit behaviour of the opt-in slot-addressed adversary modes."""
-
-    def test_random_noise_rejects_budget(self):
-        with pytest.raises(ValueError, match="cross-slot"):
-            RandomNoiseAdversary(
-                corruption_probability=0.5,
-                seed=0,
-                budget=NoiseBudget(fraction=0.1),
-                slot_addressed=True,
-            )
-
-    def test_deletion_rejects_budget(self):
-        with pytest.raises(ValueError, match="cross-slot"):
-            DeletionAdversary(
-                deletion_probability=0.5,
-                seed=0,
-                budget=NoiseBudget(fraction=0.1),
-                slot_addressed=True,
-            )
-
-    def test_link_targeted_rejects_cross_slot_limits(self):
-        with pytest.raises(ValueError, match="probability-only"):
-            LinkTargetedAdversary(target=(0, 1), max_corruptions=3, seed=0, slot_addressed=True)
-        with pytest.raises(ValueError, match="probability-only"):
-            LinkTargetedAdversary(target=(0, 1), fraction=0.1, seed=0, slot_addressed=True)
-
-    def test_burst_cap_rules(self):
-        with pytest.raises(ValueError, match="must be None"):
-            BurstAdversary(start_round=0, end_round=9, max_corruptions=3, slot_addressed=True)
-        with pytest.raises(ValueError, match="only be None"):
-            BurstAdversary(start_round=0, end_round=9, max_corruptions=None)
-
-    def test_schedule_requires_the_flag(self):
-        adversary = RandomNoiseAdversary(corruption_probability=0.5, seed=0)
-        with pytest.raises(RuntimeError, match="not slot-addressed"):
-            adversary.corruption_schedule(_window_ctx(), (1, 0, 1))
-
-    def test_slot_addressed_schedule_is_grouping_independent(self):
-        adversary = RandomNoiseAdversary(
-            corruption_probability=0.5, insertion_probability=0.3, seed=13, slot_addressed=True
-        )
-        symbols = (1, 0, None, 1, None, 0, 1, 1)
-        whole = adversary.corruption_schedule(_window_ctx(base_round=100), symbols)
-        halves = adversary.corruption_schedule(
-            _window_ctx(base_round=100), symbols[:4]
-        ) + adversary.corruption_schedule(_window_ctx(base_round=104), symbols[4:])
-        reversed_slots = [
-            adversary.corruption_schedule(_window_ctx(base_round=100 + offset), (symbols[offset],))[0]
-            for offset in reversed(range(len(symbols)))
-        ][::-1]
-        assert whole == halves == reversed_slots
-
-    def test_composite_slot_addressing_propagates(self):
-        pure = CompositeAdversary(
-            components=(
-                NoiselessAdversary(),
-                RandomNoiseAdversary(corruption_probability=0.2, seed=0, slot_addressed=True),
-            )
-        )
-        assert pure.slot_addressed is True
-        poisoned = CompositeAdversary(
-            components=(
-                RandomNoiseAdversary(corruption_probability=0.2, seed=0, slot_addressed=True),
-                EchoSpoofingAdversary(target=(0, 1), fraction=0.1, seed=1),
-            )
-        )
-        assert poisoned.slot_addressed is False
-
-    def test_stateful_stock_adversaries_report_false(self):
-        stateful = [
-            RandomNoiseAdversary(corruption_probability=0.1, seed=0),
-            DeletionAdversary(deletion_probability=0.1, seed=0),
-            LinkTargetedAdversary(target=(0, 1), fraction=0.1, seed=0),
-            BurstAdversary(start_round=0, end_round=5, max_corruptions=2, seed=0),
-            EchoSpoofingAdversary(target=(0, 1), fraction=0.1, seed=0),
-            PhaseTargetedAdaptiveAdversary(fraction=0.1, seed=0),
-            RotatingLinkAdaptiveAdversary(links=((0, 1),), fraction=0.1, seed=0),
-        ]
-        for adversary in stateful:
-            assert adversary.slot_addressed is False, adversary.name
-
-    def test_oblivious_stock_adversaries_report_true_natively(self):
-        assert NoiselessAdversary().slot_addressed is True
-        assert AdditiveObliviousAdversary(pattern={(0, 0, 1): 1}).slot_addressed is True
-        assert FixingObliviousAdversary(pattern={(0, 0, 1): None}).slot_addressed is True

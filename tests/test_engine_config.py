@@ -1,9 +1,8 @@
 """EngineConfig: one frozen switchboard, fingerprint-invisible by contract.
 
-PR 10 consolidated the per-keyword engine switches (``fast_hashing``,
-``batch_rounds``, ``merge_phases``, transport ``batched`` and the new
-``packed``) into :class:`repro.core.config.EngineConfig`.  This suite pins the
-three promises the consolidation makes:
+:class:`repro.core.config.EngineConfig` holds the three execution switches
+(``fast_hashing``, ``batched_transport`` and ``packed``).  This suite pins the
+three promises it makes:
 
 * **Fingerprint invisibility** — the configuration selects among bit-identical
   execution paths, so it must never alter a trial fingerprint or cache key: a
@@ -11,22 +10,17 @@ three promises the consolidation makes:
   any other.
 * **Bit-identity** — the reference profile (everything off) and the default
   profile (everything on) produce identical results on real noisy trials.
-* **Compatible migration** — the legacy per-switch keywords still work, warn
-  exactly once per process, and land on the same config fields.
+* **One surface** — the config object is the only way to pick a path; the
+  removed switches and keywords fail loudly instead of being ignored.
 """
 
 from __future__ import annotations
 
-import warnings
+from dataclasses import fields
 
 import pytest
 
-from repro.core.config import (
-    DEFAULT_ENGINE_CONFIG,
-    REFERENCE_ENGINE_CONFIG,
-    EngineConfig,
-    _WARNED_LEGACY,
-)
+from repro.core.config import DEFAULT_ENGINE_CONFIG, REFERENCE_ENGINE_CONFIG, EngineConfig
 from repro.core.engine import InteractiveCodingSimulator, simulate
 from repro.core.parameters import crs_oblivious_scheme, scheme_by_name
 from repro.experiments.factories import RandomNoiseFactory
@@ -53,7 +47,7 @@ def test_engine_config_never_enters_the_fingerprint(cell):
     workload, scheme, factory = cell
     digests = set()
     for engine in (None, DEFAULT_ENGINE_CONFIG, REFERENCE_ENGINE_CONFIG,
-                   EngineConfig(packed=False, merge_phases=False)):
+                   EngineConfig(packed=False, fast_hashing=False)):
         spec = TrialSpec(
             workload=workload, scheme=scheme, adversary_factory=factory, seed=17, engine=engine
         )
@@ -141,7 +135,7 @@ def test_reference_and_default_profiles_bit_identical(scheme_name):
 
 
 # ---------------------------------------------------------------------------
-# Legacy keyword migration
+# One configuration surface
 # ---------------------------------------------------------------------------
 
 
@@ -150,35 +144,31 @@ def _simulator(**kwargs):
     return InteractiveCodingSimulator(workload.protocol, scheme=crs_oblivious_scheme(), **kwargs)
 
 
-def test_legacy_keywords_override_config_and_warn_once():
-    _WARNED_LEGACY.clear()
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            sim = _simulator(merge_phases=False, batched=False)
-            second = _simulator(merge_phases=True)
-        assert sim.config == DEFAULT_ENGINE_CONFIG.with_overrides(
-            merge_phases=False, batched_transport=False
-        )
-        assert sim.merge_phases is False and sim.network.batched is False
-        assert second.merge_phases is True
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        # One warning per distinct legacy keyword, not per use.
-        assert sorted(str(w.message).split("'")[1] for w in deprecations) == [
-            "batched", "merge_phases",
-        ]
-    finally:
-        _WARNED_LEGACY.clear()
+def test_removed_engine_surface_fails_loudly():
+    """The deleted switches and keywords raise instead of being ignored."""
+    from repro.cli import build_parser
+
+    assert [field.name for field in fields(EngineConfig)] == [
+        "fast_hashing", "batched_transport", "packed",
+    ]
+    with pytest.raises(TypeError):
+        EngineConfig(merge_phases=False)
+    with pytest.raises(TypeError):
+        DEFAULT_ENGINE_CONFIG.with_overrides(batch_rounds=False)
+    for keyword in ("batch_rounds", "merge_phases", "fast_hashing", "batched"):
+        with pytest.raises(TypeError):
+            _simulator(**{keyword: False})
+    parser = build_parser()
+    for flag in ("--engine-no-merge-phases", "--engine-no-batch-rounds"):
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(["simulate", flag])
+        assert excinfo.value.code == 2  # argparse usage error
 
 
 def test_config_object_is_authoritative_without_legacy_keywords():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        sim = _simulator(config=REFERENCE_ENGINE_CONFIG)
+    sim = _simulator(config=REFERENCE_ENGINE_CONFIG)
     assert sim.config == REFERENCE_ENGINE_CONFIG
     assert sim.fast_hashing is False
-    assert sim.batch_rounds is False
-    assert sim.merge_phases is False
     assert sim.packed is False
     assert sim.network.batched is False
 
@@ -298,8 +288,8 @@ def test_cli_engine_flags_translate_to_configs():
     assert _engine_config(parser.parse_args(base)) is None
     assert _engine_config(parser.parse_args(base + ["--engine-reference"])) == REFERENCE_ENGINE_CONFIG
     assert _engine_config(
-        parser.parse_args(base + ["--engine-no-packed", "--engine-no-merge-phases"])
-    ) == DEFAULT_ENGINE_CONFIG.with_overrides(packed=False, merge_phases=False)
+        parser.parse_args(base + ["--engine-no-packed", "--engine-no-fast-hashing"])
+    ) == DEFAULT_ENGINE_CONFIG.with_overrides(packed=False, fast_hashing=False)
     assert _engine_config(
         parser.parse_args(["simulate", "--engine-no-batched-transport"])
     ) == DEFAULT_ENGINE_CONFIG.with_overrides(batched_transport=False)

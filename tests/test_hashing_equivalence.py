@@ -12,7 +12,7 @@ random inputs, and the two must agree bit for bit —
 * ``MeetingPointsSession`` with ``fast_hashing=True`` vs the reference
   session, in lockstep over random transcripts and corrupted replies,
 * whole trials through the engine with every combination of the
-  ``fast_hashing`` / ``batch_rounds`` switches.
+  ``fast_hashing`` / ``packed`` switches.
 """
 
 from __future__ import annotations
@@ -351,7 +351,7 @@ def test_full_trial_bit_identity_across_fast_path_switches(case, gossip_clique4)
     """Whole trials agree field for field across every switch combination."""
     scheme_factory, adversary_factory = _TRIAL_CASES[case]
 
-    def run(fast_hashing: bool, batch_rounds: bool):
+    def run(fast_hashing: bool, packed: bool):
         simulator = InteractiveCodingSimulator(
             gossip_clique4,
             scheme=scheme_factory(),
@@ -359,15 +359,15 @@ def test_full_trial_bit_identity_across_fast_path_switches(case, gossip_clique4)
             seed=7,
         )
         simulator.fast_hashing = fast_hashing
-        simulator.batch_rounds = batch_rounds
+        simulator.packed = packed
         return simulator.run()
 
     reference = _trial_fingerprint(run(False, False))
-    for fast_hashing, batch_rounds in ((True, False), (False, True), (True, True)):
-        assert _trial_fingerprint(run(fast_hashing, batch_rounds)) == reference, (
+    for fast_hashing, packed in ((True, False), (False, True), (True, True)):
+        assert _trial_fingerprint(run(fast_hashing, packed)) == reference, (
             case,
             fast_hashing,
-            batch_rounds,
+            packed,
         )
 
 

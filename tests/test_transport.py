@@ -500,72 +500,6 @@ class TestGuardMessageText:
         )
 
 
-class TestPhaseExchange:
-    """Guards and accounting of the whole-phase merged dispatch."""
-
-    def _network(self, adversary=None):
-        return NoisyNetwork(line_topology(3), adversary=adversary or NoiselessAdversary())
-
-    def test_rejects_non_slot_addressed_adversary(self):
-        network = self._network(RandomNoiseAdversary(corruption_probability=0.1, seed=0))
-        with pytest.raises(ValueError) as excinfo:
-            network.exchange_phase(4, "simulation")
-        assert str(excinfo.value) == (
-            "RandomNoiseAdversary is not slot-addressed: exchange_phase requires "
-            "the corruption_schedule contract (slot_addressed=True)"
-        )
-
-    def test_send_rejects_unknown_link(self):
-        phase = self._network().exchange_phase(2, "simulation")
-        with pytest.raises(ValueError) as excinfo:
-            phase.send((0, 2), 0, 1)
-        assert str(excinfo.value) == (
-            "message keyed on unknown link (0, 2): not a directed edge of the network"
-        )
-
-    def test_send_rejects_invalid_symbol(self):
-        phase = self._network().exchange_phase(2, "simulation")
-        with pytest.raises(ValueError, match="invalid channel symbol 7"):
-            phase.send((0, 1), 0, 7)
-
-    def test_send_rejects_out_of_window_offsets(self):
-        phase = self._network().exchange_phase(2, "simulation")
-        with pytest.raises(ValueError, match="offset 2 outside the 2-round phase window"):
-            phase.send((0, 1), 2, 1)
-        with pytest.raises(ValueError, match="offset -1 outside the 2-round phase window"):
-            phase.send((0, 1), -1, 1)
-
-    def test_send_rejects_double_sends_on_one_slot(self):
-        phase = self._network().exchange_phase(2, "simulation")
-        phase.send((0, 1), 0, 1)
-        with pytest.raises(
-            ValueError, match=r"slot 0 on link \(0, 1\) already carried a symbol this phase"
-        ):
-            phase.send((0, 1), 0, 0)
-
-    def test_commit_is_single_shot(self):
-        network = self._network()
-        phase = network.exchange_phase(2, "simulation")
-        phase.send((0, 1), 0, 1)
-        phase.commit()
-        with pytest.raises(RuntimeError, match="phase already committed"):
-            phase.commit()
-        with pytest.raises(RuntimeError, match="phase already committed"):
-            phase.send((0, 1), 1, 1)
-
-    def test_commit_accounts_whole_phase_once(self):
-        network = self._network()
-        phase = network.exchange_phase(3, "flag_passing")
-        assert phase.send((0, 1), 0, 1) == 1
-        assert phase.send((1, 2), 2, 0) == 0
-        assert phase.delivered((0, 1), 0) == 1
-        assert phase.delivered((1, 0), 1) is None  # untouched slot, no insertions
-        phase.commit()
-        assert network.current_round == 3
-        assert network.stats.transmissions == 2
-        assert (network.windows_exchanged, network.merged_dispatches) == (1, 1)
-
-
 # --------------------------------------------------------------------------
 # Round frames: one adversary call per lockstep round.
 # --------------------------------------------------------------------------
