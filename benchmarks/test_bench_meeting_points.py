@@ -8,13 +8,12 @@ Shape we assert: for synthetic divergences B ∈ {1, 2, 4} the number of
 exchanges needed grows roughly linearly (well within a 8·B + 8 envelope) and
 the truncation overshoot stays bounded.
 
-This file also measures the meeting-points **hashing fast path**: a
-representative iteration workload (two lockstep sessions on one
-exchanged-seed link, the hot shape of Algorithms A/B) through the batched
-path (``seeds_for_iteration`` + ``digest_many``) and through the per-call
-reference path (``seed_for`` + one ``digest`` per value), both over the one
-δ-biased expansion, while the equivalence suite in
-``tests/test_hashing_equivalence.py`` pins the two bit-identical.
+This file also times the meeting-points **hashing path**: a representative
+iteration workload (two lockstep sessions on one link, the hot shape of the
+consistency phase) through ``seeds_for_iteration`` + ``digest_many``, over
+an exchanged seed (Algorithms A/B) and over the CRS.  The equivalence suite
+in ``tests/test_hashing_equivalence.py`` pins it against a per-call hashing
+oracle.
 """
 
 from __future__ import annotations
@@ -43,11 +42,12 @@ def _converge(divergence: int, common_length: int = 8, master_seed: int = 5):
     hasher = InnerProductHash(12)
     session_u = MeetingPointsSession(hasher=hasher, seed_source=CrsSeedSource(master_seed, (0, 1)))
     session_v = MeetingPointsSession(hasher=hasher, seed_source=CrsSeedSource(master_seed, (0, 1)))
+    full = (1 << session_u.message_bits) - 1
     for iteration in range(200):
-        message_u = session_u.build_message(iteration, transcript_u)
-        message_v = session_v.build_message(iteration, transcript_v)
-        outcome_u = session_u.process_reply(iteration, transcript_u, message_v)
-        outcome_v = session_v.process_reply(iteration, transcript_v, message_u)
+        message_u = session_u.build_message_packed(iteration, transcript_u)
+        message_v = session_v.build_message_packed(iteration, transcript_v)
+        outcome_u = session_u.process_reply_packed(iteration, transcript_u, message_v, full)
+        outcome_v = session_v.process_reply_packed(iteration, transcript_v, message_u, full)
         if outcome_u.truncate_to is not None:
             transcript_u.truncate_to(outcome_u.truncate_to)
         if outcome_v.truncate_to is not None:
@@ -66,7 +66,7 @@ def test_convergence_cost_scales_with_divergence(benchmark, run_once, divergence
     assert overshoot <= 2 * divergence + 2
 
 
-# ----------------------------------------------------- hashing fast-path gate --
+# --------------------------------------------------------- hashing path timing --
 
 # A full 2·64-bit AGHP seed (x, y both non-degenerate), as a real randomness
 # exchange over a degree-64 field would produce.
@@ -75,15 +75,13 @@ _WORKLOAD_ITERATIONS = 12
 _WORKLOAD_TAU = 12
 
 
-def _hashing_workload_seconds(source_kind: str, fast: bool) -> float:
+def _hashing_workload_seconds(source_kind: str) -> float:
     """Wall clock of a representative per-link iteration workload.
 
     Two sessions on one link exchange meeting-points messages over
     permanently diverged transcripts, so every iteration derives fresh seeds
     and hashes four values per endpoint — exactly the per-iteration hash
-    traffic of the engine's consistency phase.  ``fast`` selects the session's
-    batched path; the reference path derives seeds per call and hashes one
-    value per digest.  Both expand seeds the same way.
+    traffic of the engine's consistency phase.
     """
     def build_source():
         if source_kind == "crs":
@@ -91,44 +89,33 @@ def _hashing_workload_seconds(source_kind: str, fast: bool) -> float:
         return ExchangedSeedSource(link_seed=_LINK_SEED)
 
     hasher = InnerProductHash(_WORKLOAD_TAU)
-    session_u = MeetingPointsSession(
-        hasher=hasher, seed_source=build_source(), fast_hashing=fast
-    )
-    session_v = MeetingPointsSession(
-        hasher=hasher, seed_source=build_source(), fast_hashing=fast
-    )
+    session_u = MeetingPointsSession(hasher=hasher, seed_source=build_source())
+    session_v = MeetingPointsSession(hasher=hasher, seed_source=build_source())
     transcript_u = _transcript(0, 1, [(1, 0)] * 8 + [(0, 0)] * 3)
     transcript_v = _transcript(1, 0, [(1, 0)] * 8 + [(1, 1)] * 3)
 
+    full = (1 << session_u.message_bits) - 1
     start = time.perf_counter()
     for iteration in range(_WORKLOAD_ITERATIONS):
-        message_u = session_u.build_message(iteration, transcript_u)
-        message_v = session_v.build_message(iteration, transcript_v)
-        session_u.process_reply(iteration, transcript_u, message_v)
-        session_v.process_reply(iteration, transcript_v, message_u)
+        message_u = session_u.build_message_packed(iteration, transcript_u)
+        message_v = session_v.build_message_packed(iteration, transcript_v)
+        session_u.process_reply_packed(iteration, transcript_u, message_v, full)
+        session_v.process_reply_packed(iteration, transcript_v, message_u, full)
     return time.perf_counter() - start
 
 
 def test_batched_hashing_speedup(benchmark, run_once):
-    """The batched session path against the per-call one, same expansion."""
+    """The session hashing path over an exchanged seed and over the CRS.
 
-    def measure(source_kind: str, fast: bool) -> float:
-        # Best of two runs per path: a scheduling spike on a shared CI runner
-        # must hit both attempts to move the measurement.
-        return min(
-            _hashing_workload_seconds(source_kind, fast=fast),
-            _hashing_workload_seconds(source_kind, fast=fast),
-        )
+    (The name dates from when this also timed an in-tree per-call hashing
+    path to report a ratio; that path is gone.)
+    """
 
-    def compare():
-        reference_seconds = measure("exchanged", fast=False)
-        fast_seconds = measure("exchanged", fast=True)
-        crs_reference_seconds = measure("crs", fast=False)
-        crs_fast_seconds = measure("crs", fast=True)
-        return reference_seconds, fast_seconds, crs_reference_seconds, crs_fast_seconds
+    def measure(source_kind: str) -> float:
+        # Best of two runs: a scheduling spike on a shared CI runner must hit
+        # both attempts to move the measurement.
+        return min(_hashing_workload_seconds(source_kind), _hashing_workload_seconds(source_kind))
 
-    reference_seconds, fast_seconds, crs_reference, crs_fast = run_once(benchmark, compare)
-    benchmark.extra_info["reference_seconds"] = round(reference_seconds, 6)
-    benchmark.extra_info["fast_seconds"] = round(fast_seconds, 6)
-    benchmark.extra_info["speedup"] = round(reference_seconds / fast_seconds, 2)
-    benchmark.extra_info["crs_speedup"] = round(crs_reference / crs_fast, 2)
+    exchanged_seconds, crs_seconds = run_once(benchmark, lambda: (measure("exchanged"), measure("crs")))
+    benchmark.extra_info["exchanged_seconds"] = round(exchanged_seconds, 6)
+    benchmark.extra_info["crs_seconds"] = round(crs_seconds, 6)

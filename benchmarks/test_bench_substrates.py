@@ -52,13 +52,18 @@ def test_small_bias_generator_quality_and_throughput(benchmark):
 def test_randomness_exchange_code_round_trip(benchmark):
     code = BinaryBlockCode(message_bits=128)
     rng = random.Random(1)
-    message = [rng.getrandbits(1) for _ in range(128)]
+    message = rng.getrandbits(128)
+    width = code.codeword_bits
 
     def roundtrip():
-        word = code.encode(message)
-        for index in rng.sample(range(len(word)), int(0.03 * len(word))):
-            word[index] = None if rng.random() < 0.5 else 1 - word[index]
-        return code.decode(word)
+        bits, present = code.encode(message), (1 << width) - 1
+        for index in rng.sample(range(width), int(0.03 * width)):
+            if rng.random() < 0.5:  # erasure
+                bits &= ~(1 << index)
+                present &= ~(1 << index)
+            else:  # substitution
+                bits ^= 1 << index
+        return code.decode(bits, present)
 
     decoded = benchmark(roundtrip)
     assert decoded == message

@@ -10,22 +10,6 @@ one-command answer::
 
     PYTHONPATH=src python scripts/profile_hotpath.py
     PYTHONPATH=src python scripts/profile_hotpath.py --topology clique --nodes 8 --sort tottime
-    PYTHONPATH=src python scripts/profile_hotpath.py --per-slot   # the legacy transport path
-    PYTHONPATH=src python scripts/profile_hotpath.py --compare    # packed vs reference timing
-
-The execution-path switches map straight onto
-:class:`repro.core.config.EngineConfig` fields: ``--per-slot`` routes the
-trial through the single-slot compatibility transport instead of the batched
-one — diffing the two profiles shows exactly what the batched window path
-removed (and whether a regression crept back in).  ``--no-packed`` does the
-same for the packed ``(bits, present)`` plane pipeline (the meeting-points
-exchange and the lockstep round frames fall back to symbol tuples).
-
-``--compare`` skips the profiler and instead times the trial twice — once
-under the default (fully fast) engine configuration and once under
-``REFERENCE_ENGINE_CONFIG`` — printing both wall times, the speedup, and a
-bit-identity check of the channel statistics.  It is the one-command answer
-to "what do the fast paths buy end to end on this trial?".
 
 ``--obs`` profiles the same trial under an ambient observability scope and,
 after the frame table, prints the metrics-registry snapshot plus per-name
@@ -45,14 +29,12 @@ import cProfile
 import io
 import pstats
 import sys
-import time
 from contextlib import nullcontext
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.core.config import DEFAULT_ENGINE_CONFIG, REFERENCE_ENGINE_CONFIG  # noqa: E402
 from repro.core.engine import InteractiveCodingSimulator  # noqa: E402
 from repro.core.parameters import (  # noqa: E402
     algorithm_a,
@@ -92,24 +74,6 @@ def parse_args(argv=None) -> argparse.Namespace:
         choices=["cumulative", "tottime", "ncalls"],
         default="cumulative",
         help="pstats sort key (default: cumulative)",
-    )
-    parser.add_argument(
-        "--per-slot",
-        action="store_true",
-        help="profile the single-slot compatibility transport instead of the batched path",
-    )
-    parser.add_argument(
-        "--packed",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="carry windows as packed (bits, present) planes (default; "
-        "--no-packed profiles the symbol-tuple fallback)",
-    )
-    parser.add_argument(
-        "--compare",
-        action="store_true",
-        help="time the trial under the default and the reference engine "
-        "configurations instead of profiling (prints both times + speedup)",
     )
     parser.add_argument(
         "--obs",
@@ -164,41 +128,6 @@ def _print_forensics_report(dump: dict) -> None:
         print(f"  verdict: FAILED — {classify_failure(dump)}")
 
 
-def _compare_configs(args, workload, scheme, fraction) -> int:
-    """Time the trial under the default and the reference engine configs."""
-
-    def run(config):
-        adversary = RandomNoiseFactory(fraction=fraction)(args.seed)
-        simulator = InteractiveCodingSimulator(
-            workload.protocol, scheme=scheme, adversary=adversary, seed=args.seed, config=config
-        )
-        start = time.perf_counter()
-        result = simulator.run()
-        return time.perf_counter() - start, result
-
-    # Best of three per configuration, so the minimum reflects steady-state
-    # cost rather than a scheduling spike.
-    fast_seconds, fast_result = min((run(DEFAULT_ENGINE_CONFIG) for _ in range(3)), key=lambda pair: pair[0])
-    reference_seconds, reference_result = min(
-        (run(REFERENCE_ENGINE_CONFIG) for _ in range(3)), key=lambda pair: pair[0]
-    )
-    identical = (
-        fast_result.success == reference_result.success
-        and fast_result.iterations_run == reference_result.iterations_run
-        and fast_result.metrics.corruptions == reference_result.metrics.corruptions
-        and fast_result.metrics.simulation_communication
-        == reference_result.metrics.simulation_communication
-    )
-    print(
-        f"trial: {workload.name} / {scheme.name} / noise x{args.noise_multiplier:g} "
-        f"(fraction {fraction:.5f}) / seed {args.seed}"
-    )
-    print(f"default   (packed fast paths): {fast_seconds * 1e3:8.2f} ms")
-    print(f"reference (everything off):    {reference_seconds * 1e3:8.2f} ms")
-    print(f"speedup: {reference_seconds / fast_seconds:.2f}x   bit-identical results: {identical}")
-    return 0 if identical else 1
-
-
 def main(argv=None) -> int:
     args = parse_args(argv)
     workload = gossip_workload(
@@ -206,13 +135,7 @@ def main(argv=None) -> int:
     )
     scheme = SCHEMES[args.scheme]()
     fraction = scheme.nominal_noise_fraction(workload.graph) * args.noise_multiplier
-    if args.compare:
-        return _compare_configs(args, workload, scheme, fraction)
     adversary = RandomNoiseFactory(fraction=fraction)(args.seed)
-    config = DEFAULT_ENGINE_CONFIG.with_overrides(
-        batched_transport=not args.per_slot,
-        packed=args.packed,
-    )
 
     registry = MetricsRegistry() if args.obs else None
     tracer = Tracer(sample_every=1) if args.obs else None
@@ -227,7 +150,7 @@ def main(argv=None) -> int:
     # scope wraps simulator creation, not just the profiled run.
     with scope:
         simulator = InteractiveCodingSimulator(
-            workload.protocol, scheme=scheme, adversary=adversary, seed=args.seed, config=config
+            workload.protocol, scheme=scheme, adversary=adversary, seed=args.seed
         )
 
         if recorder is not None:
@@ -247,10 +170,9 @@ def main(argv=None) -> int:
                 tolerance=scheme.nominal_noise_fraction(workload.graph),
             )
 
-    path = "per-slot" if args.per_slot else ("packed" if args.packed else "batched")
     print(
         f"trial: {workload.name} / {scheme.name} / noise x{args.noise_multiplier:g} "
-        f"(fraction {fraction:.5f}) / seed {args.seed} / {path} transport"
+        f"(fraction {fraction:.5f}) / seed {args.seed}"
     )
     print(
         f"success={result.success} iterations={result.iterations_run} "

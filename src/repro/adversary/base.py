@@ -8,20 +8,18 @@ The paper distinguishes:
 * **non-oblivious** adversaries — the noise may adapt to everything observed
   on the wire (but not to private coins tossed later).
 
-All of them implement :class:`Adversary`.  The single-slot contract is
-``corrupt``: the transport consults the adversary for one channel slot (one
-round, one directed link) and the adversary returns what the receiver should
-see.  The batched hot path is ``corrupt_window``: the transport hands the
-adversary one whole window of slots on one directed link and gets the full
-delivered sequence back.  The base implementation of ``corrupt_window``
-falls back to per-slot ``corrupt`` calls, and every override is required to
-be bit-identical to that fallback.  Two packed entry points sit on top:
-``corrupt_window_packed`` takes one link's window as a ``(bits, present)``
-plane, and ``corrupt_round_packed`` takes one lockstep round over every
-directed link as a round frame.  Each base implementation is built on the
-one below it; ``repro.adversary.check_contract`` probes that every override
-agrees with its fallback.  Corruption accounting is done by the transport,
-not by the adversary, so an adversary cannot under-report its own noise.
+All of them implement :class:`Adversary`.  The semantic contract is
+``corrupt``: what the receiver sees on one channel slot (one round, one
+directed link), followed by ``notify_delivery``.  The transport calls two
+kernels on top of it: ``corrupt_window_packed`` takes one link's window as a
+``(bits, present)`` plane, and ``corrupt_round_packed`` takes one lockstep
+round over every directed link as a round frame.  The base window kernel is
+the per-slot ``corrupt`` + ``notify_delivery`` loop and the base round
+kernel is the per-link loop of width-1 window kernels, so an adversary that
+only writes ``corrupt`` works everywhere.  A native kernel must be
+bit-identical to the base one it replaces; ``repro.adversary.check_contract``
+probes that.  Corruption accounting is done by the transport, not by the
+adversary, so an adversary cannot under-report its own noise.
 
 The theorems bound the noise as a *fraction of the actual communication* of
 the executed instance, which is not known in advance.  :class:`NoiseBudget`
@@ -35,16 +33,10 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.network.channel import RoundContext, Symbol, TransmissionContext, WindowContext
-from repro.utils.bitstring import (
-    pack_symbols,
-    plane_digits,
-    positions_to_int,
-    set_positions,
-    unpack_symbols,
-)
+from repro.utils.bitstring import plane_digits, positions_to_int, set_positions
 
 
 @dataclass
@@ -113,9 +105,11 @@ class NoiseBudget:
         self.corruptions_spent += amount
 
 
-#: The methods a native round kernel stands in for (see
+#: The per-slot methods a native window kernel stands in for, and the
+#: methods a native round kernel stands in for (see
 #: :meth:`Adversary.__init_subclass__`).
-_ROUND_KERNEL_INPUTS = ("corrupt", "corrupt_window", "corrupt_window_packed", "notify_delivery")
+_WINDOW_KERNEL_INPUTS = ("corrupt", "notify_delivery")
+_ROUND_KERNEL_INPUTS = _WINDOW_KERNEL_INPUTS + ("corrupt_window_packed",)
 
 
 def _owner(cls: type, name: str) -> type:
@@ -123,22 +117,34 @@ def _owner(cls: type, name: str) -> type:
     return next(klass for klass in cls.__mro__ if name in klass.__dict__)
 
 
+def _demote_stale_kernel(cls: type, kernel: str, inputs: Tuple[str, ...]) -> None:
+    """Restore :class:`Adversary`'s ``kernel`` on ``cls`` when ``cls``
+    overrides one of ``inputs`` below the class that wrote the kernel."""
+    kernel_owner = _owner(cls, kernel)
+    if kernel_owner is Adversary:
+        return
+    # An MRO walk, not issubclass: ABC subclass checks are not ready while
+    # the class is still being created.
+    if all(_owner(cls, name) in kernel_owner.__mro__ for name in inputs):
+        return
+    setattr(cls, kernel, getattr(Adversary, kernel))
+
+
 class Adversary(abc.ABC):
     """Base class for all noise models.
 
-    The entry points, by the transport path that calls them:
+    The entry points:
 
-    * :meth:`corrupt` — one slot (``transmit``, the per-slot reference path);
-    * :meth:`corrupt_window` — one window of symbols on one link
-      (``exchange_window``);
+    * :meth:`corrupt` — one slot, the semantics every kernel must follow;
     * :meth:`corrupt_window_packed` — one window as a ``(bits, present)``
-      plane on one link (``exchange_window_packed``: meeting points);
+      plane on one link (``exchange_window_packed``: meeting points, the
+      randomness exchange and the repetition baseline);
     * :meth:`corrupt_round_packed` — one lockstep round over every directed
-      link as a round frame (``exchange_round``: flag passing, simulation
-      and rewind).
+      link as a round frame (``exchange_round``: flag passing, simulation,
+      rewind and the uncoded baseline).
 
-    Each base implementation is built on the entry point above it, so an
-    adversary that only writes :meth:`corrupt` works on every path.
+    Each base kernel is built on the entry point above it, so an adversary
+    that only writes :meth:`corrupt` works on every path.
     """
 
     #: Human-readable name used by experiment reports.
@@ -166,71 +172,48 @@ class Adversary(abc.ABC):
         substitution and will be charged by the transport's statistics.
         """
 
-    def corrupt_window(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        """Return the symbols delivered for one whole window on one link.
-
-        ``symbols`` is the dense window the sender put on the wire (``None``
-        entries are silent slots); slot ``i`` occurs in absolute round
-        ``ctx.base_round + i``.  The batched transport calls this once per
-        directed link instead of calling :meth:`corrupt` once per slot, and
-        hands the window over as an *immutable tuple* — the sent record is
-        what the transport charges corruptions against, so it cannot be
-        mutated in place.  Return the delivered window as a new sequence
-        (conventionally a list; the transport normalises).
-
-        This base implementation is the per-slot compatibility fallback: it
-        replays exactly what a sequence of single-slot transmissions would do
-        — :meth:`corrupt` then :meth:`notify_delivery` per slot, in offset
-        order, skipping silent slots when :attr:`may_insert` is ``False`` —
-        so any adversary that only implements ``corrupt`` behaves
-        bit-identically under both transmission paths.
-
-        Overrides MUST preserve that bit-identity: same delivered symbols,
-        same RNG stream consumption, same budget accounting as the per-slot
-        path, for every input window.  (All stock adversaries ship such
-        vectorized overrides; if you subclass one and change ``corrupt`` or
-        ``notify_delivery``, you must override ``corrupt_window`` as well —
-        e.g. restore this fallback with
-        ``corrupt_window = Adversary.corrupt_window``.)
-        """
-        delivered: List[Symbol] = []
-        append = delivered.append
-        may_insert = self.may_insert
-        corrupt = self.corrupt
-        notify = self.notify_delivery
-        slot_ctx = ctx.slot
-        for offset, sent in enumerate(symbols):
-            if sent is None and not may_insert:
-                append(None)
-                continue
-            slot = slot_ctx(offset)
-            received = corrupt(slot, sent)
-            notify(slot, sent, received)
-            append(received)
-        return delivered
-
     def corrupt_window_packed(
         self, ctx: WindowContext, bits: int, present: int, count: int
     ) -> Tuple[int, int]:
-        """Packed-plane variant of :meth:`corrupt_window`.
+        """Return the delivered planes of one whole window on one link.
 
         ``(bits, present)`` follow the
         :func:`~repro.utils.bitstring.pack_symbols` convention: slot ``i``
         carries bit ``i`` of ``bits`` iff bit ``i`` of ``present`` is set,
-        and is silent otherwise; ``count`` is the window length in rounds.
-        Returns the delivered window as the same kind of plane pair.
+        and is silent otherwise; ``count`` is the window length in rounds and
+        slot ``i`` occurs in absolute round ``ctx.base_round + i``.  Returns
+        the delivered window as the same kind of plane pair.
 
-        This base implementation is the compatibility fallback: it unpacks
-        the planes, runs :meth:`corrupt_window` (itself falling back to
-        per-slot :meth:`corrupt` calls unless overridden) and re-packs — so
-        every adversary is automatically bit-identical across the packed and
-        symbol-sequence transports.  Native overrides must preserve exactly
-        that equivalence: same delivered planes, same RNG stream
+        This base implementation is the per-slot fallback: :meth:`corrupt`
+        then :meth:`notify_delivery` per slot, in offset order, skipping
+        silent slots when :attr:`may_insert` is ``False``.  Native overrides
+        must be bit-identical to it: same delivered planes, same RNG stream
         consumption, same budget accounting, for every input window
-        (``tests/test_adversaries.py`` pins this for all stock adversaries).
+        (``check_contract``'s packed law).  A native kernel is only trusted
+        by the class that wrote it; see :meth:`__init_subclass__`.
         """
-        delivered = self.corrupt_window(ctx, tuple(unpack_symbols(bits, present, count)))
-        return pack_symbols(delivered)
+        present_digits = plane_digits(present, count)
+        bit_digits = plane_digits(bits, count)
+        corrupt = self.corrupt
+        notify = self.notify_delivery
+        slot_ctx = ctx.slot
+        ones: List[int] = []
+        delivered: List[int] = []
+        for offset in range(count) if self.may_insert else set_positions(present):
+            if present_digits[offset] == "1":
+                sent: Symbol = 1 if bit_digits[offset] == "1" else 0
+            else:
+                sent = None
+            slot = slot_ctx(offset)
+            received = corrupt(slot, sent)
+            if received not in (0, 1, None):
+                raise ValueError(f"adversary produced invalid symbol {received!r}")
+            notify(slot, sent, received)
+            if received is not None:
+                delivered.append(offset)
+                if received:
+                    ones.append(offset)
+        return positions_to_int(ones, count), positions_to_int(delivered, count)
 
     def corrupt_round_packed(self, ctx: RoundContext, bits: int, present: int) -> Tuple[int, int]:
         """Corrupt one lockstep round over every directed link in one call.
@@ -250,10 +233,9 @@ class Adversary(abc.ABC):
         mask of a whole-frame integer.
 
         A native kernel is only trusted by the class that wrote it (or its
-        subclasses that leave ``corrupt``, ``corrupt_window``,
-        ``corrupt_window_packed`` and ``notify_delivery`` alone).  A subclass
-        that overrides one of those falls back to this loop automatically;
-        see :meth:`__init_subclass__`.
+        subclasses that leave ``corrupt``, ``corrupt_window_packed`` and
+        ``notify_delivery`` alone).  A subclass that overrides one of those
+        falls back to this loop automatically; see :meth:`__init_subclass__`.
         """
         links = ctx.links
         count = len(links)
@@ -281,24 +263,20 @@ class Adversary(abc.ABC):
         return positions_to_int(ones, count), positions_to_int(delivered, count)
 
     def __init_subclass__(cls, **kwargs: object) -> None:
-        """Demote a native round kernel the subclass may have outgrown.
+        """Demote native kernels the subclass may have outgrown.
 
-        A native :meth:`corrupt_round_packed` encodes what the per-slot and
-        per-window methods of the class that wrote it do.  If a subclass
-        overrides one of those (or ``notify_delivery``) but inherits the
-        round kernel, the kernel would silently keep the old behaviour, so
-        the subclass gets the per-link base loop instead, which calls the
-        overridden methods.
+        A native kernel encodes what the methods below it do in the class
+        that wrote it: :meth:`corrupt` and :meth:`notify_delivery` for the
+        window kernel, those plus the window kernel for the round kernel.  If
+        a subclass overrides one of those but inherits the kernel, the kernel
+        would silently keep the old behaviour, so the subclass gets the base
+        loop instead, which calls the overridden methods.  The window kernel
+        is checked first, so a demoted window kernel demotes the round
+        kernel too.
         """
         super().__init_subclass__(**kwargs)
-        kernel_owner = _owner(cls, "corrupt_round_packed")
-        if kernel_owner is Adversary:
-            return
-        # An MRO walk, not issubclass: ABC subclass checks are not ready
-        # while the class is still being created.
-        if all(_owner(cls, name) in kernel_owner.__mro__ for name in _ROUND_KERNEL_INPUTS):
-            return
-        cls.corrupt_round_packed = Adversary.corrupt_round_packed  # type: ignore[method-assign]
+        _demote_stale_kernel(cls, "corrupt_window_packed", _WINDOW_KERNEL_INPUTS)
+        _demote_stale_kernel(cls, "corrupt_round_packed", _ROUND_KERNEL_INPUTS)
 
     def notify_delivery(self, ctx: TransmissionContext, sent: Symbol, received: Symbol) -> None:
         """Hook called after every slot; adaptive adversaries may record state."""
@@ -316,9 +294,6 @@ class NoiselessAdversary(Adversary):
 
     def corrupt(self, ctx: TransmissionContext, sent: Symbol) -> Symbol:
         return sent
-
-    def corrupt_window(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        return list(symbols)
 
     def corrupt_window_packed(
         self, ctx: WindowContext, bits: int, present: int, count: int

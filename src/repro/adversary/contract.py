@@ -1,18 +1,16 @@
 """Conformance checking for the adversary contract.
 
-These guarantees hold the transport's transmission paths together:
+Two laws tie an adversary's native kernels to its per-slot semantics:
 
-* every adversary's ``corrupt_window`` must be **bit-identical** to the
-  per-slot fallback (same delivered symbols, same RNG stream consumption,
-  same budget accounting), which is what makes the batched fast path legal;
-* every adversary's ``corrupt_window_packed`` must deliver the same planes
-  (and leave the same state) as packing the ``corrupt_window`` output — the
-  packed transport path is only legal because the corruption mask it applies
-  is the one the symbol-sequence path would have produced;
-* every adversary's ``corrupt_round_packed`` must deliver the same round
-  frame (and leave the same state) as the per-link loop of width-1
-  ``corrupt_window_packed`` calls in link order — the **round-frame law**,
-  which is what makes one adversary call per lockstep round legal.
+* the **packed law**: ``corrupt_window_packed`` must deliver the same planes
+  (and leave the same state: RNG stream consumption, budget accounting) as
+  the base per-slot fallback, ``corrupt`` then ``notify_delivery`` per slot
+  — the window kernel is only legal because the corruption mask it applies
+  is the one per-slot delivery would have produced;
+* the **round-frame law**: ``corrupt_round_packed`` must deliver the same
+  round frame (and leave the same state) as the per-link loop of width-1
+  ``corrupt_window_packed`` calls in link order, which is what makes one
+  adversary call per lockstep round legal.
 
 :func:`check_contract` probes every law on deterministic fuzz windows and
 raises :class:`ContractViolation` on the first broken law.  It is exported as
@@ -23,7 +21,7 @@ to every stock adversary).
 The probe is behavioural, not static: it deep-copies the adversary per pass
 (so a stateful adversary's streams/budgets cannot leak between passes),
 replays the same window sequence through both paths, and compares delivered
-symbols *and* a structural snapshot of all mutable state after every window.
+planes *and* a structural snapshot of all mutable state after every window.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.adversary.base import Adversary, NoiseBudget
 from repro.network.channel import RoundContext, Symbol, WindowContext
-from repro.utils.bitstring import pack_symbols
+from repro.utils.bitstring import pack_symbols, unpack_symbols
 from repro.utils.rng import make_rng
 
 #: Default directed links the probe windows run over.  They intentionally
@@ -133,54 +131,27 @@ def _probe_windows(
     return probes
 
 
-def _check_batched_equivalence(
-    adv: Adversary,
-    probes: Sequence[Tuple[WindowContext, Tuple[Symbol, ...]]],
-) -> None:
-    """corrupt_window must replay the per-slot fallback bit for bit."""
-    batched = copy.deepcopy(adv)
-    reference = copy.deepcopy(adv)
-    batched.reset()
-    reference.reset()
-    for ctx, symbols in probes:
-        got = list(batched.corrupt_window(ctx, symbols))
-        expected = Adversary.corrupt_window(reference, ctx, symbols)
-        if got != expected:
-            raise ContractViolation(
-                "batched-equivalence",
-                f"{type(adv).__name__}.corrupt_window diverges from the per-slot "
-                f"fallback on {ctx!r}: {got!r} != {expected!r}",
-            )
-        if _state_snapshot(batched) != _state_snapshot(reference):
-            raise ContractViolation(
-                "batched-equivalence",
-                f"{type(adv).__name__}.corrupt_window left different state than the "
-                f"per-slot fallback after {ctx!r} (RNG streams or budget counters "
-                "diverged)",
-            )
-
-
 def _check_packed_equivalence(
     adv: Adversary,
     probes: Sequence[Tuple[WindowContext, Tuple[Symbol, ...]]],
 ) -> None:
-    """corrupt_window_packed must apply the same corruption mask as
-    corrupt_window: same delivered planes, same state afterwards."""
+    """corrupt_window_packed must apply the same corruption mask as the
+    per-slot fallback: same delivered planes, same state afterwards."""
     packed = copy.deepcopy(adv)
     reference = copy.deepcopy(adv)
     packed.reset()
     reference.reset()
     for ctx, symbols in probes:
         bits, present = pack_symbols(symbols)
-        got = packed.corrupt_window_packed(ctx, bits, present, len(symbols))
-        expected_symbols = reference.corrupt_window(ctx, symbols)
-        expected = pack_symbols(expected_symbols)
+        count = len(symbols)
+        got = packed.corrupt_window_packed(ctx, bits, present, count)
+        expected = Adversary.corrupt_window_packed(reference, ctx, bits, present, count)
         if got != expected:
             raise ContractViolation(
                 "packed-equivalence",
                 f"{type(adv).__name__}.corrupt_window_packed delivers planes "
-                f"{got!r} on {ctx!r} but corrupt_window delivers "
-                f"{expected_symbols!r} (= planes {expected!r})",
+                f"{got!r} on {ctx!r} but the per-slot fallback delivers "
+                f"{unpack_symbols(*expected, count)!r} (= planes {expected!r})",
             )
         delivered_bits, delivered_present = got
         if delivered_bits & ~delivered_present:
@@ -194,7 +165,7 @@ def _check_packed_equivalence(
             raise ContractViolation(
                 "packed-equivalence",
                 f"{type(adv).__name__}.corrupt_window_packed left different state "
-                f"than corrupt_window after {ctx!r} (RNG streams or budget "
+                f"than the per-slot fallback after {ctx!r} (RNG streams or budget "
                 "counters diverged)",
             )
 
@@ -270,9 +241,9 @@ def check_contract(
 ) -> ContractReport:
     """Probe ``adv`` against every adversary contract law.
 
-    Checks batched-vs-per-slot equivalence, packed-vs-batched equivalence
-    (``corrupt_window_packed`` delivering the same corruption mask, plane
-    invariant included) and the round-frame law (``corrupt_round_packed``
+    Checks the packed law (``corrupt_window_packed`` delivering the same
+    corruption mask as the per-slot fallback, plane invariant included) and
+    the round-frame law (``corrupt_round_packed``
     against the per-link loop, on ``2 * windows`` random frames over
     ``links``).  The probe windows are deterministic in ``seed`` and span
     absolute rounds ``[0, windows * window_rounds)`` — configure adversaries
@@ -287,7 +258,6 @@ def check_contract(
     probe_links = tuple(links) if links is not None else _DEFAULT_LINKS
     probe_phases = tuple(phases) if phases is not None else _DEFAULT_PHASES
     probes = _probe_windows(probe_links, probe_phases, window_rounds, windows, seed)
-    _check_batched_equivalence(adv, probes)
     _check_packed_equivalence(adv, probes)
     _check_round_equivalence(
         adv, _probe_frames(probe_links, probe_phases, 2 * windows, windows * window_rounds, seed)
@@ -295,5 +265,5 @@ def check_contract(
     return ContractReport(
         adversary=adv.name,
         windows_probed=len(probes),
-        laws=("batched-equivalence", "packed-equivalence", "round-frame"),
+        laws=("packed-equivalence", "round-frame"),
     )

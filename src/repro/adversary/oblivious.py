@@ -21,7 +21,7 @@ attacks on the randomness-exchange prefix, ...) live in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
 from repro.adversary.base import Adversary
 from repro.network.channel import (
@@ -46,10 +46,6 @@ def _index_pattern_by_link(pattern: Dict[SlotKey, object]) -> Dict[Tuple[int, in
     for (round_index, sender, receiver), value in pattern.items():
         by_link.setdefault((sender, receiver), {})[round_index] = value
     return by_link
-
-#: Sentinel distinguishing "slot not in pattern" from a pattern value of
-#: ``None`` (which the fixing adversary uses to force silence).
-_MISSING = object()
 
 
 def slot_key(ctx: TransmissionContext) -> SlotKey:
@@ -84,22 +80,6 @@ class AdditiveObliviousAdversary(Adversary):
         if offset == 0:
             return sent
         return apply_additive_noise(sent, offset)
-
-    def corrupt_window(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        # Precompute the additive noise mask of this window from the pattern;
-        # clean windows (the common case) pass through with no per-slot work.
-        pattern = self.pattern
-        if not pattern:
-            return list(symbols)
-        sender, receiver = ctx.link
-        base = ctx.base_round
-        mask = [pattern.get((base + offset, sender, receiver), 0) for offset in range(len(symbols))]
-        if not any(mask):
-            return list(symbols)
-        return [
-            sent if offset == 0 else apply_additive_noise(sent, offset)
-            for sent, offset in zip(symbols, mask)
-        ]
 
     def corrupt_window_packed(
         self, ctx: WindowContext, bits: int, present: int, count: int
@@ -172,24 +152,6 @@ class FixingObliviousAdversary(Adversary):
         if key in self.pattern:
             return self.pattern[key]
         return sent
-
-    def corrupt_window(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        # ``None`` is a legal pattern value (force silence), so membership is
-        # resolved with a private sentinel rather than ``dict.get``'s default.
-        pattern = self.pattern
-        if not pattern:
-            return list(symbols)
-        sender, receiver = ctx.link
-        base = ctx.base_round
-        missing = _MISSING
-        out = [
-            pattern.get((base + offset, sender, receiver), missing)
-            for offset in range(len(symbols))
-        ]
-        return [
-            sent if fixed is missing else fixed
-            for sent, fixed in zip(symbols, out)
-        ]
 
     def corrupt_window_packed(
         self, ctx: WindowContext, bits: int, present: int, count: int

@@ -29,13 +29,6 @@ from repro.utils.bitstring import plane_digits, positions_to_int, set_positions
 from repro.utils.rng import make_rng
 
 
-def _flip(symbol: Symbol) -> Symbol:
-    """Substitute a bit; turn silence into an inserted 0."""
-    if symbol is None:
-        return 0
-    return 1 - symbol
-
-
 def _corrupt_randomly(rng: random.Random, symbol: Symbol) -> Symbol:
     """Pick a uniformly random corruption of ``symbol`` (always a real change)."""
     if symbol is None:
@@ -67,19 +60,6 @@ def _corrupt_slot(
             bit_flips.append(slot)
     else:
         bit_flips.append(slot)
-
-
-def _pass_through_observing(budget: NoiseBudget, symbols: Sequence[Symbol]) -> List[Symbol]:
-    """Deliver a window untouched, bulk-observing its realised communication.
-
-    The shared fast path of every targeted/adaptive adversary for windows it
-    will never corrupt: only the budget's notion of the communication grows,
-    so the per-slot observe calls collapse into one bulk update.
-    """
-    transmitted = sum(1 for sent in symbols if sent is not None)
-    if transmitted:
-        budget.observe_transmissions(transmitted)
-    return list(symbols)
 
 
 @dataclass
@@ -119,51 +99,6 @@ class RandomNoiseAdversary(Adversary):
         if self.budget is not None:
             self.budget.spend()
         return corrupted
-
-    def corrupt_window(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        # The RNG stream must match the per-slot path draw for draw, so the
-        # corruption mask is drawn in offset order — but in one tight pass
-        # with everything bound locally and no per-slot contexts (the budget
-        # counters are mirrored locally and written back once).
-        corruption_probability = self.corruption_probability
-        insertion_probability = self.insertion_probability
-        budget = self.budget
-        if budget is None and corruption_probability <= 0.0 and insertion_probability <= 0.0:
-            return list(symbols)
-        rng = self._rng
-        rand = rng.random
-        out: List[Symbol] = []
-        append = out.append
-        if budget is None:
-            for sent in symbols:
-                probability = insertion_probability if sent is None else corruption_probability
-                if probability <= 0.0 or rand() >= probability:
-                    append(sent)
-                else:
-                    append(_corrupt_randomly(rng, sent))
-            return out
-        seen = budget.transmissions_seen
-        spent = budget.corruptions_spent
-        fraction = budget.fraction
-        allowance = budget.absolute_allowance
-        allowance_at = budget.allowance_at
-        for sent in symbols:
-            if sent is None:
-                probability = insertion_probability
-            else:
-                seen += 1
-                probability = corruption_probability
-            if probability <= 0.0 or rand() >= probability:
-                append(sent)
-                continue
-            if spent + 1 > allowance_at(fraction, seen, allowance):
-                append(sent)
-                continue
-            append(_corrupt_randomly(rng, sent))
-            spent += 1
-        budget.transmissions_seen = seen
-        budget.corruptions_spent = spent
-        return out
 
     def corrupt_window_packed(
         self, ctx: WindowContext, bits: int, present: int, count: int
@@ -298,14 +233,6 @@ class LinkTargetedAdversary(Adversary):
         self._spent += 1
         return _corrupt_randomly(self._rng, sent)
 
-    def corrupt_window(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        # Only one directed link is ever attacked, so every other window is a
-        # pure pass-through: observe the realised communication in bulk and
-        # skip the per-slot machinery entirely.
-        if ctx.link != self.target or (self.phases is not None and ctx.phase not in self.phases):
-            return _pass_through_observing(self._budget, symbols)
-        return super().corrupt_window(ctx, symbols)
-
     def corrupt_window_packed(
         self, ctx: WindowContext, bits: int, present: int, count: int
     ) -> Tuple[int, int]:
@@ -386,24 +313,12 @@ class BurstAdversary(Adversary):
         self._spent += 1
         return _corrupt_randomly(self._rng, sent)
 
-    def corrupt_window(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        # Windows disjoint from the burst interval (or after the cap is
-        # exhausted) touch no state at all — not even the RNG.
-        last_round = ctx.base_round + len(symbols) - 1
-        if (
-            self._spent >= self.max_corruptions
-            or last_round < self.start_round
-            or ctx.base_round > self.end_round
-        ):
-            return list(symbols)
-        return super().corrupt_window(ctx, symbols)
-
     def corrupt_window_packed(
         self, ctx: WindowContext, bits: int, present: int, count: int
     ) -> Tuple[int, int]:
         # Windows disjoint from the burst interval (or after the cap is
         # exhausted) pass their planes straight through; overlapping windows
-        # take the generic unpack fallback.
+        # take the per-slot fallback.
         last_round = ctx.base_round + count - 1
         if (
             self._spent >= self.max_corruptions
@@ -450,42 +365,6 @@ class DeletionAdversary(Adversary):
                 return sent
             self.budget.spend()
         return None
-
-    def corrupt_window(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        # Per-slot ``corrupt`` draws the RNG for every transmitted slot (even
-        # at probability 0), so the batch path must too — one draw per
-        # non-silent slot, in offset order.
-        rng = self._rng
-        rand = rng.random
-        probability = self.deletion_probability
-        budget = self.budget
-        out: List[Symbol] = []
-        append = out.append
-        if budget is None:
-            for sent in symbols:
-                if sent is None or rand() >= probability:
-                    append(sent)
-                else:
-                    append(None)
-            return out
-        seen = budget.transmissions_seen
-        spent = budget.corruptions_spent
-        fraction = budget.fraction
-        allowance = budget.absolute_allowance
-        allowance_at = budget.allowance_at
-        for sent in symbols:
-            if sent is None:
-                append(None)
-                continue
-            seen += 1
-            if rand() >= probability or spent + 1 > allowance_at(fraction, seen, allowance):
-                append(sent)
-                continue
-            append(None)
-            spent += 1
-        budget.transmissions_seen = seen
-        budget.corruptions_spent = spent
-        return out
 
     def corrupt_window_packed(
         self, ctx: WindowContext, bits: int, present: int, count: int
@@ -550,11 +429,11 @@ class CompositeAdversary(Adversary):
             raise ValueError("CompositeAdversary needs at least one component")
         self.oblivious = all(component.oblivious for component in self.components)
         self.may_insert = any(component.may_insert for component in self.components)
-        # The batched path runs each component over a whole window before the
-        # next one sees it, mirroring budget counters locally per component.
-        # That is only equivalent to the per-slot interleaving when every
+        # The kernels run each component over a whole window before the next
+        # one sees it, mirroring budget counters locally per component.  That
+        # is only equivalent to the per-slot interleaving when every
         # component owns its budget, so a shared NoiseBudget object is
-        # rejected rather than silently diverging between the two paths.
+        # rejected rather than silently diverging from the per-slot fallback.
         seen_budgets = set()
         for component in self._flattened():
             budget = getattr(component, "budget", None)
@@ -589,28 +468,17 @@ class CompositeAdversary(Adversary):
             symbol = component.corrupt(ctx, symbol)
         return symbol
 
-    def corrupt_window(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
+    def corrupt_window_packed(
+        self, ctx: WindowContext, bits: int, present: int, count: int
+    ) -> Tuple[int, int]:
         # Chaining whole windows is bit-identical to chaining per slot: each
         # component owns its RNG/budget, and its state when reaching slot i
         # depends only on the slots it already processed (0..i-1 of this
         # window in both orders) — the interleaving with other components is
         # unobservable.  Components with a real notify_delivery hook break
         # that argument, so they take the per-slot fallback (which chains
-        # `corrupt` per slot and forwards the original/final symbols through
-        # `notify_delivery`, exactly like the per-slot transport).
-        if not self._chain_windows:
-            return super().corrupt_window(ctx, symbols)
-        out = list(symbols)
-        for component in self.components:
-            out = component.corrupt_window(ctx, out)
-        return out
-
-    def corrupt_window_packed(
-        self, ctx: WindowContext, bits: int, present: int, count: int
-    ) -> Tuple[int, int]:
-        # Same chaining argument as ``corrupt_window``: each component's
-        # packed kernel is bit-identical to its symbol-sequence path, so the
-        # planes can flow straight through the chain without unpacking.
+        # ``corrupt`` per slot and forwards the original/final symbols
+        # through ``notify_delivery``).
         if not self._chain_windows:
             return super().corrupt_window_packed(ctx, bits, present, count)
         for component in self.components:
@@ -679,13 +547,6 @@ class PhaseTargetedAdaptiveAdversary(Adversary):
         return phase in self.phases and (
             self.max_iteration is None or iteration <= self.max_iteration
         )
-
-    def corrupt_window(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        # Windows outside the targeted phases (or beyond the iteration cap)
-        # only feed the budget's notion of realised communication.
-        if not self._targets(ctx.phase, ctx.iteration):
-            return _pass_through_observing(self._budget, symbols)
-        return super().corrupt_window(ctx, symbols)
 
     def corrupt_window_packed(
         self, ctx: WindowContext, bits: int, present: int, count: int
@@ -770,14 +631,6 @@ class RotatingLinkAdaptiveAdversary(Adversary):
         self._cursor = (self._cursor + 1) % len(self.links)
         return _corrupt_randomly(self._rng, sent)
 
-    def corrupt_window(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        # The cursor only advances when a corruption lands on the cursor
-        # link, so a window on any other link cannot become targeted
-        # mid-window: bulk-observe it and pass it through.
-        if ctx.link != tuple(self.links[self._cursor]):
-            return _pass_through_observing(self._budget, symbols)
-        return super().corrupt_window(ctx, symbols)
-
     def corrupt_window_packed(
         self, ctx: WindowContext, bits: int, present: int, count: int
     ) -> Tuple[int, int]:
@@ -830,14 +683,6 @@ class EchoSpoofingAdversary(Adversary):
             self._budget.spend()
             return self._rng.choice([0, 1])  # spoofed reply (insertion)
         return sent
-
-    def corrupt_window(self, ctx: WindowContext, symbols: Sequence[Symbol]) -> List[Symbol]:
-        # Only the two directions of the target link are ever touched; every
-        # other window just grows the observed communication.
-        target = tuple(self.target)
-        if ctx.link != target and (ctx.link[1], ctx.link[0]) != target:
-            return _pass_through_observing(self._budget, symbols)
-        return super().corrupt_window(ctx, symbols)
 
     def corrupt_window_packed(
         self, ctx: WindowContext, bits: int, present: int, count: int

@@ -16,13 +16,13 @@ are compared against the noiseless reference execution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.adversary.base import Adversary, NoiselessAdversary
 from repro.analysis.metrics import RunMetrics
 from repro.network.transport import NoisyNetwork
 from repro.protocols.base import Protocol, ReceivedMap
-from repro.utils.bitstring import symbol_to_bit
+from repro.utils.bitstring import pack_slots, plane_digits
 
 
 @dataclass
@@ -50,18 +50,22 @@ def run_uncoded(
     network = NoisyNetwork(graph, adversary=adversary)
     parties = {party: protocol.create_party(party) for party in graph.nodes}
     received: Dict[int, ReceivedMap] = {party: {} for party in graph.nodes}
+    link_bit = graph.directed_edge_index()
+    count = len(link_bit)
 
     for round_index, transmissions in enumerate(protocol.schedule()):
-        messages: Dict[Tuple[int, int], list] = {}
-        for sender, receiver in transmissions:
-            bit = parties[sender].send_bit(round_index, receiver, received[sender])
-            messages[(sender, receiver)] = [bit]
-        delivered = network.exchange_window(messages, 1, phase="baseline")
-        for sender, receiver in transmissions:
-            symbol = delivered[(sender, receiver)][0]
-            received[receiver][(round_index, sender)] = symbol_to_bit(symbol)
-        # Insertions on idle links are delivered but ignored: the receiver is
-        # not listening on a link with no scheduled transmission this round.
+        # One round frame over every directed link (bit j is link j).
+        slots = [
+            (link_bit[(sender, receiver)], parties[sender].send_bit(round_index, receiver, received[sender]))
+            for sender, receiver in transmissions
+        ]
+        bits, _ = network.exchange_round(*pack_slots(slots, count), phase="baseline")
+        # A deleted bit reads 0, like a delivered 0.  Insertions on idle links
+        # are delivered but ignored: the receiver is not listening on a link
+        # with no scheduled transmission this round.
+        delivered = plane_digits(bits, count)
+        for (sender, receiver), (position, _) in zip(transmissions, slots):
+            received[receiver][(round_index, sender)] = 1 if delivered[position] == "1" else 0
 
     outputs = {party: parties[party].compute_output(received[party]) for party in graph.nodes}
     success = all(outputs[party] == reference.outputs[party] for party in graph.nodes)

@@ -76,7 +76,6 @@ from repro.analysis.forensics import (
     render_trajectory,
     rewind_depth_trajectory,
 )
-from repro.core.config import DEFAULT_ENGINE_CONFIG, REFERENCE_ENGINE_CONFIG, EngineConfig
 from repro.core.engine import simulate
 from repro.core.parameters import SCHEME_PRESETS, scheme_by_name
 from repro.experiments.ablations import (
@@ -119,55 +118,8 @@ from repro.runtime import (
 DEFAULT_STORE_DIR = os.environ.get("REPRO_STORE_DIR", ".repro-runs")
 
 
-def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
-    """The engine-configuration flags (``--engine-*``).
-
-    Engine configuration selects among bit-identical execution paths
-    (:class:`~repro.core.config.EngineConfig`): results and cache keys never
-    change, only speed.  The flags exist for benchmarking and for bisecting a
-    suspected fast-path bug against the reference semantics.
-    """
-    parser.add_argument(
-        "--engine-reference", action="store_true",
-        help="run on the reference engine paths (every fast path off); "
-             "results are bit-identical, only slower",
-    )
-    for switch, what in [
-        ("fast-hashing", "table-stepped small-bias hashing"),
-        ("batched-transport", "batched window exchange"),
-        ("packed", "packed (bitmask-plane) transport and transcripts"),
-    ]:
-        parser.add_argument(
-            f"--engine-no-{switch}", action="store_true",
-            help=f"disable {what} (bit-identical, for benchmarking/bisecting)",
-        )
-
-
-def _engine_config(args: argparse.Namespace) -> Optional[EngineConfig]:
-    """Translate ``--engine-*`` flags into an :class:`EngineConfig`.
-
-    Returns ``None`` (ambient/default configuration) when no flag is given, so
-    plain invocations keep deferring to the runtime context.
-    """
-    if getattr(args, "engine_reference", False):
-        return REFERENCE_ENGINE_CONFIG
-    overrides = {
-        name: False
-        for flag, name in [
-            ("engine_no_fast_hashing", "fast_hashing"),
-            ("engine_no_batched_transport", "batched_transport"),
-            ("engine_no_packed", "packed"),
-        ]
-        if getattr(args, flag, False)
-    }
-    if not overrides:
-        return None
-    return DEFAULT_ENGINE_CONFIG.with_overrides(**overrides)
-
-
 def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
     """The runtime/reproducibility flags shared by all experiment commands."""
-    _add_engine_arguments(parser)
     parser.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes for trial execution (1 = serial; results are identical)",
@@ -277,7 +229,7 @@ def _runtime_overrides(args: argparse.Namespace) -> Dict[str, object]:
         backend = SerialBackend()
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     store = RunStore(args.store_dir) if args.store_dir else None
-    return {"backend": backend, "cache": cache, "store": store, "engine": _engine_config(args)}
+    return {"backend": backend, "cache": cache, "store": store}
 
 
 def _emit(
@@ -416,7 +368,6 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         scheme=scheme,
         adversary=adversary,
         seed=args.seed,
-        config=_engine_config(args),
     )
     rows = [result.summary()]
     report = ExperimentReport(
@@ -911,7 +862,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--store-dir", default=None, help="persist the result to this run store")
     run.add_argument("--output")
-    _add_engine_arguments(run)
     run.set_defaults(func=_cmd_simulate)
 
     worker = sub.add_parser("worker", help="distributed-execution worker daemon")

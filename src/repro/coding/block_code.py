@@ -18,37 +18,25 @@ corrects up to ``k`` byte errors out of ``3k`` byte positions — i.e. a
 constant fraction of corrupted bits, which is all the analysis in Section 5
 requires.
 
-Bits and symbols convert through ``bytes`` and ``int`` in C: a bit list is
-one byte per bit, translated to ASCII digits and parsed as a binary number.
+Messages and codewords are integers, bit ``i`` being message or wire bit
+``i``, and a received word is a ``(bits, present)`` plane pair (the
+:func:`~repro.utils.bitstring.pack_symbols` convention), so the code takes
+the transport's planes as they arrive.  Bits and GF(256) symbols convert
+through ``int.to_bytes``/``int.from_bytes`` in C: byte ``j`` of the
+little-endian encoding is symbol ``j``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Sequence
+from typing import List
 
 from repro.coding.reed_solomon import DecodingError, ReedSolomonCode
-from repro.utils.bitstring import Symbol
 
 __all__ = ["BinaryBlockCode", "DecodingError"]
 
 _BITS_PER_SYMBOL = 8
-_BITS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-_DIGITS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _pack(flags: bytes, num_symbols: int) -> bytes:
-    """One byte per bit (0 or 1, LSB of each symbol first) to ``num_symbols`` symbols."""
-    value = int(flags[::-1].translate(_BITS_TO_DIGITS), 2) if flags else 0
-    return value.to_bytes(num_symbols, "little")
-
-
-def _unpack(symbols: bytes) -> List[int]:
-    """Inverse of :func:`_pack`: the bits of ``symbols``, LSB of each symbol first."""
-    width = _BITS_PER_SYMBOL * len(symbols)
-    digits = format(int.from_bytes(symbols, "little"), f"0{width}b").encode()
-    return list(digits.translate(_DIGITS_TO_BITS)[::-1])
 
 
 @dataclass(frozen=True)
@@ -117,41 +105,36 @@ class BinaryBlockCode:
 
     # -- public API ------------------------------------------------------------------
 
-    def encode(self, bits: Sequence[int]) -> List[int]:
-        """Encode ``message_bits`` bits into ``codeword_bits`` bits."""
-        if len(bits) != self.message_bits:
-            raise ValueError(f"expected {self.message_bits} message bits, got {len(bits)}")
-        symbols = _pack(bytes(bits), self.message_symbols)
+    def encode(self, message: int) -> int:
+        """Encode a ``message_bits``-bit message into a ``codeword_bits``-bit codeword."""
+        if message < 0 or message >> self.message_bits:
+            raise ValueError(f"message must be a non-negative {self.message_bits}-bit integer")
+        symbols = message.to_bytes(self.message_symbols, "little")
         codeword = bytearray()
         cursor = 0
         for code in self._blocks:
             codeword += bytes(code.encode(symbols[cursor:cursor + code.message_length]))
             cursor += code.message_length
-        return _unpack(codeword)
+        return int.from_bytes(codeword, "little")
 
-    def decode(self, received: Sequence[Symbol]) -> List[int]:
-        """Decode a received bit sequence (entries may be 0, 1 or ``None``).
+    def decode(self, bits: int, present: int) -> int:
+        """Decode a received word given as ``(bits, present)`` planes.
 
-        ``None`` entries are treated as erasures.  A word shorter than the
-        codeword is padded with erasures; extra symbols are ignored.  Raises
+        A byte with any cleared ``present`` bit is an erased RS symbol whose
+        missing bits read 0.  Slots beyond the codeword are ignored.  Raises
         :class:`DecodingError` if any block is beyond the correction radius.
         """
-        padded: List[Symbol] = list(received[: self.codeword_bits])
-        padded.extend([None] * (self.codeword_bits - len(padded)))
-        # An erased bit reads 0 and erases its symbol.
-        erased = set()
-        position = -1
-        for _ in range(padded.count(None)):
-            position = padded.index(None, position + 1)
-            padded[position] = 0
-            erased.add(position // _BITS_PER_SYMBOL)
-        word = _pack(bytes(padded), self.codeword_bits // _BITS_PER_SYMBOL)
+        num_symbols = self.codeword_bits // _BITS_PER_SYMBOL
+        full = (1 << self.codeword_bits) - 1
+        word = (bits & present & full).to_bytes(num_symbols, "little")
+        received = (present & full).to_bytes(num_symbols, "little")
+        erased = [index for index, byte in enumerate(received) if byte != 0xFF]
 
         message = bytearray()
         cursor = 0
         for code in self._blocks:
             end = cursor + code.block_length
-            erasures = [symbol - cursor for symbol in sorted(erased) if cursor <= symbol < end]
+            erasures = [symbol - cursor for symbol in erased if cursor <= symbol < end]
             message += bytes(code.decode(word[cursor:end], erasure_positions=erasures))
             cursor = end
-        return _unpack(message)[: self.message_bits]
+        return int.from_bytes(message, "little") & ((1 << self.message_bits) - 1)

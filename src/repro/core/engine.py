@@ -39,7 +39,6 @@ from repro.adversary.base import Adversary, NoiselessAdversary
 from repro.analysis.metrics import RunMetrics
 from repro.analysis.potential import PotentialTrace, compute_snapshot
 from repro.core.chunking import ChunkedProtocol
-from repro.core.config import DEFAULT_ENGINE_CONFIG, EngineConfig
 from repro.core.meeting_points import (
     _RAW_INPUT_CAP_BITS,
     STATUS_MEETING_POINTS,
@@ -97,39 +96,14 @@ class InteractiveCodingSimulator:
         scheme: Optional[SchemeParameters] = None,
         adversary: Optional[Adversary] = None,
         seed: int = 0,
-        config: Optional[EngineConfig] = None,
     ) -> None:
         self.protocol = protocol
         self.graph: Graph = protocol.graph
         self.scheme = scheme if scheme is not None else crs_oblivious_scheme()
         self.adversary = adversary if adversary is not None else NoiselessAdversary()
         self.seed = seed
-
-        if config is None:
-            config = DEFAULT_ENGINE_CONFIG
-        #: The execution configuration this simulator was built with.  The
-        #: switches below are copied out as plain *mutable* attributes rather
-        #: than read from the frozen config (or from scheme fields) for two
-        #: reasons: trial fingerprints (and therefore result caches) must be
-        #: unaffected — every configuration is bit-identical, pinned by the
-        #: equivalence suites — and tests/benchmarks flip individual switches
-        #: on a live simulator.
-        self.config = config
-        #: Batched meeting-points hashing (seeds_for_iteration + digest_many
-        #: + packed digests) instead of per-call derivation.
-        self.fast_hashing = config.fast_hashing
-        #: Packed-plane hot path: the meeting-points exchange travels as
-        #: ``(bits, present)`` integer planes through
-        #: :meth:`~repro.network.transport.NoisyNetwork.exchange_window_packed`
-        #: (one ``corrupt_window_packed`` kernel call and O(1)-popcount
-        #: accounting per link), and each lockstep round of the flag-passing,
-        #: simulation and rewind phases is one round frame through
-        #: :meth:`~repro.network.transport.NoisyNetwork.exchange_round` (one
-        #: ``corrupt_round_packed`` call per round), instead of per-slot
-        #: symbol sequences.
-        self.packed = config.packed
         #: The ambient observability context, captured once (a plain
-        #: attribute, for the same fingerprint-invisibility reason).  With the
+        #: attribute, so it stays fingerprint-invisible).  With the
         #: default disabled context the per-run cost is one attribute read and
         #: one branch; the iteration loop body is untouched.
         self._obs = get_obs()
@@ -142,9 +116,7 @@ class InteractiveCodingSimulator:
         )
         self.hasher = InnerProductHash(self.scheme.hash_output_bits(self.graph))
         self.tree = SpanningTree(self.graph, root=0)
-        self.network = NoisyNetwork(
-            self.graph, adversary=self.adversary, batched=config.batched_transport
-        )
+        self.network = NoisyNetwork(self.graph, adversary=self.adversary)
         #: Round-frame layout: bit ``j`` of a lockstep round is link
         #: ``self._links[j]``, and ``self._link_bit`` maps a link to its bit.
         self._links = self.graph.directed_edges()
@@ -298,16 +270,14 @@ class InteractiveCodingSimulator:
             counters[f"transport.transmissions.{phase}"] = count
         for phase, count in stats.corruptions_by_phase.items():
             counters[f"transport.corruptions.{phase}"] = count
-        fast_builds = reference_builds = truncations = resets = derivations = 0
+        builds = truncations = resets = derivations = 0
         for runtime in self.runtimes.values():
             for session in runtime.sessions.values():
-                fast_builds += session.fast_builds
-                reference_builds += session.reference_builds
+                builds += session.builds
                 truncations += session.truncations
                 resets += session.resets
                 derivations += getattr(session.seed_source, "derivations", 0)
-        counters["hashing.packed_builds"] = fast_builds
-        counters["hashing.reference_builds"] = reference_builds
+        counters["hashing.packed_builds"] = builds
         counters["hashing.session_truncations"] = truncations
         counters["hashing.session_resets"] = resets
         counters["hashing.seed_derivations"] = derivations
@@ -331,7 +301,6 @@ class InteractiveCodingSimulator:
                     hasher=self.hasher,
                     seed_source=seed_sources[(party, v)],
                     hash_input_mode=self.scheme.hash_input_mode,
-                    fast_hashing=self.fast_hashing,
                     recorder=recorder,
                     link=link_label(party, v),
                 )
@@ -386,40 +355,15 @@ class InteractiveCodingSimulator:
     # ------------------------------------------------- phase (i): meeting points --
 
     def _meeting_points_phase(self, iteration: int) -> None:
-        # One dense window per directed link: every session contributes its
-        # four concatenated hashes, and the whole network-wide exchange is a
-        # single batched window transmission.
-        if self.packed:
-            self._meeting_points_phase_packed(iteration)
-            return
-        window = 4 * self.hasher.output_bits
-        messages: Dict[Tuple[int, int], List[int]] = {}
-        for runtime in self.runtimes.values():
-            for neighbor in runtime.neighbors():
-                session = runtime.sessions[neighbor]
-                messages[(runtime.party, neighbor)] = session.build_message(
-                    iteration, runtime.transcripts[neighbor]
-                )
-        delivered = self.network.exchange_window(messages, window, "meeting_points", iteration)
-        for runtime in self.runtimes.values():
-            for neighbor in runtime.neighbors():
-                session = runtime.sessions[neighbor]
-                transcript = runtime.transcripts[neighbor]
-                outcome = session.process_reply(iteration, transcript, delivered[(neighbor, runtime.party)])
-                self._apply_mp_outcome(iteration, runtime, neighbor, transcript, outcome)
+        """Phase (i): one dense window per directed link, as integer planes.
 
-    def _meeting_points_phase_packed(self, iteration: int) -> None:
-        """Phase (i) on the packed hot path.
-
-        Same exchange, carried as integer planes: each session's 4τ-bit hash
-        message is one packed integer (every slot present), the transport's
+        Each session's 4τ-bit hash message is one packed integer (every slot
+        present), the transport's
         :meth:`~repro.network.transport.NoisyNetwork.exchange_window_packed`
         runs one ``corrupt_window_packed`` kernel per directed link, and the
         reply planes feed
         :meth:`~repro.core.meeting_points.MeetingPointsSession.process_reply_packed`
-        directly — no per-slot symbol lists anywhere.  Bit-identical to the
-        symbol-sequence phase above for every stock adversary
-        (``tests/test_hashing_equivalence.py``/``tests/test_transport.py`` pin this).
+        directly.
         """
         window = 4 * self.hasher.output_bits
         full = (1 << window) - 1
@@ -450,7 +394,7 @@ class InteractiveCodingSimulator:
         transcript: LinkTranscript,
         outcome,
     ) -> None:
-        """Shared per-link bookkeeping of one meeting-points outcome."""
+        """Per-link bookkeeping of one meeting-points outcome."""
         runtime.link_status[neighbor] = outcome.status
         if outcome.truncate_to is not None:
             transcript.truncate_to(outcome.truncate_to)
@@ -721,34 +665,11 @@ class InteractiveCodingSimulator:
         self, slots: List[Tuple[int, int]], phase: str, iteration: int
     ) -> Tuple[int, int]:
         """One lockstep round: send ``bit`` on the link at each ``(position, bit)``
-        of ``slots`` (positions in ``graph.directed_edges()``), return the
-        delivered round frame ``(bits, present)``.
-
-        With ``packed`` the frame goes to
-        :meth:`~repro.network.transport.NoisyNetwork.exchange_round` as is.
-        Otherwise this adapter turns it into the symbol-list messages of a
-        width-1 sparse :meth:`~repro.network.transport.NoisyNetwork.exchange_window`,
-        so the reference configuration still runs per-slot ``transmit``
-        through the same phase bodies.
-        """
-        count = len(self._links)
-        if self.packed:
-            bits, present = pack_slots(slots, count)
-            return self.network.exchange_round(bits, present, phase, iteration)
-        links = self._links
-        messages = {links[position]: [bit] for position, bit in slots}
-        delivered = self.network.exchange_window(
-            messages, 1, phase, iteration, sparse=True
-        )
-        link_bit = self._link_bit
-        return pack_slots(
-            [
-                (link_bit[link], symbols[0])
-                for link, symbols in delivered.items()
-                if symbols[0] is not None
-            ],
-            count,
-        )
+        of ``slots`` (positions in ``graph.directed_edges()``) through
+        :meth:`~repro.network.transport.NoisyNetwork.exchange_round`, and
+        return the delivered round frame ``(bits, present)``."""
+        bits, present = pack_slots(slots, len(self._links))
+        return self.network.exchange_round(bits, present, phase, iteration)
 
     def _round_digits(
         self, slots: List[Tuple[int, int]], phase: str, iteration: int
@@ -826,9 +747,6 @@ def simulate(
     scheme: Optional[SchemeParameters] = None,
     adversary: Optional[Adversary] = None,
     seed: int = 0,
-    config: Optional[EngineConfig] = None,
 ) -> SimulationResult:
     """Convenience wrapper: build a simulator and run it once."""
-    return InteractiveCodingSimulator(
-        protocol, scheme=scheme, adversary=adversary, seed=seed, config=config
-    ).run()
+    return InteractiveCodingSimulator(protocol, scheme=scheme, adversary=adversary, seed=seed).run()

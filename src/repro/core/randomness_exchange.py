@@ -11,7 +11,7 @@ hash seeds are carved (:class:`~repro.hashing.seeds.ExchangedSeedSource`).
 Because the schedule is fixed, deletions are seen as erasures and insertions
 outside the schedule are ignored, so the code only needs to handle
 substitutions and erasures (paper footnote 9).  If decoding fails outright,
-the receiver falls back to the raw received bits: the two endpoints then hold
+the receiver falls back to the raw received bits (erasures read 0): the two endpoints then hold
 different seeds, all their hash comparisons keep failing, and the link
 behaves like the paper's ``E \\ E'`` set — which Section 5 shows the
 adversary cannot afford to create at the allowed noise rate.
@@ -28,7 +28,7 @@ from repro.hashing.seeds import ExchangedSeedSource, SeedSource
 from repro.hashing.small_bias import seed_length_bits
 from repro.network.graph import Graph, edge_key
 from repro.network.transport import NoisyNetwork
-from repro.utils.bitstring import bits_to_int, symbols_to_bits
+from repro.utils.bitstring import bits_to_int
 from repro.utils.rng import random_bits
 
 
@@ -61,32 +61,30 @@ def run_randomness_exchange(
     seed_bits = seed_length_bits(field_degree)
     code = BinaryBlockCode(message_bits=seed_bits, expansion=expansion)
     window = code.codeword_bits
+    full = (1 << window) - 1
 
-    sampled: Dict[Tuple[int, int], List[int]] = {}
-    messages: Dict[Tuple[int, int], List[int]] = {}
+    sampled: Dict[Tuple[int, int], int] = {}
+    messages: Dict[Tuple[int, int], Tuple[int, int]] = {}
     for u, v in graph.edges:  # canonical order: u < v, u is the sender
-        bits = random_bits(rng, seed_bits)
-        sampled[(u, v)] = bits
-        messages[(u, v)] = code.encode(bits)
+        seed = bits_to_int(random_bits(rng, seed_bits))
+        sampled[(u, v)] = seed
+        messages[(u, v)] = (code.encode(seed), full)
 
     before = network.communication()
-    received = network.exchange_window(messages, window_rounds=window, phase="randomness_exchange")
+    received = network.exchange_window_packed(messages, window, "randomness_exchange")
     communication = network.communication() - before
 
     report = RandomnessExchangeReport(seed_sources={}, communication=communication)
     for u, v in graph.edges:
-        sender_bits = sampled[(u, v)]
-        delivered = received[(u, v)]
+        sender_seed = sampled[(u, v)]
+        bits, present = received[(u, v)]
         try:
-            receiver_bits = code.decode(delivered)
+            receiver_seed = code.decode(bits, present)
         except DecodingError:
             # Decoding failure: fall back to the raw (erasure-filled) bits.
-            receiver_bits = symbols_to_bits(delivered[:seed_bits])
-            receiver_bits += [0] * (seed_bits - len(receiver_bits))
-        report.agreed[edge_key(u, v)] = receiver_bits == sender_bits
+            receiver_seed = bits & ((1 << seed_bits) - 1)
+        report.agreed[edge_key(u, v)] = receiver_seed == sender_seed
 
-        sender_seed = bits_to_int(sender_bits)
-        receiver_seed = bits_to_int(receiver_bits)
         sender_source = ExchangedSeedSource(
             link_seed=sender_seed, field_degree=field_degree, slot_capacity_bits=slot_capacity_bits
         )

@@ -35,17 +35,17 @@ Two access paths exist:
 * the **batched fast path**: :meth:`SeedSource.seeds_for_iteration` — the
   contract's one required method — derives every slot of an interned
   :class:`SeedLayout` in one expansion pass;
-* the **per-call reference path**: :meth:`SeedSource.seed_for` derives one
-  (iteration, purpose) slot at a time.  The concrete sources keep a per-slot
-  override whose bit streams the equivalence suite pins against the batched
-  path (``tests/test_hashing_equivalence.py``).
+* the **per-call path**: :meth:`SeedSource.seed_for` derives one
+  (iteration, purpose) slot at a time.  Meeting points uses it only when an
+  exchange mixes raw and fingerprint input widths; the equivalence suite
+  (``tests/test_hashing_equivalence.py``) pins its bit streams against the
+  batched path.
 """
 
 from __future__ import annotations
 
 import abc
 import hashlib
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -100,8 +100,8 @@ class SeedSource(abc.ABC):
     """Produces per-(iteration, purpose) hash seeds for one link.
 
     The unified expansion contract has one required method:
-    :meth:`seeds_for_iteration`.  Everything else (:meth:`seed_for`, the
-    deprecated :meth:`fork`) has a default implementation in terms of it.
+    :meth:`seeds_for_iteration`.  The other, :meth:`seed_for`, has a default
+    implementation in terms of it.
     """
 
     @abc.abstractmethod
@@ -130,20 +130,6 @@ class SeedSource(abc.ABC):
         value = seeds[index]
         assert value is not None  # non-zero length requested
         return value
-
-    def fork(self, iteration: int, purpose: str, length_bits: int) -> int:
-        """Deprecated pre-2.0 spelling of :meth:`seed_for`.
-
-        Kept as a thin compatibility wrapper for one release cycle; see the
-        migration note in ``docs/architecture.md``.
-        """
-        warnings.warn(
-            "SeedSource.fork() is deprecated; call seed_for() (or the batched "
-            "seeds_for_iteration()) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.seed_for(iteration, purpose, length_bits)
 
     @staticmethod
     def _purpose_index(purpose: str) -> int:

@@ -75,12 +75,12 @@ class TransmissionContext:
 class WindowContext:
     """Metadata describing one window of consecutive slots on one directed link.
 
-    The batched transmission path hands one ``WindowContext`` per directed
-    link to :meth:`~repro.adversary.base.Adversary.corrupt_window`; slot
+    The window transport hands one ``WindowContext`` per directed link to
+    :meth:`~repro.adversary.base.Adversary.corrupt_window_packed`; slot
     ``offset`` of the window corresponds to absolute round
     ``base_round + offset``.  :meth:`slot` materialises the equivalent
-    per-slot :class:`TransmissionContext`, which is what the fallback path
-    (and any adversary that only implements ``corrupt``) consumes.
+    per-slot :class:`TransmissionContext`, which is what the base per-slot
+    fallback (and any adversary that only implements ``corrupt``) consumes.
 
     A hand-rolled ``__slots__`` class rather than a dataclass: one instance
     is allocated per (link, window) on the transport hot path, where the
@@ -212,71 +212,6 @@ class ChannelStats:
             return 0.0
         return self.corruptions / self.transmissions
 
-    def record(self, ctx: TransmissionContext, sent: Symbol, received: Symbol) -> None:
-        """Account one channel slot."""
-        if sent is not None:
-            self.transmissions += 1
-            self.transmissions_by_phase[ctx.phase] = self.transmissions_by_phase.get(ctx.phase, 0) + 1
-        if received is not None:
-            self.delivered_symbols += 1
-        kind = classify_corruption(sent, received)
-        if kind is None:
-            return
-        if kind == "substitution":
-            self.substitutions += 1
-        elif kind == "deletion":
-            self.deletions += 1
-        else:
-            self.insertions += 1
-        self.corruptions_by_phase[ctx.phase] = self.corruptions_by_phase.get(ctx.phase, 0) + 1
-        link = (ctx.sender, ctx.receiver)
-        self.corruptions_by_link[link] = self.corruptions_by_link.get(link, 0) + 1
-
-    def record_window(
-        self,
-        ctx: WindowContext,
-        sent: Sequence[Symbol],
-        received: Sequence[Symbol],
-    ) -> None:
-        """Account one whole window on one directed link in a single pass.
-
-        Equivalent to calling :meth:`record` once per slot with the matching
-        :class:`TransmissionContext` — same totals, same per-phase and
-        per-link breakdowns — but the dictionaries are touched at most once
-        per window instead of once per slot.
-        """
-        transmissions = 0
-        delivered = 0
-        substitutions = 0
-        deletions = 0
-        insertions = 0
-        for sent_symbol, received_symbol in zip(sent, received):
-            if sent_symbol is not None:
-                transmissions += 1
-            if received_symbol is not None:
-                delivered += 1
-            if sent_symbol != received_symbol:
-                if sent_symbol is None:
-                    insertions += 1
-                elif received_symbol is None:
-                    deletions += 1
-                else:
-                    substitutions += 1
-        self.delivered_symbols += delivered
-        if transmissions:
-            self.transmissions += transmissions
-            phase_counts = self.transmissions_by_phase
-            phase_counts[ctx.phase] = phase_counts.get(ctx.phase, 0) + transmissions
-        corruptions = substitutions + deletions + insertions
-        if corruptions:
-            self.substitutions += substitutions
-            self.deletions += deletions
-            self.insertions += insertions
-            phase_corruptions = self.corruptions_by_phase
-            phase_corruptions[ctx.phase] = phase_corruptions.get(ctx.phase, 0) + corruptions
-            link_corruptions = self.corruptions_by_link
-            link_corruptions[ctx.link] = link_corruptions.get(ctx.link, 0) + corruptions
-
     def record_window_packed(
         self,
         ctx: WindowContext,
@@ -285,15 +220,15 @@ class ChannelStats:
         received_bits: int,
         received_present: int,
     ) -> None:
-        """Packed-plane variant of :meth:`record_window` — O(1) popcounts.
+        """Account one whole window on one directed link — O(1) popcounts.
 
         ``(bits, present)`` planes follow the
         :func:`~repro.utils.bitstring.pack_symbols` convention (``bits`` is a
-        subset of ``present``; a cleared ``present`` bit is silence).  The
-        totals and per-phase/per-link breakdowns are identical to the
-        symbol-sequence path: a substitution is a slot present on both sides
-        with differing bits, a deletion is present→absent, an insertion is
-        absent→present.
+        subset of ``present``; a cleared ``present`` bit is silence).  A
+        substitution is a slot present on both sides with differing bits, a
+        deletion is present→absent, an insertion is absent→present; each
+        corrupted slot counts once in the totals and in the per-phase and
+        per-link breakdowns.
         """
         corruptions = self._record_planes(
             ctx.phase, sent_bits, sent_present, received_bits, received_present

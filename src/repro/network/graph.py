@@ -111,8 +111,8 @@ class Graph:
     def directed_edge_index(self) -> Dict[DirectedEdge, int]:
         """Position of each directed edge within :meth:`directed_edges` (cached).
 
-        The transport uses this to visit a sparse subset of links in the same
-        canonical order as a full scan, without paying for the scan.
+        Bit ``j`` of a round frame is link ``directed_edges()[j]``; this maps a
+        link back to its bit.
         """
         cached = self._directed_index_cache
         if cached is None:

@@ -7,9 +7,9 @@ trial fingerprint ever sees it:
 
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters / gauges /
   histograms populated by the engine (per-phase round counts, sparse vs
-  dense window dispatches, idle rounds collapsed), the transport
-  (``ChannelStats`` totals), hashing (packed vs reference message builds,
-  seed derivations), the cache, the run store and the distributed backend;
+  dense dispatches, idle rounds collapsed), the transport
+  (``ChannelStats`` totals), hashing (message builds, seed derivations),
+  the cache, the run store and the distributed backend;
 * :class:`~repro.obs.trace.Tracer` — monotonic-clock spans (``trial_set`` /
   ``dispatch_chunk`` / ``trial`` / ``iteration`` / ``phase`` /
   ``cache_probe``) persisted into the :class:`~repro.runtime.store.RunStore`

@@ -1,0 +1,143 @@
+"""Reference semantics the production fast paths are tested against.
+
+Two oracles, each a direct transcription of the model rather than an
+optimisation of it:
+
+* :class:`PerSlotNetwork` — a :class:`~repro.network.transport.NoisyNetwork`
+  whose two transport methods deliver slot by slot through the adversary's
+  ``corrupt`` and ``notify_delivery``: directed links in
+  ``graph.directed_edges()`` order, then window offsets in order, skipping
+  silent slots when the adversary cannot insert.  It accounts each slot on
+  its own (:func:`record_slot`) and emits one flight-recorder event per
+  corrupted slot, as the production transport does.
+* :func:`build_message_per_call` — the meeting-points message built with one
+  ``seed_for`` derivation and one ``digest`` per hash, where production
+  derives an iteration's seeds in one batch and digests the three transcript
+  prefixes in one pass.
+
+Tests substitute them with ``monkeypatch`` (``repro.core.engine.NoisyNetwork``
+and ``MeetingPointsSession._build_message``); nothing in ``src/`` knows they
+exist.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Tuple
+
+from repro.core.meeting_points import _COUNTER_BITS
+from repro.network.channel import (
+    ChannelStats,
+    Symbol,
+    TransmissionContext,
+    WindowContext,
+    classify_corruption,
+)
+from repro.network.transport import NoisyNetwork
+from repro.obs.recorder import link_label
+from repro.utils.bitstring import pack_symbols, unpack_symbols
+
+
+def record_slot(stats: ChannelStats, ctx: TransmissionContext, sent: Symbol, received: Symbol) -> None:
+    """Account one channel slot: a transmission per sent symbol, one
+    corruption per changed slot, with per-phase and per-link breakdowns."""
+    if sent is not None:
+        stats.transmissions += 1
+        stats.transmissions_by_phase[ctx.phase] = stats.transmissions_by_phase.get(ctx.phase, 0) + 1
+    if received is not None:
+        stats.delivered_symbols += 1
+    kind = classify_corruption(sent, received)
+    if kind is None:
+        return
+    if kind == "substitution":
+        stats.substitutions += 1
+    elif kind == "deletion":
+        stats.deletions += 1
+    else:
+        stats.insertions += 1
+    stats.corruptions_by_phase[ctx.phase] = stats.corruptions_by_phase.get(ctx.phase, 0) + 1
+    link = (ctx.sender, ctx.receiver)
+    stats.corruptions_by_link[link] = stats.corruptions_by_link.get(link, 0) + 1
+
+
+class PerSlotNetwork(NoisyNetwork):
+    """The transport with every slot delivered through ``corrupt`` on its own."""
+
+    def exchange_window_packed(self, messages, window_rounds, phase, iteration=-1):
+        self.check_messages(messages, window_rounds)
+        received = {}
+        for link in self.graph.directed_edges():
+            bits, present = messages.get(link, (0, 0))
+            sent = unpack_symbols(bits, present, window_rounds)
+            received[link] = pack_symbols(
+                self._deliver(link, sent, phase, iteration, self.current_round)
+            )
+        self.current_round += window_rounds
+        return received
+
+    def exchange_round(self, bits, present, phase, iteration=-1):
+        links = self.graph.directed_edges()
+        sent = unpack_symbols(bits, present, len(links))
+        delivered: List[Symbol] = []
+        for link, symbol in zip(links, sent):
+            delivered.extend(self._deliver(link, [symbol], phase, iteration, self.current_round))
+        self.current_round += 1
+        return pack_symbols(delivered)
+
+    def check_messages(self, messages: Dict[Tuple[int, int], Tuple[int, int]], window_rounds: int) -> None:
+        """Reject what the production transport rejects, before any delivery."""
+        if window_rounds < 0:
+            raise ValueError("window_rounds must be non-negative")
+        links = self.graph.directed_edge_set()
+        for link, (bits, present) in messages.items():
+            if link not in links:
+                raise ValueError(f"message keyed on unknown link {link}: not a directed edge of the network")
+            unpack_symbols(bits, present, window_rounds)
+
+    def _deliver(self, link, sent: List[Symbol], phase: str, iteration: int, base_round: int) -> List[Symbol]:
+        adversary = self.adversary
+        window = WindowContext(link=link, phase=phase, iteration=iteration, base_round=base_round)
+        delivered: List[Symbol] = []
+        for offset, symbol in enumerate(sent):
+            if symbol is None and not adversary.may_insert:
+                delivered.append(None)
+                continue
+            ctx = window.slot(offset)
+            received = adversary.corrupt(ctx, symbol)
+            if received not in (0, 1, None):
+                raise ValueError(f"adversary produced invalid symbol {received!r}")
+            record_slot(self.stats, ctx, symbol, received)
+            if self.recorder is not None and received != symbol:
+                self.recorder.record_window(
+                    link_label(*link), phase, iteration, ctx.round_index, (symbol,), (received,)
+                )
+            adversary.notify_delivery(ctx, symbol, received)
+            delivered.append(received)
+        return delivered
+
+
+def build_message_per_call(session, iteration: int, transcript, length: int) -> int:
+    """A meeting-points message with one seed derivation and one digest per
+    hash; sets the session's own digests like the production builder."""
+    hasher = session.hasher
+    seeds = session.seed_source
+    counter_seed = seeds.seed_for(iteration, "mp_counter", hasher.seed_bits_required(_COUNTER_BITS))
+    counter = hasher.digest(session.k & ((1 << _COUNTER_BITS) - 1), _COUNTER_BITS, counter_seed)
+    prefixes = []
+    for num_chunks in (length, session._mp1, session._mp2):
+        value, input_bits = session._prefix_hash_input(transcript, num_chunks)
+        seed = seeds.seed_for(iteration, "mp_prefix", hasher.seed_bits_required(input_bits))
+        prefixes.append(hasher.digest(value, input_bits, seed))
+    session._own_counter_hash = counter
+    session._own_full_hash, session._own_mp1_hash, session._own_mp2_hash = prefixes
+    tau = hasher.output_bits
+    return counter | (prefixes[0] << tau) | (prefixes[1] << (2 * tau)) | (prefixes[2] << (3 * tau))
+
+
+def use_oracles(monkeypatch, network: bool = True, hashing: bool = True) -> None:
+    """Route every simulator built afterwards through the chosen oracles."""
+    if network:
+        monkeypatch.setattr("repro.core.engine.NoisyNetwork", PerSlotNetwork)
+    if hashing:
+        monkeypatch.setattr(
+            "repro.core.meeting_points.MeetingPointsSession._build_message", build_message_per_call
+        )

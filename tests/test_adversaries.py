@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import PerSlotNetwork
 
 from repro.adversary import ContractViolation, check_contract
 from repro.adversary.base import Adversary, NoiseBudget, NoiselessAdversary
@@ -24,7 +25,9 @@ from repro.adversary.strategies import (
 )
 from repro.experiments.table1 import _adaptive_factory, _oblivious_factory
 from repro.network.channel import RoundContext, Symbol, TransmissionContext, WindowContext
-from repro.network.topologies import random_connected_topology
+from repro.network.topologies import line_topology, random_connected_topology
+from repro.network.transport import NoisyNetwork
+from repro.utils.bitstring import pack_symbols, unpack_symbols
 
 
 def _ctx(round_index=0, sender=0, receiver=1, phase="simulation", iteration=0):
@@ -175,14 +178,13 @@ class TestLinkTargeted:
 
         listed, paired = build([0, 1]), build((0, 1))
         assert listed.target == (0, 1)
-        window = (1, 0, None, 1, 1, 0, 1, 0)
         bits, present = 0b10011001, 0b11111011
         links = ((0, 1), (1, 0), (1, 2), (2, 1))
         delivered = {}
         for adversary in (listed, paired):
             delivered[id(adversary)] = [
                 [adversary.corrupt(_ctx(round_index=r), 1) for r in range(8)],
-                adversary.corrupt_window(_window_ctx(base_round=10), window),
+                adversary.corrupt_window_packed(_window_ctx(base_round=10), 0b11001, 0b11011, 5),
                 adversary.corrupt_window_packed(_window_ctx(base_round=20), bits, present, 8),
                 [
                     adversary.corrupt_round_packed(
@@ -289,9 +291,9 @@ class TestComposite:
         assert composite.oblivious is False
 
     def test_rejects_shared_noise_budget(self):
-        """A budget shared between components would make the batched and
-        per-slot paths diverge (the batch overrides mirror counters locally
-        per component), so the unsupported configuration fails loudly."""
+        """A budget shared between components would make the window kernels
+        diverge from per-slot delivery (they mirror counters locally per
+        component), so the unsupported configuration fails loudly."""
         shared = NoiseBudget(fraction=0.1)
         with pytest.raises(ValueError, match="share a NoiseBudget"):
             CompositeAdversary(
@@ -391,9 +393,6 @@ class _NotifyDependentAdversary(Adversary):
 
 
 def test_composite_with_notify_using_component_stays_bit_identical():
-    from repro.network.topologies import line_topology
-    from repro.network.transport import NoisyNetwork
-
     def build():
         return CompositeAdversary(
             components=(
@@ -402,17 +401,18 @@ def test_composite_with_notify_using_component_stays_bit_identical():
             )
         )
 
-    batched = NoisyNetwork(line_topology(3), adversary=build())
-    per_slot = NoisyNetwork(line_topology(3), adversary=build())
-    messages = {(0, 1): [1, 1, 0, 1, 0, 1], (1, 2): [0, 1, 1, None, 1, 0]}
-    a = batched.exchange_window(messages, 6, phase="simulation")
-    b = per_slot.exchange_window_per_slot(messages, 6, phase="simulation")
-    assert a == b
-    assert batched.stats == per_slot.stats
-    assert (
-        batched.adversary.components[1].last_was_clean
-        == per_slot.adversary.components[1].last_was_clean
-    )
+    planes = NoisyNetwork(line_topology(3), adversary=build())
+    per_slot = PerSlotNetwork(line_topology(3), adversary=build())
+    messages = {
+        (0, 1): pack_symbols([1, 1, 0, 1, 0, 1]),
+        (1, 2): pack_symbols([0, 1, 1, None, 1, 0]),
+    }
+    for network in (planes, per_slot):
+        network.exchange_window_packed(messages, 6, phase="simulation")
+        network.exchange_round(0b0101, 0b1111, phase="rewind")
+    assert planes.stats == per_slot.stats
+    assert planes.current_round == per_slot.current_round == 7
+    assert _state_snapshot(planes.adversary) == _state_snapshot(per_slot.adversary)
 
 
 class _PerSlotOnlyAdversary(Adversary):
@@ -436,7 +436,8 @@ class _PerSlotOnlyAdversary(Adversary):
 
 
 class TestCorruptWindow:
-    """The batch contract: corrupt_window must mirror per-slot corrupt calls."""
+    """The window contract: corrupt_window_packed must mirror per-slot
+    corrupt calls."""
 
     def _per_slot_reference(self, build, ctx, window):
         """Drive `corrupt` slot by slot the way the per-slot transport would."""
@@ -498,17 +499,15 @@ class TestCorruptWindow:
         ctx = _window_ctx(link=(0, 1), phase="simulation", base_round=0)
         reference_adversary, reference = self._per_slot_reference(builder, ctx, window)
         adversary = builder()
-        delivered = adversary.corrupt_window(ctx, window)
-        assert delivered == reference
-        rng = getattr(adversary, "_rng", None)
-        if rng is not None:
-            assert rng.getstate() == reference_adversary._rng.getstate()
+        delivered = adversary.corrupt_window_packed(ctx, *pack_symbols(window), len(window))
+        assert delivered == pack_symbols(reference)
+        assert _state_snapshot(adversary) == _state_snapshot(reference_adversary)
 
     def test_fallback_covers_corrupt_only_adversaries(self):
         adversary = _PerSlotOnlyAdversary()
         ctx = _window_ctx(link=(0, 1), base_round=10)
-        delivered = adversary.corrupt_window(ctx, [1, None, 0])
-        assert delivered == [0, None, 1]
+        delivered = adversary.corrupt_window_packed(ctx, *pack_symbols([1, None, 0]), 3)
+        assert unpack_symbols(*delivered, 3) == [0, None, 1]
         # the fallback materialised one per-slot context per slot, in order,
         # and interleaved the notification hook exactly like the slot path
         assert adversary.calls == [(10, 0, 1), (11, 1, None), (12, 2, 0)]
@@ -517,9 +516,17 @@ class TestCorruptWindow:
     def test_fallback_skips_silent_slots_for_non_inserting_adversaries(self):
         adversary = _PerSlotOnlyAdversary()
         adversary.may_insert = False
-        delivered = adversary.corrupt_window(_window_ctx(), [None, 1, None])
-        assert delivered == [None, 0, None]
+        delivered = adversary.corrupt_window_packed(_window_ctx(), *pack_symbols([None, 1, None]), 3)
+        assert unpack_symbols(*delivered, 3) == [None, 0, None]
         assert adversary.calls == [(1, 1, 1)]
+
+    def test_fallback_rejects_invalid_symbols(self):
+        class Sevens(_PerSlotOnlyAdversary):
+            def corrupt(self, ctx, sent):
+                return 7
+
+        with pytest.raises(ValueError, match="invalid symbol 7"):
+            Sevens().corrupt_window_packed(_window_ctx(), 1, 1, 1)
 
     def test_window_context_slot_materialisation(self):
         ctx = _window_ctx(link=(3, 5), phase="rewind", iteration=7, base_round=100)
@@ -656,9 +663,7 @@ class TestRoundFrame:
         adversary = DeletesEverything(corruption_probability=0.0, seed=0)
         assert adversary.corrupt_round_packed(ctx, 0b0101, 0b0111) == (0, 0)
 
-    @pytest.mark.parametrize(
-        "override", ["corrupt", "corrupt_window", "corrupt_window_packed", "notify_delivery"]
-    )
+    @pytest.mark.parametrize("override", ["corrupt", "corrupt_window_packed", "notify_delivery"])
     def test_every_kernel_input_demotes(self, override):
         namespace = {override: getattr(Adversary, override)}
         subclass = type("Override", (PhaseTargetedAdaptiveAdversary,), namespace)
@@ -695,6 +700,52 @@ class TestRoundFrame:
             WidePlanes().corrupt_round_packed(ctx, 1, 1)
 
 
+class TestStaleKernels:
+    """A subclass that overrides ``corrupt`` or ``notify_delivery`` of a stock
+    adversary gets the base kernels, so its override is honoured on every
+    transport path."""
+
+    class AlwaysDelete(RandomNoiseAdversary):
+        def corrupt(self, ctx, sent):
+            return None
+
+    class Watching(RandomNoiseAdversary):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            self.seen = []
+
+        def notify_delivery(self, ctx, sent, received):
+            self.seen.append((ctx.round_index, ctx.sender, ctx.receiver, sent, received))
+
+    def test_stock_kernels_are_demoted(self):
+        for klass in (self.AlwaysDelete, self.Watching):
+            assert klass.corrupt_window_packed is Adversary.corrupt_window_packed
+            assert klass.corrupt_round_packed is Adversary.corrupt_round_packed
+        assert RandomNoiseAdversary.corrupt_window_packed is not Adversary.corrupt_window_packed
+
+    def test_corrupt_override_deletes_on_both_plane_paths(self):
+        network = NoisyNetwork(line_topology(3), adversary=self.AlwaysDelete(seed=0))
+        delivered = network.exchange_window_packed({(0, 1): (0b101, 0b111)}, 3, "meeting_points")
+        assert delivered[(0, 1)] == (0, 0)
+        assert network.exchange_round(0b0011, 0b0111, "simulation") == (0, 0)
+        assert network.stats.deletions == 3 + 3
+        assert network.stats.transmissions == 3 + 3
+
+    def test_notify_override_sees_every_slot(self):
+        graph = line_topology(3)  # directed links (0, 1), (1, 0), (1, 2), (2, 1)
+        adversary = self.Watching(corruption_probability=0.0, seed=0)
+        network = NoisyNetwork(graph, adversary=adversary)
+        network.exchange_window_packed({(0, 1): (0b10, 0b11), (2, 1): (0b1, 0b1)}, 2, "meeting_points")
+        network.exchange_round(0b0100, 0b0110, "simulation")
+        assert adversary.seen == [
+            (0, 0, 1, 0, 0),
+            (1, 0, 1, 1, 1),
+            (0, 2, 1, 1, 1),
+            (2, 1, 0, 0, 0),
+            (2, 1, 2, 1, 1),
+        ]
+
+
 class TestCheckContract:
     """`repro.adversary.check_contract` conformance over every stock adversary."""
 
@@ -705,7 +756,7 @@ class TestCheckContract:
         adversary = builder()
         report = check_contract(adversary)
         assert report.adversary == adversary.name
-        assert report.laws == ("batched-equivalence", "packed-equivalence", "round-frame")
+        assert report.laws == ("packed-equivalence", "round-frame")
 
     def test_checker_does_not_mutate_the_subject(self):
         adversary = RandomNoiseAdversary(corruption_probability=0.5, seed=42)
@@ -714,12 +765,15 @@ class TestCheckContract:
         assert adversary._rng.getstate() == stream_before
 
     def test_rejects_batched_divergence(self):
-        class DivergentBatchAdversary(DeletionAdversary):
-            def corrupt_window(self, ctx, symbols):
-                return list(symbols)  # skips the per-slot RNG draws
+        """A window kernel that delivers the right planes but skips the
+        per-slot RNG draws is caught by the state comparison."""
 
-        divergent = DivergentBatchAdversary(deletion_probability=0.5, seed=1)
-        with pytest.raises(ContractViolation, match="batched-equivalence"):
+        class DivergentBatchAdversary(DeletionAdversary):
+            def corrupt_window_packed(self, ctx, bits, present, count):
+                return bits, present  # right planes at probability 0, no draws
+
+        divergent = DivergentBatchAdversary(deletion_probability=0.0, seed=1)
+        with pytest.raises(ContractViolation, match="left different state"):
             check_contract(divergent)
 
     def test_rejects_packed_divergence(self):

@@ -82,3 +82,38 @@ class TestFullyUtilizedConversion:
         assert conversion.converted_communication == (
             2 * aggregation_line6.graph.num_edges * aggregation_line6.num_rounds
         )
+
+
+def _baseline_adversaries():
+    from repro.adversary.oblivious import FixingObliviousAdversary
+    from repro.adversary.strategies import RandomNoiseAdversary
+
+    return {
+        "random-noise-inserting": lambda: RandomNoiseAdversary(
+            corruption_probability=0.1, insertion_probability=0.05, seed=4
+        ),
+        "deletion": lambda: DeletionAdversary(deletion_probability=0.2, seed=5),
+        "link-targeted": lambda: LinkTargetedAdversary(target=(1, 2), fraction=0.5, seed=6),
+        "fixing": lambda: FixingObliviousAdversary(
+            pattern={(round_index, 1, 0): round_index % 2 for round_index in range(0, 40, 3)}
+        ),
+    }
+
+
+@pytest.mark.parametrize("run", [run_uncoded, run_repetition], ids=["uncoded", "repetition"])
+@pytest.mark.parametrize("adversary_name", sorted(_baseline_adversaries()))
+def test_baselines_match_per_slot_delivery(run, adversary_name, gossip_line5, monkeypatch):
+    """The baselines' plane transport delivers what slot-by-slot delivery does."""
+    from oracle import PerSlotNetwork
+
+    from repro.adversary.contract import _state_snapshot
+
+    build = _baseline_adversaries()[adversary_name]
+    production_adversary = build()
+    production = run(gossip_line5, adversary=production_adversary)
+    monkeypatch.setattr(f"{run.__module__}.NoisyNetwork", PerSlotNetwork)
+    oracle_adversary = build()
+    oracle = run(gossip_line5, adversary=oracle_adversary)
+    assert production.metrics == oracle.metrics
+    assert production.outputs == oracle.outputs
+    assert _state_snapshot(production_adversary) == _state_snapshot(oracle_adversary)

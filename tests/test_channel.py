@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from oracle import record_slot
 
 from repro.network.channel import (
     ChannelStats,
@@ -13,6 +14,7 @@ from repro.network.channel import (
     apply_additive_noise,
     classify_corruption,
 )
+from repro.utils.bitstring import pack_symbols
 
 
 class TestAdditiveNoise:
@@ -62,13 +64,19 @@ def _ctx(phase="simulation", sender=0, receiver=1, round_index=0) -> Transmissio
     return TransmissionContext(round_index=round_index, sender=sender, receiver=receiver, phase=phase)
 
 
+def _record(stats: ChannelStats, ctx: TransmissionContext, sent, received) -> None:
+    """Account one slot through the transport's window accounting."""
+    window = WindowContext(link=(ctx.sender, ctx.receiver), phase=ctx.phase, base_round=ctx.round_index)
+    stats.record_window_packed(window, *pack_symbols([sent]), *pack_symbols([received]))
+
+
 class TestChannelStats:
     def test_counts_transmissions_and_corruptions(self):
         stats = ChannelStats()
-        stats.record(_ctx(), 1, 1)
-        stats.record(_ctx(), 1, 0)
-        stats.record(_ctx(), 0, None)
-        stats.record(_ctx(), None, 1)
+        _record(stats, _ctx(), 1, 1)
+        _record(stats, _ctx(), 1, 0)
+        _record(stats, _ctx(), 0, None)
+        _record(stats, _ctx(), None, 1)
         assert stats.transmissions == 3  # the insertion slot carried no sent symbol
         assert stats.substitutions == 1
         assert stats.deletions == 1
@@ -79,26 +87,26 @@ class TestChannelStats:
         stats = ChannelStats()
         assert stats.noise_fraction() == 0.0
         for _ in range(9):
-            stats.record(_ctx(), 1, 1)
-        stats.record(_ctx(), 1, 0)
+            _record(stats, _ctx(), 1, 1)
+        _record(stats, _ctx(), 1, 0)
         assert stats.noise_fraction() == pytest.approx(0.1)
 
     def test_per_phase_accounting(self):
         stats = ChannelStats()
-        stats.record(_ctx(phase="meeting_points"), 1, 1)
-        stats.record(_ctx(phase="simulation"), 1, 0)
+        _record(stats, _ctx(phase="meeting_points"), 1, 1)
+        _record(stats, _ctx(phase="simulation"), 1, 0)
         assert stats.transmissions_by_phase == {"meeting_points": 1, "simulation": 1}
         assert stats.corruptions_by_phase == {"simulation": 1}
 
     def test_per_link_accounting(self):
         stats = ChannelStats()
-        stats.record(_ctx(sender=2, receiver=3), 1, 0)
-        stats.record(_ctx(sender=2, receiver=3), 0, 1)
+        _record(stats, _ctx(sender=2, receiver=3), 1, 0)
+        _record(stats, _ctx(sender=2, receiver=3), 0, 1)
         assert stats.corruptions_by_link == {(2, 3): 2}
 
     def test_snapshot_keys(self):
         stats = ChannelStats()
-        stats.record(_ctx(), 1, 1)
+        _record(stats, _ctx(), 1, 1)
         snapshot = stats.snapshot()
         assert snapshot["transmissions"] == 1
         assert snapshot["corruptions"] == 0
@@ -114,10 +122,10 @@ class TestRecordWindow:
         sent = [1, 0, None, 1, None]
         received = [1, 1, None, None, 0]  # clean, substitution, clean, deletion, insertion
         windowed = ChannelStats()
-        windowed.record_window(ctx, sent, received)
+        windowed.record_window_packed(ctx, *pack_symbols(sent), *pack_symbols(received))
         per_slot = ChannelStats()
         for offset, (s, r) in enumerate(zip(sent, received)):
-            per_slot.record(ctx.slot(offset), s, r)
+            record_slot(per_slot, ctx.slot(offset), s, r)
         assert windowed == per_slot
         assert windowed.transmissions == 3
         assert windowed.delivered_symbols == 3
@@ -125,7 +133,7 @@ class TestRecordWindow:
 
     def test_all_silent_window_is_a_no_op(self):
         stats = ChannelStats()
-        stats.record_window(self._window_ctx(), [None] * 4, [None] * 4)
+        stats.record_window_packed(self._window_ctx(), 0, 0, 0, 0)
         assert stats == ChannelStats()
 
     def test_matches_per_slot_on_random_windows(self):
@@ -142,7 +150,7 @@ class TestRecordWindow:
             width = rng.randint(0, 10)
             sent = [rng.choice([0, 1, None]) for _ in range(width)]
             received = [rng.choice([0, 1, None]) for _ in range(width)]
-            windowed.record_window(ctx, sent, received)
+            windowed.record_window_packed(ctx, *pack_symbols(sent), *pack_symbols(received))
             for offset, (s, r) in enumerate(zip(sent, received)):
-                per_slot.record(ctx.slot(offset), s, r)
+                record_slot(per_slot, ctx.slot(offset), s, r)
         assert windowed == per_slot

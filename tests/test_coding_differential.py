@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.coding.block_code import BinaryBlockCode
 from repro.coding.reed_solomon import DecodingError, ReedSolomonCode
+from repro.utils.bitstring import bits_to_int, int_to_bits, pack_symbols
 
 # ------------------------------------------------------------------ oracle --
 
@@ -233,7 +234,7 @@ def test_binary_block_code_matches_oracle(data):
     message_bits = data.draw(st.sampled_from([8, 13, 64, 128, 200, 720]))  # 720: two RS blocks
     code = BinaryBlockCode(message_bits=message_bits, expansion=data.draw(st.sampled_from([2, 3])))
     bits = data.draw(st.lists(st.integers(0, 1), min_size=message_bits, max_size=message_bits))
-    codeword = code.encode(bits)
+    codeword = int_to_bits(code.encode(bits_to_int(bits)), code.codeword_bits)
     assert codeword == [
         (symbol >> offset) & 1
         for block_message, block in _split(bits, code)
@@ -247,8 +248,8 @@ def test_binary_block_code_matches_oracle(data):
     ):
         received[index] = symbol
     received = received[: data.draw(st.integers(len(received) - 20, len(received) + 5))]
-    expected = _outcome(lambda: oracle_binary_decode(code, received))
-    assert _outcome(lambda: code.decode(received)) == expected
+    expected = _outcome(lambda: bits_to_int(oracle_binary_decode(code, received)))
+    assert _outcome(lambda: code.decode(*pack_symbols(received))) == expected
 
 
 def _split(bits: Sequence[int], code: BinaryBlockCode):

@@ -1,26 +1,24 @@
-"""EngineConfig: one frozen switchboard, fingerprint-invisible by contract.
+"""One execution path: fingerprints, the per-slot oracle and the removed switches.
 
-:class:`repro.core.config.EngineConfig` holds the three execution switches
-(``fast_hashing``, ``batched_transport`` and ``packed``).  This suite pins the
-three promises it makes:
+The engine used to carry an ``EngineConfig`` of three bit-identical execution
+switches.  It now has one path, and the reference semantics live in
+``tests/oracle.py``.  This suite pins what survives of the old promises:
 
-* **Fingerprint invisibility** — the configuration selects among bit-identical
-  execution paths, so it must never alter a trial fingerprint or cache key: a
-  result computed under any configuration is served for the same trial under
-  any other.
-* **Bit-identity** — the reference profile (everything off) and the default
-  profile (everything on) produce identical results on real noisy trials.
-* **One surface** — the config object is the only way to pick a path; the
-  removed switches and keywords fail loudly instead of being ignored.
+* **Fingerprint invisibility** — how a trial executes never alters its
+  fingerprint or cache key: the key of a fixed trial is the golden value it
+  had while the switches existed, and a result computed through the oracles
+  is served for the same trial run in production.
+* **Bit-identity** — production and the per-slot, per-call-hashing oracles
+  produce identical results on real noisy trials.
+* **One surface** — the removed configuration module, keywords, spec field
+  and CLI flags fail loudly instead of being ignored.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields
-
 import pytest
+from oracle import use_oracles
 
-from repro.core.config import DEFAULT_ENGINE_CONFIG, REFERENCE_ENGINE_CONFIG, EngineConfig
 from repro.core.engine import InteractiveCodingSimulator, simulate
 from repro.core.parameters import crs_oblivious_scheme, scheme_by_name
 from repro.experiments.factories import RandomNoiseFactory
@@ -43,141 +41,101 @@ def cell():
 # ---------------------------------------------------------------------------
 
 
-def test_engine_config_never_enters_the_fingerprint(cell):
+def test_engine_config_never_enters_the_fingerprint(cell, monkeypatch):
+    """The key of a fixed trial is the golden digest it had while
+    ``EngineConfig`` existed (and was excluded from the payload), and routing
+    execution through the oracles does not move it."""
     workload, scheme, factory = cell
-    digests = set()
-    for engine in (None, DEFAULT_ENGINE_CONFIG, REFERENCE_ENGINE_CONFIG,
-                   EngineConfig(packed=False, fast_hashing=False)):
-        spec = TrialSpec(
-            workload=workload, scheme=scheme, adversary_factory=factory, seed=17, engine=engine
-        )
-        key = fingerprint_trial(spec)
-        assert key.stable
-        digests.add(key.digest)
-    assert len(digests) == 1, "engine configuration leaked into the trial fingerprint"
+    spec = TrialSpec(workload=workload, scheme=scheme, adversary_factory=factory, seed=17)
+    key = fingerprint_trial(spec)
+    assert key.stable
+    assert key.digest == "a7229d7cb52cbecc01951422e8a5eb3765f3a42c6147a5b97d42f93566863170"
+    use_oracles(monkeypatch)
+    rebuilt = build_trial_specs(workload, scheme, factory, [17])[0]
+    assert fingerprint_trial(rebuilt) == key
 
 
-def test_build_trial_specs_threads_engine(cell):
-    workload, scheme, factory = cell
-    specs = build_trial_specs(workload, scheme, factory, [17, 1017], engine=REFERENCE_ENGINE_CONFIG)
-    assert [spec.engine for spec in specs] == [REFERENCE_ENGINE_CONFIG] * 2
-    assert fingerprint_trial(specs[0]) == fingerprint_trial(
-        TrialSpec(workload=workload, scheme=scheme, adversary_factory=factory, seed=17)
-    )
-
-
-def test_cached_result_served_across_configurations(cell):
-    """A trial computed under the default profile is a cache hit for the same
-    trial under the reference profile — the strongest observable form of
-    fingerprint invisibility."""
+def test_cached_result_served_across_configurations(cell, monkeypatch):
+    """A trial computed through the oracles is a cache hit for the same trial
+    in production — the strongest observable form of fingerprint
+    invisibility."""
     workload, scheme, factory = cell
     cache = ResultCache()
-    first = run_trials(
-        workload, scheme, factory, trials=2, cache=cache, store=None,
-        engine=DEFAULT_ENGINE_CONFIG,
-    )
+    with monkeypatch.context() as patched:
+        use_oracles(patched)
+        first = run_trials(workload, scheme, factory, trials=2, cache=cache, store=None)
     assert cache.stats.hits == 0 and cache.stats.stores == 2
-    second = run_trials(
-        workload, scheme, factory, trials=2, cache=cache, store=None,
-        engine=REFERENCE_ENGINE_CONFIG,
-    )
-    assert cache.stats.hits == 2, "reference-profile rerun should be served from cache"
+    second = run_trials(workload, scheme, factory, trials=2, cache=cache, store=None)
+    assert cache.stats.hits == 2, "the production rerun should be served from cache"
     assert [run.as_dict() for run in first.runs] == [run.as_dict() for run in second.runs]
 
 
-def test_runtime_context_supplies_ambient_engine(cell, monkeypatch):
-    """run_trials resolves the ambient EngineConfig into each spec so worker
-    processes (which never inherit the context) run the right configuration."""
-    workload, scheme, factory = cell
-    captured = []
-
-    import repro.experiments.harness as harness
-
-    original = harness.build_trial_specs
-
-    def spy(*args, **kwargs):
-        specs = original(*args, **kwargs)
-        captured.extend(specs)
-        return specs
-
-    monkeypatch.setattr(harness, "build_trial_specs", spy)
-    with use_runtime(engine=REFERENCE_ENGINE_CONFIG):
-        run_trials(workload, scheme, factory, trials=1, cache=None, store=None)
-    assert captured and all(spec.engine == REFERENCE_ENGINE_CONFIG for spec in captured)
-    captured.clear()
-    # An explicit argument wins over the ambient context.
-    with use_runtime(engine=REFERENCE_ENGINE_CONFIG):
-        run_trials(
-            workload, scheme, factory, trials=1, cache=None, store=None,
-            engine=DEFAULT_ENGINE_CONFIG,
-        )
-    assert captured and all(spec.engine == DEFAULT_ENGINE_CONFIG for spec in captured)
-
-
 # ---------------------------------------------------------------------------
-# Bit-identity of the profiles
+# Bit-identity against the oracles
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("scheme_name", ["algorithm_crs", "algorithm_a", "algorithm_b", "algorithm_c"])
-def test_reference_and_default_profiles_bit_identical(scheme_name):
+def test_reference_and_default_profiles_bit_identical(scheme_name, monkeypatch):
     workload = gossip_workload("clique", 4, 3, seed=0)
     scheme = scheme_by_name(scheme_name)
     fraction = scheme.nominal_noise_fraction(workload.protocol.graph)
     factory = RandomNoiseFactory(fraction=fraction)
-    results = {}
-    for label, config in [("default", DEFAULT_ENGINE_CONFIG), ("reference", REFERENCE_ENGINE_CONFIG)]:
-        result = simulate(
-            workload.protocol, scheme=scheme, adversary=factory(3), seed=3, config=config
-        )
-        results[label] = (result.success, result.metrics.as_dict())
-    assert results["default"] == results["reference"]
+
+    def run():
+        result = simulate(workload.protocol, scheme=scheme, adversary=factory(3), seed=3)
+        return result.success, result.metrics.as_dict(), result.channel_summary
+
+    default = run()
+    use_oracles(monkeypatch)
+    assert run() == default
 
 
 # ---------------------------------------------------------------------------
-# One configuration surface
+# One execution surface
 # ---------------------------------------------------------------------------
 
 
-def _simulator(**kwargs):
-    workload = gossip_workload("clique", 4, 2, seed=0)
-    return InteractiveCodingSimulator(workload.protocol, scheme=crs_oblivious_scheme(), **kwargs)
+def test_removed_engine_surface_fails_loudly(cell):
+    """The deleted configuration surface raises instead of being ignored."""
+    workload, scheme, factory = cell
+    with pytest.raises(ImportError):
+        import repro.core.config  # noqa: F401
+    with pytest.raises(TypeError):
+        simulate(workload.protocol, scheme=scheme, config=None)
+    with pytest.raises(TypeError):
+        InteractiveCodingSimulator(workload.protocol, scheme=scheme, config=None)
+    with pytest.raises(TypeError):
+        TrialSpec(workload=workload, scheme=scheme, adversary_factory=factory, seed=1, engine=None)
+    with pytest.raises(TypeError):
+        build_trial_specs(workload, scheme, factory, [1], engine=None)
+    with pytest.raises(TypeError):
+        run_trials(workload, scheme, factory, trials=1, cache=None, store=None, engine=None)
+    with pytest.raises(TypeError):
+        with use_runtime(engine=None):
+            pass
+    for keyword in ("fast_hashing", "batched", "packed"):
+        with pytest.raises(TypeError):
+            InteractiveCodingSimulator(workload.protocol, scheme=scheme, **{keyword: False})
 
 
-def test_removed_engine_surface_fails_loudly():
-    """The deleted switches and keywords raise instead of being ignored."""
+def test_cli_engine_flags_translate_to_configs():
+    """There is no configuration left to translate to: every ``--engine-*``
+    flag is an argparse usage error on every command that took them."""
     from repro.cli import build_parser
 
-    assert [field.name for field in fields(EngineConfig)] == [
-        "fast_hashing", "batched_transport", "packed",
-    ]
-    with pytest.raises(TypeError):
-        EngineConfig(merge_phases=False)
-    with pytest.raises(TypeError):
-        DEFAULT_ENGINE_CONFIG.with_overrides(batch_rounds=False)
-    for keyword in ("batch_rounds", "merge_phases", "fast_hashing", "batched"):
-        with pytest.raises(TypeError):
-            _simulator(**{keyword: False})
     parser = build_parser()
-    for flag in ("--engine-no-merge-phases", "--engine-no-batch-rounds"):
+    for argv in (
+        ["simulate", "--engine-reference"],
+        ["simulate", "--engine-no-packed"],
+        ["simulate", "--engine-no-batched-transport"],
+        ["table1", "--topologies", "line", "--nodes", "4", "--engine-reference"],
+        ["noise-sweep", "--engine-no-fast-hashing"],
+        ["simulate", "--engine-no-merge-phases"],
+    ):
         with pytest.raises(SystemExit) as excinfo:
-            parser.parse_args(["simulate", flag])
+            parser.parse_args(argv)
         assert excinfo.value.code == 2  # argparse usage error
-
-
-def test_config_object_is_authoritative_without_legacy_keywords():
-    sim = _simulator(config=REFERENCE_ENGINE_CONFIG)
-    assert sim.config == REFERENCE_ENGINE_CONFIG
-    assert sim.fast_hashing is False
-    assert sim.packed is False
-    assert sim.network.batched is False
-
-
-def test_with_overrides_returns_new_frozen_config():
-    derived = DEFAULT_ENGINE_CONFIG.with_overrides(packed=False)
-    assert derived.packed is False and DEFAULT_ENGINE_CONFIG.packed is True
-    with pytest.raises(Exception):
-        derived.packed = True  # frozen dataclass
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +209,7 @@ class TestCrsGoldens:
 
     def test_crs_trial_golden_metrics(self):
         """One noisy CRS trial (corruptions, rewinds, truncations and a full
-        recovery), pinned end to end under the default engine profile."""
+        recovery), pinned end to end."""
         workload = gossip_workload("clique", 4, 4, seed=0)
         scheme = crs_oblivious_scheme()
         factory = RandomNoiseFactory(
@@ -273,23 +231,3 @@ class TestCrsGoldens:
             "iterations_run": 14,
             "hash_collisions": 0,
         }
-
-
-# ---------------------------------------------------------------------------
-# CLI flag translation
-# ---------------------------------------------------------------------------
-
-
-def test_cli_engine_flags_translate_to_configs():
-    from repro.cli import _engine_config, build_parser
-
-    parser = build_parser()
-    base = ["table1", "--topologies", "line", "--nodes", "4"]
-    assert _engine_config(parser.parse_args(base)) is None
-    assert _engine_config(parser.parse_args(base + ["--engine-reference"])) == REFERENCE_ENGINE_CONFIG
-    assert _engine_config(
-        parser.parse_args(base + ["--engine-no-packed", "--engine-no-fast-hashing"])
-    ) == DEFAULT_ENGINE_CONFIG.with_overrides(packed=False, fast_hashing=False)
-    assert _engine_config(
-        parser.parse_args(["simulate", "--engine-no-batched-transport"])
-    ) == DEFAULT_ENGINE_CONFIG.with_overrides(batched_transport=False)

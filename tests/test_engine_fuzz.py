@@ -1,27 +1,27 @@
-"""Differential fuzzing of the engine against its reference configuration.
+"""Differential fuzzing of the engine against the test-side oracles.
 
-Every :class:`~repro.core.config.EngineConfig` is advertised as
-**bit-identical**: not "statistically equivalent", but the same
-``SimulationResult``, the same :class:`~repro.network.channel.ChannelStats`
-counters, the same round clock and the same adversary end state (RNG stream
-positions, budget counters).  ``REFERENCE_ENGINE_CONFIG`` is the in-tree
-oracle: per-slot ``transmit`` through the symbol-list windows, per-call
-hashing.  ``DEFAULT_ENGINE_CONFIG`` is what production runs: packed
-meeting-points windows, one round frame and one ``corrupt_round_packed``
-call per lockstep round, batched hashing.
+The engine's fast paths are advertised as **bit-identical** to the model:
+not "statistically equivalent", but the same ``SimulationResult``, the same
+:class:`~repro.network.channel.ChannelStats` counters, the same round clock
+and the same adversary end state (RNG stream positions, budget counters).
+The oracles in ``tests/oracle.py`` are the reference: per-slot delivery
+through ``corrupt`` and ``notify_delivery`` (``PerSlotNetwork``) and per-call
+hashing (``build_message_per_call``).  Production runs packed windows, one
+round frame and one ``corrupt_round_packed`` call per lockstep round, and
+batched hashing.
 
 This suite pins that claim differentially: hypothesis draws a workload
 (scheme x topology x stock adversary x seed x observability mode), runs it
-on both configurations and requires every observable to match exactly.  The
-adversaries are the ones production builds: the oblivious pattern
-adversaries, the budgeted stock strategies (insertions on) and both Table 1
-composites.
+in production and with both oracles substituted in (``monkeypatch``), and
+requires every observable to match exactly.  The adversaries are the ones
+production builds: the oblivious pattern adversaries, the budgeted stock
+strategies (insertions on) and both Table 1 composites.
 
 The observability mode covers the flight recorder too: a run under an
 ambient :class:`~repro.obs.recorder.FlightRecorder` must stay bit-identical,
-and both configurations must record the same events in the same order.
-Both run the lockstep schedule, so corruption events are compared as ordered
-sequences, not multisets.
+and both runs must record the same events in the same order.  Both run the
+lockstep schedule, so corruption events are compared as ordered sequences,
+not multisets.
 
 Reproducing a failure
 ---------------------
@@ -43,8 +43,10 @@ from __future__ import annotations
 import json
 from contextlib import nullcontext
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracle import use_oracles
 
 from repro.adversary.base import NoiseBudget, NoiselessAdversary
 from repro.adversary.contract import _state_snapshot
@@ -56,7 +58,6 @@ from repro.adversary.strategies import (
     PhaseTargetedAdaptiveAdversary,
     RandomNoiseAdversary,
 )
-from repro.core.config import DEFAULT_ENGINE_CONFIG, REFERENCE_ENGINE_CONFIG
 from repro.core.engine import InteractiveCodingSimulator
 from repro.core.parameters import scheme_by_name
 from repro.experiments.table1 import _adaptive_factory, _oblivious_factory
@@ -147,8 +148,9 @@ def _workload(topology_name, seed):
 _OBS_MODES = ("dark", "metrics", "recorder")
 
 
-def _run(scheme_name, topology_name, adversary_name, seed, config, obs_mode="dark"):
-    """One full simulation; returns (simulator, result, recorder-or-None)."""
+def _run(scheme_name, topology_name, adversary_name, seed, oracle, obs_mode="dark"):
+    """One full simulation, through the oracles when ``oracle`` is set;
+    returns (simulator, result, recorder-or-None)."""
     graph, protocol = _workload(topology_name, seed)
     adversary = _ADVERSARIES[adversary_name](graph, seed)
     # A ring big enough to never drop, so the two recordings are complete.
@@ -160,10 +162,11 @@ def _run(scheme_name, topology_name, adversary_name, seed, config, obs_mode="dar
             metrics=MetricsRegistry() if obs_mode == "metrics" else None,
             recorder=recorder,
         )
-    with scope:
+    with scope, pytest.MonkeyPatch.context() as patched:
+        if oracle:
+            use_oracles(patched)
         simulator = InteractiveCodingSimulator(
             protocol, scheme=scheme_by_name(scheme_name), adversary=adversary, seed=seed,
-            config=config,
         )
         result = simulator.run()
     return simulator, result, recorder
@@ -190,8 +193,8 @@ def _assert_bit_identical(reference_run, default_run):
     assert _result_fingerprint(default) == _result_fingerprint(reference)
     assert vars(default_sim.network.stats) == vars(reference_sim.network.stats)
     assert default_sim.network.current_round == reference_sim.network.current_round
-    # RNG stream positions and budget counters: the default configuration
-    # must consume the adversary's state exactly like the reference did.
+    # RNG stream positions and budget counters: production must consume the
+    # adversary's state exactly like per-slot delivery did.
     assert _state_snapshot(default_sim.adversary) == _state_snapshot(reference_sim.adversary)
 
 
@@ -208,7 +211,7 @@ def _event_keys(events):
 
 
 def _assert_same_recording(reference_recorder, default_recorder):
-    """Both configurations must record the same events in the same order."""
+    """Both runs must record the same events in the same order."""
     assert reference_recorder.events_dropped == 0
     assert default_recorder.events_dropped == 0
     ref_corruption, ref_rest = _events_by_kind(reference_recorder)
@@ -229,12 +232,8 @@ class TestEngineDifferential:
     def test_default_matches_reference(
         self, scheme_name, topology_name, adversary_name, seed, obs_mode
     ):
-        reference_run = _run(
-            scheme_name, topology_name, adversary_name, seed, REFERENCE_ENGINE_CONFIG, obs_mode
-        )
-        default_run = _run(
-            scheme_name, topology_name, adversary_name, seed, DEFAULT_ENGINE_CONFIG, obs_mode
-        )
+        reference_run = _run(scheme_name, topology_name, adversary_name, seed, True, obs_mode)
+        default_run = _run(scheme_name, topology_name, adversary_name, seed, False, obs_mode)
         _assert_bit_identical(reference_run, default_run)
         if obs_mode == "recorder":
             _assert_same_recording(reference_run[2], default_run[2])
@@ -249,10 +248,8 @@ class TestEngineDifferential:
     )
     def test_default_is_obs_invariant(self, adversary_name, seed, obs_mode):
         """Observability (metrics or recorder) must not perturb a run."""
-        dark_run = _run("algorithm_crs", "ring5", adversary_name, seed, DEFAULT_ENGINE_CONFIG)
-        observed_run = _run(
-            "algorithm_crs", "ring5", adversary_name, seed, DEFAULT_ENGINE_CONFIG, obs_mode
-        )
+        dark_run = _run("algorithm_crs", "ring5", adversary_name, seed, False)
+        observed_run = _run("algorithm_crs", "ring5", adversary_name, seed, False, obs_mode)
         assert _result_fingerprint(observed_run[1]) == _result_fingerprint(dark_run[1])
         assert vars(observed_run[0].network.stats) == vars(dark_run[0].network.stats)
         assert _state_snapshot(observed_run[0].adversary) == _state_snapshot(dark_run[0].adversary)
@@ -262,9 +259,7 @@ class TestDispatchObservability:
     def test_packed_dispatch_counter_is_flushed(self):
         registry = MetricsRegistry()
         with use_obs(metrics=registry):
-            simulator, _, _ = _run(
-                "algorithm_crs", "line4", "noiseless", 3, DEFAULT_ENGINE_CONFIG
-            )
+            simulator, _, _ = _run("algorithm_crs", "line4", "noiseless", 3, False)
         counters = registry.snapshot()["counters"]
         assert counters["transport.packed_dispatches"] == simulator.network.packed_dispatches
         assert counters["transport.packed_dispatches"] > 0
@@ -272,7 +267,7 @@ class TestDispatchObservability:
     def test_reference_schedule_never_packs(self):
         registry = MetricsRegistry()
         with use_obs(metrics=registry):
-            _run("algorithm_crs", "line4", "noiseless", 3, REFERENCE_ENGINE_CONFIG)
+            _run("algorithm_crs", "line4", "noiseless", 3, True)
         counters = registry.snapshot()["counters"]
         assert "transport.packed_dispatches" not in counters
 
@@ -280,9 +275,7 @@ class TestDispatchObservability:
         """The round-frame transport must feed the flight recorder per slot:
         one corruption event per changed slot, agreeing with the channel
         stats."""
-        simulator, _, recorder = _run(
-            "algorithm_crs", "ring5", "random-noise", 7, DEFAULT_ENGINE_CONFIG, "recorder"
-        )
+        simulator, _, recorder = _run("algorithm_crs", "ring5", "random-noise", 7, False, "recorder")
         corruption, _ = _events_by_kind(recorder)
         stats = simulator.network.stats
         assert len(corruption) == stats.corruptions > 0

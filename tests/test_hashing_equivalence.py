@@ -9,17 +9,20 @@ random inputs, and the two must agree bit for bit —
 * ``SeedSource.seeds_for_iteration`` native overrides vs the per-call
   ``seed_for`` loop, for both seed-source implementations,
 * ``InnerProductHash.digest_many`` vs one ``digest`` per value,
-* ``MeetingPointsSession`` with ``fast_hashing=True`` vs the reference
-  session, in lockstep over random transcripts and corrupted replies,
-* whole trials through the engine with every combination of the
-  ``fast_hashing`` / ``packed`` switches.
+* ``MeetingPointsSession`` vs a session building its messages with the
+  per-call hashing oracle (``tests/oracle.py``), in lockstep over random
+  transcripts and corrupted replies,
+* whole trials through the engine with every combination of the two
+  oracles (per-call hashing, per-slot transport) substituted in.
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import pytest
+from oracle import build_message_per_call, use_oracles
 
 from repro.adversary.strategies import DeletionAdversary, RandomNoiseAdversary
 from repro.core.engine import InteractiveCodingSimulator
@@ -35,7 +38,7 @@ from repro.hashing.seeds import (
     seed_layout,
 )
 from repro.hashing.small_bias import SmallBiasGenerator
-from repro.utils.bitstring import bits_to_int
+from repro.utils.bitstring import bits_to_int, int_to_bits, pack_symbols
 from repro.utils.rng import make_rng
 
 
@@ -228,16 +231,17 @@ def _random_payloads(rng: random.Random, count: int):
     return [(rng.randint(0, 1), rng.randint(0, 1)) for _ in range(count)]
 
 
-def _corrupt(rng: random.Random, message):
-    """Randomly flip / erase a few symbols of an outgoing hash message."""
-    symbols = list(message)
+def _corrupt(rng: random.Random, message: int, width: int):
+    """Randomly flip / erase a few symbols of an outgoing hash message; the
+    reply planes ``(bits, present)``."""
+    symbols = int_to_bits(message, width)
     for index in range(len(symbols)):
         roll = rng.random()
         if roll < 0.05:
             symbols[index] = None
         elif roll < 0.12:
             symbols[index] = 1 - symbols[index]
-    return symbols
+    return pack_symbols(symbols)
 
 
 def _outcome_tuple(outcome):
@@ -286,12 +290,14 @@ def test_session_fast_path_is_bit_identical_to_reference(source_kind, hash_input
             )
 
         def build_session(fast: bool) -> MeetingPointsSession:
-            return MeetingPointsSession(
+            session = MeetingPointsSession(
                 hasher=hasher,
                 seed_source=build_source(),
                 hash_input_mode=hash_input_mode,
-                fast_hashing=fast,
             )
+            if not fast:
+                session._build_message = partial(build_message_per_call, session)
+            return session
 
         payloads = _random_payloads(rng, rng.randint(0, 12))
         fast_transcript = _transcript(0, 1, payloads)
@@ -303,15 +309,15 @@ def test_session_fast_path_is_bit_identical_to_reference(source_kind, hash_input
         fast_noise = make_rng(noise_seed)
         reference_noise = make_rng(noise_seed)
         for iteration in range(15):
-            fast_message = fast_session.build_message(iteration, fast_transcript)
-            reference_message = reference_session.build_message(iteration, reference_transcript)
+            fast_message = fast_session.build_message_packed(iteration, fast_transcript)
+            reference_message = reference_session.build_message_packed(iteration, reference_transcript)
             assert fast_message == reference_message, (trial, iteration)
 
-            reply = _corrupt(fast_noise, fast_message)
-            assert reply == _corrupt(reference_noise, reference_message)
-            fast_outcome = fast_session.process_reply(iteration, fast_transcript, reply)
-            reference_outcome = reference_session.process_reply(
-                iteration, reference_transcript, reply
+            reply = _corrupt(fast_noise, fast_message, 4 * tau)
+            assert reply == _corrupt(reference_noise, reference_message, 4 * tau)
+            fast_outcome = fast_session.process_reply_packed(iteration, fast_transcript, *reply)
+            reference_outcome = reference_session.process_reply_packed(
+                iteration, reference_transcript, *reply
             )
             assert _outcome_tuple(fast_outcome) == _outcome_tuple(reference_outcome)
             assert _session_state(fast_session) == _session_state(reference_session)
@@ -347,64 +353,62 @@ _TRIAL_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(_TRIAL_CASES))
-def test_full_trial_bit_identity_across_fast_path_switches(case, gossip_clique4):
-    """Whole trials agree field for field across every switch combination."""
+def test_full_trial_bit_identity_across_fast_path_switches(case, gossip_clique4, monkeypatch):
+    """Whole trials agree field for field with every combination of the
+    per-slot transport and per-call hashing oracles substituted in."""
     scheme_factory, adversary_factory = _TRIAL_CASES[case]
 
-    def run(fast_hashing: bool, packed: bool):
-        simulator = InteractiveCodingSimulator(
-            gossip_clique4,
-            scheme=scheme_factory(),
-            adversary=adversary_factory(),
-            seed=7,
-        )
-        simulator.fast_hashing = fast_hashing
-        simulator.packed = packed
-        return simulator.run()
+    def run(network_oracle: bool, hashing_oracle: bool):
+        with monkeypatch.context() as patched:
+            use_oracles(patched, network=network_oracle, hashing=hashing_oracle)
+            simulator = InteractiveCodingSimulator(
+                gossip_clique4,
+                scheme=scheme_factory(),
+                adversary=adversary_factory(),
+                seed=7,
+            )
+            return simulator.run()
 
-    reference = _trial_fingerprint(run(False, False))
-    for fast_hashing, packed in ((True, False), (False, True), (True, True)):
-        assert _trial_fingerprint(run(fast_hashing, packed)) == reference, (
+    production = _trial_fingerprint(run(False, False))
+    for network_oracle, hashing_oracle in ((True, False), (False, True), (True, True)):
+        assert _trial_fingerprint(run(network_oracle, hashing_oracle)) == production, (
             case,
-            fast_hashing,
-            packed,
+            network_oracle,
+            hashing_oracle,
         )
 
 
 @pytest.mark.parametrize("case", sorted(_TRIAL_CASES))
-def test_full_trial_bit_identity_with_obs_on_and_off(case, gossip_clique4):
+def test_full_trial_bit_identity_with_obs_on_and_off(case, gossip_clique4, monkeypatch):
     """Observability is a pure reader: metrics + tracing change nothing.
 
     The tracer draws its ids from ``os.urandom`` and the registry flush runs
     after the simulation, so every field of the result — outputs, metrics,
-    channel summary — must match the uninstrumented run bit for bit, on both
-    the fast and the reference hashing paths.
+    channel summary — must match the uninstrumented run bit for bit, with
+    production hashing and with the per-call hashing oracle.
     """
     from repro.obs import MetricsRegistry, Tracer, use_obs
 
     scheme_factory, adversary_factory = _TRIAL_CASES[case]
 
-    def run(fast_hashing: bool):
+    def run():
         simulator = InteractiveCodingSimulator(
             gossip_clique4,
             scheme=scheme_factory(),
             adversary=adversary_factory(),
             seed=7,
         )
-        simulator.fast_hashing = fast_hashing
         return simulator.run()
 
-    for fast_hashing in (False, True):
-        plain = _trial_fingerprint(run(fast_hashing))
-        registry = MetricsRegistry()
-        with use_obs(metrics=registry, tracer=Tracer()):
-            observed = _trial_fingerprint(run(fast_hashing))
-        assert observed == plain, (case, fast_hashing)
-        # The flush attributed the hash builds to the right implementation.
+    for hashing_oracle in (False, True):
+        with monkeypatch.context() as patched:
+            use_oracles(patched, network=False, hashing=hashing_oracle)
+            plain = _trial_fingerprint(run())
+            registry = MetricsRegistry()
+            with use_obs(metrics=registry, tracer=Tracer()):
+                observed = _trial_fingerprint(run())
+        assert observed == plain, (case, hashing_oracle)
+        # The flush counted every hash message the sessions built.
         counters = registry.snapshot()["counters"]
-        if fast_hashing:
-            assert counters.get("hashing.packed_builds", 0) > 0
-            assert counters.get("hashing.reference_builds", 0) == 0
-        else:
-            assert counters.get("hashing.reference_builds", 0) > 0
-            assert counters.get("hashing.packed_builds", 0) == 0
+        assert counters.get("hashing.packed_builds", 0) > 0
+        assert "hashing.reference_builds" not in counters

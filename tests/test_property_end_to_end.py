@@ -118,10 +118,11 @@ class TestMeetingPointsProperty:
 
         converged = False
         for iteration in range(80):
-            message_u = session_u.build_message(iteration, transcript_u)
-            message_v = session_v.build_message(iteration, transcript_v)
-            outcome_u = session_u.process_reply(iteration, transcript_u, message_v)
-            outcome_v = session_v.process_reply(iteration, transcript_v, message_u)
+            full = (1 << session_u.message_bits) - 1
+            message_u = session_u.build_message_packed(iteration, transcript_u)
+            message_v = session_v.build_message_packed(iteration, transcript_v)
+            outcome_u = session_u.process_reply_packed(iteration, transcript_u, message_v, full)
+            outcome_v = session_v.process_reply_packed(iteration, transcript_v, message_u, full)
             if outcome_u.truncate_to is not None:
                 transcript_u.truncate_to(outcome_u.truncate_to)
             if outcome_v.truncate_to is not None:

@@ -97,3 +97,28 @@ class TestNoisyExchange:
         source_u = report.seed_sources[(0, 1)]
         source_v = report.seed_sources[(1, 0)]
         assert source_u.seed_for(0, "mp_prefix", 256) != source_v.seed_for(0, "mp_prefix", 256)
+
+
+def test_exchange_matches_per_slot_delivery():
+    """The plane-native exchange agrees with slot-by-slot delivery: same
+    agreement, seeds, communication and channel statistics, including links
+    whose codeword fails to decode."""
+    from oracle import PerSlotNetwork
+
+    graph = star_topology(6)
+    decode_failures = 0
+    for seed, probability in enumerate((0.0, 0.05, 0.2, 0.35)):
+        outcomes = []
+        for network_type in (NoisyNetwork, PerSlotNetwork):
+            network = network_type(
+                graph,
+                adversary=RandomNoiseAdversary(
+                    corruption_probability=probability, insertion_probability=probability / 2, seed=seed
+                ),
+            )
+            report = run_randomness_exchange(graph, network, make_rng(seed), field_degree=32)
+            seeds = {link: source.link_seed for link, source in report.seed_sources.items()}
+            outcomes.append((report.agreed, report.communication, seeds, network.stats, network.current_round))
+        assert outcomes[0] == outcomes[1]
+        decode_failures += sum(1 for ok in outcomes[0][0].values() if not ok)
+    assert decode_failures > 0

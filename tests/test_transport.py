@@ -1,12 +1,13 @@
 """Unit tests for the synchronous noisy transport.
 
 The second half of this file is the property-style equivalence suite of the
-batched window path: random graphs, random window sequences and many seeds
-run through both ``exchange_window`` (batched) and
-``exchange_window_per_slot`` (the single-slot reference) for every stock
-adversary, asserting identical deliveries, identical ``ChannelStats``,
-identical clock, and identical adversary-internal state (budgets, cursors,
-RNG streams).
+two plane transports: random graphs, random window sequences and many seeds
+run through ``exchange_window_packed`` and ``exchange_round`` and through the
+per-slot oracle (``tests/oracle.py``: every slot through ``corrupt`` and
+``notify_delivery``) for every stock adversary, asserting identical
+deliveries, identical ``ChannelStats``, identical recorder events, identical
+clock, and identical adversary-internal state (budgets, cursors, RNG
+streams).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from oracle import PerSlotNetwork
 
 from repro.adversary.base import Adversary, NoiseBudget, NoiselessAdversary
 from repro.adversary.oblivious import AdditiveObliviousAdversary, FixingObliviousAdversary
@@ -34,30 +36,43 @@ from repro.experiments.workloads import gossip_workload
 from repro.network.topologies import line_topology, random_connected_topology
 from repro.network.transport import NoisyNetwork
 from repro.obs import FlightRecorder, use_obs
-from repro.utils.bitstring import pack_slots, plane_digits, set_positions
+from repro.utils.bitstring import pack_symbols, unpack_symbols
 from repro.utils.rng import make_rng
 
 
+def _window(network, messages, window_rounds, phase="simulation", iteration=-1):
+    """``exchange_window_packed`` on symbol lists, delivering symbol lists."""
+    delivered = network.exchange_window_packed(
+        {link: pack_symbols(symbols) for link, symbols in messages.items()},
+        window_rounds,
+        phase,
+        iteration,
+    )
+    return {link: unpack_symbols(*planes, window_rounds) for link, planes in delivered.items()}
+
+
 class TestTransmit:
+    """One symbol on one link: a width-1 window."""
+
     def test_clean_delivery(self):
         network = NoisyNetwork(line_topology(3))
-        assert network.transmit(0, 1, 1, phase="simulation") == 1
+        assert _window(network, {(0, 1): [1]}, 1)[(0, 1)] == [1]
         assert network.stats.transmissions == 1
 
     def test_silence_costs_nothing(self):
         network = NoisyNetwork(line_topology(3))
-        assert network.transmit(0, 1, None, phase="simulation") is None
+        assert _window(network, {(0, 1): [None]}, 1)[(0, 1)] == [None]
         assert network.stats.transmissions == 0
 
     def test_rejects_non_links(self):
         network = NoisyNetwork(line_topology(3))
         with pytest.raises(ValueError):
-            network.transmit(0, 2, 1, phase="simulation")
+            _window(network, {(0, 2): [1]}, 1)
 
     def test_rejects_bad_symbols(self):
         network = NoisyNetwork(line_topology(3))
         with pytest.raises(ValueError):
-            network.transmit(0, 1, 7, phase="simulation")
+            network.exchange_window_packed({(0, 1): (1, 0)}, 1, "simulation")
 
     def test_round_counter(self):
         network = NoisyNetwork(line_topology(3))
@@ -71,7 +86,7 @@ class TestExchangeWindow:
     def test_window_delivers_all_directed_links(self):
         graph = line_topology(3)
         network = NoisyNetwork(graph)
-        received = network.exchange_window({(0, 1): [1, 0]}, window_rounds=2, phase="simulation")
+        received = _window(network, {(0, 1): [1, 0]}, 2)
         assert set(received) == set(graph.directed_edges())
         assert received[(0, 1)] == [1, 0]
         assert received[(1, 0)] == [None, None]
@@ -79,18 +94,18 @@ class TestExchangeWindow:
 
     def test_window_rejects_overlong_messages(self):
         network = NoisyNetwork(line_topology(3))
-        with pytest.raises(ValueError):
-            network.exchange_window({(0, 1): [1, 1, 1]}, window_rounds=2, phase="simulation")
+        with pytest.raises(ValueError, match="beyond the 2-round window"):
+            _window(network, {(0, 1): [1, 1, 1]}, 2)
 
     def test_window_counts_communication(self):
         network = NoisyNetwork(line_topology(3))
-        network.exchange_window({(0, 1): [1, 1], (2, 1): [0]}, window_rounds=3, phase="simulation")
+        _window(network, {(0, 1): [1, 1], (2, 1): [0]}, 3)
         assert network.communication() == 3
 
     def test_deletions_recorded(self):
         adversary = DeletionAdversary(deletion_probability=1.0, seed=0)
         network = NoisyNetwork(line_topology(3), adversary=adversary)
-        received = network.exchange_window({(0, 1): [1]}, window_rounds=1, phase="simulation")
+        received = _window(network, {(0, 1): [1]}, 1)
         assert received[(0, 1)] == [None]
         assert network.stats.deletions == 1
         assert network.noise_fraction() == 1.0
@@ -98,7 +113,7 @@ class TestExchangeWindow:
     def test_insertions_possible_on_idle_links(self):
         adversary = RandomNoiseAdversary(corruption_probability=0.0, insertion_probability=1.0, seed=1)
         network = NoisyNetwork(line_topology(3), adversary=adversary)
-        received = network.exchange_window({}, window_rounds=1, phase="simulation")
+        received = _window(network, {}, 1)
         # every directed link received an inserted symbol
         assert all(symbols[0] in (0, 1) for symbols in received.values())
         assert network.stats.insertions == len(received)
@@ -106,8 +121,12 @@ class TestExchangeWindow:
         assert network.stats.transmissions == 0
 
     def test_non_inserting_adversary_skips_idle_slots(self):
-        network = NoisyNetwork(line_topology(3), adversary=NoiselessAdversary())
-        received = network.exchange_window({}, window_rounds=4, phase="simulation")
+        class Refusing(NoiselessAdversary):
+            def corrupt_window_packed(self, ctx, bits, present, count):
+                raise AssertionError("a silent link reached a non-inserting adversary")
+
+        network = NoisyNetwork(line_topology(3), adversary=Refusing())
+        received = _window(network, {}, 4)
         assert all(symbols == [None] * 4 for symbols in received.values())
         assert network.stats.transmissions == 0
 
@@ -115,80 +134,59 @@ class TestExchangeWindow:
         """Messages keyed on non-edges used to be silently dropped; now they raise."""
         network = NoisyNetwork(line_topology(3))
         with pytest.raises(ValueError, match="unknown link"):
-            network.exchange_window({(0, 2): [1]}, window_rounds=1, phase="simulation")
+            _window(network, {(0, 2): [1]}, 1)
         # nothing was transmitted and the clock did not move
         assert network.stats.transmissions == 0
         assert network.current_round == 0
 
     def test_rejects_unknown_link_keys_per_slot_path(self):
-        network = NoisyNetwork(line_topology(3))
+        """The oracle rejects what the transport rejects, so a differential
+        run cannot pass by feeding the oracle traffic production refuses."""
+        network = PerSlotNetwork(line_topology(3))
         with pytest.raises(ValueError, match="unknown link"):
-            network.exchange_window_per_slot({(2, 0): [1]}, window_rounds=1, phase="simulation")
+            _window(network, {(2, 0): [1]}, 1)
+        assert network.current_round == 0
 
     def test_rejects_invalid_symbols_in_messages(self):
         network = NoisyNetwork(line_topology(3))
-        with pytest.raises(ValueError, match="invalid channel symbol"):
-            network.exchange_window({(0, 1): [7]}, window_rounds=1, phase="simulation")
-
-    def test_rejects_notify_override_on_inherited_native_corrupt_window(self):
-        """Subclassing a stock adversary's corrupt_window past a notify hook
-        would silently skip notifications on the batched path — the network
-        refuses the pairing at construction time."""
-
-        class WatchingRandomNoise(RandomNoiseAdversary):
-            def notify_delivery(self, ctx, sent, received):
-                pass  # pretend to record traffic
-
-        with pytest.raises(ValueError, match="overrides notify_delivery"):
-            NoisyNetwork(
-                line_topology(3),
-                adversary=WatchingRandomNoise(corruption_probability=0.1, seed=0),
-            )
-
-        class RepairedWatchingRandomNoise(WatchingRandomNoise):
-            corrupt_window = Adversary.corrupt_window  # restore the fallback
-
-        NoisyNetwork(
-            line_topology(3),
-            adversary=RepairedWatchingRandomNoise(corruption_probability=0.1, seed=0),
-        )
+        with pytest.raises(ValueError, match="sets bits outside its present mask"):
+            network.exchange_window_packed({(0, 1): (0b10, 0b01)}, 2, "simulation")
 
     def test_adversary_cannot_mutate_the_sent_record(self):
-        """The window reaches the adversary as an immutable tuple, so in-place
-        mutation (which would corrupt the accounting's sent record) fails loudly."""
+        """The window reaches the adversary as integers, so whatever it
+        returns is charged against the planes that were actually sent."""
 
-        class InPlaceAdversary(NoiselessAdversary):
-            def corrupt_window(self, ctx, symbols):
-                symbols[0] = 1 - symbols[0]  # type: ignore[index]
-                return list(symbols)
+        class Flipping(NoiselessAdversary):
+            def corrupt_window_packed(self, ctx, bits, present, count):
+                return bits ^ present, present
 
-        network = NoisyNetwork(line_topology(3), adversary=InPlaceAdversary())
-        with pytest.raises(TypeError):
-            network.exchange_window({(0, 1): [1]}, window_rounds=1, phase="simulation")
+        network = NoisyNetwork(line_topology(3), adversary=Flipping())
+        received = _window(network, {(0, 1): [1, 0]}, 2)
+        assert received[(0, 1)] == [0, 1]
+        assert network.stats.transmissions == 2
+        assert network.stats.substitutions == 2
+        assert network.stats.corruptions_by_link == {(0, 1): 2}
 
     def test_adversary_returning_its_input_still_accounts_correctly(self):
-        """Returning the input tuple unchanged is normalised to a clean list."""
+        """Returning the input planes unchanged is a clean delivery."""
 
         class EchoAdversary(NoiselessAdversary):
-            def corrupt_window(self, ctx, symbols):
-                return symbols
+            def corrupt_window_packed(self, ctx, bits, present, count):
+                return bits, present
 
         network = NoisyNetwork(line_topology(3), adversary=EchoAdversary())
-        received = network.exchange_window({(0, 1): [1, 0]}, window_rounds=2, phase="simulation")
+        received = _window(network, {(0, 1): [1, 0]}, 2)
         assert received[(0, 1)] == [1, 0]
-        assert isinstance(received[(0, 1)], list)
         assert network.stats.transmissions == 2
         assert network.stats.corruptions == 0
 
     def test_per_slot_path_matches_on_simple_window(self):
-        batched = NoisyNetwork(line_topology(3))
-        per_slot = NoisyNetwork(line_topology(3))
+        planes = NoisyNetwork(line_topology(3))
+        per_slot = PerSlotNetwork(line_topology(3))
         messages = {(0, 1): [1, 0, None], (1, 2): [1]}
-        a = batched.exchange_window(messages, 3, phase="simulation")
-        b = per_slot.exchange_window_per_slot(messages, 3, phase="simulation")
-        assert a == b
-        assert batched.stats == per_slot.stats
-        assert batched.current_round == per_slot.current_round
+        assert _window(planes, messages, 3) == _window(per_slot, messages, 3)
+        assert planes.stats == per_slot.stats
+        assert planes.current_round == per_slot.current_round
 
 
 # --------------------------------------------------------------------------
@@ -305,125 +303,95 @@ STOCK_ADVERSARIES = {
 _PHASES = ("randomness_exchange", "meeting_points", "flag_passing", "simulation", "rewind")
 
 
+def _twin_networks(builder, trial, layout_rng, recorders=None):
+    """A production network and a per-slot oracle network on one random
+    graph, each with its own identically-built adversary."""
+    graph = _random_graph(layout_rng)
+    # The pattern-drawing RNG is forked per build so both instances see the
+    # same draws.
+    pattern_seed = layout_rng.randint(0, 2**31)
+    networks = []
+    for network_type, recorder in zip((NoisyNetwork, PerSlotNetwork), recorders or (None, None)):
+        with use_obs(recorder=recorder):
+            networks.append(network_type(graph, adversary=builder(trial, graph, make_rng(pattern_seed))))
+    return graph, networks
+
+
+def _assert_same_state(name, planes, per_slot, trial):
+    assert planes.stats == per_slot.stats, f"{name}: stats diverged (trial {trial})"
+    assert planes.current_round == per_slot.current_round
+    assert _adversary_state(planes.adversary) == _adversary_state(per_slot.adversary), (
+        f"{name}: adversary state diverged (trial {trial})"
+    )
+
+
 @pytest.mark.parametrize("adversary_name", sorted(STOCK_ADVERSARIES))
 def test_batched_path_is_bit_identical_to_per_slot_path(adversary_name):
-    """The tentpole guarantee: same deliveries, stats and budgets on both paths."""
+    """The tentpole guarantee: exchange_window_packed (one window kernel per
+    link) delivers what slot-by-slot delivery does, with the same stats and
+    budgets."""
     builder = STOCK_ADVERSARIES[adversary_name]
     for trial in range(8):
         layout_rng = make_rng(1000 * trial + 7)
-        graph = _random_graph(layout_rng)
-        # Two adversaries built identically (same seeds, same patterns): one
-        # per path.  The pattern-drawing RNG must be forked per build so both
-        # instances see the same draws.
-        pattern_seed = layout_rng.randint(0, 2**31)
-        batched_adversary = builder(trial, graph, make_rng(pattern_seed))
-        per_slot_adversary = builder(trial, graph, make_rng(pattern_seed))
-
-        batched = NoisyNetwork(graph, adversary=batched_adversary)
-        per_slot = NoisyNetwork(graph, adversary=per_slot_adversary)
-
+        graph, (planes, per_slot) = _twin_networks(builder, trial, layout_rng)
         # A short session of consecutive windows with varying widths/phases,
         # driven by one traffic RNG so both paths see identical messages.
-        traffic_seed = layout_rng.randint(0, 2**31)
-        traffic_rng = make_rng(traffic_seed)
+        traffic_rng = make_rng(layout_rng.randint(0, 2**31))
         for step in range(5):
             window_rounds = traffic_rng.choice([0, 1, 1, 2, 5, 9])
             phase = traffic_rng.choice(_PHASES)
-            iteration = step
             messages = _random_messages(traffic_rng, graph, window_rounds)
-            delivered_batched = batched.exchange_window(messages, window_rounds, phase, iteration)
-            delivered_per_slot = per_slot.exchange_window_per_slot(
-                messages, window_rounds, phase, iteration
-            )
-            assert delivered_batched == delivered_per_slot, (
-                f"{adversary_name}: deliveries diverged (trial {trial}, step {step})"
-            )
-        assert batched.stats == per_slot.stats, f"{adversary_name}: stats diverged (trial {trial})"
-        assert batched.current_round == per_slot.current_round
-        assert _adversary_state(batched_adversary) == _adversary_state(per_slot_adversary), (
-            f"{adversary_name}: adversary state diverged (trial {trial})"
-        )
+            assert _window(planes, messages, window_rounds, phase, step) == _window(
+                per_slot, messages, window_rounds, phase, step
+            ), f"{adversary_name}: deliveries diverged (trial {trial}, step {step})"
+        _assert_same_state(adversary_name, planes, per_slot, trial)
+        assert planes.packed_dispatches == 5
 
 
 @pytest.mark.parametrize("adversary_name", sorted(STOCK_ADVERSARIES))
 def test_packed_path_is_bit_identical_to_symbol_path(adversary_name):
-    """The packed-plane guarantee: exchange_window_packed delivers the same
-    corruption mask, stats, clock and adversary end state as exchange_window
-    for every stock adversary (the pin exchange_window_packed's docstring
-    promises)."""
-    from repro.utils.bitstring import pack_symbols, unpack_symbols
-
+    """The flight recorder sees the same symbols on the plane transport as
+    on slot-by-slot delivery: one corruption event per changed slot, in link
+    then offset order, on both window and round traffic."""
     builder = STOCK_ADVERSARIES[adversary_name]
     for trial in range(8):
         layout_rng = make_rng(9000 * trial + 13)
-        graph = _random_graph(layout_rng)
-        pattern_seed = layout_rng.randint(0, 2**31)
-        packed_adversary = builder(trial, graph, make_rng(pattern_seed))
-        symbol_adversary = builder(trial, graph, make_rng(pattern_seed))
-
-        packed_network = NoisyNetwork(graph, adversary=packed_adversary)
-        symbol_network = NoisyNetwork(graph, adversary=symbol_adversary)
-
-        traffic_seed = layout_rng.randint(0, 2**31)
-        traffic_rng = make_rng(traffic_seed)
+        recorders = (FlightRecorder(capacity=100_000), FlightRecorder(capacity=100_000))
+        graph, networks = _twin_networks(builder, trial, layout_rng, recorders)
+        count = len(graph.directed_edges())
+        traffic_rng = make_rng(layout_rng.randint(0, 2**31))
         for step in range(5):
             window_rounds = traffic_rng.choice([0, 1, 1, 2, 5, 9])
             phase = traffic_rng.choice(_PHASES)
-            sparse = traffic_rng.random() < 0.3
             messages = _random_messages(traffic_rng, graph, window_rounds)
-            # The packed caller sends plane pairs; ragged windows pad with
-            # silence exactly like exchange_window does internally.
-            packed_messages = {
-                link: pack_symbols(symbols) for link, symbols in messages.items()
-            }
-            delivered_packed = packed_network.exchange_window_packed(
-                packed_messages, window_rounds, phase, step, sparse=sparse
-            )
-            delivered_symbols = symbol_network.exchange_window(
-                messages, window_rounds, phase, step, sparse=sparse
-            )
-            assert set(delivered_packed) == set(delivered_symbols)
-            for link, (bits, present) in delivered_packed.items():
-                assert bits & ~present == 0, f"{adversary_name}: plane invariant broken"
-                assert unpack_symbols(bits, present, window_rounds) == list(
-                    delivered_symbols[link]
-                ), f"{adversary_name}: deliveries diverged (trial {trial}, step {step}, {link})"
-        assert packed_network.stats == symbol_network.stats, (
-            f"{adversary_name}: stats diverged (trial {trial})"
-        )
-        assert packed_network.current_round == symbol_network.current_round
-        assert _adversary_state(packed_adversary) == _adversary_state(symbol_adversary), (
-            f"{adversary_name}: adversary state diverged (trial {trial})"
-        )
-        assert packed_network.packed_dispatches == 5
-        assert symbol_network.packed_dispatches == 0
-
-
-def test_batched_flag_routes_through_per_slot_path():
-    """`NoisyNetwork.batched = False` makes exchange_window use the reference path."""
-    graph = line_topology(3)
-    a = NoisyNetwork(graph, adversary=RandomNoiseAdversary(corruption_probability=0.3, seed=5))
-    b = NoisyNetwork(graph, adversary=RandomNoiseAdversary(corruption_probability=0.3, seed=5))
-    b.batched = False
-    messages = {(0, 1): [1, 0, 1, 1], (2, 1): [0, 0, 1]}
-    assert a.exchange_window(messages, 4, "simulation") == b.exchange_window(
-        messages, 4, "simulation"
-    )
-    assert a.stats == b.stats
+            present = traffic_rng.getrandbits(count)
+            frame = (traffic_rng.getrandbits(count) & present, present)
+            delivered = [
+                (_window(network, messages, window_rounds, phase, step),
+                 network.exchange_round(*frame, phase, step))
+                for network in networks
+            ]
+            assert delivered[0] == delivered[1], (adversary_name, trial, step)
+        planes, per_slot = networks
+        _assert_same_state(adversary_name, planes, per_slot, trial)
+        events = [recorder.finish_trial(success=False)["events"] for recorder in recorders]
+        assert events[0] == events[1], f"{adversary_name}: recorder events diverged (trial {trial})"
+        assert len(events[0]) == planes.stats.corruptions
 
 
 class TestDispatchCounters:
     """The observability counters on the transport are plain int attributes:
-    they classify every window (sparse fast path vs dense) without touching
-    deliveries, stats, or any RNG stream."""
+    they classify every dispatch (sparse round frame vs dense) without
+    touching deliveries, stats, or any RNG stream."""
 
     def test_windows_are_classified_sparse_or_dense(self):
         graph = line_topology(3)
         network = NoisyNetwork(graph, adversary=NoiselessAdversary())
-        # sparse permitted + non-inserting adversary → the sparse fast path
-        network.exchange_window({(0, 1): [1, 0]}, 2, "simulation", sparse=True)
+        # A round frame under a non-inserting adversary is sparse: only the
+        # links that carry a symbol can change.
+        network.exchange_round(0b1, 0b1, "simulation")
         assert (network.windows_exchanged, network.sparse_dispatches, network.dense_dispatches) == (1, 1, 0)
-        network.exchange_window({(0, 1): [1, 0]}, 2, "simulation")  # sparse not requested
+        _window(network, {(0, 1): [1, 0]}, 2)  # a window scans every link
         assert (network.sparse_dispatches, network.dense_dispatches) == (1, 1)
         inserting = NoisyNetwork(
             graph,
@@ -431,15 +399,16 @@ class TestDispatchCounters:
                 corruption_probability=0.1, insertion_probability=0.1, seed=3
             ),
         )
-        # sparse requested but the adversary may insert → dense anyway
-        inserting.exchange_window({(0, 1): [1, 0]}, 2, "simulation", sparse=True)
+        # the adversary may insert anywhere → the frame is dense
+        inserting.exchange_round(0b1, 0b1, "simulation")
         assert (inserting.sparse_dispatches, inserting.dense_dispatches) == (0, 1)
 
     def test_per_slot_path_counts_dense(self):
+        """A window is dense whatever the adversary: every link is visited."""
         graph = line_topology(3)
         network = NoisyNetwork(graph, adversary=NoiselessAdversary())
-        network.exchange_window_per_slot({(0, 1): [1]}, 1, "simulation")
-        assert (network.windows_exchanged, network.dense_dispatches) == (1, 1)
+        _window(network, {(0, 1): [1]}, 1)
+        assert (network.windows_exchanged, network.packed_dispatches, network.dense_dispatches) == (1, 1, 1)
 
     def test_deliveries_and_stats_are_bit_identical_under_an_obs_scope(self):
         from repro.obs import MetricsRegistry, Tracer
@@ -450,7 +419,8 @@ class TestDispatchCounters:
         def drive(network):
             out = []
             for phase in ("meeting_points", "simulation", "rewind"):
-                out.append(network.exchange_window(messages, 3, phase))
+                out.append(_window(network, messages, 3, phase))
+                out.append(network.exchange_round(0b1011, 0b1111, phase))
             return out
 
         plain = NoisyNetwork(graph, adversary=RandomNoiseAdversary(corruption_probability=0.2, seed=9))
@@ -473,52 +443,16 @@ class TestGuardMessageText:
     verbatim), so these pin the full messages rather than substrings."""
 
     def test_unknown_link_rejection_text(self):
-        network = NoisyNetwork(line_topology(3))
         expected = "message keyed on unknown link (0, 2): not a directed edge of the network"
-        with pytest.raises(ValueError) as excinfo:
-            network.exchange_window({(0, 2): [1]}, window_rounds=1, phase="simulation")
-        assert str(excinfo.value) == expected
-        with pytest.raises(ValueError) as excinfo:
-            network.exchange_window_per_slot({(0, 2): [1]}, window_rounds=1, phase="simulation")
-        assert str(excinfo.value) == expected
-
-    def test_notify_override_rejection_text(self):
-        class WatchingBurst(BurstAdversary):
-            def notify_delivery(self, ctx, sent, received):
-                pass
-
-        with pytest.raises(ValueError) as excinfo:
-            NoisyNetwork(
-                line_topology(3),
-                adversary=WatchingBurst(start_round=0, end_round=5, max_corruptions=2, seed=0),
-            )
-        assert str(excinfo.value) == (
-            "WatchingBurst overrides notify_delivery but inherits corrupt_window "
-            "from BurstAdversary, whose batch path never notifies: override "
-            "corrupt_window too, or restore the per-slot fallback with "
-            "`corrupt_window = Adversary.corrupt_window`"
-        )
+        for network in (NoisyNetwork(line_topology(3)), PerSlotNetwork(line_topology(3))):
+            with pytest.raises(ValueError) as excinfo:
+                _window(network, {(0, 2): [1]}, 1)
+            assert str(excinfo.value) == expected
 
 
 # --------------------------------------------------------------------------
 # Round frames: one adversary call per lockstep round.
 # --------------------------------------------------------------------------
-
-def _frame_to_messages(graph, bits, present):
-    """The width-1 symbol-list messages carrying a round frame."""
-    links = graph.directed_edges()
-    digits = plane_digits(bits, len(links))
-    return {links[position]: [int(digits[position])] for position in set_positions(present)}
-
-
-def _messages_to_frame(graph, delivered):
-    """A width-1 exchange's result as a round frame (missing links are silent)."""
-    index = graph.directed_edge_index()
-    return pack_slots(
-        [(index[link], symbols[0]) for link, symbols in delivered.items() if symbols[0] is not None],
-        len(index),
-    )
-
 
 def _captured_trial_rounds(adversary):
     """Every ``exchange_round`` call of one real storm-noise trial, with the
@@ -571,37 +505,28 @@ class TestExchangeRound:
 
     @pytest.mark.parametrize("name", sorted(_REPLAY_ADVERSARIES))
     def test_replayed_trial_rounds_match_the_window_paths(self, trial, name):
-        """A real trial's lockstep rounds through exchange_round, batched
-        exchange_window and per-slot exchange_window: same deliveries, stats,
-        recorder events (in order) and clock."""
+        """A real trial's lockstep rounds through exchange_round and through
+        slot-by-slot delivery: same deliveries, stats, recorder events (in
+        order) and clock."""
         graph, rounds = trial
         networks = {}
         recorders = {}
-        for path in ("round", "batched", "per-slot"):
+        for path, network_type in (("round", NoisyNetwork), ("per-slot", PerSlotNetwork)):
             recorders[path] = FlightRecorder(capacity=100_000)
             with use_obs(recorder=recorders[path]):
-                networks[path] = NoisyNetwork(
-                    graph, adversary=_REPLAY_ADVERSARIES[name](), batched=path != "per-slot"
-                )
+                networks[path] = network_type(graph, adversary=_REPLAY_ADVERSARIES[name]())
         for clock, bits, present, phase, iteration in rounds:
             frames = {}
             for path, network in networks.items():
                 network.advance_rounds(clock - network.current_round)
-                if path == "round":
-                    frames[path] = network.exchange_round(bits, present, phase, iteration)
-                else:
-                    delivered = network.exchange_window(
-                        _frame_to_messages(graph, bits, present), 1, phase, iteration, sparse=True
-                    )
-                    frames[path] = _messages_to_frame(graph, delivered)
-            assert frames["round"] == frames["batched"] == frames["per-slot"]
+                frames[path] = network.exchange_round(bits, present, phase, iteration)
+            assert frames["round"] == frames["per-slot"]
         reference = networks["per-slot"]
         events = {path: recorder.finish_trial(success=False)["events"] for path, recorder in recorders.items()}
-        for path in ("round", "batched"):
-            assert vars(networks[path].stats) == vars(reference.stats), path
-            assert networks[path].current_round == reference.current_round, path
-            assert events[path] == events["per-slot"], path
-            assert _adversary_state(networks[path].adversary) == _adversary_state(reference.adversary)
+        assert vars(networks["round"].stats) == vars(reference.stats)
+        assert networks["round"].current_round == reference.current_round
+        assert events["round"] == events["per-slot"]
+        assert _adversary_state(networks["round"].adversary) == _adversary_state(reference.adversary)
         assert reference.stats.transmissions > 0
 
     def test_replay_exercises_corruption(self, trial):
@@ -615,13 +540,12 @@ class TestExchangeRound:
 
     @pytest.mark.parametrize("adversary_name", sorted(STOCK_ADVERSARIES))
     def test_random_frames_match_the_window_path(self, adversary_name):
+        """Random round frames: one round kernel call against one width-1
+        per-slot delivery per link, in link order."""
         builder = STOCK_ADVERSARIES[adversary_name]
         for trial in range(6):
             layout_rng = make_rng(4000 * trial + 29)
-            graph = _random_graph(layout_rng)
-            pattern_seed = layout_rng.randint(0, 2**31)
-            round_network = NoisyNetwork(graph, adversary=builder(trial, graph, make_rng(pattern_seed)))
-            window_network = NoisyNetwork(graph, adversary=builder(trial, graph, make_rng(pattern_seed)))
+            graph, (round_network, per_slot) = _twin_networks(builder, trial, layout_rng)
             count = len(graph.directed_edges())
             traffic_rng = make_rng(layout_rng.randint(0, 2**31))
             for step in range(8):
@@ -629,15 +553,11 @@ class TestExchangeRound:
                 bits = traffic_rng.getrandbits(count) & present
                 phase = traffic_rng.choice(_PHASES)
                 got = round_network.exchange_round(bits, present, phase, step)
-                delivered = window_network.exchange_window(
-                    _frame_to_messages(graph, bits, present), 1, phase, step, sparse=True
+                assert got == per_slot.exchange_round(bits, present, phase, step), (
+                    adversary_name, trial, step,
                 )
-                assert got == _messages_to_frame(graph, delivered), (adversary_name, trial, step)
-            assert round_network.stats == window_network.stats
-            assert round_network.current_round == window_network.current_round == 8
-            assert _adversary_state(round_network.adversary) == _adversary_state(
-                window_network.adversary
-            )
+            _assert_same_state(adversary_name, round_network, per_slot, trial)
+            assert round_network.current_round == 8
 
     def test_rejects_bits_outside_present(self):
         network = NoisyNetwork(line_topology(3))
