@@ -1,11 +1,11 @@
 """The packed transport on a representative window mix.
 
-The packed plane pair ``(bits, present)`` carries a whole window per directed
-link as two integers: one adversary kernel call, one whole-register stats
-update and one dispatch per link.  The thin single-round phase windows (flag
-passing / simulation / rewind rounds) travel as round frames through
-``exchange_round``, one adversary call per round over every link, because
-that is what the engine calls.  The workload
+The packed plane pair ``(bits, present)`` carries a whole exchange, a window
+of links × rounds laid out link-major, as two integers: one adversary kernel
+call, one popcount stats pass and one dispatch per exchange.  The thin
+single-round phase windows (flag passing / simulation / rewind rounds) are
+one-round windows over every link, because that is what the engine sends.
+The workload
 replays the window mix of ``scripts/profile_hotpath.py``'s representative
 trial (gossip clique n=8, CRS scheme, nominal noise): dense ``4·τ``-round
 meeting-points windows on every directed link plus thin single-round
@@ -28,7 +28,7 @@ from repro.adversary.oblivious import AdditiveObliviousAdversary
 from repro.core.parameters import crs_oblivious_scheme
 from repro.experiments.workloads import gossip_workload
 from repro.network.transport import NoisyNetwork
-from repro.utils.bitstring import pack_slots
+from repro.utils.bitstring import join_windows, pack_slots
 from repro.utils.rng import make_rng
 
 #: The representative trial's meeting-points window: 4 hashes of τ bits each.
@@ -76,30 +76,35 @@ def _workload():
 
 
 def _packed_seconds(graph, pattern, dense, thin):
-    """The packed path: ``(bits, present)`` planes through one kernel per link."""
+    """The packed path: one ``(bits, present)`` plane and one kernel call per
+    exchange."""
     network = NoisyNetwork(graph, adversary=AdditiveObliviousAdversary(pattern=pattern))
-    full = (1 << _DENSE_WINDOW) - 1
+    links = graph.directed_edges()
+    full = (1 << (len(links) * _DENSE_WINDOW)) - 1
     index = graph.directed_edge_index()
     start = time.perf_counter()
     for iteration, window in enumerate(dense):
-        planes = {}
-        for link, symbols in window.items():
+        messages = []
+        for link in links:
             bits = 0
-            for position, symbol in enumerate(symbols):
+            for position, symbol in enumerate(window[link]):
                 if symbol:
                     bits |= 1 << position
-            planes[link] = (bits, full)
-        network.exchange_window_packed(planes, _DENSE_WINDOW, "meeting_points", iteration)
+            messages.append(bits)
+        network.exchange_window(
+            join_windows(messages, _DENSE_WINDOW), full, _DENSE_WINDOW, "meeting_points", iteration
+        )
         for messages in thin[iteration]:
             bits, present = pack_slots(
                 [(index[link], symbols[0]) for link, symbols in messages.items()], len(index)
             )
-            network.exchange_round(bits, present, "simulation", iteration)
+            network.exchange_window(bits, present, 1, "simulation", iteration)
     return time.perf_counter() - start, network
 
 
 def test_packed_transport_speedup(benchmark, run_once):
-    """Packed windows and round frames: deterministic stats, the time recorded."""
+    """Meeting-points windows and one-round windows: deterministic stats,
+    the time recorded."""
     graph, pattern, dense, thin = _workload()
 
     def measure():

@@ -73,7 +73,7 @@ def test_batched_window_transport_speedup(benchmark, run_once):
     the noise-sweep harness's stochastic adversary (``RandomNoiseFactory`` —
     substitutions/deletions plus insertions, so every silent slot is
     adversary-reachable).  The traffic — the meeting-points windows and the
-    lockstep round frames — is captured from a real trial, then replayed
+    one-round lockstep windows — is captured from a real trial, then replayed
     through a fresh transport; two replays must agree bit for bit.
     """
     workload = gossip_workload(topology="clique", num_nodes=8, phases=6, seed=0)
@@ -86,31 +86,22 @@ def test_batched_window_transport_speedup(benchmark, run_once):
     captured = []
     sim = InteractiveCodingSimulator(workload.protocol, scheme=scheme, adversary=factory(0), seed=0)
     network = sim.network
-    window_exchange = network.exchange_window_packed
-    round_exchange = network.exchange_round
+    exchange = network.exchange_window
 
-    def window_spy(messages, window_rounds, phase, iteration=-1):
-        captured.append((network.current_round, "window", (dict(messages), window_rounds, phase, iteration)))
-        return window_exchange(messages, window_rounds, phase, iteration)
+    def spy(bits, present, rounds, phase, iteration=-1):
+        captured.append((network.current_round, (bits, present, rounds, phase, iteration)))
+        return exchange(bits, present, rounds, phase, iteration)
 
-    def round_spy(bits, present, phase, iteration=-1):
-        captured.append((network.current_round, "round", (bits, present, phase, iteration)))
-        return round_exchange(bits, present, phase, iteration)
-
-    network.exchange_window_packed = window_spy
-    network.exchange_round = round_spy
+    network.exchange_window = spy
     assert sim.run().success
     assert captured, "the trial exchanged no traffic?"
 
     def replay():
         network = NoisyNetwork(workload.graph, adversary=factory(1))
         deliveries = []
-        for clock, kind, call in captured:
+        for clock, call in captured:
             network.advance_rounds(clock - network.current_round)
-            if kind == "window":
-                deliveries.append(network.exchange_window_packed(*call))
-            else:
-                deliveries.append(network.exchange_round(*call))
+            deliveries.append(network.exchange_window(*call))
         return deliveries, network.stats, network.current_round
 
     seconds, first = _best_of(replay)
@@ -118,7 +109,7 @@ def test_batched_window_transport_speedup(benchmark, run_once):
     assert result == first
 
     benchmark.extra_info["calls_replayed"] = len(captured)
-    benchmark.extra_info["windows_replayed"] = sum(1 for _, kind, _ in captured if kind == "window")
+    benchmark.extra_info["windows_replayed"] = sum(1 for _, call in captured if call[2] > 1)
     benchmark.extra_info["best_seconds"] = round(seconds, 6)
 
 

@@ -21,7 +21,7 @@ attacks on the randomness-exchange prefix, ...) live in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.adversary.base import Adversary
 from repro.network.channel import (
@@ -30,6 +30,7 @@ from repro.network.channel import (
     WindowContext,
     apply_additive_noise,
 )
+from repro.utils.bitstring import flip_planes, plane_digits
 
 #: Key of one channel slot in an oblivious noise pattern.
 SlotKey = Tuple[int, int, int]  # (round_index, sender, receiver)
@@ -46,6 +47,58 @@ def _index_pattern_by_link(pattern: Dict[SlotKey, object]) -> Dict[Tuple[int, in
     for (round_index, sender, receiver), value in pattern.items():
         by_link.setdefault((sender, receiver), {})[round_index] = value
     return by_link
+
+
+def _rewrite_window(
+    by_link: Dict[Tuple[int, int], Dict[int, object]],
+    ctx: WindowContext,
+    bits: int,
+    present: int,
+    deliver: Callable[[Symbol, object], Symbol],
+) -> Tuple[int, int]:
+    """Rewrite the plane slots a pattern names: ``deliver(sent, value)``.
+
+    Walks the pattern entries of the window's links only (per link, the
+    window's rounds or the link's entries, whichever is fewer), then applies
+    every toggle in one pass.  Links the pattern leaves clean cost nothing.
+    """
+    base = ctx.base_round
+    rounds = ctx.rounds
+    index = ctx.index
+    hits: List[Tuple[int, object]] = []
+    for link, per_round in by_link.items():
+        position = index.get(link)
+        if position is None:
+            continue
+        start = position * rounds
+        if rounds <= len(per_round):
+            hits.extend(
+                (start + offset, per_round[base + offset])
+                for offset in range(rounds)
+                if base + offset in per_round
+            )
+        else:
+            hits.extend(
+                (start + round_index - base, value)
+                for round_index, value in per_round.items()
+                if 0 <= round_index - base < rounds
+            )
+    if not hits:
+        return bits, present
+    count = ctx.width
+    bit_digits = plane_digits(bits, count)
+    present_digits = plane_digits(present, count)
+    bit_flips: List[int] = []
+    present_flips: List[int] = []
+    for slot, value in hits:
+        was_present = present_digits[slot] == "1"
+        was_one = bit_digits[slot] == "1"
+        received = deliver((1 if was_one else 0) if was_present else None, value)
+        if (received is not None) != was_present:
+            present_flips.append(slot)
+        if (received == 1) != was_one:
+            bit_flips.append(slot)
+    return flip_planes(bits, present, bit_flips, present_flips, count)
 
 
 def slot_key(ctx: TransmissionContext) -> SlotKey:
@@ -81,43 +134,8 @@ class AdditiveObliviousAdversary(Adversary):
             return sent
         return apply_additive_noise(sent, offset)
 
-    def corrupt_window_packed(
-        self, ctx: WindowContext, bits: int, present: int, count: int
-    ) -> Tuple[int, int]:
-        # The corruption mask of the window is generated in one pass over
-        # this directed link's pattern entries (or over the window's slots,
-        # whichever is smaller); clean links pass their planes through with
-        # no per-slot work at all.
-        per_round = self._pattern_by_link.get(ctx.link)
-        if not per_round:
-            return bits, present
-        base = ctx.base_round
-        if count <= len(per_round):
-            hits = [
-                (slot, per_round[base + slot])
-                for slot in range(count)
-                if base + slot in per_round
-            ]
-        else:
-            hits = [
-                (round_index - base, offset)
-                for round_index, offset in per_round.items()
-                if 0 <= round_index - base < count
-            ]
-        for slot, offset in hits:
-            mask = 1 << slot
-            sent = ((bits >> slot) & 1) if present & mask else None
-            received = apply_additive_noise(sent, offset)
-            if received is None:
-                bits &= ~mask
-                present &= ~mask
-            else:
-                present |= mask
-                if received:
-                    bits |= mask
-                else:
-                    bits &= ~mask
-        return bits, present
+    def corrupt_window(self, ctx: WindowContext, bits: int, present: int) -> Tuple[int, int]:
+        return _rewrite_window(self._pattern_by_link, ctx, bits, present, apply_additive_noise)
 
     def planned_corruptions(self) -> int:
         return len(self.pattern)
@@ -153,39 +171,10 @@ class FixingObliviousAdversary(Adversary):
             return self.pattern[key]
         return sent
 
-    def corrupt_window_packed(
-        self, ctx: WindowContext, bits: int, present: int, count: int
-    ) -> Tuple[int, int]:
-        # One pass per directed link, like the additive kernel: only the
-        # window's fixed slots are rewritten, everything else passes through.
-        per_round = self._pattern_by_link.get(ctx.link)
-        if not per_round:
-            return bits, present
-        base = ctx.base_round
-        if count <= len(per_round):
-            hits = [
-                (slot, per_round[base + slot])
-                for slot in range(count)
-                if base + slot in per_round
-            ]
-        else:
-            hits = [
-                (round_index - base, fixed)
-                for round_index, fixed in per_round.items()
-                if 0 <= round_index - base < count
-            ]
-        for slot, fixed in hits:
-            mask = 1 << slot
-            if fixed is None:
-                bits &= ~mask
-                present &= ~mask
-            else:
-                present |= mask
-                if fixed:
-                    bits |= mask
-                else:
-                    bits &= ~mask
-        return bits, present
+    def corrupt_window(self, ctx: WindowContext, bits: int, present: int) -> Tuple[int, int]:
+        return _rewrite_window(
+            self._pattern_by_link, ctx, bits, present, lambda sent, fixed: fixed
+        )
 
     def planned_corruptions(self) -> int:
         return len(self.pattern)

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.adversary.base import Adversary, NoiseBudget
-from repro.network.channel import RoundContext, Symbol, TransmissionContext, WindowContext
-from repro.utils.bitstring import plane_digits, positions_to_int, set_positions
+from repro.adversary.base import Adversary, NoiseBudget, corrupt_slots
+from repro.network.channel import Symbol, TransmissionContext, WindowContext
+from repro.utils.bitstring import flip_planes, plane_digits, positions_to_int, set_positions
 from repro.utils.rng import make_rng
 
 
@@ -34,17 +34,6 @@ def _corrupt_randomly(rng: random.Random, symbol: Symbol) -> Symbol:
     if symbol is None:
         return rng.choice([0, 1])  # insertion
     return rng.choice([1 - symbol, None])  # substitution or deletion
-
-
-def _apply_flips(
-    bits: int, present: int, bit_flips: List[int], present_flips: List[int], count: int
-) -> Tuple[int, int]:
-    """Toggle the listed slots of the two planes (one pass each, not per slot)."""
-    if bit_flips:
-        bits ^= positions_to_int(bit_flips, count)
-    if present_flips:
-        present ^= positions_to_int(present_flips, count)
-    return bits, present
 
 
 def _corrupt_slot(
@@ -60,6 +49,55 @@ def _corrupt_slot(
             bit_flips.append(slot)
     else:
         bit_flips.append(slot)
+
+
+def as_link(value: object, name: str) -> Tuple[int, int]:
+    """``value`` as a directed link ``(sender, receiver)`` of int nodes.
+
+    A list, a wrong-length tuple or a string node would never compare equal
+    to a transport link, so an attack keyed on it would silently never fire:
+    normalise lists to tuples and reject the rest.
+    """
+    try:
+        link = tuple(value)
+    except TypeError:
+        link = ()
+    if len(link) != 2 or not all(isinstance(node, int) for node in link):
+        raise ValueError(f"{name} must be a directed link (sender, receiver), got {value!r}")
+    return link
+
+
+def _observe_range(budget: NoiseBudget, present: int, start: int, stop: int) -> None:
+    """Bulk-observe the transmissions at plane positions ``[start, stop)``."""
+    budget.observe_transmissions((present >> start & ((1 << (stop - start)) - 1)).bit_count())
+
+
+def _attack_links(
+    adversary: Adversary,
+    budget: NoiseBudget,
+    ctx: WindowContext,
+    bits: int,
+    present: int,
+    targets: Iterable[int],
+) -> Tuple[int, int]:
+    """Run the per-slot loop on each target link and bulk-observe the links
+    in between.
+
+    ``targets`` yields link positions in ascending order and is read lazily,
+    so it may depend on state the previous target's loop changed.  For an
+    adversary whose off-target slots only observe transmissions, this is
+    bit-identical to the per-slot loop over the whole plane.
+    """
+    rounds = ctx.rounds
+    start = 0
+    for position in targets:
+        _observe_range(budget, present, start * rounds, position * rounds)
+        bits, present = corrupt_slots(
+            adversary, ctx, bits, present, position * rounds, (position + 1) * rounds
+        )
+        start = position + 1
+    _observe_range(budget, present, start * rounds, ctx.width)
+    return bits, present
 
 
 @dataclass
@@ -100,25 +138,15 @@ class RandomNoiseAdversary(Adversary):
             self.budget.spend()
         return corrupted
 
-    def corrupt_window_packed(
-        self, ctx: WindowContext, bits: int, present: int, count: int
-    ) -> Tuple[int, int]:
-        return self._plane_kernel(bits, present, count)
+    def corrupt_window(self, ctx: WindowContext, bits: int, present: int) -> Tuple[int, int]:
+        """The native kernel, linear in the plane.
 
-    def corrupt_round_packed(self, ctx: RoundContext, bits: int, present: int) -> Tuple[int, int]:
-        # The coins depend only on slot order, and a frame's slot order is
-        # the link order of the per-link loop: the frame is one window over
-        # its links.
-        return self._plane_kernel(bits, present, len(ctx.links))
-
-    def _plane_kernel(self, bits: int, present: int, count: int) -> Tuple[int, int]:
-        """The packed window kernel, linear in ``count``.
-
-        Slots are visited in offset order, so the RNG draws and the budget
-        counters (mirrored locally, written back once) follow the symbol
-        path draw for draw.  Silent slots are only visited when insertions
+        Slots are visited in plane order, so the RNG draws and the budget
+        counters (mirrored locally, written back once) follow the per-slot
+        loop draw for draw.  Silent slots are only visited when insertions
         are on.
         """
+        count = ctx.width
         probability = self.corruption_probability
         insertion = self.insertion_probability
         budget = self.budget
@@ -163,7 +191,7 @@ class RandomNoiseAdversary(Adversary):
         if budgeted:
             budget.transmissions_seen = seen
             budget.corruptions_spent = spent
-        return _apply_flips(bits, present, bit_flips, present_flips, count)
+        return flip_planes(bits, present, bit_flips, present_flips, count)
 
     def reset(self) -> None:
         self._rng = make_rng(self.seed)
@@ -197,17 +225,7 @@ class LinkTargetedAdversary(Adversary):
     may_insert: bool = False
 
     def __post_init__(self) -> None:
-        # A list target would never compare equal to a link tuple, so the
-        # attack would silently never fire: normalise to a 2-tuple of nodes.
-        try:
-            target = tuple(self.target)
-        except TypeError:
-            target = ()
-        if len(target) != 2 or not all(isinstance(node, int) for node in target):
-            raise ValueError(
-                f"target must be a directed link (sender, receiver), got {self.target!r}"
-            )
-        self.target = target
+        self.target = as_link(self.target, "target")
         self._rng = make_rng(self.seed)
         self._budget = NoiseBudget(fraction=self.fraction)
         self._spent = 0
@@ -233,44 +251,16 @@ class LinkTargetedAdversary(Adversary):
         self._spent += 1
         return _corrupt_randomly(self._rng, sent)
 
-    def corrupt_window_packed(
-        self, ctx: WindowContext, bits: int, present: int, count: int
-    ) -> Tuple[int, int]:
-        # Off-target windows pass their planes through untouched; only the
-        # budget observes their realised communication.
-        if ctx.link != self.target or (
-            self.phases is not None and ctx.phase not in self.phases
-        ):
-            self._observe(present)
-            return bits, present
-        return super().corrupt_window_packed(ctx, bits, present, count)
-
-    def corrupt_round_packed(self, ctx: RoundContext, bits: int, present: int) -> Tuple[int, int]:
-        # Only the target's bit can change.  The links before and after it
+    def corrupt_window(self, ctx: WindowContext, bits: int, present: int) -> Tuple[int, int]:
+        # Only the target's slots can change.  The links before and after it
         # are bulk-observed in that order, so a fraction budget sees the
-        # counter values the per-link loop would give it.
+        # counter values the per-slot loop would give it.
         position = ctx.index.get(self.target)
         if position is None or (self.phases is not None and ctx.phase not in self.phases):
-            self._observe(present)
-            return bits, present
-        mask = 1 << position
-        if not present & mask:
-            # A silent target is a no-op: this adversary never inserts.
-            self._observe(present)
-            return bits, present
-        self._observe(present & (mask - 1))
-        got_bits, got_present = self.corrupt_window_packed(
-            ctx.window(position), (bits >> position) & 1, 1, 1
-        )
-        self._observe(present >> (position + 1))
-        bits = (bits & ~mask) | (got_bits << position)
-        present = (present & ~mask) | (got_present << position)
-        return bits, present
-
-    def _observe(self, present: int) -> None:
-        """Bulk-observe the transmissions of ``present``."""
-        if present:
-            self._budget.observe_transmissions(present.bit_count())
+            targets: Tuple[int, ...] = ()
+        else:
+            targets = (position,)
+        return _attack_links(self, self._budget, ctx, bits, present, targets)
 
     def reset(self) -> None:
         self._rng = make_rng(self.seed)
@@ -313,20 +303,18 @@ class BurstAdversary(Adversary):
         self._spent += 1
         return _corrupt_randomly(self._rng, sent)
 
-    def corrupt_window_packed(
-        self, ctx: WindowContext, bits: int, present: int, count: int
-    ) -> Tuple[int, int]:
+    def corrupt_window(self, ctx: WindowContext, bits: int, present: int) -> Tuple[int, int]:
         # Windows disjoint from the burst interval (or after the cap is
         # exhausted) pass their planes straight through; overlapping windows
-        # take the per-slot fallback.
-        last_round = ctx.base_round + count - 1
+        # take the per-slot loop.
+        last_round = ctx.base_round + ctx.rounds - 1
         if (
             self._spent >= self.max_corruptions
             or last_round < self.start_round
             or ctx.base_round > self.end_round
         ):
             return bits, present
-        return super().corrupt_window_packed(ctx, bits, present, count)
+        return super().corrupt_window(ctx, bits, present)
 
     def reset(self) -> None:
         self._rng = make_rng(self.seed)
@@ -366,44 +354,36 @@ class DeletionAdversary(Adversary):
             self.budget.spend()
         return None
 
-    def corrupt_window_packed(
-        self, ctx: WindowContext, bits: int, present: int, count: int
-    ) -> Tuple[int, int]:
-        # Deletions only ever clear plane bits, so the kernel walks the set
-        # bits of ``present`` LSB-first (= offset order, preserving the draw
-        # sequence) and never touches ``bits`` except to keep the
-        # bits-subset-of-present invariant.
-        # Per-slot ``corrupt`` draws once per transmitted slot even at
-        # probability 0, so the loop below must too.
+    def corrupt_window(self, ctx: WindowContext, bits: int, present: int) -> Tuple[int, int]:
+        # Deletions only ever clear plane bits, so the kernel walks the
+        # transmitted slots in plane order (preserving the draw sequence),
+        # collects the deleted ones and clears them in one pass.  Per-slot
+        # ``corrupt`` draws once per transmitted slot even at probability 0,
+        # so the loop below must too.
         probability = self.deletion_probability
         rand = self._rng.random
         budget = self.budget
+        slots = set_positions(present)
         if budget is None:
-            remaining = present
-            while remaining:
-                low = remaining & -remaining
-                remaining ^= low
-                if rand() < probability:
-                    bits &= ~low
-                    present ^= low
+            deleted = [slot for slot in slots if rand() < probability]
+        else:
+            deleted = []
+            seen = budget.transmissions_seen
+            spent = budget.corruptions_spent
+            fraction = budget.fraction
+            allowance = budget.absolute_allowance
+            allowance_at = budget.allowance_at
+            for slot in slots:
+                seen += 1
+                if rand() < probability and spent + 1 <= allowance_at(fraction, seen, allowance):
+                    deleted.append(slot)
+                    spent += 1
+            budget.transmissions_seen = seen
+            budget.corruptions_spent = spent
+        if not deleted:
             return bits, present
-        seen = budget.transmissions_seen
-        spent = budget.corruptions_spent
-        fraction = budget.fraction
-        allowance = budget.absolute_allowance
-        allowance_at = budget.allowance_at
-        remaining = present
-        while remaining:
-            low = remaining & -remaining
-            remaining ^= low
-            seen += 1
-            if rand() < probability and spent + 1 <= allowance_at(fraction, seen, allowance):
-                bits &= ~low
-                present ^= low
-                spent += 1
-        budget.transmissions_seen = seen
-        budget.corruptions_spent = spent
-        return bits, present
+        mask = positions_to_int(deleted, ctx.width)
+        return bits & ~mask, present ^ mask
 
     def reset(self) -> None:
         self._rng = make_rng(self.seed)
@@ -468,32 +448,21 @@ class CompositeAdversary(Adversary):
             symbol = component.corrupt(ctx, symbol)
         return symbol
 
-    def corrupt_window_packed(
-        self, ctx: WindowContext, bits: int, present: int, count: int
-    ) -> Tuple[int, int]:
-        # Chaining whole windows is bit-identical to chaining per slot: each
+    def corrupt_window(self, ctx: WindowContext, bits: int, present: int) -> Tuple[int, int]:
+        # Chaining whole planes is bit-identical to chaining per slot: each
         # component owns its RNG/budget, and its state when reaching slot i
         # depends only on the slots it already processed (0..i-1 of this
-        # window in both orders) — the interleaving with other components is
-        # unobservable.  Components with a real notify_delivery hook break
-        # that argument, so they take the per-slot fallback (which chains
-        # ``corrupt`` per slot and forwards the original/final symbols
-        # through ``notify_delivery``).
+        # plane in both orders) — the interleaving with other components is
+        # unobservable.  A non-inserting component treats a silent slot as a
+        # no-op, so its own skip of silent slots matches the composite's.
+        # Components with a real notify_delivery hook break that argument,
+        # so they take the per-slot loop (which chains ``corrupt`` per slot
+        # and forwards the original/final symbols through
+        # ``notify_delivery``).
         if not self._chain_windows:
-            return super().corrupt_window_packed(ctx, bits, present, count)
+            return super().corrupt_window(ctx, bits, present)
         for component in self.components:
-            bits, present = component.corrupt_window_packed(ctx, bits, present, count)
-        return bits, present
-
-    def corrupt_round_packed(self, ctx: RoundContext, bits: int, present: int) -> Tuple[int, int]:
-        # Chaining whole frames is the window argument again: each component
-        # reaches link j having processed links 0..j-1 in both orders, and a
-        # non-inserting component treats a silent slot as a no-op, so its own
-        # skip of silent links matches the composite's.
-        if not self._chain_windows:
-            return super().corrupt_round_packed(ctx, bits, present)
-        for component in self.components:
-            bits, present = component.corrupt_round_packed(ctx, bits, present)
+            bits, present = component.corrupt_window(ctx, bits, present)
         return bits, present
 
     def notify_delivery(self, ctx: TransmissionContext, sent: Symbol, received: Symbol) -> None:
@@ -543,30 +512,15 @@ class PhaseTargetedAdaptiveAdversary(Adversary):
         self._budget.spend()
         return _corrupt_randomly(self._rng, sent)
 
-    def _targets(self, phase: str, iteration: int) -> bool:
-        return phase in self.phases and (
-            self.max_iteration is None or iteration <= self.max_iteration
-        )
-
-    def corrupt_window_packed(
-        self, ctx: WindowContext, bits: int, present: int, count: int
-    ) -> Tuple[int, int]:
-        return self._packed(ctx.phase, ctx.iteration, bits, present, count)
-
-    def corrupt_round_packed(self, ctx: RoundContext, bits: int, present: int) -> Tuple[int, int]:
-        # Decisions depend on the phase, the iteration and slot order only,
-        # so a frame is one window over its links.
-        return self._packed(ctx.phase, ctx.iteration, bits, present, len(ctx.links))
-
-    def _packed(
-        self, phase: str, iteration: int, bits: int, present: int, count: int
-    ) -> Tuple[int, int]:
-        """The packed kernel: one popcount off target, else one pass over the
-        transmitted slots with the budget counters mirrored locally."""
+    def corrupt_window(self, ctx: WindowContext, bits: int, present: int) -> Tuple[int, int]:
+        """One popcount off target, else one pass over the transmitted slots
+        with the budget counters mirrored locally."""
         if not present:
             return bits, present
         budget = self._budget
-        if not self._targets(phase, iteration):
+        if ctx.phase not in self.phases or (
+            self.max_iteration is not None and ctx.iteration > self.max_iteration
+        ):
             budget.observe_transmissions(present.bit_count())
             return bits, present
         rng = self._rng
@@ -575,6 +529,7 @@ class PhaseTargetedAdaptiveAdversary(Adversary):
         fraction = budget.fraction
         allowance = budget.absolute_allowance
         allowance_at = budget.allowance_at
+        count = ctx.width
         bit_digits = plane_digits(bits, count)
         bit_flips: List[int] = []
         present_flips: List[int] = []
@@ -586,7 +541,7 @@ class PhaseTargetedAdaptiveAdversary(Adversary):
             _corrupt_slot(rng, slot, bit_digits[slot] == "1", bit_flips, present_flips)
         budget.transmissions_seen = seen
         budget.corruptions_spent = spent
-        return _apply_flips(bits, present, bit_flips, present_flips, count)
+        return flip_planes(bits, present, bit_flips, present_flips, count)
 
     def reset(self) -> None:
         self._rng = make_rng(self.seed)
@@ -614,6 +569,7 @@ class RotatingLinkAdaptiveAdversary(Adversary):
     def __post_init__(self) -> None:
         if not self.links:
             raise ValueError("RotatingLinkAdaptiveAdversary needs a non-empty link list")
+        self.links = tuple(as_link(link, "every rotating link") for link in self.links)
         self._rng = make_rng(self.seed)
         self._budget = NoiseBudget(fraction=self.fraction)
         self._cursor = 0
@@ -623,7 +579,7 @@ class RotatingLinkAdaptiveAdversary(Adversary):
             self._budget.observe_transmission()
         if sent is None:
             return sent
-        if (ctx.sender, ctx.receiver) != tuple(self.links[self._cursor]):
+        if (ctx.sender, ctx.receiver) != self.links[self._cursor]:
             return sent
         if not self._budget.can_spend():
             return sent
@@ -631,14 +587,23 @@ class RotatingLinkAdaptiveAdversary(Adversary):
         self._cursor = (self._cursor + 1) % len(self.links)
         return _corrupt_randomly(self._rng, sent)
 
-    def corrupt_window_packed(
-        self, ctx: WindowContext, bits: int, present: int, count: int
-    ) -> Tuple[int, int]:
-        if ctx.link != tuple(self.links[self._cursor]):
-            if present:
-                self._budget.observe_transmissions(present.bit_count())
-            return bits, present
-        return super().corrupt_window_packed(ctx, bits, present, count)
+    def corrupt_window(self, ctx: WindowContext, bits: int, present: int) -> Tuple[int, int]:
+        return _attack_links(self, self._budget, ctx, bits, present, self._targets(ctx))
+
+    def _targets(self, ctx: WindowContext) -> Iterator[int]:
+        """The current target's position while it lies ahead of the walk.
+
+        The cursor only moves when the target is attacked, so once the
+        target is behind the walk (or off the graph) no later link of this
+        window is attacked.
+        """
+        start = 0
+        while True:
+            position = ctx.index.get(self.links[self._cursor])
+            if position is None or position < start:
+                return
+            yield position
+            start = position + 1
 
     def reset(self) -> None:
         self._rng = make_rng(self.seed)
@@ -665,6 +630,7 @@ class EchoSpoofingAdversary(Adversary):
     may_insert: bool = True
 
     def __post_init__(self) -> None:
+        self.target = as_link(self.target, "target")
         self._rng = make_rng(self.seed)
         self._budget = NoiseBudget(fraction=self.fraction)
         self._pending_spoof = False
@@ -672,8 +638,8 @@ class EchoSpoofingAdversary(Adversary):
     def corrupt(self, ctx: TransmissionContext, sent: Symbol) -> Symbol:
         if sent is not None:
             self._budget.observe_transmission()
-        forward = (ctx.sender, ctx.receiver) == tuple(self.target)
-        backward = (ctx.receiver, ctx.sender) == tuple(self.target)
+        forward = (ctx.sender, ctx.receiver) == self.target
+        backward = (ctx.receiver, ctx.sender) == self.target
         if forward and sent is not None and self._budget.can_spend(2):
             self._budget.spend()
             self._pending_spoof = True
@@ -684,15 +650,16 @@ class EchoSpoofingAdversary(Adversary):
             return self._rng.choice([0, 1])  # spoofed reply (insertion)
         return sent
 
-    def corrupt_window_packed(
-        self, ctx: WindowContext, bits: int, present: int, count: int
-    ) -> Tuple[int, int]:
-        target = tuple(self.target)
-        if ctx.link != target and (ctx.link[1], ctx.link[0]) != target:
-            if present:
-                self._budget.observe_transmissions(present.bit_count())
-            return bits, present
-        return super().corrupt_window_packed(ctx, bits, present, count)
+    def corrupt_window(self, ctx: WindowContext, bits: int, present: int) -> Tuple[int, int]:
+        # Only the two directions of the target link can change; every other
+        # link is bulk-observed.
+        sender, receiver = self.target
+        index = ctx.index
+        targets = sorted(
+            {position for position in (index.get(self.target), index.get((receiver, sender)))
+             if position is not None}
+        )
+        return _attack_links(self, self._budget, ctx, bits, present, targets)
 
     def reset(self) -> None:
         self._rng = make_rng(self.seed)

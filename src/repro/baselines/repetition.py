@@ -18,13 +18,14 @@ redundancy.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.adversary.base import Adversary, NoiselessAdversary
 from repro.analysis.metrics import RunMetrics
 from repro.baselines.uncoded import BaselineResult
 from repro.network.transport import NoisyNetwork
 from repro.protocols.base import Protocol, ReceivedMap
+from repro.utils.bitstring import join_windows, split_windows
 
 
 def _majority(bits: int, present: int) -> int:
@@ -53,16 +54,27 @@ def run_repetition(
     received: Dict[int, ReceivedMap] = {party: {} for party in graph.nodes}
 
     full = (1 << repetitions) - 1
+    link_bit = graph.directed_edge_index()
+    links = len(link_bit)
     for round_index, transmissions in enumerate(protocol.schedule()):
-        # Each scheduled bit becomes one dense per-link window of length
-        # ``repetitions``; the whole round is a single window exchange.
-        messages: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        # Each scheduled bit becomes one dense window of length
+        # ``repetitions`` on its link; the whole round is one exchange.
+        bits = [0] * links
+        present = [0] * links
         for sender, receiver in transmissions:
-            bit = parties[sender].send_bit(round_index, receiver, received[sender])
-            messages[(sender, receiver)] = (full if bit else 0, full)
-        delivered = network.exchange_window_packed(messages, repetitions, phase="baseline")
+            position = link_bit[(sender, receiver)]
+            present[position] = full
+            if parties[sender].send_bit(round_index, receiver, received[sender]):
+                bits[position] = full
+        delivered_bits, delivered_present = network.exchange_window(
+            join_windows(bits, repetitions), join_windows(present, repetitions),
+            repetitions, phase="baseline",
+        )
+        copies = split_windows(delivered_bits, repetitions, links)
+        delivered = split_windows(delivered_present, repetitions, links)
         for sender, receiver in transmissions:
-            received[receiver][(round_index, sender)] = _majority(*delivered[(sender, receiver)])
+            position = link_bit[(sender, receiver)]
+            received[receiver][(round_index, sender)] = _majority(copies[position], delivered[position])
 
     outputs = {party: parties[party].compute_output(received[party]) for party in graph.nodes}
     success = all(outputs[party] == reference.outputs[party] for party in graph.nodes)

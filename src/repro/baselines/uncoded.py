@@ -54,12 +54,12 @@ def run_uncoded(
     count = len(link_bit)
 
     for round_index, transmissions in enumerate(protocol.schedule()):
-        # One round frame over every directed link (bit j is link j).
+        # One one-round window over every directed link (bit j is link j).
         slots = [
             (link_bit[(sender, receiver)], parties[sender].send_bit(round_index, receiver, received[sender]))
             for sender, receiver in transmissions
         ]
-        bits, _ = network.exchange_round(*pack_slots(slots, count), phase="baseline")
+        bits, _ = network.exchange_window(*pack_slots(slots, count), 1, phase="baseline")
         # A deleted bit reads 0, like a delivered 0.  Insertions on idle links
         # are delivered but ignored: the receiver is not listening on a link
         # with no scheduled transmission this round.

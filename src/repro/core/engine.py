@@ -57,7 +57,14 @@ from repro.network.spanning_tree import SpanningTree
 from repro.network.transport import NoisyNetwork
 from repro.obs import Tracer, get_obs, link_label
 from repro.protocols.base import PartyLogic, Protocol
-from repro.utils.bitstring import pack_slots, plane_digits, set_positions, symbol_to_bit
+from repro.utils.bitstring import (
+    join_windows,
+    pack_slots,
+    plane_digits,
+    set_positions,
+    split_windows,
+    symbol_to_bit,
+)
 from repro.utils.rng import fork, fork_seed
 
 
@@ -355,35 +362,39 @@ class InteractiveCodingSimulator:
     # ------------------------------------------------- phase (i): meeting points --
 
     def _meeting_points_phase(self, iteration: int) -> None:
-        """Phase (i): one dense window per directed link, as integer planes.
+        """Phase (i): one 4τ-round window over every directed link.
 
         Each session's 4τ-bit hash message is one packed integer (every slot
-        present), the transport's
-        :meth:`~repro.network.transport.NoisyNetwork.exchange_window_packed`
-        runs one ``corrupt_window_packed`` kernel per directed link, and the
-        reply planes feed
+        present) placed at its link's window of the link-major plane, the
+        transport's :meth:`~repro.network.transport.NoisyNetwork.exchange_window`
+        makes one ``corrupt_window`` call for the whole plane, and each reply
+        window feeds
         :meth:`~repro.core.meeting_points.MeetingPointsSession.process_reply_packed`
         directly.
         """
-        window = 4 * self.hasher.output_bits
-        full = (1 << window) - 1
-        messages: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        rounds = 4 * self.hasher.output_bits
+        link_bit = self._link_bit
+        messages = [0] * len(self._links)
         for runtime in self.runtimes.values():
             for neighbor in runtime.neighbors():
                 session = runtime.sessions[neighbor]
-                messages[(runtime.party, neighbor)] = (
-                    session.build_message_packed(iteration, runtime.transcripts[neighbor]),
-                    full,
+                messages[link_bit[(runtime.party, neighbor)]] = session.build_message_packed(
+                    iteration, runtime.transcripts[neighbor]
                 )
-        delivered = self.network.exchange_window_packed(
-            messages, window, "meeting_points", iteration
+        width = len(messages) * rounds
+        bits, present = self.network.exchange_window(
+            join_windows(messages, rounds), (1 << width) - 1, rounds, "meeting_points", iteration
         )
+        reply_bits = split_windows(bits, rounds, len(messages))
+        reply_present = split_windows(present, rounds, len(messages))
         for runtime in self.runtimes.values():
             for neighbor in runtime.neighbors():
                 session = runtime.sessions[neighbor]
                 transcript = runtime.transcripts[neighbor]
-                bits, present = delivered[(neighbor, runtime.party)]
-                outcome = session.process_reply_packed(iteration, transcript, bits, present)
+                position = link_bit[(neighbor, runtime.party)]
+                outcome = session.process_reply_packed(
+                    iteration, transcript, reply_bits[position], reply_present[position]
+                )
                 self._apply_mp_outcome(iteration, runtime, neighbor, transcript, outcome)
 
     def _apply_mp_outcome(
@@ -491,7 +502,7 @@ class InteractiveCodingSimulator:
             if runtime.net_correct == 0
             for neighbor in runtime.neighbors()
         ]
-        delivered_bits, _ = self._exchange_round(bot_slots, "simulation", iteration)
+        delivered_bits, _ = self._send_round(bot_slots, "simulation", iteration)
         bot_from: Dict[int, Set[int]] = {party: set() for party in self.graph.nodes}
         for position in set_positions(delivered_bits):
             sender, receiver = links[position]
@@ -635,7 +646,7 @@ class InteractiveCodingSimulator:
                 self.network.advance_rounds(rounds - round_index)
                 self.network.idle_rounds_collapsed += rounds - round_index
                 return
-            delivered_bits, _ = self._exchange_round(slots, "rewind", iteration)
+            delivered_bits, _ = self._send_round(slots, "rewind", iteration)
             # Every link that delivered a 1, in the order the parties scan
             # their neighbours (party, then neighbour, ascending).
             requests = sorted(
@@ -661,23 +672,23 @@ class InteractiveCodingSimulator:
 
     # --------------------------------------------------------- bookkeeping --
 
-    def _exchange_round(
+    def _send_round(
         self, slots: List[Tuple[int, int]], phase: str, iteration: int
     ) -> Tuple[int, int]:
         """One lockstep round: send ``bit`` on the link at each ``(position, bit)``
-        of ``slots`` (positions in ``graph.directed_edges()``) through
-        :meth:`~repro.network.transport.NoisyNetwork.exchange_round`, and
+        of ``slots`` (positions in ``graph.directed_edges()``) as a one-round
+        :meth:`~repro.network.transport.NoisyNetwork.exchange_window`, and
         return the delivered round frame ``(bits, present)``."""
         bits, present = pack_slots(slots, len(self._links))
-        return self.network.exchange_round(bits, present, phase, iteration)
+        return self.network.exchange_window(bits, present, 1, phase, iteration)
 
     def _round_digits(
         self, slots: List[Tuple[int, int]], phase: str, iteration: int
     ) -> Tuple[str, str]:
-        """:meth:`_exchange_round`, with the delivered frame as per-link digit
+        """:meth:`_send_round`, with the delivered frame as per-link digit
         strings (``plane_digits``) so every read is O(1)."""
         count = len(self._links)
-        bits, present = self._exchange_round(slots, phase, iteration)
+        bits, present = self._send_round(slots, phase, iteration)
         return plane_digits(bits, count), plane_digits(present, count)
 
     def _transcript(self, owner: int, neighbor: int) -> LinkTranscript:

@@ -28,7 +28,7 @@ from repro.hashing.seeds import ExchangedSeedSource, SeedSource
 from repro.hashing.small_bias import seed_length_bits
 from repro.network.graph import Graph, edge_key
 from repro.network.transport import NoisyNetwork
-from repro.utils.bitstring import bits_to_int
+from repro.utils.bitstring import bits_to_int, join_windows, split_windows
 from repro.utils.rng import random_bits
 
 
@@ -63,21 +63,30 @@ def run_randomness_exchange(
     window = code.codeword_bits
     full = (1 << window) - 1
 
+    link_bit = graph.directed_edge_index()
+    links = len(link_bit)
     sampled: Dict[Tuple[int, int], int] = {}
-    messages: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    messages = [0] * links
+    sending = [0] * links
     for u, v in graph.edges:  # canonical order: u < v, u is the sender
         seed = bits_to_int(random_bits(rng, seed_bits))
         sampled[(u, v)] = seed
-        messages[(u, v)] = (code.encode(seed), full)
+        messages[link_bit[(u, v)]] = code.encode(seed)
+        sending[link_bit[(u, v)]] = full
 
     before = network.communication()
-    received = network.exchange_window_packed(messages, window, "randomness_exchange")
+    bits, present = network.exchange_window(
+        join_windows(messages, window), join_windows(sending, window), window, "randomness_exchange"
+    )
     communication = network.communication() - before
+    received_bits = split_windows(bits, window, links)
+    received_present = split_windows(present, window, links)
 
     report = RandomnessExchangeReport(seed_sources={}, communication=communication)
     for u, v in graph.edges:
         sender_seed = sampled[(u, v)]
-        bits, present = received[(u, v)]
+        position = link_bit[(u, v)]
+        bits, present = received_bits[position], received_present[position]
         try:
             receiver_seed = code.decode(bits, present)
         except DecodingError:

@@ -2,7 +2,6 @@
 
 from repro.network.channel import (
     ChannelStats,
-    RoundContext,
     Symbol,
     TransmissionContext,
     WindowContext,
@@ -25,7 +24,6 @@ from repro.network.transport import NoisyNetwork
 
 __all__ = [
     "ChannelStats",
-    "RoundContext",
     "Symbol",
     "TransmissionContext",
     "WindowContext",

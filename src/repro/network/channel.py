@@ -73,48 +73,53 @@ class TransmissionContext:
 
 
 class WindowContext:
-    """Metadata describing one window of consecutive slots on one directed link.
+    """Metadata describing one window of consecutive rounds over every directed link.
 
-    The window transport hands one ``WindowContext`` per directed link to
-    :meth:`~repro.adversary.base.Adversary.corrupt_window_packed`; slot
-    ``offset`` of the window corresponds to absolute round
-    ``base_round + offset``.  :meth:`slot` materialises the equivalent
-    per-slot :class:`TransmissionContext`, which is what the base per-slot
-    fallback (and any adversary that only implements ``corrupt``) consumes.
+    The transport hands one ``WindowContext`` to
+    :meth:`~repro.adversary.base.Adversary.corrupt_window` together with a
+    link-major ``(bits, present)`` plane: position ``j * rounds + t`` is link
+    ``links[j]`` in absolute round ``base_round + t``, so a lockstep round is
+    the case ``rounds == 1``.  ``index`` maps each link back to ``j``.
+    :meth:`slot` materialises the per-slot :class:`TransmissionContext` of a
+    position, which is what the base per-slot loop (and any adversary that
+    only implements ``corrupt``) consumes.
 
     A hand-rolled ``__slots__`` class rather than a dataclass: one instance
-    is allocated per (link, window) on the transport hot path, where the
+    is allocated per exchange on the transport hot path, where the
     dataclass machinery is measurable overhead.
     """
 
-    __slots__ = ("link", "phase", "iteration", "base_round")
+    __slots__ = ("links", "index", "rounds", "phase", "iteration", "base_round")
 
     def __init__(
         self,
-        link: Tuple[int, int],
+        links: Sequence[Tuple[int, int]],
+        index: Dict[Tuple[int, int], int],
+        rounds: int,
         phase: str,
         iteration: int = -1,
         base_round: int = 0,
     ) -> None:
-        self.link = link
+        self.links = links
+        self.index = index
+        self.rounds = rounds
         self.phase = phase
         self.iteration = iteration
         self.base_round = base_round
 
     @property
-    def sender(self) -> int:
-        return self.link[0]
+    def width(self) -> int:
+        """Number of slots in the plane: ``len(links) * rounds``."""
+        return len(self.links) * self.rounds
 
-    @property
-    def receiver(self) -> int:
-        return self.link[1]
-
-    def slot(self, offset: int) -> TransmissionContext:
-        """The per-slot context of window offset ``offset``."""
+    def slot(self, position: int) -> TransmissionContext:
+        """The per-slot context of plane position ``position``."""
+        sender, receiver = self.links[position // self.rounds]
+        offset = position % self.rounds
         return TransmissionContext(
             round_index=self.base_round + offset,
-            sender=self.link[0],
-            receiver=self.link[1],
+            sender=sender,
+            receiver=receiver,
             phase=self.phase,
             iteration=self.iteration,
             slot_index=offset,
@@ -122,64 +127,8 @@ class WindowContext:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"WindowContext(link={self.link!r}, phase={self.phase!r}, "
-            f"iteration={self.iteration}, base_round={self.base_round})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WindowContext):
-            return NotImplemented
-        return (
-            self.link == other.link
-            and self.phase == other.phase
-            and self.iteration == other.iteration
-            and self.base_round == other.base_round
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.link, self.phase, self.iteration, self.base_round))
-
-
-class RoundContext:
-    """Metadata describing one lockstep round over every directed link.
-
-    The round-frame path hands one ``RoundContext`` to
-    :meth:`~repro.adversary.base.Adversary.corrupt_round_packed` together
-    with a ``(bits, present)`` plane in which bit ``j`` is link
-    ``links[j]``.  ``index`` maps each link back to its bit;
-    :meth:`window` materialises the single-slot :class:`WindowContext` of
-    one link, which is what the per-link fallback consumes.
-    """
-
-    __slots__ = ("links", "index", "phase", "iteration", "round_index")
-
-    def __init__(
-        self,
-        links: Sequence[Tuple[int, int]],
-        phase: str,
-        iteration: int = -1,
-        round_index: int = 0,
-        index: Optional[Dict[Tuple[int, int], int]] = None,
-    ) -> None:
-        self.links = links
-        self.index = index if index is not None else {link: j for j, link in enumerate(links)}
-        self.phase = phase
-        self.iteration = iteration
-        self.round_index = round_index
-
-    def window(self, position: int) -> WindowContext:
-        """The one-round window context of link ``links[position]``."""
-        return WindowContext(
-            link=self.links[position],
-            phase=self.phase,
-            iteration=self.iteration,
-            base_round=self.round_index,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"RoundContext(links={len(self.links)}, phase={self.phase!r}, "
-            f"iteration={self.iteration}, round_index={self.round_index})"
+            f"WindowContext(links={len(self.links)}, rounds={self.rounds}, "
+            f"phase={self.phase!r}, iteration={self.iteration}, base_round={self.base_round})"
         )
 
 
@@ -212,15 +161,16 @@ class ChannelStats:
             return 0.0
         return self.corruptions / self.transmissions
 
-    def record_window_packed(
+    def record_window(
         self,
         ctx: WindowContext,
         sent_bits: int,
         sent_present: int,
         received_bits: int,
         received_present: int,
-    ) -> None:
-        """Account one whole window on one directed link — O(1) popcounts.
+    ) -> List[int]:
+        """Account one window; return the positions (in ``ctx.links``) of its
+        corrupted links, ascending.
 
         ``(bits, present)`` planes follow the
         :func:`~repro.utils.bitstring.pack_symbols` convention (``bits`` is a
@@ -228,50 +178,10 @@ class ChannelStats:
         substitution is a slot present on both sides with differing bits, a
         deletion is present→absent, an insertion is absent→present; each
         corrupted slot counts once in the totals and in the per-phase and
-        per-link breakdowns.
+        per-link breakdowns.  Totals and per-phase counts are popcounts; only
+        the corrupted slots are visited, in link-major order.
         """
-        corruptions = self._record_planes(
-            ctx.phase, sent_bits, sent_present, received_bits, received_present
-        ).bit_count()
-        if corruptions:
-            link_corruptions = self.corruptions_by_link
-            link_corruptions[ctx.link] = link_corruptions.get(ctx.link, 0) + corruptions
-
-    def record_round_packed(
-        self,
-        ctx: RoundContext,
-        sent_bits: int,
-        sent_present: int,
-        received_bits: int,
-        received_present: int,
-    ) -> List[int]:
-        """Account one round frame; return the positions of its corrupted links.
-
-        Equivalent to one :meth:`record_window_packed` per link of the frame
-        in ``ctx.links`` order.  Totals and per-phase counts are popcounts;
-        only the corrupted links are visited, in ascending position.
-        """
-        corrupted = self._record_planes(
-            ctx.phase, sent_bits, sent_present, received_bits, received_present
-        )
-        positions = set_positions(corrupted)
-        link_corruptions = self.corruptions_by_link
-        links = ctx.links
-        for position in positions:
-            link = links[position]
-            link_corruptions[link] = link_corruptions.get(link, 0) + 1
-        return positions
-
-    def _record_planes(
-        self,
-        phase: str,
-        sent_bits: int,
-        sent_present: int,
-        received_bits: int,
-        received_present: int,
-    ) -> int:
-        """Account everything but the per-link breakdown; return the mask of
-        corrupted slots."""
+        phase = ctx.phase
         flipped = (sent_bits ^ received_bits) & sent_present & received_present
         deleted = sent_present & ~received_present
         inserted = received_present & ~sent_present
@@ -282,18 +192,29 @@ class ChannelStats:
             phase_counts = self.transmissions_by_phase
             phase_counts[phase] = phase_counts.get(phase, 0) + transmissions
         corrupted = flipped | deleted | inserted
-        if corrupted:
-            substitutions = flipped.bit_count()
-            deletions = deleted.bit_count()
-            insertions = inserted.bit_count()
-            self.substitutions += substitutions
-            self.deletions += deletions
-            self.insertions += insertions
-            phase_corruptions = self.corruptions_by_phase
-            phase_corruptions[phase] = (
-                phase_corruptions.get(phase, 0) + substitutions + deletions + insertions
-            )
-        return corrupted
+        if not corrupted:
+            return []
+        substitutions = flipped.bit_count()
+        deletions = deleted.bit_count()
+        insertions = inserted.bit_count()
+        self.substitutions += substitutions
+        self.deletions += deletions
+        self.insertions += insertions
+        phase_corruptions = self.corruptions_by_phase
+        phase_corruptions[phase] = (
+            phase_corruptions.get(phase, 0) + substitutions + deletions + insertions
+        )
+        link_corruptions = self.corruptions_by_link
+        links = ctx.links
+        rounds = ctx.rounds
+        positions: List[int] = []
+        for slot in set_positions(corrupted):
+            position = slot // rounds
+            link = links[position]
+            link_corruptions[link] = link_corruptions.get(link, 0) + 1
+            if not positions or positions[-1] != position:
+                positions.append(position)
+        return positions
 
     def snapshot(self) -> Dict[str, float]:
         """A plain-dict summary convenient for reports and benchmarks."""

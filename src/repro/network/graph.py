@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 Edge = Tuple[int, int]
 DirectedEdge = Tuple[int, int]
@@ -47,7 +47,6 @@ class Graph:
         # must stay invisible to dataclass-field walkers such as the trial
         # fingerprinter.
         self._directed_cache: Optional[Tuple[DirectedEdge, ...]] = None
-        self._directed_set_cache: Optional[FrozenSet[DirectedEdge]] = None
         self._directed_index_cache: Optional[Dict[DirectedEdge, int]] = None
 
     # -- construction -----------------------------------------------------
@@ -69,7 +68,6 @@ class Graph:
         self._adjacency[u].add(v)
         self._adjacency[v].add(u)
         self._directed_cache = None
-        self._directed_set_cache = None
         self._directed_index_cache = None
 
     def _check_node(self, node: int) -> None:
@@ -101,18 +99,11 @@ class Graph:
             cached = self._directed_cache = tuple(out)
         return cached
 
-    def directed_edge_set(self) -> FrozenSet[DirectedEdge]:
-        """The directed edges as a set, for O(1) link validation (cached)."""
-        cached = self._directed_set_cache
-        if cached is None:
-            cached = self._directed_set_cache = frozenset(self.directed_edges())
-        return cached
-
     def directed_edge_index(self) -> Dict[DirectedEdge, int]:
         """Position of each directed edge within :meth:`directed_edges` (cached).
 
-        Bit ``j`` of a round frame is link ``directed_edges()[j]``; this maps a
-        link back to its bit.
+        Link ``j`` of a transport window is ``directed_edges()[j]``; this maps
+        a link back to ``j``.
         """
         cached = self._directed_index_cache
         if cached is None:

@@ -5,7 +5,7 @@ paper's analysis names — while a trial runs:
 
 * ``corruption`` — one event per (round, link) slot the adversary changed,
   classified as substitution / deletion / insertion (the transport emits
-  these on both transmission paths: per-link windows and round frames);
+  these for every exchange, wide windows and one-round windows alike);
 * ``hash_collision`` — the meeting-points digest matched but the underlying
   transcripts diverge (the engine's ground-truth check);
 * ``meeting_point`` — per-link meeting-point decisions: full matches,
@@ -121,7 +121,7 @@ class FlightRecorder:
     ) -> None:
         """Walk one delivered window and emit a ``corruption`` event per
         changed slot (round = ``base_round`` + offset, matching the
-        transport's own accounting on both transmission paths)."""
+        transport's own accounting)."""
         for offset, (sent_symbol, received) in enumerate(zip(sent, delivered)):
             corruption = classify_slot(sent_symbol, received)
             if corruption is not None:

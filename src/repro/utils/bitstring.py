@@ -212,6 +212,52 @@ def pack_slots(slots: Iterable[Tuple[int, Bit]], count: int) -> Tuple[int, int]:
     return positions_to_int(ones, count), positions_to_int(present, count)
 
 
+def flip_planes(
+    bits: int, present: int, bit_flips: List[int], present_flips: List[int], count: int
+) -> Tuple[int, int]:
+    """Toggle the listed positions of the two planes, one pass each (not one
+    whole-plane mask per position).
+
+    >>> flip_planes(0b01, 0b11, [0, 2], [2], 3)
+    (4, 7)
+    """
+    if bit_flips:
+        bits ^= positions_to_int(bit_flips, count)
+    if present_flips:
+        present ^= positions_to_int(present_flips, count)
+    return bits, present
+
+
+def join_windows(windows: Sequence[int], width: int) -> int:
+    """Lay ``width``-bit values side by side: ``windows[j]`` occupies bits
+    ``[j * width, (j + 1) * width)``.
+
+    One shift per window: for the plane sizes the transport carries (tens of
+    links × tens of rounds) that beats any per-bit or string conversion.
+
+    >>> join_windows([0b01, 0b11], 2)
+    13
+    """
+    value = 0
+    for window in reversed(windows):
+        if window < 0 or window >> width:
+            raise ValueError(f"window value {window!r} does not fit in {width} bits")
+        value = (value << width) | window
+    return value
+
+
+def split_windows(value: int, width: int, count: int) -> List[int]:
+    """Inverse of :func:`join_windows`: the ``count`` windows of ``value``.
+
+    >>> split_windows(13, 2, 2)
+    [1, 3]
+    """
+    if value < 0 or value >> (width * count):
+        raise ValueError(f"value does not fit in {count} windows of {width} bits")
+    mask = (1 << width) - 1
+    return [(value >> (j * width)) & mask for j in range(count)]
+
+
 def unpack_symbols(bits: int, present: int, count: int) -> List[Symbol]:
     """Inverse of :func:`pack_symbols`: expand ``count`` slots back to symbols.
 
@@ -226,4 +272,8 @@ def unpack_symbols(bits: int, present: int, count: int) -> List[Symbol]:
         raise ValueError(f"present plane has bits beyond the {count}-slot window")
     if bits & ~present:
         raise ValueError("bits plane must be a subset of the present plane")
-    return [(bits >> i) & 1 if (present >> i) & 1 else None for i in range(count)]
+    bit_digits = plane_digits(bits, count)
+    return [
+        (1 if bit == "1" else 0) if slot == "1" else None
+        for slot, bit in zip(plane_digits(present, count), bit_digits)
+    ]

@@ -4,12 +4,12 @@ Two oracles, each a direct transcription of the model rather than an
 optimisation of it:
 
 * :class:`PerSlotNetwork` — a :class:`~repro.network.transport.NoisyNetwork`
-  whose two transport methods deliver slot by slot through the adversary's
+  whose ``exchange_window`` delivers slot by slot through the adversary's
   ``corrupt`` and ``notify_delivery``: directed links in
-  ``graph.directed_edges()`` order, then window offsets in order, skipping
-  silent slots when the adversary cannot insert.  It accounts each slot on
-  its own (:func:`record_slot`) and emits one flight-recorder event per
-  corrupted slot, as the production transport does.
+  ``graph.directed_edges()`` order, then rounds in order, skipping silent
+  slots when the adversary cannot insert.  It accounts each slot on its own
+  (:func:`record_slot`) and emits one flight-recorder event per corrupted
+  slot, as the production transport does.
 * :func:`build_message_per_call` — the meeting-points message built with one
   ``seed_for`` derivation and one ``digest`` per hash, where production
   derives an iteration's seeds in one batch and digests the three transcript
@@ -22,19 +22,33 @@ exist.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List
 
 from repro.core.meeting_points import _COUNTER_BITS
 from repro.network.channel import (
     ChannelStats,
     Symbol,
     TransmissionContext,
-    WindowContext,
     classify_corruption,
 )
 from repro.network.transport import NoisyNetwork
 from repro.obs.recorder import link_label
 from repro.utils.bitstring import pack_symbols, unpack_symbols
+
+
+def link_major_plane(graph, messages, rounds):
+    """The ``(bits, present)`` plane ``exchange_window`` expects for
+    ``messages`` (link -> at most ``rounds`` symbols): link ``j`` of
+    ``graph.directed_edges()`` at positions ``[j * rounds, (j + 1) * rounds)``,
+    silence after each message and on absent links."""
+    index = graph.directed_edge_index()
+    symbols: List[Symbol] = [None] * (len(index) * rounds)
+    for link, sent in messages.items():
+        if len(sent) > rounds:
+            raise ValueError(f"message on link {link} is longer than the {rounds}-round window")
+        start = index[link] * rounds
+        symbols[start:start + len(sent)] = sent
+    return pack_symbols(symbols)
 
 
 def record_slot(stats: ChannelStats, ctx: TransmissionContext, sent: Symbol, received: Symbol) -> None:
@@ -62,57 +76,35 @@ def record_slot(stats: ChannelStats, ctx: TransmissionContext, sent: Symbol, rec
 class PerSlotNetwork(NoisyNetwork):
     """The transport with every slot delivered through ``corrupt`` on its own."""
 
-    def exchange_window_packed(self, messages, window_rounds, phase, iteration=-1):
-        self.check_messages(messages, window_rounds)
-        received = {}
-        for link in self.graph.directed_edges():
-            bits, present = messages.get(link, (0, 0))
-            sent = unpack_symbols(bits, present, window_rounds)
-            received[link] = pack_symbols(
-                self._deliver(link, sent, phase, iteration, self.current_round)
-            )
-        self.current_round += window_rounds
-        return received
-
-    def exchange_round(self, bits, present, phase, iteration=-1):
+    def exchange_window(self, bits, present, rounds, phase, iteration=-1):
+        if rounds < 0:
+            raise ValueError("rounds must be non-negative")
         links = self.graph.directed_edges()
-        sent = unpack_symbols(bits, present, len(links))
-        delivered: List[Symbol] = []
-        for link, symbol in zip(links, sent):
-            delivered.extend(self._deliver(link, [symbol], phase, iteration, self.current_round))
-        self.current_round += 1
-        return pack_symbols(delivered)
-
-    def check_messages(self, messages: Dict[Tuple[int, int], Tuple[int, int]], window_rounds: int) -> None:
-        """Reject what the production transport rejects, before any delivery."""
-        if window_rounds < 0:
-            raise ValueError("window_rounds must be non-negative")
-        links = self.graph.directed_edge_set()
-        for link, (bits, present) in messages.items():
-            if link not in links:
-                raise ValueError(f"message keyed on unknown link {link}: not a directed edge of the network")
-            unpack_symbols(bits, present, window_rounds)
-
-    def _deliver(self, link, sent: List[Symbol], phase: str, iteration: int, base_round: int) -> List[Symbol]:
+        sent = unpack_symbols(bits, present, len(links) * rounds)
         adversary = self.adversary
-        window = WindowContext(link=link, phase=phase, iteration=iteration, base_round=base_round)
         delivered: List[Symbol] = []
-        for offset, symbol in enumerate(sent):
+        for position, symbol in enumerate(sent):
+            sender, receiver = links[position // rounds]
+            offset = position % rounds
             if symbol is None and not adversary.may_insert:
                 delivered.append(None)
                 continue
-            ctx = window.slot(offset)
+            ctx = TransmissionContext(
+                round_index=self.current_round + offset, sender=sender, receiver=receiver,
+                phase=phase, iteration=iteration, slot_index=offset,
+            )
             received = adversary.corrupt(ctx, symbol)
             if received not in (0, 1, None):
                 raise ValueError(f"adversary produced invalid symbol {received!r}")
             record_slot(self.stats, ctx, symbol, received)
             if self.recorder is not None and received != symbol:
                 self.recorder.record_window(
-                    link_label(*link), phase, iteration, ctx.round_index, (symbol,), (received,)
+                    link_label(sender, receiver), phase, iteration, ctx.round_index, (symbol,), (received,)
                 )
             adversary.notify_delivery(ctx, symbol, received)
             delivered.append(received)
-        return delivered
+        self.current_round += rounds
+        return pack_symbols(delivered)
 
 
 def build_message_per_call(session, iteration: int, transcript, length: int) -> int:

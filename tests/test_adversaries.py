@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import PerSlotNetwork
+from oracle import PerSlotNetwork, link_major_plane
 
 from repro.adversary import ContractViolation, check_contract
 from repro.adversary.base import Adversary, NoiseBudget, NoiselessAdversary
@@ -24,7 +24,7 @@ from repro.adversary.strategies import (
     RotatingLinkAdaptiveAdversary,
 )
 from repro.experiments.table1 import _adaptive_factory, _oblivious_factory
-from repro.network.channel import RoundContext, Symbol, TransmissionContext, WindowContext
+from repro.network.channel import Symbol, TransmissionContext, WindowContext
 from repro.network.topologies import line_topology, random_connected_topology
 from repro.network.transport import NoisyNetwork
 from repro.utils.bitstring import pack_symbols, unpack_symbols
@@ -36,8 +36,16 @@ def _ctx(round_index=0, sender=0, receiver=1, phase="simulation", iteration=0):
     )
 
 
-def _window_ctx(link=(0, 1), phase="simulation", iteration=0, base_round=0):
-    return WindowContext(link=link, phase=phase, iteration=iteration, base_round=base_round)
+def _links_ctx(links, rounds, phase="simulation", iteration=0, base_round=0):
+    """A window context over ``links`` (link-major planes of ``rounds`` rounds)."""
+    links = tuple(links)
+    index = {link: position for position, link in enumerate(links)}
+    return WindowContext(links, index, rounds, phase, iteration, base_round)
+
+
+def _window_ctx(rounds, link=(0, 1), phase="simulation", iteration=0, base_round=0):
+    """A window context over the single link ``link``."""
+    return _links_ctx((link,), rounds, phase, iteration, base_round)
 
 
 class TestNoiseBudget:
@@ -184,14 +192,13 @@ class TestLinkTargeted:
         for adversary in (listed, paired):
             delivered[id(adversary)] = [
                 [adversary.corrupt(_ctx(round_index=r), 1) for r in range(8)],
-                adversary.corrupt_window_packed(_window_ctx(base_round=10), 0b11001, 0b11011, 5),
-                adversary.corrupt_window_packed(_window_ctx(base_round=20), bits, present, 8),
+                adversary.corrupt_window(_window_ctx(5, base_round=10), 0b11001, 0b11011),
+                adversary.corrupt_window(_window_ctx(8, base_round=20), bits, present),
                 [
-                    adversary.corrupt_round_packed(
-                        RoundContext(links, "simulation", 0, round_index=30 + r), 0b0111, 0b1111
-                    )
+                    adversary.corrupt_window(_links_ctx(links, 1, base_round=30 + r), 0b0111, 0b1111)
                     for r in range(8)
                 ],
+                adversary.corrupt_window(_links_ctx(links, 3, base_round=40), 0b11 << 3, 0b111 << 3),
             ]
         assert delivered[id(listed)] == delivered[id(paired)]
         assert delivered[id(listed)][0] != [1] * 8  # the attack really fires
@@ -201,6 +208,46 @@ class TestLinkTargeted:
     def test_rejects_targets_that_are_not_links(self, target):
         with pytest.raises(ValueError, match="directed link"):
             LinkTargetedAdversary(target=target, max_corruptions=1)
+
+
+#: Values that can never compare equal to a transport link ``(sender, receiver)``.
+_NOT_LINKS = [(0, 1, 2), (0,), "01", 5, (0, "1"), None]
+
+
+class TestLinkNormalisation:
+    """Every adversary keyed on a link rejects values that are not links
+    (they would silently never attack) and accepts lists as tuples."""
+
+    @pytest.mark.parametrize("target", _NOT_LINKS)
+    def test_echo_rejects_targets_that_are_not_links(self, target):
+        with pytest.raises(ValueError, match="directed link"):
+            EchoSpoofingAdversary(target=target, fraction=0.5)
+
+    @pytest.mark.parametrize("link", _NOT_LINKS)
+    def test_rotating_rejects_links_that_are_not_links(self, link):
+        with pytest.raises(ValueError, match="directed link"):
+            RotatingLinkAdaptiveAdversary(links=[(1, 0), link], fraction=0.5)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda link: EchoSpoofingAdversary(target=link, fraction=0.5, seed=3),
+            lambda link: RotatingLinkAdaptiveAdversary(links=[link, (1, 0)], fraction=0.5, seed=3),
+        ],
+        ids=["echo-spoofing", "rotating-link"],
+    )
+    def test_list_links_attack_like_tuple_links(self, build):
+        listed, paired = build([0, 1]), build((0, 1))
+        links = ((0, 1), (1, 0), (1, 2), (2, 1))
+        delivered = {}
+        for adversary in (listed, paired):
+            delivered[id(adversary)] = [
+                adversary.corrupt_window(_links_ctx(links, 4, base_round=4 * step), 0b1010 * 0x1111, 0x0FFF)
+                for step in range(6)
+            ]
+        assert delivered[id(listed)] == delivered[id(paired)]
+        assert any(got != (0b1010 * 0x1111 & 0x0FFF, 0x0FFF) for got in delivered[id(listed)])
+        assert _state_snapshot(listed) == _state_snapshot(paired)
 
 
 class TestBurst:
@@ -401,15 +448,13 @@ def test_composite_with_notify_using_component_stays_bit_identical():
             )
         )
 
-    planes = NoisyNetwork(line_topology(3), adversary=build())
-    per_slot = PerSlotNetwork(line_topology(3), adversary=build())
-    messages = {
-        (0, 1): pack_symbols([1, 1, 0, 1, 0, 1]),
-        (1, 2): pack_symbols([0, 1, 1, None, 1, 0]),
-    }
+    graph = line_topology(3)
+    planes = NoisyNetwork(graph, adversary=build())
+    per_slot = PerSlotNetwork(graph, adversary=build())
+    window = link_major_plane(graph, {(0, 1): [1, 1, 0, 1, 0, 1], (1, 2): [0, 1, 1, None, 1, 0]}, 6)
     for network in (planes, per_slot):
-        network.exchange_window_packed(messages, 6, phase="simulation")
-        network.exchange_round(0b0101, 0b1111, phase="rewind")
+        network.exchange_window(*window, 6, phase="simulation")
+        network.exchange_window(0b0101, 0b1111, 1, phase="rewind")
     assert planes.stats == per_slot.stats
     assert planes.current_round == per_slot.current_round == 7
     assert _state_snapshot(planes.adversary) == _state_snapshot(per_slot.adversary)
@@ -436,8 +481,8 @@ class _PerSlotOnlyAdversary(Adversary):
 
 
 class TestCorruptWindow:
-    """The window contract: corrupt_window_packed must mirror per-slot
-    corrupt calls."""
+    """The window contract: corrupt_window must mirror per-slot corrupt
+    calls."""
 
     def _per_slot_reference(self, build, ctx, window):
         """Drive `corrupt` slot by slot the way the per-slot transport would."""
@@ -496,17 +541,17 @@ class TestCorruptWindow:
     )
     def test_window_matches_slot_by_slot_reference(self, builder):
         window = [1, 0, None, 1, None, 0, 1, 1]
-        ctx = _window_ctx(link=(0, 1), phase="simulation", base_round=0)
+        ctx = _window_ctx(len(window), link=(0, 1), phase="simulation", base_round=0)
         reference_adversary, reference = self._per_slot_reference(builder, ctx, window)
         adversary = builder()
-        delivered = adversary.corrupt_window_packed(ctx, *pack_symbols(window), len(window))
+        delivered = adversary.corrupt_window(ctx, *pack_symbols(window))
         assert delivered == pack_symbols(reference)
         assert _state_snapshot(adversary) == _state_snapshot(reference_adversary)
 
     def test_fallback_covers_corrupt_only_adversaries(self):
         adversary = _PerSlotOnlyAdversary()
-        ctx = _window_ctx(link=(0, 1), base_round=10)
-        delivered = adversary.corrupt_window_packed(ctx, *pack_symbols([1, None, 0]), 3)
+        ctx = _window_ctx(3, link=(0, 1), base_round=10)
+        delivered = adversary.corrupt_window(ctx, *pack_symbols([1, None, 0]))
         assert unpack_symbols(*delivered, 3) == [0, None, 1]
         # the fallback materialised one per-slot context per slot, in order,
         # and interleaved the notification hook exactly like the slot path
@@ -516,7 +561,7 @@ class TestCorruptWindow:
     def test_fallback_skips_silent_slots_for_non_inserting_adversaries(self):
         adversary = _PerSlotOnlyAdversary()
         adversary.may_insert = False
-        delivered = adversary.corrupt_window_packed(_window_ctx(), *pack_symbols([None, 1, None]), 3)
+        delivered = adversary.corrupt_window(_window_ctx(3), *pack_symbols([None, 1, None]))
         assert unpack_symbols(*delivered, 3) == [None, 0, None]
         assert adversary.calls == [(1, 1, 1)]
 
@@ -526,23 +571,19 @@ class TestCorruptWindow:
                 return 7
 
         with pytest.raises(ValueError, match="invalid symbol 7"):
-            Sevens().corrupt_window_packed(_window_ctx(), 1, 1, 1)
+            Sevens().corrupt_window(_window_ctx(1), 1, 1)
 
     def test_window_context_slot_materialisation(self):
-        ctx = _window_ctx(link=(3, 5), phase="rewind", iteration=7, base_round=100)
-        slot = ctx.slot(4)
-        assert slot == TransmissionContext(
+        """Planes are link-major: position ``j * rounds + t`` is link ``j``
+        in round ``base_round + t``."""
+        ctx = _links_ctx(((0, 1), (3, 5)), 6, phase="rewind", iteration=7, base_round=100)
+        assert ctx.width == 12
+        assert ctx.slot(6 + 4) == TransmissionContext(
             round_index=104, sender=3, receiver=5, phase="rewind", iteration=7, slot_index=4
         )
-        assert ctx.sender == 3 and ctx.receiver == 5
-
-    def test_window_context_equality_and_hash(self):
-        a = _window_ctx(link=(0, 1), phase="simulation", iteration=1, base_round=4)
-        b = _window_ctx(link=(0, 1), phase="simulation", iteration=1, base_round=4)
-        c = _window_ctx(link=(1, 0), phase="simulation", iteration=1, base_round=4)
-        assert a == b and a != c
-        assert hash(a) == hash(b)
-        assert {a, b, c} == {a, c}
+        assert ctx.slot(5) == TransmissionContext(
+            round_index=105, sender=0, receiver=1, phase="rewind", iteration=7, slot_index=5
+        )
 
 
 #: Every stock adversary in every shipped mode, as fresh-instance builders.
@@ -581,9 +622,9 @@ STOCK_CONTRACT_CASES = {
 }
 
 
-#: Configurations the round-frame kernels must also get right: a budgeted
-#: inserting ``RandomNoise`` (the budget mirror runs through silent slots)
-#: and the two Table 1 composites, whose ``LinkTargeted`` leg attacks
+#: Configurations the kernels must also get right on one-round planes: a
+#: budgeted inserting ``RandomNoise`` (the budget mirror runs through silent
+#: slots) and the two Table 1 composites, whose ``LinkTargeted`` leg attacks
 #: ``(0, 1)`` in the simulation phase.
 ROUND_FRAME_EXTRA_CASES = {
     "random-noise-budgeted-inserting": lambda: RandomNoiseAdversary(
@@ -598,27 +639,33 @@ ROUND_FRAME_EXTRA_CASES = {
 ROUND_FRAME_CASES = {**STOCK_CONTRACT_CASES, **ROUND_FRAME_EXTRA_CASES}
 
 
-def _round_frames(links, phases, frames, seed):
-    """Random ``(ctx, bits, present)`` round frames over ``links``."""
+def _random_windows(links, phases, windows, seed):
+    """Random ``(ctx, bits, present)`` planes over ``links``: mostly one
+    round wide (lockstep rounds), sometimes four (meeting-points shaped)."""
     rng = random.Random(seed)
     out = []
-    for index in range(frames):
-        present = rng.getrandbits(len(links))
-        bits = rng.getrandbits(len(links)) & present
-        ctx = RoundContext(links, phases[index % len(phases)], index % 3, round_index=3 * index)
+    base_round = 0
+    for index in range(windows):
+        rounds = rng.choice((1, 1, 4))
+        width = len(links) * rounds
+        present = rng.getrandbits(width)
+        bits = rng.getrandbits(width) & present
+        ctx = _links_ctx(links, rounds, phases[index % len(phases)], index % 3, base_round)
         out.append((ctx, bits, present))
+        base_round += rounds
     return out
 
 
 class TestRoundFrame:
-    """`corrupt_round_packed`: one adversary call per lockstep round."""
+    """Lockstep rounds are one-round planes: one adversary call per round."""
 
     @pytest.mark.parametrize(
         "builder", list(ROUND_FRAME_EXTRA_CASES.values()), ids=list(ROUND_FRAME_EXTRA_CASES)
     )
     def test_round_frame_law_holds(self, builder):
-        # The stock configurations run the law in TestCheckContract.
-        assert "round-frame" in check_contract(builder()).laws
+        # check_contract probes one-round planes; the stock configurations
+        # run it in TestCheckContract.
+        assert check_contract(builder()).laws == ("window",)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -632,72 +679,77 @@ class TestRoundFrame:
         native = ROUND_FRAME_CASES[case]()
         reference = ROUND_FRAME_CASES[case]()
         phases = ("flag_passing", "simulation", "rewind", "meeting_points")
-        for ctx, bits, present in _round_frames(links, phases, 12, frame_seed):
-            got = native.corrupt_round_packed(ctx, bits, present)
-            assert got == Adversary.corrupt_round_packed(reference, ctx, bits, present)
-            assert got[0] & ~got[1] == 0 and got[1] >> len(links) == 0
+        for ctx, bits, present in _random_windows(links, phases, 12, frame_seed):
+            got = native.corrupt_window(ctx, bits, present)
+            assert got == Adversary.corrupt_window(reference, ctx, bits, present)
+            assert got[0] & ~got[1] == 0 and got[1] >> ctx.width == 0
             assert _state_snapshot(native) == _state_snapshot(reference)
 
     def test_stock_kernels_are_native(self):
         for klass in (
             NoiselessAdversary,
+            AdditiveObliviousAdversary,
+            FixingObliviousAdversary,
             RandomNoiseAdversary,
             LinkTargetedAdversary,
-            PhaseTargetedAdaptiveAdversary,
+            BurstAdversary,
+            DeletionAdversary,
             CompositeAdversary,
+            PhaseTargetedAdaptiveAdversary,
+            RotatingLinkAdaptiveAdversary,
+            EchoSpoofingAdversary,
         ):
-            assert klass.corrupt_round_packed is not Adversary.corrupt_round_packed, klass
-        assert DeletionAdversary.corrupt_round_packed is Adversary.corrupt_round_packed
+            assert klass.corrupt_window is not Adversary.corrupt_window, klass
 
     def test_inherited_kernel_is_not_trusted_after_an_override(self):
-        """A subclass that changes a per-window method must not keep the
-        parent's round kernel, which encodes the parent's behaviour."""
+        """A subclass that changes a per-slot method must not keep the
+        parent's kernel, which encodes the parent's behaviour; neither may
+        its own subclasses, until one of them writes a kernel again."""
 
         class DeletesEverything(RandomNoiseAdversary):
-            def corrupt_window_packed(self, ctx, bits, present, count):
+            def corrupt(self, ctx, sent):
+                return None
+
+        class Inherits(DeletesEverything):
+            pass
+
+        class Rewrites(DeletesEverything):
+            def corrupt_window(self, ctx, bits, present):
                 return 0, 0
 
-        assert DeletesEverything.corrupt_round_packed is Adversary.corrupt_round_packed
-        links = ((0, 1), (1, 0), (1, 2), (2, 1))
-        ctx = RoundContext(links, "simulation", 0, round_index=0)
-        adversary = DeletesEverything(corruption_probability=0.0, seed=0)
-        assert adversary.corrupt_round_packed(ctx, 0b0101, 0b0111) == (0, 0)
+        assert DeletesEverything.corrupt_window is Adversary.corrupt_window
+        assert Inherits.corrupt_window is Adversary.corrupt_window
+        assert Rewrites.corrupt_window is not Adversary.corrupt_window
+        ctx = _links_ctx(((0, 1), (1, 0), (1, 2), (2, 1)), 1)
+        adversary = Inherits(corruption_probability=0.0, seed=0)
+        assert adversary.corrupt_window(ctx, 0b0101, 0b0111) == (0, 0)
 
-    @pytest.mark.parametrize("override", ["corrupt", "corrupt_window_packed", "notify_delivery"])
+    @pytest.mark.parametrize("override", ["corrupt", "notify_delivery"])
     def test_every_kernel_input_demotes(self, override):
         namespace = {override: getattr(Adversary, override)}
         subclass = type("Override", (PhaseTargetedAdaptiveAdversary,), namespace)
-        assert subclass.corrupt_round_packed is Adversary.corrupt_round_packed
+        assert subclass.corrupt_window is Adversary.corrupt_window
 
     def test_own_kernel_is_trusted(self):
         class Rewritten(RandomNoiseAdversary):
-            def corrupt_window_packed(self, ctx, bits, present, count):
+            def corrupt(self, ctx, sent):
+                return sent
+
+            def corrupt_window(self, ctx, bits, present):
                 return bits, present
 
-            def corrupt_round_packed(self, ctx, bits, present):
-                return bits, present
-
-        assert Rewritten.corrupt_round_packed is not Adversary.corrupt_round_packed
+        assert Rewritten.corrupt_window is not Adversary.corrupt_window
 
     def test_rejects_round_kernel_divergence(self):
         class DivergentRoundAdversary(DeletionAdversary):
-            def corrupt_round_packed(self, ctx, bits, present):
-                return bits, present  # skips the per-link RNG draws
+            def corrupt_window(self, ctx, bits, present):
+                if ctx.rounds == 1:
+                    return bits, present  # skips the per-slot RNG draws
+                return super().corrupt_window(ctx, bits, present)
 
         divergent = DivergentRoundAdversary(deletion_probability=0.5, seed=1)
-        with pytest.raises(ContractViolation, match="round-frame"):
+        with pytest.raises(ContractViolation, match="window"):
             check_contract(divergent)
-
-    def test_base_loop_rejects_invalid_window_output(self):
-        class WidePlanes(NoiselessAdversary):
-            corrupt_round_packed = Adversary.corrupt_round_packed
-
-            def corrupt_window_packed(self, ctx, bits, present, count):
-                return 2, 3  # claims a second slot in a 1-round window
-
-        ctx = RoundContext(((0, 1), (1, 0)), "simulation")
-        with pytest.raises(ValueError, match=r"1-round window on link \(0, 1\)"):
-            WidePlanes().corrupt_round_packed(ctx, 1, 1)
 
 
 class TestStaleKernels:
@@ -719,15 +771,15 @@ class TestStaleKernels:
 
     def test_stock_kernels_are_demoted(self):
         for klass in (self.AlwaysDelete, self.Watching):
-            assert klass.corrupt_window_packed is Adversary.corrupt_window_packed
-            assert klass.corrupt_round_packed is Adversary.corrupt_round_packed
-        assert RandomNoiseAdversary.corrupt_window_packed is not Adversary.corrupt_window_packed
+            assert klass.corrupt_window is Adversary.corrupt_window
+        assert RandomNoiseAdversary.corrupt_window is not Adversary.corrupt_window
 
     def test_corrupt_override_deletes_on_both_plane_paths(self):
-        network = NoisyNetwork(line_topology(3), adversary=self.AlwaysDelete(seed=0))
-        delivered = network.exchange_window_packed({(0, 1): (0b101, 0b111)}, 3, "meeting_points")
-        assert delivered[(0, 1)] == (0, 0)
-        assert network.exchange_round(0b0011, 0b0111, "simulation") == (0, 0)
+        graph = line_topology(3)
+        network = NoisyNetwork(graph, adversary=self.AlwaysDelete(seed=0))
+        window = link_major_plane(graph, {(0, 1): [1, 0, 1]}, 3)
+        assert network.exchange_window(*window, 3, "meeting_points") == (0, 0)
+        assert network.exchange_window(0b0011, 0b0111, 1, "simulation") == (0, 0)
         assert network.stats.deletions == 3 + 3
         assert network.stats.transmissions == 3 + 3
 
@@ -735,8 +787,8 @@ class TestStaleKernels:
         graph = line_topology(3)  # directed links (0, 1), (1, 0), (1, 2), (2, 1)
         adversary = self.Watching(corruption_probability=0.0, seed=0)
         network = NoisyNetwork(graph, adversary=adversary)
-        network.exchange_window_packed({(0, 1): (0b10, 0b11), (2, 1): (0b1, 0b1)}, 2, "meeting_points")
-        network.exchange_round(0b0100, 0b0110, "simulation")
+        network.exchange_window(*link_major_plane(graph, {(0, 1): [0, 1], (2, 1): [1]}, 2), 2, "meeting_points")
+        network.exchange_window(0b0100, 0b0110, 1, "simulation")
         assert adversary.seen == [
             (0, 0, 1, 0, 0),
             (1, 0, 1, 1, 1),
@@ -756,7 +808,8 @@ class TestCheckContract:
         adversary = builder()
         report = check_contract(adversary)
         assert report.adversary == adversary.name
-        assert report.laws == ("packed-equivalence", "round-frame")
+        assert report.laws == ("window",)
+        assert report.windows_probed == 9
 
     def test_checker_does_not_mutate_the_subject(self):
         adversary = RandomNoiseAdversary(corruption_probability=0.5, seed=42)
@@ -769,7 +822,7 @@ class TestCheckContract:
         per-slot RNG draws is caught by the state comparison."""
 
         class DivergentBatchAdversary(DeletionAdversary):
-            def corrupt_window_packed(self, ctx, bits, present, count):
+            def corrupt_window(self, ctx, bits, present):
                 return bits, present  # right planes at probability 0, no draws
 
         divergent = DivergentBatchAdversary(deletion_probability=0.0, seed=1)
@@ -778,20 +831,20 @@ class TestCheckContract:
 
     def test_rejects_packed_divergence(self):
         class DivergentPackedAdversary(DeletionAdversary):
-            def corrupt_window_packed(self, ctx, bits, present, count):
+            def corrupt_window(self, ctx, bits, present):
                 return bits, present  # skips the per-slot RNG draws
 
         divergent = DivergentPackedAdversary(deletion_probability=0.5, seed=1)
-        with pytest.raises(ContractViolation, match="packed-equivalence"):
+        with pytest.raises(ContractViolation, match="window"):
             check_contract(divergent)
 
     def test_rejects_packed_plane_invariant_break(self):
         class LeakyPlanesAdversary(NoiselessAdversary):
-            def corrupt_window_packed(self, ctx, bits, present, count):
+            def corrupt_window(self, ctx, bits, present):
                 # Claims a 1-bit on a slot it simultaneously marks silent.
-                return (~present) & ((1 << count) - 1), present
+                return (~present) & ((1 << ctx.width) - 1), present
 
-        with pytest.raises(ContractViolation, match="packed-equivalence"):
+        with pytest.raises(ContractViolation, match="window"):
             check_contract(LeakyPlanesAdversary())
 
     @pytest.mark.parametrize(

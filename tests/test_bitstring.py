@@ -10,8 +10,10 @@ from repro.utils.bitstring import (
     bits_to_bytes,
     bits_to_int,
     bytes_to_bits,
+    flip_planes,
     hamming_distance,
     int_to_bits,
+    join_windows,
     longest_common_prefix_length,
     pack_slots,
     pack_symbols,
@@ -19,6 +21,7 @@ from repro.utils.bitstring import (
     plane_digits,
     positions_to_int,
     set_positions,
+    split_windows,
     symbol_to_bit,
     symbols_to_bits,
     unpack_symbols,
@@ -186,6 +189,35 @@ class TestRoundFrameHelpers:
             (1 if plane_digits(bits, count)[i] == "1" else 0) if digits[i] == "1" else None
             for i in range(count)
         ] == list(symbols)
+
+
+class TestLinkMajorPlaneHelpers:
+    """The helpers that lay per-link windows out in a link-major plane."""
+
+    @given(st.integers(0, 9), st.lists(st.integers(0, 2**9 - 1), max_size=12))
+    def test_split_inverts_join(self, width, values):
+        windows = [value & ((1 << width) - 1) for value in values]
+        plane = join_windows(windows, width)
+        assert plane >> (width * len(windows)) == 0
+        assert split_windows(plane, width, len(windows)) == windows
+        for j, window in enumerate(windows):
+            assert (plane >> (j * width)) & ((1 << width) - 1) == window
+
+    def test_rejects_values_that_do_not_fit(self):
+        with pytest.raises(ValueError):
+            join_windows([0b100], 2)
+        with pytest.raises(ValueError):
+            split_windows(1 << 4, 2, 2)
+
+    @given(symbol_windows, st.data())
+    def test_flip_planes_toggles_each_listed_position(self, symbols, data):
+        count = len(symbols)
+        bits, present = pack_symbols(symbols)
+        positions = st.lists(st.integers(0, max(count - 1, 0)), unique=True) if count else st.just([])
+        bit_flips, present_flips = data.draw(positions), data.draw(positions)
+        got_bits, got_present = flip_planes(bits, present, bit_flips, present_flips, count)
+        assert got_bits == bits ^ positions_to_int(bit_flips, count)
+        assert got_present == present ^ positions_to_int(present_flips, count)
 
 
 class TestPackedTranscriptRoundTrip:

@@ -64,10 +64,16 @@ def _ctx(phase="simulation", sender=0, receiver=1, round_index=0) -> Transmissio
     return TransmissionContext(round_index=round_index, sender=sender, receiver=receiver, phase=phase)
 
 
+def _window_ctx(links, rounds, phase="simulation", iteration=-1, base_round=0) -> WindowContext:
+    links = tuple(links)
+    index = {link: position for position, link in enumerate(links)}
+    return WindowContext(links, index, rounds, phase, iteration, base_round)
+
+
 def _record(stats: ChannelStats, ctx: TransmissionContext, sent, received) -> None:
     """Account one slot through the transport's window accounting."""
-    window = WindowContext(link=(ctx.sender, ctx.receiver), phase=ctx.phase, base_round=ctx.round_index)
-    stats.record_window_packed(window, *pack_symbols([sent]), *pack_symbols([received]))
+    window = _window_ctx([(ctx.sender, ctx.receiver)], 1, ctx.phase, base_round=ctx.round_index)
+    stats.record_window(window, *pack_symbols([sent]), *pack_symbols([received]))
 
 
 class TestChannelStats:
@@ -114,26 +120,29 @@ class TestChannelStats:
 
 
 class TestRecordWindow:
-    def _window_ctx(self, link=(0, 1), phase="simulation"):
-        return WindowContext(link=link, phase=phase, iteration=2, base_round=5)
+    _LINKS = ((0, 1), (1, 0), (1, 2), (2, 1))
 
     def test_counts_one_window_like_per_slot_records(self):
-        ctx = self._window_ctx()
-        sent = [1, 0, None, 1, None]
-        received = [1, 1, None, None, 0]  # clean, substitution, clean, deletion, insertion
+        ctx = _window_ctx(self._LINKS[:2], 3, iteration=2, base_round=5)
+        # link (0, 1): clean, substitution, clean; link (1, 0): deletion,
+        # insertion, clean
+        sent = [1, 0, None, 1, None, 0]
+        received = [1, 1, None, None, 0, 0]
         windowed = ChannelStats()
-        windowed.record_window_packed(ctx, *pack_symbols(sent), *pack_symbols(received))
+        corrupted = windowed.record_window(ctx, *pack_symbols(sent), *pack_symbols(received))
         per_slot = ChannelStats()
-        for offset, (s, r) in enumerate(zip(sent, received)):
-            record_slot(per_slot, ctx.slot(offset), s, r)
+        for position, (s, r) in enumerate(zip(sent, received)):
+            record_slot(per_slot, ctx.slot(position), s, r)
         assert windowed == per_slot
-        assert windowed.transmissions == 3
-        assert windowed.delivered_symbols == 3
+        assert corrupted == [0, 1]
+        assert windowed.transmissions == 4
+        assert windowed.delivered_symbols == 4
         assert windowed.corruptions == 3
+        assert windowed.corruptions_by_link == {(0, 1): 1, (1, 0): 2}
 
     def test_all_silent_window_is_a_no_op(self):
         stats = ChannelStats()
-        stats.record_window_packed(self._window_ctx(), 0, 0, 0, 0)
+        assert stats.record_window(_window_ctx(self._LINKS, 5), 0, 0, 0, 0) == []
         assert stats == ChannelStats()
 
     def test_matches_per_slot_on_random_windows(self):
@@ -141,16 +150,21 @@ class TestRecordWindow:
         windowed = ChannelStats()
         per_slot = ChannelStats()
         for index in range(50):
-            ctx = WindowContext(
-                link=(rng.randint(0, 3), rng.randint(4, 7)),
-                phase=rng.choice(["simulation", "meeting_points", "rewind"]),
-                iteration=index,
-                base_round=3 * index,
+            links = rng.sample(self._LINKS, rng.randint(1, len(self._LINKS)))
+            rounds = rng.randint(0, 6)
+            ctx = _window_ctx(
+                links, rounds, rng.choice(["simulation", "meeting_points", "rewind"]),
+                iteration=index, base_round=3 * index,
             )
-            width = rng.randint(0, 10)
+            width = len(links) * rounds
             sent = [rng.choice([0, 1, None]) for _ in range(width)]
             received = [rng.choice([0, 1, None]) for _ in range(width)]
-            windowed.record_window_packed(ctx, *pack_symbols(sent), *pack_symbols(received))
-            for offset, (s, r) in enumerate(zip(sent, received)):
-                record_slot(per_slot, ctx.slot(offset), s, r)
+            corrupted = windowed.record_window(ctx, *pack_symbols(sent), *pack_symbols(received))
+            changed = set()
+            for position, (s, r) in enumerate(zip(sent, received)):
+                record_slot(per_slot, ctx.slot(position), s, r)
+                if s != r:
+                    changed.add(position // rounds)
+            assert corrupted == sorted(changed)
         assert windowed == per_slot
+        assert list(windowed.corruptions_by_link.items()) == list(per_slot.corruptions_by_link.items())

@@ -6,9 +6,9 @@ not "statistically equivalent", but the same ``SimulationResult``, the same
 and the same adversary end state (RNG stream positions, budget counters).
 The oracles in ``tests/oracle.py`` are the reference: per-slot delivery
 through ``corrupt`` and ``notify_delivery`` (``PerSlotNetwork``) and per-call
-hashing (``build_message_per_call``).  Production runs packed windows, one
-round frame and one ``corrupt_round_packed`` call per lockstep round, and
-batched hashing.
+hashing (``build_message_per_call``).  Production runs every exchange as one
+link-major plane with one ``corrupt_window`` call (a lockstep round is a
+one-round window), and batched hashing.
 
 This suite pins that claim differentially: hypothesis draws a workload
 (scheme x topology x stock adversary x seed x observability mode), runs it
@@ -272,7 +272,7 @@ class TestDispatchObservability:
         assert "transport.packed_dispatches" not in counters
 
     def test_recorder_sees_corruptions_on_round_frames(self):
-        """The round-frame transport must feed the flight recorder per slot:
+        """One-round windows must feed the flight recorder per slot:
         one corruption event per changed slot, agreeing with the channel
         stats."""
         simulator, _, recorder = _run("algorithm_crs", "ring5", "random-noise", 7, False, "recorder")

@@ -1,9 +1,9 @@
 """Unit tests for the synchronous noisy transport.
 
 The second half of this file is the property-style equivalence suite of the
-two plane transports: random graphs, random window sequences and many seeds
-run through ``exchange_window_packed`` and ``exchange_round`` and through the
-per-slot oracle (``tests/oracle.py``: every slot through ``corrupt`` and
+plane transport: random graphs, random window sequences (wide windows and
+one-round lockstep windows) and many seeds run through ``exchange_window``
+and through the per-slot oracle (``tests/oracle.py``: every slot through ``corrupt`` and
 ``notify_delivery``) for every stock adversary, asserting identical
 deliveries, identical ``ChannelStats``, identical recorder events, identical
 clock, and identical adversary-internal state (budgets, cursors, RNG
@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from oracle import PerSlotNetwork
+from oracle import PerSlotNetwork, link_major_plane
 
 from repro.adversary.base import Adversary, NoiseBudget, NoiselessAdversary
 from repro.adversary.oblivious import AdditiveObliviousAdversary, FixingObliviousAdversary
@@ -36,19 +36,19 @@ from repro.experiments.workloads import gossip_workload
 from repro.network.topologies import line_topology, random_connected_topology
 from repro.network.transport import NoisyNetwork
 from repro.obs import FlightRecorder, use_obs
-from repro.utils.bitstring import pack_symbols, unpack_symbols
+from repro.utils.bitstring import unpack_symbols
 from repro.utils.rng import make_rng
 
 
-def _window(network, messages, window_rounds, phase="simulation", iteration=-1):
-    """``exchange_window_packed`` on symbol lists, delivering symbol lists."""
-    delivered = network.exchange_window_packed(
-        {link: pack_symbols(symbols) for link, symbols in messages.items()},
-        window_rounds,
-        phase,
-        iteration,
+def _window(network, messages, rounds, phase="simulation", iteration=-1):
+    """``exchange_window`` on per-link symbol lists, delivering per-link
+    symbol lists for every directed link."""
+    links = network.graph.directed_edges()
+    delivered = unpack_symbols(
+        *network.exchange_window(*link_major_plane(network.graph, messages, rounds), rounds, phase, iteration),
+        len(links) * rounds,
     )
-    return {link: unpack_symbols(*planes, window_rounds) for link, planes in delivered.items()}
+    return {link: delivered[j * rounds:(j + 1) * rounds] for j, link in enumerate(links)}
 
 
 class TestTransmit:
@@ -65,14 +65,15 @@ class TestTransmit:
         assert network.stats.transmissions == 0
 
     def test_rejects_non_links(self):
-        network = NoisyNetwork(line_topology(3))
+        """A symbol past the last directed link has no slot to travel on."""
+        network = NoisyNetwork(line_topology(3))  # 4 directed links
         with pytest.raises(ValueError):
-            _window(network, {(0, 2): [1]}, 1)
+            network.exchange_window(1 << 4, 1 << 4, 1, "simulation")
 
     def test_rejects_bad_symbols(self):
         network = NoisyNetwork(line_topology(3))
         with pytest.raises(ValueError):
-            network.exchange_window_packed({(0, 1): (1, 0)}, 1, "simulation")
+            network.exchange_window(1, 0, 1, "simulation")
 
     def test_round_counter(self):
         network = NoisyNetwork(line_topology(3))
@@ -93,9 +94,9 @@ class TestExchangeWindow:
         assert network.current_round == 2
 
     def test_window_rejects_overlong_messages(self):
-        network = NoisyNetwork(line_topology(3))
-        with pytest.raises(ValueError, match="beyond the 2-round window"):
-            _window(network, {(0, 1): [1, 1, 1]}, 2)
+        network = NoisyNetwork(line_topology(3))  # 4 links x 2 rounds = 8 slots
+        with pytest.raises(ValueError, match="beyond its 8 slots"):
+            network.exchange_window(0, 1 << 8, 2, "simulation")
 
     def test_window_counts_communication(self):
         network = NoisyNetwork(line_topology(3))
@@ -121,43 +122,38 @@ class TestExchangeWindow:
         assert network.stats.transmissions == 0
 
     def test_non_inserting_adversary_skips_idle_slots(self):
-        class Refusing(NoiselessAdversary):
-            def corrupt_window_packed(self, ctx, bits, present, count):
-                raise AssertionError("a silent link reached a non-inserting adversary")
+        class Refusing(Adversary):
+            may_insert = False
+
+            def corrupt(self, ctx, sent):
+                raise AssertionError("a silent slot reached a non-inserting adversary")
 
         network = NoisyNetwork(line_topology(3), adversary=Refusing())
         received = _window(network, {}, 4)
         assert all(symbols == [None] * 4 for symbols in received.values())
         assert network.stats.transmissions == 0
 
-    def test_rejects_unknown_link_keys(self):
-        """Messages keyed on non-edges used to be silently dropped; now they raise."""
-        network = NoisyNetwork(line_topology(3))
-        with pytest.raises(ValueError, match="unknown link"):
-            _window(network, {(0, 2): [1]}, 1)
-        # nothing was transmitted and the clock did not move
-        assert network.stats.transmissions == 0
-        assert network.current_round == 0
-
-    def test_rejects_unknown_link_keys_per_slot_path(self):
+    def test_per_slot_path_rejects_what_the_transport_rejects(self):
         """The oracle rejects what the transport rejects, so a differential
         run cannot pass by feeding the oracle traffic production refuses."""
-        network = PerSlotNetwork(line_topology(3))
-        with pytest.raises(ValueError, match="unknown link"):
-            _window(network, {(2, 0): [1]}, 1)
-        assert network.current_round == 0
+        for bits, present in ((0, 1 << 8), (0b10, 0b01)):  # past the last link; bits outside present
+            for network_type in (NoisyNetwork, PerSlotNetwork):
+                network = network_type(line_topology(3))
+                with pytest.raises(ValueError):
+                    network.exchange_window(bits, present, 2, "simulation")
+                assert (network.stats.transmissions, network.current_round) == (0, 0)
 
     def test_rejects_invalid_symbols_in_messages(self):
         network = NoisyNetwork(line_topology(3))
         with pytest.raises(ValueError, match="sets bits outside its present mask"):
-            network.exchange_window_packed({(0, 1): (0b10, 0b01)}, 2, "simulation")
+            network.exchange_window(0b10, 0b01, 2, "simulation")
 
     def test_adversary_cannot_mutate_the_sent_record(self):
         """The window reaches the adversary as integers, so whatever it
         returns is charged against the planes that were actually sent."""
 
         class Flipping(NoiselessAdversary):
-            def corrupt_window_packed(self, ctx, bits, present, count):
+            def corrupt_window(self, ctx, bits, present):
                 return bits ^ present, present
 
         network = NoisyNetwork(line_topology(3), adversary=Flipping())
@@ -171,7 +167,7 @@ class TestExchangeWindow:
         """Returning the input planes unchanged is a clean delivery."""
 
         class EchoAdversary(NoiselessAdversary):
-            def corrupt_window_packed(self, ctx, bits, present, count):
+            def corrupt_window(self, ctx, bits, present):
                 return bits, present
 
         network = NoisyNetwork(line_topology(3), adversary=EchoAdversary())
@@ -327,8 +323,8 @@ def _assert_same_state(name, planes, per_slot, trial):
 
 @pytest.mark.parametrize("adversary_name", sorted(STOCK_ADVERSARIES))
 def test_batched_path_is_bit_identical_to_per_slot_path(adversary_name):
-    """The tentpole guarantee: exchange_window_packed (one window kernel per
-    link) delivers what slot-by-slot delivery does, with the same stats and
+    """The core guarantee: exchange_window (one kernel call per window)
+    delivers what slot-by-slot delivery does, with the same stats and
     budgets."""
     builder = STOCK_ADVERSARIES[adversary_name]
     for trial in range(8):
@@ -368,7 +364,7 @@ def test_packed_path_is_bit_identical_to_symbol_path(adversary_name):
             frame = (traffic_rng.getrandbits(count) & present, present)
             delivered = [
                 (_window(network, messages, window_rounds, phase, step),
-                 network.exchange_round(*frame, phase, step))
+                 network.exchange_window(*frame, 1, phase, step))
                 for network in networks
             ]
             assert delivered[0] == delivered[1], (adversary_name, trial, step)
@@ -381,34 +377,32 @@ def test_packed_path_is_bit_identical_to_symbol_path(adversary_name):
 
 class TestDispatchCounters:
     """The observability counters on the transport are plain int attributes:
-    they classify every dispatch (sparse round frame vs dense) without
-    touching deliveries, stats, or any RNG stream."""
+    each exchange adds one to ``windows_exchanged`` and ``packed_dispatches``
+    and one to ``dense_dispatches`` if the adversary may insert, else to
+    ``sparse_dispatches``, without touching deliveries, stats, or any RNG
+    stream."""
 
     def test_windows_are_classified_sparse_or_dense(self):
         graph = line_topology(3)
         network = NoisyNetwork(graph, adversary=NoiselessAdversary())
-        # A round frame under a non-inserting adversary is sparse: only the
-        # links that carry a symbol can change.
-        network.exchange_round(0b1, 0b1, "simulation")
+        # Under a non-inserting adversary only the slots that carry a symbol
+        # can change, whatever the window's width: sparse.
+        network.exchange_window(0b1, 0b1, 1, "simulation")
         assert (network.windows_exchanged, network.sparse_dispatches, network.dense_dispatches) == (1, 1, 0)
-        _window(network, {(0, 1): [1, 0]}, 2)  # a window scans every link
-        assert (network.sparse_dispatches, network.dense_dispatches) == (1, 1)
+        _window(network, {(0, 1): [1, 0]}, 2)
+        assert (network.windows_exchanged, network.sparse_dispatches, network.dense_dispatches) == (2, 2, 0)
         inserting = NoisyNetwork(
             graph,
             adversary=RandomNoiseAdversary(
                 corruption_probability=0.1, insertion_probability=0.1, seed=3
             ),
         )
-        # the adversary may insert anywhere → the frame is dense
-        inserting.exchange_round(0b1, 0b1, "simulation")
-        assert (inserting.sparse_dispatches, inserting.dense_dispatches) == (0, 1)
-
-    def test_per_slot_path_counts_dense(self):
-        """A window is dense whatever the adversary: every link is visited."""
-        graph = line_topology(3)
-        network = NoisyNetwork(graph, adversary=NoiselessAdversary())
-        _window(network, {(0, 1): [1]}, 1)
-        assert (network.windows_exchanged, network.packed_dispatches, network.dense_dispatches) == (1, 1, 1)
+        # the adversary may insert anywhere → every window is dense
+        inserting.exchange_window(0b1, 0b1, 1, "simulation")
+        _window(inserting, {(0, 1): [1, 0]}, 2)
+        assert (inserting.sparse_dispatches, inserting.dense_dispatches) == (0, 2)
+        for counted in (network, inserting):
+            assert counted.packed_dispatches == counted.windows_exchanged == 2
 
     def test_deliveries_and_stats_are_bit_identical_under_an_obs_scope(self):
         from repro.obs import MetricsRegistry, Tracer
@@ -420,7 +414,7 @@ class TestDispatchCounters:
             out = []
             for phase in ("meeting_points", "simulation", "rewind"):
                 out.append(_window(network, messages, 3, phase))
-                out.append(network.exchange_round(0b1011, 0b1111, phase))
+                out.append(network.exchange_window(0b1011, 0b1111, 1, phase))
             return out
 
         plain = NoisyNetwork(graph, adversary=RandomNoiseAdversary(corruption_probability=0.2, seed=9))
@@ -438,35 +432,24 @@ class TestDispatchCounters:
         )
 
 
-class TestGuardMessageText:
-    """The guard paths promise *exact* error text (callers and docs quote it
-    verbatim), so these pin the full messages rather than substrings."""
-
-    def test_unknown_link_rejection_text(self):
-        expected = "message keyed on unknown link (0, 2): not a directed edge of the network"
-        for network in (NoisyNetwork(line_topology(3)), PerSlotNetwork(line_topology(3))):
-            with pytest.raises(ValueError) as excinfo:
-                _window(network, {(0, 2): [1]}, 1)
-            assert str(excinfo.value) == expected
-
-
 # --------------------------------------------------------------------------
-# Round frames: one adversary call per lockstep round.
+# Lockstep rounds: one-round windows, one adversary call per round.
 # --------------------------------------------------------------------------
 
 def _captured_trial_rounds(adversary):
-    """Every ``exchange_round`` call of one real storm-noise trial, with the
-    clock reading it was made at."""
+    """Every one-round ``exchange_window`` call of one real storm-noise
+    trial, with the clock reading it was made at."""
     workload = gossip_workload("clique", 5, 4, seed=3)
     sim = InteractiveCodingSimulator(workload.protocol, crs_oblivious_scheme(), adversary, seed=3)
-    original = sim.network.exchange_round
+    original = sim.network.exchange_window
     rounds = []
 
-    def spy(bits, present, phase, iteration=-1):
-        rounds.append((sim.network.current_round, bits, present, phase, iteration))
-        return original(bits, present, phase, iteration)
+    def spy(bits, present, width, phase, iteration=-1):
+        if width == 1:
+            rounds.append((sim.network.current_round, bits, present, phase, iteration))
+        return original(bits, present, width, phase, iteration)
 
-    sim.network.exchange_round = spy
+    sim.network.exchange_window = spy
     sim.run()
     return workload.graph, rounds
 
@@ -505,7 +488,7 @@ class TestExchangeRound:
 
     @pytest.mark.parametrize("name", sorted(_REPLAY_ADVERSARIES))
     def test_replayed_trial_rounds_match_the_window_paths(self, trial, name):
-        """A real trial's lockstep rounds through exchange_round and through
+        """A real trial's lockstep rounds through exchange_window and through
         slot-by-slot delivery: same deliveries, stats, recorder events (in
         order) and clock."""
         graph, rounds = trial
@@ -519,7 +502,7 @@ class TestExchangeRound:
             frames = {}
             for path, network in networks.items():
                 network.advance_rounds(clock - network.current_round)
-                frames[path] = network.exchange_round(bits, present, phase, iteration)
+                frames[path] = network.exchange_window(bits, present, 1, phase, iteration)
             assert frames["round"] == frames["per-slot"]
         reference = networks["per-slot"]
         events = {path: recorder.finish_trial(success=False)["events"] for path, recorder in recorders.items()}
@@ -534,14 +517,14 @@ class TestExchangeRound:
         network = NoisyNetwork(graph, adversary=_REPLAY_ADVERSARIES["random-noise-inserting"]())
         for clock, bits, present, phase, iteration in rounds:
             network.advance_rounds(clock - network.current_round)
-            network.exchange_round(bits, present, phase, iteration)
+            network.exchange_window(bits, present, 1, phase, iteration)
         stats = network.stats
         assert stats.substitutions and stats.deletions and stats.insertions
 
     @pytest.mark.parametrize("adversary_name", sorted(STOCK_ADVERSARIES))
     def test_random_frames_match_the_window_path(self, adversary_name):
-        """Random round frames: one round kernel call against one width-1
-        per-slot delivery per link, in link order."""
+        """Random one-round windows: one kernel call against per-slot
+        delivery in link order."""
         builder = STOCK_ADVERSARIES[adversary_name]
         for trial in range(6):
             layout_rng = make_rng(4000 * trial + 29)
@@ -552,8 +535,8 @@ class TestExchangeRound:
                 present = traffic_rng.getrandbits(count)
                 bits = traffic_rng.getrandbits(count) & present
                 phase = traffic_rng.choice(_PHASES)
-                got = round_network.exchange_round(bits, present, phase, step)
-                assert got == per_slot.exchange_round(bits, present, phase, step), (
+                got = round_network.exchange_window(bits, present, 1, phase, step)
+                assert got == per_slot.exchange_window(bits, present, 1, phase, step), (
                     adversary_name, trial, step,
                 )
             _assert_same_state(adversary_name, round_network, per_slot, trial)
@@ -562,51 +545,67 @@ class TestExchangeRound:
     def test_rejects_bits_outside_present(self):
         network = NoisyNetwork(line_topology(3))
         with pytest.raises(ValueError) as error:
-            network.exchange_round(0b10, 0b01, "simulation")
-        assert str(error.value) == "round frame sets bits outside its present mask"
+            network.exchange_window(0b10, 0b01, 1, "simulation")
+        assert str(error.value) == "window sets bits outside its present mask"
         assert network.current_round == 0
 
     def test_rejects_symbols_beyond_the_links(self):
         network = NoisyNetwork(line_topology(3))  # 4 directed links
         with pytest.raises(ValueError) as error:
-            network.exchange_round(0, 1 << 4, "simulation")
-        assert str(error.value) == "round frame has symbols beyond the 4 directed links"
+            network.exchange_window(0, 1 << 4, 1, "simulation")
+        assert str(error.value) == "window has symbols beyond its 4 slots"
+        assert (network.stats.transmissions, network.current_round) == (0, 0)
 
     def test_rejects_adversary_bits_outside_present(self):
         class LeakyFrames(NoiselessAdversary):
-            def corrupt_round_packed(self, ctx, bits, present):
+            def corrupt_window(self, ctx, bits, present):
                 return 0b1, 0
 
         network = NoisyNetwork(line_topology(3), adversary=LeakyFrames())
         with pytest.raises(ValueError) as error:
-            network.exchange_round(0, 0, "simulation")
+            network.exchange_window(0, 0, 1, "simulation")
         assert str(error.value) == (
-            "adversary delivered a round frame with bits outside its present mask"
+            "adversary delivered a window that sets bits outside its present mask"
         )
 
     def test_rejects_adversary_symbols_beyond_the_links(self):
         class WideFrames(NoiselessAdversary):
-            def corrupt_round_packed(self, ctx, bits, present):
+            def corrupt_window(self, ctx, bits, present):
                 return 0, 1 << 4
 
         network = NoisyNetwork(line_topology(3), adversary=WideFrames())
         with pytest.raises(ValueError) as error:
-            network.exchange_round(0, 0, "simulation")
+            network.exchange_window(0, 0, 1, "simulation")
         assert str(error.value) == (
-            "adversary delivered a round frame with symbols beyond the 4 directed links"
+            "adversary delivered a window that has symbols beyond its 4 slots"
         )
         assert network.stats.transmissions == 0
 
     def test_one_adversary_call_per_round(self):
+        """One kernel call per exchange, for lockstep rounds and for a real
+        trial's meeting-points windows alike (not one per directed link)."""
+
         class CountingNoise(RandomNoiseAdversary):
-            def corrupt_round_packed(self, ctx, bits, present):
+            def corrupt_window(self, ctx, bits, present):
                 self.calls = getattr(self, "calls", 0) + 1
-                return super().corrupt_round_packed(ctx, bits, present)
+                self.shapes = getattr(self, "shapes", []) + [(len(ctx.links), ctx.rounds, ctx.phase)]
+                return super().corrupt_window(ctx, bits, present)
 
         graph = random_connected_topology(6, edge_probability=0.8, seed=2)
         adversary = CountingNoise(corruption_probability=0.1, insertion_probability=0.1, seed=3)
         network = NoisyNetwork(graph, adversary=adversary)
         for step in range(5):
-            network.exchange_round(0, 0, "rewind", step)
+            network.exchange_window(0, 0, 1, "rewind", step)
         assert adversary.calls == 5
         assert (network.windows_exchanged, network.packed_dispatches, network.dense_dispatches) == (5, 5, 5)
+
+        workload = gossip_workload("clique", 8, 4, seed=3)
+        trial_adversary = CountingNoise(corruption_probability=0.01, seed=4)
+        sim = InteractiveCodingSimulator(workload.protocol, crs_oblivious_scheme(), trial_adversary, seed=3)
+        result = sim.run()
+        links = len(workload.graph.directed_edges())
+        assert trial_adversary.calls == sim.network.windows_exchanged
+        meeting_points = [shape for shape in trial_adversary.shapes if shape[2] == "meeting_points"]
+        assert meeting_points
+        assert set(meeting_points) == {(links, 4 * sim.hasher.output_bits, "meeting_points")}
+        assert len(meeting_points) == result.iterations_run
