@@ -14,7 +14,6 @@ A golden change is a behaviour change: record why in CHANGES.md.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 

@@ -51,7 +51,7 @@ def _corrupt_slot(
         bit_flips.append(slot)
 
 
-def as_link(value: object, name: str) -> Tuple[int, int]:
+def _as_link(value: object, name: str) -> Tuple[int, int]:
     """``value`` as a directed link ``(sender, receiver)`` of int nodes.
 
     A list, a wrong-length tuple or a string node would never compare equal
@@ -225,7 +225,7 @@ class LinkTargetedAdversary(Adversary):
     may_insert: bool = False
 
     def __post_init__(self) -> None:
-        self.target = as_link(self.target, "target")
+        self.target = _as_link(self.target, "target")
         self._rng = make_rng(self.seed)
         self._budget = NoiseBudget(fraction=self.fraction)
         self._spent = 0
@@ -569,7 +569,7 @@ class RotatingLinkAdaptiveAdversary(Adversary):
     def __post_init__(self) -> None:
         if not self.links:
             raise ValueError("RotatingLinkAdaptiveAdversary needs a non-empty link list")
-        self.links = tuple(as_link(link, "every rotating link") for link in self.links)
+        self.links = tuple(_as_link(link, "every rotating link") for link in self.links)
         self._rng = make_rng(self.seed)
         self._budget = NoiseBudget(fraction=self.fraction)
         self._cursor = 0
@@ -630,7 +630,7 @@ class EchoSpoofingAdversary(Adversary):
     may_insert: bool = True
 
     def __post_init__(self) -> None:
-        self.target = as_link(self.target, "target")
+        self.target = _as_link(self.target, "target")
         self._rng = make_rng(self.seed)
         self._budget = NoiseBudget(fraction=self.fraction)
         self._pending_spoof = False
