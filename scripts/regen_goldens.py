@@ -5,15 +5,14 @@ Runs the golden grid defined in ``tests/goldens_grid.py`` (288 end-to-end
 trials, about a second), prints one line per (trial, field) that differs
 from the committed file, and rewrites the file::
 
-    PYTHONPATH=src python scripts/regen_goldens.py          # rewrite + diff
-    PYTHONPATH=src python scripts/regen_goldens.py --check  # diff only, exit 1 on change
+    PYTHONPATH=src python scripts/regen_goldens.py
 
+To only check the file, run ``pytest tests/test_goldens.py``.
 A golden change is a behaviour change: record why in CHANGES.md.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
 
@@ -23,9 +22,6 @@ import goldens_grid
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true", help="only print the diff; exit 1 if anything moved")
-    args = parser.parse_args()
     path = goldens_grid.GOLDEN_PATH
     old = goldens_grid.load() if path.exists() else {}
     new = goldens_grid.run_grid()
@@ -33,8 +29,6 @@ def main() -> int:
     for line in changes:
         print(line)
     print(f"{len(new)} trials, {len(changes)} changed field(s)")
-    if args.check:
-        return 1 if changes else 0
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(goldens_grid.dumps(new))
     print(f"wrote {path}")
