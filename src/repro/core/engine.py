@@ -40,7 +40,6 @@ from repro.analysis.metrics import RunMetrics
 from repro.analysis.potential import PotentialTrace, compute_snapshot
 from repro.core.chunking import ChunkedProtocol
 from repro.core.meeting_points import (
-    _RAW_INPUT_CAP_BITS,
     STATUS_MEETING_POINTS,
     STATUS_SIMULATE,
     MeetingPointsSession,
@@ -277,13 +276,17 @@ class InteractiveCodingSimulator:
             counters[f"transport.transmissions.{phase}"] = count
         for phase, count in stats.corruptions_by_phase.items():
             counters[f"transport.corruptions.{phase}"] = count
-        builds = truncations = resets = derivations = 0
+        builds = truncations = resets = 0
+        # Both endpoints of a CRS or agreed link hold the same source object:
+        # count each source's derivations once.
+        sources: Dict[int, SeedSource] = {}
         for runtime in self.runtimes.values():
             for session in runtime.sessions.values():
                 builds += session.builds
                 truncations += session.truncations
                 resets += session.resets
-                derivations += getattr(session.seed_source, "derivations", 0)
+                sources[id(session.seed_source)] = session.seed_source
+        derivations = sum(source.derivations for source in sources.values())
         counters["hashing.packed_builds"] = builds
         counters["hashing.session_truncations"] = truncations
         counters["hashing.session_resets"] = resets
@@ -307,7 +310,6 @@ class InteractiveCodingSimulator:
                 v: MeetingPointsSession(
                     hasher=self.hasher,
                     seed_source=seed_sources[(party, v)],
-                    hash_input_mode=self.scheme.hash_input_mode,
                     recorder=recorder,
                     link=link_label(party, v),
                 )
@@ -324,17 +326,11 @@ class InteractiveCodingSimulator:
     def _setup_seed_sources(self) -> Dict[Tuple[int, int], SeedSource]:
         if self.scheme.use_crs:
             master = fork_seed(self.seed, "common-random-string")
-            # Size the per-purpose slot capacity to the largest seed any hash
-            # purpose can request: the inner-product seed for a full-width
-            # input (raw inputs are capped at _RAW_INPUT_CAP_BITS, fingerprint
-            # inputs at FINGERPRINT_BITS).  Capacity determines the slot
-            # offsets, so this is part of the documented 2.0 CRS stream break.
-            max_input_bits = (
-                _RAW_INPUT_CAP_BITS
-                if self.scheme.hash_input_mode == "raw"
-                else FINGERPRINT_BITS
-            )
-            capacity = self.hasher.seed_bits_required(max_input_bits)
+            # Size each slot to the largest seed meeting points requests:
+            # the inner-product seed of a fingerprint.  Capacity determines
+            # the slot offsets, so this is part of the documented 2.0 CRS
+            # stream break.
+            capacity = self.hasher.seed_bits_required(FINGERPRINT_BITS)
             sources: Dict[Tuple[int, int], SeedSource] = {}
             for u, v in self.graph.edges:
                 # One shared source per undirected edge: both endpoints read

@@ -27,13 +27,15 @@ A single exchange costs ``3τ`` bits per direction, τ being the hash output
 length, so a consistency phase over the whole network costs Θ(τ·m) bits, as
 required for the constant-rate accounting.
 
-Each message is built with one batched
+Every transcript prefix enters the hash as its cached 128-bit fingerprint
+(:meth:`~repro.core.transcript.LinkTranscript.prefix_fingerprint`).  Each
+message is built with one
 :meth:`~repro.hashing.seeds.SeedSource.seeds_for_iteration` call per
-iteration, the three prefix digests computed in one
-:meth:`~repro.hashing.inner_product.InnerProductHash.digest_many` pass over
-the shared seed, and digests kept as plain integers end to end: the message
-is one integer whose bit ``i`` is wire bit ``i``, and the reply arrives as a
-``(bits, present)`` plane pair.  ``tests/test_hashing_equivalence.py`` pins
+iteration (the counter and prefix seeds), the three prefix digests computed
+in one :meth:`~repro.hashing.inner_product.InnerProductHash.digest_many`
+pass over the shared seed, and digests kept as plain integers end to end:
+the message is one integer whose bit ``i`` is wire bit ``i``, and the reply
+arrives as a ``(bits, present)`` plane pair.  ``tests/test_hashing_equivalence.py`` pins
 the wire bits and decisions against a per-call hashing oracle
 (``tests/oracle.py``).
 """
@@ -41,19 +43,17 @@ the wire bits and decisions against a per-call hashing oracle
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.transcript import LinkTranscript
 from repro.hashing.inner_product import FINGERPRINT_BITS, InnerProductHash
-from repro.hashing.seeds import SeedLayout, SeedSource, seed_layout
+from repro.hashing.seeds import SeedSource
 
 STATUS_SIMULATE = "simulate"
 STATUS_MEETING_POINTS = "meeting points"
 
 #: Width of the encoding of the counter ``k`` fed to the hash.
 _COUNTER_BITS = 32
-#: Maximum raw-serialisation width (bits) before falling back to fingerprints.
-_RAW_INPUT_CAP_BITS = 4096
 
 
 @dataclass
@@ -74,7 +74,6 @@ class MeetingPointsSession:
 
     hasher: InnerProductHash
     seed_source: SeedSource
-    hash_input_mode: str = "fingerprint"
 
     k: int = 0
     error_count: int = 0
@@ -107,8 +106,6 @@ class MeetingPointsSession:
     _own_full_hash: int = -1
     _own_mp1_hash: int = -1
     _own_mp2_hash: int = -1
-    #: Interned per-input-width seed layouts.
-    _layouts: Dict[int, SeedLayout] = field(default_factory=dict, repr=False)
 
     # -- message construction ----------------------------------------------------
 
@@ -145,40 +142,22 @@ class MeetingPointsSession:
         """One seed derivation, one multi-value digest pass."""
         hasher = self.hasher
         tau = hasher.output_bits
-        values: List[int] = []
-        widths: List[int] = []
-        for num_chunks in (length, self._mp1, self._mp2):
-            value, input_bits = self._prefix_hash_input(transcript, num_chunks)
-            values.append(value)
-            widths.append(input_bits)
-        counter_value = self.k & ((1 << _COUNTER_BITS) - 1)
-
-        if widths[0] == widths[1] == widths[2]:
-            counter_seed, prefix_seed, _ = self.seed_source.seeds_for_iteration(
-                iteration, self._layout_for(widths[0])
-            )
-            counter_digest = hasher.digest(counter_value, _COUNTER_BITS, counter_seed)
-            full_digest, mp1_digest, mp2_digest = hasher.digest_many(
-                values, widths[0], prefix_seed
-            )
-        else:
-            # Mixed raw/fingerprint widths (only reachable in "raw" mode on
-            # tiny instances): fall back to per-call seeds for this exchange.
-            counter_seed = self.seed_source.seed_for(
-                iteration, "mp_counter", hasher.seed_bits_required(_COUNTER_BITS)
-            )
-            counter_digest = hasher.digest(counter_value, _COUNTER_BITS, counter_seed)
-            full_digest, mp1_digest, mp2_digest = (
-                hasher.digest(
-                    value,
-                    input_bits,
-                    self.seed_source.seed_for(
-                        iteration, "mp_prefix", hasher.seed_bits_required(input_bits)
-                    ),
-                )
-                for value, input_bits in zip(values, widths)
-            )
-
+        counter_seed, prefix_seed = self.seed_source.seeds_for_iteration(
+            iteration,
+            hasher.seed_bits_required(_COUNTER_BITS),
+            hasher.seed_bits_required(FINGERPRINT_BITS),
+        )
+        counter_digest = hasher.digest(
+            self.k & ((1 << _COUNTER_BITS) - 1), _COUNTER_BITS, counter_seed
+        )
+        full_digest, mp1_digest, mp2_digest = hasher.digest_many(
+            [
+                transcript.prefix_fingerprint(num_chunks)
+                for num_chunks in (length, self._mp1, self._mp2)
+            ],
+            FINGERPRINT_BITS,
+            prefix_seed,
+        )
         self._own_counter_hash = counter_digest
         self._own_full_hash = full_digest
         self._own_mp1_hash = mp1_digest
@@ -189,16 +168,6 @@ class MeetingPointsSession:
             | (mp1_digest << (2 * tau))
             | (mp2_digest << (3 * tau))
         )
-
-    def _layout_for(self, prefix_input_bits: int) -> SeedLayout:
-        layout = self._layouts.get(prefix_input_bits)
-        if layout is None:
-            layout = seed_layout(
-                mp_counter=self.hasher.seed_bits_required(_COUNTER_BITS),
-                mp_prefix=self.hasher.seed_bits_required(prefix_input_bits),
-            )
-            self._layouts[prefix_input_bits] = layout
-        return layout
 
     # -- reply processing ---------------------------------------------------------
 
@@ -329,21 +298,3 @@ class MeetingPointsSession:
         self.error_count = 0
         self.mpc1 = 0
         self.mpc2 = 0
-
-    def _prefix_hash_input(
-        self, transcript: LinkTranscript, num_chunks: int
-    ) -> Tuple[int, int]:
-        """The packed hash input and its width for one transcript prefix.
-
-        Both values come from the transcript's per-prefix cache: the packed
-        raw form is ``int.from_bytes(serialized, "little")`` (bit-identical
-        to the historical ``bits_to_int(bytes_to_bits(...))`` loop) and the
-        fingerprint is the same BLAKE2b compression as before, computed once
-        per (transcript state, prefix length) instead of per exchange.
-        """
-        if (
-            self.hash_input_mode == "raw"
-            and transcript.prefix_byte_length(num_chunks) * 8 <= _RAW_INPUT_CAP_BITS
-        ):
-            return transcript.prefix_raw(num_chunks), _RAW_INPUT_CAP_BITS
-        return transcript.prefix_fingerprint(num_chunks), FINGERPRINT_BITS

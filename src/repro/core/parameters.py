@@ -65,11 +65,6 @@ class SchemeParameters:
     #: τ when ``hash_mode == "constant"``.
     hash_constant_bits: int = 8
 
-    #: How transcripts are fed to the inner-product hash: "fingerprint"
-    #: (compress to 128 bits first; default, see :mod:`repro.hashing.inner_product`)
-    #: or "raw".
-    hash_input_mode: str = "fingerprint"
-
     #: Iteration budget: ``ceil(iteration_factor * |Π|) + extra_iterations``
     #: iterations, at least ``min_iterations``.  The paper uses factor 100 and
     #: no early stop; the default is far smaller because the analysis constants

@@ -31,6 +31,10 @@ from repro.network.transport import NoisyNetwork
 from repro.utils.bitstring import bits_to_int, join_windows, split_windows
 from repro.utils.rng import random_bits
 
+#: δ-biased bits reserved per seed slot.  It fixes the slot offsets, so the
+#: exchanged seeds of every Algorithm A/B trial depend on it.
+SLOT_CAPACITY_BITS = 4096
+
 
 @dataclass
 class RandomnessExchangeReport:
@@ -54,7 +58,6 @@ def run_randomness_exchange(
     network: NoisyNetwork,
     rng: random.Random,
     field_degree: int = 64,
-    slot_capacity_bits: int = 4096,
     expansion: int = 3,
 ) -> RandomnessExchangeReport:
     """Execute Algorithm 5 on every link in parallel and build the seed sources."""
@@ -94,17 +97,14 @@ def run_randomness_exchange(
             receiver_seed = bits & ((1 << seed_bits) - 1)
         report.agreed[edge_key(u, v)] = receiver_seed == sender_seed
 
-        sender_source = ExchangedSeedSource(
-            link_seed=sender_seed, field_degree=field_degree, slot_capacity_bits=slot_capacity_bits
-        )
-        receiver_source = ExchangedSeedSource(
-            link_seed=receiver_seed, field_degree=field_degree, slot_capacity_bits=slot_capacity_bits
-        )
+        sender_source = ExchangedSeedSource(sender_seed, field_degree, SLOT_CAPACITY_BITS)
         if receiver_seed == sender_seed:
             # The exchange succeeded: both endpoints expand the same δ-biased
-            # string, so they can share one generator (and its lazily-built
-            # expansion tables).  Each keeps its own per-slot cache.
-            receiver_source.share_generator_with(sender_source)
+            # string, so they share one source and each slot is expanded once
+            # per link, as on a CRS link.
+            receiver_source = sender_source
+        else:
+            receiver_source = ExchangedSeedSource(receiver_seed, field_degree, SLOT_CAPACITY_BITS)
         report.seed_sources[(u, v)] = sender_source
         report.seed_sources[(v, u)] = receiver_source
     return report

@@ -15,9 +15,9 @@ a rewind) replays the party's protocol logic against everything it has
 received so far.
 
 Serialisation is kept *packed and incremental*: every appended chunk is
-serialised exactly once into a growing byte buffer, and the per-prefix
-values the meeting-points hashing consumes (BLAKE2b fingerprints, packed raw
-integers) are cached per prefix length.  ``records`` stays a public mutable
+serialised exactly once into a growing byte buffer, and the BLAKE2b
+fingerprint of each prefix the meeting-points hashing consumes is cached per
+prefix length.  ``records`` stays a public mutable
 list for tests and tooling; every cached accessor revalidates the cache
 against the live list (an identity scan) before serving, so direct mutation
 is safe — it just pays a rebuild.
@@ -74,8 +74,8 @@ class LinkTranscript:
         self._cache_parts: List[bytes] = []
         self._cache_offsets: List[int] = [0]
         self._cache_buffer = bytearray()
-        #: Cached per-prefix hash inputs, keyed by ("fp" | "raw", num_chunks).
-        self._prefix_values: Dict[Tuple[str, int], int] = {}
+        #: Cached prefix fingerprints, keyed by num_chunks.
+        self._prefix_values: Dict[int, int] = {}
 
     # -- length & mutation ----------------------------------------------------------
 
@@ -124,7 +124,7 @@ class LinkTranscript:
         del self._cache_buffer[self._cache_offsets[num_chunks]:]
         values = self._prefix_values
         if values:
-            for key in [key for key in values if key[1] > num_chunks]:
+            for key in [key for key in values if key > num_chunks]:
                 del values[key]
 
     def _sync_cache(self) -> None:
@@ -157,12 +157,6 @@ class LinkTranscript:
         num_chunks = max(0, min(num_chunks, len(self.records)))
         return bytes(self._cache_buffer[:self._cache_offsets[num_chunks]])
 
-    def prefix_byte_length(self, num_chunks: int) -> int:
-        """Byte length of :meth:`serialize_prefix` without materialising it."""
-        self._sync_cache()
-        num_chunks = max(0, min(num_chunks, len(self.records)))
-        return self._cache_offsets[num_chunks]
-
     def prefix_fingerprint(self, num_chunks: int) -> int:
         """Cached :func:`~repro.hashing.inner_product.fingerprint_bits` of a prefix.
 
@@ -172,30 +166,11 @@ class LinkTranscript:
         """
         self._sync_cache()
         num_chunks = max(0, min(num_chunks, len(self.records)))
-        key = ("fp", num_chunks)
-        value = self._prefix_values.get(key)
+        value = self._prefix_values.get(num_chunks)
         if value is None:
             end = self._cache_offsets[num_chunks]
             value = fingerprint_bits(bytes(self._cache_buffer[:end]))
-            self._prefix_values[key] = value
-        return value
-
-    def prefix_raw(self, num_chunks: int) -> int:
-        """Cached little-endian packed integer of a serialised prefix.
-
-        Equal to ``int.from_bytes(self.serialize_prefix(num_chunks),
-        "little")``, which is bit-for-bit the historical
-        ``bits_to_int(bytes_to_bits(...))`` packing (LSB-first within each
-        byte, byte 0 lowest).
-        """
-        self._sync_cache()
-        num_chunks = max(0, min(num_chunks, len(self.records)))
-        key = ("raw", num_chunks)
-        value = self._prefix_values.get(key)
-        if value is None:
-            end = self._cache_offsets[num_chunks]
-            value = int.from_bytes(self._cache_buffer[:end], "little")
-            self._prefix_values[key] = value
+            self._prefix_values[num_chunks] = value
         return value
 
     def matches_prefix(self, other: "LinkTranscript", num_chunks: Optional[int] = None) -> bool:

@@ -2,7 +2,7 @@
 
 from repro.hashing.gf2m import GF2m, carryless_multiply
 from repro.hashing.inner_product import FINGERPRINT_BITS, InnerProductHash, fingerprint_bits
-from repro.hashing.seeds import SEED_PURPOSES, CrsSeedSource, ExchangedSeedSource, SeedSource
+from repro.hashing.seeds import CrsSeedSource, ExchangedSeedSource, SeedSource
 from repro.hashing.small_bias import SmallBiasGenerator, empirical_bias, required_field_degree, seed_length_bits
 
 __all__ = [
@@ -11,7 +11,6 @@ __all__ = [
     "FINGERPRINT_BITS",
     "InnerProductHash",
     "fingerprint_bits",
-    "SEED_PURPOSES",
     "CrsSeedSource",
     "ExchangedSeedSource",
     "SeedSource",

@@ -16,8 +16,7 @@ seeds exactly as the paper discusses; instead the engine first compresses the
 transcript to a fixed-width *fingerprint* (see :func:`fingerprint_bits`) and
 applies the inner-product hash to the fingerprint.  This keeps the
 inner-product/δ-bias structure that the analysis is about while bounding the
-seed length (a deliberate substitution for hashing raw transcripts).  A ``raw`` mode that
-hashes the full serialisation is available for small instances.
+seed length (a deliberate substitution for hashing raw transcripts).
 """
 
 from __future__ import annotations

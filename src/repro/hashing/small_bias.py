@@ -364,9 +364,8 @@ class SmallBiasGenerator:
         """Read several ``(offset, length)`` slots, each by its own jump.
 
         Slots must be given in increasing-offset order and must not overlap.
-        This is what :class:`~repro.hashing.seeds.ExchangedSeedSource` and
-        :class:`~repro.hashing.seeds.CrsSeedSource` use to pull a whole
-        iteration's seed slots out of the δ-biased string in one call.
+        This is what :class:`~repro.hashing.seeds.SeedSource` uses to pull
+        a whole iteration's seed slots out of the δ-biased string in one call.
         """
         values: List[int] = []
         position: Optional[int] = None

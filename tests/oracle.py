@@ -11,9 +11,9 @@ optimisation of it:
   (:func:`record_slot`) and emits one flight-recorder event per corrupted
   slot, as the production transport does.
 * :func:`build_message_per_call` — the meeting-points message built with one
-  ``seed_for`` derivation and one ``digest`` per hash, where production
-  derives an iteration's seeds in one batch and digests the three transcript
-  prefixes in one pass.
+  generator read per seed slot and one ``digest`` per hash, where production
+  derives an iteration's seeds in one ``packed_slots`` call and digests the
+  three transcript prefixes in one pass.
 
 Tests substitute them with ``monkeypatch`` (``repro.core.engine.NoisyNetwork``
 and ``MeetingPointsSession._build_message``); nothing in ``src/`` knows they
@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.meeting_points import _COUNTER_BITS
+from repro.hashing.inner_product import FINGERPRINT_BITS
 from repro.network.channel import (
     ChannelStats,
     Symbol,
@@ -108,17 +109,25 @@ class PerSlotNetwork(NoisyNetwork):
 
 
 def build_message_per_call(session, iteration: int, transcript, length: int) -> int:
-    """A meeting-points message with one seed derivation and one digest per
-    hash; sets the session's own digests like the production builder."""
+    """A meeting-points message with one seed read and one digest per hash;
+    sets the session's own digests like the production builder.
+
+    Iteration ``i`` owns three slots of ``cap`` δ-biased bits: the counter
+    seed is read at offset ``3·i·cap`` and the prefix seed at
+    ``(3·i + 1)·cap``, each straight from the source's generator."""
     hasher = session.hasher
-    seeds = session.seed_source
-    counter_seed = seeds.seed_for(iteration, "mp_counter", hasher.seed_bits_required(_COUNTER_BITS))
+    source = session.seed_source
+    cap = source.slot_capacity_bits
+    counter_seed = source.generator.packed_bits(
+        3 * iteration * cap, hasher.seed_bits_required(_COUNTER_BITS)
+    )
     counter = hasher.digest(session.k & ((1 << _COUNTER_BITS) - 1), _COUNTER_BITS, counter_seed)
     prefixes = []
     for num_chunks in (length, session._mp1, session._mp2):
-        value, input_bits = session._prefix_hash_input(transcript, num_chunks)
-        seed = seeds.seed_for(iteration, "mp_prefix", hasher.seed_bits_required(input_bits))
-        prefixes.append(hasher.digest(value, input_bits, seed))
+        seed = source.generator.packed_bits(
+            (3 * iteration + 1) * cap, hasher.seed_bits_required(FINGERPRINT_BITS)
+        )
+        prefixes.append(hasher.digest(transcript.prefix_fingerprint(num_chunks), FINGERPRINT_BITS, seed))
     session._own_counter_hash = counter
     session._own_full_hash, session._own_mp1_hash, session._own_mp2_hash = prefixes
     tau = hasher.output_bits

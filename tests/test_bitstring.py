@@ -223,10 +223,9 @@ class TestLinkMajorPlaneHelpers:
 class TestPackedTranscriptRoundTrip:
     """Packed transcript/digest accessors vs the historical unpacked path.
 
-    ``LinkTranscript.prefix_raw`` / ``prefix_fingerprint`` serve the
-    meeting-points hashing from packed integers; both must stay bit-for-bit
-    what the pre-packed code computed from ``serialize_prefix`` via
-    ``bits_to_int(bytes_to_bits(...))`` / ``fingerprint_bits``.
+    ``LinkTranscript.prefix_fingerprint`` serves the meeting-points hashing
+    from a per-prefix cache; it must stay bit-for-bit what
+    ``fingerprint_bits`` computes from ``serialize_prefix``.
     """
 
     @staticmethod
@@ -237,14 +236,6 @@ class TestPackedTranscriptRoundTrip:
         for index, view in enumerate(chunks):
             transcript.append(ChunkRecord(chunk_index=index, link_view=tuple(view)))
         return transcript
-
-    @given(st.lists(st.lists(st.sampled_from([0, 1, None]), max_size=12), max_size=8))
-    def test_prefix_raw_matches_unpacked_packing(self, chunks):
-        transcript = self._transcript(chunks)
-        for prefix in range(len(chunks) + 1):
-            serialized = transcript.serialize_prefix(prefix)
-            assert transcript.prefix_raw(prefix) == bits_to_int(bytes_to_bits(serialized))
-            assert transcript.prefix_raw(prefix) == int.from_bytes(serialized, "little")
 
     @given(st.lists(st.lists(st.sampled_from([0, 1, None]), max_size=12), min_size=1, max_size=6))
     def test_prefix_fingerprint_matches_direct_digest(self, chunks):
@@ -258,10 +249,11 @@ class TestPackedTranscriptRoundTrip:
     @given(st.lists(st.lists(st.sampled_from([0, 1, None]), max_size=10), min_size=2, max_size=6),
            st.integers(0, 5))
     def test_packed_caches_survive_truncation(self, chunks, keep):
+        from repro.hashing.inner_product import fingerprint_bits
+
         transcript = self._transcript(chunks)
-        full = [transcript.prefix_raw(i) for i in range(len(chunks) + 1)]
+        full = [transcript.prefix_fingerprint(i) for i in range(len(chunks) + 1)]
         transcript.truncate_to(keep)
         kept = min(keep, len(chunks))
-        assert transcript.prefix_raw(kept) == full[kept]
-        serialized = transcript.serialize_prefix(kept)
-        assert transcript.prefix_raw(kept) == int.from_bytes(serialized, "little")
+        assert transcript.prefix_fingerprint(kept) == full[kept]
+        assert transcript.prefix_fingerprint(kept) == fingerprint_bits(transcript.serialize_prefix(kept))

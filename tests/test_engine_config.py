@@ -42,14 +42,15 @@ def cell():
 
 
 def test_engine_config_never_enters_the_fingerprint(cell, monkeypatch):
-    """The key of a fixed trial is the golden digest it had while
-    ``EngineConfig`` existed (and was excluded from the payload), and routing
-    execution through the oracles does not move it."""
+    """The key of a fixed trial is a pinned digest, and routing execution
+    through the oracles does not move it.  The digest moves only when the
+    canonical payload does (it last moved when ``SchemeParameters`` lost a
+    field)."""
     workload, scheme, factory = cell
     spec = TrialSpec(workload=workload, scheme=scheme, adversary_factory=factory, seed=17)
     key = fingerprint_trial(spec)
     assert key.stable
-    assert key.digest == "a7229d7cb52cbecc01951422e8a5eb3765f3a42c6147a5b97d42f93566863170"
+    assert key.digest == "6c5215caaedd2fa0acc03d431be2d396322cae4fde98c34fdd0a31ba5712d8d8"
     use_oracles(monkeypatch)
     rebuilt = build_trial_specs(workload, scheme, factory, [17])[0]
     assert fingerprint_trial(rebuilt) == key
@@ -195,11 +196,10 @@ class TestCrsGoldens:
         from repro.hashing.seeds import CrsSeedSource
 
         source = CrsSeedSource(master_seed=2024, link=(0, 1))
-        seeds = [
-            source.seed_for(iteration, purpose, 128)
-            for iteration in (0, 1)
-            for purpose in ("mp_prefix", "mp_counter")
-        ]
+        seeds = []
+        for iteration in (0, 1):
+            counter_seed, prefix_seed = source.seeds_for_iteration(iteration, 128, 128)
+            seeds += [prefix_seed, counter_seed]
         assert [hex(value) for value in seeds] == [
             "0xc44727dcadd16e91f6e993981618ace7",
             "0x18d3dc56747c4b87268a4669f6dfa7f1",

@@ -122,10 +122,6 @@ class TestAblationsNoiseless:
         scheme = crs_oblivious_scheme(enable_rewind_phase=False)
         assert simulate(gossip_line5, scheme=scheme, seed=1).success
 
-    def test_raw_hash_input_mode(self, pairwise_line4):
-        scheme = crs_oblivious_scheme(hash_input_mode="raw")
-        assert simulate(pairwise_line4, scheme=scheme, seed=1).success
-
     def test_custom_chunk_multiplier(self, gossip_line5):
         big_chunks = simulate(gossip_line5, scheme=crs_oblivious_scheme(chunk_multiplier=20), seed=1)
         small_chunks = simulate(gossip_line5, scheme=crs_oblivious_scheme(chunk_multiplier=2), seed=1)

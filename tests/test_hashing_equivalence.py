@@ -6,8 +6,8 @@ random inputs, and the two must agree bit for bit —
 
 * ``SmallBiasGenerator`` jump-ahead reads vs :meth:`bits`, the per-bit
   field-multiplication definition,
-* ``SeedSource.seeds_for_iteration`` native overrides vs the per-call
-  ``seed_for`` loop, for both seed-source implementations,
+* ``SeedSource.seeds_for_iteration`` vs per-slot generator reads at the
+  documented offsets, for both seed sources,
 * ``InnerProductHash.digest_many`` vs one ``digest`` per value,
 * ``MeetingPointsSession`` vs a session building its messages with the
   per-call hashing oracle (``tests/oracle.py``), in lockstep over random
@@ -28,16 +28,13 @@ from repro.adversary.strategies import DeletionAdversary, RandomNoiseAdversary
 from repro.core.engine import InteractiveCodingSimulator
 from repro.core.meeting_points import MeetingPointsSession
 from repro.core.parameters import algorithm_a, algorithm_b, crs_oblivious_scheme
+from repro.core.randomness_exchange import run_randomness_exchange
 from repro.core.transcript import ChunkRecord, LinkTranscript
 from repro.hashing.inner_product import InnerProductHash
-from repro.hashing.seeds import (
-    SEED_PURPOSES,
-    CrsSeedSource,
-    ExchangedSeedSource,
-    SeedLayout,
-    seed_layout,
-)
+from repro.hashing.seeds import CrsSeedSource, ExchangedSeedSource
 from repro.hashing.small_bias import SmallBiasGenerator
+from repro.network.topologies import line_topology
+from repro.network.transport import NoisyNetwork
 from repro.utils.bitstring import bits_to_int, int_to_bits, pack_symbols
 from repro.utils.rng import make_rng
 
@@ -97,12 +94,17 @@ class TestSmallBiasExpansionEquivalence:
 # -------------------------------------------------------------- seed sources --
 
 
-def _random_layout(rng: random.Random) -> SeedLayout:
-    lengths = {}
-    for purpose in SEED_PURPOSES:
-        if rng.random() < 0.75:
-            lengths[purpose] = rng.choice([1, 32, 256, 1024])
-    return seed_layout(**lengths)
+def _random_lengths(rng: random.Random):
+    return rng.choice([1, 32, 256, 1024]), rng.choice([1, 32, 256, 1024])
+
+
+def _slot_reference(generator, iteration: int, cap: int, counter_bits: int, prefix_bits: int):
+    """The per-bit reference: counter seed at ``3·i·cap``, prefix seed at
+    ``(3·i + 1)·cap``."""
+    return (
+        bits_to_int(generator.bits(3 * iteration * cap, counter_bits)),
+        bits_to_int(generator.bits((3 * iteration + 1) * cap, prefix_bits)),
+    )
 
 
 class TestSeedBatchEquivalence:
@@ -111,85 +113,39 @@ class TestSeedBatchEquivalence:
         for trial in range(8):
             master = rng.getrandbits(48)
             link = (rng.randint(0, 5), rng.randint(6, 11))
-            batched = CrsSeedSource(master_seed=master, link=link)
-            per_call = CrsSeedSource(master_seed=master, link=link)
+            source = CrsSeedSource(master_seed=master, link=link)
+            reference = CrsSeedSource(master_seed=master, link=link).generator
             for _ in range(4):
                 iteration = rng.randint(0, 40)
-                layout = _random_layout(rng)
-                expected = tuple(
-                    per_call.seed_for(iteration, purpose, length) if length else None
-                    for purpose, length in zip(SEED_PURPOSES, layout.lengths)
-                )
-                assert batched.seeds_for_iteration(iteration, layout) == expected
-                # warm second call (batch cache) and per-call reads of the
-                # slots the batch just filled
-                assert batched.seeds_for_iteration(iteration, layout) == expected
-                for purpose, length in zip(SEED_PURPOSES, layout.lengths):
-                    if length:
-                        assert batched.seed_for(iteration, purpose, length) == per_call.seed_for(
-                            iteration, purpose, length
-                        )
+                lengths = _random_lengths(rng)
+                expected = _slot_reference(reference, iteration, source.slot_capacity_bits, *lengths)
+                assert source.seeds_for_iteration(iteration, *lengths) == expected
+                # warm second call (cache)
+                assert source.seeds_for_iteration(iteration, *lengths) == expected
 
     def test_exchanged_batch_matches_per_call_reference(self):
         rng = make_rng(22)
         for trial in range(6):
             seed = rng.getrandbits(128)
-            batched = ExchangedSeedSource(link_seed=seed)
-            per_call = ExchangedSeedSource(link_seed=seed)
+            source = ExchangedSeedSource(link_seed=seed)
             reference = SmallBiasGenerator(seed_bits=seed)
             for iteration in sorted(rng.sample(range(12), 3)):
-                layout = _random_layout(rng)
-                expected = tuple(
-                    per_call.seed_for(iteration, purpose, length) if length else None
-                    for purpose, length in zip(SEED_PURPOSES, layout.lengths)
-                )
-                assert batched.seeds_for_iteration(iteration, layout) == expected
-                for purpose_index, length in enumerate(layout.lengths):
-                    if length:
-                        offset = (iteration * len(SEED_PURPOSES) + purpose_index) * batched.slot_capacity_bits
-                        assert expected[purpose_index] == bits_to_int(reference.bits(offset, length))
-
-    def test_default_batch_implementation_loops_seed_for(self):
-        """The abstract default (no native override) is the per-call loop."""
-        from repro.hashing.seeds import SeedSource
-
-        source = CrsSeedSource(master_seed=7, link=(0, 1))
-        layout = seed_layout(mp_counter=64, mp_prefix=128)
-        expected = tuple(
-            source.seed_for(3, purpose, length) if length else None
-            for purpose, length in zip(SEED_PURPOSES, layout.lengths)
-        )
-        assert SeedSource.seeds_for_iteration(source, 3, layout) == expected
-        assert source.seeds_for_iteration(3, layout) == expected
-
-    def test_generator_sharing_requires_matching_configuration(self):
-        a = ExchangedSeedSource(link_seed=1)
-        b = ExchangedSeedSource(link_seed=2)
-        with pytest.raises(ValueError):
-            b.share_generator_with(a)
-        c = ExchangedSeedSource(link_seed=1, slot_capacity_bits=2048)
-        with pytest.raises(ValueError):
-            c.share_generator_with(a)
+                lengths = _random_lengths(rng)
+                expected = _slot_reference(reference, iteration, source.slot_capacity_bits, *lengths)
+                assert source.seeds_for_iteration(iteration, *lengths) == expected
 
     def test_generator_sharing_preserves_values(self):
-        a = ExchangedSeedSource(link_seed=99)
-        b = ExchangedSeedSource(link_seed=99)
-        independent = ExchangedSeedSource(link_seed=99)
-        b.share_generator_with(a)
-        layout = seed_layout(mp_counter=256, mp_prefix=1024)
-        assert a.seeds_for_iteration(0, layout) == independent.seeds_for_iteration(0, layout)
-        assert b.seeds_for_iteration(0, layout) == independent.seeds_for_iteration(0, layout)
-        assert b.seed_for(1, "mp_prefix", 512) == independent.seed_for(1, "mp_prefix", 512)
-
-    def test_layout_interning_and_validation(self):
-        assert seed_layout(mp_counter=8) is seed_layout(mp_counter=8)
-        assert seed_layout(mp_counter=8) is not seed_layout(mp_counter=16)
-        with pytest.raises(ValueError):
-            seed_layout(bogus=8)
-        with pytest.raises(ValueError):
-            SeedLayout((1, 2))  # wrong arity
-        with pytest.raises(ValueError):
-            SeedLayout((-1, 0, 0))
+        """An agreed link's one shared source serves both endpoints the seeds
+        an independent source of the same link seed derives."""
+        graph = line_topology(3)
+        report = run_randomness_exchange(graph, NoisyNetwork(graph), make_rng(4))
+        for u, v in graph.edges:
+            shared = report.seed_sources[(u, v)]
+            independent = ExchangedSeedSource(link_seed=shared.link_seed)
+            for iteration in (0, 1, 5):
+                expected = independent.seeds_for_iteration(iteration, 256, 1024)
+                assert shared.seeds_for_iteration(iteration, 256, 1024) == expected
+                assert report.seed_sources[(v, u)].seeds_for_iteration(iteration, 256, 1024) == expected
 
 
 # ------------------------------------------------------------- digest batching --
@@ -268,8 +224,7 @@ def _session_state(session: MeetingPointsSession):
 
 
 @pytest.mark.parametrize("source_kind", ["crs", "exchanged"])
-@pytest.mark.parametrize("hash_input_mode", ["fingerprint", "raw"])
-def test_session_fast_path_is_bit_identical_to_reference(source_kind, hash_input_mode):
+def test_session_fast_path_is_bit_identical_to_reference(source_kind):
     """The tentpole guarantee at session level: identical wire messages,
     outcomes and search state under noisy replies, for every seed source."""
     for trial in range(6):
@@ -278,23 +233,14 @@ def test_session_fast_path_is_bit_identical_to_reference(source_kind, hash_input
         hasher = InnerProductHash(tau)
 
         def build_source():
-            # Raw-mode hash inputs need τ·4096-bit seeds, so give both
-            # sources slots big enough to hold them (the unified expansion
-            # contract sizes slots identically for CRS and exchanged seeds);
-            # the exchanged seed fills both AGHP field elements (x and y
+            # The exchanged seed fills both AGHP field elements (x and y
             # non-degenerate).
             if source_kind == "crs":
-                return CrsSeedSource(master_seed=4242, link=(0, 1), slot_capacity_bits=1 << 16)
-            return ExchangedSeedSource(
-                link_seed=0x9D1C_37A2_55B0_4E11_6F08_42D3_91AC_7E65, slot_capacity_bits=1 << 16
-            )
+                return CrsSeedSource(master_seed=4242, link=(0, 1))
+            return ExchangedSeedSource(link_seed=0x9D1C_37A2_55B0_4E11_6F08_42D3_91AC_7E65)
 
         def build_session(fast: bool) -> MeetingPointsSession:
-            session = MeetingPointsSession(
-                hasher=hasher,
-                seed_source=build_source(),
-                hash_input_mode=hash_input_mode,
-            )
+            session = MeetingPointsSession(hasher=hasher, seed_source=build_source())
             if not fast:
                 session._build_message = partial(build_message_per_call, session)
             return session

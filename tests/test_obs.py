@@ -26,7 +26,8 @@ import threading
 
 import pytest
 
-from repro.core.parameters import algorithm_a
+from repro.core.engine import simulate
+from repro.core.parameters import SCHEME_PRESETS, algorithm_a
 from repro.experiments.factories import RandomNoiseFactory
 from repro.experiments.harness import run_trials
 from repro.experiments.workloads import gossip_workload
@@ -262,6 +263,19 @@ class TestEngineInstrumentation:
         # per-phase attribution sums over the documented phases
         phase_keys = [key for key in counters if key.startswith("engine.rounds.")]
         assert set(phase_keys) >= {"engine.rounds.meeting_points", "engine.rounds.simulation"}
+
+    @pytest.mark.parametrize("preset", sorted(SCHEME_PRESETS))
+    @pytest.mark.parametrize("topology", ["clique", "line"])
+    def test_seed_derivations_count_each_link_once(self, preset, topology):
+        """A noiseless trial derives two seed slots per link per iteration:
+        both endpoints of a CRS or agreed link read one source."""
+        workload = gossip_workload(topology, 5, 6, seed=1)
+        registry = MetricsRegistry()
+        with use_obs(metrics=registry):
+            result = simulate(workload.protocol, scheme=SCHEME_PRESETS[preset](), seed=1)
+        links = workload.protocol.graph.num_edges
+        derivations = registry.snapshot()["counters"]["hashing.seed_derivations"]
+        assert derivations == 2 * links * result.iterations_run
 
     def test_results_are_bit_identical_with_obs_on_and_off(self):
         plain = _run(trials=3)

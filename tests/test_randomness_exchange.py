@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from repro.adversary.strategies import DeletionAdversary, LinkTargetedAdversary, RandomNoiseAdversary
 from repro.core.randomness_exchange import run_randomness_exchange
-from repro.hashing.seeds import ExchangedSeedSource, seed_layout
+from repro.hashing.seeds import ExchangedSeedSource
 from repro.hashing.small_bias import SmallBiasGenerator
 from repro.network.topologies import line_topology, star_topology
 from repro.network.transport import NoisyNetwork
@@ -30,10 +30,11 @@ class TestCleanExchange:
             source_u = report.seed_sources[(u, v)]
             source_v = report.seed_sources[(v, u)]
             assert isinstance(source_u, ExchangedSeedSource)
-            assert source_u.seed_for(0, "mp_prefix", 256) == source_v.seed_for(0, "mp_prefix", 256)
+            assert source_u.seeds_for_iteration(0, 64, 256) == source_v.seeds_for_iteration(0, 64, 256)
 
     def test_each_agreed_link_bootstraps_one_generator(self, monkeypatch):
-        """A receiver's own generator, replaced by the sender's, never bootstraps."""
+        """Both endpoints of an agreed link read one source, so one generator
+        per link bootstraps."""
         bootstrapped = []
         original = SmallBiasGenerator._bootstrap
 
@@ -44,11 +45,10 @@ class TestCleanExchange:
         monkeypatch.setattr(SmallBiasGenerator, "_bootstrap", record)
         graph = star_topology(5)
         report = run_randomness_exchange(graph, NoisyNetwork(graph), make_rng(2), field_degree=32)
-        layout = seed_layout(mp_counter=64, mp_prefix=256)
         for source in report.seed_sources.values():
-            source.seeds_for_iteration(3, layout)
+            source.seeds_for_iteration(3, 64, 256)
         assert len(bootstrapped) == graph.num_edges
-        senders = [report.seed_sources[edge]._generator for edge in graph.edges]
+        senders = [report.seed_sources[edge].generator for edge in graph.edges]
         assert all(any(generator is sender for sender in senders) for generator in bootstrapped)
 
     def test_communication_scales_with_links(self):
@@ -96,7 +96,18 @@ class TestNoisyExchange:
         report = run_randomness_exchange(graph, network, make_rng(9), field_degree=32)
         source_u = report.seed_sources[(0, 1)]
         source_v = report.seed_sources[(1, 0)]
-        assert source_u.seed_for(0, "mp_prefix", 256) != source_v.seed_for(0, "mp_prefix", 256)
+        assert source_u.seeds_for_iteration(0, 64, 256)[1] != source_v.seeds_for_iteration(0, 64, 256)[1]
+
+    def test_agreed_links_share_one_source_and_corrupted_links_hold_two(self):
+        graph = line_topology(4)
+        adversary = LinkTargetedAdversary(
+            target=(0, 1), phases=("randomness_exchange",), max_corruptions=10_000, seed=6
+        )
+        report = run_randomness_exchange(graph, NoisyNetwork(graph, adversary=adversary), make_rng(7), field_degree=32)
+        assert report.corrupted_links == [(0, 1)]
+        assert report.seed_sources[(0, 1)] is not report.seed_sources[(1, 0)]
+        for u, v in ((1, 2), (2, 3)):
+            assert report.seed_sources[(u, v)] is report.seed_sources[(v, u)]
 
 
 def test_exchange_matches_per_slot_delivery():
