@@ -20,6 +20,11 @@ cross-checked against what the instrumentation itself reports.
 the per-kind protocol event counts plus the trial's forensic verdict — the
 end-to-end exercise of the recorder path (and its profile cost, visible in
 the frame table).
+
+Before the profiled trial, one unprofiled warm-up trial runs on the next seed
+of the same workload object.  It builds the workload's trial-independent plan
+(chunk plan, noiseless reference run, spanning tree), which every later trial
+of a sweep reuses, so the frame table shows what each trial of a sweep pays.
 """
 
 from __future__ import annotations
@@ -135,7 +140,13 @@ def main(argv=None) -> int:
     )
     scheme = SCHEMES[args.scheme]()
     fraction = scheme.nominal_noise_fraction(workload.graph) * args.noise_multiplier
-    adversary = RandomNoiseFactory(fraction=fraction)(args.seed)
+    factory = RandomNoiseFactory(fraction=fraction)
+    # Outside the obs scope below, so its counters and events stay out of the
+    # report.
+    InteractiveCodingSimulator(
+        workload.protocol, scheme=scheme, adversary=factory(args.seed + 1), seed=args.seed + 1
+    ).run()
+    adversary = factory(args.seed)
 
     registry = MetricsRegistry() if args.obs else None
     tracer = Tracer(sample_every=1) if args.obs else None

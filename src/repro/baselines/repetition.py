@@ -95,6 +95,6 @@ def run_repetition(
         name=name,
         success=success,
         outputs=outputs,
-        reference_outputs=reference.outputs,
+        reference_outputs=dict(reference.outputs),
         metrics=metrics,
     )

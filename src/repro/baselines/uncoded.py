@@ -86,6 +86,6 @@ def run_uncoded(
         name=name,
         success=success,
         outputs=outputs,
-        reference_outputs=reference.outputs,
+        reference_outputs=dict(reference.outputs),
         metrics=metrics,
     )

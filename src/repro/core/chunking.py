@@ -7,26 +7,33 @@ make every chunk exactly 5K bits; we keep the true per-chunk bit counts and
 simply never exceed the budget, which changes nothing observable).
 
 The partition only depends on the fixed speaking order, so every party
-computes the same chunk boundaries locally.  After the real chunks we append
-``padding_chunks`` empty dummy chunks (paper §3.2: "Π is padded with enough
-dummy chunks").
+computes the same chunk boundaries locally.  A round is never split, so a
+round that alone carries more transmissions than the budget is rejected.
+After the real chunks we append ``padding_chunks`` empty dummy chunks (paper
+§3.2: "Π is padded with enough dummy chunks").
 
 ``ChunkedProtocol`` also precomputes everything the simulation phase needs:
 
-* the per-chunk round list and per-round scheduled links,
-* the per-chunk *link slots* — for every undirected link, the ordered list of
+* the per-chunk round list and per-round scheduled links (in schedule order,
+  and as a set for O(1) membership tests),
+* the per-chunk *link slots* — for every undirected link, the ordered tuple of
   scheduled transmissions inside the chunk (this defines the canonical "link
   view" both endpoints hash and compare), and
 * the maximum number of rounds of any chunk (the fixed length of the
   simulation-phase window).
+
+Nothing here depends on a trial's seed, scheme randomness or noise, so the
+engine builds one plan per (protocol, budget, padding) through
+:meth:`~repro.protocols.base.Protocol.chunk_plan` and reuses it in every
+trial; every accessor therefore hands out immutable values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
-from repro.network.graph import DirectedEdge, Graph, edge_key
+from repro.network.graph import DirectedEdge, edge_key
 from repro.protocols.base import Protocol
 
 
@@ -54,22 +61,26 @@ class Chunk:
 
 
 class ChunkedProtocol:
-    """Π together with its chunk decomposition and per-chunk link schedules."""
+    """Π's chunk decomposition and per-chunk link schedules.
+
+    Holds Π's schedule but no reference to Π or its graph: the plan is cached
+    on the protocol, and a back-reference would make every discarded
+    workload cyclic garbage that only the cycle collector frees.
+    """
 
     def __init__(self, protocol: Protocol, chunk_budget: int, padding_chunks: int = 2) -> None:
         if chunk_budget < 1:
             raise ValueError("chunk_budget must be positive")
         if padding_chunks < 0:
             raise ValueError("padding_chunks must be non-negative")
-        self.protocol = protocol
-        self.graph: Graph = protocol.graph
         self.chunk_budget = chunk_budget
         self.padding_chunks = padding_chunks
         self.schedule = protocol.schedule()
-        self.chunks: List[Chunk] = self._build_chunks()
+        self.chunks: Tuple[Chunk, ...] = tuple(self._build_chunks())
         self.num_real_chunks = sum(1 for chunk in self.chunks if not chunk.is_padding)
-        self._chunk_round_links: Dict[int, List[List[DirectedEdge]]] = {}
-        self._link_slots: Dict[Tuple[int, Tuple[int, int]], List[LinkSlot]] = {}
+        self._chunk_round_links: Dict[int, Tuple[Tuple[DirectedEdge, ...], ...]] = {}
+        self._chunk_round_sets: Dict[int, Tuple[FrozenSet[DirectedEdge], ...]] = {}
+        self._link_slots: Dict[Tuple[int, Tuple[int, int]], Tuple[LinkSlot, ...]] = {}
         self._precompute()
 
     # -- construction ---------------------------------------------------------
@@ -80,6 +91,11 @@ class ChunkedProtocol:
         current_bits = 0
         for round_index, transmissions in enumerate(self.schedule):
             bits = len(transmissions)
+            if bits > self.chunk_budget:
+                raise ValueError(
+                    f"round {round_index} carries {bits} transmissions, more than the "
+                    f"chunk budget {self.chunk_budget}; a chunk never splits a round"
+                )
             if current_rounds and current_bits + bits > self.chunk_budget:
                 chunks.append(Chunk(index=len(chunks) + 1, round_indices=tuple(current_rounds), is_padding=False))
                 current_rounds = []
@@ -97,17 +113,18 @@ class ChunkedProtocol:
         return chunks
 
     def _precompute(self) -> None:
+        link_slots: Dict[Tuple[int, Tuple[int, int]], List[LinkSlot]] = {}
         for chunk in self.chunks:
-            per_round: List[List[DirectedEdge]] = []
-            for offset, round_index in enumerate(chunk.round_indices):
-                links = list(self.schedule[round_index])
-                per_round.append(links)
+            per_round = tuple(tuple(self.schedule[round_index]) for round_index in chunk.round_indices)
+            for offset, (round_index, links) in enumerate(zip(chunk.round_indices, per_round)):
                 for sender, receiver in links:
                     key = (chunk.index, edge_key(sender, receiver))
-                    self._link_slots.setdefault(key, []).append(
+                    link_slots.setdefault(key, []).append(
                         LinkSlot(offset=offset, round_index=round_index, sender=sender, receiver=receiver)
                     )
             self._chunk_round_links[chunk.index] = per_round
+            self._chunk_round_sets[chunk.index] = tuple(frozenset(links) for links in per_round)
+        self._link_slots = {key: tuple(slots) for key, slots in link_slots.items()}
 
     # -- queries ----------------------------------------------------------------
 
@@ -126,15 +143,18 @@ class ChunkedProtocol:
             return self.chunks[chunk_index - 1]
         return Chunk(index=chunk_index, round_indices=(), is_padding=True)
 
-    def chunk_round_links(self, chunk_index: int) -> List[List[DirectedEdge]]:
-        """Per round offset, the directed links scheduled in that round of the chunk."""
-        if chunk_index <= len(self.chunks):
-            return self._chunk_round_links[chunk_index]
-        return []
+    def chunk_round_links(self, chunk_index: int) -> Tuple[Tuple[DirectedEdge, ...], ...]:
+        """Per round offset, the directed links scheduled in that round of the
+        chunk, in schedule order."""
+        return self._chunk_round_links.get(chunk_index, ())
 
-    def link_slots(self, chunk_index: int, u: int, v: int) -> List[LinkSlot]:
+    def chunk_round_sets(self, chunk_index: int) -> Tuple[FrozenSet[DirectedEdge], ...]:
+        """:meth:`chunk_round_links` as one set per round, for membership tests."""
+        return self._chunk_round_sets.get(chunk_index, ())
+
+    def link_slots(self, chunk_index: int, u: int, v: int) -> Tuple[LinkSlot, ...]:
         """Ordered transmissions on link {u, v} within the chunk (both directions)."""
-        return list(self._link_slots.get((chunk_index, edge_key(u, v)), []))
+        return self._link_slots.get((chunk_index, edge_key(u, v)), ())
 
     def max_chunk_rounds(self) -> int:
         """The fixed length of the simulation window (longest chunk, in rounds)."""
@@ -146,4 +166,4 @@ class ChunkedProtocol:
 
     def communication_complexity(self) -> int:
         """CC(Π) — communication of the underlying protocol."""
-        return self.protocol.communication_complexity()
+        return sum(len(transmissions) for transmissions in self.schedule)

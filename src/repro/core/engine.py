@@ -38,7 +38,6 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.adversary.base import Adversary, NoiselessAdversary
 from repro.analysis.metrics import RunMetrics
 from repro.analysis.potential import PotentialTrace, compute_snapshot
-from repro.core.chunking import ChunkedProtocol
 from repro.core.meeting_points import (
     STATUS_MEETING_POINTS,
     STATUS_SIMULATE,
@@ -52,7 +51,6 @@ from repro.hashing.inner_product import FINGERPRINT_BITS, InnerProductHash
 from repro.hashing.seeds import CrsSeedSource, SeedSource
 from repro.network.channel import Symbol
 from repro.network.graph import Graph, edge_key
-from repro.network.spanning_tree import SpanningTree
 from repro.network.transport import NoisyNetwork
 from repro.obs import Tracer, get_obs, link_label
 from repro.protocols.base import PartyLogic, Protocol
@@ -115,13 +113,14 @@ class InteractiveCodingSimulator:
         self._obs = get_obs()
 
         self.scale_k = self.scheme.scale_k(self.graph)
-        self.chunked = ChunkedProtocol(
-            protocol,
-            chunk_budget=self.scheme.chunk_budget(self.graph),
-            padding_chunks=self.scheme.padding_chunks,
+        # The chunk plan, the tree and (in run()) the reference execution
+        # depend only on Π and the graph: built once per workload object and
+        # shared, read-only, by every trial over it.
+        self.chunked = protocol.chunk_plan(
+            self.scheme.chunk_budget(self.graph), self.scheme.padding_chunks
         )
         self.hasher = InnerProductHash(self.scheme.hash_output_bits(self.graph))
-        self.tree = SpanningTree(self.graph, root=0)
+        self.tree = protocol.spanning_tree()
         self.network = NoisyNetwork(self.graph, adversary=self.adversary)
         #: Round-frame layout: bit ``j`` of a lockstep round is link
         #: ``self._links[j]``, and ``self._link_bit`` maps a link to its bit.
@@ -175,9 +174,10 @@ class InteractiveCodingSimulator:
                 break
 
         outputs = self._extract_outputs()
+        reference_outputs = dict(reference.outputs)
         metrics = self._build_metrics(reference_cc=self.protocol.communication_complexity(),
                                       outputs=outputs,
-                                      reference_outputs=reference.outputs,
+                                      reference_outputs=reference_outputs,
                                       iterations_run=iterations_run)
         if self._obs.metrics is not None:
             self._flush_obs(phase_rounds or {}, iterations_run)
@@ -185,7 +185,7 @@ class InteractiveCodingSimulator:
             scheme=self.scheme,
             success=metrics.success,
             outputs=outputs,
-            reference_outputs=reference.outputs,
+            reference_outputs=reference_outputs,
             metrics=metrics,
             channel_summary=self.network.stats.snapshot(),
             iterations_run=iterations_run,
@@ -554,7 +554,7 @@ class InteractiveCodingSimulator:
                     if offset >= chunk.num_rounds:
                         continue
                     round_index = chunk.round_indices[offset]
-                    scheduled = self.chunked.chunk_round_links(chunk_index)[offset]
+                    scheduled = self.chunked.chunk_round_sets(chunk_index)[offset]
                     if (party, neighbor) in scheduled:
                         bit = self.runtimes[party].logic.send_bit(
                             round_index, neighbor, workspace["received_map"]

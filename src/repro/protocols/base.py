@@ -17,15 +17,26 @@ capabilities from Π:
 received map*, which makes replay after rewinds trivial and keeps party
 implementations honest about using only causally available information
 (the engine only ever passes receptions from earlier rounds).
+
+Everything a protocol derives from its graph and inputs alone — the schedule,
+the chunk plans, the flag-passing spanning tree and the noiseless reference
+run — is built once and cached in ``_``-prefixed attributes, so every trial
+over the same protocol object reuses it and trial fingerprints never see it.
+No cached value refers back to the protocol, so a discarded workload is
+freed by reference counting, not left to the cycle collector.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.network.graph import DirectedEdge, Graph
+from repro.network.spanning_tree import SpanningTree
+
+if TYPE_CHECKING:
+    from repro.core.chunking import ChunkedProtocol
 
 #: (round_index, sender) -> received bit.
 ReceivedMap = Dict[Tuple[int, int], int]
@@ -57,6 +68,9 @@ class Protocol(abc.ABC):
         graph.validate_connected_simple()
         self.graph = graph
         self._schedule: List[List[DirectedEdge]] | None = None
+        self._chunk_plans: Dict[Tuple[int, int], "ChunkedProtocol"] = {}
+        self._spanning_tree: Optional[SpanningTree] = None
+        self._noiseless: Optional["NoiselessExecution"] = None
 
     # -- schedule -----------------------------------------------------------------
 
@@ -85,6 +99,23 @@ class Protocol(abc.ABC):
             self._schedule = schedule
         return self._schedule
 
+    def chunk_plan(self, chunk_budget: int, padding_chunks: int) -> "ChunkedProtocol":
+        """Cached chunk decomposition of Π for one (budget, padding) pair."""
+        key = (chunk_budget, padding_chunks)
+        plan = self._chunk_plans.get(key)
+        if plan is None:
+            # The core imports this module, so the import waits for the call.
+            from repro.core.chunking import ChunkedProtocol
+
+            plan = self._chunk_plans[key] = ChunkedProtocol(self, chunk_budget, padding_chunks)
+        return plan
+
+    def spanning_tree(self) -> SpanningTree:
+        """Cached BFS spanning tree of the graph rooted at node 0 (flag passing's tree)."""
+        if self._spanning_tree is None:
+            self._spanning_tree = SpanningTree(self.graph, root=0)
+        return self._spanning_tree
+
     @abc.abstractmethod
     def create_party(self, party: int) -> PartyLogic:
         """Instantiate the local program of ``party`` (bound to its input)."""
@@ -111,7 +142,13 @@ class Protocol(abc.ABC):
     # -- reference execution ------------------------------------------------------------
 
     def run_noiseless(self) -> "NoiselessExecution":
-        """Execute Π over a perfect network; the ground truth for experiments."""
+        """Execute Π over a perfect network; the ground truth for experiments.
+
+        Cached: every call returns the same object, so callers must not
+        mutate it (copy ``outputs`` before handing it on).
+        """
+        if self._noiseless is not None:
+            return self._noiseless
         parties = {party: self.create_party(party) for party in self.graph.nodes}
         received: Dict[int, ReceivedMap] = {party: {} for party in self.graph.nodes}
         sent: Dict[int, ReceivedMap] = {party: {} for party in self.graph.nodes}
@@ -130,7 +167,8 @@ class Protocol(abc.ABC):
         outputs = {
             party: parties[party].compute_output(received[party]) for party in self.graph.nodes
         }
-        return NoiselessExecution(outputs=outputs, received=received, sent=sent)
+        self._noiseless = NoiselessExecution(outputs=outputs, received=received, sent=sent)
+        return self._noiseless
 
 
 @dataclass

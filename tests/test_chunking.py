@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.chunking import ChunkedProtocol
+from repro.experiments.workloads import gossip_workload
 from repro.network.topologies import line_topology
 from repro.protocols.aggregation import AggregationProtocol
 from repro.protocols.gossip import ParityGossipProtocol
@@ -21,9 +22,9 @@ class TestChunkBoundaries:
             if not chunk.is_padding:
                 assert chunked_gossip.chunk_bits(chunk.index) <= chunked_gossip.chunk_budget
 
-    def test_every_round_appears_exactly_once(self, chunked_gossip):
+    def test_every_round_appears_exactly_once(self, chunked_gossip, gossip_clique4):
         rounds = [r for chunk in chunked_gossip.chunks for r in chunk.round_indices]
-        assert rounds == list(range(chunked_gossip.protocol.num_rounds))
+        assert rounds == list(range(gossip_clique4.num_rounds))
 
     def test_chunk_indices_are_one_based_and_consecutive(self, chunked_gossip):
         assert [chunk.index for chunk in chunked_gossip.chunks] == list(
@@ -45,6 +46,13 @@ class TestChunkBoundaries:
         with pytest.raises(ValueError):
             ChunkedProtocol(gossip_clique4, chunk_budget=10, padding_chunks=-1)
 
+    def test_round_wider_than_the_budget_is_rejected(self):
+        # Every round of gossip over K4 carries 12 transmissions; a chunk
+        # never splits a round, so a budget of 5 cannot be met.
+        protocol = gossip_workload("clique", 4, 3).protocol
+        with pytest.raises(ValueError, match="round 0 carries 12 transmissions"):
+            ChunkedProtocol(protocol, chunk_budget=5)
+
     def test_silent_protocol_still_has_a_chunk(self):
         graph = line_topology(3)
         protocol = ParityGossipProtocol(graph, {i: 0 for i in range(3)}, phases=1)
@@ -61,17 +69,20 @@ class TestChunkQueries:
         with pytest.raises(ValueError):
             chunked_gossip.chunk(0)
 
-    def test_chunk_round_links_match_schedule(self, chunked_gossip):
-        schedule = chunked_gossip.protocol.schedule()
+    def test_chunk_round_links_match_schedule(self, chunked_gossip, gossip_clique4):
+        schedule = gossip_clique4.schedule()
         chunk = chunked_gossip.chunks[0]
         per_round = chunked_gossip.chunk_round_links(chunk.index)
+        per_round_sets = chunked_gossip.chunk_round_sets(chunk.index)
+        assert len(per_round) == len(per_round_sets) == chunk.num_rounds
         for offset, round_index in enumerate(chunk.round_indices):
-            assert per_round[offset] == schedule[round_index]
+            assert list(per_round[offset]) == schedule[round_index]
+            assert per_round_sets[offset] == frozenset(schedule[round_index])
 
-    def test_link_slots_cover_all_transmissions(self, chunked_gossip):
+    def test_link_slots_cover_all_transmissions(self, chunked_gossip, gossip_clique4):
         chunk = chunked_gossip.chunks[0]
         total_slots = 0
-        for u, v in chunked_gossip.graph.edges:
+        for u, v in gossip_clique4.graph.edges:
             slots = chunked_gossip.link_slots(chunk.index, u, v)
             total_slots += len(slots)
             for slot in slots:
@@ -87,8 +98,8 @@ class TestChunkQueries:
             chunk.num_rounds for chunk in chunked_gossip.chunks
         )
 
-    def test_communication_complexity_passthrough(self, chunked_gossip):
-        assert chunked_gossip.communication_complexity() == chunked_gossip.protocol.communication_complexity()
+    def test_communication_complexity_passthrough(self, chunked_gossip, gossip_clique4):
+        assert chunked_gossip.communication_complexity() == gossip_clique4.communication_complexity()
 
 
 class TestSparseProtocolChunking:

@@ -7,10 +7,16 @@ well before the iteration budget.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
-from repro.core.engine import simulate
+from repro.baselines.repetition import run_repetition
+from repro.baselines.uncoded import run_uncoded
+from repro.core.engine import InteractiveCodingSimulator, simulate
 from repro.core.parameters import algorithm_a, algorithm_b, algorithm_c, crs_oblivious_scheme
+from repro.experiments.workloads import gossip_workload
 from repro.network.topologies import ring_topology, star_topology
 from repro.protocols.random_protocol import RandomProtocol
 from repro.protocols.token_ring import TokenRingProtocol
@@ -127,3 +133,50 @@ class TestAblationsNoiseless:
         small_chunks = simulate(gossip_line5, scheme=crs_oblivious_scheme(chunk_multiplier=2), seed=1)
         assert big_chunks.success and small_chunks.success
         assert big_chunks.overhead < small_chunks.overhead
+
+
+class TestCrossTrialIsolation:
+    """Trials over one protocol object share its trial-independent plan (chunk
+    plan, reference run, spanning tree); no trial may leak state into the next."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda protocol, seed: simulate(protocol, scheme=algorithm_a(), seed=seed),
+            lambda protocol, seed: run_uncoded(protocol),
+            lambda protocol, seed: run_repetition(protocol),
+        ],
+        ids=["engine", "uncoded", "repetition"],
+    )
+    def test_second_trial_matches_a_fresh_workload(self, run):
+        shared = gossip_workload("clique", 4, 3).protocol
+        first = run(shared, 1)
+        for party in first.reference_outputs:
+            first.reference_outputs[party] = "tampered"
+        second = run(shared, 2)
+        fresh = run(gossip_workload("clique", 4, 3).protocol, 2)
+        assert fresh.metrics.success
+        assert second.metrics == fresh.metrics
+        assert second.reference_outputs == fresh.reference_outputs
+
+    def test_plan_is_built_once_per_workload(self, gossip_line5):
+        first = InteractiveCodingSimulator(gossip_line5, scheme=algorithm_a(), seed=1)
+        second = InteractiveCodingSimulator(gossip_line5, scheme=algorithm_a(), seed=2)
+        assert first.chunked is second.chunked
+        assert first.tree is second.tree
+        assert gossip_line5.run_noiseless() is gossip_line5.run_noiseless()
+
+    def test_discarded_workload_is_freed_without_the_cycle_collector(self):
+        """No cached plan refers back to its protocol, so pool workers, which
+        unpickle and drop a workload per chunk, never leave it to the cycle
+        collector."""
+        gc.collect()
+        gc.disable()
+        try:
+            protocol = gossip_workload("clique", 4, 3).protocol
+            simulate(protocol, scheme=algorithm_a(), seed=1)
+            collected = weakref.ref(protocol)
+            del protocol
+            assert collected() is None
+        finally:
+            gc.enable()

@@ -98,8 +98,8 @@ class TestTrialKeys:
 
     def test_fingerprint_is_invariant_under_use(self):
         """Using a workload must not change its fingerprint (protocol lazy
-        caches — ``_schedule``, round-layout tables — are excluded from the
-        canonical payload)."""
+        caches — ``_schedule``, round-layout tables, chunk plans, the
+        reference run — are excluded from the canonical payload)."""
         scheme = algorithm_a()
         factory = RandomNoiseFactory(fraction=0.004)
         for name in sorted(WORKLOAD_BUILDERS):
@@ -110,12 +110,18 @@ class TestTrialKeys:
             key_used = fingerprint_trial(TrialSpec(used, scheme, factory, 17))
             key_fresh = fingerprint_trial(TrialSpec(fresh, scheme, factory, 17))
             assert key_used.digest == key_fresh.digest, name
-        # ... and a full noisy simulation does not change it either.
+        # ... and a full noisy simulation does not change it either, nor does
+        # a second one, which reuses the workload's cached plan (chunk plan,
+        # reference run, spanning tree) and must still match a fresh workload.
         used = gossip_workload()
         run_trials(used, scheme, adversary_factory=factory, trials=1, cache=None)
         key_used = fingerprint_trial(TrialSpec(used, scheme, factory, 17))
         key_fresh = fingerprint_trial(TrialSpec(gossip_workload(), scheme, factory, 17))
         assert key_used.digest == key_fresh.digest
+        again = run_trials(used, scheme, adversary_factory=factory, seeds=[1017], cache=None)
+        fresh = run_trials(gossip_workload(), scheme, adversary_factory=factory, seeds=[1017], cache=None)
+        assert fingerprint_trial(TrialSpec(used, scheme, factory, 17)).digest == key_fresh.digest
+        assert again.runs == fresh.runs
 
     @pytest.mark.parametrize(
         "mutate",
