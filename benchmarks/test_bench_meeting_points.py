@@ -81,16 +81,18 @@ def _hashing_workload_seconds(source_kind: str) -> float:
     Two sessions on one link exchange meeting-points messages over
     permanently diverged transcripts, so every iteration derives fresh seeds
     and hashes four values per endpoint — exactly the per-iteration hash
-    traffic of the engine's consistency phase.
+    traffic of the engine's consistency phase.  Both sessions read one
+    source object, as the engine's endpoints of a CRS or agreed link do, so
+    the second endpoint's build takes the shared digest memo's hits.
     """
-    def build_source():
-        if source_kind == "crs":
-            return CrsSeedSource(master_seed=5, link=(0, 1))
-        return ExchangedSeedSource(link_seed=_LINK_SEED)
+    if source_kind == "crs":
+        source = CrsSeedSource(master_seed=5, link=(0, 1))
+    else:
+        source = ExchangedSeedSource(link_seed=_LINK_SEED)
 
     hasher = InnerProductHash(_WORKLOAD_TAU)
-    session_u = MeetingPointsSession(hasher=hasher, seed_source=build_source())
-    session_v = MeetingPointsSession(hasher=hasher, seed_source=build_source())
+    session_u = MeetingPointsSession(hasher=hasher, seed_source=source)
+    session_v = MeetingPointsSession(hasher=hasher, seed_source=source)
     transcript_u = _transcript(0, 1, [(1, 0)] * 8 + [(0, 0)] * 3)
     transcript_v = _transcript(1, 0, [(1, 0)] * 8 + [(1, 1)] * 3)
 

@@ -1,8 +1,9 @@
 """The per-link meeting-points mechanism (paper §3.1(ii), §4.2, Appendix A).
 
-Every consistency-check phase, the two endpoints of a link exchange three
-short hashes: one of their meeting-points counter ``k`` and two of transcript
-prefixes truncated at the current *meeting points* MP1 and MP2.  The meeting
+Every consistency-check phase, the two endpoints of a link exchange four
+short hashes: one of their meeting-points counter ``k``, one of the full
+transcript and two of transcript prefixes truncated at the current *meeting
+points* MP1 and MP2.  The meeting
 points are the multiples of ``k̃ = 2^⌈log₂ k⌉`` nearest below the transcript
 length, so as the search continues (k grows) the candidate rollback points
 move back geometrically.  When a party has seen enough evidence that one of
@@ -23,17 +24,21 @@ our source):
   sufficiently supported meeting point, or — if errors dominate — resets the
   search.
 
-A single exchange costs ``3τ`` bits per direction, τ being the hash output
-length, so a consistency phase over the whole network costs Θ(τ·m) bits, as
-required for the constant-rate accounting.
+A single exchange costs ``4τ`` bits per direction, τ being the hash output
+length (:attr:`MeetingPointsSession.message_bits`), so a consistency phase
+over the whole network costs Θ(τ·m) bits, as required for the constant-rate
+accounting.
 
 Every transcript prefix enters the hash as its cached 128-bit fingerprint
 (:meth:`~repro.core.transcript.LinkTranscript.prefix_fingerprint`).  Each
-message is built with one
-:meth:`~repro.hashing.seeds.SeedSource.seeds_for_iteration` call per
-iteration (the counter and prefix seeds), the three prefix digests computed
-in one :meth:`~repro.hashing.inner_product.InnerProductHash.digest_many`
-pass over the shared seed, and digests kept as plain integers end to end:
+message first looks its digests up in the seed source's memo
+(:meth:`~repro.hashing.seeds.SeedSource.digest_memo`), which both
+endpoints of a CRS or agreed link share, so each distinct input is hashed
+once per link and iteration.  The inputs it lacks take one
+:meth:`~repro.hashing.seeds.SeedSource.seeds_for_iteration` call (the
+counter and prefix seeds) and one
+:meth:`~repro.hashing.inner_product.InnerProductHash.digest_many` pass over
+the shared prefix seed.  Digests are kept as plain integers end to end:
 the message is one integer whose bit ``i`` is wire bit ``i``, and the reply
 arrives as a ``(bits, present)`` plane pair.  ``tests/test_hashing_equivalence.py`` pins
 the wire bits and decisions against a per-call hashing oracle
@@ -139,25 +144,32 @@ class MeetingPointsSession:
     def _build_message(
         self, iteration: int, transcript: LinkTranscript, length: int
     ) -> int:
-        """One seed derivation, one multi-value digest pass."""
+        """Digests from the source's memo; the inputs it lacks take one seed
+        derivation and one multi-value digest pass."""
         hasher = self.hasher
         tau = hasher.output_bits
-        counter_seed, prefix_seed = self.seed_source.seeds_for_iteration(
-            iteration,
-            hasher.seed_bits_required(_COUNTER_BITS),
-            hasher.seed_bits_required(FINGERPRINT_BITS),
-        )
-        counter_digest = hasher.digest(
-            self.k & ((1 << _COUNTER_BITS) - 1), _COUNTER_BITS, counter_seed
-        )
-        full_digest, mp1_digest, mp2_digest = hasher.digest_many(
-            [
-                transcript.prefix_fingerprint(num_chunks)
-                for num_chunks in (length, self._mp1, self._mp2)
-            ],
-            FINGERPRINT_BITS,
-            prefix_seed,
-        )
+        source = self.seed_source
+        counter_bits = hasher.seed_bits_required(_COUNTER_BITS)
+        prefix_bits = hasher.seed_bits_required(FINGERPRINT_BITS)
+        counter_memo, prefix_memo = source.digest_memo(iteration, counter_bits, prefix_bits)
+        counter = self.k & ((1 << _COUNTER_BITS) - 1)
+        fingerprints = [
+            transcript.prefix_fingerprint(num_chunks)
+            for num_chunks in (length, self._mp1, self._mp2)
+        ]
+        missing = [value for value in dict.fromkeys(fingerprints) if value not in prefix_memo]
+        counter_digest = counter_memo.get(counter)
+        if counter_digest is None or missing:
+            counter_seed, prefix_seed = source.seeds_for_iteration(iteration, counter_bits, prefix_bits)
+            if counter_digest is None:
+                counter_digest = counter_memo[counter] = hasher.digest(
+                    counter, _COUNTER_BITS, counter_seed
+                )
+            if missing:
+                prefix_memo.update(
+                    zip(missing, hasher.digest_many(missing, FINGERPRINT_BITS, prefix_seed))
+                )
+        full_digest, mp1_digest, mp2_digest = [prefix_memo[value] for value in fingerprints]
         self._own_counter_hash = counter_digest
         self._own_full_hash = full_digest
         self._own_mp1_hash = mp1_digest

@@ -22,6 +22,11 @@ property the analysis needs: a corrupted randomness exchange desynchronises
 every subsequent hash comparison on that link (the ``E \\ E'`` case of
 Section 5).
 
+The endpoints of a CRS link or of an agreed exchanged link hold one source,
+which also memoises the digests computed under the current iteration's
+seeds (:meth:`SeedSource.digest_memo`): a pure function of randomness both
+endpoints hold, computed once per link and iteration.
+
 The two subclasses only differ in where the generator seed comes from:
 :class:`ExchangedSeedSource` expands the seed it received over the wire;
 :class:`CrsSeedSource` derives its per-link generator seed from the CRS and
@@ -59,6 +64,10 @@ class SeedSource:
         #: Slots derived on a cache miss (``repro.obs``).
         self.derivations = 0
         self._cache: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
+        # Digests under the seeds of iteration ``_memo_iteration``, by seed
+        # lengths: counter and prefix digests, each keyed by input value.
+        self._memo_iteration = -1
+        self._memos: Dict[Tuple[int, int], Tuple[Dict[int, int], Dict[int, int]]] = {}
 
     def seeds_for_iteration(
         self, iteration: int, counter_bits: int, prefix_bits: int
@@ -84,6 +93,24 @@ class SeedSource:
         self.derivations += 2
         seeds = self._cache[key] = (counter_seed, prefix_seed)
         return seeds
+
+    def digest_memo(
+        self, iteration: int, counter_bits: int, prefix_bits: int
+    ) -> Tuple[Dict[int, int], Dict[int, int]]:
+        """The ``(counter, prefix)`` digest maps (input value -> digest) under
+        the seeds :meth:`seeds_for_iteration` returns for the same arguments.
+
+        Every session reading this source shares the maps, so an input is
+        digested once per seed key however many endpoints hash it.  Callers
+        fill them; the first read of another iteration drops them all.
+        """
+        if iteration != self._memo_iteration:
+            self._memos.clear()
+            self._memo_iteration = iteration
+        memo = self._memos.get((counter_bits, prefix_bits))
+        if memo is None:
+            memo = self._memos[counter_bits, prefix_bits] = ({}, {})
+        return memo
 
 
 class CrsSeedSource(SeedSource):

@@ -27,8 +27,10 @@ own by LFSR jump-ahead:
       u_{o+t} = ⊕_{j ∈ X^o mod conn} u_{t+j}.
 
   A slot of ℓ bits at offset o costs one polynomial ``X^o mod conn`` and one
-  shift/XOR per coefficient over a base prefix of ``ℓ + D − 1`` bits.  The
-  base prefix grows by the same identity.
+  XOR per coefficient: the generator keeps the pre-shifted copies
+  ``base >> j`` (j < D) of a base prefix of ``ℓ + D − 1`` bits, built on the
+  first jump and rebuilt only when a longer slot is read.  The base prefix
+  grows by the same identity, one shift/XOR per coefficient.
 * ``X^o mod conn`` is assembled from a table of ``X^(2^m) mod conn``, each
   entry the square of the one before; each slot advances from the power of
   the slot read before it.
@@ -41,7 +43,8 @@ fold the part above X^r back with one more product, products modulo ``conn``
 are reduced by Barrett reduction.
 
 Nothing is cached across generator instances: the state of a seed is built
-lazily on its first read and lives on the instance.
+lazily on its first read and lives on the instance, so a generator that
+never jumps never builds the pre-shifted table.
 """
 
 from __future__ import annotations
@@ -215,6 +218,10 @@ class SmallBiasGenerator:
         self._shift = 0
         self._degree = 0
         self._jumps: Optional[_JumpAhead] = None
+        # ``_shifted[j]`` is ``base >> j`` (j < D) for the base prefix of
+        # ``_shifted_length`` bits, the longest any jump has read.
+        self._shifted: List[int] = []
+        self._shifted_length = 0
 
     def _bootstrap(self) -> None:
         """Compute 2r bits and find their minimal recurrence (Berlekamp–Massey).
@@ -307,9 +314,16 @@ class SmallBiasGenerator:
             base_length = count + self._degree - 1
             start = offset - self._shift
             if start >= base_length:
-                self._extend(self._shift + base_length)
-                base = (self._stream >> self._shift) & ((1 << base_length) - 1)
-                block = _xor_shifts(base, self._jumps.power(start), self._degree)
+                # A table built for a longer slot serves this one: the low
+                # ``count`` bits of ``base >> j`` (j < D) depend only on the
+                # low ``base_length`` bits of the base.
+                if base_length > self._shifted_length:
+                    self._extend(self._shift + base_length)
+                    base = (self._stream >> self._shift) & ((1 << base_length) - 1)
+                    self._shifted = [base >> j for j in range(self._degree)]
+                    self._shifted_length = base_length
+                coefficients = self._jumps.power(start).to_bytes(self._degree, "little")
+                block = reduce(xor, compress(self._shifted, coefficients), 0)
                 return block & ((1 << count) - 1)
             self._extend(end)
         # Past ``_known`` an eventually-zero stream (no jumps) reads zeros.

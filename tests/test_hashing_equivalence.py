@@ -11,7 +11,8 @@ random inputs, and the two must agree bit for bit —
 * ``InnerProductHash.digest_many`` vs one ``digest`` per value,
 * ``MeetingPointsSession`` vs a session building its messages with the
   per-call hashing oracle (``tests/oracle.py``), in lockstep over random
-  transcripts and corrupted replies,
+  transcripts and corrupted replies, with one source per session and with
+  sessions sharing one source (and its digest memo),
 * whole trials through the engine with every combination of the two
   oracles (per-call hashing, per-slot transport) substituted in.
 """
@@ -226,50 +227,67 @@ def _session_state(session: MeetingPointsSession):
 @pytest.mark.parametrize("source_kind", ["crs", "exchanged"])
 def test_session_fast_path_is_bit_identical_to_reference(source_kind):
     """The tentpole guarantee at session level: identical wire messages,
-    outcomes and search state under noisy replies, for every seed source."""
+    outcomes and search state under noisy replies, for every seed source.
+
+    Three sessions run in lockstep: both endpoints of a link (facing
+    transcripts that agree on a prefix) and a session of another τ over the
+    first endpoint's transcript.  Each holds its own source (a failed
+    randomness exchange), then all three read one shared source, as the
+    endpoints of a CRS or agreed link do, in the same iterations: the digest
+    memo they share must hand every session the digests of its own seeds.
+    """
+    def build_source():
+        # The exchanged seed fills both AGHP field elements (x and y
+        # non-degenerate).
+        if source_kind == "crs":
+            return CrsSeedSource(master_seed=4242, link=(0, 1))
+        return ExchangedSeedSource(link_seed=0x9D1C_37A2_55B0_4E11_6F08_42D3_91AC_7E65)
+
     for trial in range(6):
         rng = make_rng(1000 * trial + 41)
         tau = rng.choice([4, 8, 12])
-        hasher = InnerProductHash(tau)
-
-        def build_source():
-            # The exchanged seed fills both AGHP field elements (x and y
-            # non-degenerate).
-            if source_kind == "crs":
-                return CrsSeedSource(master_seed=4242, link=(0, 1))
-            return ExchangedSeedSource(link_seed=0x9D1C_37A2_55B0_4E11_6F08_42D3_91AC_7E65)
-
-        def build_session(fast: bool) -> MeetingPointsSession:
-            session = MeetingPointsSession(hasher=hasher, seed_source=build_source())
-            if not fast:
-                session._build_message = partial(build_message_per_call, session)
-            return session
-
         payloads = _random_payloads(rng, rng.randint(0, 12))
-        fast_transcript = _transcript(0, 1, payloads)
-        reference_transcript = _transcript(0, 1, payloads)
-        fast_session = build_session(True)
-        reference_session = build_session(False)
-
         noise_seed = rng.getrandbits(32)
-        fast_noise = make_rng(noise_seed)
-        reference_noise = make_rng(noise_seed)
-        for iteration in range(15):
-            fast_message = fast_session.build_message_packed(iteration, fast_transcript)
-            reference_message = reference_session.build_message_packed(iteration, reference_transcript)
-            assert fast_message == reference_message, (trial, iteration)
+        facing_payloads = payloads[: rng.randint(0, len(payloads))] + _random_payloads(rng, rng.randint(0, 4))
+        other_tau = rng.choice([value for value in (4, 8, 12) if value != tau])
+        lanes = ((tau, 0, 1, payloads), (tau, 1, 0, facing_payloads), (other_tau, 0, 1, payloads))
 
-            reply = _corrupt(fast_noise, fast_message, 4 * tau)
-            assert reply == _corrupt(reference_noise, reference_message, 4 * tau)
-            fast_outcome = fast_session.process_reply_packed(iteration, fast_transcript, *reply)
-            reference_outcome = reference_session.process_reply_packed(
-                iteration, reference_transcript, *reply
-            )
-            assert _outcome_tuple(fast_outcome) == _outcome_tuple(reference_outcome)
-            assert _session_state(fast_session) == _session_state(reference_session)
-            if fast_outcome.truncate_to is not None:
-                fast_transcript.truncate_to(fast_outcome.truncate_to)
-                reference_transcript.truncate_to(reference_outcome.truncate_to)
+        for shared in (None, build_source()):
+            sessions = []
+            for lane_tau, owner, neighbor, lane_payloads in lanes:
+                hasher = InnerProductHash(lane_tau)
+                reference = MeetingPointsSession(hasher=hasher, seed_source=build_source())
+                reference._build_message = partial(build_message_per_call, reference)
+                sessions.append((
+                    MeetingPointsSession(hasher=hasher, seed_source=shared or build_source()),
+                    reference,
+                    _transcript(owner, neighbor, lane_payloads),
+                    _transcript(owner, neighbor, lane_payloads),
+                ))
+
+            noise = make_rng(noise_seed)
+            for iteration in range(15):
+                messages = []
+                for lane, (fast, reference, fast_transcript, reference_transcript) in enumerate(sessions):
+                    message = fast.build_message_packed(iteration, fast_transcript)
+                    assert message == reference.build_message_packed(iteration, reference_transcript), (
+                        trial, shared is not None, lane, iteration,
+                    )
+                    messages.append(message)
+
+                # The link's endpoints hear each other; the other-τ session
+                # hears itself.
+                for (fast, reference, fast_transcript, reference_transcript), incoming in zip(
+                    sessions, (messages[1], messages[0], messages[2])
+                ):
+                    reply = _corrupt(noise, incoming, 4 * fast.hasher.output_bits)
+                    fast_outcome = fast.process_reply_packed(iteration, fast_transcript, *reply)
+                    reference_outcome = reference.process_reply_packed(iteration, reference_transcript, *reply)
+                    assert _outcome_tuple(fast_outcome) == _outcome_tuple(reference_outcome)
+                    assert _session_state(fast) == _session_state(reference)
+                    if fast_outcome.truncate_to is not None:
+                        fast_transcript.truncate_to(fast_outcome.truncate_to)
+                        reference_transcript.truncate_to(reference_outcome.truncate_to)
 
 
 # ------------------------------------------------------------ trial-level runs --

@@ -168,11 +168,12 @@ class TestJumpAheadExpansion:
         assert values[0] == values[1] == values[3] == 0
 
     def test_packed_bits_after_packed_slots(self):
-        """Reads behind the last jump restart from X^0 and stay exact."""
+        """Reads behind the last jump restart from X^0 and stay exact; a jump
+        longer than every earlier one rebuilds the pre-shifted base table."""
         generator = SmallBiasGenerator(seed_bits=random.Random(2).getrandbits(128))
         slots = [(3 * 4096, 256), (4 * 4096, 700), (9 * 4096, 256)]
         assert generator.packed_slots(slots) == tuple(_reference(generator, *slot) for slot in slots)
-        for offset, count in [(5000, 300), (0, 128), (100, 1000), (40_000, 10)]:
+        for offset, count in [(5000, 300), (0, 128), (100, 1000), (40_000, 10), (50_000, 40), (60_000, 1536)]:
             assert generator.packed_bits(offset, count) == _reference(generator, offset, count)
 
 
@@ -187,7 +188,7 @@ def _seed_and_slots(draw):
     )
     slots = []
     position = 0
-    for gap, length in draw(st.lists(st.tuples(st.integers(0, 20_000), st.integers(0, 300)), max_size=5)):
+    for gap, length in draw(st.lists(st.tuples(st.integers(0, 20_000), st.integers(0, 1536)), max_size=5)):
         position += gap
         slots.append((position, length))
         position += length
