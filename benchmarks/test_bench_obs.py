@@ -4,14 +4,12 @@ Two budgets, measured on one end-to-end experimental cell (``run_trials``
 over a noisy gossip workload, serial backend, no cache):
 
 * **disabled** — with no obs context installed, instrumentation must cost
-  (near) nothing: the engine takes its untouched loop, the transport keeps
-  plain int attributes, and no lock is ever acquired.  Budget: ≤ 2% over the
-  plain wall clock.  The paired measurement here is inherently jittery at
-  the couple-percent level, so the in-process assert allows a small absolute
-  epsilon on top; the authoritative 2% gate is the session-over-session
-  bench diff (this benchmark's wall clock persists like every other, and
-  ``benchmarks/check_perf_regression.py`` compares it against the pre-PR
-  baseline in CI).
+  (near) nothing: the engine opens no spans and counts no phase rounds, the
+  transport keeps plain int attributes, and no lock is ever acquired.
+  Budget: ≤ 2% over the plain wall clock.  The paired measurement here is
+  inherently jittery at the couple-percent level, so the in-process assert
+  allows a small absolute epsilon on top; end-to-end speed against the base
+  commit is measured by ``perfbench/``.
 * **tracing enabled at full sampling** — metrics + a span per trial /
   iteration / phase must stay within 15% of the disabled wall clock.
 * **flight recorder enabled** — per-slot corruption events plus a Φ

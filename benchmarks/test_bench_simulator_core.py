@@ -7,10 +7,9 @@ guards: every benchmarked run must succeed.
 ``test_batched_window_transport_speedup`` measures the transport on its own:
 it replays the exact window and round-frame traffic of one noise-sweep cell
 (stochastic insertion/deletion/substitution noise at the nominal fraction)
-and asserts that the replay is deterministic.  Its wall clock is persisted
-like every other benchmark, so ``benchmarks/check_perf_regression.py`` gates
-the transport session over session.  (The name dates from when the replay
-also ran an in-tree per-slot path to report a ratio; that path is gone.)
+and asserts that the replay is deterministic.  (The name dates from when the
+replay also ran an in-tree per-slot path to report a ratio; that path is
+gone.)
 """
 
 from __future__ import annotations

@@ -387,29 +387,11 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
 
 _RUNS_COLUMNS = ["run_id", "kind", "experiment", "label", "trials", "success_rate", "created_at"]
 
-#: Environment defaults for the ``runs diff`` thresholds, so CI pipelines can
-#: tune the gate without editing the command line.
-DIFF_WALL_CLOCK_ENV = "REPRO_DIFF_WALL_CLOCK_TOLERANCE"
-DIFF_SUCCESS_DROP_ENV = "REPRO_DIFF_SUCCESS_TOLERANCE"
-
 
 def _fail(message: str) -> "SystemExit":
     """A friendly fatal error: one line on stderr, exit status 1."""
     print(f"error: {message}", file=sys.stderr)
     return SystemExit(1)
-
-
-def _env_float(name: str, fallback: float) -> float:
-    """An environment-variable float default, resolved at command time so a
-    malformed value fails the one command that uses it — friendly, not a
-    parser-construction traceback for every ``repro`` invocation."""
-    value = os.environ.get(name)
-    if value is None:
-        return fallback
-    try:
-        return float(value)
-    except ValueError:
-        raise _fail(f"{name}={value!r} is not a number")
 
 
 def _load_run(
@@ -485,12 +467,6 @@ def _cmd_runs_show(args: argparse.Namespace) -> None:
                 if key not in columns:
                     columns.append(key)
         print(format_table(rows, columns) if rows else "(no rows)")
-    elif payload.get("kind") == "bench":
-        rows = list(payload.get("benchmarks", []))
-        print(f"run {payload['run_id']}: benchmark session (recorded {payload.get('created_at')})")
-        print()
-        bench_columns = ["name", "mean_seconds", "min_seconds", "max_seconds", "rounds"]
-        print(format_table(rows, bench_columns) if rows else "(no benchmarks)")
     elif payload.get("kind") == "trace":
         spans = list(payload.get("spans", []))
         print(f"run {payload['run_id']}: trace {payload.get('label')} (recorded {payload.get('created_at')})")
@@ -511,20 +487,10 @@ def _cmd_runs_diff(args: argparse.Namespace) -> int:
     record_kind = "trial_set" if view == "metrics" else args.kind
     baseline = _load_run(store, args.baseline, kind=record_kind, experiment=args.experiment)
     candidate = _load_run(store, args.candidate, kind=record_kind, experiment=args.experiment)
-    wall_clock_tolerance = (
-        args.wall_clock_tolerance
-        if args.wall_clock_tolerance is not None
-        else _env_float(DIFF_WALL_CLOCK_ENV, 0.25)
-    )
-    success_tolerance = (
-        args.success_tolerance
-        if args.success_tolerance is not None
-        else _env_float(DIFF_SUCCESS_DROP_ENV, 0.0)
-    )
     try:
         thresholds = RegressionThresholds(
-            max_wall_clock_increase=wall_clock_tolerance,
-            max_success_rate_drop=success_tolerance,
+            max_wall_clock_increase=args.wall_clock_tolerance,
+            max_success_rate_drop=args.success_tolerance,
             min_wall_clock_seconds=args.min_wall_clock,
             max_counter_increase=args.counter_tolerance,
         )
@@ -902,7 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     runs_list = runs_sub.add_parser("list", help="list all runs in a store")
     runs_list.add_argument("--store-dir", default=DEFAULT_STORE_DIR)
-    runs_list.add_argument("--kind", choices=["trial_set", "report", "bench", "trace"], default=None)
+    runs_list.add_argument("--kind", choices=["trial_set", "report", "trace"], default=None)
     runs_list.add_argument("--experiment", default=None)
     runs_list.set_defaults(func=_cmd_runs_list)
 
@@ -961,7 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
     runs_diff.add_argument("candidate", help="candidate run id, or latest / latest~N")
     runs_diff.add_argument("--store-dir", default=DEFAULT_STORE_DIR)
     runs_diff.add_argument(
-        "--kind", choices=["trial_set", "bench", "report", "metrics"], default=None,
+        "--kind", choices=["trial_set", "report", "metrics"], default=None,
         help="restrict latest/latest~N resolution to this record kind; "
              "'metrics' diffs trial_set obs counters instead of outcomes",
     )
@@ -970,12 +936,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict latest/latest~N resolution to this experiment",
     )
     runs_diff.add_argument(
-        "--wall-clock-tolerance", type=float, default=None,
-        help=f"allowed fractional wall-clock increase (default 0.25, env {DIFF_WALL_CLOCK_ENV})",
+        "--wall-clock-tolerance", type=float, default=0.25,
+        help="allowed fractional wall-clock increase (default 0.25)",
     )
     runs_diff.add_argument(
-        "--success-tolerance", type=float, default=None,
-        help=f"allowed absolute success-rate drop (default 0.0, env {DIFF_SUCCESS_DROP_ENV})",
+        "--success-tolerance", type=float, default=0.0,
+        help="allowed absolute success-rate drop (default 0.0)",
     )
     runs_diff.add_argument(
         "--min-wall-clock", type=float, default=0.005,

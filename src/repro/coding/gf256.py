@@ -135,13 +135,6 @@ def poly_deg(poly: Sequence[int]) -> int:
     return len(poly_trim(poly)) - 1
 
 
-def poly_shift(poly: Sequence[int], amount: int) -> List[int]:
-    """Multiply by x^amount (prepend ``amount`` zero coefficients)."""
-    if amount < 0:
-        raise ValueError("shift amount must be non-negative")
-    return poly_trim([0] * amount + list(poly))
-
-
 def poly_divmod(numerator: Sequence[int], denominator: Sequence[int]) -> tuple:
     """Polynomial division with remainder over GF(256)."""
     num = poly_trim(numerator)

@@ -108,8 +108,8 @@ class InteractiveCodingSimulator:
         self.seed = seed
         #: The ambient observability context, captured once (a plain
         #: attribute, so it stays fingerprint-invisible).  With the
-        #: default disabled context the per-run cost is one attribute read and
-        #: one branch; the iteration loop body is untouched.
+        #: default disabled context each phase costs two ``None`` checks:
+        #: no span is opened and no round is counted.
         self._obs = get_obs()
 
         self.scale_k = self.scheme.scale_k(self.graph)
@@ -151,15 +151,7 @@ class InteractiveCodingSimulator:
         iterations_run = 0
         for iteration in range(self.iterations_budget):
             iterations_run = iteration + 1
-            if tracer is None and phase_rounds is None:
-                self._meeting_points_phase(iteration)
-                self._compute_status_flags()
-                self._flag_passing_phase(iteration)
-                self._simulation_phase(iteration)
-                if self.scheme.enable_rewind_phase:
-                    self._rewind_phase(iteration)
-            else:
-                self._run_iteration_observed(iteration, tracer, phase_rounds)
+            self._run_iteration(iteration, tracer, phase_rounds)
             if trace is not None or recorder is not None:
                 snapshot = compute_snapshot(
                     self.graph, self._all_transcripts(), iteration, self.scale_k
@@ -201,28 +193,29 @@ class InteractiveCodingSimulator:
 
     # ------------------------------------------------------ observability --
 
-    def _run_iteration_observed(
+    def _run_iteration(
         self,
         iteration: int,
         tracer: Optional[Tracer],
         phase_rounds: Optional[Dict[str, int]],
     ) -> None:
-        """One iteration of the main loop with spans and per-phase round counts.
+        """One iteration of the main loop: the four phases of Algorithm 1.
 
-        A separate mirror of the loop body so the unobserved path stays free
-        of context managers and conditionals; bit-identical to it (spans and
-        counters never touch the schedule, the adversary or any RNG).
+        With a tracer, the iteration and each phase run inside a span; with a
+        metrics registry, each phase's rounds are added to ``phase_rounds``.
+        Spans and counters never touch the schedule, the adversary or any
+        RNG, so every observation mode runs bit-identically.
         """
         scope = tracer.span("iteration", iteration=iteration) if tracer is not None else nullcontext()
         with scope:
-            self._observed_phase("meeting_points", iteration, self._meeting_points_phase, tracer, phase_rounds)
+            self._phase("meeting_points", iteration, self._meeting_points_phase, tracer, phase_rounds)
             self._compute_status_flags()
-            self._observed_phase("flag_passing", iteration, self._flag_passing_phase, tracer, phase_rounds)
-            self._observed_phase("simulation", iteration, self._simulation_phase, tracer, phase_rounds)
+            self._phase("flag_passing", iteration, self._flag_passing_phase, tracer, phase_rounds)
+            self._phase("simulation", iteration, self._simulation_phase, tracer, phase_rounds)
             if self.scheme.enable_rewind_phase:
-                self._observed_phase("rewind", iteration, self._rewind_phase, tracer, phase_rounds)
+                self._phase("rewind", iteration, self._rewind_phase, tracer, phase_rounds)
 
-    def _observed_phase(
+    def _phase(
         self,
         name: str,
         iteration: int,
@@ -251,6 +244,8 @@ class InteractiveCodingSimulator:
         """
         network = self.network
         stats = network.stats
+        windows = network.windows_exchanged
+        dense = windows if network.adversary.may_insert else 0
         counters: Dict[str, float] = {
             "engine.trials": 1,
             "engine.iterations_run": iterations_run,
@@ -259,10 +254,12 @@ class InteractiveCodingSimulator:
             "engine.meeting_point_truncations": self._counters["mp_truncations"],
             "engine.hash_mismatches": self._counters["hash_mismatches"],
             "engine.hash_collisions": self._counters["hash_collisions"],
-            "transport.windows_exchanged": network.windows_exchanged,
-            "transport.sparse_dispatches": network.sparse_dispatches,
-            "transport.dense_dispatches": network.dense_dispatches,
-            "transport.packed_dispatches": network.packed_dispatches,
+            "transport.windows_exchanged": windows,
+            # Every window is one packed dispatch, dense exactly when the
+            # adversary may insert (fixed when the adversary is built).
+            "transport.packed_dispatches": windows,
+            "transport.sparse_dispatches": windows - dense,
+            "transport.dense_dispatches": dense,
             "transport.idle_rounds_collapsed": network.idle_rounds_collapsed,
             "transport.transmissions": stats.transmissions,
             "transport.delivered_symbols": stats.delivered_symbols,

@@ -150,11 +150,6 @@ class ChannelStats:
         """Total number of corrupted slots (each counts once, per the paper)."""
         return self.substitutions + self.deletions + self.insertions
 
-    @property
-    def communication_bits(self) -> int:
-        """Communication complexity in bits (|Σ| = 2, so 1 bit per transmission)."""
-        return self.transmissions
-
     def noise_fraction(self) -> float:
         """Fraction of corrupted transmissions (0 when nothing was sent)."""
         if self.transmissions == 0:

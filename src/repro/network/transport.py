@@ -63,9 +63,6 @@ class NoisyNetwork:
     #: credited by the engine at its window-collapse sites, not by
     #: ``advance_rounds`` itself.
     windows_exchanged: int = 0
-    sparse_dispatches: int = 0
-    dense_dispatches: int = 0
-    packed_dispatches: int = 0
     idle_rounds_collapsed: int = 0
 
     def __post_init__(self) -> None:
@@ -117,19 +114,13 @@ class NoisyNetwork:
         links = self.graph.directed_edges()
         width = len(links) * rounds
         _check_plane(bits, present, width, "window")
-        adversary = self.adversary
         base_round = self.current_round
         ctx = WindowContext(
             links, self.graph.directed_edge_index(), rounds, phase, iteration, base_round
         )
-        dbits, dpresent = adversary.corrupt_window(ctx, bits, present)
+        dbits, dpresent = self.adversary.corrupt_window(ctx, bits, present)
         _check_plane(dbits, dpresent, width, "adversary delivered a window that")
         self.windows_exchanged += 1
-        self.packed_dispatches += 1
-        if adversary.may_insert:
-            self.dense_dispatches += 1
-        else:
-            self.sparse_dispatches += 1
         corrupted = self.stats.record_window(ctx, bits, present, dbits, dpresent)
         recorder = self.recorder
         if corrupted and recorder is not None:

@@ -64,7 +64,7 @@ from repro.runtime.spec import (
     memoized_payload,
     payload_memo_stats,
 )
-from repro.runtime.store import STORE_SCHEMA_VERSION, RunStore, StoredRun, bench_env_name
+from repro.runtime.store import STORE_SCHEMA_VERSION, RunStore, StoredRun
 
 __all__ = [
     "ExecutionBackend",
@@ -93,7 +93,6 @@ __all__ = [
     "RunStore",
     "StoredRun",
     "STORE_SCHEMA_VERSION",
-    "bench_env_name",
     "CellDelta",
     "RunDiff",
     "RegressionThresholds",

@@ -12,12 +12,11 @@ The store remembers runs; this module compares, combines and prunes them:
   of any experiment, so a store can run unattended without growing forever.
 
 A *cell* is the unit of comparison: for ``trial_set`` records it is the
-record's label (one record is one experimental cell), for ``bench`` records
-it is one benchmark of the session, and for ``report`` records it is one row
-keyed on the row's identity columns (its string-valued entries — scheme,
-topology, noise type, …), so a regenerated Table 1 diffs row against row and
-is gated the same way trial sets and benches are.  Diffing runs of different
-kinds is refused — the metrics are not comparable.
+record's label (one record is one experimental cell), and for ``report``
+records it is one row keyed on the row's identity columns (its string-valued
+entries — scheme, topology, noise type, …), so a regenerated Table 1 diffs
+row against row and is gated the same way trial sets are.  Diffing runs of
+different kinds is refused — the metrics are not comparable.
 """
 
 from __future__ import annotations
@@ -146,16 +145,6 @@ def _trial_set_cells(payload: Dict[str, object]) -> Tuple[Dict[str, Dict[str, fl
     return {stored.label: metrics}, wall_clock_gated
 
 
-def _bench_cells(payload: Dict[str, object]) -> Tuple[Dict[str, Dict[str, float]], bool]:
-    cells: Dict[str, Dict[str, float]] = {}
-    for row in payload.get("benchmarks", []):
-        name = str(row.get("fullname") or row.get("name") or "")
-        if not name or row.get("mean_seconds") is None:
-            continue
-        cells[name] = {"wall_clock_seconds": float(row["mean_seconds"])}
-    return cells, True
-
-
 def _report_cells(payload: Dict[str, object]) -> Tuple[Dict[str, Dict[str, float]], bool]:
     """One cell per report row, keyed on the row's identity columns.
 
@@ -208,7 +197,6 @@ def _metrics_cells(payload: Dict[str, object]) -> Tuple[Dict[str, Dict[str, floa
 
 _CELL_EXTRACTORS = {
     "trial_set": _trial_set_cells,
-    "bench": _bench_cells,
     "report": _report_cells,
 }
 
@@ -262,8 +250,8 @@ def diff_runs(
 ) -> RunDiff:
     """Compare two loaded run documents cell by cell.
 
-    Both documents must be of the same, diffable kind (``trial_set``,
-    ``bench`` or ``report``).  Cells present in only one run are reported with status
+    Both documents must be of the same, diffable kind (``trial_set`` or
+    ``report``).  Cells present in only one run are reported with status
     ``only-baseline`` / ``only-candidate`` and never count as regressions —
     a disjoint diff is useless but not a CI failure.  Wall clock gates only
     when *both* runs computed every trial fresh (``cached_trials`` of 0);

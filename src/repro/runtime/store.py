@@ -16,10 +16,8 @@ Three kinds of records exist:
   experimental cell (written by ``run_trials`` whenever a store is active);
 * ``report`` — a full :class:`~repro.experiments.reporting.ExperimentReport`
   (written by the CLI commands);
-* ``bench`` — one row per benchmark of a ``pytest-benchmark`` session
-  (wall-clock stats plus ``extra_info``, written by ``benchmarks/conftest.py``
-  at session end), including a flat ``BENCH_<NAME>=<mean seconds>`` export so
-  external dashboards can consume the numbers without knowing this layout.
+* ``trace`` — the finished spans of one :class:`~repro.obs.trace.Tracer`
+  drain (written when a traced command has a store active).
 
 Every document carries ``schema`` so future layouts can evolve; loading
 raises on an unknown schema instead of silently misreading it.  Run ids are
@@ -53,9 +51,9 @@ from repro.obs import get_obs
 
 #: Bump when the run-document layout changes incompatibly.  Deliberately NOT
 #: bumped for the 2.0.0 CRS break: stored runs are historical observations,
-#: never re-served as results, so pre-break history — including
-#: ``.bench-runs`` trend lines — stays browsable and diffable.  Only the result *cache* (CACHE_SCHEMA_VERSION)
-#: and trial fingerprints (TRIAL_KEY_SCHEMA) reject pre-break entries.
+#: never re-served as results, so pre-break history stays browsable and
+#: diffable.  Only the result *cache* (CACHE_SCHEMA_VERSION) and trial
+#: fingerprints (TRIAL_KEY_SCHEMA) reject pre-break entries.
 STORE_SCHEMA_VERSION = 1
 
 _RUN_PREFIX = "run-"
@@ -76,12 +74,6 @@ class StoredRun:
     #: Wall-clock seconds of the trial-set execution; ``None`` for records
     #: written before timing was recorded.
     wall_clock_seconds: Optional[float] = None
-
-
-def bench_env_name(name: str) -> str:
-    """Map a benchmark name to its ``BENCH_*`` environment-style key
-    (``test_noise sweep`` → ``BENCH_TEST_NOISE_SWEEP``)."""
-    return "BENCH_" + re.sub(r"[^A-Za-z0-9]+", "_", name).strip("_").upper()
 
 
 class RunStore:
@@ -164,9 +156,6 @@ class RunStore:
             summary["success_rate"] = (
                 aggregate.get("successes", 0) / trials if trials else ""
             )
-        elif payload.get("kind") == "bench":
-            summary["trials"] = len(payload.get("benchmarks", []))
-            summary["success_rate"] = ""
         elif payload.get("kind") == "trace":
             summary["trials"] = len(payload.get("spans", []))
             summary["success_rate"] = ""
@@ -343,34 +332,6 @@ class RunStore:
                 "parameters": parameters or {},
                 "trace_id": trace_id,
                 "spans": [dict(span) for span in spans],
-            }
-        )
-
-    def record_bench(
-        self,
-        benchmarks: Sequence[Dict[str, object]],
-        label: str = "benchmark-session",
-    ) -> str:
-        """Persist one benchmark session; returns the new run id.
-
-        Each row must carry ``name`` and ``mean_seconds`` (plus whatever
-        stats/``extra_info`` the harness collected).  A flat
-        ``BENCH_<NAME> → mean_seconds`` map is stored alongside so the
-        numbers are consumable without knowing the row layout.
-        """
-        rows = [dict(row) for row in benchmarks]
-        export = {
-            bench_env_name(str(row.get("name", ""))): row.get("mean_seconds")
-            for row in rows
-            if row.get("name")
-        }
-        return self._write(
-            {
-                "kind": "bench",
-                "label": label,
-                "experiment": "benchmarks",
-                "benchmarks": rows,
-                "bench_env": export,
             }
         )
 

@@ -30,7 +30,6 @@ from repro.runtime import (
     RegressionThresholds,
     RunStore,
     TrialSpec,
-    bench_env_name,
     canonical_payload,
     clear_payload_memo,
     diff_runs,
@@ -106,8 +105,8 @@ class TestDiffRuns:
         """Scheduler jitter dominates sub-millisecond cells; the absolute
         floor keeps them from flaking the CI gate."""
         store = RunStore(tmp_path)
-        a = store.record_bench([{"name": "tiny", "mean_seconds": 0.001}])
-        b = store.record_bench([{"name": "tiny", "mean_seconds": 0.004}])  # 4x, but tiny
+        a = _record_cell(store, wall_clock=0.001)
+        b = _record_cell(store, wall_clock=0.004)  # 4x, but tiny
         assert not diff_runs(store.load(a), store.load(b)).has_regression
         floored = diff_runs(
             store.load(a), store.load(b), RegressionThresholds(min_wall_clock_seconds=0.0)
@@ -158,38 +157,6 @@ class TestDiffRuns:
         cold_a = record(1.0, cached_trials=0)
         cold_b = record(10.0, cached_trials=0)
         assert diff_runs(store.load(cold_a), store.load(cold_b)).has_regression
-
-    def test_kind_mismatch_is_refused(self, tmp_path):
-        store = RunStore(tmp_path)
-        a = _record_cell(store)
-        b = store.record_bench([{"name": "bench_x", "mean_seconds": 0.1}])
-        with pytest.raises(ValueError, match="cannot diff"):
-            diff_runs(store.load(a), store.load(b))
-
-    def test_bench_runs_diff_by_benchmark_name(self, tmp_path):
-        store = RunStore(tmp_path)
-        a = store.record_bench(
-            [
-                {"name": "bench_x", "fullname": "f.py::bench_x", "mean_seconds": 0.10},
-                {"name": "bench_y", "fullname": "f.py::bench_y", "mean_seconds": 0.20},
-            ]
-        )
-        b = store.record_bench(
-            [
-                {"name": "bench_x", "fullname": "f.py::bench_x", "mean_seconds": 0.30},
-                {"name": "bench_y", "fullname": "f.py::bench_y", "mean_seconds": 0.21},
-            ]
-        )
-        diff = diff_runs(store.load(a), store.load(b), RegressionThresholds(max_wall_clock_increase=0.25))
-        assert [row.cell for row in diff.regressions] == ["f.py::bench_x"]
-
-    def test_bench_record_carries_env_style_export(self, tmp_path):
-        store = RunStore(tmp_path)
-        run_id = store.record_bench([{"name": "test_noise sweep", "mean_seconds": 0.5}])
-        payload = store.load(run_id)
-        assert payload["bench_env"] == {"BENCH_TEST_NOISE_SWEEP": 0.5}
-        assert bench_env_name("a-b.c") == "BENCH_A_B_C"
-
 
 class TestMergeRuns:
     def test_merge_unions_trials_and_dedupes_shared_seeds(self, tmp_path):
@@ -273,7 +240,7 @@ class TestMergeRuns:
     def test_non_trial_set_inputs_are_refused(self, tmp_path):
         store = RunStore(tmp_path)
         a = _record_cell(store)
-        b = store.record_bench([{"name": "bench_x", "mean_seconds": 0.1}])
+        b = store.record_report(_FakeReport([_table1_row()]))
         with pytest.raises(ValueError, match="only trial_set"):
             merge_runs(store, [a, b])
         with pytest.raises(ValueError, match="at least two"):
@@ -344,8 +311,8 @@ class TestGcRunsEdgeCases:
 
     def test_bench_only_store_keeps_the_latest_session(self, tmp_path):
         store = RunStore(tmp_path)
-        old = [store.record_bench([{"name": "b", "mean_seconds": 0.1}]) for _ in range(3)]
-        newest = store.record_bench([{"name": "b", "mean_seconds": 0.1}])
+        old = [store.record_report(_FakeReport([_table1_row()])) for _ in range(3)]
+        newest = store.record_report(_FakeReport([_table1_row()]))
         result = gc_runs(store, keep_count=0)  # maximum pressure
         assert newest in result.kept
         assert set(result.deleted) == set(old)
@@ -353,12 +320,12 @@ class TestGcRunsEdgeCases:
 
     def test_bench_only_store_age_prune_never_empties_it(self, tmp_path):
         store = RunStore(tmp_path)
-        runs = [store.record_bench([{"name": "b", "mean_seconds": 0.1}]) for _ in range(2)]
+        runs = [store.record_report(_FakeReport([_table1_row()])) for _ in range(2)]
         ancient = datetime.now(timezone.utc) - timedelta(days=365)
         for run_id in runs:
             _set_created_at(store, run_id, ancient)
         result = gc_runs(store, max_age_days=30)
-        assert result.deleted == [runs[0]]  # the newest bench survives, however old
+        assert result.deleted == [runs[0]]  # the newest report survives, however old
         assert store.load(runs[-1])
 
     def test_gc_leaves_a_concurrent_writers_staging_file_alone(self, tmp_path):
@@ -544,26 +511,6 @@ class TestRunsCliAnalytics:
         survivors = store.list_runs()
         assert [row["run_id"] for row in survivors] == [merged_id]
 
-    def test_malformed_threshold_env_is_friendly_and_scoped_to_diff(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        from repro.cli import DIFF_WALL_CLOCK_ENV, main
-
-        monkeypatch.setenv(DIFF_WALL_CLOCK_ENV, "not-a-number")
-        # Unrelated commands must not even notice the bad value...
-        assert main(["runs", "list", "--store-dir", str(tmp_path)]) == 0
-        capsys.readouterr()
-        # ...and diff fails friendly, not with a float() traceback.
-        _, a, b = self._store_with_pair(tmp_path)
-        with pytest.raises(SystemExit) as excinfo:
-            main(["runs", "diff", a, b, "--store-dir", str(tmp_path)])
-        assert excinfo.value.code == 1
-        assert DIFF_WALL_CLOCK_ENV in capsys.readouterr().err
-        # An explicit flag overrides the broken environment entirely.
-        assert main(
-            ["runs", "diff", a, b, "--store-dir", str(tmp_path), "--wall-clock-tolerance", "0.5"]
-        ) == 0
-
     def test_gc_without_criteria_is_a_friendly_exit(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -572,14 +519,37 @@ class TestRunsCliAnalytics:
         assert excinfo.value.code == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_show_renders_bench_records(self, tmp_path, capsys):
+    def test_legacy_bench_records_stay_browsable(self, tmp_path, capsys):
+        """A store written when pytest-benchmark sessions were still recorded
+        keeps working: its ``bench`` documents list, show as raw JSON and
+        count for gc, and diffing them is a friendly refusal."""
         from repro.cli import main
 
         store = RunStore(tmp_path)
-        run_id = store.record_bench([{"name": "bench_x", "mean_seconds": 0.125, "rounds": 1}])
-        assert main(["runs", "show", run_id, "--store-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "benchmark session" in out and "bench_x" in out
+        for number in (1, 2):
+            run_id = f"run-{number:06d}"
+            (tmp_path / f"{run_id}.json").write_text(json.dumps({
+                "schema": 1, "kind": "bench", "run_id": run_id,
+                "label": "benchmark-session", "experiment": "benchmarks",
+                "created_at": f"2026-07-0{number}T00:00:00+00:00",
+                "benchmarks": [{"name": "bench_x", "mean_seconds": 0.1 * number}],
+            }))
+        cell = _record_cell(store)
+
+        assert main(["runs", "list", "--store-dir", str(tmp_path)]) == 0
+        listing = capsys.readouterr().out
+        assert "run-000001" in listing and "bench" in listing
+
+        assert main(["runs", "show", "run-000002", "--store-dir", str(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["benchmarks"][0]["name"] == "bench_x"
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["runs", "diff", "run-000001", "run-000002", "--store-dir", str(tmp_path)])
+        assert excinfo.value.code == 1
+        assert "not diffable" in capsys.readouterr().err
+
+        assert main(["runs", "gc", "--keep", "0", "--store-dir", str(tmp_path)]) == 0
+        assert {row["run_id"] for row in store.list_runs()} == {"run-000002", cell}
 
 
 class _FakeReport:

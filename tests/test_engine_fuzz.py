@@ -237,8 +237,8 @@ class TestEngineDifferential:
         _assert_bit_identical(reference_run, default_run)
         if obs_mode == "recorder":
             _assert_same_recording(reference_run[2], default_run[2])
-        assert reference_run[0].network.packed_dispatches == 0
-        assert default_run[0].network.packed_dispatches > 0
+        assert reference_run[0].network.windows_exchanged == 0
+        assert default_run[0].network.windows_exchanged > 0
 
     @_FUZZ
     @given(
@@ -257,12 +257,22 @@ class TestEngineDifferential:
 
 class TestDispatchObservability:
     def test_packed_dispatch_counter_is_flushed(self):
-        registry = MetricsRegistry()
-        with use_obs(metrics=registry):
-            simulator, _, _ = _run("algorithm_crs", "line4", "noiseless", 3, False)
-        counters = registry.snapshot()["counters"]
-        assert counters["transport.packed_dispatches"] == simulator.network.packed_dispatches
-        assert counters["transport.packed_dispatches"] > 0
+        """Every window is one packed dispatch, dense exactly when the
+        adversary may insert."""
+        for adversary_name in ("noiseless", "random-noise"):
+            registry = MetricsRegistry()
+            with use_obs(metrics=registry):
+                simulator, _, _ = _run("algorithm_crs", "line4", adversary_name, 3, False)
+            counters = registry.snapshot()["counters"]
+            windows = simulator.network.windows_exchanged
+            assert windows > 0
+            assert counters["transport.packed_dispatches"] == counters["transport.windows_exchanged"] == windows
+            dense = windows if simulator.adversary.may_insert else 0
+            # The registry keeps no entry for a counter that was never raised.
+            assert (
+                counters.get("transport.sparse_dispatches", 0),
+                counters.get("transport.dense_dispatches", 0),
+            ) == (windows - dense, dense), adversary_name
 
     def test_reference_schedule_never_packs(self):
         registry = MetricsRegistry()

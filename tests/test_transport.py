@@ -341,7 +341,7 @@ def test_batched_path_is_bit_identical_to_per_slot_path(adversary_name):
                 per_slot, messages, window_rounds, phase, step
             ), f"{adversary_name}: deliveries diverged (trial {trial}, step {step})"
         _assert_same_state(adversary_name, planes, per_slot, trial)
-        assert planes.packed_dispatches == 5
+        assert planes.windows_exchanged == 5
 
 
 @pytest.mark.parametrize("adversary_name", sorted(STOCK_ADVERSARIES))
@@ -376,21 +376,22 @@ def test_packed_path_is_bit_identical_to_symbol_path(adversary_name):
 
 
 class TestDispatchCounters:
-    """The observability counters on the transport are plain int attributes:
-    each exchange adds one to ``windows_exchanged`` and ``packed_dispatches``
-    and one to ``dense_dispatches`` if the adversary may insert, else to
-    ``sparse_dispatches``, without touching deliveries, stats, or any RNG
-    stream."""
+    """The observability counter on the transport is a plain int attribute:
+    each exchange adds one to ``windows_exchanged``, whatever the adversary,
+    without touching deliveries, stats, or any RNG stream.  The engine's
+    flush reports every window as one packed dispatch, dense exactly when
+    ``adversary.may_insert``, which is fixed when the adversary is built."""
 
     def test_windows_are_classified_sparse_or_dense(self):
         graph = line_topology(3)
         network = NoisyNetwork(graph, adversary=NoiselessAdversary())
         # Under a non-inserting adversary only the slots that carry a symbol
         # can change, whatever the window's width: sparse.
+        assert not network.adversary.may_insert
         network.exchange_window(0b1, 0b1, 1, "simulation")
-        assert (network.windows_exchanged, network.sparse_dispatches, network.dense_dispatches) == (1, 1, 0)
+        assert network.windows_exchanged == 1
         _window(network, {(0, 1): [1, 0]}, 2)
-        assert (network.windows_exchanged, network.sparse_dispatches, network.dense_dispatches) == (2, 2, 0)
+        assert network.windows_exchanged == 2
         inserting = NoisyNetwork(
             graph,
             adversary=RandomNoiseAdversary(
@@ -398,11 +399,10 @@ class TestDispatchCounters:
             ),
         )
         # the adversary may insert anywhere → every window is dense
+        assert inserting.adversary.may_insert
         inserting.exchange_window(0b1, 0b1, 1, "simulation")
         _window(inserting, {(0, 1): [1, 0]}, 2)
-        assert (inserting.sparse_dispatches, inserting.dense_dispatches) == (0, 2)
-        for counted in (network, inserting):
-            assert counted.packed_dispatches == counted.windows_exchanged == 2
+        assert inserting.windows_exchanged == 2
 
     def test_deliveries_and_stats_are_bit_identical_under_an_obs_scope(self):
         from repro.obs import MetricsRegistry, Tracer
@@ -425,11 +425,7 @@ class TestDispatchCounters:
         assert plain_out == observed_out
         assert plain.stats == observed.stats
         assert plain.current_round == observed.current_round
-        assert (plain.windows_exchanged, plain.sparse_dispatches, plain.dense_dispatches) == (
-            observed.windows_exchanged,
-            observed.sparse_dispatches,
-            observed.dense_dispatches,
-        )
+        assert plain.windows_exchanged == observed.windows_exchanged
 
 
 # --------------------------------------------------------------------------
@@ -597,7 +593,7 @@ class TestExchangeRound:
         for step in range(5):
             network.exchange_window(0, 0, 1, "rewind", step)
         assert adversary.calls == 5
-        assert (network.windows_exchanged, network.packed_dispatches, network.dense_dispatches) == (5, 5, 5)
+        assert network.windows_exchanged == 5
 
         workload = gossip_workload("clique", 8, 4, seed=3)
         trial_adversary = CountingNoise(corruption_probability=0.01, seed=4)
