@@ -103,6 +103,11 @@ class NoiseBudget:
             )
         self.corruptions_spent += amount
 
+    def reset(self) -> None:
+        """Forget every observed transmission and spent corruption (the limits stay)."""
+        self.transmissions_seen = 0
+        self.corruptions_spent = 0
+
 
 #: The per-slot methods a native kernel stands in for (see
 #: :meth:`Adversary.__init_subclass__`).

@@ -196,8 +196,7 @@ class RandomNoiseAdversary(Adversary):
     def reset(self) -> None:
         self._rng = make_rng(self.seed)
         if self.budget is not None:
-            self.budget.transmissions_seen = 0
-            self.budget.corruptions_spent = 0
+            self.budget.reset()
 
 
 @dataclass
@@ -264,7 +263,7 @@ class LinkTargetedAdversary(Adversary):
 
     def reset(self) -> None:
         self._rng = make_rng(self.seed)
-        self._budget = NoiseBudget(fraction=self.fraction)
+        self._budget.reset()
         self._spent = 0
 
 
@@ -387,6 +386,8 @@ class DeletionAdversary(Adversary):
 
     def reset(self) -> None:
         self._rng = make_rng(self.seed)
+        if self.budget is not None:
+            self.budget.reset()
 
 
 @dataclass
@@ -545,7 +546,7 @@ class PhaseTargetedAdaptiveAdversary(Adversary):
 
     def reset(self) -> None:
         self._rng = make_rng(self.seed)
-        self._budget = NoiseBudget(fraction=self.fraction)
+        self._budget.reset()
 
 
 @dataclass
@@ -607,7 +608,7 @@ class RotatingLinkAdaptiveAdversary(Adversary):
 
     def reset(self) -> None:
         self._rng = make_rng(self.seed)
-        self._budget = NoiseBudget(fraction=self.fraction)
+        self._budget.reset()
         self._cursor = 0
 
 
@@ -663,5 +664,5 @@ class EchoSpoofingAdversary(Adversary):
 
     def reset(self) -> None:
         self._rng = make_rng(self.seed)
-        self._budget = NoiseBudget(fraction=self.fraction)
+        self._budget.reset()
         self._pending_spoof = False

@@ -1,8 +1,8 @@
 """Baselines the coding schemes are compared against."""
 
 from repro.baselines.fully_utilized import FullyUtilizedConversion, fully_utilized_overhead
-from repro.baselines.repetition import run_repetition
-from repro.baselines.uncoded import BaselineResult, run_uncoded
+from repro.baselines.repetition import BaselineResult, run_repetition
+from repro.baselines.uncoded import run_uncoded
 
 __all__ = [
     "BaselineResult",

@@ -13,19 +13,32 @@ protocols feed every received bit forward.
 
 This baseline exists to populate the "simple coding" row of the Table 1
 harness and to demonstrate why interactive coding needs more than per-bit
-redundancy.
+redundancy.  With one copy it is the uncoded baseline
+(:func:`~repro.baselines.uncoded.run_uncoded`): Π run directly over the
+noisy network, where a deleted bit reads 0 and an insertion on a link with
+no scheduled transmission is ignored, because the receiver is not listening.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.adversary.base import Adversary, NoiselessAdversary
 from repro.analysis.metrics import RunMetrics
-from repro.baselines.uncoded import BaselineResult
 from repro.network.transport import NoisyNetwork
 from repro.protocols.base import Protocol, ReceivedMap
-from repro.utils.bitstring import join_windows, split_windows
+
+
+@dataclass
+class BaselineResult:
+    """Outcome of a baseline execution."""
+
+    name: str
+    success: bool
+    outputs: Dict[int, object]
+    reference_outputs: Dict[int, object]
+    metrics: RunMetrics
 
 
 def _majority(bits: int, present: int) -> int:
@@ -54,27 +67,23 @@ def run_repetition(
     received: Dict[int, ReceivedMap] = {party: {} for party in graph.nodes}
 
     full = (1 << repetitions) - 1
-    link_bit = graph.directed_edge_index()
-    links = len(link_bit)
+    # Link j's window of copies starts at bit j * repetitions of the plane.
+    shift_of = {link: position * repetitions for link, position in graph.directed_edge_index().items()}
     for round_index, transmissions in enumerate(protocol.schedule()):
-        # Each scheduled bit becomes one dense window of length
-        # ``repetitions`` on its link; the whole round is one exchange.
-        bits = [0] * links
-        present = [0] * links
+        # Each scheduled bit becomes ``repetitions`` copies on its link; the
+        # whole round is one exchange.
+        bits = present = 0
         for sender, receiver in transmissions:
-            position = link_bit[(sender, receiver)]
-            present[position] = full
+            shift = shift_of[(sender, receiver)]
+            present |= full << shift
             if parties[sender].send_bit(round_index, receiver, received[sender]):
-                bits[position] = full
-        delivered_bits, delivered_present = network.exchange_window(
-            join_windows(bits, repetitions), join_windows(present, repetitions),
-            repetitions, phase="baseline",
-        )
-        copies = split_windows(delivered_bits, repetitions, links)
-        delivered = split_windows(delivered_present, repetitions, links)
+                bits |= full << shift
+        bits, present = network.exchange_window(bits, present, repetitions, phase="baseline")
+        # Only scheduled links are read: an insertion on an idle link reaches
+        # no receiver, because nobody listens there this round.
         for sender, receiver in transmissions:
-            position = link_bit[(sender, receiver)]
-            received[receiver][(round_index, sender)] = _majority(copies[position], delivered[position])
+            shift = shift_of[(sender, receiver)]
+            received[receiver][(round_index, sender)] = _majority(bits >> shift & full, present >> shift & full)
 
     outputs = {party: parties[party].compute_output(received[party]) for party in graph.nodes}
     success = all(outputs[party] == reference.outputs[party] for party in graph.nodes)

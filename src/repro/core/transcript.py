@@ -17,10 +17,10 @@ received so far.
 Serialisation is kept *packed and incremental*: every appended chunk is
 serialised exactly once into a growing byte buffer, and the BLAKE2b
 fingerprint of each prefix the meeting-points hashing consumes is cached per
-prefix length.  ``records`` stays a public mutable
-list for tests and tooling; every cached accessor revalidates the cache
-against the live list (an identity scan) before serving, so direct mutation
-is safe — it just pays a rebuild.
+prefix length.  :meth:`LinkTranscript.append` and
+:meth:`LinkTranscript.truncate_to` are the only ways to change ``records``;
+each updates the buffer and drops the cached fingerprints of prefixes that
+no longer exist, so every cached accessor is served without revalidation.
 """
 
 from __future__ import annotations
@@ -66,12 +66,11 @@ class LinkTranscript:
     def __init__(self, owner: int, neighbor: int) -> None:
         self.owner = owner
         self.neighbor = neighbor
+        #: The chunks in order.  Read it freely; change it only through
+        #: :meth:`append` and :meth:`truncate_to`, which keep the caches below.
         self.records: List[ChunkRecord] = []
-        # Incremental serialisation cache: one bytes fragment per record, the
-        # concatenated buffer, cumulative byte offsets, and the id() of each
-        # record the cache was built from (the mutation guard).
-        self._cache_ids: List[int] = []
-        self._cache_parts: List[bytes] = []
+        # Incremental serialisation cache: the concatenated serialised
+        # records and the cumulative byte offset after each one.
         self._cache_offsets: List[int] = [0]
         self._cache_buffer = bytearray()
         #: Cached prefix fingerprints, keyed by num_chunks.
@@ -87,12 +86,11 @@ class LinkTranscript:
         return len(self.records)
 
     def append(self, record: ChunkRecord) -> None:
+        # Prefixes shorter than the new length are unchanged, so the cached
+        # per-prefix values all stay valid.
         self.records.append(record)
-        if len(self._cache_ids) == len(self.records) - 1:
-            # The cache was current before the append: extend it in place.
-            # (Prefixes shorter than the new length are unchanged, so the
-            # cached per-prefix values all stay valid.)
-            self._cache_append(record)
+        self._cache_buffer += record.serialize().encode("ascii")
+        self._cache_offsets.append(len(self._cache_buffer))
 
     def truncate_to(self, num_chunks: int) -> int:
         """Keep only the first ``num_chunks`` chunks; returns how many were dropped."""
@@ -100,8 +98,8 @@ class LinkTranscript:
             raise ValueError("cannot truncate to a negative length")
         dropped = max(0, len(self.records) - num_chunks)
         del self.records[num_chunks:]
-        if dropped and len(self._cache_ids) > len(self.records):
-            self._cache_truncate(len(self.records))
+        if dropped:
+            self._cache_truncate(num_chunks)
         return dropped
 
     def truncate_last(self, count: int = 1) -> int:
@@ -110,16 +108,7 @@ class LinkTranscript:
 
     # -- serialisation cache --------------------------------------------------------
 
-    def _cache_append(self, record: ChunkRecord) -> None:
-        part = record.serialize().encode("ascii")
-        self._cache_ids.append(id(record))
-        self._cache_parts.append(part)
-        self._cache_buffer += part
-        self._cache_offsets.append(len(self._cache_buffer))
-
     def _cache_truncate(self, num_chunks: int) -> None:
-        del self._cache_ids[num_chunks:]
-        del self._cache_parts[num_chunks:]
         del self._cache_offsets[num_chunks + 1:]
         del self._cache_buffer[self._cache_offsets[num_chunks]:]
         values = self._prefix_values
@@ -127,31 +116,10 @@ class LinkTranscript:
             for key in [key for key in values if key > num_chunks]:
                 del values[key]
 
-    def _sync_cache(self) -> None:
-        """Revalidate the cache against the live ``records`` list.
-
-        ``records`` is public and tests mutate it directly; an identity scan
-        (cheap — one C-level list build and compare) detects any divergence
-        and rebuilds from the longest still-valid prefix.
-        """
-        records = self.records
-        ids = self._cache_ids
-        if len(ids) == len(records) and ids == [id(record) for record in records]:
-            return
-        keep = 0
-        for cached_id, record in zip(ids, records):
-            if cached_id != id(record):
-                break
-            keep += 1
-        self._cache_truncate(keep)
-        for record in records[keep:]:
-            self._cache_append(record)
-
     # -- serialization & comparison ------------------------------------------------------
 
     def serialize_prefix(self, num_chunks: Optional[int] = None) -> bytes:
         """Canonical byte serialisation of the first ``num_chunks`` chunks."""
-        self._sync_cache()
         if num_chunks is None:
             num_chunks = len(self.records)
         num_chunks = max(0, min(num_chunks, len(self.records)))
@@ -164,7 +132,6 @@ class LinkTranscript:
         the hot meeting-points path reads it from the per-prefix cache
         instead of re-serialising and re-hashing every consistency phase.
         """
-        self._sync_cache()
         num_chunks = max(0, min(num_chunks, len(self.records)))
         value = self._prefix_values.get(num_chunks)
         if value is None:

@@ -32,6 +32,7 @@ from repro.adversary.strategies import (
     PhaseTargetedAdaptiveAdversary,
     RandomNoiseAdversary,
 )
+from repro.analysis.metrics import summarize_runs
 from repro.baselines.repetition import run_repetition
 from repro.baselines.uncoded import run_uncoded
 from repro.core.parameters import SchemeParameters, algorithm_a, algorithm_b, algorithm_c
@@ -165,55 +166,35 @@ def measure_cell(
     base_seed: int = 0,
 ) -> Dict[str, object]:
     """Run one measured row of the table on one topology."""
-    m = workload.graph.num_edges
     if cell.scheme is not None:
         fraction = cell.scheme.nominal_noise_fraction(workload.graph, epsilon=epsilon)
-    else:
-        fraction = epsilon / m
-
-    if cell.scheme is not None:
-        trial_set = run_trials(
+        aggregate = run_trials(
             workload,
             cell.scheme,
             adversary_factory=BoundFractionFactory(cell.adversary_factory, fraction),
             trials=trials,
             base_seed=base_seed,
-        )
-        aggregate = trial_set.aggregate
-        rate = 1.0 / aggregate.mean_overhead if aggregate.mean_overhead else 0.0
-        return {
-            "scheme": cell.scheme_label,
-            "topology": topology_label,
-            "noise_level": cell.nominal_noise,
-            "noise_type": cell.noise_type,
-            "rate": round(rate, 4),
-            "success_rate": aggregate.success_rate,
-            "mean_overhead": round(aggregate.mean_overhead, 2),
-            "efficient": True,
-            "kind": "measured",
-        }
-
-    # Baselines.
-    successes = 0
-    overheads: List[float] = []
-    for trial in range(trials):
-        seed = base_seed + 1000 * trial + 31
-        adversary = cell.adversary_factory(seed, fraction)
-        if cell.scheme_label.startswith("repetition"):
-            outcome = run_repetition(workload.protocol, adversary=adversary, repetitions=3)
-        else:
-            outcome = run_uncoded(workload.protocol, adversary=adversary)
-        successes += int(outcome.success)
-        overheads.append(outcome.metrics.overhead)
-    mean_overhead = sum(overheads) / len(overheads)
+        ).aggregate
+    else:
+        fraction = epsilon / workload.graph.num_edges
+        runs = []
+        for trial in range(trials):
+            adversary = cell.adversary_factory(base_seed + 1000 * trial + 31, fraction)
+            if cell.scheme_label.startswith("repetition"):
+                outcome = run_repetition(workload.protocol, adversary=adversary, repetitions=3)
+            else:
+                outcome = run_uncoded(workload.protocol, adversary=adversary)
+            runs.append(outcome.metrics)
+        aggregate = summarize_runs(runs)
+    rate = 1.0 / aggregate.mean_overhead if aggregate.mean_overhead else 0.0
     return {
         "scheme": cell.scheme_label,
         "topology": topology_label,
         "noise_level": cell.nominal_noise,
         "noise_type": cell.noise_type,
-        "rate": round(1.0 / mean_overhead, 4) if mean_overhead else 0.0,
-        "success_rate": successes / trials,
-        "mean_overhead": round(mean_overhead, 2),
+        "rate": round(rate, 4),
+        "success_rate": aggregate.success_rate,
+        "mean_overhead": round(aggregate.mean_overhead, 2),
         "efficient": True,
         "kind": "measured",
     }

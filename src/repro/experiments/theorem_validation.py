@@ -18,6 +18,7 @@ from typing import Dict, List, Sequence
 
 from repro.adversary.oblivious import AdditiveObliviousAdversary
 from repro.adversary.strategies import CompositeAdversary, RandomNoiseAdversary
+from repro.analysis.metrics import summarize_runs
 from repro.baselines.uncoded import run_uncoded
 from repro.core.parameters import SchemeParameters, algorithm_a, algorithm_b, algorithm_c
 from repro.experiments.factories import (
@@ -143,7 +144,7 @@ def scheme_comparison(
     # receives one guaranteed additive error on the very first transmission of
     # link (1, 0) — an additive offset always changes the delivered symbol.
     fraction = algorithm_a().nominal_noise_fraction(workload.graph, epsilon=epsilon)
-    successes = 0
+    runs = []
     for trial in range(trials):
         seed = base_seed + trial * 997 + 5
         adversary = CompositeAdversary(
@@ -154,14 +155,15 @@ def scheme_comparison(
                 AdditiveObliviousAdversary(pattern={(0, 1, 0): 1}),
             )
         )
-        successes += int(run_uncoded(workload.protocol, adversary=adversary).success)
+        runs.append(run_uncoded(workload.protocol, adversary=adversary).metrics)
+    aggregate = summarize_runs(runs)
     rows.append(
         {
             "scheme": "uncoded",
             "noise": "oblivious",
             "nominal_fraction": fraction,
-            "success_rate": successes / trials,
-            "mean_overhead": 1.0,
+            "success_rate": aggregate.success_rate,
+            "mean_overhead": aggregate.mean_overhead,
         }
     )
     return rows

@@ -6,7 +6,6 @@ from repro.network.channel import (
     TransmissionContext,
     WindowContext,
     apply_additive_noise,
-    classify_corruption,
 )
 from repro.network.graph import Graph, edge_key
 from repro.network.spanning_tree import SpanningTree
@@ -28,7 +27,6 @@ __all__ = [
     "TransmissionContext",
     "WindowContext",
     "apply_additive_noise",
-    "classify_corruption",
     "Graph",
     "edge_key",
     "SpanningTree",

@@ -42,17 +42,6 @@ def apply_additive_noise(sent: Symbol, offset: int) -> Symbol:
     return TRIT_TO_SYMBOL[(SYMBOL_TO_TRIT[sent] + offset) % 3]
 
 
-def classify_corruption(sent: Symbol, received: Symbol) -> Optional[str]:
-    """Return 'substitution' / 'deletion' / 'insertion' or ``None`` if clean."""
-    if sent == received:
-        return None
-    if sent is None:
-        return "insertion"
-    if received is None:
-        return "deletion"
-    return "substitution"
-
-
 @dataclass(frozen=True)
 class TransmissionContext:
     """Metadata describing one channel slot (one round, one directed link).

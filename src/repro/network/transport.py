@@ -20,9 +20,11 @@ round ``current_round + t``), makes one
 with one popcount pass
 (:meth:`~repro.network.channel.ChannelStats.record_window`) and visits only
 the corrupted links for the per-link counts and the flight recorder.  A
-lockstep round (flag passing, simulation, rewind, the uncoded baseline) is
-the case ``rounds = 1``; the meeting-points exchange, the randomness
-exchange and the repetition baseline use wider windows.
+lockstep round (flag passing, simulation, rewind) is the case
+``rounds = 1``; the meeting-points exchange and the randomness exchange use
+wider windows.  The baselines send one window of ``repetitions`` rounds per
+protocol round; the uncoded baseline is repetition with one copy, so it
+sends one-round windows.
 
 The engine never talks to the adversary directly; everything goes through
 this class so the accounting cannot be bypassed.

@@ -28,6 +28,7 @@ import math
 import os
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -44,27 +45,18 @@ def execute_trial(spec: TrialSpec) -> RunMetrics:
     if recorder is not None:
         recorder.begin_trial(seed=spec.seed, scheme=spec.scheme.name)
     tracer = obs.tracer
-    if tracer is not None:
-        # ``trial()`` applies the tracer's sampling policy: an unsampled trial
-        # suppresses its own span and every engine span opened under it.
-        with tracer.trial(seed=spec.seed, scheme=spec.scheme.name) as span:
-            adversary = spec.adversary_factory(spec.seed)
-            result = simulate(
-                spec.workload.protocol,
-                scheme=spec.scheme,
-                adversary=adversary,
-                seed=spec.seed,
-            )
-            if span is not None:
-                span.set(success=result.success, iterations=result.iterations_run)
-    else:
-        adversary = spec.adversary_factory(spec.seed)
+    # ``trial()`` applies the tracer's sampling policy: an unsampled trial
+    # suppresses its own span and every engine span opened under it.
+    scope = nullcontext() if tracer is None else tracer.trial(seed=spec.seed, scheme=spec.scheme.name)
+    with scope as span:
         result = simulate(
             spec.workload.protocol,
             scheme=spec.scheme,
-            adversary=adversary,
+            adversary=spec.adversary_factory(spec.seed),
             seed=spec.seed,
         )
+        if span is not None:
+            span.set(success=result.success, iterations=result.iterations_run)
     if recorder is not None:
         metrics = result.metrics
         recorder.finish_trial(

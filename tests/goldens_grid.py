@@ -101,9 +101,8 @@ def run_trial(scheme: str, topology: str, adversary_name: str, seed: int) -> Dic
             super().__post_init__()
             networks.append(self)
 
-    with use_obs(recorder=recorder), \
-            mock.patch.object(uncoded, "NoisyNetwork", CapturedNetwork), \
-            mock.patch.object(repetition, "NoisyNetwork", CapturedNetwork):
+    # Both baselines run through ``run_repetition`` (uncoded is one copy).
+    with use_obs(recorder=recorder), mock.patch.object(repetition, "NoisyNetwork", CapturedNetwork):
         recorder.begin_trial()
         if scheme == "uncoded":
             metrics = uncoded.run_uncoded(workload.protocol, adversary).metrics

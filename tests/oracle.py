@@ -26,14 +26,9 @@ from typing import List
 
 from repro.core.meeting_points import _COUNTER_BITS
 from repro.hashing.inner_product import FINGERPRINT_BITS
-from repro.network.channel import (
-    ChannelStats,
-    Symbol,
-    TransmissionContext,
-    classify_corruption,
-)
+from repro.network.channel import ChannelStats, Symbol, TransmissionContext
 from repro.network.transport import NoisyNetwork
-from repro.obs.recorder import link_label
+from repro.obs import classify_slot, link_label
 from repro.utils.bitstring import pack_symbols, unpack_symbols
 
 
@@ -60,7 +55,7 @@ def record_slot(stats: ChannelStats, ctx: TransmissionContext, sent: Symbol, rec
         stats.transmissions_by_phase[ctx.phase] = stats.transmissions_by_phase.get(ctx.phase, 0) + 1
     if received is not None:
         stats.delivered_symbols += 1
-    kind = classify_corruption(sent, received)
+    kind = classify_slot(sent, received)
     if kind is None:
         return
     if kind == "substitution":

@@ -798,6 +798,29 @@ class TestStaleKernels:
         ]
 
 
+#: Every stock adversary with and without a budget, for the reset law.
+RESET_CASES = {
+    **ROUND_FRAME_CASES,
+    "deletion-budgeted": lambda: DeletionAdversary(
+        deletion_probability=0.5, seed=15, budget=NoiseBudget(fraction=0.2)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESET_CASES))
+def test_reset_returns_a_used_adversary_to_its_fresh_state(case):
+    """The engine and both baselines call ``reset()`` when a run starts, so
+    a reused adversary must behave like a fresh one: RNG streams, budgets
+    and counters all rewind."""
+    links = line_topology(4).directed_edges()
+    phases = ("flag_passing", "simulation", "rewind", "meeting_points", "baseline")
+    adversary = RESET_CASES[case]()
+    for ctx, bits, present in _random_windows(links, phases, 30, seed=21):
+        adversary.corrupt_window(ctx, bits, present)
+    adversary.reset()
+    assert _state_snapshot(adversary) == _state_snapshot(RESET_CASES[case]())
+
+
 class TestCheckContract:
     """`repro.adversary.check_contract` conformance over every stock adversary."""
 

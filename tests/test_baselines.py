@@ -111,7 +111,7 @@ def test_baselines_match_per_slot_delivery(run, adversary_name, gossip_line5, mo
     build = _baseline_adversaries()[adversary_name]
     production_adversary = build()
     production = run(gossip_line5, adversary=production_adversary)
-    monkeypatch.setattr(f"{run.__module__}.NoisyNetwork", PerSlotNetwork)
+    monkeypatch.setattr("repro.baselines.repetition.NoisyNetwork", PerSlotNetwork)
     oracle_adversary = build()
     oracle = run(gossip_line5, adversary=oracle_adversary)
     assert production.metrics == oracle.metrics

@@ -1,4 +1,4 @@
-"""Unit tests for channel symbols, corruption classification and statistics."""
+"""Unit tests for channel symbols and statistics."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.network.channel import (
     TransmissionContext,
     WindowContext,
     apply_additive_noise,
-    classify_corruption,
 )
 from repro.utils.bitstring import pack_symbols
 
@@ -43,21 +42,6 @@ class TestAdditiveNoise:
         for sent in (0, 1, None):
             for offset in (1, 2):
                 assert apply_additive_noise(sent, offset) != sent
-
-
-class TestClassification:
-    def test_clean(self):
-        assert classify_corruption(0, 0) is None
-        assert classify_corruption(None, None) is None
-
-    def test_substitution(self):
-        assert classify_corruption(0, 1) == "substitution"
-
-    def test_deletion(self):
-        assert classify_corruption(1, None) == "deletion"
-
-    def test_insertion(self):
-        assert classify_corruption(None, 1) == "insertion"
 
 
 def _ctx(phase="simulation", sender=0, receiver=1, round_index=0) -> TransmissionContext:

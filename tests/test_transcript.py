@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.transcript import ChunkRecord, LinkTranscript
+from repro.hashing.inner_product import fingerprint_bits
 
 
 def _record(index, view, received=()):
@@ -58,6 +59,25 @@ class TestLinkTranscript:
         assert transcript.serialize_prefix(1) == b"[1:11]"
         assert transcript.serialize_prefix() == b"[1:11][2:0]"
         assert transcript.serialize_prefix(99) == transcript.serialize_prefix()
+
+    def test_prefix_fingerprint_follows_truncate_then_append(self):
+        """A prefix length that is reused by a different chunk after a
+        truncation must not be served its old fingerprint."""
+        transcript = LinkTranscript(0, 1)
+        for index in range(1, 4):
+            transcript.append(_record(index, (1, 0)))
+        stale = transcript.prefix_fingerprint(3)
+        transcript.prefix_fingerprint(2)
+        transcript.truncate_to(1)
+        transcript.append(_record(2, (0, 0)))
+        transcript.append(_record(3, (None, 1)))
+        expected = b"".join(record.serialize().encode("ascii") for record in transcript.records)
+        assert transcript.serialize_prefix() == expected
+        for length in (1, 2, 3):
+            assert transcript.prefix_fingerprint(length) == fingerprint_bits(
+                transcript.serialize_prefix(length)
+            )
+        assert transcript.prefix_fingerprint(3) != stale
 
     def test_matches_prefix_and_common_prefix(self):
         mine = LinkTranscript(0, 1)
