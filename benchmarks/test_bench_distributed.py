@@ -4,14 +4,14 @@ trial execution.
 Not a paper experiment — an infrastructure benchmark for
 ``repro.runtime.distributed``.  It runs the same trial batch through
 ``SerialBackend`` and a ``DistributedBackend`` backed by two in-process
-localhost workers, and records both wall-clock times plus the
-probe-served (cluster-warm-cache) re-run time in ``extra_info``.
+localhost workers, and records both wall-clock times in ``extra_info``.
 
 Shape we assert: distributed execution is **bit-identical** to serial (the
-runtime's determinism contract, now across the wire), and a re-run against
-warm worker caches dispatches zero trials.  Speed-up is recorded but not
-asserted — localhost workers share the CPU with the coordinator, and on a
-loaded CI box two workers can legitimately lose to serial for small batches.
+runtime's determinism contract, now across the wire), and a ``cache=None``
+re-run executes every trial again (workers cache nothing).  Speed-up is
+recorded but not asserted — localhost workers share the CPU with the
+coordinator, and on a loaded CI box two workers can legitimately lose to
+serial for small batches.
 """
 
 from __future__ import annotations
@@ -57,13 +57,11 @@ def test_serial_vs_two_worker_distributed_throughput(benchmark, run_once):
         assert distributed_backend.trials_executed == TRIALS
         assert sum(worker.trials_executed for worker in workers) == TRIALS
 
-        # Cluster-warm re-run: every trial served by cache probes, zero dispatched.
+        # cache=None re-run: workers cache nothing, so every trial runs again.
         rerun_backend = DistributedBackend(addresses, chunk_size=2)
-        start = time.perf_counter()
         rerun = _sweep(rerun_backend)
-        probed_seconds = time.perf_counter() - start
-        assert rerun_backend.trials_executed == 0
-        assert sum(worker.trials_executed for worker in workers) == TRIALS
+        assert rerun_backend.trials_executed == TRIALS
+        assert sum(worker.trials_executed for worker in workers) == 2 * TRIALS
         assert rerun.runs == serial.runs
     finally:
         for worker in workers:
@@ -71,7 +69,6 @@ def test_serial_vs_two_worker_distributed_throughput(benchmark, run_once):
 
     benchmark.extra_info["trials"] = TRIALS
     benchmark.extra_info["serial_seconds"] = round(serial_seconds, 4)
-    benchmark.extra_info["probe_served_rerun_seconds"] = round(probed_seconds, 4)
     benchmark.extra_info["distributed_speedup_vs_serial"] = (
         round(serial_seconds / benchmark.stats.stats.mean, 3)
         if benchmark.stats.stats.mean

@@ -438,15 +438,14 @@ def _cmd_runs_show(args: argparse.Namespace) -> None:
         if isinstance(attribution, dict) and attribution.get("workers"):
             print()
             print(f"workers ({attribution.get('backend', '?')} backend, "
-                  f"{attribution.get('trials_total', '?')} trial(s), "
-                  f"{attribution.get('remote_cache_hits', 0)} remote cache hit(s)):")
+                  f"{attribution.get('trials_total', '?')} trial(s)):")
             worker_rows = [
                 dict({"worker": worker_id}, **stats)
                 for worker_id, stats in sorted(attribution["workers"].items())
             ]
             print(format_table(
                 worker_rows,
-                ["worker", "dispatched", "stolen", "redispatched", "trials_executed", "cache_hits"],
+                ["worker", "dispatched", "stolen", "redispatched", "trials_executed"],
             ))
             for failure in attribution.get("unreachable_workers", []):
                 print(f"  unreachable: {failure}")
@@ -740,7 +739,6 @@ def _cmd_worker_serve(args: argparse.Namespace) -> None:
         server = WorkerServer(
             host=args.host,
             port=args.port,
-            cache_dir=args.cache_dir,
             worker_id=args.worker_id,
             heartbeat_interval=args.heartbeat_interval,
             status_port=args.status_port,
@@ -751,8 +749,6 @@ def _cmd_worker_serve(args: argparse.Namespace) -> None:
     print(f"worker {server.worker_id} listening on {server.address}", flush=True)
     if server.status_port is not None:
         print(f"status: http://{server.host}:{server.status_port}/", flush=True)
-    if args.cache_dir:
-        print(f"cache: {args.cache_dir} ({len(server.cache)} entries)", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -839,8 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="interface to bind (default 127.0.0.1; 0.0.0.0 for remote coordinators)")
     worker_serve.add_argument("--port", type=int, default=0,
                               help="TCP port (default 0 = OS-assigned, printed on startup)")
-    worker_serve.add_argument("--cache-dir", default=None,
-                              help="persist executed trials here and answer cache probes from it")
     worker_serve.add_argument("--worker-id", default=None,
                               help="stable id recorded in run attribution (default host:port)")
     worker_serve.add_argument("--heartbeat-interval", type=float, default=1.0,

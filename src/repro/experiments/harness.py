@@ -102,7 +102,7 @@ def run_trials(
     # anything a failed earlier run left behind (its exception skipped the
     # pop below), and once after to collect this cell's attribution — so a
     # cell served entirely from the local cache can never inherit another
-    # cell's workers/cache-hit numbers.
+    # cell's worker numbers.
     popper = getattr(active_backend, "pop_last_attribution", None)
     if callable(popper):
         popper()
@@ -124,11 +124,6 @@ def run_trials(
     cached_trials = (active_cache.stats.hits - hits_before) if active_cache is not None else 0
     run_store: Optional[RunStore] = get_runtime().store if store is _UNSET else store
     attribution = popper() if callable(popper) else None
-    if attribution is not None:
-        # Trials served from a *remote* worker's cache were not paid for
-        # either — fold them into cached_trials so the wall-clock regression
-        # gate stays honest across hosts.
-        cached_trials += int(attribution.get("remote_cache_hits", 0) or 0)
     obs_metrics = (
         counters_delta(metrics_before, obs.metrics.flat_snapshot())
         if metrics_before is not None

@@ -99,6 +99,7 @@ class Table1Cell:
     noise_type: str
     nominal_noise: str
     adversary_factory: Callable[[int, float], Adversary]
+    copies: int = 1  # baselines only: 1 runs uncoded Π, k > 1 repeats each bit k times
 
 
 #: Guaranteed number of targeted errors injected in every measured Table 1 run,
@@ -153,7 +154,7 @@ def default_cells(epsilon: float = 0.01) -> List[Table1Cell]:
         Table1Cell("Algorithm B", algorithm_b(), "non-oblivious ins/del", "eps/(m log m)", _adaptive_factory),
         Table1Cell("Algorithm C", algorithm_c(), "non-oblivious ins/del", "eps/(m log log m)", _adaptive_factory),
         Table1Cell("uncoded", None, "oblivious ins/del", "eps/m", _oblivious_factory),
-        Table1Cell("repetition(3)", None, "oblivious ins/del", "eps/m", _oblivious_factory),
+        Table1Cell("repetition(3)", None, "oblivious ins/del", "eps/m", _oblivious_factory, copies=3),
     ]
 
 
@@ -180,10 +181,10 @@ def measure_cell(
         runs = []
         for trial in range(trials):
             adversary = cell.adversary_factory(base_seed + 1000 * trial + 31, fraction)
-            if cell.scheme_label.startswith("repetition"):
-                outcome = run_repetition(workload.protocol, adversary=adversary, repetitions=3)
-            else:
+            if cell.copies == 1:
                 outcome = run_uncoded(workload.protocol, adversary=adversary)
+            else:
+                outcome = run_repetition(workload.protocol, adversary=adversary, repetitions=cell.copies)
             runs.append(outcome.metrics)
         aggregate = summarize_runs(runs)
     rate = 1.0 / aggregate.mean_overhead if aggregate.mean_overhead else 0.0

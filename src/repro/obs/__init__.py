@@ -5,7 +5,7 @@ A near-zero-overhead-when-disabled instrumentation layer, reached ambiently
 so no simulator or runtime signature carries observability arguments and no
 trial fingerprint ever sees it:
 
-* :class:`~repro.obs.metrics.MetricsRegistry` — counters / gauges /
+* :class:`~repro.obs.metrics.MetricsRegistry` — counters and
   histograms populated by the engine (per-phase round counts, sparse vs
   dense dispatches, idle rounds collapsed), the transport
   (``ChannelStats`` totals), hashing (message builds, seed derivations),

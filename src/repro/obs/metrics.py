@@ -1,7 +1,7 @@
-"""The metrics registry: counters, gauges and histograms with interned names.
+"""The metrics registry: counters and histograms with interned names.
 
 A :class:`MetricsRegistry` is a plain in-process accumulator — no exporter,
-no background thread, no wire format beyond :meth:`snapshot`.  Three metric
+no background thread, no wire format beyond :meth:`snapshot`.  Two metric
 families exist:
 
 * **counters** — monotonically increasing integers (``engine.rounds_total``,
@@ -10,7 +10,6 @@ families exist:
   ``repro runs diff --kind metrics`` gate CI on *causal* regressions
   ("dense dispatches must stay 0 on sparse workloads") instead of wall
   clock alone.
-* **gauges** — last-written values (``worker.cache_entries``).
 * **histograms** — running ``count/sum/min/max`` summaries for timings
   (``distributed.heartbeat_seconds``), plus nearest-rank p50/p90/p99
   percentiles over a bounded window of the most recent
@@ -53,12 +52,11 @@ def percentile(samples: Sequence[float], rank: float) -> float:
 
 
 class MetricsRegistry:
-    """Thread-safe counter/gauge/histogram accumulator."""
+    """Thread-safe counter/histogram accumulator."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
-        self._gauges: Dict[str, float] = {}
         # name -> [count, sum, min, max]
         self._histograms: Dict[str, list] = {}
         # name -> bounded window of the most recent samples (percentiles)
@@ -88,12 +86,6 @@ class MetricsRegistry:
                 name = sys.intern(prefix + str(key))
                 self._counters[name] = self._counters.get(name, 0) + int(value)
 
-    def gauge(self, name: str, value: float) -> None:
-        """Set gauge ``name`` to ``value`` (last write wins)."""
-        name = sys.intern(name)
-        with self._lock:
-            self._gauges[name] = value
-
     def observe(self, name: str, value: float) -> None:
         """Record one sample into histogram ``name``."""
         name = sys.intern(name)
@@ -114,7 +106,7 @@ class MetricsRegistry:
     # -- reading -----------------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
-        """A structured copy: ``{"counters", "gauges", "histograms"}``."""
+        """A structured copy: ``{"counters", "histograms"}``."""
         with self._lock:
             histograms: Dict[str, Dict[str, float]] = {}
             for name, summary in self._histograms.items():
@@ -133,19 +125,17 @@ class MetricsRegistry:
                 histograms[name] = entry
             return {
                 "counters": dict(self._counters),
-                "gauges": dict(self._gauges),
                 "histograms": histograms,
             }
 
     def flat_snapshot(self) -> Dict[str, float]:
-        """One flat ``name → number`` map: counters and gauges verbatim,
+        """One flat ``name → number`` map: counters verbatim,
         histograms expanded to ``<name>.count`` / ``<name>.sum`` /
         ``<name>.p50``-style keys — the shape stored records and diffs
         consume (percentile keys, like every histogram-derived key, are
         informative-only in diffs)."""
         with self._lock:
             flat: Dict[str, float] = dict(self._counters)
-            flat.update(self._gauges)
             for name, summary in self._histograms.items():
                 flat[f"{name}.count"] = summary[0]
                 flat[f"{name}.sum"] = summary[1]

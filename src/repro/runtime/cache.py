@@ -116,7 +116,7 @@ class ResultCache:
         temp file + atomic rename, so a concurrent reader sees either the
         old file or the new one, never a half-written mix.
 
-        A live writer (a ``repro worker serve`` daemon appending results) is
+        A live writer (a coordinator sweep appending results) is
         tolerated: after the main pass, any bytes appended since are drained
         into the rewrite — repeatedly, until a drain comes up empty — before
         the rename.  The residual window between the last empty drain and

@@ -4,13 +4,14 @@ A stdlib-only coordinator/worker pair (sockets + length-prefixed JSON
 frames; see :mod:`~repro.runtime.distributed.wire`):
 
 * :class:`~repro.runtime.distributed.worker.WorkerServer` — the daemon
-  behind ``repro worker serve``; executes trial chunks, answers cache
-  probes from its local :class:`~repro.runtime.cache.ResultCache`, and
-  heartbeats while a chunk runs;
+  behind ``repro worker serve``; answers ``hello``, ``ping`` and
+  ``execute``, and heartbeats while a chunk runs;
 * :class:`~repro.runtime.distributed.coordinator.DistributedBackend` — an
-  :class:`~repro.runtime.backends.ExecutionBackend` that probes every
-  worker's cache before dispatching, deals chunks with work stealing, and
-  re-dispatches a dead worker's chunks to the survivors.
+  :class:`~repro.runtime.backends.ExecutionBackend` that deals chunks with
+  work stealing and re-dispatches a dead worker's chunks to the survivors.
+
+Workers cache nothing: the coordinator's result cache decides which trials
+reach the backend at all.
 
 Results are bit-identical to :class:`~repro.runtime.backends.SerialBackend`
 (specs carry fully-derived seeds; the handshake refuses version-mismatched

@@ -1,25 +1,18 @@
 """The coordinator: :class:`DistributedBackend` fans trials out to workers.
 
-One ``run(specs)`` call proceeds in two phases:
-
-1. **Probe.**  Every spec is fingerprinted and every worker is asked which
-   digests its local cache already holds.  Any hit anywhere in the cluster
-   fills that result slot without dispatching the trial — the "do the work
-   once, address it by content" discipline, stretched across hosts.  Hits
-   whose cache-schema version does not match this build are ignored (the
-   digest already pins the package version, so a matching digest under a
-   matching schema is trustworthy).
-
-2. **Dispatch.**  The remaining trials are split into contiguous chunks
-   (roughly four per worker, same policy as the process pool) and dealt
-   round-robin into per-worker queues.  Each worker is driven by one
-   coordinator thread that drains its own queue first, then **steals** from
-   the back of the longest other queue — so a fast (or cache-warm) worker
-   never idles while a slow one has a backlog.  While a chunk runs, the
-   worker heartbeats; if no frame arrives within ``heartbeat_timeout`` (or
-   the connection drops), the worker is declared dead and its in-flight
-   chunk is **re-dispatched** to the survivors.  A chunk's results are only
-   ever accepted once, so a crash can never duplicate a seed.
+``run(specs)`` receives only the trials the coordinator's result cache
+(:mod:`repro.runtime.cache`) could not serve — ``execute_trials`` consults
+it first, under the same ``cache=`` rule as every backend — so every spec
+it is handed is dispatched.  The trials are split into contiguous chunks
+(roughly four per worker, same policy as the process pool) and dealt
+round-robin into per-worker queues.  Each worker is driven
+by one coordinator thread that drains its own queue first, then **steals**
+from the back of the longest other queue — so a fast worker never idles
+while a slow one has a backlog.  While a chunk runs, the worker heartbeats;
+if no frame arrives within ``heartbeat_timeout`` (or the connection drops),
+the worker is declared dead and its in-flight chunk is **re-dispatched** to
+the survivors.  A chunk's results are only ever accepted once, so a crash
+can never duplicate a seed.
 
 Determinism: specs carry fully-derived seeds and workers run the same
 :func:`~repro.runtime.backends.execute_trial` as every local backend, so the
@@ -29,7 +22,7 @@ way.  The hello handshake refuses workers running a different ``repro``
 version, closing the one hole in that guarantee.
 
 Attribution: after each ``run`` the backend exposes a per-worker summary
-(chunks dispatched / stolen / re-dispatched, trials executed, probe hits)
+(chunks dispatched / stolen / re-dispatched, trials executed)
 via :meth:`DistributedBackend.pop_last_attribution`; ``run_trials`` records
 it into the run store so ``repro runs show`` answers "who computed this?".
 """
@@ -47,7 +40,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.analysis.metrics import RunMetrics
 from repro.obs import FlightRecorder, MetricsRegistry, Tracer, get_logger, get_obs
 from repro.runtime.backends import ExecutionBackend
-from repro.runtime.cache import CACHE_SCHEMA_VERSION
 from repro.runtime.distributed.wire import (
     PROTOCOL_VERSION,
     WireError,
@@ -55,7 +47,7 @@ from repro.runtime.distributed.wire import (
     recv_frame,
     send_frame,
 )
-from repro.runtime.spec import TrialSpec, fingerprint_trial
+from repro.runtime.spec import TrialSpec
 
 #: A chunk: (chunk_id, [(index into the run's spec list, spec), ...]).
 _Chunk = Tuple[int, List[Tuple[int, TrialSpec]]]
@@ -117,14 +109,6 @@ class _WorkerLink:
         send_frame(self.sock, {"type": "ping"})
         if recv_frame(self.sock).get("type") != "pong":
             raise WireError(f"worker {self.address} answered a ping with something else")
-
-    def probe(self, digests: Sequence[str]) -> Dict[str, Dict[str, Any]]:
-        send_frame(self.sock, {"type": "probe", "digests": list(digests)})
-        response = recv_frame(self.sock)
-        if response.get("type") != "probe_result":
-            raise WireError(f"worker {self.address} answered a probe with {response.get('type')!r}")
-        hits = response.get("hits", {})
-        return hits if isinstance(hits, dict) else {}
 
     def execute(
         self,
@@ -276,14 +260,15 @@ class _WorkQueues:
 
 
 class DistributedBackend(ExecutionBackend):
-    """Execute trials on remote workers with cluster-wide cache reuse.
+    """Execute trials on remote workers, with work stealing and re-dispatch.
 
     ``workers`` is a list of ``host:port`` strings (one per
     ``repro worker serve`` daemon).  ``chunk_size=None`` targets roughly four
     chunks per worker.  ``heartbeat_timeout`` must comfortably exceed the
     workers' heartbeat interval (default 1 s); it bounds how long a dead
-    worker can stall the run.  ``probe_cache=False`` skips the probe phase
-    (every trial is dispatched even if a worker already knows the answer).
+    worker can stall the run.  Every spec passed to :meth:`run` is executed:
+    skipping known trials is the coordinator-side cache's job
+    (``run_trials(..., cache=...)``), exactly as for the local backends.
 
     Worker connections are dialled lazily and **reused across ``run()``
     calls** — an experiment grid calls ``run_trials`` once per cell, and
@@ -302,7 +287,6 @@ class DistributedBackend(ExecutionBackend):
         chunk_size: Optional[int] = None,
         heartbeat_timeout: float = 10.0,
         connect_timeout: float = 5.0,
-        probe_cache: bool = True,
     ) -> None:
         super().__init__()
         # Deduplicate while preserving order: the same address twice is the
@@ -318,7 +302,6 @@ class DistributedBackend(ExecutionBackend):
         self.chunk_size = chunk_size
         self.heartbeat_timeout = heartbeat_timeout
         self.connect_timeout = connect_timeout
-        self.probe_cache = probe_cache
         self._last_attribution: Optional[Dict[str, object]] = None
         self._connect_failures: List[str] = []
         #: Worker links kept open across run() calls — an experiment grid
@@ -423,31 +406,19 @@ class DistributedBackend(ExecutionBackend):
         registry, tracer, recorder = obs.metrics, obs.tracer, obs.recorder
         links = self._connect()
         stats: Dict[str, Dict[str, int]] = {
-            link.worker_id: {
-                "dispatched": 0, "stolen": 0, "redispatched": 0,
-                "trials_executed": 0, "cache_hits": 0,
-            }
+            link.worker_id: {"dispatched": 0, "stolen": 0, "redispatched": 0, "trials_executed": 0}
             for link in links
         }
+        self.trials_executed += len(specs)
         try:
-            keys = [fingerprint_trial(spec) for spec in specs]
-            if self.probe_cache:
-                self._probe_phase(links, keys, results, stats)
-            pending = [(index, spec) for index, spec in enumerate(specs) if results[index] is None]
-            self.trials_executed += len(pending)
-            if pending:
-                if not links:  # every worker fell over during the probe phase
-                    raise RuntimeError(
-                        "every distributed worker died before dispatch "
-                        f"({len(pending)} trial(s) unassigned)"
-                    )
-                self._dispatch_phase(links, pending, results, stats, registry, tracer, recorder)
+            self._dispatch_phase(
+                links, list(enumerate(specs)), results, stats, registry, tracer, recorder
+            )
         finally:
             self._last_attribution = {
                 "backend": self.name,
                 "workers": stats,
                 "trials_total": len(specs),
-                "remote_cache_hits": sum(row["cache_hits"] for row in stats.values()),
             }
             if self._connect_failures:
                 # A degraded run must say so in its stored record, not just
@@ -461,58 +432,12 @@ class DistributedBackend(ExecutionBackend):
                     "distributed.chunks_stolen": sum(r["stolen"] for r in stats.values()),
                     "distributed.chunks_redispatched": sum(r["redispatched"] for r in stats.values()),
                     "distributed.remote_trials_executed": sum(r["trials_executed"] for r in stats.values()),
-                    "distributed.remote_cache_hits": sum(r["cache_hits"] for r in stats.values()),
                     "distributed.unreachable_workers": len(self._connect_failures),
                 })
         missing = [index for index, value in enumerate(results) if value is None]
         if missing:  # pragma: no cover - defended against above, belt and braces
             raise RuntimeError(f"{len(missing)} trial(s) were never executed")
         return results  # type: ignore[return-value]
-
-    def _probe_phase(
-        self,
-        links: List[_WorkerLink],
-        keys: Sequence[Any],
-        results: List[Optional[RunMetrics]],
-        stats: Dict[str, Dict[str, int]],
-    ) -> None:
-        """Fill result slots from any worker's warm cache before dispatching.
-
-        A link whose probe fails is removed from this run entirely (and from
-        the reuse map): after a timeout the worker's answer may still be in
-        the stream, and dispatching on a desynchronized link would misread
-        that stale frame and condemn a perfectly healthy worker."""
-        for link in list(links):
-            unresolved = {
-                keys[index].digest: index
-                for index in range(len(results))
-                if results[index] is None and keys[index].stable
-            }
-            if not unresolved:
-                return
-            try:
-                hits = link.probe(list(unresolved))
-            except (OSError, ConnectionError, WireError) as exc:
-                _log.warning(
-                    "worker_probe_failed",
-                    worker=link.worker_id,
-                    address=link.address,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                self._discard(link)
-                links.remove(link)
-                continue
-            for digest, entry in hits.items():
-                index = unresolved.get(digest)
-                if index is None or results[index] is not None:
-                    continue
-                if not isinstance(entry, dict) or entry.get("schema") != CACHE_SCHEMA_VERSION:
-                    continue  # stale/incompatible cache layout: recompute instead
-                try:
-                    results[index] = RunMetrics.from_payload(entry["metrics"])
-                except (KeyError, TypeError):
-                    continue
-                stats[link.worker_id]["cache_hits"] += 1
 
     def _dispatch_phase(
         self,

@@ -16,19 +16,20 @@ hosts.  Both ends must therefore run the same ``repro`` version; the hello
 handshake enforces that, which is also what makes remote execution
 bit-identical to local execution.
 
-Message vocabulary (``type`` field):
+Message vocabulary (``type`` field) — a worker answers exactly three
+requests, and anything else with an ``error`` frame:
 
 ==============  =======================  =====================================
 request         response                 meaning
 ==============  =======================  =====================================
 ``hello``       ``hello``                handshake: ids + version check
-``ping``        ``pong``                 liveness probe
-``probe``       ``probe_result``         which of these digests do you have?
+``ping``        ``pong``                 liveness check
 ``execute``     ``heartbeat``* then      run this chunk of pickled specs
                 ``result`` / ``error``   (heartbeats interleave while running)
-``stats``       ``stats``                executed counter + cache counters
-``shutdown``    ``bye``                  stop serving after this connection
 ==============  =======================  =====================================
+
+Workers cache nothing: the coordinator's result cache
+(:mod:`repro.runtime.cache`) decides which trials to send.
 
 Tracing rides the existing vocabulary instead of extending it: an
 ``execute`` request may carry an optional ``trace`` object —
@@ -50,7 +51,7 @@ import struct
 from typing import Any, Dict, List, Sequence
 
 #: Bump when the frame layout or message vocabulary changes incompatibly.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Upper bound on a single frame; anything larger is a protocol violation
 #: (a length prefix of garbage bytes decodes to a huge number — better to

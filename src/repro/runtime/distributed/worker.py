@@ -1,28 +1,25 @@
-"""The worker daemon: executes trial chunks and answers cache probes.
+"""The worker daemon: executes trial chunks for a coordinator.
 
-``repro worker serve --port P --cache-dir D`` runs one of these per host.
-A worker is deliberately dumb: it holds no view of the overall run, it just
+``repro worker serve --port P`` runs one of these per host.  A worker is
+deliberately dumb: it holds no view of the overall run and caches nothing
+(the coordinator's result cache, :mod:`repro.runtime.cache`, is the one
+place a result is kept).  It answers three requests:
 
-* answers ``probe`` requests from its local
-  :class:`~repro.runtime.cache.ResultCache` (this is what makes a warm cache
-  on *any* host short-circuit work cluster-wide — the coordinator probes
-  every worker before dispatching anything);
-* executes ``execute`` chunks trial by trial via the same
+* ``hello`` — its id, protocol and package version, and heartbeat interval;
+* ``ping`` — a liveness round-trip;
+* ``execute`` — runs a chunk trial by trial via the same
   :func:`~repro.runtime.backends.execute_trial` every other backend uses
   (the spec carries its fully-derived seed, so results are bit-identical to
-  serial execution by construction), storing each fresh result into the
-  local cache under its :func:`~repro.runtime.spec.fingerprint_trial` digest;
-* emits ``heartbeat`` frames every ``heartbeat_interval`` seconds while a
-  chunk is running, so the coordinator can tell "slow trial" from "dead
-  worker" without a side channel.
+  serial execution by construction), emitting ``heartbeat`` frames every
+  ``heartbeat_interval`` seconds while it runs, so the coordinator can tell
+  "slow trial" from "dead worker" without a side channel.
 
 The server is a thread-per-connection ``socket`` loop — trial execution is
-CPU-bound Python, so one connection (the coordinator's) does the real work
-and the others (probes, stats) are I/O-trivial.  ``crash_after_trials`` is a
-failure-injection knob for tests and the smoke script: the worker drops dead
-(closes every socket without a result frame) after executing that many
-trials, which is exactly what a SIGKILL mid-chunk looks like from the
-coordinator's side.
+CPU-bound Python, so one connection (the coordinator's) does the real work.
+``crash_after_trials`` is a failure-injection knob for tests and the smoke
+script: the worker drops dead (closes every socket without a result frame)
+after executing that many trials, which is exactly what a SIGKILL mid-chunk
+looks like from the coordinator's side.
 """
 
 from __future__ import annotations
@@ -30,13 +27,10 @@ from __future__ import annotations
 import json
 import socket
 import threading
-from typing import Any, Dict, List, Optional, Union
-
-from pathlib import Path
+from typing import Any, Dict, List, Optional
 
 from repro.obs import FlightRecorder, MetricsRegistry, Tracer, get_logger, use_obs
 from repro.runtime.backends import execute_trial
-from repro.runtime.cache import CACHE_SCHEMA_VERSION, ResultCache
 from repro.runtime.distributed.wire import (
     PROTOCOL_VERSION,
     WireError,
@@ -44,7 +38,6 @@ from repro.runtime.distributed.wire import (
     recv_frame,
     send_frame,
 )
-from repro.runtime.spec import TrialKey, fingerprint_trial
 
 
 class WorkerCrash(Exception):
@@ -58,7 +51,6 @@ class WorkerServer:
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        cache_dir: Optional[Union[str, Path]] = None,
         worker_id: Optional[str] = None,
         heartbeat_interval: float = 1.0,
         crash_after_trials: Optional[int] = None,
@@ -66,15 +58,14 @@ class WorkerServer:
     ) -> None:
         if heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive")
-        self.cache = ResultCache(cache_dir)
         self.heartbeat_interval = heartbeat_interval
         self.crash_after_trials = crash_after_trials
-        #: Trials this worker actually simulated (cache probes never count).
+        #: Trials this worker has simulated over its lifetime.
         self.trials_executed = 0
         #: Always-on per-daemon metrics: chunks run on connection threads
         #: under ``use_obs(metrics=self.registry, ...)``, so engine/transport
         #: counters accumulate here for the whole daemon lifetime.  Exposed
-        #: live by the ``--status-port`` HTTP endpoint and the ``stats`` frame.
+        #: live by the ``--status-port`` HTTP endpoint.
         self.registry = MetricsRegistry()
         self._server = socket.create_server((host, port))
         self.host, self.port = self._server.getsockname()[:2]
@@ -82,7 +73,7 @@ class WorkerServer:
         self._log = get_logger("worker")
         self._shutdown = threading.Event()
         self._accept_thread: Optional[threading.Thread] = None
-        self._lock = threading.Lock()  # guards trials_executed / cache puts
+        self._lock = threading.Lock()  # guards trials_executed
         #: The bound status port (None when the endpoint is disabled).
         self.status_port: Optional[int] = None
         self._status_server = None
@@ -97,14 +88,12 @@ class WorkerServer:
     # -- status endpoint -----------------------------------------------------
 
     def status_snapshot(self) -> Dict[str, Any]:
-        """Everything an operator wants at a glance: identity, progress,
-        cache state and the live metrics registry."""
+        """Everything an operator wants at a glance: identity, progress and
+        the live metrics registry."""
         return {
             "worker_id": self.worker_id,
             "address": self.address,
             "trials_executed": self.trials_executed,
-            "cache_entries": len(self.cache),
-            "cache": self.cache.stats.as_dict(),
             "metrics": self.registry.snapshot(),
         }
 
@@ -139,7 +128,7 @@ class WorkerServer:
         return self
 
     def serve_forever(self) -> None:
-        """Accept connections until :meth:`stop` (or a ``shutdown`` message)."""
+        """Accept connections until :meth:`stop`."""
         self._server.settimeout(0.2)  # so the loop notices the shutdown flag
         while not self._shutdown.is_set():
             try:
@@ -178,8 +167,7 @@ class WorkerServer:
                     except (ConnectionError, WireError, OSError):
                         return
                     try:
-                        if not self._dispatch(connection, write_lock, request):
-                            return
+                        self._dispatch(connection, write_lock, request)
                     except (ConnectionError, OSError):
                         # The coordinator hung up while we were answering
                         # (e.g. it timed us out mid-chunk and moved on) — an
@@ -189,8 +177,8 @@ class WorkerServer:
             # Failure injection: die without a goodbye, like a real crash.
             self.stop()
 
-    def _dispatch(self, connection: socket.socket, write_lock: threading.Lock, request: Dict[str, Any]) -> bool:
-        """Handle one request; returns False when the connection should end."""
+    def _dispatch(self, connection: socket.socket, write_lock: threading.Lock, request: Dict[str, Any]) -> None:
+        """Answer one ``hello``, ``ping`` or ``execute`` request."""
         kind = request.get("type")
         if kind == "hello":
             from repro import __version__
@@ -200,50 +188,16 @@ class WorkerServer:
                 "worker_id": self.worker_id,
                 "protocol": PROTOCOL_VERSION,
                 "version": __version__,
-                "cache_schema": CACHE_SCHEMA_VERSION,
                 # Announced so the coordinator can size its read deadline to
                 # this worker's actual pulse instead of assuming the default.
                 "heartbeat_interval": self.heartbeat_interval,
             })
         elif kind == "ping":
             send_frame(connection, {"type": "pong", "worker_id": self.worker_id})
-        elif kind == "probe":
-            send_frame(connection, self._handle_probe(request))
         elif kind == "execute":
             self._handle_execute(connection, write_lock, request)
-        elif kind == "stats":
-            send_frame(connection, {
-                "type": "stats",
-                "worker_id": self.worker_id,
-                "trials_executed": self.trials_executed,
-                "cache_entries": len(self.cache),
-                "cache": self.cache.stats.as_dict(),
-                "metrics": self.registry.flat_snapshot(),
-            })
-        elif kind == "shutdown":
-            send_frame(connection, {"type": "bye", "worker_id": self.worker_id})
-            self._shutdown.set()
-            return False
         else:
             send_frame(connection, {"type": "error", "message": f"unknown request type {kind!r}"})
-        return True
-
-    def _handle_probe(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Answer ``digest → result`` for every requested digest in the cache.
-
-        Hits carry the cache schema version so the coordinator can refuse
-        entries written under an incompatible layout (the digest itself
-        already pins the package version — see ``fingerprint_trial``).
-        """
-        hits: Dict[str, Dict[str, Any]] = {}
-        for digest in request.get("digests", []):
-            metrics = self.cache.get(TrialKey(digest=str(digest), stable=True))
-            if metrics is not None:
-                hits[str(digest)] = {
-                    "schema": CACHE_SCHEMA_VERSION,
-                    "metrics": metrics.to_payload(),
-                }
-        return {"type": "probe_result", "worker_id": self.worker_id, "hits": hits}
 
     def _handle_execute(self, connection: socket.socket, write_lock: threading.Lock, request: Dict[str, Any]) -> None:
         """Run one chunk, heartbeating while it executes."""
@@ -289,7 +243,6 @@ class WorkerServer:
                     metrics = execute_trial(spec)
                     with self._lock:
                         self.trials_executed += 1
-                        self.cache.put(fingerprint_trial(spec), metrics)
                     payloads.append(metrics.to_payload())
 
             with use_obs(metrics=self.registry, tracer=tracer, recorder=recorder):

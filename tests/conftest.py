@@ -8,11 +8,6 @@ import pytest
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
-        "distributed_smoke: end-to-end distributed smoke gate (subprocess workers); "
-        "opt in with REPRO_SMOKE_DISTRIBUTED=1",
-    )
-    config.addinivalue_line(
-        "markers",
         "smoke: fast end-to-end entry-point checks (scripts run as subprocesses); "
         "always on, deselect with -m 'not smoke'",
     )

@@ -4,22 +4,22 @@ The acceptance criteria of the subsystem are pinned here:
 
 1. ``DistributedBackend`` is **bit-identical** to ``SerialBackend`` — with
    one worker or many, on a plain trial set and on a full noise-sweep cell;
-2. a pre-warmed cache on *any* worker short-circuits work cluster-wide
-   (zero executed trials on the second run);
+2. workers cache nothing: with ``cache=None`` every run executes every
+   trial, so the coordinator's cache is the only way a trial is skipped;
 3. a worker killed mid-chunk has its work re-dispatched to the survivors
    without duplicating a single seed, and the run still completes;
-4. probe hits written under a stale cache-schema version are ignored;
+4. a worker speaking another protocol or package version is refused at
+   hello;
 5. per-worker attribution lands in the run store without disturbing the
    existing analytics (``runs diff`` keeps working on distributed records).
 
 All workers run in-process (``WorkerServer.start()`` serves from a daemon
 thread on an OS-assigned localhost port); the subprocess path is covered by
-``scripts/smoke_distributed.sh`` (opt-in, see ``TestSmokeScript``).
+``scripts/smoke_distributed.sh`` (see ``TestSmokeScript``).
 """
 
 from __future__ import annotations
 
-import os
 import socket
 import subprocess
 from pathlib import Path
@@ -40,7 +40,6 @@ from repro.runtime import (
     diff_runs,
     use_runtime,
 )
-from repro.runtime.cache import CACHE_SCHEMA_VERSION
 from repro.runtime.distributed.coordinator import parse_worker_address
 from repro.runtime.distributed.wire import (
     PROTOCOL_VERSION,
@@ -84,7 +83,7 @@ class TestWireFormat:
     def test_frame_round_trip(self):
         a, b = socket.socketpair()
         try:
-            message = {"type": "probe", "digests": ["a" * 64], "nested": {"x": [1, 2.5, None]}}
+            message = {"type": "execute", "specs": "a" * 64, "nested": {"x": [1, 2.5, None]}}
             send_frame(a, message)
             assert recv_frame(b) == message
         finally:
@@ -172,10 +171,9 @@ class TestDistributedDeterminism:
                     send_frame(connection, {
                         "type": "hello", "worker_id": self.worker_id,
                         "protocol": PROTOCOL_VERSION, "version": "0.0.0-not-ours",
-                        "cache_schema": CACHE_SCHEMA_VERSION,
                     })
-                    return True
-                return super()._dispatch(connection, write_lock, request)
+                    return
+                super()._dispatch(connection, write_lock, request)
 
         server = LyingWorker().start()
         try:
@@ -184,77 +182,59 @@ class TestDistributedDeterminism:
         finally:
             server.stop()
 
+    def test_protocol_one_worker_is_refused_at_hello(self):
+        """A worker that still speaks protocol 1 (with its probe request) is
+        refused during the handshake, before any trial is sent."""
 
-class TestClusterCacheReuse:
-    def test_prewarmed_remote_cache_short_circuits_the_whole_run(self, tmp_path):
-        """Acceptance criterion: second run executes zero trials anywhere."""
-        warm = WorkerServer(cache_dir=tmp_path / "warm-cache").start()
+        class ProtocolOneWorker(WorkerServer):
+            def _dispatch(self, connection, write_lock, request):
+                if request.get("type") == "hello":
+                    from repro import __version__
+
+                    send_frame(connection, {
+                        "type": "hello", "worker_id": self.worker_id,
+                        "protocol": 1, "version": __version__,
+                    })
+                    return
+                super()._dispatch(connection, write_lock, request)
+
+        server = ProtocolOneWorker().start()
         try:
-            first_backend = DistributedBackend([warm.address])
-            first = _run(first_backend)
-            executed_after_first = warm.trials_executed
-            assert executed_after_first == 6
-
-            # Drive the backend directly for the second run so the
-            # attribution is still ours to pop (run_trials pops it itself).
-            workload, scheme, factory = _cell()
-            seeds = [derive_trial_seed(3, trial) for trial in range(6)]
-            specs = build_trial_specs(workload, scheme, factory, seeds)
-            second_backend = DistributedBackend([warm.address])
-            second = second_backend.run(specs)
-            assert second == first.runs
-            assert warm.trials_executed == executed_after_first  # nothing re-ran
-            assert second_backend.trials_executed == 0           # nothing dispatched
-            attribution = second_backend.pop_last_attribution()
-            assert attribution["remote_cache_hits"] == 6
-        finally:
-            warm.stop()
-
-    def test_one_warm_worker_short_circuits_for_cold_workers_too(self, tmp_path):
-        """Cross-host reuse: a cold worker never executes what a warm worker
-        already knows."""
-        cache_dir = tmp_path / "shared-cache"
-        warm = WorkerServer(cache_dir=cache_dir).start()
-        try:
-            _run(DistributedBackend([warm.address]))  # warm it up
-        finally:
-            pass
-        cold = WorkerServer().start()
-        try:
-            backend = DistributedBackend([warm.address, cold.address])
-            result = _run(backend)
-            assert cold.trials_executed == 0
-            assert backend.trials_executed == 0
-            assert result.runs == _run(SerialBackend()).runs
-        finally:
-            warm.stop()
-            cold.stop()
-
-    def test_stale_cache_schema_probe_hits_are_ignored(self):
-        """A worker whose cache speaks an incompatible layout must be treated
-        as cold: recompute, never deserialize its entries."""
-
-        class StaleSchemaWorker(WorkerServer):
-            def _handle_probe(self, request):
-                response = super()._handle_probe(request)
-                for entry in response["hits"].values():
-                    entry["schema"] = 999
-                return response
-
-        server = StaleSchemaWorker().start()
-        try:
-            backend = DistributedBackend([server.address])
-            first = _run(backend)
-            assert server.trials_executed == 6
-            # The worker's cache is warm, but its probe answers are stale →
-            # every trial is executed again instead of trusted.
-            second_backend = DistributedBackend([server.address])
-            second = _run(second_backend)
-            assert server.trials_executed == 12
-            assert second_backend.trials_executed == 6
-            assert second.runs == first.runs
+            with pytest.raises(RuntimeError, match="protocol 1, this coordinator speaks 2"):
+                _run(DistributedBackend([server.address]), trials=1)
+            assert server.trials_executed == 0
         finally:
             server.stop()
+
+    def test_worker_refuses_requests_outside_its_vocabulary(self, worker):
+        """hello, ping and execute are the whole vocabulary; the retired
+        probe, stats and shutdown requests get an error frame and the daemon
+        keeps serving."""
+        host, port = parse_worker_address(worker.address)
+        with socket.create_connection((host, port), timeout=5) as sock:
+            for kind in ("probe", "stats", "shutdown"):
+                send_frame(sock, {"type": kind})
+                reply = recv_frame(sock)
+                assert reply["type"] == "error"
+                assert kind in reply["message"]
+            send_frame(sock, {"type": "ping"})
+            assert recv_frame(sock)["type"] == "pong"
+        assert _run(DistributedBackend([worker.address]), trials=1).runs
+
+
+class TestClusterCacheReuse:
+    """A cluster reuses results only through the coordinator's cache."""
+
+    def test_cache_none_executes_every_trial_on_every_run(self, worker):
+        """Workers keep no results: with the coordinator cache bypassed,
+        a repeated run executes every trial again, as on the local backends."""
+        backend = DistributedBackend([worker.address])
+        first = _run(backend, trials=4, cache=None)
+        assert backend.trials_executed == 4
+        second = _run(backend, trials=4, cache=None)
+        assert backend.trials_executed == 8
+        assert worker.trials_executed == 8
+        assert second.runs == first.runs
 
     def test_unpicklable_specs_fail_with_a_clear_error(self, worker):
         """Lambdas cannot cross the wire; the error must say so instead of
@@ -268,7 +248,6 @@ class TestClusterCacheReuse:
         with pytest.raises(TrialExecutionError, match="picklable"):
             backend.run(specs)
         assert worker.trials_executed == 0
-        assert len(worker.cache) == 0
 
 
 class TestFailureHandling:
@@ -363,8 +342,10 @@ class TestAttributionInRunStore:
         assert all(
             {"dispatched", "stolen", "redispatched"} <= set(stats) for stats in workers.values()
         )
-        # The second run hit the workers' in-memory caches instead of executing.
-        assert second["workers"]["remote_cache_hits"] == 6
+        # Workers cache nothing, so the second run executes all 6 trials again.
+        rerun = second["workers"]["workers"]
+        assert sum(stats["trials_executed"] for stats in rerun.values()) == 6
+        assert second["cached_trials"] == 0
 
         # Analytics neither choke on nor gate on the attribution payload.
         diff = diff_runs(first, second)
@@ -382,7 +363,7 @@ class TestAttributionInRunStore:
         never invoked — must not record the leftovers as its own."""
         backend = DistributedBackend(["127.0.0.1:9"])
         backend._last_attribution = {  # what a crashed run leaves behind
-            "backend": "distributed", "workers": {}, "trials_total": 6, "remote_cache_hits": 6,
+            "backend": "distributed", "workers": {"ghost": {"trials_executed": 6}}, "trials_total": 6,
         }
         cache = ResultCache()
         _run(SerialBackend(), cache=cache)  # warm the local cache
@@ -407,6 +388,27 @@ class TestCliIntegration:
         distributed_out = capsys.readouterr().out
         assert distributed_out == serial_out
 
+    def test_runs_show_displays_records_with_retired_cache_hit_fields(self, tmp_path, capsys):
+        """Records written while workers cached still show; the retired
+        ``remote_cache_hits`` and ``cache_hits`` fields are not rendered."""
+        from repro.cli import main
+
+        store = RunStore(tmp_path)
+        trial_set = _run(SerialBackend())
+        run_id = store.record_trial_set(
+            label="legacy", runs=trial_set.runs, aggregate=trial_set.aggregate,
+            worker_attribution={
+                "backend": "distributed", "trials_total": 6, "remote_cache_hits": 6,
+                "workers": {"w1": {"dispatched": 0, "stolen": 0, "redispatched": 0,
+                                   "trials_executed": 0, "cache_hits": 6}},
+            },
+        )
+        assert main(["runs", "show", run_id, "--store-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "workers (distributed backend, 6 trial(s)):" in out
+        assert "w1" in out
+        assert "cache" not in out
+
     def test_backend_distributed_without_workers_fails_friendly(self, capsys):
         from repro.cli import main
 
@@ -416,18 +418,11 @@ class TestCliIntegration:
         assert "--workers" in capsys.readouterr().err
 
 
-@pytest.mark.distributed_smoke
+@pytest.mark.smoke
 class TestSmokeScript:
-    """Opt-in end-to-end gate: real subprocess workers, the real CLI.
-
-    Activate with ``REPRO_SMOKE_DISTRIBUTED=1 python -m pytest -m
-    distributed_smoke``; skipped (not failed) otherwise so the default
-    tier-1 run stays hermetic and fast.
-    """
+    """End-to-end gate: real subprocess workers, the real CLI (a few seconds)."""
 
     def test_smoke_script_passes(self):
-        if os.environ.get("REPRO_SMOKE_DISTRIBUTED", "") not in ("1", "true", "yes"):
-            pytest.skip("set REPRO_SMOKE_DISTRIBUTED=1 to run the distributed smoke test")
         script = Path(__file__).resolve().parent.parent / "scripts" / "smoke_distributed.sh"
         completed = subprocess.run(
             ["bash", str(script)], capture_output=True, text=True, timeout=600,
@@ -435,3 +430,8 @@ class TestSmokeScript:
         assert completed.returncode == 0, (
             f"smoke script failed\nstdout:\n{completed.stdout}\nstderr:\n{completed.stderr}"
         )
+        # The script must stop its workers on exit: their ports refuse now.
+        (line,) = [line for line in completed.stdout.splitlines() if line.strip().startswith("workers:")]
+        for address in line.split(":", 1)[1].strip().split(","):
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(parse_worker_address(address), timeout=5).close()

@@ -9,7 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro.adversary.strategies import RandomNoiseAdversary
-from repro.core.parameters import algorithm_a, crs_oblivious_scheme
+from repro.core.parameters import crs_oblivious_scheme
 from repro.experiments.ablations import (
     chunk_size_ablation,
     flag_passing_ablation,
@@ -19,7 +19,14 @@ from repro.experiments.ablations import (
 )
 from repro.experiments.harness import format_table, run_trials, sweep
 from repro.experiments.noise_sweep import crossover_multiplier, noise_sweep
-from repro.experiments.table1 import ANALYTICAL_ROWS, TABLE1_COLUMNS, build_table1, default_cells, measure_cell
+from repro.experiments.table1 import (
+    ANALYTICAL_ROWS,
+    TABLE1_COLUMNS,
+    Table1Cell,
+    build_table1,
+    default_cells,
+    measure_cell,
+)
 from repro.experiments.theorem_validation import rate_vs_network_size, rate_vs_protocol_size, scheme_comparison
 from repro.experiments.workloads import (
     WORKLOAD_BUILDERS,
@@ -100,6 +107,22 @@ class TestTable1:
         assert row["kind"] == "measured"
         assert row["scheme"] == "uncoded"
         assert 0.0 <= row["success_rate"] <= 1.0
+
+    @pytest.mark.parametrize("copies", [1, 3, 5])
+    def test_baseline_cell_runs_its_number_of_copies(self, copies):
+        """A baseline row's overhead is its copy count, whatever its label."""
+        oblivious = default_cells()[3]
+        cell = Table1Cell(
+            f"repetition({copies})", None, oblivious.noise_type, oblivious.nominal_noise,
+            oblivious.adversary_factory, copies=copies,
+        )
+        workload = gossip_workload(topology="line", num_nodes=4, phases=4)
+        row = measure_cell(cell, workload, "line", trials=2)
+        assert row["mean_overhead"] == float(copies)
+
+    def test_default_baseline_cells_declare_their_copies(self):
+        copies = {cell.scheme_label: cell.copies for cell in default_cells() if cell.scheme is None}
+        assert copies == {"uncoded": 1, "repetition(3)": 3}
 
     def test_build_table1_small(self):
         rows = build_table1(topologies=("line",), num_nodes=4, phases=4, trials=1, include_analytical=True)

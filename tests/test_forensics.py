@@ -457,7 +457,6 @@ class TestDistributedForensics:
             backend = DistributedBackend(
                 workers=[server.address for server in workers],
                 chunk_size=1,  # spread chunks across both workers
-                probe_cache=False,
             )
             with use_runtime(backend=backend, cache=None, store=None):
                 distributed = _run_with_recorder(backend=backend)
