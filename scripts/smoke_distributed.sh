@@ -3,11 +3,12 @@
 #
 #   1. start two `repro worker serve` daemons on OS-assigned localhost ports
 #      (workers cache nothing);
-#   2. run a small noise sweep through `--backend distributed` with a run
-#      store and a coordinator cache directory, then the identical sweep
-#      serially into a second store;
+#   2. run a small observed (`--obs`) noise sweep through `--backend
+#      distributed` with a run store and a coordinator cache directory, then
+#      the identical sweep serially into a second store;
 #   3. assert the distributed run's trial-set records carry the same
-#      per-trial metrics (the result fingerprints) as the serial run's, and
+#      per-trial metrics (the result fingerprints) and the same engine,
+#      transport, hashing and adversary counters as the serial run's, and
 #      that worker attribution was recorded;
 #   4. re-run the distributed sweep against the same coordinator cache and
 #      assert it was served from that cache without dispatching a trial;
@@ -67,12 +68,12 @@ DIST_ARGS=(--backend distributed --workers "$WORKERS")
 
 echo "== distributed sweep"
 python -m repro "${SWEEP_ARGS[@]}" "${DIST_ARGS[@]}" --cache-dir "$WORK/coord-cache" \
-    --store-dir "$WORK/dist-store" > "$WORK/dist.out"
+    --store-dir "$WORK/dist-store" --obs > "$WORK/dist.out"
 
 echo "== serial sweep"
-python -m repro "${SWEEP_ARGS[@]}" --no-cache --store-dir "$WORK/serial-store" > "$WORK/serial.out"
+python -m repro "${SWEEP_ARGS[@]}" --no-cache --store-dir "$WORK/serial-store" --obs > "$WORK/serial.out"
 
-echo "== comparing run-record fingerprints and attribution"
+echo "== comparing run-record fingerprints, counters and attribution"
 python - "$WORK/dist-store" "$WORK/serial-store" <<'PY'
 import sys
 from repro.runtime import RunStore
@@ -91,10 +92,17 @@ for label in sorted(dist):
         f"per-trial metrics differ for cell {label!r}"
     assert dist[label]["aggregate"] == serial[label]["aggregate"], \
         f"aggregate differs for cell {label!r}"
+    counters = [
+        {name: value for name, value in (record.get("obs_metrics") or {}).items()
+         if name.startswith(("engine.", "transport.", "hashing.", "adversary."))}
+        for record in (dist[label], serial[label])
+    ]
+    assert counters[1], f"serial cell {label!r} recorded no engine counters"
+    assert counters[0] == counters[1], f"engine counters differ for cell {label!r}"
     workers = dist[label].get("workers", {})
     assert workers.get("backend") == "distributed", \
         f"missing distributed attribution for cell {label!r}"
-print(f"   {len(dist)} cell(s) bit-identical, attribution recorded")
+print(f"   {len(dist)} cell(s) bit-identical with equal counters, attribution recorded")
 PY
 
 # $1 = store dir, $2 = "cached" (every trial served by the coordinator

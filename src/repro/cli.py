@@ -445,7 +445,7 @@ def _cmd_runs_show(args: argparse.Namespace) -> None:
             ]
             print(format_table(
                 worker_rows,
-                ["worker", "dispatched", "stolen", "redispatched", "trials_executed"],
+                ["worker", "dispatched", "redispatched", "trials_executed"],
             ))
             for failure in attribution.get("unreachable_workers", []):
                 print(f"  unreachable: {failure}")

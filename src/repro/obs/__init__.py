@@ -11,10 +11,11 @@ trial fingerprint ever sees it:
   (``ChannelStats`` totals), hashing (message builds, seed derivations),
   the cache, the run store and the distributed backend;
 * :class:`~repro.obs.trace.Tracer` — monotonic-clock spans (``trial_set`` /
-  ``dispatch_chunk`` / ``trial`` / ``iteration`` / ``phase`` /
-  ``cache_probe``) persisted into the :class:`~repro.runtime.store.RunStore`
-  beside trial sets, with trace ids propagated through the coordinator →
-  worker wire frames so one distributed sweep yields one trace;
+  ``dispatch_chunk`` / ``worker_chunk`` / ``trial`` / ``iteration`` /
+  ``phase`` / ``cache_probe``) persisted into the
+  :class:`~repro.runtime.store.RunStore` beside trial sets, with trace ids
+  propagated to pool processes and through the coordinator → worker wire
+  frames so one parallel or distributed sweep yields one trace;
 * :mod:`~repro.obs.log` — event-plus-fields diagnostics with human or JSON
   rendering (``--log-level`` / ``--log-json``).
 

@@ -11,9 +11,11 @@ process-wide default underneath: a ``repro worker serve`` daemon runs the
 coordinator's chunks on connection threads, and a per-thread
 :func:`use_obs` lets each chunk record into its own tracer without two
 threads (or an in-process test coordinator) trampling each other's scope.
-``ProcessPoolBackend`` worker *processes* do not inherit the context at all —
-trials executed there run uninstrumented, which the architecture docs call
-out; the serial and distributed backends observe everything.
+``ProcessPoolBackend`` worker *processes* do not inherit the context at all;
+like a remote worker, each pool chunk runs through
+:func:`~repro.runtime.backends.run_chunk` under fresh local instruments
+matching the caller's and hands its counters, spans and dumps back, so every
+backend records the same thing.
 """
 
 from __future__ import annotations

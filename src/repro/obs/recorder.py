@@ -20,9 +20,10 @@ off and ``events_dropped`` counts them.  When a trial finishes, the recorder
 folds the ring into a per-trial **dump**: failing trials keep the full event
 timeline, successful trials keep only a per-kind event count summary (cheap).
 ``drain()`` hands the accumulated dumps over for persistence — the harness
-stores them on the trial-set record (``forensics``) and the distributed
-worker ships them back on the ``result`` wire frame for the coordinator to
-``adopt()``, so coordinator-side forensics cover remote workers.
+stores them on the trial-set record (``forensics``), and a pool process or
+distributed worker hands a chunk's dumps back (for a remote worker, on the
+``result`` wire frame) for the caller to ``adopt()``, so the caller's
+forensics cover every backend.
 
 Everything in a dump is JSON-pure from the moment it is recorded (links are
 ``"u->v"`` strings, symbols are ``0 / 1 / null``) so a dump that crossed the

@@ -1,7 +1,8 @@
 """The span tracer: lightweight, monotonic-clock timed, cluster-coherent.
 
 A *span* is one named, timed region of work — ``trial``, ``phase``,
-``iteration``, ``dispatch_chunk``, ``cache_probe``, ``trial_set`` — recorded
+``iteration``, ``dispatch_chunk``, ``worker_chunk``, ``cache_probe``,
+``trial_set`` — recorded
 as a plain dict so it serialises to JSON without a schema layer:
 
     {"name": "phase", "trace_id": "…", "span_id": "…", "parent_id": "…",
@@ -20,11 +21,13 @@ Suppression is thread-local — an unsampled trial suppresses the phase and
 iteration spans opened under it without a conditional at every call site,
 and without affecting trials running concurrently on other threads.
 
-Cross-host propagation: the coordinator sends ``(trace_id, parent span id,
-sample_every)`` inside the ``execute`` wire frame; the worker runs its chunk
-under a local ``Tracer`` carrying the same trace id and returns the finished
-span dicts in the ``result`` frame, which the coordinator :meth:`adopt`\\ s.
-One distributed sweep therefore yields one coherent trace.
+Cross-process propagation: a process-pool chunk and a remote worker's chunk
+both carry ``(trace_id, parent span id, sample_every)`` in their
+:func:`~repro.runtime.backends.chunk_request` (for a remote worker, inside
+the ``execute`` wire frame); the chunk runs under a local ``Tracer`` with the
+same trace id, inside one ``worker_chunk`` span, and its finished span dicts
+come back for the caller to :meth:`adopt`.  One parallel or distributed
+sweep therefore yields one coherent trace.
 """
 
 from __future__ import annotations
@@ -101,7 +104,13 @@ class _SuppressContext:
 
 
 class Tracer:
-    """Collects spans for one trace; safe to share across threads."""
+    """Collects spans for one trace; safe to share across threads.
+
+    ``sample_every`` counts the trials this tracer opens.  On the pool and
+    distributed backends each chunk has its own tracer, so ``--trace-sample
+    N`` counts trials per chunk there (the first trial of every chunk is
+    recorded).
+    """
 
     def __init__(
         self,

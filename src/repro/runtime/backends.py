@@ -30,11 +30,11 @@ from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from functools import partial
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import RunMetrics
 from repro.core.engine import simulate
-from repro.obs import FlightRecorder, get_obs, use_obs
+from repro.obs import FlightRecorder, MetricsRegistry, ObsContext, Tracer, get_obs, use_obs
 from repro.runtime.spec import TrialSpec
 
 
@@ -73,24 +73,75 @@ def execute_trial(spec: TrialSpec) -> RunMetrics:
     return result.metrics
 
 
-def _execute_chunk(
+def run_chunk(
     specs: Sequence[TrialSpec],
-    forensics_capacity: Optional[int] = None,
-) -> Tuple[List[RunMetrics], List[Dict[str, Any]]]:
-    """Worker entry point: run a contiguous chunk of trials (module-level so
-    it is picklable under every multiprocessing start method).
+    request: Optional[Mapping[str, Any]] = None,
+    worker: Optional[str] = None,
+    before_trial: Optional[Callable[[], None]] = None,
+) -> Tuple[List[RunMetrics], Dict[str, Any]]:
+    """Run a shipped chunk of trials: the one entry point of pool processes
+    and ``repro worker serve`` daemons (module-level, so it pickles).
 
-    Worker processes never inherit the parent's ambient obs context, so when
-    the parent had a flight recorder installed it passes the ring capacity
-    instead: the chunk runs under a fresh local recorder and the JSON-pure
-    dumps ride home with the metrics (mirroring the distributed worker's
-    ``forensics`` result-frame field)."""
-    if forensics_capacity is None:
-        return [execute_trial(spec) for spec in specs], []
-    recorder = FlightRecorder(capacity=forensics_capacity)
-    with use_obs(recorder=recorder):
-        metrics = [execute_trial(spec) for spec in specs]
-    return metrics, recorder.drain()
+    Neither sees the caller's ambient obs context, so ``request`` (JSON-pure,
+    from :func:`chunk_request`) names the instruments the caller has on; the
+    chunk runs under fresh local ones for exactly those — a traced chunk
+    inside one ``worker_chunk`` span labelled ``worker`` — and what they
+    recorded (``counters``, ``spans``, ``dumps``) is returned beside the
+    metrics for :func:`adopt_chunk`.  A malformed request raises before any
+    trial runs.  ``before_trial`` is called before each trial.
+    """
+    request = request or {}
+    trace, capacity = request.get("trace"), request.get("forensics")
+    registry = MetricsRegistry() if request.get("counters") else None
+    tracer = None if trace is None else Tracer(int(trace.get("sample_every") or 1), str(trace["trace_id"]), worker)
+    recorder = None if capacity is None else FlightRecorder(int(capacity))
+    metrics: List[RunMetrics] = []
+    with use_obs(metrics=registry, tracer=tracer, recorder=recorder), (
+        nullcontext()
+        if tracer is None
+        else tracer.span("worker_chunk", parent_id=trace.get("parent"), trials=len(specs))
+    ):
+        for spec in specs:
+            if before_trial is not None:
+                before_trial()
+            metrics.append(execute_trial(spec))
+    recorded: Dict[str, Any] = {}
+    if registry is not None:
+        recorded["counters"] = registry.snapshot()["counters"]
+    if tracer is not None:
+        recorded["spans"] = tracer.drain()
+    if recorder is not None:
+        recorded["dumps"] = recorder.drain()
+    return metrics, recorded
+
+
+def chunk_request(obs: ObsContext, parent: Optional[str]) -> Dict[str, Any]:
+    """The :func:`run_chunk` request for the instruments ``obs`` has on;
+    ``parent`` is the span id a traced chunk's ``worker_chunk`` hangs off.
+    Empty when observability is off."""
+    request: Dict[str, Any] = {}
+    if obs.metrics is not None:
+        request["counters"] = True
+    if obs.tracer is not None:
+        request["trace"] = {
+            "trace_id": obs.tracer.trace_id,
+            "parent": parent,
+            "sample_every": obs.tracer.sample_every,
+        }
+    if obs.recorder is not None:
+        request["forensics"] = obs.recorder.capacity
+    return request
+
+
+def adopt_chunk(obs: ObsContext, recorded: Mapping[str, Any]) -> None:
+    """Fold what a :func:`run_chunk` recorded into ``obs``'s registry,
+    tracer and recorder."""
+    if obs.metrics is not None:
+        obs.metrics.inc_many(recorded.get("counters") or {})
+    if obs.tracer is not None:
+        obs.tracer.adopt(recorded.get("spans") or ())
+    if obs.recorder is not None:
+        obs.recorder.adopt(recorded.get("dumps") or ())
 
 
 class ExecutionBackend(ABC):
@@ -134,14 +185,11 @@ class ProcessPoolBackend(ExecutionBackend):
     :meth:`close` (or use the backend as a context manager) to release the
     workers early; otherwise they are reaped at interpreter exit.
 
-    Observability caveat: worker *processes* do not inherit the ambient
-    :mod:`repro.obs` context, so trials executed in the pool run without
-    spans or engine counter flushes.  The serial and distributed backends
-    observe everything; use one of those when tracing.  The flight recorder
-    is the exception: when one is ambient, each chunk runs under a fresh
-    worker-local recorder and its dumps ride back with the results (see
-    :func:`_execute_chunk`), so ``--forensics --jobs N`` records exactly
-    what a serial run would.
+    Observability: pool processes do not inherit the ambient
+    :mod:`repro.obs` context, so each chunk runs through :func:`run_chunk`
+    under fresh local instruments matching the caller's, and its counters,
+    spans and dumps are adopted back — a pool run records what a serial run
+    would.
     """
 
     name = "process-pool"
@@ -183,16 +231,13 @@ class ProcessPoolBackend(ExecutionBackend):
         self.trials_executed += len(specs)
         if len(specs) <= 1:
             return [execute_trial(spec) for spec in specs]
-        recorder = get_obs().recorder
-        task = (
-            _execute_chunk
-            if recorder is None
-            else partial(_execute_chunk, forensics_capacity=recorder.capacity)
+        obs = get_obs()
+        task = partial(
+            run_chunk,
+            request=chunk_request(obs, obs.tracer.current_span_id() if obs.tracer is not None else None),
         )
-        chunk_results = list(self._pool().map(task, self._chunks(specs)))
         results: List[RunMetrics] = []
-        for chunk_metrics, dumps in chunk_results:
+        for chunk_metrics, recorded in self._pool().map(task, self._chunks(specs)):
             results.extend(chunk_metrics)
-            if recorder is not None:
-                recorder.adopt(dumps)
+            adopt_chunk(obs, recorded)
         return results

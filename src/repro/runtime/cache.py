@@ -69,10 +69,10 @@ class ResultCache:
                     continue
                 try:
                     record = json.loads(line)
-                    if record.get("schema") != CACHE_SCHEMA_VERSION:
+                    if not isinstance(record, dict) or record.get("schema") != CACHE_SCHEMA_VERSION:
                         continue
                     self._memory[record["key"]] = RunMetrics.from_payload(record["metrics"])
-                except (ValueError, KeyError, TypeError):
+                except (ValueError, KeyError, TypeError, AttributeError):
                     continue  # skip corrupt / truncated lines
 
     def __len__(self) -> int:
@@ -146,7 +146,7 @@ class ResultCache:
                 counts["total"] += 1
                 try:
                     record = json.loads(line)
-                    if record.get("schema") != CACHE_SCHEMA_VERSION:
+                    if not isinstance(record, dict) or record.get("schema") != CACHE_SCHEMA_VERSION:
                         counts["invalid"] += 1
                         continue
                     latest[str(record["key"])] = line

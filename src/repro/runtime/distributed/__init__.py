@@ -7,8 +7,9 @@ frames; see :mod:`~repro.runtime.distributed.wire`):
   behind ``repro worker serve``; answers ``hello``, ``ping`` and
   ``execute``, and heartbeats while a chunk runs;
 * :class:`~repro.runtime.distributed.coordinator.DistributedBackend` — an
-  :class:`~repro.runtime.backends.ExecutionBackend` that deals chunks with
-  work stealing and re-dispatches a dead worker's chunks to the survivors.
+  :class:`~repro.runtime.backends.ExecutionBackend` that hands out chunks
+  from one shared queue and re-dispatches a dead worker's chunk to a
+  survivor.
 
 Workers cache nothing: the coordinator's result cache decides which trials
 reach the backend at all.

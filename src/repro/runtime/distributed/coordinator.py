@@ -4,15 +4,15 @@
 (:mod:`repro.runtime.cache`) could not serve — ``execute_trials`` consults
 it first, under the same ``cache=`` rule as every backend — so every spec
 it is handed is dispatched.  The trials are split into contiguous chunks
-(roughly four per worker, same policy as the process pool) and dealt
-round-robin into per-worker queues.  Each worker is driven
-by one coordinator thread that drains its own queue first, then **steals**
-from the back of the longest other queue — so a fast worker never idles
-while a slow one has a backlog.  While a chunk runs, the worker heartbeats;
-if no frame arrives within ``heartbeat_timeout`` (or the connection drops),
-the worker is declared dead and its in-flight chunk is **re-dispatched** to
-the survivors.  A chunk's results are only ever accepted once, so a crash
-can never duplicate a seed.
+(roughly four per worker, same policy as the process pool) and put in one
+FIFO queue.  Each worker is driven by one coordinator thread that takes the
+next chunk from that queue whenever its worker is free — so a fast worker
+simply runs more chunks than a slow one.  While a chunk runs, the worker
+heartbeats; if no frame arrives within ``heartbeat_timeout`` (or the
+connection drops), the worker is declared dead and its in-flight chunk goes
+back to the front of the queue, to be **re-dispatched** to a survivor.  A
+chunk's results are only ever accepted once, so a crash can never duplicate
+a seed.
 
 Determinism: specs carry fully-derived seeds and workers run the same
 :func:`~repro.runtime.backends.execute_trial` as every local backend, so the
@@ -22,7 +22,7 @@ way.  The hello handshake refuses workers running a different ``repro``
 version, closing the one hole in that guarantee.
 
 Attribution: after each ``run`` the backend exposes a per-worker summary
-(chunks dispatched / stolen / re-dispatched, trials executed)
+(chunks dispatched / re-dispatched, trials executed)
 via :meth:`DistributedBackend.pop_last_attribution`; ``run_trials`` records
 it into the run store so ``repro runs show`` answers "who computed this?".
 """
@@ -35,11 +35,12 @@ import threading
 import time
 import warnings
 from collections import deque
+from contextlib import nullcontext
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import RunMetrics
-from repro.obs import FlightRecorder, MetricsRegistry, Tracer, get_logger, get_obs
-from repro.runtime.backends import ExecutionBackend
+from repro.obs import MetricsRegistry, ObsContext, get_logger, get_obs
+from repro.runtime.backends import ExecutionBackend, adopt_chunk, chunk_request
 from repro.runtime.distributed.wire import (
     PROTOCOL_VERSION,
     WireError,
@@ -114,24 +115,20 @@ class _WorkerLink:
         self,
         chunk_id: int,
         specs: Sequence[TrialSpec],
-        trace: Optional[Dict[str, Any]] = None,
+        obs: Dict[str, Any],
         registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
-        recorder: Optional[FlightRecorder] = None,
-    ) -> List[RunMetrics]:
+    ) -> Tuple[List[RunMetrics], Dict[str, Any]]:
         """Run one chunk remotely; heartbeat frames reset the read timeout.
 
-        ``trace`` rides inside the execute frame so the worker records this
-        chunk's spans under the coordinator's trace id; the result frame's
-        ``spans`` are adopted into ``tracer``.  ``registry`` receives the
-        observed inter-frame gap as the ``distributed.heartbeat_seconds``
-        histogram — the live measure of how close a worker runs to its
-        declared pulse (and how near the timeout the cluster is operating).
-        ``recorder`` turns on the worker-side flight recorder for this chunk
-        (sized to the coordinator recorder's capacity); the result frame's
-        ``forensics`` dumps are adopted into it.  Dumps only ever travel in
-        the result frame, so a chunk re-dispatched after a worker death can
-        never duplicate a trial's dump.
+        ``obs`` is the :func:`~repro.runtime.backends.chunk_request` the
+        worker runs the chunk under; the result frame's ``obs`` dict (its
+        counters, spans and dumps) is returned with the metrics for the
+        caller to adopt — only ever from the one accepted result, so a chunk
+        re-dispatched after a worker death never duplicates a trial's dump.
+        ``registry`` receives the observed inter-frame gap as the
+        ``distributed.heartbeat_seconds`` histogram — the live measure of how
+        close a worker runs to its declared pulse (and how near the timeout
+        the cluster is operating).
         """
         try:
             encoded = encode_specs(specs)
@@ -143,12 +140,7 @@ class _WorkerLink:
                 "trial specs must be picklable to cross the wire (module-level "
                 f"functions or dataclasses, never lambdas/closures): {exc}"
             ) from exc
-        request: Dict[str, Any] = {"type": "execute", "chunk_id": chunk_id, "specs": encoded}
-        if trace is not None:
-            request["trace"] = trace
-        if recorder is not None:
-            request["forensics"] = {"enabled": True, "capacity": recorder.capacity}
-        send_frame(self.sock, request)
+        send_frame(self.sock, {"type": "execute", "chunk_id": chunk_id, "specs": encoded, "obs": obs})
         previous_frame = time.monotonic()
         while True:
             frame = recv_frame(self.sock)  # socket timeout = heartbeat_timeout
@@ -163,11 +155,7 @@ class _WorkerLink:
                 payloads = frame.get("metrics", [])
                 if frame.get("chunk_id") != chunk_id or len(payloads) != len(specs):
                     raise WireError(f"worker {self.address} returned a mismatched result frame")
-                if tracer is not None:
-                    tracer.adopt(frame.get("spans") or ())
-                if recorder is not None:
-                    recorder.adopt(frame.get("forensics") or ())
-                return [RunMetrics.from_payload(payload) for payload in payloads]
+                return [RunMetrics.from_payload(payload) for payload in payloads], frame.get("obs") or {}
             if kind == "error":
                 raise TrialExecutionError(
                     f"worker {self.worker_id} ({self.address}) failed a trial: {frame.get('message')}"
@@ -185,67 +173,44 @@ class TrialExecutionError(RuntimeError):
     """A trial itself raised on a worker — deterministic, so never re-dispatched."""
 
 
-class _WorkQueues:
-    """Per-worker chunk queues with stealing, re-dispatch and completion
-    tracking.
+class _ChunkQueue:
+    """The one FIFO of chunks every drive thread pulls from, with
+    re-dispatch and completion tracking.
 
-    The subtlety is liveness: a survivor whose queues look empty must not
-    exit while another worker still has a chunk in flight — that chunk may
-    come back via :meth:`requeue` if its worker dies.  :meth:`take` therefore
-    blocks on a condition variable until there is either work to hand out or
-    provably none left anywhere (no queued chunks, nothing in flight)."""
+    The subtlety is liveness: a survivor that finds the queue empty must not
+    exit while another worker still has a chunk in flight — that chunk comes
+    back via :meth:`done` if its worker dies.  :meth:`take` therefore blocks
+    on a condition variable until there is either work to hand out or
+    provably none left (nothing queued, nothing in flight)."""
 
-    def __init__(self, worker_ids: Sequence[str]) -> None:
+    def __init__(self, chunks: Sequence[_Chunk]) -> None:
         self._condition = threading.Condition()
-        self._queues: Dict[str, deque] = {worker_id: deque() for worker_id in worker_ids}
-        self._redispatch: deque = deque()
+        self._chunks: deque = deque((chunk, False) for chunk in chunks)
         self._in_flight = 0
         self._aborted = False
 
-    def assign(self, worker_id: str, chunk: _Chunk) -> None:
-        self._queues[worker_id].append(chunk)
-
-    def take(self, worker_id: str) -> Optional[Tuple[_Chunk, str]]:
-        """Next chunk for ``worker_id`` and how it got it (``own`` /
-        ``stolen`` / ``redispatched``); blocks while work might still come
-        back from a dying worker; None when the run is drained or aborted."""
+    def take(self) -> Optional[Tuple[_Chunk, bool]]:
+        """The next chunk and whether it is a re-dispatch; blocks while work
+        might still come back from a dying worker; None when the run is
+        drained or aborted."""
         with self._condition:
             while True:
                 if self._aborted:
                     return None
-                if self._redispatch:
+                if self._chunks:
                     self._in_flight += 1
-                    return self._redispatch.popleft(), "redispatched"
-                own = self._queues.get(worker_id)
-                if own:
-                    self._in_flight += 1
-                    return own.popleft(), "own"
-                victim = max(
-                    (queue for key, queue in self._queues.items() if key != worker_id and queue),
-                    key=len,
-                    default=None,
-                )
-                if victim is not None:
-                    self._in_flight += 1
-                    return victim.pop(), "stolen"  # steal from the back: coldest work
+                    return self._chunks.popleft()
                 if self._in_flight == 0:
                     return None
                 self._condition.wait()
 
-    def done(self, chunk_completed: bool, chunk: Optional[_Chunk] = None) -> None:
-        """A taken chunk finished (``chunk_completed``) or its worker died
-        (``chunk`` goes back into the re-dispatch pool)."""
+    def done(self, requeue: Optional[_Chunk] = None) -> None:
+        """A taken chunk finished, or its worker died and ``requeue`` goes
+        back to the front of the queue."""
         with self._condition:
             self._in_flight -= 1
-            if not chunk_completed and chunk is not None:
-                self._redispatch.append(chunk)
-            self._condition.notify_all()
-
-    def drop_queue(self, worker_id: str) -> None:
-        """Move a dead worker's unstarted chunks into the re-dispatch pool."""
-        with self._condition:
-            for chunk in self._queues.pop(worker_id, ()):  # preserves order
-                self._redispatch.append(chunk)
+            if requeue is not None:
+                self._chunks.appendleft((requeue, True))
             self._condition.notify_all()
 
     def abort(self) -> None:
@@ -256,11 +221,12 @@ class _WorkQueues:
 
     def outstanding(self) -> int:
         with self._condition:
-            return len(self._redispatch) + sum(len(queue) for queue in self._queues.values())
+            return len(self._chunks)
 
 
 class DistributedBackend(ExecutionBackend):
-    """Execute trials on remote workers, with work stealing and re-dispatch.
+    """Execute trials on remote workers from one shared chunk queue, with
+    re-dispatch.
 
     ``workers`` is a list of ``host:port`` strings (one per
     ``repro worker serve`` daemon).  ``chunk_size=None`` targets roughly four
@@ -365,9 +331,9 @@ class DistributedBackend(ExecutionBackend):
                 stacklevel=3,
             )
         self._connect_failures = failures
-        # Queues, stats and attribution are keyed by worker_id; ids are
-        # worker-chosen (--worker-id), so collisions across links must be
-        # disambiguated or two workers would merge into one queue/row.
+        # Stats and attribution are keyed by worker_id; ids are worker-chosen
+        # (--worker-id), so collisions across links must be disambiguated or
+        # two workers would merge into one row.
         seen: Dict[str, int] = {}
         for link in links:
             count = seen.get(link.worker_id, 0)
@@ -400,20 +366,17 @@ class DistributedBackend(ExecutionBackend):
             self._last_attribution = {"backend": self.name, "workers": {}}
             return []
         # Capture the ambient obs context on the caller's thread: the drive
-        # threads below cannot see its thread-local scope, so the registry,
-        # tracer and parent span id travel to them explicitly.
+        # threads below cannot see its thread-local scope, so the context
+        # travels to them explicitly.
         obs = get_obs()
-        registry, tracer, recorder = obs.metrics, obs.tracer, obs.recorder
         links = self._connect()
         stats: Dict[str, Dict[str, int]] = {
-            link.worker_id: {"dispatched": 0, "stolen": 0, "redispatched": 0, "trials_executed": 0}
+            link.worker_id: {"dispatched": 0, "redispatched": 0, "trials_executed": 0}
             for link in links
         }
         self.trials_executed += len(specs)
         try:
-            self._dispatch_phase(
-                links, list(enumerate(specs)), results, stats, registry, tracer, recorder
-            )
+            self._dispatch_phase(links, list(enumerate(specs)), results, stats, obs)
         finally:
             self._last_attribution = {
                 "backend": self.name,
@@ -424,12 +387,11 @@ class DistributedBackend(ExecutionBackend):
                 # A degraded run must say so in its stored record, not just
                 # in a transient warning.
                 self._last_attribution["unreachable_workers"] = list(self._connect_failures)
-            if registry is not None:
-                registry.inc_many({
+            if obs.metrics is not None:
+                obs.metrics.inc_many({
                     "distributed.runs": 1,
                     "distributed.trials_total": len(specs),
                     "distributed.chunks_dispatched": sum(r["dispatched"] for r in stats.values()),
-                    "distributed.chunks_stolen": sum(r["stolen"] for r in stats.values()),
                     "distributed.chunks_redispatched": sum(r["redispatched"] for r in stats.values()),
                     "distributed.remote_trials_executed": sum(r["trials_executed"] for r in stats.values()),
                     "distributed.unreachable_workers": len(self._connect_failures),
@@ -445,67 +407,55 @@ class DistributedBackend(ExecutionBackend):
         pending: List[Tuple[int, TrialSpec]],
         results: List[Optional[RunMetrics]],
         stats: Dict[str, Dict[str, int]],
-        registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
-        recorder: Optional[FlightRecorder] = None,
+        obs: ObsContext,
     ) -> None:
+        tracer = obs.tracer
         # The caller's innermost span (run_trials' trial_set span) becomes
         # the explicit parent of every dispatch_chunk span — drive threads
         # have empty thread-local span stacks, so auto-parenting cannot work.
         parent_span = tracer.current_span_id() if tracer is not None else None
         chunk_size = self.chunk_size or max(1, math.ceil(len(pending) / (len(links) * 4)))
-        chunks: List[_Chunk] = [
+        queue = _ChunkQueue([
             (chunk_id, pending[start : start + chunk_size])
             for chunk_id, start in enumerate(range(0, len(pending), chunk_size))
-        ]
-        queues = _WorkQueues([link.worker_id for link in links])
-        for position, chunk in enumerate(chunks):
-            queues.assign(links[position % len(links)].worker_id, chunk)
+        ])
 
         errors: List[BaseException] = []
         results_lock = threading.Lock()
 
         def drive(link: _WorkerLink) -> None:
             while True:
-                taken = queues.take(link.worker_id)
+                taken = queue.take()
                 if taken is None:
                     return
-                chunk, provenance = taken
+                chunk, redispatched = taken
                 chunk_id, members = chunk
-                chunk_specs = [spec for _, spec in members]
+                scope = (
+                    nullcontext()
+                    if tracer is None
+                    else tracer.span(
+                        "dispatch_chunk",
+                        parent_id=parent_span,
+                        chunk=chunk_id,
+                        worker=link.worker_id,
+                        redispatched=redispatched,
+                        trials=len(members),
+                    )
+                )
                 try:
-                    if tracer is not None:
-                        with tracer.span(
-                            "dispatch_chunk",
-                            parent_id=parent_span,
-                            chunk=chunk_id,
-                            worker=link.worker_id,
-                            provenance=provenance,
-                            trials=len(members),
-                        ) as dispatch_span:
-                            metrics = link.execute(
-                                chunk_id,
-                                chunk_specs,
-                                trace={
-                                    "trace_id": tracer.trace_id,
-                                    "parent": dispatch_span.span_id if dispatch_span is not None else None,
-                                    "sample_every": tracer.sample_every,
-                                },
-                                registry=registry,
-                                tracer=tracer,
-                                recorder=recorder,
-                            )
-                    else:
-                        metrics = link.execute(
-                            chunk_id, chunk_specs, registry=registry, recorder=recorder
+                    with scope as dispatch_span:
+                        metrics, recorded = link.execute(
+                            chunk_id,
+                            [spec for _, spec in members],
+                            chunk_request(obs, dispatch_span.span_id if dispatch_span is not None else None),
+                            obs.metrics,
                         )
                 except TrialExecutionError as exc:
                     # Deterministic failure: re-dispatching would fail again
                     # everywhere.  Surface it and stop the whole run.
                     with results_lock:
                         errors.append(exc)
-                    queues.done(chunk_completed=False, chunk=chunk)
-                    queues.abort()
+                    queue.abort()
                     return
                 except (OSError, ConnectionError, WireError, socket.timeout) as exc:
                     # Dead worker (crash, kill, network): give its work back
@@ -518,25 +468,21 @@ class DistributedBackend(ExecutionBackend):
                         error=f"{type(exc).__name__}: {exc}",
                     )
                     self._discard(link)
-                    queues.done(chunk_completed=False, chunk=chunk)
-                    queues.drop_queue(link.worker_id)
+                    queue.done(requeue=chunk)
                     return
                 except BaseException as exc:  # never strand in-flight work
                     with results_lock:
                         errors.append(exc)
-                    queues.done(chunk_completed=False, chunk=chunk)
-                    queues.abort()
+                    queue.abort()
                     return
+                adopt_chunk(obs, recorded)
                 with results_lock:
                     stats[link.worker_id]["dispatched"] += 1
-                    if provenance == "stolen":
-                        stats[link.worker_id]["stolen"] += 1
-                    elif provenance == "redispatched":
-                        stats[link.worker_id]["redispatched"] += 1
+                    stats[link.worker_id]["redispatched"] += redispatched
                     stats[link.worker_id]["trials_executed"] += len(members)
                     for (index, _), value in zip(members, metrics):
                         results[index] = value
-                queues.done(chunk_completed=True)
+                queue.done()
 
         threads = [threading.Thread(target=drive, args=(link,), daemon=True) for link in links]
         for thread in threads:
@@ -545,8 +491,8 @@ class DistributedBackend(ExecutionBackend):
             thread.join()
         if errors:
             raise errors[0]
-        if queues.outstanding():
+        if queue.outstanding():
             raise RuntimeError(
                 "every distributed worker died before the run finished "
-                f"({queues.outstanding()} chunk(s) left)"
+                f"({queue.outstanding()} chunk(s) left)"
             )

@@ -31,14 +31,17 @@ request         response                 meaning
 Workers cache nothing: the coordinator's result cache
 (:mod:`repro.runtime.cache`) decides which trials to send.
 
-Tracing rides the existing vocabulary instead of extending it: an
-``execute`` request may carry an optional ``trace`` object —
-``{"trace_id", "parent", "sample_every"}`` — and the matching ``result``
-response then carries ``spans``, the finished span dicts the worker's local
-:class:`~repro.obs.trace.Tracer` recorded under that trace id.  The
-coordinator adopts those spans into its own tracer, so one distributed
-sweep yields one coherent cross-host trace.  Both fields are optional, so
-tracing-on and tracing-off peers interoperate within one protocol version.
+Observability rides the existing vocabulary in one field each way.  An
+``execute`` request carries ``obs``, the
+:func:`~repro.runtime.backends.chunk_request` naming the instruments the
+coordinator has on — ``counters``, a ``trace`` (``{"trace_id", "parent",
+"sample_every"}``) and a ``forensics`` ring capacity — and the matching
+``result`` carries ``obs`` back: the chunk's engine counters, the finished
+span dicts recorded under the coordinator's trace id, and the trials'
+flight-recorder dumps, each only when asked for.  The coordinator adopts
+them exactly as the process pool adopts a chunk's, so one distributed sweep
+yields one coherent cross-host trace and the same counters and dumps a
+serial run records.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ import struct
 from typing import Any, Dict, List, Sequence
 
 #: Bump when the frame layout or message vocabulary changes incompatibly.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Upper bound on a single frame; anything larger is a protocol violation
 #: (a length prefix of garbage bytes decodes to a huge number — better to

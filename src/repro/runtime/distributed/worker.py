@@ -7,12 +7,17 @@ place a result is kept).  It answers three requests:
 
 * ``hello`` — its id, protocol and package version, and heartbeat interval;
 * ``ping`` — a liveness round-trip;
-* ``execute`` — runs a chunk trial by trial via the same
-  :func:`~repro.runtime.backends.execute_trial` every other backend uses
-  (the spec carries its fully-derived seed, so results are bit-identical to
+* ``execute`` — runs a chunk through the same
+  :func:`~repro.runtime.backends.run_chunk` the process pool uses (each
+  spec carries its fully-derived seed, so results are bit-identical to
   serial execution by construction), emitting ``heartbeat`` frames every
   ``heartbeat_interval`` seconds while it runs, so the coordinator can tell
-  "slow trial" from "dead worker" without a side channel.
+  "slow trial" from "dead worker" without a side channel.  The result
+  frame's ``obs`` field carries the counters, spans and forensic dumps the
+  coordinator asked for.
+
+Which worker runs which chunk is the coordinator's business: each of its
+drive threads sends its worker the next chunk from one shared queue.
 
 The server is a thread-per-connection ``socket`` loop — trial execution is
 CPU-bound Python, so one connection (the coordinator's) does the real work.
@@ -27,10 +32,11 @@ from __future__ import annotations
 import json
 import socket
 import threading
-from typing import Any, Dict, List, Optional
+from functools import partial
+from typing import Any, Dict, Optional
 
-from repro.obs import FlightRecorder, MetricsRegistry, Tracer, get_logger, use_obs
-from repro.runtime.backends import execute_trial
+from repro.obs import MetricsRegistry, get_logger
+from repro.runtime.backends import run_chunk
 from repro.runtime.distributed.wire import (
     PROTOCOL_VERSION,
     WireError,
@@ -62,10 +68,10 @@ class WorkerServer:
         self.crash_after_trials = crash_after_trials
         #: Trials this worker has simulated over its lifetime.
         self.trials_executed = 0
-        #: Always-on per-daemon metrics: chunks run on connection threads
-        #: under ``use_obs(metrics=self.registry, ...)``, so engine/transport
-        #: counters accumulate here for the whole daemon lifetime.  Exposed
-        #: live by the ``--status-port`` HTTP endpoint.
+        #: Always-on per-daemon metrics: every chunk records its counters
+        #: and they are folded in here when it finishes, so engine/transport
+        #: counters accumulate for the whole daemon lifetime.  Exposed by
+        #: the ``--status-port`` HTTP endpoint.
         self.registry = MetricsRegistry()
         self._server = socket.create_server((host, port))
         self.host, self.port = self._server.getsockname()[:2]
@@ -214,58 +220,26 @@ class WorkerServer:
 
         pulse = threading.Thread(target=heartbeat, daemon=True)
         pulse.start()
-        trace = request.get("trace")
-        tracer: Optional[Tracer] = None
-        if isinstance(trace, dict) and trace.get("trace_id"):
-            # The coordinator is tracing: record this chunk's spans under its
-            # trace id, parented onto its dispatch span, and ship them back
-            # inside the result frame for adoption.
-            tracer = Tracer(
-                sample_every=max(1, int(trace.get("sample_every") or 1)),
-                trace_id=str(trace["trace_id"]),
-                worker=self.worker_id,
-            )
-        forensics = request.get("forensics")
-        recorder: Optional[FlightRecorder] = None
-        if isinstance(forensics, dict) and forensics.get("enabled"):
-            # The coordinator is flight-recording: capture this chunk's trial
-            # dumps locally and ship them back inside the result frame for
-            # adoption — dumps are JSON-pure, so the wire round trip is
-            # lossless and coordinator-side forensics cover remote workers.
-            recorder = FlightRecorder(capacity=int(forensics.get("capacity") or 4096))
         try:
-            specs = decode_specs(request["specs"])
-            payloads: List[Dict[str, Any]] = []
-
-            def run_chunk() -> None:
-                for spec in specs:
-                    self._maybe_crash(connection)
-                    metrics = execute_trial(spec)
-                    with self._lock:
-                        self.trials_executed += 1
-                    payloads.append(metrics.to_payload())
-
-            with use_obs(metrics=self.registry, tracer=tracer, recorder=recorder):
-                if tracer is not None:
-                    with tracer.span(
-                        "worker_chunk",
-                        parent_id=trace.get("parent"),
-                        chunk=chunk_id,
-                        trials=len(specs),
-                    ):
-                        run_chunk()
-                else:
-                    run_chunk()
+            # Parsed inside the try: a malformed request gets an error frame.
+            wanted = request.get("obs") or {}
+            metrics, recorded = run_chunk(
+                decode_specs(request["specs"]),
+                # Counters always: the --status-port registry shows them.
+                dict(wanted, counters=True),
+                worker=self.worker_id,
+                before_trial=partial(self._before_trial, connection),
+            )
+            self.registry.inc_many(recorded["counters"])
+            if not wanted.get("counters"):
+                del recorded["counters"]
             response: Dict[str, Any] = {
                 "type": "result",
                 "worker_id": self.worker_id,
                 "chunk_id": chunk_id,
-                "metrics": payloads,
+                "metrics": [value.to_payload() for value in metrics],
+                "obs": recorded,
             }
-            if tracer is not None:
-                response["spans"] = tracer.drain()
-            if recorder is not None:
-                response["forensics"] = recorder.drain()
         except WorkerCrash:
             raise
         except Exception as exc:  # deterministic simulation failure → report, don't die
@@ -284,7 +258,8 @@ class WorkerServer:
         with write_lock:
             send_frame(connection, response)
 
-    def _maybe_crash(self, connection: socket.socket) -> None:
+    def _before_trial(self, connection: socket.socket) -> None:
+        """Count the trial about to run, or fire the failure-injection knob."""
         if self.crash_after_trials is not None and self.trials_executed >= self.crash_after_trials:
             # Slam the door: no result frame, no goodbye — the coordinator's
             # heartbeat timeout / connection error is the only signal.
@@ -294,3 +269,5 @@ class WorkerServer:
                 pass
             connection.close()
             raise WorkerCrash()
+        with self._lock:
+            self.trials_executed += 1

@@ -279,7 +279,7 @@ class RunStore:
         ``cached_trials`` records how many of the trials were served from the
         result cache — analytics treat the wall clock of a partially-cached
         run as informative only.  ``worker_attribution`` is the per-worker
-        summary of a distributed run (who executed / stole / re-ran what);
+        summary of a distributed run (who executed / re-ran what);
         purely informative, so analytics and diffing ignore it.
         ``obs_metrics`` is the flat metric delta this cell produced in the
         ambient :class:`~repro.obs.metrics.MetricsRegistry` (present only
@@ -353,11 +353,14 @@ class RunStore:
     # -- reading -----------------------------------------------------------
 
     def load(self, run_id: str) -> Dict[str, object]:
-        """The raw JSON document of one run; raises ``KeyError`` if absent."""
+        """The raw JSON document of one run; raises ``KeyError`` if absent
+        and ``ValueError`` if it is not a current-schema JSON object."""
         path = self.root / f"{run_id}.json"
         if not path.exists():
             raise KeyError(f"no run {run_id!r} in {self.root}")
         payload = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(payload, dict):
+            raise ValueError(f"run {run_id!r} is not a JSON object")
         schema = payload.get("schema")
         if schema != STORE_SCHEMA_VERSION:
             raise ValueError(

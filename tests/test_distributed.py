@@ -44,6 +44,7 @@ from repro.runtime.distributed.coordinator import parse_worker_address
 from repro.runtime.distributed.wire import (
     PROTOCOL_VERSION,
     WireError,
+    encode_specs,
     recv_frame,
     send_frame,
 )
@@ -200,7 +201,7 @@ class TestDistributedDeterminism:
 
         server = ProtocolOneWorker().start()
         try:
-            with pytest.raises(RuntimeError, match="protocol 1, this coordinator speaks 2"):
+            with pytest.raises(RuntimeError, match="protocol 1, this coordinator speaks 3"):
                 _run(DistributedBackend([server.address]), trials=1)
             assert server.trials_executed == 0
         finally:
@@ -220,6 +221,87 @@ class TestDistributedDeterminism:
             send_frame(sock, {"type": "ping"})
             assert recv_frame(sock)["type"] == "pong"
         assert _run(DistributedBackend([worker.address]), trials=1).runs
+
+    @pytest.mark.parametrize("obs", [
+        {"trace": {"trace_id": "x", "sample_every": "abc"}},
+        {"forensics": "abc"},
+        {"forensics": 0},
+        ["counters"],
+    ], ids=["bad-sample-every", "bad-capacity", "zero-capacity", "not-an-object"])
+    def test_malformed_execute_request_gets_an_error_frame(self, worker, obs):
+        """A bad obs request beside valid specs is refused with an error
+        frame; the connection survives and no trial runs."""
+        workload, scheme, factory = _cell()
+        specs = build_trial_specs(workload, scheme, factory, [derive_trial_seed(3, 0)])
+        host, port = parse_worker_address(worker.address)
+        with socket.create_connection((host, port), timeout=10) as sock:
+            send_frame(sock, {"type": "execute", "chunk_id": 0,
+                              "specs": encode_specs(specs), "obs": obs})
+            reply = recv_frame(sock)
+            while reply["type"] == "heartbeat":
+                reply = recv_frame(sock)
+            assert reply["type"] == "error"
+            assert reply["chunk_id"] == 0
+            send_frame(sock, {"type": "ping"})
+            assert recv_frame(sock)["type"] == "pong"
+        assert worker.trials_executed == 0
+
+
+class TestChunkQueue:
+    def test_every_chunk_completes_once_while_drive_threads_die(self):
+        """Four drive threads "die" holding a chunk each while eight more
+        (more threads than cores) drain the one shared queue; the survivors
+        must wait for the held chunks instead of exiting, then run each of
+        them once as a re-dispatch."""
+        import sys
+        import threading
+        import time
+
+        from repro.runtime.distributed.coordinator import _ChunkQueue
+
+        queue = _ChunkQueue([(chunk_id, []) for chunk_id in range(200)])
+        completed, redispatched = [], []
+        lock, held, release = threading.Lock(), threading.Barrier(5), threading.Event()
+
+        def drive(dies: bool) -> None:
+            while True:
+                taken = queue.take()
+                if taken is None:
+                    return
+                chunk, again = taken
+                if dies:
+                    held.wait(timeout=30)
+                    release.wait(timeout=30)
+                    queue.done(requeue=chunk)
+                    return
+                with lock:
+                    completed.append(chunk[0])
+                    redispatched.append(again)
+                queue.done()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            dying = [threading.Thread(target=drive, args=(True,), daemon=True) for _ in range(4)]
+            for thread in dying:
+                thread.start()
+            held.wait(timeout=30)  # every dying drive thread holds a chunk
+            live = [threading.Thread(target=drive, args=(False,), daemon=True) for _ in range(8)]
+            for thread in live:
+                thread.start()
+            deadline = time.monotonic() + 30
+            while queue.outstanding() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert all(thread.is_alive() for thread in live)  # waiting, not gone
+            release.set()
+            for thread in dying + live:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in dying + live)
+        assert sorted(completed) == list(range(200))
+        assert sum(redispatched) == 4
+        assert queue.outstanding() == 0
 
 
 class TestClusterCacheReuse:
@@ -340,7 +422,8 @@ class TestAttributionInRunStore:
         assert set(workers) == {w.worker_id for w in worker_pair}
         assert sum(stats["trials_executed"] for stats in workers.values()) == 6
         assert all(
-            {"dispatched", "stolen", "redispatched"} <= set(stats) for stats in workers.values()
+            set(stats) == {"dispatched", "redispatched", "trials_executed"}
+            for stats in workers.values()
         )
         # Workers cache nothing, so the second run executes all 6 trials again.
         rerun = second["workers"]["workers"]
@@ -389,8 +472,9 @@ class TestCliIntegration:
         assert distributed_out == serial_out
 
     def test_runs_show_displays_records_with_retired_cache_hit_fields(self, tmp_path, capsys):
-        """Records written while workers cached still show; the retired
-        ``remote_cache_hits`` and ``cache_hits`` fields are not rendered."""
+        """Records written while workers cached and stole work still show;
+        the retired ``remote_cache_hits``, ``cache_hits`` and ``stolen``
+        fields are not rendered."""
         from repro.cli import main
 
         store = RunStore(tmp_path)
@@ -408,6 +492,7 @@ class TestCliIntegration:
         assert "workers (distributed backend, 6 trial(s)):" in out
         assert "w1" in out
         assert "cache" not in out
+        assert "stolen" not in out
 
     def test_backend_distributed_without_workers_fails_friendly(self, capsys):
         from repro.cli import main

@@ -13,14 +13,16 @@ The guarantees pinned here:
 4. a seeded noise sweep with failures yields a concrete taxonomy cause for
    every failed trial, round-trips through the :class:`RunStore`, and
    renders via ``repro runs explain`` / ``repro runs flight``;
-5. a 2-worker distributed run produces the same forensic dumps as a serial
-   run of the same specs (the acceptance criterion: dumps are JSON-pure and
-   sorted by seed, so the backend is invisible).
+5. a process-pool run and a 2-worker distributed run produce the same
+   forensic dumps, engine counters and trial/iteration/phase spans as a
+   serial run of the same specs (dumps are JSON-pure and sorted by seed, so
+   the backend is invisible).
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -44,7 +46,7 @@ from repro.experiments.factories import RandomNoiseFactory
 from repro.experiments.harness import run_trials
 from repro.experiments.workloads import gossip_workload
 from repro.network.topologies import line_topology
-from repro.obs import FlightRecorder, use_obs
+from repro.obs import FlightRecorder, MetricsRegistry, Tracer, use_obs
 from repro.obs.recorder import classify_slot, link_label
 from repro.protocols.random_protocol import RandomProtocol
 from repro.runtime import (
@@ -53,7 +55,6 @@ from repro.runtime import (
     RunStore,
     SerialBackend,
     WorkerServer,
-    use_runtime,
 )
 
 
@@ -433,38 +434,50 @@ class TestForensicsEndToEnd:
         assert "--forensics" in capsys.readouterr().err
 
 
-class TestBackendForensicsParity:
-    def test_process_pool_run_matches_serial_forensics(self):
-        """Pool workers never inherit the ambient obs context; the backend
-        must ship chunk-local recorder dumps home so ``--forensics --jobs N``
-        records exactly what a serial run would."""
-        serial = _run_with_recorder()
-        with ProcessPoolBackend(max_workers=2, chunk_size=2) as backend:
-            pooled = _run_with_recorder(backend=backend)
-        assert pooled.forensics == serial.forensics
-        assert [run.to_payload() for run in pooled.runs] == [
-            run.to_payload() for run in serial.runs
-        ]
+def _run_observed(backend=None):
+    """The failing cell under every instrument: counters, a trace recording
+    every trial, and (inside ``_run_with_recorder``) a flight recorder."""
+    registry, tracer = MetricsRegistry(), Tracer(sample_every=1)
+    with use_obs(metrics=registry, tracer=tracer):
+        trial_set = _run_with_recorder(backend=backend, trials=6)
+    counters = {
+        name: value for name, value in registry.flat_snapshot().items()
+        if not name.startswith("distributed.")
+    }
+    span_counts = Counter(
+        span["name"] for span in tracer.drain()
+        if span["name"] in ("trial", "iteration", "phase")
+    )
+    return trial_set, counters, span_counts
 
 
-class TestDistributedForensics:
-    def test_two_worker_run_matches_serial_forensics(self):
-        """The acceptance criterion: a 2-worker distributed run of the same
-        specs yields byte-identical forensic dumps to the serial run."""
-        serial = _run_with_recorder()
-        workers = [WorkerServer().start(), WorkerServer().start()]
-        try:
-            backend = DistributedBackend(
-                workers=[server.address for server in workers],
-                chunk_size=1,  # spread chunks across both workers
-            )
-            with use_runtime(backend=backend, cache=None, store=None):
-                distributed = _run_with_recorder(backend=backend)
-            backend.close()
-        finally:
-            for server in workers:
-                server.stop()
-        assert distributed.forensics == serial.forensics
-        assert [run.to_payload() for run in distributed.runs] == [
+class TestShippedChunkParity:
+    @pytest.mark.parametrize("backend_kind", ["pool", "distributed"])
+    def test_records_what_serial_records(self, backend_kind):
+        """Pool processes and remote workers never see the ambient obs
+        context; each chunk runs under matching local instruments and ships
+        its counters, spans and dumps home, so a pool run (chunk_size=2) and
+        a two-worker run (chunk_size=1) record exactly what serial does."""
+        serial, serial_counters, serial_spans = _run_observed()
+        assert serial_counters and serial_spans["trial"] == 6
+        if backend_kind == "pool":
+            with ProcessPoolBackend(max_workers=2, chunk_size=2) as backend:
+                shipped, counters, spans = _run_observed(backend)
+        else:
+            workers = [WorkerServer().start(), WorkerServer().start()]
+            try:
+                with DistributedBackend(
+                    workers=[server.address for server in workers], chunk_size=1,
+                ) as backend:
+                    shipped, counters, spans = _run_observed(backend)
+            finally:
+                for server in workers:
+                    server.stop()
+            # Both workers really participated.
+            assert all(server.trials_executed > 0 for server in workers)
+        assert [run.to_payload() for run in shipped.runs] == [
             run.to_payload() for run in serial.runs
         ]
+        assert shipped.forensics == serial.forensics
+        assert counters == serial_counters
+        assert spans == serial_spans

@@ -15,8 +15,12 @@ subsystem) are pinned here:
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.metrics import AggregateMetrics, RunMetrics
 from repro.core.parameters import algorithm_a, crs_oblivious_scheme
@@ -38,7 +42,21 @@ from repro.runtime import (
     get_runtime,
     use_runtime,
 )
+from repro.runtime.cache import CACHE_SCHEMA_VERSION
 from repro.runtime.spec import build_trial_specs, derive_trial_seed
+from repro.runtime.store import STORE_SCHEMA_VERSION
+
+#: Arbitrary JSON documents (objects, arrays and scalars, nested).
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=8,
+)
+
+
+def _not_schema(version):
+    """Drop the (vanishingly rare) objects that claim the current schema."""
+    return lambda value: not (isinstance(value, dict) and value.get("schema") == version)
 
 
 class TestSerialParallelDeterminism:
@@ -212,6 +230,45 @@ class TestResultCache:
             second = noise_sweep(workload, algorithm_a(), multipliers=(0.5, 1.0), trials=2)
         assert backend.trials_executed == executed
         assert first == second
+
+
+def _metrics_payload():
+    return RunMetrics(
+        scheme="algorithm_a", success=True, protocol_communication=10,
+        simulation_communication=100, corruptions=0, noise_fraction=0.0,
+        iterations_run=5, iterations_budget=9,
+    ).to_payload()
+
+
+class TestLoadersSkipNonRecords:
+    """A cache line or run document that is valid JSON but not a record (an
+    array, a scalar, a foreign object) is skipped or refused, never a crash."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(values=st.lists(_JSON.filter(_not_schema(CACHE_SCHEMA_VERSION)), min_size=1, max_size=4))
+    def test_cache_load_and_compact_skip_non_record_lines(self, values):
+        good = {"schema": CACHE_SCHEMA_VERSION, "key": "k",
+                "metrics": _metrics_payload()}
+        with tempfile.TemporaryDirectory() as directory:
+            lines = [json.dumps(value) for value in values] + [json.dumps(good)]
+            (Path(directory) / "trials.jsonl").write_text("\n".join(lines) + "\n")
+            assert len(ResultCache(directory)) == 1
+            assert ResultCache(directory).compact() == {
+                "kept": 1, "dropped_superseded": 0, "dropped_invalid": len(values),
+            }
+
+    @settings(max_examples=40, deadline=None)
+    @given(value=_JSON.filter(_not_schema(STORE_SCHEMA_VERSION)))
+    def test_run_store_refuses_non_record_documents(self, value):
+        from repro.cli import main
+
+        with tempfile.TemporaryDirectory() as directory:
+            (Path(directory) / "run-000001.json").write_text(json.dumps(value))
+            with pytest.raises(ValueError):
+                RunStore(directory).load("run-000001")
+            with pytest.raises(SystemExit) as excinfo:
+                main(["runs", "show", "run-000001", "--store-dir", directory])
+            assert excinfo.value.code == 1
 
 
 class TestRunStore:
