@@ -3,8 +3,8 @@
 #
 #   1. start two `repro worker serve` daemons on OS-assigned localhost ports
 #      (workers cache nothing);
-#   2. run a small observed (`--obs`) noise sweep through `--backend
-#      distributed` with a run store and a coordinator cache directory, then
+#   2. run a small observed (`--obs`) noise sweep on them (`--workers`)
+#      with a run store and a coordinator cache directory, then
 #      the identical sweep serially into a second store;
 #   3. assert the distributed run's trial-set records carry the same
 #      per-trial metrics (the result fingerprints) and the same engine,
@@ -64,7 +64,7 @@ echo "   workers: $WORKERS"
 
 SWEEP_ARGS=(noise-sweep --topology line --nodes 4 --phases 4
             --multipliers 0.5 4.0 --trials 2 --seed 11)
-DIST_ARGS=(--backend distributed --workers "$WORKERS")
+DIST_ARGS=(--workers "$WORKERS")
 
 echo "== distributed sweep"
 python -m repro "${SWEEP_ARGS[@]}" "${DIST_ARGS[@]}" --cache-dir "$WORK/coord-cache" \

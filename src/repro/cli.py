@@ -16,7 +16,7 @@ writing any Python:
   dumps captured under ``--forensics`` (failure taxonomy / one trial's event
   timeline), ``merge`` trial sets of the same cell, ``gc`` old runs,
 * ``worker``        — ``worker serve`` runs a distributed-execution worker
-  daemon (see ``--backend distributed`` below),
+  daemon (see ``--workers`` below),
 * ``cache``         — trial-cache hygiene: ``cache compact`` rewrites the
   JSONL mirror keeping only the latest entry per trial key.
 
@@ -26,14 +26,16 @@ filters the command offers (``runs diff`` takes ``--kind``/``--experiment``;
 ``runs merge`` resolves against trial_set records only).
 
 Every command prints a fixed-width table and can also write a JSON or Markdown
-report via ``--output``.  Experiment commands share the runtime flags:
+report via ``--output``.  Each experiment runs in one scope that owns its
+backend and closes it (pool processes, worker connections) before the report
+is printed and stored.  Experiment commands share the runtime flags:
 
 * ``--jobs N``      — fan trials out over N worker processes (results are
   bit-identical to serial execution; see ``src/repro/runtime/README.md``),
-* ``--backend``     — pick the execution backend explicitly: ``serial``,
-  ``process-pool`` (what ``--jobs N`` implies) or ``distributed``,
 * ``--workers``     — comma-separated ``host:port`` list of ``repro worker
-  serve`` daemons for ``--backend distributed``,
+  serve`` daemons: the trials run on them (the distributed backend);
+  exclusive with ``--jobs N > 1``, and without either flag trials run
+  serially,
 * ``--cache-dir``   — persist trial results so re-runs skip finished work,
 * ``--no-cache``    — disable result caching entirely (even in-memory),
 * ``--store-dir``   — persist every trial set and the final report to a run
@@ -61,7 +63,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.adversary.strategies import RandomNoiseAdversary
 from repro.analysis.forensics import (
@@ -102,6 +104,7 @@ from repro.obs import (
 )
 from repro.runtime import (
     DistributedBackend,
+    ExecutionBackend,
     ProcessPoolBackend,
     RegressionThresholds,
     ResultCache,
@@ -125,17 +128,14 @@ def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
         help="worker processes for trial execution (1 = serial; results are identical)",
     )
     parser.add_argument(
-        "--backend", choices=["serial", "process-pool", "distributed"], default=None,
-        help="execution backend (default: serial, or process-pool when --jobs > 1)",
-    )
-    parser.add_argument(
         "--workers", default=None,
-        help="comma-separated host:port list of worker daemons (--backend distributed)",
+        help="comma-separated host:port list of worker daemons; runs the trials "
+             "on them (the distributed backend) instead of locally",
     )
     parser.add_argument(
         "--heartbeat-timeout", type=float, default=10.0,
         help="seconds without a worker frame before it is declared dead "
-             "(--backend distributed; stretched automatically for workers "
+             "(--workers; stretched automatically for workers "
              "announcing a slower --heartbeat-interval)",
     )
     parser.add_argument(
@@ -212,141 +212,122 @@ def _obs_scope(args: argparse.Namespace):
     )
 
 
-def _runtime_overrides(args: argparse.Namespace) -> Dict[str, object]:
-    """Translate CLI flags into a runtime-context override for ``use_runtime``."""
-    backend_name = args.backend or ("process-pool" if args.jobs > 1 else "serial")
-    if backend_name == "distributed":
-        addresses = [part.strip() for part in (args.workers or "").split(",") if part.strip()]
-        if not addresses:
-            raise _fail("--backend distributed needs --workers host:port[,host:port...]")
+def _backend(args: argparse.Namespace) -> ExecutionBackend:
+    """``--workers`` selects the distributed backend, ``--jobs N > 1`` a
+    process pool, anything else the serial backend."""
+    jobs = getattr(args, "jobs", 1)
+    workers = getattr(args, "workers", None)
+    if workers is not None:
+        if jobs > 1:
+            raise _fail("--workers and --jobs are exclusive: trials run on worker daemons or in a local pool")
         try:
-            backend = DistributedBackend(workers=addresses, heartbeat_timeout=args.heartbeat_timeout)
+            return DistributedBackend(workers=workers.split(","), heartbeat_timeout=args.heartbeat_timeout)
         except ValueError as exc:
             raise _fail(str(exc))
-    elif backend_name == "process-pool":
-        backend = ProcessPoolBackend(max_workers=args.jobs if args.jobs > 1 else None)
-    else:
-        backend = SerialBackend()
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    store = RunStore(args.store_dir) if args.store_dir else None
-    return {"backend": backend, "cache": cache, "store": store}
+    if jobs > 1:
+        return ProcessPoolBackend(max_workers=jobs)
+    return SerialBackend()
 
 
-def _emit(
-    report: ExperimentReport,
+def _run_experiment(
+    args: argparse.Namespace,
+    experiment: str,
+    parameters: Dict[str, object],
     columns: Sequence[str],
-    output: Optional[str],
-    seed: Optional[int] = None,
-    store: Optional[RunStore] = None,
+    compute: Callable[[], List[Dict[str, object]]],
 ) -> None:
-    if seed is not None:
-        print(f"seed: {seed}")
+    """The one experiment scope: ``compute()`` the rows under the runtime the
+    flags ask for, closing the backend afterwards, then print the table,
+    record the report in ``--store-dir`` and write ``--output``."""
+    backend = _backend(args)
+    cache = None if getattr(args, "no_cache", False) else ResultCache(getattr(args, "cache_dir", None))
+    store = RunStore(args.store_dir) if args.store_dir else None
+    with backend, use_runtime(backend=backend, cache=cache, store=store):
+        rows = compute()
+    report = ExperimentReport(experiment=experiment, rows=rows, parameters=parameters)
+    print(f"seed: {args.seed}")
     print(format_table(report.rows, columns))
     if store is not None:
-        run_id = report.save_to_store(store)
-        print(f"\nrun persisted as {run_id} in {store.root}")
-    if output:
-        path = report.save(output)
-        print(f"\nreport written to {path}")
+        print(f"\nrun persisted as {store.record_report(report)} in {store.root}")
+    if args.output:
+        print(f"\nreport written to {report.save(args.output)}")
 
 
 def _cmd_table1(args: argparse.Namespace) -> None:
-    overrides = _runtime_overrides(args)
-    with use_runtime(**overrides):
-        rows = build_table1(
+    _run_experiment(
+        args,
+        "table1",
+        {"nodes": args.nodes, "phases": args.phases, "trials": args.trials, "seed": args.seed},
+        TABLE1_COLUMNS,
+        lambda: build_table1(
             topologies=tuple(args.topologies),
             num_nodes=args.nodes,
             phases=args.phases,
             trials=args.trials,
             base_seed=args.seed,
             include_analytical=not args.measured_only,
-        )
-    report = ExperimentReport(
-        experiment="table1",
-        rows=rows,
-        parameters={"nodes": args.nodes, "phases": args.phases, "trials": args.trials, "seed": args.seed},
+        ),
     )
-    _emit(report, TABLE1_COLUMNS, args.output, seed=args.seed, store=overrides["store"])
 
 
 def _cmd_noise_sweep(args: argparse.Namespace) -> None:
     workload = gossip_workload(topology=args.topology, num_nodes=args.nodes, phases=args.phases)
     scheme = scheme_by_name(args.scheme)
-    overrides = _runtime_overrides(args)
-    with use_runtime(**overrides):
-        points = noise_sweep(
-            workload, scheme, multipliers=tuple(args.multipliers), trials=args.trials,
-            base_seed=args.seed,
-        )
-    rows = [point.as_dict() for point in points]
-    report = ExperimentReport(
-        experiment="noise_sweep",
-        rows=rows,
-        parameters={"scheme": args.scheme, "topology": args.topology, "nodes": args.nodes, "seed": args.seed},
-    )
-    _emit(
-        report,
+    _run_experiment(
+        args,
+        "noise_sweep",
+        {"scheme": args.scheme, "topology": args.topology, "nodes": args.nodes, "seed": args.seed},
         ["multiplier", "target_fraction", "measured_fraction", "success_rate", "mean_overhead"],
-        args.output,
-        seed=args.seed,
-        store=overrides["store"],
+        lambda: [
+            point.as_dict()
+            for point in noise_sweep(
+                workload, scheme, multipliers=tuple(args.multipliers), trials=args.trials, base_seed=args.seed
+            )
+        ],
     )
 
 
 def _cmd_rate(args: argparse.Namespace) -> None:
     scheme = scheme_by_name(args.scheme)
-    overrides = _runtime_overrides(args)
-    with use_runtime(**overrides):
-        points = rate_vs_protocol_size(
-            scheme,
-            phases_grid=tuple(args.phases_grid),
-            topology=args.topology,
-            num_nodes=args.nodes,
-            trials=args.trials,
-            base_seed=args.seed,
-        )
-    rows = [point.as_dict() for point in points]
-    report = ExperimentReport(
-        experiment="rate_vs_protocol_size",
-        rows=rows,
-        parameters={"scheme": args.scheme, "topology": args.topology, "seed": args.seed},
+    _run_experiment(
+        args,
+        "rate_vs_protocol_size",
+        {"scheme": args.scheme, "topology": args.topology, "seed": args.seed},
+        ["x", "overhead", "rate", "success_rate"],
+        lambda: [
+            point.as_dict()
+            for point in rate_vs_protocol_size(
+                scheme,
+                phases_grid=tuple(args.phases_grid),
+                topology=args.topology,
+                num_nodes=args.nodes,
+                trials=args.trials,
+                base_seed=args.seed,
+            )
+        ],
     )
-    _emit(report, ["x", "overhead", "rate", "success_rate"], args.output, seed=args.seed, store=overrides["store"])
+
+
+_ABLATIONS = {
+    "flag_passing": flag_passing_ablation,
+    "rewind": rewind_ablation,
+    "hash_length": hash_length_ablation,
+    "chunk_size": chunk_size_ablation,
+}
 
 
 def _cmd_ablations(args: argparse.Namespace) -> None:
-    overrides = _runtime_overrides(args)
-    rows: List[Dict[str, object]] = []
-    with use_runtime(**overrides):
-        if args.which in ("flag_passing", "all"):
-            rows += [
-                dict(row.as_dict(), ablation="flag_passing")
-                for row in flag_passing_ablation(trials=args.trials, base_seed=args.seed)
-            ]
-        if args.which in ("rewind", "all"):
-            rows += [
-                dict(row.as_dict(), ablation="rewind")
-                for row in rewind_ablation(trials=args.trials, base_seed=args.seed)
-            ]
-        if args.which in ("hash_length", "all"):
-            rows += [
-                dict(row.as_dict(), ablation="hash_length")
-                for row in hash_length_ablation(trials=args.trials, base_seed=args.seed)
-            ]
-        if args.which in ("chunk_size", "all"):
-            rows += [
-                dict(row.as_dict(), ablation="chunk_size")
-                for row in chunk_size_ablation(trials=args.trials, base_seed=args.seed)
-            ]
-    report = ExperimentReport(
-        experiment="ablations", rows=rows, parameters={"which": args.which, "seed": args.seed}
-    )
-    _emit(
-        report,
+    _run_experiment(
+        args,
+        "ablations",
+        {"which": args.which, "seed": args.seed},
         ["ablation", "label", "success_rate", "mean_overhead", "mean_iterations"],
-        args.output,
-        seed=args.seed,
-        store=overrides["store"],
+        lambda: [
+            dict(row.as_dict(), ablation=name)
+            for name, ablation in _ABLATIONS.items()
+            if args.which in (name, "all")
+            for row in ablation(trials=args.trials, base_seed=args.seed)
+        ],
     )
 
 
@@ -363,25 +344,12 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         adversary = RandomNoiseAdversary(
             corruption_probability=args.noise, insertion_probability=args.noise / 4, seed=args.seed
         )
-    result = simulate(
-        workload.protocol,
-        scheme=scheme,
-        adversary=adversary,
-        seed=args.seed,
-    )
-    rows = [result.summary()]
-    report = ExperimentReport(
-        experiment="simulate",
-        rows=rows,
-        parameters={"workload": args.workload, "scheme": args.scheme, "noise": args.noise, "seed": args.seed},
-    )
-    store = RunStore(args.store_dir) if args.store_dir else None
-    _emit(
-        report,
+    _run_experiment(
+        args,
+        "simulate",
+        {"workload": args.workload, "scheme": args.scheme, "noise": args.noise, "seed": args.seed},
         ["scheme", "success", "cc_protocol", "cc_simulation", "overhead", "noise_fraction"],
-        args.output,
-        seed=args.seed,
-        store=store,
+        lambda: [simulate(workload.protocol, scheme=scheme, adversary=adversary, seed=args.seed).summary()],
     )
 
 
@@ -401,16 +369,20 @@ def _load_run(
     experiment: Optional[str] = None,
 ) -> Dict[str, object]:
     """Resolve + load one run, translating every failure mode (missing id,
-    corrupt JSON, unknown schema, unreadable file) into a friendly exit."""
+    corrupt JSON, unknown schema, unreadable file, a run that is not of
+    ``kind``) into a friendly exit."""
     try:
         run_id = store.resolve(ref, kind=kind, experiment=experiment)
-        return store.load(run_id)
+        payload = store.load(run_id)
     except KeyError as exc:
         raise _fail(str(exc.args[0]))
     except ValueError as exc:
         raise _fail(f"run {ref!r} in {store.root} is unreadable: {exc}")
     except OSError as exc:
         raise _fail(f"cannot read run {ref!r} from {store.root}: {exc}")
+    if kind is not None and payload.get("kind") != kind:
+        raise _fail(f"run {run_id!r} is a {payload.get('kind')!r} run, not a {kind!r} run")
+    return payload
 
 
 def _cmd_runs_list(args: argparse.Namespace) -> None:
@@ -522,11 +494,6 @@ def _cmd_runs_diff(args: argparse.Namespace) -> int:
 def _cmd_runs_trace(args: argparse.Namespace) -> None:
     store = RunStore(args.store_dir)
     payload = _load_run(store, args.run_id, kind="trace")
-    if payload.get("kind") != "trace":
-        raise _fail(
-            f"run {payload.get('run_id', args.run_id)!r} is a "
-            f"{payload.get('kind')!r}, not a trace; record one with --trace"
-        )
     spans = list(payload.get("spans", []))
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True, default=str))
@@ -546,11 +513,6 @@ def _cmd_runs_trace(args: argparse.Namespace) -> None:
 def _cmd_runs_metrics(args: argparse.Namespace) -> None:
     store = RunStore(args.store_dir)
     payload = _load_run(store, args.run_id, kind="trial_set")
-    if payload.get("kind") != "trial_set":
-        raise _fail(
-            f"run {payload.get('run_id', args.run_id)!r} is a "
-            f"{payload.get('kind')!r}; obs metrics live on trial_set runs"
-        )
     obs_metrics = payload.get("obs_metrics")
     if not isinstance(obs_metrics, dict) or not obs_metrics:
         raise _fail(
@@ -572,11 +534,6 @@ def _load_forensics(store: RunStore, ref: str) -> Dict[str, object]:
     """Load a trial_set run that carries flight-recorder dumps (or fail
     with the flag that would have recorded them)."""
     payload = _load_run(store, ref, kind="trial_set")
-    if payload.get("kind") != "trial_set":
-        raise _fail(
-            f"run {payload.get('run_id', ref)!r} is a "
-            f"{payload.get('kind')!r}; forensics live on trial_set runs"
-        )
     dumps = payload.get("forensics")
     if not isinstance(dumps, list) or not dumps:
         raise _fail(

@@ -23,7 +23,7 @@ After the real chunks we append ``padding_chunks`` empty dummy chunks (paper
   simulation-phase window).
 
 Nothing here depends on a trial's seed, scheme randomness or noise, so the
-engine builds one plan per (protocol, budget, padding) through
+engine builds one plan per (protocol, budget) through
 :meth:`~repro.protocols.base.Protocol.chunk_plan` and reuses it in every
 trial; every accessor therefore hands out immutable values.
 """

@@ -116,9 +116,7 @@ class InteractiveCodingSimulator:
         # The chunk plan, the tree and (in run()) the reference execution
         # depend only on Π and the graph: built once per workload object and
         # shared, read-only, by every trial over it.
-        self.chunked = protocol.chunk_plan(
-            self.scheme.chunk_budget(self.graph), self.scheme.padding_chunks
-        )
+        self.chunked = protocol.chunk_plan(self.scheme.chunk_budget(self.graph))
         self.hasher = InnerProductHash(self.scheme.hash_output_bits(self.graph))
         self.tree = protocol.spanning_tree()
         self.network = NoisyNetwork(self.graph, adversary=self.adversary)
@@ -332,23 +330,13 @@ class InteractiveCodingSimulator:
             for u, v in self.graph.edges:
                 # One shared source per undirected edge: both endpoints read
                 # the same CRS, so they expand the same δ-biased stream once.
-                source = CrsSeedSource(
-                    master_seed=master,
-                    link=edge_key(u, v),
-                    field_degree=self.scheme.small_bias_field_degree,
-                    slot_capacity_bits=capacity,
-                )
+                source = CrsSeedSource(master_seed=master, link=edge_key(u, v), slot_capacity_bits=capacity)
                 sources[(u, v)] = source
                 sources[(v, u)] = source
             self._randomness_agreed = {edge: True for edge in self.graph.edges}
             return sources
         exchange_rng = fork(self.seed, "randomness-exchange")
-        report = run_randomness_exchange(
-            self.graph,
-            self.network,
-            exchange_rng,
-            field_degree=self.scheme.small_bias_field_degree,
-        )
+        report = run_randomness_exchange(self.graph, self.network, exchange_rng)
         self._randomness_agreed = dict(report.agreed)
         return report.seed_sources
 
@@ -603,7 +591,7 @@ class InteractiveCodingSimulator:
             party: {neighbor: False for neighbor in runtime.neighbors()}
             for party, runtime in self.runtimes.items()
         }
-        rounds = self.scheme.rewind_round_count(self.graph)
+        rounds = self.graph.num_nodes  # the paper's choice: n rounds
         recorder = self._obs.recorder
         link_bit = self._link_bit
         links = self._links

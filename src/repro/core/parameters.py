@@ -9,6 +9,14 @@ The coding scheme is one algorithm (Algorithm 1) parameterised by
   per-link randomness exchange expanded to a δ-biased string, and
 * the iteration budget (the paper runs ``100·|Π|`` iterations).
 
+The remaining choices are fixed constants, not fields: the iteration budget
+is at least 8 and adds 6 iterations of slack to ``iteration_factor·|Π|``;
+the rewind phase runs n rounds (the paper's choice); the chunk plan appends
+:class:`~repro.core.chunking.ChunkedProtocol`'s 2 dummy chunks; and the
+δ-biased generator uses the field degree 64 that
+:class:`~repro.hashing.seeds.CrsSeedSource` and
+:func:`~repro.core.randomness_exchange.run_randomness_exchange` default to.
+
 The paper's instantiations:
 
 =============  ========  ==============  =============  =====================
@@ -29,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from repro.network.graph import Graph
 
@@ -52,10 +59,8 @@ class SchemeParameters:
     #: otherwise each link runs the randomness exchange of Algorithm 5.
     use_crs: bool = True
 
-    #: How K scales with the network: "m", "m_log_m", "m_log_log_m" or "fixed".
+    #: How K scales with the network: "m", "m_log_m" or "m_log_log_m".
     k_mode: str = "m"
-    #: Explicit K when ``k_mode == "fixed"``.
-    k_fixed: Optional[int] = None
 
     #: A chunk carries ``chunk_multiplier * K`` bits of Π (the paper's 5).
     chunk_multiplier: int = 5
@@ -65,23 +70,10 @@ class SchemeParameters:
     #: τ when ``hash_mode == "constant"``.
     hash_constant_bits: int = 8
 
-    #: Iteration budget: ``ceil(iteration_factor * |Π|) + extra_iterations``
-    #: iterations, at least ``min_iterations``.  The paper uses factor 100 and
-    #: no early stop; the default is far smaller because the analysis constants
-    #: are loose.
+    #: Iteration budget: ``ceil(iteration_factor * |Π|) + 6`` iterations, at
+    #: least 8.  The paper uses factor 100 and no early stop; the default is
+    #: far smaller because the analysis constants are loose.
     iteration_factor: float = 4.0
-    extra_iterations: int = 6
-    min_iterations: int = 8
-
-    #: Rounds of the rewind phase; ``None`` means n (the paper's choice).
-    rewind_rounds: Optional[int] = None
-
-    #: Dummy chunks appended after the real protocol (paper: "padded with
-    #: enough dummy chunks").
-    padding_chunks: int = 2
-
-    #: Field degree of the AGHP δ-biased generator (seed length is twice this).
-    small_bias_field_degree: int = 64
 
     #: Stop as soon as every link transcript correctly contains all real
     #: chunks (engineering optimisation; see engine docs).
@@ -99,10 +91,6 @@ class SchemeParameters:
     def scale_k(self, graph: Graph) -> int:
         """K for the given network."""
         m = graph.num_edges
-        if self.k_mode == "fixed":
-            if self.k_fixed is None or self.k_fixed < 1:
-                raise ValueError("k_fixed must be a positive integer when k_mode='fixed'")
-            return self.k_fixed
         if self.k_mode == "m":
             return m
         if self.k_mode == "m_log_m":
@@ -126,7 +114,7 @@ class SchemeParameters:
     def nominal_noise_fraction(self, graph: Graph, epsilon: float = 0.01) -> float:
         """The noise fraction the scheme is designed to tolerate (ε over the scale)."""
         m = graph.num_edges
-        if self.k_mode in ("m", "fixed"):
+        if self.k_mode == "m":
             return epsilon / m
         if self.k_mode == "m_log_m":
             return epsilon / (m * _ceil_log2(m))
@@ -136,13 +124,7 @@ class SchemeParameters:
 
     def iterations(self, num_chunks: int) -> int:
         """Iteration budget for a protocol with ``num_chunks`` chunks."""
-        return max(
-            self.min_iterations,
-            math.ceil(self.iteration_factor * num_chunks) + self.extra_iterations,
-        )
-
-    def rewind_round_count(self, graph: Graph) -> int:
-        return self.rewind_rounds if self.rewind_rounds is not None else graph.num_nodes
+        return max(8, math.ceil(self.iteration_factor * num_chunks) + 6)
 
     def with_overrides(self, **kwargs) -> "SchemeParameters":
         """A copy with some fields replaced (convenience for sweeps/ablations)."""

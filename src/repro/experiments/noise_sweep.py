@@ -11,9 +11,8 @@ the characteristic "flat near 1, then falls off" series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.adversary.base import Adversary
 from repro.core.parameters import SchemeParameters
 from repro.experiments.factories import RandomNoiseFactory
 from repro.experiments.harness import run_trials
@@ -40,15 +39,6 @@ class NoiseSweepPoint:
         }
 
 
-def default_adversary_factory(fraction: float) -> Callable[[int], Adversary]:
-    """Random insertion/deletion/substitution noise at a target per-slot probability.
-
-    Returns a :class:`~repro.experiments.factories.RandomNoiseFactory` — a
-    picklable dataclass rather than a closure, so sweeps parallelise and cache.
-    """
-    return RandomNoiseFactory(fraction=fraction)
-
-
 def noise_sweep(
     workload: Workload,
     scheme: SchemeParameters,
@@ -56,18 +46,18 @@ def noise_sweep(
     epsilon: float = 0.01,
     trials: int = 3,
     base_seed: int = 0,
-    adversary_for_fraction: Optional[Callable[[float], Callable[[int], Adversary]]] = None,
 ) -> List[NoiseSweepPoint]:
-    """Sweep the injected noise around the scheme's nominal tolerance."""
+    """Sweep random insertion/deletion/substitution noise around the scheme's
+    nominal tolerance (a picklable :class:`RandomNoiseFactory` per level, so
+    sweeps parallelise and cache)."""
     nominal = scheme.nominal_noise_fraction(workload.graph, epsilon=epsilon)
-    make_factory = adversary_for_fraction or default_adversary_factory
     points: List[NoiseSweepPoint] = []
     for multiplier in multipliers:
         fraction = nominal * multiplier
         trial_set = run_trials(
             workload,
             scheme,
-            adversary_factory=make_factory(fraction),
+            adversary_factory=RandomNoiseFactory(fraction=fraction),
             trials=trials,
             base_seed=base_seed,
             label=f"{workload.name}/{scheme.name}/x{multiplier}",

@@ -76,11 +76,6 @@ class ExperimentReport:
             path.write_text(self.to_json(), encoding="utf-8")
         return path
 
-    def save_to_store(self, store) -> str:
-        """Persist into a :class:`repro.runtime.store.RunStore`; returns the
-        run id (browse later with ``repro runs list`` / ``repro runs show``)."""
-        return store.record_report(self)
-
 
 def load_report(path: Union[str, Path]) -> ExperimentReport:
     """Read a JSON report written by :meth:`ExperimentReport.save`."""

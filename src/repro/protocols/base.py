@@ -68,7 +68,7 @@ class Protocol(abc.ABC):
         graph.validate_connected_simple()
         self.graph = graph
         self._schedule: List[List[DirectedEdge]] | None = None
-        self._chunk_plans: Dict[Tuple[int, int], "ChunkedProtocol"] = {}
+        self._chunk_plans: Dict[int, "ChunkedProtocol"] = {}
         self._spanning_tree: Optional[SpanningTree] = None
         self._noiseless: Optional["NoiselessExecution"] = None
 
@@ -99,15 +99,14 @@ class Protocol(abc.ABC):
             self._schedule = schedule
         return self._schedule
 
-    def chunk_plan(self, chunk_budget: int, padding_chunks: int) -> "ChunkedProtocol":
-        """Cached chunk decomposition of Π for one (budget, padding) pair."""
-        key = (chunk_budget, padding_chunks)
-        plan = self._chunk_plans.get(key)
+    def chunk_plan(self, chunk_budget: int) -> "ChunkedProtocol":
+        """Cached chunk decomposition of Π for one chunk budget."""
+        plan = self._chunk_plans.get(chunk_budget)
         if plan is None:
             # The core imports this module, so the import waits for the call.
             from repro.core.chunking import ChunkedProtocol
 
-            plan = self._chunk_plans[key] = ChunkedProtocol(self, chunk_budget, padding_chunks)
+            plan = self._chunk_plans[chunk_budget] = ChunkedProtocol(self, chunk_budget)
         return plan
 
     def spanning_tree(self) -> SpanningTree:

@@ -158,6 +158,16 @@ class ExecutionBackend(ABC):
     def run(self, specs: Sequence[TrialSpec]) -> List[RunMetrics]:
         """Execute every spec and return metrics in the same order."""
 
+    def close(self) -> None:
+        """Release whatever the backend holds (processes, connections); a
+        later :meth:`run` reacquires it.  Nothing to release by default."""
+
+    def __enter__(self) -> "ExecutionBackend":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
 
 class SerialBackend(ExecutionBackend):
     """Run every trial in the calling process (the reference semantics)."""
@@ -219,12 +229,6 @@ class ProcessPoolBackend(ExecutionBackend):
         if self._executor is not None:
             self._executor.shutdown()
             self._executor = None
-
-    def __enter__(self) -> "ProcessPoolBackend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def run(self, specs: Sequence[TrialSpec]) -> List[RunMetrics]:
         specs = list(specs)

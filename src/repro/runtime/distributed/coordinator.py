@@ -55,6 +55,9 @@ _Chunk = Tuple[int, List[Tuple[int, TrialSpec]]]
 
 _log = get_logger("distributed")
 
+#: Seconds to wait for a worker to accept a TCP connection.
+CONNECT_TIMEOUT = 5.0
+
 
 def parse_worker_address(address: str) -> Tuple[str, int]:
     """``"host:port"`` → ``(host, port)``; raises ``ValueError`` when malformed."""
@@ -73,10 +76,10 @@ def parse_worker_address(address: str) -> Tuple[str, int]:
 class _WorkerLink:
     """One coordinator-side connection to one worker."""
 
-    def __init__(self, address: str, connect_timeout: float, heartbeat_timeout: float) -> None:
+    def __init__(self, address: str, heartbeat_timeout: float) -> None:
         self.address = address
         host, port = parse_worker_address(address)
-        self.sock = socket.create_connection((host, port), timeout=connect_timeout)
+        self.sock = socket.create_connection((host, port), timeout=CONNECT_TIMEOUT)
         self.sock.settimeout(heartbeat_timeout)
         send_frame(self.sock, {"type": "hello"})
         hello = recv_frame(self.sock)
@@ -252,7 +255,6 @@ class DistributedBackend(ExecutionBackend):
         workers: Sequence[str],
         chunk_size: Optional[int] = None,
         heartbeat_timeout: float = 10.0,
-        connect_timeout: float = 5.0,
     ) -> None:
         super().__init__()
         # Deduplicate while preserving order: the same address twice is the
@@ -267,7 +269,6 @@ class DistributedBackend(ExecutionBackend):
         self.workers = addresses
         self.chunk_size = chunk_size
         self.heartbeat_timeout = heartbeat_timeout
-        self.connect_timeout = connect_timeout
         self._last_attribution: Optional[Dict[str, object]] = None
         self._connect_failures: List[str] = []
         #: Worker links kept open across run() calls — an experiment grid
@@ -303,7 +304,7 @@ class DistributedBackend(ExecutionBackend):
                     link = None
             if link is None:
                 try:
-                    link = _WorkerLink(address, self.connect_timeout, self.heartbeat_timeout)
+                    link = _WorkerLink(address, self.heartbeat_timeout)
                 except (OSError, WireError) as exc:
                     failures.append(f"{address}: {exc}")
                     continue
@@ -352,12 +353,6 @@ class DistributedBackend(ExecutionBackend):
         for link in list(self._links.values()):
             link.close()
         self._links.clear()
-
-    def __enter__(self) -> "DistributedBackend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def run(self, specs: Sequence[TrialSpec]) -> List[RunMetrics]:
         specs = list(specs)

@@ -113,14 +113,6 @@ class _Canonicalizer:
             return obj
         if isinstance(obj, bytes):
             return {"__bytes__": obj.hex()}
-        custom = getattr(obj, "fingerprint_payload", None)
-        if callable(custom) and not isinstance(obj, type):
-            # Explicit opt-out of the generic rules: an object that knows its
-            # own identity state returns it here (overrides every branch below).
-            return {
-                "__fingerprint__": _qualified_name(type(obj)),
-                "payload": self.convert(custom(), depth + 1),
-            }
         if isinstance(obj, random.Random):
             # The generator state is a deterministic function of how the
             # object was seeded and used so far.

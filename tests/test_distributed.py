@@ -467,7 +467,7 @@ class TestCliIntegration:
         assert main(args) == 0
         serial_out = capsys.readouterr().out
         workers = ",".join(w.address for w in worker_pair)
-        assert main(args + ["--backend", "distributed", "--workers", workers]) == 0
+        assert main(args + ["--workers", workers]) == 0
         distributed_out = capsys.readouterr().out
         assert distributed_out == serial_out
 
@@ -494,13 +494,23 @@ class TestCliIntegration:
         assert "cache" not in out
         assert "stolen" not in out
 
-    def test_backend_distributed_without_workers_fails_friendly(self, capsys):
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            (["--workers", "127.0.0.1:9", "--jobs", "2"], "--workers and --jobs"),
+            (["--workers", "no-port-here"], "not of the form host:port"),
+        ],
+        ids=["with_jobs", "malformed"],
+    )
+    def test_workers_flag_errors_fail_friendly(self, flags, expected, capsys):
         from repro.cli import main
 
         with pytest.raises(SystemExit) as excinfo:
-            main(["noise-sweep", "--backend", "distributed"])
+            main(["noise-sweep", *flags])
         assert excinfo.value.code == 1
-        assert "--workers" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert expected in err
+        assert len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.smoke

@@ -44,13 +44,13 @@ def cell():
 def test_engine_config_never_enters_the_fingerprint(cell, monkeypatch):
     """The key of a fixed trial is a pinned digest, and routing execution
     through the oracles does not move it.  The digest moves only when the
-    canonical payload does (it last moved when ``SchemeParameters`` lost a
-    field)."""
+    canonical payload does (it last moved when ``SchemeParameters`` lost
+    the six fields no caller set)."""
     workload, scheme, factory = cell
     spec = TrialSpec(workload=workload, scheme=scheme, adversary_factory=factory, seed=17)
     key = fingerprint_trial(spec)
     assert key.stable
-    assert key.digest == "6c5215caaedd2fa0acc03d431be2d396322cae4fde98c34fdd0a31ba5712d8d8"
+    assert key.digest == "8d912b9a76ba30f53590945bc68187b382079aa09ef3cf0583b1af687f8c597e"
     use_oracles(monkeypatch)
     rebuilt = build_trial_specs(workload, scheme, factory, [17])[0]
     assert fingerprint_trial(rebuilt) == key

@@ -69,7 +69,7 @@ class TestNoiselessBehaviour:
         assert result.iterations_run < result.iterations_budget
 
     def test_without_early_stop_all_iterations_run(self, pairwise_line4):
-        scheme = crs_oblivious_scheme(early_stop=False, min_iterations=5, iteration_factor=1.0, extra_iterations=0)
+        scheme = crs_oblivious_scheme(early_stop=False, iteration_factor=1.0)
         result = simulate(pairwise_line4, scheme=scheme, seed=1)
         assert result.iterations_run == result.iterations_budget
 

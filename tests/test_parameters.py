@@ -24,12 +24,6 @@ class TestScaling:
         # ceil(log2(ceil(log2 15) + 1)) = ceil(log2 5) = 3
         assert SchemeParameters(k_mode="m_log_log_m").scale_k(graph) == 15 * 3
 
-    def test_fixed_k(self):
-        graph = line_topology(3)
-        assert SchemeParameters(k_mode="fixed", k_fixed=7).scale_k(graph) == 7
-        with pytest.raises(ValueError):
-            SchemeParameters(k_mode="fixed").scale_k(graph)
-
     def test_unknown_k_mode(self):
         with pytest.raises(ValueError):
             SchemeParameters(k_mode="bogus").scale_k(line_topology(3))
@@ -54,14 +48,11 @@ class TestScaling:
         assert a > c > b  # eps/m > eps/(m log log m) > eps/(m log m)
 
     def test_iterations_budget(self):
-        params = SchemeParameters(iteration_factor=4.0, extra_iterations=2, min_iterations=10)
-        assert params.iterations(1) == 10
-        assert params.iterations(10) == 42
-
-    def test_rewind_round_count_default_is_n(self):
-        graph = line_topology(7)
-        assert SchemeParameters().rewind_round_count(graph) == 7
-        assert SchemeParameters(rewind_rounds=3).rewind_round_count(graph) == 3
+        # max(8, ceil(iteration_factor * chunks) + 6)
+        params = SchemeParameters(iteration_factor=0.5)
+        assert params.iterations(1) == 8
+        assert params.iterations(10) == 11
+        assert SchemeParameters(iteration_factor=4.0).iterations(10) == 46
 
     def test_with_overrides(self):
         params = algorithm_a().with_overrides(hash_constant_bits=4)

@@ -3,6 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 
 from repro.cli import build_parser, main
@@ -111,3 +117,46 @@ class TestCli:
         assert code == 0
         assert output.exists()
         assert "Algorithm A" in capsys.readouterr().out
+
+    @pytest.mark.smoke
+    def test_pooled_stored_sweep_exits_cleanly(self, tmp_path):
+        """The experiment scope closes its process pool, so the interpreter
+        exits without pool-shutdown noise on stderr."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        completed = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "noise-sweep",
+                "--scheme", "algorithm_a", "--topology", "line", "--phases", "6",
+                "--multipliers", "1.0", "--trials", "4", "--no-cache", "--jobs", "2",
+                "--store-dir", str(tmp_path / "runs"),
+            ],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert completed.returncode == 0
+        assert completed.stderr == ""
+        assert "run persisted as" in completed.stdout
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["trace", "run-000001"],
+            ["metrics", "run-000002"],
+            ["explain", "run-000002"],
+            ["flight", "run-000002", "0"],
+        ],
+        ids=["trace", "metrics", "explain", "flight"],
+    )
+    def test_runs_reader_rejects_a_run_of_the_wrong_kind(self, command, tmp_path, capsys):
+        # One stored sweep point: run-000001 is its trial_set, run-000002 the report.
+        assert main([
+            "noise-sweep", "--topology", "line", "--nodes", "4", "--phases", "4",
+            "--multipliers", "1.0", "--trials", "1", "--store-dir", str(tmp_path),
+        ]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["runs", *command, "--store-dir", str(tmp_path)])
+        assert excinfo.value.code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "not a" in err
