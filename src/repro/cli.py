@@ -15,8 +15,6 @@ writing any Python:
   ``--trace`` / ``--obs``, ``explain`` / ``flight`` read the flight-recorder
   dumps captured under ``--forensics`` (failure taxonomy / one trial's event
   timeline), ``merge`` trial sets of the same cell, ``gc`` old runs,
-* ``worker``        — ``worker serve`` runs a distributed-execution worker
-  daemon (see ``--workers`` below),
 * ``cache``         — trial-cache hygiene: ``cache compact`` rewrites the
   JSONL mirror keeping only the latest entry per trial key.
 
@@ -27,30 +25,27 @@ filters the command offers (``runs diff`` takes ``--kind``/``--experiment``;
 
 Every command prints a fixed-width table and can also write a JSON or Markdown
 report via ``--output``.  Each experiment runs in one scope that owns its
-backend and closes it (pool processes, worker connections) before the report
-is printed and stored.  Experiment commands share the runtime flags:
+backend and closes it (pool processes) before the report is printed and
+stored.  Experiment commands share the runtime flags:
 
 * ``--jobs N``      — fan trials out over N worker processes (results are
-  bit-identical to serial execution; see ``src/repro/runtime/README.md``),
-* ``--workers``     — comma-separated ``host:port`` list of ``repro worker
-  serve`` daemons: the trials run on them (the distributed backend);
-  exclusive with ``--jobs N > 1``, and without either flag trials run
-  serially,
+  bit-identical to serial execution; see ``src/repro/runtime/README.md``);
+  ``--jobs 1``, the default, runs them serially,
 * ``--cache-dir``   — persist trial results so re-runs skip finished work,
 * ``--no-cache``    — disable result caching entirely (even in-memory),
 * ``--store-dir``   — persist every trial set and the final report to a run
   store that ``repro runs`` can browse later,
 * ``--seed``        — the base seed; printed with every run so each published
   number can be regenerated from the command line,
-* ``--obs``         — collect deterministic engine/transport/cache/cluster
+* ``--obs``         — collect deterministic engine/transport/cache
   counters and store them with each trial set,
 * ``--trace``       — record timing spans (implies ``--obs``); with
   ``--store-dir`` each cell persists one trace record,
 * ``--forensics``   — flight-record protocol events per trial (corruptions,
   hash collisions, meeting points, rewinds, Φ); with ``--store-dir`` the
   dumps persist for ``repro runs explain`` / ``repro runs flight``,
-* ``--trace-sample N`` / ``--log-level`` / ``--log-json`` — trace sampling and
-  structured-log output controls.
+* ``--trace-sample N`` / ``--forensics-capacity N`` — trace every N-th trial /
+  keep N flight-recorder events per trial.
 
 Observability never changes what is computed: results are bit-identical with
 the flags on or off, and cache fingerprints are untouched.
@@ -96,21 +91,18 @@ from repro.obs import (
     FlightRecorder,
     MetricsRegistry,
     Tracer,
-    configure_logging,
     format_metrics_rows,
     render_critical_path,
     render_trace_tree,
     use_obs,
 )
 from repro.runtime import (
-    DistributedBackend,
     ExecutionBackend,
     ProcessPoolBackend,
     RegressionThresholds,
     ResultCache,
     RunStore,
     SerialBackend,
-    WorkerServer,
     diff_runs,
     gc_runs,
     merge_runs,
@@ -128,17 +120,6 @@ def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
         help="worker processes for trial execution (1 = serial; results are identical)",
     )
     parser.add_argument(
-        "--workers", default=None,
-        help="comma-separated host:port list of worker daemons; runs the trials "
-             "on them (the distributed backend) instead of locally",
-    )
-    parser.add_argument(
-        "--heartbeat-timeout", type=float, default=10.0,
-        help="seconds without a worker frame before it is declared dead "
-             "(--workers; stretched automatically for workers "
-             "announcing a slower --heartbeat-interval)",
-    )
-    parser.add_argument(
         "--cache-dir", default=None,
         help="directory for the persistent trial-result cache (enables cross-run reuse)",
     )
@@ -153,7 +134,7 @@ def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="base seed for all trials")
     parser.add_argument(
         "--obs", action="store_true",
-        help="collect engine/transport/cache/cluster metrics; stored with each "
+        help="collect engine/transport/cache metrics; stored with each "
              "trial set (inspect with 'repro runs metrics', gate with "
              "'repro runs diff --kind metrics')",
     )
@@ -176,14 +157,6 @@ def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
         "--trace-sample", type=int, default=1, metavar="N",
         help="trace every N-th trial (default 1 = every trial)",
     )
-    parser.add_argument(
-        "--log-level", choices=["debug", "info", "warning", "error"], default="warning",
-        help="structured-log verbosity for repro.* events (default warning)",
-    )
-    parser.add_argument(
-        "--log-json", action="store_true",
-        help="emit structured logs as JSON lines instead of human-readable text",
-    )
 
 
 def _obs_scope(args: argparse.Namespace):
@@ -195,16 +168,16 @@ def _obs_scope(args: argparse.Namespace):
     forensics = bool(getattr(args, "forensics", False))
     if not observing and not forensics:
         return nullcontext()
-    sample = getattr(args, "trace_sample", 1) or 1
+    sample = getattr(args, "trace_sample", 1)
     if sample < 1:
         raise _fail("--trace-sample must be a positive integer")
-    tracer = Tracer(sample_every=int(sample)) if tracing else None
+    tracer = Tracer(sample_every=sample) if tracing else None
     recorder = None
     if forensics:
-        capacity = getattr(args, "forensics_capacity", 4096) or 4096
+        capacity = getattr(args, "forensics_capacity", 4096)
         if capacity < 1:
             raise _fail("--forensics-capacity must be a positive integer")
-        recorder = FlightRecorder(capacity=int(capacity))
+        recorder = FlightRecorder(capacity=capacity)
     return use_obs(
         metrics=MetricsRegistry() if observing else None,
         tracer=tracer,
@@ -213,20 +186,9 @@ def _obs_scope(args: argparse.Namespace):
 
 
 def _backend(args: argparse.Namespace) -> ExecutionBackend:
-    """``--workers`` selects the distributed backend, ``--jobs N > 1`` a
-    process pool, anything else the serial backend."""
+    """``--jobs N > 1`` selects a process pool, anything else the serial backend."""
     jobs = getattr(args, "jobs", 1)
-    workers = getattr(args, "workers", None)
-    if workers is not None:
-        if jobs > 1:
-            raise _fail("--workers and --jobs are exclusive: trials run on worker daemons or in a local pool")
-        try:
-            return DistributedBackend(workers=workers.split(","), heartbeat_timeout=args.heartbeat_timeout)
-        except ValueError as exc:
-            raise _fail(str(exc))
-    if jobs > 1:
-        return ProcessPoolBackend(max_workers=jobs)
-    return SerialBackend()
+    return ProcessPoolBackend(max_workers=jobs) if jobs > 1 else SerialBackend()
 
 
 def _run_experiment(
@@ -406,21 +368,6 @@ def _cmd_runs_show(args: argparse.Namespace) -> None:
         print(format_table([run.as_dict() for run in stored.runs], ["scheme", "success", "overhead", "noise_fraction", "iterations_run"]))
         print()
         print(format_table([stored.aggregate.as_dict()], ["scheme", "trials", "success_rate", "mean_overhead", "mean_noise_fraction"]))
-        attribution = payload.get("workers")
-        if isinstance(attribution, dict) and attribution.get("workers"):
-            print()
-            print(f"workers ({attribution.get('backend', '?')} backend, "
-                  f"{attribution.get('trials_total', '?')} trial(s)):")
-            worker_rows = [
-                dict({"worker": worker_id}, **stats)
-                for worker_id, stats in sorted(attribution["workers"].items())
-            ]
-            print(format_table(
-                worker_rows,
-                ["worker", "dispatched", "redispatched", "trials_executed"],
-            ))
-            for failure in attribution.get("unreachable_workers", []):
-                print(f"  unreachable: {failure}")
         obs_metrics = payload.get("obs_metrics")
         if isinstance(obs_metrics, dict) and obs_metrics:
             print()
@@ -499,8 +446,7 @@ def _cmd_runs_trace(args: argparse.Namespace) -> None:
         print(json.dumps(payload, indent=2, sort_keys=True, default=str))
         return
     print(f"run {payload['run_id']}: trace {payload.get('label')} (recorded {payload.get('created_at')})")
-    print(f"trace {payload.get('trace_id')}: {len(spans)} span(s) across "
-          f"{len({span.get('worker') for span in spans})} worker(s)")
+    print(f"trace {payload.get('trace_id')}: {len(spans)} span(s)")
     print()
     for line in render_trace_tree(spans):
         print(line)
@@ -691,30 +637,6 @@ def _cmd_runs_gc(args: argparse.Namespace) -> None:
         print(f"  {verb}: {run_id}")
 
 
-def _cmd_worker_serve(args: argparse.Namespace) -> None:
-    try:
-        server = WorkerServer(
-            host=args.host,
-            port=args.port,
-            worker_id=args.worker_id,
-            heartbeat_interval=args.heartbeat_interval,
-            status_port=args.status_port,
-        )
-    except (OSError, ValueError) as exc:
-        raise _fail(f"cannot start worker: {exc}")
-    # One parseable line so scripts can discover an OS-assigned port (--port 0).
-    print(f"worker {server.worker_id} listening on {server.address}", flush=True)
-    if server.status_port is not None:
-        print(f"status: http://{server.host}:{server.status_port}/", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-    print(f"worker {server.worker_id}: executed {server.trials_executed} trial(s), shutting down")
-
-
 def _cmd_cache_compact(args: argparse.Namespace) -> None:
     cache = ResultCache(args.cache_dir)
     try:
@@ -782,28 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--store-dir", default=None, help="persist the result to this run store")
     run.add_argument("--output")
     run.set_defaults(func=_cmd_simulate)
-
-    worker = sub.add_parser("worker", help="distributed-execution worker daemon")
-    worker_sub = worker.add_subparsers(dest="worker_command", required=True)
-    worker_serve = worker_sub.add_parser(
-        "serve", help="serve trials on this host until interrupted"
-    )
-    worker_serve.add_argument("--host", default="127.0.0.1",
-                              help="interface to bind (default 127.0.0.1; 0.0.0.0 for remote coordinators)")
-    worker_serve.add_argument("--port", type=int, default=0,
-                              help="TCP port (default 0 = OS-assigned, printed on startup)")
-    worker_serve.add_argument("--worker-id", default=None,
-                              help="stable id recorded in run attribution (default host:port)")
-    worker_serve.add_argument("--heartbeat-interval", type=float, default=1.0,
-                              help="seconds between liveness frames while a chunk runs (default 1.0)")
-    worker_serve.add_argument("--status-port", type=int, default=None,
-                              help="serve a live JSON status/metrics snapshot over HTTP "
-                                   "on this port (0 = OS-assigned, printed on startup)")
-    worker_serve.add_argument("--log-level", choices=["debug", "info", "warning", "error"],
-                              default="warning", help="structured-log verbosity (default warning)")
-    worker_serve.add_argument("--log-json", action="store_true",
-                              help="emit structured logs as JSON lines")
-    worker_serve.set_defaults(func=_cmd_worker_serve)
 
     cache = sub.add_parser("cache", help="trial-result cache hygiene")
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
@@ -932,10 +832,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    configure_logging(
-        level=getattr(args, "log_level", "warning"),
-        json_output=bool(getattr(args, "log_json", False)),
-    )
     try:
         with _obs_scope(args):
             result = args.func(args)

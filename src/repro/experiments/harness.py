@@ -96,16 +96,6 @@ def run_trials(
             raise ValueError("seeds must be non-empty")
     specs = build_trial_specs(workload, scheme, adversary_factory, seeds)
     active_cache = get_runtime().cache if cache is _UNSET else cache
-    active_backend = backend if backend is not None else get_runtime().backend
-    # Backends that track per-worker attribution (DistributedBackend) expose
-    # it via pop_last_attribution().  Pop once *before* executing to discard
-    # anything a failed earlier run left behind (its exception skipped the
-    # pop below), and once after to collect this cell's attribution — so a
-    # cell served entirely from the local cache can never inherit another
-    # cell's worker numbers.
-    popper = getattr(active_backend, "pop_last_attribution", None)
-    if callable(popper):
-        popper()
     hits_before = active_cache.stats.hits if active_cache is not None else 0
     name = label if label is not None else f"{workload.name}/{scheme.name}"
     # One registry may span a whole sweep: snapshot before/after and store
@@ -123,7 +113,6 @@ def run_trials(
     wall_clock_seconds = time.perf_counter() - started
     cached_trials = (active_cache.stats.hits - hits_before) if active_cache is not None else 0
     run_store: Optional[RunStore] = get_runtime().store if store is _UNSET else store
-    attribution = popper() if callable(popper) else None
     obs_metrics = (
         counters_delta(metrics_before, obs.metrics.flat_snapshot())
         if metrics_before is not None
@@ -131,10 +120,10 @@ def run_trials(
     )
     forensics = None
     if obs.recorder is not None:
-        # Dumps arrive in execution order (worker completion order under the
-        # distributed backend); sort by trial seed so the stored record is a
-        # pure function of the specs, whatever backend ran them.  Cache hits
-        # never executed, so a fully-cached cell stores an empty list.
+        # Dumps arrive in execution order; sort by trial seed so the stored
+        # record is a pure function of the specs, whatever backend ran them.
+        # Cache hits never executed, so a fully-cached cell stores an empty
+        # list.
         forensics = sorted(
             obs.recorder.drain(),
             key=lambda dump: (
@@ -161,7 +150,6 @@ def run_trials(
             # can never fake (or mask) a perf regression.
             wall_clock_seconds=wall_clock_seconds,
             cached_trials=cached_trials,
-            worker_attribution=attribution,
             obs_metrics=obs_metrics,
             forensics=forensics,
         )

@@ -1,23 +1,21 @@
-"""repro.obs — tracing, metrics and structured logging across the stack.
+"""repro.obs — tracing, metrics and protocol forensics across the stack.
 
 A near-zero-overhead-when-disabled instrumentation layer, reached ambiently
 (:func:`get_obs` / :func:`use_obs`, mirroring ``repro.runtime.use_runtime``)
 so no simulator or runtime signature carries observability arguments and no
 trial fingerprint ever sees it:
 
-* :class:`~repro.obs.metrics.MetricsRegistry` — counters and
-  histograms populated by the engine (per-phase round counts, sparse vs
-  dense dispatches, idle rounds collapsed), the transport
-  (``ChannelStats`` totals), hashing (message builds, seed derivations),
-  the cache, the run store and the distributed backend;
+* :class:`~repro.obs.metrics.MetricsRegistry` — counters populated by the
+  engine (per-phase round counts, sparse vs dense dispatches, idle rounds
+  collapsed), the transport (``ChannelStats`` totals), hashing (message
+  builds, seed derivations), the cache and the run store;
 * :class:`~repro.obs.trace.Tracer` — monotonic-clock spans (``trial_set`` /
-  ``dispatch_chunk`` / ``worker_chunk`` / ``trial`` / ``iteration`` /
-  ``phase`` / ``cache_probe``) persisted into the
+  ``worker_chunk`` / ``trial`` / ``iteration`` / ``phase`` /
+  ``cache_probe``) persisted into the
   :class:`~repro.runtime.store.RunStore` beside trial sets, with trace ids
-  propagated to pool processes and through the coordinator → worker wire
-  frames so one parallel or distributed sweep yields one trace;
-* :mod:`~repro.obs.log` — event-plus-fields diagnostics with human or JSON
-  rendering (``--log-level`` / ``--log-json``).
+  propagated to pool processes so one pooled sweep yields one trace;
+* :class:`~repro.obs.recorder.FlightRecorder` — bounded per-trial protocol
+  event timelines for failure forensics (``--forensics``).
 
 Everything here is stdlib-only and imports nothing from the rest of
 ``repro`` (beyond itself), so any layer — including the network core — can
@@ -34,8 +32,7 @@ Enable from the CLI with ``--obs`` / ``--trace``, or in code::
 """
 
 from repro.obs.context import DISABLED, UNSET, ObsContext, get_obs, set_default_obs, use_obs
-from repro.obs.log import StructuredLogger, configure as configure_logging, get_logger
-from repro.obs.metrics import MetricsRegistry, counters_delta, format_metrics_rows, percentile
+from repro.obs.metrics import MetricsRegistry, counters_delta, format_metrics_rows
 from repro.obs.recorder import EVENT_KINDS, FlightRecorder, classify_slot, link_label
 from repro.obs.surface import critical_path, render_critical_path, render_trace_tree
 from repro.obs.trace import Span, Tracer, new_id
@@ -50,7 +47,6 @@ __all__ = [
     "MetricsRegistry",
     "counters_delta",
     "format_metrics_rows",
-    "percentile",
     "FlightRecorder",
     "EVENT_KINDS",
     "classify_slot",
@@ -58,9 +54,6 @@ __all__ = [
     "Tracer",
     "Span",
     "new_id",
-    "StructuredLogger",
-    "get_logger",
-    "configure_logging",
     "critical_path",
     "render_critical_path",
     "render_trace_tree",

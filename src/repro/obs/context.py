@@ -7,12 +7,10 @@ constructor signatures change, no scheme fields appear, ``TrialKey`` digests
 are untouched) and keeps the disabled cost to one attribute read.
 
 Unlike the runtime context, the override is **thread-local** with a
-process-wide default underneath: a ``repro worker serve`` daemon runs the
-coordinator's chunks on connection threads, and a per-thread
-:func:`use_obs` lets each chunk record into its own tracer without two
-threads (or an in-process test coordinator) trampling each other's scope.
-``ProcessPoolBackend`` worker *processes* do not inherit the context at all;
-like a remote worker, each pool chunk runs through
+process-wide default underneath: a per-thread :func:`use_obs` lets code on
+one thread record into its own tracer without trampling another thread's
+scope.  ``ProcessPoolBackend`` worker *processes* do not inherit the context
+at all; each pool chunk runs through
 :func:`~repro.runtime.backends.run_chunk` under fresh local instruments
 matching the caller's and hands its counters, spans and dumps back, so every
 backend records the same thing.

@@ -20,14 +20,13 @@ off and ``events_dropped`` counts them.  When a trial finishes, the recorder
 folds the ring into a per-trial **dump**: failing trials keep the full event
 timeline, successful trials keep only a per-kind event count summary (cheap).
 ``drain()`` hands the accumulated dumps over for persistence — the harness
-stores them on the trial-set record (``forensics``), and a pool process or
-distributed worker hands a chunk's dumps back (for a remote worker, on the
-``result`` wire frame) for the caller to ``adopt()``, so the caller's
+stores them on the trial-set record (``forensics``), and a pool process hands
+a chunk's dumps back for the caller to ``adopt()``, so the caller's
 forensics cover every backend.
 
 Everything in a dump is JSON-pure from the moment it is recorded (links are
-``"u->v"`` strings, symbols are ``0 / 1 / null``) so a dump that crossed the
-distributed wire is byte-identical to one recorded in process.  No
+``"u->v"`` strings, symbols are ``0 / 1 / null``) so a dump shipped back from
+a pool process is byte-identical to one recorded in process.  No
 timestamps, no ids, no :mod:`random` draws: the recorder is bit-identity
 neutral (it only ever *reads* protocol state) and its output is a pure
 function of the trial spec, whatever backend executed it.
@@ -83,8 +82,7 @@ class FlightRecorder:
     sweep): :meth:`begin_trial` resets the ring for the next trial and
     :meth:`finish_trial` folds it into a dump.  Event emission is
     single-threaded by construction (one trial runs on one thread); only the
-    dump list — which the distributed coordinator appends to from driver
-    threads via :meth:`adopt` — is lock-guarded.
+    dump list, which :meth:`adopt` appends to, is lock-guarded.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
@@ -172,7 +170,7 @@ class FlightRecorder:
     # -- collection ---------------------------------------------------------
 
     def adopt(self, dumps: Iterable[Dict[str, Any]]) -> int:
-        """Merge finished dumps from another recorder (a remote worker's);
+        """Merge finished dumps from another recorder (a pool chunk's);
         returns how many were adopted."""
         adopted = 0
         with self._lock:

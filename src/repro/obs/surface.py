@@ -15,8 +15,8 @@ def _children_by_parent(spans: Sequence[Dict[str, Any]]) -> Dict[Any, List[Dict[
     children: Dict[Any, List[Dict[str, Any]]] = {}
     for span in spans:
         parent = span.get("parent_id")
-        # A span whose parent was not recorded (sampled out, or a worker span
-        # whose dispatch parent came from another record) roots its own tree.
+        # A span whose parent was not recorded (sampled out, or a pool chunk
+        # whose parent came from another record) roots its own tree.
         key = parent if parent in ids else None
         children.setdefault(key, []).append(span)
     for group in children.values():
@@ -27,10 +27,8 @@ def _children_by_parent(spans: Sequence[Dict[str, Any]]) -> Dict[Any, List[Dict[
 def _label(span: Dict[str, Any]) -> str:
     attrs = span.get("attrs") or {}
     detail = " ".join(f"{key}={value}" for key, value in sorted(attrs.items()))
-    worker = span.get("worker")
-    where = f" @{worker}" if worker and worker != "local" else ""
     duration_ms = (span.get("duration") or 0.0) * 1000.0
-    head = f"{span.get('name', '?')} [{duration_ms:.2f} ms]{where}"
+    head = f"{span.get('name', '?')} [{duration_ms:.2f} ms]"
     return f"{head} {detail}".rstrip()
 
 
@@ -56,7 +54,7 @@ def critical_path(spans: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
 
     The last span to finish is what the whole run waited for; following its
     ancestry names the chain of work that bounded the wall clock (the
-    slowest worker's slowest chunk's slowest trial, in a distributed sweep).
+    slowest chunk's slowest trial, in a pooled sweep).
     """
     if not spans:
         return []

@@ -1,17 +1,16 @@
-"""The span tracer: lightweight, monotonic-clock timed, cluster-coherent.
+"""The span tracer: lightweight, monotonic-clock timed, one trace per sweep.
 
 A *span* is one named, timed region of work — ``trial``, ``phase``,
-``iteration``, ``dispatch_chunk``, ``worker_chunk``, ``cache_probe``,
-``trial_set`` — recorded
+``iteration``, ``worker_chunk``, ``cache_probe``, ``trial_set`` — recorded
 as a plain dict so it serialises to JSON without a schema layer:
 
     {"name": "phase", "trace_id": "…", "span_id": "…", "parent_id": "…",
-     "worker": "host:port", "start": <unix seconds>, "duration": <seconds>,
+     "start": <unix seconds>, "duration": <seconds>,
      "attrs": {"phase": "meeting_points", "iteration": 3}}
 
 Durations come from ``time.perf_counter()`` (monotonic — a wall-clock step
-cannot stretch a span); ``start`` is wall-clock so spans from different hosts
-of a distributed sweep order sensibly in one tree.  Span and trace ids are
+cannot stretch a span); ``start`` is wall-clock so spans from different pool
+processes order sensibly in one tree.  Span and trace ids are
 drawn from :func:`os.urandom`, **never** from :mod:`random` — the simulator's
 RNG streams must be bit-identical with tracing on and off, so the tracer may
 not touch any seeded generator.
@@ -21,13 +20,11 @@ Suppression is thread-local — an unsampled trial suppresses the phase and
 iteration spans opened under it without a conditional at every call site,
 and without affecting trials running concurrently on other threads.
 
-Cross-process propagation: a process-pool chunk and a remote worker's chunk
-both carry ``(trace_id, parent span id, sample_every)`` in their
-:func:`~repro.runtime.backends.chunk_request` (for a remote worker, inside
-the ``execute`` wire frame); the chunk runs under a local ``Tracer`` with the
-same trace id, inside one ``worker_chunk`` span, and its finished span dicts
-come back for the caller to :meth:`adopt`.  One parallel or distributed
-sweep therefore yields one coherent trace.
+Cross-process propagation: a process-pool chunk carries ``(trace_id, parent
+span id, sample_every)`` in its :func:`~repro.runtime.backends.chunk_request`;
+the chunk runs under a local ``Tracer`` with the same trace id, inside one
+``worker_chunk`` span, and its finished span dicts come back for the caller
+to :meth:`adopt`.  One pooled sweep therefore yields one coherent trace.
 """
 
 from __future__ import annotations
@@ -106,25 +103,16 @@ class _SuppressContext:
 class Tracer:
     """Collects spans for one trace; safe to share across threads.
 
-    ``sample_every`` counts the trials this tracer opens.  On the pool and
-    distributed backends each chunk has its own tracer, so ``--trace-sample
-    N`` counts trials per chunk there (the first trial of every chunk is
-    recorded).
+    ``sample_every`` counts the trials this tracer opens.  On the pool
+    backend each chunk has its own tracer, so ``--trace-sample N`` counts
+    trials per chunk there (the first trial of every chunk is recorded).
     """
 
-    def __init__(
-        self,
-        sample_every: int = 1,
-        trace_id: Optional[str] = None,
-        worker: Optional[str] = None,
-    ) -> None:
+    def __init__(self, sample_every: int = 1, trace_id: Optional[str] = None) -> None:
         if sample_every < 1:
             raise ValueError("sample_every must be >= 1")
         self.trace_id = trace_id or new_id()
         self.sample_every = sample_every
-        #: Recorded into every span; "local" for in-process execution, the
-        #: worker id on ``repro worker serve`` daemons.
-        self.worker = worker or "local"
         self._lock = threading.Lock()
         self._finished: List[Dict[str, Any]] = []
         self._trials_seen = 0
@@ -161,7 +149,6 @@ class Tracer:
             "trace_id": self.trace_id,
             "span_id": span.span_id,
             "parent_id": span.parent_id,
-            "worker": self.worker,
             "start": span._start_wall,
             "duration": duration,
             "attrs": span.attrs,
@@ -192,7 +179,7 @@ class Tracer:
         return stack[-1].span_id if stack else None
 
     def adopt(self, spans: Iterable[Dict[str, Any]]) -> int:
-        """Merge finished span dicts from another tracer (a remote worker's),
+        """Merge finished span dicts from another tracer (a pool chunk's),
         rewriting their trace id onto this trace; returns how many."""
         adopted = 0
         with self._lock:

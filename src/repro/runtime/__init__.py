@@ -4,11 +4,9 @@ The runtime is the layer between the experiment harnesses (which decide
 *what* to measure) and the simulator core (which measures it).  It provides:
 
 * :class:`~repro.runtime.backends.ExecutionBackend` with
-  :class:`~repro.runtime.backends.SerialBackend`,
-  :class:`~repro.runtime.backends.ProcessPoolBackend` and
-  :class:`~repro.runtime.distributed.DistributedBackend` (bit-identical
-  results on one core, many cores or many hosts — see README.md in this
-  directory);
+  :class:`~repro.runtime.backends.SerialBackend` and
+  :class:`~repro.runtime.backends.ProcessPoolBackend` (bit-identical results
+  on one core or many — see README.md in this directory);
 * :class:`~repro.runtime.spec.TrialSpec` / :class:`~repro.runtime.spec.TrialKey`
   — content-addressed trial fingerprints;
 * :class:`~repro.runtime.cache.ResultCache` — skip already-computed trials,
@@ -44,13 +42,6 @@ from repro.runtime.analytics import (
 from repro.runtime.backends import ExecutionBackend, ProcessPoolBackend, SerialBackend, execute_trial
 from repro.runtime.cache import CACHE_SCHEMA_VERSION, CacheStats, ResultCache
 from repro.runtime.context import RuntimeContext, get_runtime, set_default_runtime, use_runtime
-from repro.runtime.distributed import (
-    PROTOCOL_VERSION,
-    DistributedBackend,
-    TrialExecutionError,
-    WireError,
-    WorkerServer,
-)
 from repro.runtime.executor import execute_trials
 from repro.runtime.spec import (
     TRIAL_KEY_SCHEMA,
@@ -70,11 +61,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "DistributedBackend",
-    "WorkerServer",
-    "TrialExecutionError",
-    "WireError",
-    "PROTOCOL_VERSION",
     "execute_trial",
     "execute_trials",
     "TrialSpec",

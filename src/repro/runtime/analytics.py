@@ -203,6 +203,8 @@ _CELL_EXTRACTORS = {
 #: Counter-name suffixes that are timing- or histogram-derived and therefore
 #: never gate in the ``metrics`` view: timings jitter, and a histogram's
 #: ``.max``/``.sum`` move with scheduling even when the workload is identical.
+#: No registry records histograms any more; records stored while one did
+#: still carry these keys and diff as before.
 _INFORMATIVE_SUFFIXES = ("_seconds", ".count", ".sum", ".min", ".max", ".p50", ".p90", ".p99")
 
 

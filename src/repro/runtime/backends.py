@@ -30,7 +30,7 @@ from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from functools import partial
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import RunMetrics
 from repro.core.engine import simulate
@@ -74,37 +74,29 @@ def execute_trial(spec: TrialSpec) -> RunMetrics:
 
 
 def run_chunk(
-    specs: Sequence[TrialSpec],
-    request: Optional[Mapping[str, Any]] = None,
-    worker: Optional[str] = None,
-    before_trial: Optional[Callable[[], None]] = None,
+    specs: Sequence[TrialSpec], request: Optional[Mapping[str, Any]] = None
 ) -> Tuple[List[RunMetrics], Dict[str, Any]]:
-    """Run a shipped chunk of trials: the one entry point of pool processes
-    and ``repro worker serve`` daemons (module-level, so it pickles).
+    """Run a shipped chunk of trials: the entry point of pool processes
+    (module-level, so it pickles).
 
-    Neither sees the caller's ambient obs context, so ``request`` (JSON-pure,
-    from :func:`chunk_request`) names the instruments the caller has on; the
-    chunk runs under fresh local ones for exactly those — a traced chunk
-    inside one ``worker_chunk`` span labelled ``worker`` — and what they
-    recorded (``counters``, ``spans``, ``dumps``) is returned beside the
-    metrics for :func:`adopt_chunk`.  A malformed request raises before any
-    trial runs.  ``before_trial`` is called before each trial.
+    A pool process does not see the caller's ambient obs context, so
+    ``request`` (from :func:`chunk_request`) names the instruments the
+    caller has on; the chunk runs under fresh local ones for exactly those —
+    a traced chunk inside one ``worker_chunk`` span — and what they recorded
+    (``counters``, ``spans``, ``dumps``) is returned beside the metrics for
+    :func:`adopt_chunk`.
     """
     request = request or {}
     trace, capacity = request.get("trace"), request.get("forensics")
     registry = MetricsRegistry() if request.get("counters") else None
-    tracer = None if trace is None else Tracer(int(trace.get("sample_every") or 1), str(trace["trace_id"]), worker)
-    recorder = None if capacity is None else FlightRecorder(int(capacity))
-    metrics: List[RunMetrics] = []
+    tracer = None if trace is None else Tracer(trace["sample_every"], trace["trace_id"])
+    recorder = None if capacity is None else FlightRecorder(capacity)
     with use_obs(metrics=registry, tracer=tracer, recorder=recorder), (
         nullcontext()
         if tracer is None
-        else tracer.span("worker_chunk", parent_id=trace.get("parent"), trials=len(specs))
+        else tracer.span("worker_chunk", parent_id=trace["parent"], trials=len(specs))
     ):
-        for spec in specs:
-            if before_trial is not None:
-                before_trial()
-            metrics.append(execute_trial(spec))
+        metrics = [execute_trial(spec) for spec in specs]
     recorded: Dict[str, Any] = {}
     if registry is not None:
         recorded["counters"] = registry.snapshot()["counters"]
@@ -159,8 +151,8 @@ class ExecutionBackend(ABC):
         """Execute every spec and return metrics in the same order."""
 
     def close(self) -> None:
-        """Release whatever the backend holds (processes, connections); a
-        later :meth:`run` reacquires it.  Nothing to release by default."""
+        """Release whatever the backend holds (pool processes); a later
+        :meth:`run` reacquires it.  Nothing to release by default."""
 
     def __enter__(self) -> "ExecutionBackend":
         return self

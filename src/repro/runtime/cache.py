@@ -116,10 +116,9 @@ class ResultCache:
         temp file + atomic rename, so a concurrent reader sees either the
         old file or the new one, never a half-written mix.
 
-        A live writer (a coordinator sweep appending results) is
-        tolerated: after the main pass, any bytes appended since are drained
-        into the rewrite — repeatedly, until a drain comes up empty — before
-        the rename.  The residual window between the last empty drain and
+        A live writer (a sweep appending results) is tolerated: after the
+        main pass, any bytes appended since are drained into the rewrite —
+        repeatedly, until a drain comes up empty — before the rename.  The residual window between the last empty drain and
         the rename can in principle drop a line that was being appended at
         that exact instant; a cache line is a recomputable memo, so the cost
         is one re-simulated trial, never a wrong result.

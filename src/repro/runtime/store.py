@@ -58,6 +58,28 @@ STORE_SCHEMA_VERSION = 1
 
 _RUN_PREFIX = "run-"
 _INDEX_NAME = "index.json"
+#: The text fields of a summary row; ``trials`` and ``success_rate`` complete it.
+_SUMMARY_TEXT = ("run_id", "kind", "experiment", "label", "created_at")
+
+
+def _is_count(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _valid_summary(run_id: str, summary: object) -> bool:
+    """Whether an ``index.json`` summary has the shape :meth:`RunStore._summarize`
+    writes for run ``run_id`` (``None`` marks an unreadable run file)."""
+    if summary is None:
+        return True
+    if not isinstance(summary, dict) or set(summary) != {*_SUMMARY_TEXT, "trials", "success_rate"}:
+        return False
+    rate = summary["success_rate"]
+    return (
+        summary["run_id"] == run_id
+        and all(isinstance(summary[key], str) for key in _SUMMARY_TEXT)
+        and _is_count(summary["trials"])
+        and (rate == "" or (isinstance(rate, (int, float)) and not isinstance(rate, bool)))
+    )
 
 
 @dataclass(frozen=True)
@@ -140,27 +162,33 @@ class RunStore:
     # -- index maintenance -------------------------------------------------
 
     @staticmethod
-    def _summarize(payload: Dict[str, object], fallback_id: str) -> Dict[str, object]:
-        """The summary row ``list_runs`` returns (and ``index.json`` stores)."""
+    def _summarize(payload: Dict[str, object], run_id: str) -> Optional[Dict[str, object]]:
+        """The summary row ``list_runs`` returns (and ``index.json`` stores),
+        or ``None`` — like an unparseable file — when a field the row reads
+        has the wrong type or the document names another run id."""
         summary: Dict[str, object] = {
-            "run_id": payload.get("run_id", fallback_id),
+            "run_id": payload.get("run_id", run_id),
             "kind": payload.get("kind", "?"),
             "experiment": payload.get("experiment", ""),
             "label": payload.get("label", ""),
             "created_at": payload.get("created_at", ""),
         }
-        if payload.get("kind") == "trial_set":
-            aggregate = payload.get("aggregate", {})
-            trials = aggregate.get("trials", 0) if isinstance(aggregate, dict) else 0
+        if summary["run_id"] != run_id or not all(isinstance(summary[key], str) for key in _SUMMARY_TEXT):
+            return None
+        if summary["kind"] == "trial_set":
+            aggregate = payload.get("aggregate")
+            if not isinstance(aggregate, dict):
+                return None
+            trials, successes = aggregate.get("trials", 0), aggregate.get("successes", 0)
+            if not (_is_count(trials) and _is_count(successes)):
+                return None
             summary["trials"] = trials
-            summary["success_rate"] = (
-                aggregate.get("successes", 0) / trials if trials else ""
-            )
-        elif payload.get("kind") == "trace":
-            summary["trials"] = len(payload.get("spans", []))
-            summary["success_rate"] = ""
+            summary["success_rate"] = successes / trials if trials else ""
         else:
-            summary["trials"] = len(payload.get("rows", []))
+            counted = payload.get("spans" if summary["kind"] == "trace" else "rows", [])
+            if not isinstance(counted, list):
+                return None
+            summary["trials"] = len(counted)
             summary["success_rate"] = ""
         return summary
 
@@ -178,9 +206,10 @@ class RunStore:
 
     def _read_index(self) -> Optional[Dict[str, Dict[str, object]]]:
         """The ``run id → {"stat", "summary"}`` map, or None when the index
-        is missing/corrupt/foreign.  A ``None`` summary marks a run file that
-        could not be parsed — remembered, so a permanently corrupt file does
-        not force a rebuild on every list."""
+        is missing/corrupt/foreign or holds a summary of the wrong shape.  A
+        ``None`` summary marks a run file that could not be read as a run —
+        remembered, so a permanently corrupt file does not force a rebuild
+        on every list."""
         token = self._stat_token(self._index_path())
         if token is None:
             self._index_memo = None
@@ -194,7 +223,10 @@ class RunStore:
         if not isinstance(payload, dict) or payload.get("schema") != STORE_SCHEMA_VERSION:
             return None
         runs = payload.get("runs")
-        if not isinstance(runs, dict) or not all(isinstance(entry, dict) for entry in runs.values()):
+        if not isinstance(runs, dict) or not all(
+            isinstance(entry, dict) and _valid_summary(run_id, entry.get("summary"))
+            for run_id, entry in runs.items()
+        ):
             return None
         self._index_memo = (token, dict(runs))
         return dict(runs)
@@ -270,7 +302,6 @@ class RunStore:
         parameters: Optional[Dict[str, object]] = None,
         wall_clock_seconds: Optional[float] = None,
         cached_trials: Optional[int] = None,
-        worker_attribution: Optional[Dict[str, object]] = None,
         obs_metrics: Optional[Dict[str, float]] = None,
         forensics: Optional[Sequence[Dict[str, object]]] = None,
     ) -> str:
@@ -278,10 +309,7 @@ class RunStore:
 
         ``cached_trials`` records how many of the trials were served from the
         result cache — analytics treat the wall clock of a partially-cached
-        run as informative only.  ``worker_attribution`` is the per-worker
-        summary of a distributed run (who executed / re-ran what);
-        purely informative, so analytics and diffing ignore it.
-        ``obs_metrics`` is the flat metric delta this cell produced in the
+        run as informative only.  ``obs_metrics`` is the flat metric delta this cell produced in the
         ambient :class:`~repro.obs.metrics.MetricsRegistry` (present only
         when one was active) — ``repro runs metrics`` renders it and
         ``repro runs diff --kind metrics`` gates on it.  ``forensics`` is the
@@ -301,8 +329,6 @@ class RunStore:
             payload["wall_clock_seconds"] = wall_clock_seconds
         if cached_trials is not None:
             payload["cached_trials"] = cached_trials
-        if worker_attribution is not None:
-            payload["workers"] = worker_attribution
         if obs_metrics is not None:
             payload["obs_metrics"] = obs_metrics
         if forensics is not None:
@@ -320,9 +346,9 @@ class RunStore:
         """Persist one trace (the finished span dicts of one
         :class:`~repro.obs.trace.Tracer` drain); returns the new run id.
 
-        Spans from a distributed sweep arrive already adopted onto the
-        coordinator's trace id, so one record holds the whole cross-host
-        trace; ``repro runs trace <run>`` renders it.
+        Spans from pool processes arrive already adopted onto the caller's
+        trace id, so one record holds the whole trace; ``repro runs trace
+        <run>`` renders it.
         """
         return self._write(
             {

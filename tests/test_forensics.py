@@ -13,10 +13,9 @@ The guarantees pinned here:
 4. a seeded noise sweep with failures yields a concrete taxonomy cause for
    every failed trial, round-trips through the :class:`RunStore`, and
    renders via ``repro runs explain`` / ``repro runs flight``;
-5. a process-pool run and a 2-worker distributed run produce the same
-   forensic dumps, engine counters and trial/iteration/phase spans as a
-   serial run of the same specs (dumps are JSON-pure and sorted by seed, so
-   the backend is invisible).
+5. a process-pool run produces the same forensic dumps, engine counters and
+   trial/iteration/phase spans as a serial run of the same specs (dumps are
+   JSON-pure and sorted by seed, so the backend is invisible).
 """
 
 from __future__ import annotations
@@ -49,13 +48,7 @@ from repro.network.topologies import line_topology
 from repro.obs import FlightRecorder, MetricsRegistry, Tracer, use_obs
 from repro.obs.recorder import classify_slot, link_label
 from repro.protocols.random_protocol import RandomProtocol
-from repro.runtime import (
-    DistributedBackend,
-    ProcessPoolBackend,
-    RunStore,
-    SerialBackend,
-    WorkerServer,
-)
+from repro.runtime import ProcessPoolBackend, RunStore, SerialBackend
 
 
 def _failing_cell():
@@ -440,10 +433,7 @@ def _run_observed(backend=None):
     registry, tracer = MetricsRegistry(), Tracer(sample_every=1)
     with use_obs(metrics=registry, tracer=tracer):
         trial_set = _run_with_recorder(backend=backend, trials=6)
-    counters = {
-        name: value for name, value in registry.flat_snapshot().items()
-        if not name.startswith("distributed.")
-    }
+    counters = registry.flat_snapshot()
     span_counts = Counter(
         span["name"] for span in tracer.drain()
         if span["name"] in ("trial", "iteration", "phase")
@@ -452,29 +442,14 @@ def _run_observed(backend=None):
 
 
 class TestShippedChunkParity:
-    @pytest.mark.parametrize("backend_kind", ["pool", "distributed"])
-    def test_records_what_serial_records(self, backend_kind):
-        """Pool processes and remote workers never see the ambient obs
-        context; each chunk runs under matching local instruments and ships
-        its counters, spans and dumps home, so a pool run (chunk_size=2) and
-        a two-worker run (chunk_size=1) record exactly what serial does."""
+    def test_pool_records_what_serial_records(self):
+        """Pool processes never see the ambient obs context; each chunk runs
+        under matching local instruments and ships its counters, spans and
+        dumps home, so a pool run records exactly what serial does."""
         serial, serial_counters, serial_spans = _run_observed()
         assert serial_counters and serial_spans["trial"] == 6
-        if backend_kind == "pool":
-            with ProcessPoolBackend(max_workers=2, chunk_size=2) as backend:
-                shipped, counters, spans = _run_observed(backend)
-        else:
-            workers = [WorkerServer().start(), WorkerServer().start()]
-            try:
-                with DistributedBackend(
-                    workers=[server.address for server in workers], chunk_size=1,
-                ) as backend:
-                    shipped, counters, spans = _run_observed(backend)
-            finally:
-                for server in workers:
-                    server.stop()
-            # Both workers really participated.
-            assert all(server.trials_executed > 0 for server in workers)
+        with ProcessPoolBackend(max_workers=2, chunk_size=2) as backend:
+            shipped, counters, spans = _run_observed(backend)
         assert [run.to_payload() for run in shipped.runs] == [
             run.to_payload() for run in serial.runs
         ]

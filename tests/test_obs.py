@@ -1,11 +1,11 @@
-"""Tests for :mod:`repro.obs`: metrics, tracing, logging and their surfacing.
+"""Tests for :mod:`repro.obs`: metrics, tracing and their surfacing.
 
 The guarantees pinned here:
 
-1. the :class:`MetricsRegistry` accumulates counters/histograms and
-   snapshots them flat (histograms expanded to ``.count``/``.sum``/``.max``);
-2. the :class:`Tracer` nests spans per thread, samples trials, adopts remote
-   spans onto its own trace id, and drains destructively;
+1. the :class:`MetricsRegistry` accumulates counters (thread-safely) and
+   snapshots them flat;
+2. the :class:`Tracer` nests spans per thread, samples trials, adopts a pool
+   chunk's spans onto its own trace id, and drains destructively;
 3. the ambient :func:`use_obs` scope is thread-local and fingerprint-neutral
    (no ``TrialKey`` change, bit-identical results with obs on and off);
 4. an instrumented engine run flushes the documented counter families
@@ -13,14 +13,12 @@ The guarantees pinned here:
 5. traces persist to the :class:`RunStore` and render via ``repro runs
    trace``; metrics render via ``repro runs metrics`` and gate via
    ``repro runs diff --kind metrics``;
-6. a 2-worker distributed sweep yields ONE trace, in the coordinator's
-   store, covering spans from both workers (the tentpole acceptance test);
-7. structured logging emits parseable human and JSON lines.
+6. a 2-process pooled sweep yields ONE trace whose chunk spans hang off the
+   caller's ``trial_set`` span.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import threading
 
@@ -38,18 +36,15 @@ from repro.obs import (
     counters_delta,
     critical_path,
     format_metrics_rows,
-    get_logger,
     get_obs,
     render_critical_path,
     render_trace_tree,
     use_obs,
 )
-from repro.obs.log import configure as configure_logging
 from repro.runtime import (
-    DistributedBackend,
+    ProcessPoolBackend,
     RunStore,
     SerialBackend,
-    WorkerServer,
     build_trial_specs,
     derive_trial_seed,
     fingerprint_trial,
@@ -79,51 +74,6 @@ class TestMetricsRegistry:
         registry.inc_many({"c": 2, "d": 0}, prefix="x.")
         snapshot = registry.snapshot()
         assert snapshot["counters"] == {"a.b": 5, "x.c": 2}
-
-    def test_histograms_flatten_to_count_sum_max(self):
-        registry = MetricsRegistry()
-        for value in (0.5, 1.5, 1.0):
-            registry.observe("t_seconds", value)
-        flat = registry.flat_snapshot()
-        assert flat["t_seconds.count"] == 3
-        assert flat["t_seconds.sum"] == pytest.approx(3.0)
-        assert flat["t_seconds.max"] == pytest.approx(1.5)
-        assert registry.snapshot()["histograms"]["t_seconds"]["min"] == pytest.approx(0.5)
-
-    def test_nearest_rank_percentile(self):
-        from repro.obs import percentile
-
-        samples = list(range(1, 101))  # 1..100: pN is exactly N
-        assert percentile(samples, 50) == 50
-        assert percentile(samples, 90) == 90
-        assert percentile(samples, 99) == 99
-        assert percentile([7.0], 50) == 7.0
-        assert percentile([3.0, 1.0], 99) == 3.0  # unsorted input is fine
-        with pytest.raises(ValueError):
-            percentile([], 50)
-
-    def test_histogram_snapshots_report_percentiles(self):
-        registry = MetricsRegistry()
-        for value in range(1, 101):
-            registry.observe("t_seconds", float(value))
-        entry = registry.snapshot()["histograms"]["t_seconds"]
-        assert (entry["p50"], entry["p90"], entry["p99"]) == (50.0, 90.0, 99.0)
-        flat = registry.flat_snapshot()
-        assert flat["t_seconds.p50"] == 50.0
-        assert flat["t_seconds.p90"] == 90.0
-        assert flat["t_seconds.p99"] == 99.0
-
-    def test_percentile_window_is_bounded_and_recency_weighted(self):
-        from repro.obs.metrics import RETAINED_SAMPLES
-
-        registry = MetricsRegistry()
-        for _ in range(RETAINED_SAMPLES):
-            registry.observe("t_seconds", 1.0)
-        for _ in range(RETAINED_SAMPLES):
-            registry.observe("t_seconds", 5.0)  # evicts every 1.0 sample
-        flat = registry.flat_snapshot()
-        assert flat["t_seconds.p50"] == 5.0
-        assert flat["t_seconds.count"] == 2 * RETAINED_SAMPLES  # summary keeps all
 
     def test_counters_delta_keeps_only_moved_keys(self):
         before = {"a": 1, "b": 2}
@@ -177,15 +127,15 @@ class TestTracer:
         assert sum(1 for span in spans if span["name"] == "trial") == 2
 
     def test_adopt_rewrites_the_trace_id(self):
-        remote = Tracer(worker="host:1")
-        with remote.span("worker_chunk"):
+        chunk = Tracer()
+        with chunk.span("worker_chunk"):
             pass
         local = Tracer()
-        adopted = local.adopt(remote.drain())
+        adopted = local.adopt(chunk.drain())
         assert adopted == 1
         (span,) = local.drain()
         assert span["trace_id"] == local.trace_id
-        assert span["worker"] == "host:1"
+        assert span["name"] == "worker_chunk"
 
     def test_drain_is_destructive(self):
         tracer = Tracer()
@@ -333,39 +283,8 @@ class TestStoreAndCli:
         ]) == 0
         out = capsys.readouterr().out
         assert "engine.trials" in out and "transport." not in out
-
-    def test_runs_metrics_surfaces_histogram_percentiles(self, tmp_path, capsys):
-        """A distributed cell records heartbeat-gap histograms; the stored
-        metrics must carry p50/p90/p99 and `runs metrics` must render them
-        in both the text table and --json."""
-        from repro.cli import main
-
-        server = WorkerServer().start()
-        try:
-            workload, scheme, factory = _cell()
-            store = RunStore(tmp_path)
-            backend = DistributedBackend(workers=[server.address], chunk_size=1)
-            with use_obs(metrics=MetricsRegistry()):
-                with use_runtime(backend=backend, cache=None, store=store):
-                    run_trials(workload, scheme, adversary_factory=factory,
-                               trials=2, base_seed=3)
-            backend.close()
-        finally:
-            server.stop()
-        (row,) = store.query(kind="trial_set")
-        assert main([
-            "runs", "metrics", row["run_id"], "--store-dir", str(tmp_path), "--json",
-        ]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        for rank in (50, 90, 99):
-            assert f"distributed.heartbeat_seconds.p{rank}" in payload
-        assert main([
-            "runs", "metrics", row["run_id"], "--store-dir", str(tmp_path),
-            "--prefix", "distributed.",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "distributed.heartbeat_seconds.p50" in out
-        assert "distributed.heartbeat_seconds.p99" in out
+        assert main(["runs", "metrics", row["run_id"], "--store-dir", str(tmp_path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["engine.trials"] == 2
 
     def test_runs_metrics_without_obs_fails_friendly(self, tmp_path, capsys):
         from repro.cli import main
@@ -431,119 +350,55 @@ class TestStoreAndCli:
         assert store.load(cell["run_id"])["obs_metrics"]
 
 
-class TestDistributedTracing:
-    def test_two_worker_sweep_yields_one_coherent_cross_host_trace(self, tmp_path):
-        workers = [WorkerServer().start(), WorkerServer().start()]
-        try:
-            workload, scheme, factory = _cell()
-            store = RunStore(tmp_path)
-            backend = DistributedBackend(
-                workers=[server.address for server in workers],
-                chunk_size=1,  # force chunks onto both workers
-            )
-            registry, tracer = MetricsRegistry(), Tracer()
+class TestPooledTracing:
+    def test_two_process_sweep_yields_one_coherent_trace(self, tmp_path):
+        workload, scheme, factory = _cell()
+        store = RunStore(tmp_path)
+        registry, tracer = MetricsRegistry(), Tracer()
+        with ProcessPoolBackend(max_workers=2, chunk_size=1) as backend:  # one chunk per trial
             with use_obs(metrics=registry, tracer=tracer):
                 with use_runtime(backend=backend, cache=None, store=store):
-                    run_trials(
-                        workload, scheme, adversary_factory=factory,
-                        trials=6, base_seed=3,
-                    )
-            backend.close()
-        finally:
-            for server in workers:
-                server.stop()
+                    run_trials(workload, scheme, adversary_factory=factory, trials=6, base_seed=3)
 
         (trace_row,) = store.query(kind="trace")
         payload = store.load(trace_row["run_id"])
         spans = payload["spans"]
-        # ONE trace id covers every span, from the coordinator and both workers.
+        # ONE trace id covers every span, from the caller and every chunk.
         assert {span["trace_id"] for span in spans} == {payload["trace_id"]}
-        span_workers = {span["worker"] for span in spans}
-        assert {server.worker_id for server in workers} <= span_workers
-        # Remote trial spans parent onto worker_chunk, which parents onto the
-        # coordinator's dispatch_chunk — the cross-host chain is unbroken.
+        # Trial spans parent onto worker_chunk, which parents onto the
+        # caller's trial_set — the cross-process chain is unbroken.
         by_id = {span["span_id"]: span for span in spans}
         chunks = [span for span in spans if span["name"] == "worker_chunk"]
-        assert chunks
+        assert len(chunks) == 6
         for chunk in chunks:
-            assert by_id[chunk["parent_id"]]["name"] == "dispatch_chunk"
-        assert registry.snapshot()["counters"]["distributed.chunks_dispatched"] == 6
-        # The rendered tree and critical path span the cluster.
+            assert by_id[chunk["parent_id"]]["name"] == "trial_set"
+        trials = [span for span in spans if span["name"] == "trial"]
+        assert len(trials) == 6
+        assert all(by_id[span["parent_id"]]["name"] == "worker_chunk" for span in trials)
+        assert registry.snapshot()["counters"]["engine.trials"] == 6
+        # The rendered tree and critical path cover every process.
         assert len(render_trace_tree(spans)) == len(spans)
         path = critical_path(spans)
         assert path[0]["name"] == "trial_set"
         assert render_critical_path(spans)[0].startswith("-> trial_set")
-
-    def test_worker_status_endpoint_serves_live_metrics(self):
-        import urllib.request
-
-        server = WorkerServer(status_port=0).start()
-        try:
-            url = f"http://{server.host}:{server.status_port}/"
-            with urllib.request.urlopen(url, timeout=5) as response:
-                status = json.loads(response.read().decode("utf-8"))
-            assert status["worker_id"] == server.worker_id
-            assert status["trials_executed"] == 0
-            assert set(status) == {"worker_id", "address", "trials_executed", "metrics"}
-        finally:
-            server.stop()
-
-
-class TestStructuredLogging:
-    def test_human_format_renders_event_and_fields(self):
-        stream = io.StringIO()
-        configure_logging(level="info", json_output=False, stream=stream)
-        try:
-            get_logger("testsub").info("thing_happened", worker="w1", count=3)
-        finally:
-            configure_logging()  # restore the default warning/stderr handler
-        line = stream.getvalue().strip()
-        assert "repro.testsub: thing_happened" in line
-        assert "worker=w1" in line and "count=3" in line
-
-    def test_json_format_is_machine_parseable(self):
-        stream = io.StringIO()
-        configure_logging(level="info", json_output=True, stream=stream)
-        try:
-            get_logger("testsub").warning("cluster_degraded", reachable=1, requested=2)
-        finally:
-            configure_logging()
-        payload = json.loads(stream.getvalue().strip())
-        assert payload["event"] == "cluster_degraded"
-        assert payload["reachable"] == 1 and payload["level"] == "warning"
-
-    def test_level_filtering(self):
-        stream = io.StringIO()
-        configure_logging(level="warning", json_output=False, stream=stream)
-        try:
-            get_logger("testsub").info("too_quiet")
-            get_logger("testsub").warning("loud_enough")
-        finally:
-            configure_logging()
-        output = stream.getvalue()
-        assert "too_quiet" not in output and "loud_enough" in output
-
-    def test_unknown_level_is_refused(self):
-        with pytest.raises(ValueError):
-            configure_logging(level="chatty")
 
 
 class TestSurfaceRendering:
     def _spans(self):
         return [
             {"name": "root", "span_id": "r", "parent_id": None, "start": 0.0,
-             "duration": 10.0, "worker": "local", "attrs": {}},
+             "duration": 10.0, "attrs": {}},
             {"name": "fast", "span_id": "f", "parent_id": "r", "start": 1.0,
-             "duration": 2.0, "worker": "local", "attrs": {}},
+             "duration": 2.0, "attrs": {}},
             {"name": "slow", "span_id": "s", "parent_id": "r", "start": 2.0,
-             "duration": 7.0, "worker": "w2", "attrs": {"chunk": 1}},
+             "duration": 7.0, "attrs": {"chunk": 1}},
         ]
 
     def test_tree_indents_children_under_parents(self):
         lines = render_trace_tree(self._spans())
         assert lines[0].startswith("root")
         assert lines[1].startswith("  fast")
-        assert "@w2" in lines[2]  # remote workers are called out
+        assert lines[2] == "  slow [7000.00 ms] chunk=1"
 
     def test_critical_path_follows_the_latest_finisher(self):
         path = critical_path(self._spans())
@@ -551,7 +406,7 @@ class TestSurfaceRendering:
 
     def test_orphan_spans_root_their_own_tree(self):
         spans = [{"name": "lonely", "span_id": "x", "parent_id": "missing",
-                  "start": 0.0, "duration": 1.0, "worker": "local", "attrs": {}}]
+                  "start": 0.0, "duration": 1.0, "attrs": {}}]
         assert render_trace_tree(spans) == ["lonely [1000.00 ms]"]
         assert render_critical_path(spans) == ["-> lonely [1000.00 ms]"]
 

@@ -160,3 +160,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "not a" in err
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--trace", "--trace-sample", "0"], "--trace-sample"),
+            (["--forensics", "--forensics-capacity", "0"], "--forensics-capacity"),
+        ],
+        ids=["trace_sample", "forensics_capacity"],
+    )
+    def test_zero_sampling_flags_are_refused(self, flags, name, capsys):
+        """0 is not a sampling rate or ring size: it fails like -1 does
+        instead of silently becoming the default."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["noise-sweep", "--nodes", "4", "--phases", "4", "--multipliers", "1.0",
+                  "--trials", "1", "--no-cache", *flags])
+        assert excinfo.value.code == 1
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [f"error: {name} must be a positive integer"]

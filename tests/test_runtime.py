@@ -98,6 +98,12 @@ class TestSerialParallelDeterminism:
         pooled = ProcessPoolBackend(max_workers=2, chunk_size=2).run(specs)
         assert serial == pooled
 
+    def test_empty_spec_list_is_a_no_op(self):
+        assert SerialBackend().run([]) == []
+        pool = ProcessPoolBackend(max_workers=2)
+        assert pool.run([]) == []
+        assert pool._executor is None  # no processes started for nothing
+
     def test_backend_argument_validation(self):
         with pytest.raises(ValueError):
             ProcessPoolBackend(max_workers=0)
@@ -183,6 +189,18 @@ class TestResultCache:
         assert cache.stats.hits == 4
         assert first.runs == second.runs
         assert first.aggregate == second.aggregate
+
+    def test_cache_none_executes_every_trial_on_every_run(self):
+        """With the cache bypassed nothing remembers results: a repeated run
+        executes every trial again (and computes the same metrics)."""
+        workload = gossip_workload(topology="line", num_nodes=4, phases=6)
+        backend = SerialBackend()
+        first = run_trials(workload, algorithm_a(), adversary_factory=RandomNoiseFactory(0.004),
+                           trials=4, backend=backend, cache=None)
+        second = run_trials(workload, algorithm_a(), adversary_factory=RandomNoiseFactory(0.004),
+                            trials=4, backend=backend, cache=None)
+        assert backend.trials_executed == 8
+        assert second.runs == first.runs
 
     def test_disk_cache_survives_across_instances(self, tmp_path):
         workload = gossip_workload(topology="line", num_nodes=4, phases=6)
@@ -309,6 +327,62 @@ class TestRunStore:
         (tmp_path / "run-000001.json").write_text(json.dumps({"schema": 999, "run_id": "run-000001"}))
         with pytest.raises(ValueError):
             store.load("run-000001")
+
+    def test_cache_served_cell_records_its_cached_trials(self, tmp_path):
+        workload = gossip_workload(topology="line", num_nodes=4, phases=6)
+        cache, store = ResultCache(), RunStore(tmp_path)
+        run_trials(workload, algorithm_a(), adversary_factory=RandomNoiseFactory(0.004),
+                   trials=3, cache=cache)
+        run_trials(workload, algorithm_a(), adversary_factory=RandomNoiseFactory(0.004),
+                   trials=3, cache=cache, store=store)
+        (row,) = store.list_runs()
+        payload = store.load(row["run_id"])
+        assert payload["cached_trials"] == 3
+        assert "workers" not in payload
+
+    def test_serial_runs_record_no_attribution(self, tmp_path):
+        store = RunStore(tmp_path)
+        run_trials(pairwise_workload(), crs_oblivious_scheme(), trials=2, cache=None, store=store)
+        payload = store.load(store.list_runs()[0]["run_id"])
+        assert "workers" not in payload
+        assert payload["cached_trials"] == 0
+
+    @staticmethod
+    def _store_with_retired_worker_attribution(tmp_path):
+        """Two trial sets rewritten the way older versions wrote them: with a
+        ``workers`` attribution block that carries retired cache-hit fields."""
+        store = RunStore(tmp_path)
+        workload = pairwise_workload()
+        for _ in range(2):
+            run_trials(workload, crs_oblivious_scheme(), trials=2, cache=None, store=store)
+        for row in store.list_runs():
+            path = tmp_path / f"{row['run_id']}.json"
+            payload = json.loads(path.read_text())
+            payload["workers"] = {
+                "backend": "distributed", "trials_total": 2, "remote_cache_hits": 2,
+                "workers": {"w1": {"dispatched": 1, "stolen": 0, "redispatched": 0,
+                                   "trials_executed": 2, "cache_hits": 0}},
+            }
+            path.write_text(json.dumps(payload))
+        return store
+
+    def test_records_with_retired_worker_attribution_still_diff(self, tmp_path):
+        from repro.runtime import diff_runs
+
+        store = self._store_with_retired_worker_attribution(tmp_path)
+        first, second = (store.load(row["run_id"]) for row in store.list_runs())
+        assert first["workers"]["workers"]["w1"]["trials_executed"] == 2
+        assert not diff_runs(first, second).has_regression
+
+    def test_runs_show_displays_records_with_retired_cache_hit_fields(self, tmp_path, capsys):
+        """Older records still show; their ``workers`` block is not rendered."""
+        from repro.cli import main
+
+        self._store_with_retired_worker_attribution(tmp_path)
+        assert main(["runs", "show", "latest", "--store-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "success_rate" in out
+        assert "w1" not in out and "stolen" not in out and "cache_hits" not in out
 
     def test_query_filters(self, tmp_path):
         store = RunStore(tmp_path)
