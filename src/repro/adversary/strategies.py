@@ -19,14 +19,58 @@ noise fraction of the theorems.
 
 from __future__ import annotations
 
+import math
 import random
+import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import compress, islice
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.adversary.base import Adversary, NoiseBudget, corrupt_slots
 from repro.network.channel import Symbol, TransmissionContext, WindowContext
 from repro.utils.bitstring import flip_planes, plane_digits, positions_to_int, set_positions
 from repro.utils.rng import make_rng
+
+
+#: Most Mersenne Twister words one ``getrandbits`` call of the noise kernel
+#: draws: it bounds the kernel's word buffer to 16 KiB on the widest windows.
+_BLOCK_WORDS = 4096
+
+#: The two little-endian 32-bit words of one ``random()`` draw.
+_WORD_PAIR = struct.Struct("<II").unpack_from
+
+
+def _candidate_table(threshold: float) -> bytes:
+    """The ``bytes.translate`` table that marks with 1 each high byte ``h``
+    of a ``random()`` draw's first word for which the draw can be below
+    ``threshold``.
+
+    The draw lies in ``[h / 256, (h + 1) / 256)``, so it can only hit when
+    ``h / 256 < threshold``, that is when ``h < ceil(256 * threshold)``.
+    """
+    marked = min(256, math.ceil(threshold * 256))
+    return b"\x01" * marked + bytes(256 - marked)
+
+
+def _draw_words(getrandbits: Callable[[int], int], raw: bytes, at: int, certain: int) -> bytes:
+    """Top up a kernel's word buffer from its generator.
+
+    Keeps the unread words ``raw[4 * at:]`` and appends fresh ones, up to
+    ``certain`` words in all (the words the per-slot loop is certain to draw
+    from here on) and at most :data:`_BLOCK_WORDS` fresh ones.  The buffer
+    holds 32-bit words, little endian, in draw order: ``getrandbits`` puts
+    its first word lowest.
+    """
+    kept = raw[4 * at :]
+    fresh = min(_BLOCK_WORDS, certain - (len(kept) >> 2))
+    return kept + getrandbits(32 * fresh).to_bytes(4 * fresh, "little")
+
+
+def _ones(data: bytes, start: int, stop: int) -> int:
+    """How many of the bits at positions ``[start, stop)`` of the
+    little-endian ``data`` are set, in time linear in ``stop - start``."""
+    span = int.from_bytes(data[start >> 3 : (stop + 7) >> 3], "little") >> (start & 7)
+    return (span & ((1 << (stop - start)) - 1)).bit_count()
 
 
 def _corrupt_randomly(rng: random.Random, symbol: Symbol) -> Symbol:
@@ -108,6 +152,9 @@ class RandomNoiseAdversary(Adversary):
     the coin flips depend only on the slot index and the adversary's own seed.
     ``insertion_probability`` controls extra insertions on silent slots
     (0 disables them and lets the transport skip silent slots entirely).
+    :meth:`corrupt` draws the coins one slot at a time; the window kernel
+    reads the same Mersenne Twister words in bulk, word for word, so both
+    leave the same corruptions and the same generator state.
     """
 
     corruption_probability: float = 0.0
@@ -124,6 +171,9 @@ class RandomNoiseAdversary(Adversary):
             raise ValueError("insertion_probability must lie in [0, 1]")
         self._rng = make_rng(self.seed)
         self.may_insert = self.insertion_probability > 0.0
+        self._candidates = _candidate_table(
+            max(self.corruption_probability, self.insertion_probability)
+        )
 
     def corrupt(self, ctx: TransmissionContext, sent: Symbol) -> Symbol:
         if self.budget is not None and sent is not None:
@@ -139,58 +189,116 @@ class RandomNoiseAdversary(Adversary):
         return corrupted
 
     def corrupt_window(self, ctx: WindowContext, bits: int, present: int) -> Tuple[int, int]:
-        """The native kernel, linear in the plane.
+        """The native kernel: the per-slot loop's draws, read in bulk.
 
-        Slots are visited in plane order, so the RNG draws and the budget
-        counters (mirrored locally, written back once) follow the per-slot
-        loop draw for draw.  Silent slots are only visited when insertions
-        are on.
+        The slots that draw are the present ones when the corruption
+        probability is positive and the silent ones when the insertion
+        probability is; in plane order, each costs one ``random()``, which
+        CPython builds from two consecutive Mersenne Twister words ``a, b``
+        as ``((a >> 5) * 2**26 + (b >> 6)) * 2**-53``.  The kernel reads the
+        words with ``getrandbits`` in blocks (:func:`_draw_words`), skips at
+        C speed every draw whose high byte ``a >> 24`` rules a hit out
+        (``self._candidates``) and rebuilds the exact draw only for the
+        rest.  A corruption's ``choice`` between two symbols reads the next
+        words as ``choice`` does: ``word >> 30``, rejecting 2 and 3.  A block
+        never holds more words than the slots still to visit are certain to
+        draw, so the generator ends in the state the per-slot loop leaves;
+        a spending decision sees the budget's transmissions counted up to
+        its slot, and the rest are added once at the end.  :meth:`corrupt`
+        stays the semantics this kernel must equal.
         """
-        count = ctx.width
         probability = self.corruption_probability
         insertion = self.insertion_probability
-        budget = self.budget
-        if probability <= 0.0 and insertion <= 0.0:
-            if budget is not None and present:
-                budget.observe_transmissions(present.bit_count())
-            return bits, present
-        rng = self._rng
-        rand = rng.random
-        present_digits = plane_digits(present, count)
-        bit_digits = plane_digits(bits, count)
+        transmitted = present.bit_count()
+        count = ctx.width
+        # The drawing slots; ``idle`` is the digit of the slots that do not
+        # draw, when there are any.
+        if insertion <= 0.0:
+            draws, idle = (transmitted, b"0") if probability > 0.0 else (0, None)
+        elif probability <= 0.0:
+            draws, idle = count - transmitted, b"1"
+        else:
+            draws, idle = count, None
+        getrandbits = self._rng.getrandbits
+        table = self._candidates
+        raw = b""  # buffered words, little endian
+        words = at = 0  # buffered words, and the next unread one
+        # ``flags[j]`` marks a candidate draw at words ``base + 2j, base + 2j + 1``.
+        flags = b""
+        base = 0
+        visited = 0  # drawing slots visited, in plane order
+        present_bytes = bit_bytes = located = None
         bit_flips: List[int] = []
         present_flips: List[int] = []
-        budgeted = budget is not None
-        if budgeted:
-            seen = budget.transmissions_seen
-            spent = budget.corruptions_spent
-            fraction = budget.fraction
-            allowance = budget.absolute_allowance
-            allowance_at = budget.allowance_at
-        for slot in range(count) if insertion > 0.0 else set_positions(present):
-            if present_digits[slot] == "1":
-                if budgeted:
-                    seen += 1
-                if probability <= 0.0 or rand() >= probability:
-                    continue
-                if budgeted:
-                    if spent + 1 > allowance_at(fraction, seen, allowance):
-                        continue
-                    spent += 1
-                _corrupt_slot(rng, slot, bit_digits[slot] == "1", bit_flips, present_flips)
+        budget = self.budget
+        observed = counted = 0  # transmissions among plane positions [0, counted)
+        while visited < draws:
+            if words - at < 2:
+                raw = _draw_words(getrandbits, raw, at, 2 * (draws - visited))
+                words, at = len(raw) >> 2, 0
+                flags, base = raw[3::8].translate(table), 0
+            elif (at - base) & 1:  # a corruption's choice moved the draws by a word
+                flags, base = raw[4 * at + 3 :: 8].translate(table), at
+            pairs = (words - at) >> 1
+            start = (at - base) >> 1
+            first = flags.find(1, start, start + pairs)
+            if first < 0:
+                visited += pairs
+                at += 2 * pairs
+                continue
+            visited += first - start
+            first = base + 2 * first
+            at = first + 2
+            high, low = _WORD_PAIR(raw, 4 * first)
+            draw = (high >> 5) * 67108864 + (low >> 6)  # random() * 2**53
+            if present_bytes is None:
+                present_bytes = present.to_bytes((count + 7) >> 3, "little")
+            if idle is None:
+                slot = visited
             else:
-                if rand() >= insertion:
+                if located is None:
+                    digits = plane_digits(present, count).encode()
+                    located = compress(range(count), digits.replace(idle, b"\0"))
+                    pulled = 0
+                slot = next(islice(located, visited - pulled, None))
+                pulled = visited + 1
+            visited += 1
+            sent = present_bytes[slot >> 3] >> (slot & 7) & 1
+            if draw >= (probability if sent else insertion) * 9007199254740992.0:
+                continue
+            if budget is not None:
+                observed += _ones(present_bytes, counted, slot + 1)
+                counted = slot + 1
+                seen = budget.transmissions_seen + observed
+                if budget.corruptions_spent + 1 > budget.allowance_at(
+                    budget.fraction, seen, budget.absolute_allowance
+                ):
                     continue
-                if budgeted:
-                    if spent + 1 > allowance_at(fraction, seen, allowance):
-                        continue
-                    spent += 1
+                budget.corruptions_spent += 1
+            while True:  # ``choice`` of two: the next word below 2**31
+                if at == words:
+                    raw = _draw_words(getrandbits, raw, at, 1 + 2 * (draws - visited))
+                    words, at = len(raw) >> 2, 0
+                    flags, base = raw[3::8].translate(table), 0
+                choice = raw[4 * at + 3] >> 6
+                at += 1
+                if choice < 2:
+                    break
+            if not sent:  # insertion of the symbol ``choice``
                 present_flips.append(slot)
-                if _corrupt_randomly(rng, None):
+                if choice:
                     bit_flips.append(slot)
-        if budgeted:
-            budget.transmissions_seen = seen
-            budget.corruptions_spent = spent
+            elif choice:  # deletion
+                present_flips.append(slot)
+                if bit_bytes is None:
+                    bit_bytes = bits.to_bytes((count + 7) >> 3, "little")
+                if bit_bytes[slot >> 3] >> (slot & 7) & 1:
+                    bit_flips.append(slot)
+            else:  # substitution
+                bit_flips.append(slot)
+        assert at == words, "the noise kernel drew words the per-slot loop does not"
+        if budget is not None:
+            budget.transmissions_seen += transmitted
         return flip_planes(bits, present, bit_flips, present_flips, count)
 
     def reset(self) -> None:

@@ -18,7 +18,40 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
 from statistics import mean
-from typing import Dict, Iterable, Optional
+from typing import Callable, Dict, Iterable, Optional, Type, TypeVar
+
+_Payload = TypeVar("_Payload")
+
+
+def _is_count(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: What a payload value must be for each field annotation: a bool is not a
+#: count, and a count is a valid real.
+_FIELD_CHECKS: Dict[str, Callable[[object], bool]] = {
+    "str": lambda value: isinstance(value, str),
+    "bool": lambda value: isinstance(value, bool),
+    "int": _is_count,
+    "float": lambda value: _is_count(value) or isinstance(value, float),
+    "Dict[str, int]": lambda value: isinstance(value, dict)
+    and all(isinstance(key, str) and _is_count(item) for key, item in value.items()),
+}
+
+
+def _from_payload(cls: Type[_Payload], data: object) -> _Payload:
+    """``cls`` built from the payload's values of its fields; unknown keys are
+    ignored, and a value of the wrong type raises :class:`TypeError`."""
+    if not isinstance(data, dict):
+        raise TypeError(f"a {cls.__name__} payload must be a JSON object, got {data!r}")
+    values = {}
+    for spec in fields(cls):
+        if spec.name in data:
+            value = data[spec.name]
+            if not _FIELD_CHECKS[spec.type](value):
+                raise TypeError(f"{cls.__name__}.{spec.name} must be {spec.type}, got {value!r}")
+            values[spec.name] = value
+    return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -79,9 +112,9 @@ class RunMetrics:
     @classmethod
     def from_payload(cls, data: Dict[str, object]) -> "RunMetrics":
         """Inverse of :meth:`to_payload`; ignores unknown keys so newer
-        writers stay readable by older code."""
-        known = {spec.name for spec in fields(cls)}
-        return cls(**{key: value for key, value in data.items() if key in known})
+        writers stay readable by older code, and raises :class:`TypeError`
+        on a wrong-typed field."""
+        return _from_payload(cls, data)
 
 
 @dataclass(frozen=True)
@@ -115,9 +148,9 @@ class AggregateMetrics:
 
     @classmethod
     def from_payload(cls, data: Dict[str, object]) -> "AggregateMetrics":
-        """Inverse of :meth:`to_payload`; ignores unknown keys."""
-        known = {spec.name for spec in fields(cls)}
-        return cls(**{key: value for key, value in data.items() if key in known})
+        """Inverse of :meth:`to_payload`; ignores unknown keys and raises
+        :class:`TypeError` on a wrong-typed field."""
+        return _from_payload(cls, data)
 
 
 def summarize_runs(runs: Iterable[RunMetrics], scheme: Optional[str] = None) -> AggregateMetrics:

@@ -332,7 +332,8 @@ def _load_run(
 ) -> Dict[str, object]:
     """Resolve + load one run, translating every failure mode (missing id,
     corrupt JSON, unknown schema, unreadable file, a run that is not of
-    ``kind``) into a friendly exit."""
+    ``kind``, a trial set with a missing or wrong-typed field) into a
+    friendly exit."""
     try:
         run_id = store.resolve(ref, kind=kind, experiment=experiment)
         payload = store.load(run_id)
@@ -344,6 +345,11 @@ def _load_run(
         raise _fail(f"cannot read run {ref!r} from {store.root}: {exc}")
     if kind is not None and payload.get("kind") != kind:
         raise _fail(f"run {run_id!r} is a {payload.get('kind')!r} run, not a {kind!r} run")
+    if payload.get("kind") == "trial_set":
+        try:
+            RunStore.trial_set_from_payload(payload)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _fail(f"run {ref!r} in {store.root} is unreadable: {exc}")
     return payload
 
 

@@ -374,8 +374,9 @@ def merge_runs(
     never be mixed — and every group with at least two members is unioned
     (:func:`_union_trials`), re-aggregated and written back as a new
     ``trial_set`` carrying ``merged_from`` provenance.  Non-trial-set runs
-    and schema-mismatched documents are refused outright (``ValueError``)
-    — merging across layouts could silently mix incompatible metrics.
+    and schema-mismatched or wrong-typed documents are refused outright
+    (``ValueError``) — merging across layouts could silently mix
+    incompatible metrics.
     Duplicate run ids are collapsed before grouping.
     """
     run_ids = list(dict.fromkeys(run_ids))  # same id twice is one run, not two samples
@@ -388,7 +389,10 @@ def merge_runs(
             raise ValueError(
                 f"run {run_id!r} is a {payload.get('kind')!r}; only trial_set runs can be merged"
             )
-        loaded.append(RunStore.trial_set_from_payload(payload))
+        try:
+            loaded.append(RunStore.trial_set_from_payload(payload))
+        except TypeError as exc:
+            raise ValueError(f"run {run_id!r} is unreadable: {exc}") from exc
 
     def cell_key(stored: StoredRun) -> Tuple[str, str, str, str]:
         return (

@@ -25,6 +25,15 @@ def bits_to_int(bits: Sequence[Bit]) -> int:
     >>> bits_to_int([1, 0, 1])
     5
     """
+    if not isinstance(bits, (list, tuple)):
+        bits = list(bits)
+    try:
+        packed = bytes(bits)
+    except (TypeError, ValueError):
+        packed = None
+    if packed is not None and not packed.translate(None, b"\x00\x01"):
+        # Every bit is 0 or 1: read the bytes, last first, as binary digits.
+        return int(packed[::-1].replace(b"\x00", b"0").replace(b"\x01", b"1") or b"0", 2)
     value = 0
     for index, bit in enumerate(bits):
         if bit not in (0, 1):

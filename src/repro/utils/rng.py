@@ -46,10 +46,17 @@ def fork_seed(seed: int, label: str) -> int:
 
 
 def random_bits(rng: random.Random, count: int) -> List[int]:
-    """Draw ``count`` independent uniform bits."""
+    """Draw ``count`` independent uniform bits.
+
+    Draw for draw ``[rng.getrandbits(1) for _ in range(count)]``: each bit is
+    the top bit of one 32-bit Mersenne Twister word, and one
+    ``getrandbits(32 * count)`` returns those ``count`` words, the first
+    lowest, leaving the generator in the same state.
+    """
     if count < 0:
         raise ValueError("count must be non-negative")
-    return [rng.getrandbits(1) for _ in range(count)]
+    words = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+    return [high >> 7 for high in words[3::4]]
 
 
 def random_bitstring_int(rng: random.Random, count: int) -> int:

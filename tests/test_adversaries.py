@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from oracle import PerSlotNetwork, link_major_plane
 
 from repro.adversary import ContractViolation, check_contract
-from repro.adversary.base import Adversary, NoiseBudget, NoiselessAdversary
+from repro.adversary.base import Adversary, NoiseBudget, NoiselessAdversary, corrupt_slots
 from repro.adversary.contract import _state_snapshot
 from repro.adversary.oblivious import AdditiveObliviousAdversary, FixingObliviousAdversary
 from repro.adversary.strategies import (
@@ -584,6 +585,68 @@ class TestCorruptWindow:
         assert ctx.slot(5) == TransmissionContext(
             round_index=105, sender=0, receiver=1, phase="rewind", iteration=7, slot_index=5
         )
+
+
+#: Corruption probabilities for the bulk noise kernel: off, rare, exactly
+#: and one float step either side of 3/256 (an edge of the kernel's
+#: high-byte filter), frequent and certain.
+_KERNEL_PROBABILITIES = (
+    0.0, 1e-4, math.nextafter(3 / 256, 0.0), 3 / 256, math.nextafter(3 / 256, 1.0), 0.3, 1.0,
+)
+
+
+class TestRandomNoiseKernel:
+    """The bulk kernel against the per-slot loop on windows of up to 25,000
+    slots: several word blocks, re-alignment after each corruption's
+    ``choice`` words and top-ups in the middle of one."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        probability=st.sampled_from(_KERNEL_PROBABILITIES),
+        insertion=st.sampled_from(("off", "quarter", "above")),
+        budget=st.sampled_from((None, (0.0, 2), (0.002, 0), (0.2, 1))),
+        widths=st.lists(
+            st.one_of(st.integers(1, 64), st.integers(1000, 25_000)), min_size=1, max_size=3
+        ),
+        density=st.sampled_from((0.0, 0.05, 0.5, 1.0)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bulk_kernel_matches_the_per_slot_loop(
+        self, probability, insertion, budget, widths, density, seed
+    ):
+        insertion_probability = {
+            "off": 0.0,
+            "quarter": probability / 4,
+            "above": min(1.0, 2 * probability + 0.01),
+        }[insertion]
+
+        def build():
+            return RandomNoiseAdversary(
+                corruption_probability=probability,
+                insertion_probability=insertion_probability,
+                seed=seed,
+                budget=None if budget is None else NoiseBudget(*budget),
+            )
+
+        kernel, reference = build(), build()
+        planes = random.Random(seed)
+        for width in widths:
+            present = int("".join("01"[planes.random() < density] for _ in range(width)), 2)
+            bits = planes.getrandbits(width) & present
+            ctx = _window_ctx(width, base_round=planes.randrange(1000))
+            delivered = kernel.corrupt_window(ctx, bits, present)
+            assert delivered == corrupt_slots(reference, ctx, bits, present, 0, width)
+            assert _state_snapshot(kernel) == _state_snapshot(reference)
+
+    def test_a_binding_budget_stops_the_corruptions(self):
+        """At probability 1 every slot hits, so the allowance alone decides."""
+        kernel = RandomNoiseAdversary(corruption_probability=1.0, seed=3, budget=NoiseBudget(0.1, 2))
+        reference = RandomNoiseAdversary(corruption_probability=1.0, seed=3, budget=NoiseBudget(0.1, 2))
+        ctx = _window_ctx(5000)
+        present = (1 << 5000) - 1
+        assert kernel.corrupt_window(ctx, 0, present) == corrupt_slots(reference, ctx, 0, present, 0, 5000)
+        assert kernel.budget.corruptions_spent == 2 + 500
+        assert _state_snapshot(kernel) == _state_snapshot(reference)
 
 
 #: Every stock adversary in every shipped mode, as fresh-instance builders.

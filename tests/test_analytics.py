@@ -189,6 +189,17 @@ class TestMergeRuns:
         assert result.created == []
         assert sorted(result.skipped) == sorted([a, b])
 
+    def test_wrong_typed_trial_set_is_refused(self, tmp_path):
+        store = RunStore(tmp_path)
+        a = _record_cell(store, seeds=[1, 2])
+        b = _record_cell(store, seeds=[3, 4])
+        path = tmp_path / f"{b}.json"
+        payload = json.loads(path.read_text())
+        payload["aggregate"]["trials"] = "3"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"run {b!r} is unreadable: AggregateMetrics.trials"):
+            merge_runs(store, [a, b])
+
     def test_schema_mismatch_is_refused(self, tmp_path):
         store = RunStore(tmp_path)
         a = _record_cell(store)

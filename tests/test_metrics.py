@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.metrics import RunMetrics, summarize_runs
+from repro.analysis.metrics import AggregateMetrics, RunMetrics, summarize_runs
 
 
 def _run(success=True, cc_protocol=100, cc_simulation=500, corruptions=3, scheme="algorithm_a"):
@@ -58,3 +58,43 @@ class TestAggregation:
         data = summarize_runs([_run()]).as_dict()
         assert data["trials"] == 1
         assert data["success_rate"] == 1.0
+
+
+class TestPayloadTypes:
+    """``from_payload`` accepts exactly the JSON types of each field."""
+
+    def test_round_trips_and_accepts_a_count_for_a_real(self):
+        run = _run()
+        assert RunMetrics.from_payload(run.to_payload()) == run
+        payload = dict(run.to_payload(), noise_fraction=0)
+        assert RunMetrics.from_payload(payload).noise_fraction == 0
+        aggregate = summarize_runs([run])
+        assert AggregateMetrics.from_payload(dict(aggregate.to_payload(), mean_overhead=5)).mean_overhead == 5
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("success", "yes"),
+            ("success", 1),
+            ("protocol_communication", "10"),
+            ("protocol_communication", True),
+            ("corruptions", 3.0),
+            ("noise_fraction", False),
+            ("scheme", 7),
+            ("communication_by_phase", {"simulation": "4"}),
+            ("corruptions_by_phase", [1, 2]),
+        ],
+    )
+    def test_run_metrics_reject_a_wrong_typed_field(self, field, value):
+        with pytest.raises(TypeError, match=f"RunMetrics.{field} must be"):
+            RunMetrics.from_payload(dict(_run().to_payload(), **{field: value}))
+
+    @pytest.mark.parametrize("field, value", [("trials", "3"), ("successes", True), ("mean_overhead", "5")])
+    def test_aggregate_metrics_reject_a_wrong_typed_field(self, field, value):
+        payload = dict(summarize_runs([_run()]).to_payload(), **{field: value})
+        with pytest.raises(TypeError, match=f"AggregateMetrics.{field} must be"):
+            AggregateMetrics.from_payload(payload)
+
+    def test_a_payload_that_is_not_an_object_is_rejected(self):
+        with pytest.raises(TypeError):
+            RunMetrics.from_payload(["scheme", "success"])

@@ -227,6 +227,29 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         assert len(cache) == 0
 
+    def test_wrong_typed_metrics_are_a_miss_and_run_again(self, tmp_path):
+        """A current-schema line whose metrics carry wrong-typed fields is
+        skipped on load: the trial misses and runs again, with the right
+        result."""
+        workload = gossip_workload(topology="line", num_nodes=4, phases=6)
+        factory = RandomNoiseFactory(fraction=0.004)
+        first = run_trials(workload, algorithm_a(), adversary_factory=factory, trials=1,
+                           backend=SerialBackend(), cache=ResultCache(tmp_path))
+        path = tmp_path / "trials.jsonl"
+        record = json.loads(path.read_text())
+        assert record["schema"] == CACHE_SCHEMA_VERSION
+        record["metrics"].update(success="yes", protocol_communication="10")
+        path.write_text(json.dumps(record) + "\n")
+
+        cache = ResultCache(tmp_path)
+        assert len(cache) == 0
+        backend = SerialBackend()
+        again = run_trials(workload, algorithm_a(), adversary_factory=factory, trials=1,
+                           backend=backend, cache=cache)
+        assert (cache.stats.hits, cache.stats.misses) == (0, 1)
+        assert backend.trials_executed == 1
+        assert again.runs == first.runs
+
     def test_unstable_keys_bypass_the_cache(self):
         workload = pairwise_workload()
         scheme = crs_oblivious_scheme()
@@ -480,6 +503,27 @@ class TestRunsCli:
         assert main(args) == 0
         serial_out = capsys.readouterr().out
         assert parallel_out == serial_out
+
+    @pytest.mark.parametrize("command", ["show", "diff"])
+    def test_wrong_typed_trial_set_fails_with_one_line(self, tmp_path, capsys, command):
+        """A trial set whose aggregate has a wrong-typed field is an
+        unreadable run: exit 1 with one stderr line, not a traceback."""
+        from repro.cli import main
+
+        store = RunStore(tmp_path)
+        run_trials(pairwise_workload(), crs_oblivious_scheme(), trials=1, cache=None, store=store)
+        run_id = store.list_runs()[0]["run_id"]
+        path = tmp_path / f"{run_id}.json"
+        payload = json.loads(path.read_text())
+        payload["aggregate"]["trials"] = "3"
+        path.write_text(json.dumps(payload))
+        argv = ["runs", "show", run_id] if command == "show" else ["runs", "diff", run_id, run_id]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--store-dir", str(tmp_path)])
+        assert excinfo.value.code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: run {run_id!r}") and "AggregateMetrics.trials" in err[0]
 
     def test_every_experiment_command_prints_the_seed(self, capsys):
         from repro.cli import main
