@@ -77,11 +77,14 @@ class PartyRuntime:
     status_flag: int = 1
     net_correct: int = 1
 
-    def neighbors(self) -> List[int]:
-        return sorted(self.transcripts)
+    def __post_init__(self) -> None:
+        self._neighbors = tuple(sorted(self.transcripts))
+
+    def neighbors(self) -> Tuple[int, ...]:
+        return self._neighbors
 
     def min_chunk(self) -> int:
-        return min(map(len, self.transcripts.values()))
+        return min([len(transcript.records) for transcript in self.transcripts.values()])
 
     def build_received_map(self) -> Dict[Tuple[int, int], int]:
         """Everything this party has received so far, for protocol replay."""
@@ -396,7 +399,7 @@ class InteractiveCodingSimulator:
         if outcome.full_match:
             # Ground-truth hash-collision detection (reporting only).
             other = self.runtimes[neighbor].transcripts[runtime.party]
-            if not transcript.matches_prefix(other, max(len(transcript), len(other))):
+            if not transcript.same_records(other):
                 self._counters["hash_collisions"] += 1
                 recorder = self._obs.recorder
                 if recorder is not None:
@@ -587,37 +590,42 @@ class InteractiveCodingSimulator:
     # --------------------------------------------------- phase (iv): rewind --
 
     def _rewind_phase(self, iteration: int) -> None:
-        already: Dict[int, Dict[int, bool]] = {
-            party: {neighbor: False for neighbor in runtime.neighbors()}
-            for party, runtime in self.runtimes.items()
-        }
+        """Phase (iv): n lockstep rounds of single-chunk rewind requests.
+        Round 0 scans every party, each later round only the parties that
+        truncated a link as a receiver in the round before: only a received
+        rewind can lower a party's shortest link and so make a link sendable."""
+        already: Set[Tuple[int, int]] = set()
         rounds = self.graph.num_nodes  # the paper's choice: n rounds
         recorder = self._obs.recorder
         link_bit = self._link_bit
         links = self._links
+        scan: List[PartyRuntime] = list(self.runtimes.values())
         for round_index in range(rounds):
             slots: List[Tuple[int, int]] = []
-            for runtime in self.runtimes.values():
+            for runtime in scan:
                 party = runtime.party
+                transcripts = runtime.transcripts
                 min_chunk = runtime.min_chunk()
                 for neighbor in runtime.neighbors():
-                    if runtime.link_status[neighbor] == STATUS_MEETING_POINTS:
+                    transcript = transcripts[neighbor]
+                    if (
+                        len(transcript.records) <= min_chunk
+                        or runtime.link_status[neighbor] == STATUS_MEETING_POINTS
+                        or (party, neighbor) in already
+                    ):
                         continue
-                    if already[party][neighbor]:
-                        continue
-                    if len(runtime.transcripts[neighbor]) > min_chunk:
-                        slots.append((link_bit[(party, neighbor)], 1))
-                        runtime.transcripts[neighbor].truncate_last(1)
-                        already[party][neighbor] = True
-                        self._counters["rewinds_sent"] += 1
-                        if recorder is not None:
-                            recorder.emit(
-                                "rewind",
-                                iteration=iteration,
-                                link=link_label(party, neighbor),
-                                role="sender",
-                                depth=len(runtime.transcripts[neighbor]),
-                            )
+                    slots.append((link_bit[(party, neighbor)], 1))
+                    transcript.truncate_last(1)
+                    already.add((party, neighbor))
+                    self._counters["rewinds_sent"] += 1
+                    if recorder is not None:
+                        recorder.emit(
+                            "rewind",
+                            iteration=iteration,
+                            link=link_label(party, neighbor),
+                            role="sender",
+                            depth=len(transcript),
+                        )
             if not slots and not self.adversary.may_insert:
                 # Quiescent tail: with nothing sent and nothing insertable,
                 # nothing was delivered, so the state feeding the next round's
@@ -634,14 +642,17 @@ class InteractiveCodingSimulator:
                 (receiver, sender)
                 for sender, receiver in (links[position] for position in set_positions(delivered_bits))
             )
+            scan = []
             for party, neighbor in requests:
                 runtime = self.runtimes[party]
                 if runtime.link_status[neighbor] == STATUS_MEETING_POINTS:
                     continue
-                if already[party][neighbor]:
+                if (party, neighbor) in already:
                     continue
                 runtime.transcripts[neighbor].truncate_last(1)
-                already[party][neighbor] = True
+                already.add((party, neighbor))
+                if not scan or scan[-1] is not runtime:
+                    scan.append(runtime)
                 if recorder is not None:
                     recorder.emit(
                         "rewind",

@@ -21,6 +21,9 @@ prefix length.  :meth:`LinkTranscript.append` and
 :meth:`LinkTranscript.truncate_to` are the only ways to change ``records``;
 each updates the buffer and drops the cached fingerprints of prefixes that
 no longer exist, so every cached accessor is served without revalidation.
+The buffer also answers :meth:`LinkTranscript.same_records`, the engine's
+ground-truth collision check: the ``[index:view]`` encoding is uniquely
+decodable, so equal buffers are equal records.
 """
 
 from __future__ import annotations
@@ -150,6 +153,13 @@ class LinkTranscript:
             mine.matches(theirs)
             for mine, theirs in zip(self.records[:num_chunks], other.records[:num_chunks])
         )
+
+    def same_records(self, other: "LinkTranscript") -> bool:
+        """``matches_prefix(other, max(len(self), len(other)))`` as one byte
+        comparison of the serialisation buffers: the ``[index:view]``
+        encoding is uniquely decodable, so equal bytes mean equal lengths
+        and every record :meth:`~ChunkRecord.matches`.  Not a hash."""
+        return self._cache_buffer == other._cache_buffer
 
     def common_prefix_chunks(self, other: "LinkTranscript") -> int:
         """G_{u,v}: length (in chunks) of the longest agreeing prefix."""

@@ -3,6 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, settings
+
+#: Example budgets of the engine's differential fuzz suite
+#: (``tests/test_engine_fuzz.py``): tier-1 runs ``fuzz``; a soak run selects
+#: ``soak`` with ``pytest tests/test_engine_fuzz.py --hypothesis-profile=soak``.
+settings.register_profile(
+    "fuzz", max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+settings.register_profile("soak", settings.get_profile("fuzz"), max_examples=300)
 
 
 def pytest_configure(config):

@@ -1,6 +1,6 @@
 """Reference semantics the production fast paths are tested against.
 
-Two oracles, each a direct transcription of the model rather than an
+Three oracles, each a direct transcription of the model rather than an
 optimisation of it:
 
 * :class:`PerSlotNetwork` — a :class:`~repro.network.transport.NoisyNetwork`
@@ -14,22 +14,29 @@ optimisation of it:
   generator read per seed slot and one ``digest`` per hash, where production
   derives an iteration's seeds in one ``packed_slots`` call and digests the
   three transcript prefixes in one pass.
+* :func:`rewind_phase_full_scan` and :func:`same_records_per_record` — the
+  engine's bookkeeping as Algorithm 1 states it: every rewind round scans
+  every party's every link and sends its frame (no rescan rule, no
+  quiescent-tail collapse), and the ground-truth collision check compares
+  facing transcripts record by record, where production rescans only the
+  parties a rewind reached and compares serialisation bytes.
 
-Tests substitute them with ``monkeypatch`` (``repro.core.engine.NoisyNetwork``
-and ``MeetingPointsSession._build_message``); nothing in ``src/`` knows they
-exist.
+Tests substitute them with ``monkeypatch`` (``repro.core.engine.NoisyNetwork``,
+``MeetingPointsSession._build_message``,
+``InteractiveCodingSimulator._rewind_phase`` and
+``LinkTranscript.same_records``); nothing in ``src/`` knows they exist.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from repro.core.meeting_points import _COUNTER_BITS
+from repro.core.meeting_points import _COUNTER_BITS, STATUS_MEETING_POINTS
 from repro.hashing.inner_product import FINGERPRINT_BITS
 from repro.network.channel import ChannelStats, Symbol, TransmissionContext
 from repro.network.transport import NoisyNetwork
 from repro.obs import classify_slot, link_label
-from repro.utils.bitstring import pack_symbols, unpack_symbols
+from repro.utils.bitstring import pack_symbols, set_positions, unpack_symbols
 
 
 def link_major_plane(graph, messages, rounds):
@@ -129,8 +136,68 @@ def build_message_per_call(session, iteration: int, transcript, length: int) -> 
     return counter | (prefixes[0] << tau) | (prefixes[1] << (2 * tau)) | (prefixes[2] << (3 * tau))
 
 
-def use_oracles(monkeypatch, network: bool = True, hashing: bool = True) -> None:
-    """Route every simulator built afterwards through the chosen oracles."""
+def rewind_phase_full_scan(simulator, iteration: int) -> None:
+    """Phase (iv): in each of the n rounds every party scans every link and
+    sends a rewind on each link longer than its shortest one (unless the
+    link is in meeting points or already rewound this phase); then every
+    delivered request truncates the receiver's link under the same two
+    conditions, in (receiver, sender) order.  Every round sends its frame,
+    even an empty one."""
+    already = set()
+    recorder = simulator._obs.recorder
+    links = simulator.graph.directed_edges()
+    index = simulator.graph.directed_edge_index()
+    for _ in range(simulator.graph.num_nodes):
+        slots = []
+        for party, runtime in simulator.runtimes.items():
+            shortest = min(len(transcript) for transcript in runtime.transcripts.values())
+            for neighbor in sorted(runtime.transcripts):
+                transcript = runtime.transcripts[neighbor]
+                if runtime.link_status[neighbor] == STATUS_MEETING_POINTS or (party, neighbor) in already:
+                    continue
+                if len(transcript) > shortest:
+                    slots.append((index[(party, neighbor)], 1))
+                    transcript.truncate_last(1)
+                    already.add((party, neighbor))
+                    simulator._counters["rewinds_sent"] += 1
+                    if recorder is not None:
+                        recorder.emit(
+                            "rewind", iteration=iteration, link=link_label(party, neighbor),
+                            role="sender", depth=len(transcript),
+                        )
+        delivered_bits, _ = simulator._send_round(slots, "rewind", iteration)
+        requests = sorted(
+            (receiver, sender)
+            for sender, receiver in (links[position] for position in set_positions(delivered_bits))
+        )
+        for party, neighbor in requests:
+            runtime = simulator.runtimes[party]
+            if runtime.link_status[neighbor] == STATUS_MEETING_POINTS or (party, neighbor) in already:
+                continue
+            runtime.transcripts[neighbor].truncate_last(1)
+            already.add((party, neighbor))
+            if recorder is not None:
+                recorder.emit(
+                    "rewind", iteration=iteration, link=link_label(party, neighbor),
+                    role="receiver", depth=len(runtime.transcripts[neighbor]),
+                )
+
+
+def same_records_per_record(transcript, other) -> bool:
+    """Equal lengths and every facing record ``matches``."""
+    return transcript.matches_prefix(other, max(len(transcript), len(other)))
+
+
+def use_oracles(monkeypatch, network: bool = True, hashing: bool = True, bookkeeping: bool = False) -> None:
+    """Route every simulator built afterwards through the chosen oracles.
+
+    ``bookkeeping`` is opt-in: without it the engine keeps its production
+    rewind phase and collision check."""
+    if bookkeeping:
+        monkeypatch.setattr(
+            "repro.core.engine.InteractiveCodingSimulator._rewind_phase", rewind_phase_full_scan
+        )
+        monkeypatch.setattr("repro.core.transcript.LinkTranscript.same_records", same_records_per_record)
     if network:
         monkeypatch.setattr("repro.core.engine.NoisyNetwork", PerSlotNetwork)
     if hashing:

@@ -8,8 +8,9 @@ switches.  It now has one path, and the reference semantics live in
   fingerprint or cache key: the key of a fixed trial is the golden value it
   had while the switches existed, and a result computed through the oracles
   is served for the same trial run in production.
-* **Bit-identity** — production and the per-slot, per-call-hashing oracles
-  produce identical results on real noisy trials.
+* **Bit-identity** — production and the per-slot, per-call-hashing and
+  full-rescan bookkeeping oracles produce identical results on real noisy
+  trials.
 * **One surface** — the removed configuration module, keywords, spec field
   and CLI flags fail loudly instead of being ignored.
 """
@@ -51,7 +52,7 @@ def test_engine_config_never_enters_the_fingerprint(cell, monkeypatch):
     key = fingerprint_trial(spec)
     assert key.stable
     assert key.digest == "8d912b9a76ba30f53590945bc68187b382079aa09ef3cf0583b1af687f8c597e"
-    use_oracles(monkeypatch)
+    use_oracles(monkeypatch, bookkeeping=True)
     rebuilt = build_trial_specs(workload, scheme, factory, [17])[0]
     assert fingerprint_trial(rebuilt) == key
 
@@ -63,7 +64,7 @@ def test_cached_result_served_across_configurations(cell, monkeypatch):
     workload, scheme, factory = cell
     cache = ResultCache()
     with monkeypatch.context() as patched:
-        use_oracles(patched)
+        use_oracles(patched, bookkeeping=True)
         first = run_trials(workload, scheme, factory, trials=2, cache=cache, store=None)
     assert cache.stats.hits == 0 and cache.stats.stores == 2
     second = run_trials(workload, scheme, factory, trials=2, cache=cache, store=None)
@@ -88,7 +89,7 @@ def test_reference_and_default_profiles_bit_identical(scheme_name, monkeypatch):
         return result.success, result.metrics.as_dict(), result.channel_summary
 
     default = run()
-    use_oracles(monkeypatch)
+    use_oracles(monkeypatch, bookkeeping=True)
     assert run() == default
 
 

@@ -5,14 +5,16 @@ not "statistically equivalent", but the same ``SimulationResult``, the same
 :class:`~repro.network.channel.ChannelStats` counters, the same round clock
 and the same adversary end state (RNG stream positions, budget counters).
 The oracles in ``tests/oracle.py`` are the reference: per-slot delivery
-through ``corrupt`` and ``notify_delivery`` (``PerSlotNetwork``) and per-call
-hashing (``build_message_per_call``).  Production runs every exchange as one
-link-major plane with one ``corrupt_window`` call (a lockstep round is a
-one-round window), and batched hashing.
+through ``corrupt`` and ``notify_delivery`` (``PerSlotNetwork``), per-call
+hashing (``build_message_per_call``) and full-rescan rewind bookkeeping
+(``rewind_phase_full_scan``, ``same_records_per_record``).  Production runs
+every exchange as one link-major plane with one ``corrupt_window`` call (a
+lockstep round is a one-round window), batched hashing, and rescans only the
+parties a rewind reached.
 
 This suite pins that claim differentially: hypothesis draws a workload
 (scheme x topology x stock adversary x seed x observability mode), runs it
-in production and with both oracles substituted in (``monkeypatch``), and
+in production and with every oracle substituted in (``monkeypatch``), and
 requires every observable to match exactly.  The adversaries are the ones
 production builds: the oblivious pattern adversaries, the budgeted stock
 strategies (insertions on) and both Table 1 composites.
@@ -34,8 +36,19 @@ Re-run a specific derivation deterministically with::
 
 (the ``<seed>`` is printed in the failure report), or paste the printed
 ``@reproduce_failure`` decorator onto the test.  The examples budget is
-deliberately small (the suite runs two full simulations per example); crank
-``max_examples`` up locally for a deeper soak.
+deliberately small in tier-1 (the suite runs two full simulations per
+example): the ``fuzz`` profile of ``tests/conftest.py``.  For a deeper soak::
+
+    PYTHONPATH=src python -m pytest tests/test_engine_fuzz.py --hypothesis-profile=soak
+
+Rewind bookkeeping
+------------------
+
+The oracles include the engine's rewind phase and collision check as
+Algorithm 1 states them (``rewind_phase_full_scan``,
+``same_records_per_record``).  :class:`TestRewindBookkeeping` runs fixed
+cases whose rewinds cascade, and pins the quiescent-tail collapse, against
+those two oracles alone.
 """
 
 from __future__ import annotations
@@ -44,7 +57,7 @@ import json
 from contextlib import nullcontext
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import use_oracles
 
@@ -73,7 +86,7 @@ from repro.obs.recorder import FlightRecorder
 from repro.protocols.random_protocol import RandomProtocol
 from repro.utils.rng import make_rng
 
-_FUZZ = settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+_FUZZ = settings.get_profile("soak" if settings.get_current_profile_name() == "soak" else "fuzz")
 
 _SCHEMES = ("algorithm_crs", "algorithm_a", "algorithm_b", "algorithm_c")
 
@@ -149,8 +162,9 @@ _OBS_MODES = ("dark", "metrics", "recorder")
 
 
 def _run(scheme_name, topology_name, adversary_name, seed, oracle, obs_mode="dark"):
-    """One full simulation, through the oracles when ``oracle`` is set;
-    returns (simulator, result, recorder-or-None)."""
+    """One full simulation, through every oracle when ``oracle`` is True or
+    through the ones a dict of ``use_oracles`` keywords selects; returns
+    (simulator, result, recorder-or-None)."""
     graph, protocol = _workload(topology_name, seed)
     adversary = _ADVERSARIES[adversary_name](graph, seed)
     # A ring big enough to never drop, so the two recordings are complete.
@@ -164,7 +178,7 @@ def _run(scheme_name, topology_name, adversary_name, seed, oracle, obs_mode="dar
         )
     with scope, pytest.MonkeyPatch.context() as patched:
         if oracle:
-            use_oracles(patched)
+            use_oracles(patched, **(oracle if isinstance(oracle, dict) else {"bookkeeping": True}))
         simulator = InteractiveCodingSimulator(
             protocol, scheme=scheme_by_name(scheme_name), adversary=adversary, seed=seed,
         )
@@ -298,3 +312,69 @@ class TestDispatchObservability:
             "deletion": stats.deletions,
             "insertion": stats.insertions,
         }
+
+
+#: The rewind and collision oracles alone, over production transport and hashing.
+_BOOKKEEPING = {"network": False, "hashing": False, "bookkeeping": True}
+
+#: Cases whose rewinds cascade: a received rewind lowers a party's shortest
+#: link, so it rewinds another link in a later round of the same phase.
+#: Non-inserting (deletion, fixing) and inserting (random-noise) adversaries.
+_CASCADES = (
+    ("algorithm_a", "line4", "deletion", 3),
+    ("algorithm_crs", "ring5", "deletion", 2),
+    ("algorithm_crs", "line4", "fixing", 0),
+    ("algorithm_a", "ring5", "random-noise", 1),
+    ("algorithm_crs", "random5", "random-noise", 0),
+)
+
+
+class TestRewindBookkeeping:
+    @pytest.mark.parametrize("case", _CASCADES, ids=["-".join(map(str, case)) for case in _CASCADES])
+    def test_cascading_rewinds_match_the_full_scan(self, case, monkeypatch):
+        """Production rescans only the parties a rewind reached; the oracle
+        scans every party every round and sends every round's frame."""
+        frames = []
+        send_round = InteractiveCodingSimulator._send_round
+
+        def counting_send_round(self, slots, phase, iteration):
+            if phase == "rewind":
+                frames.append(len(slots))
+            return send_round(self, slots, phase, iteration)
+
+        monkeypatch.setattr(InteractiveCodingSimulator, "_send_round", counting_send_round)
+        reference_run = _run(*case, _BOOKKEEPING, "recorder")
+        rounds = reference_run[0].graph.num_nodes
+        # The oracle sends all n frames of every phase: a frame with slots
+        # after a phase's first round is a cascade.
+        assert len(frames) % rounds == 0
+        assert any(frames[start + 1:start + rounds] != [0] * (rounds - 1) for start in range(0, len(frames), rounds))
+        default_run = _run(*case, False, "recorder")
+        _assert_bit_identical(reference_run, default_run)
+        _assert_same_recording(reference_run[2], default_run[2])
+        assert default_run[1].metrics.rewinds_sent > 0
+
+    @pytest.mark.parametrize("adversary_name", ["noiseless", "deletion"])
+    def test_quiescent_tail_collapses_and_keeps_the_clock(self, adversary_name, monkeypatch):
+        """With nothing insertable, a rewind round that sends nothing ends
+        the phase in one clock advance; every phase still spans n rounds."""
+        case = ("algorithm_a", "line4", adversary_name, 3)
+        reference_run = _run(*case, _BOOKKEEPING, "recorder")
+        phases = []
+        rewind_phase = InteractiveCodingSimulator._rewind_phase
+
+        def measured_rewind_phase(self, iteration):
+            clock, collapsed = self.network.current_round, self.network.idle_rounds_collapsed
+            rewind_phase(self, iteration)
+            phases.append((self.network.current_round - clock, self.network.idle_rounds_collapsed - collapsed))
+
+        monkeypatch.setattr(InteractiveCodingSimulator, "_rewind_phase", measured_rewind_phase)
+        default_run = _run(*case, False, "recorder")
+        simulator, result = default_run[:2]
+        rounds = simulator.graph.num_nodes
+        assert len(phases) == result.iterations_run
+        assert all(advanced == rounds for advanced, _ in phases)
+        assert sum(collapsed for _, collapsed in phases) > 0
+        assert (result.metrics.rewinds_sent > 0) == (adversary_name == "deletion")
+        _assert_bit_identical(reference_run, default_run)
+        _assert_same_recording(reference_run[2], default_run[2])

@@ -13,14 +13,16 @@ random inputs, and the two must agree bit for bit —
   per-call hashing oracle (``tests/oracle.py``), in lockstep over random
   transcripts and corrupted replies, with one source per session and with
   sessions sharing one source (and its digest memo),
-* whole trials through the engine with every combination of the two
-  oracles (per-call hashing, per-slot transport) substituted in.
+* whole trials through the engine with every combination of the three
+  oracles (per-call hashing, per-slot transport, full-rescan rewind
+  bookkeeping) substituted in.
 """
 
 from __future__ import annotations
 
 import random
 from functools import partial
+from itertools import product
 
 import pytest
 from oracle import build_message_per_call, use_oracles
@@ -319,12 +321,13 @@ _TRIAL_CASES = {
 @pytest.mark.parametrize("case", sorted(_TRIAL_CASES))
 def test_full_trial_bit_identity_across_fast_path_switches(case, gossip_clique4, monkeypatch):
     """Whole trials agree field for field with every combination of the
-    per-slot transport and per-call hashing oracles substituted in."""
+    per-slot transport, per-call hashing and full-rescan bookkeeping oracles
+    substituted in."""
     scheme_factory, adversary_factory = _TRIAL_CASES[case]
 
-    def run(network_oracle: bool, hashing_oracle: bool):
+    def run(network_oracle: bool, hashing_oracle: bool, bookkeeping_oracle: bool):
         with monkeypatch.context() as patched:
-            use_oracles(patched, network=network_oracle, hashing=hashing_oracle)
+            use_oracles(patched, network=network_oracle, hashing=hashing_oracle, bookkeeping=bookkeeping_oracle)
             simulator = InteractiveCodingSimulator(
                 gossip_clique4,
                 scheme=scheme_factory(),
@@ -333,13 +336,10 @@ def test_full_trial_bit_identity_across_fast_path_switches(case, gossip_clique4,
             )
             return simulator.run()
 
-    production = _trial_fingerprint(run(False, False))
-    for network_oracle, hashing_oracle in ((True, False), (False, True), (True, True)):
-        assert _trial_fingerprint(run(network_oracle, hashing_oracle)) == production, (
-            case,
-            network_oracle,
-            hashing_oracle,
-        )
+    switches = list(product((False, True), repeat=3))
+    production = _trial_fingerprint(run(*switches[0]))
+    for oracles in switches[1:]:
+        assert _trial_fingerprint(run(*oracles)) == production, (case, oracles)
 
 
 @pytest.mark.parametrize("case", sorted(_TRIAL_CASES))

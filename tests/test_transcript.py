@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.core.transcript import ChunkRecord, LinkTranscript
 from repro.hashing.inner_product import fingerprint_bits
@@ -119,3 +121,48 @@ class TestLinkTranscript:
         sender_view.append(_record(1, (1, 0)))      # what 0 sent
         receiver_view.append(_record(1, (1, 1)))    # what 1 received (second bit flipped)
         assert sender_view.common_prefix_chunks(receiver_view) == 0
+
+
+#: Chunk indices whose decimal digits share prefixes (1, 11, 111, ...), so a
+#: length-blind or delimiter-free encoding would alias records.
+_INDICES = st.sampled_from((0, 1, 2, 11, 12, 21, 111))
+_VIEWS = st.lists(st.sampled_from((0, 1, None)), max_size=3).map(tuple)
+#: ``matches`` ignores the receive log, so facing records may differ in it.
+_RECEIVED = st.sampled_from(((), ((0, 1),), ((3, None), (4, 0))))
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), _INDICES, _VIEWS, _RECEIVED),
+        st.tuples(st.just("truncate_to"), st.integers(0, 6)),
+        st.tuples(st.just("truncate_last"), st.integers(0, 3)),
+    ),
+    max_size=10,
+)
+
+
+def _apply(transcript, ops):
+    for op in ops:
+        if op[0] == "append":
+            transcript.append(_record(*op[1:]))
+        else:
+            getattr(transcript, op[0])(op[1])
+    return transcript
+
+
+class TestSameRecords:
+    @given(shared=_OPS, mine=_OPS, theirs=_OPS)
+    @example(shared=[], mine=[("append", 1, (1, 1), ())], theirs=[("append", 11, (1,), ())])
+    @example(shared=[("append", 1, (0,), ())], mine=[], theirs=[("append", 1, (), ())])
+    @example(
+        shared=[("append", 2, (None,), ())],
+        mine=[("truncate_last", 1), ("append", 2, (0,), ((0, 1),))],
+        theirs=[("truncate_to", 0), ("append", 2, (0,), ())],
+    )
+    def test_same_records_is_matches_prefix_over_the_longer_length(self, shared, mine, theirs):
+        """Byte equality of the serialisation buffers is exactly equal
+        lengths with every facing record matching, through truncations and
+        re-appends."""
+        a = _apply(LinkTranscript(0, 1), shared + mine)
+        b = _apply(LinkTranscript(1, 0), shared + theirs)
+        expected = a.matches_prefix(b, max(len(a), len(b)))
+        assert a.same_records(b) == expected
+        assert b.same_records(a) == expected
