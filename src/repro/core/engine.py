@@ -415,12 +415,10 @@ class InteractiveCodingSimulator:
 
     def _compute_status_flags(self) -> None:
         for runtime in self.runtimes.values():
-            min_chunk = runtime.min_chunk()
-            in_meeting_points = any(
-                status == STATUS_MEETING_POINTS for status in runtime.link_status.values()
+            lengths = [len(transcript.records) for transcript in runtime.transcripts.values()]
+            runtime.status_flag = int(
+                STATUS_MEETING_POINTS not in runtime.link_status.values() and min(lengths) == max(lengths)
             )
-            uneven = any(len(runtime.transcripts[v]) > min_chunk for v in runtime.neighbors())
-            runtime.status_flag = 0 if (in_meeting_points or uneven) else 1
 
     # ------------------------------------------------- phase (ii): flag passing --
 

@@ -16,8 +16,8 @@ observed rate (CC(Π)/CC(simulation)), success rate and noise tolerance.
 * ``measured`` rows — fresh measurements of Algorithms A, B, C and of the
   uncoded / repetition baselines on the requested workloads.
 
-The benchmark ``benchmarks/test_bench_table1.py`` regenerates the measured
-rows; ``examples/reproduce_table1.py`` prints the full table.
+``tests/test_paper_claims.py`` checks the measured rows' shape;
+``examples/reproduce_table1.py`` prints the full table.
 """
 
 from __future__ import annotations

@@ -394,7 +394,7 @@ class SmallBiasGenerator:
 
 
 def empirical_bias(bits: List[int]) -> float:
-    """|Pr[parity = 0] - 1/2| of the given sample — used by tests and benchmarks."""
+    """|Pr[parity = 0] - 1/2| of the given sample — used by the tests."""
     if not bits:
         raise ValueError("need at least one bit")
     zeros = sum(1 for bit in bits if bit == 0)

@@ -20,7 +20,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.analysis.metrics import RunMetrics
 from repro.obs import get_obs
@@ -32,6 +32,20 @@ from repro.runtime.spec import TrialKey
 #: so they are rejected wholesale on load (skipped, never served) and swept by
 #: ``repro cache compact``.
 CACHE_SCHEMA_VERSION = 2
+
+
+def _parse_line(line: str) -> Optional[Tuple[str, RunMetrics]]:
+    """The ``(key digest, metrics)`` entry of one ``trials.jsonl`` line, or None
+    for a line the cache never serves: not JSON, not an object of the current
+    schema, a non-``str`` key, or metrics ``RunMetrics.from_payload`` refuses."""
+    try:
+        record = json.loads(line)
+        if not isinstance(record, dict) or record.get("schema") != CACHE_SCHEMA_VERSION:
+            return None
+        key, metrics = record["key"], record["metrics"]
+        return (key, RunMetrics.from_payload(metrics)) if isinstance(key, str) else None
+    except (ValueError, KeyError, TypeError):
+        return None
 
 
 @dataclass
@@ -62,18 +76,9 @@ class ResultCache:
     def _load(self) -> None:
         if self._path is None or not self._path.exists():
             return
-        with self._path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    if not isinstance(record, dict) or record.get("schema") != CACHE_SCHEMA_VERSION:
-                        continue
-                    self._memory[record["key"]] = RunMetrics.from_payload(record["metrics"])
-                except (ValueError, KeyError, TypeError, AttributeError):
-                    continue  # skip corrupt / truncated lines
+        # Lines split on "\n" alone and decode as in compact(), so both parse the same lines.
+        with self._path.open("r", encoding="utf-8", errors="replace", newline="\n") as handle:
+            self._memory.update(entry for entry in map(_parse_line, handle) if entry is not None)
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -111,10 +116,10 @@ class ResultCache:
         The mirror is append-only, so a key that was re-stored (or a file
         that accumulated lines from an older ``CACHE_SCHEMA_VERSION``) grows
         without bound; ``repro cache compact`` folds it back to one line per
-        live key.  Version-mismatched and corrupt lines are dropped — they
-        would be skipped on every load anyway.  The rewrite goes through a
-        temp file + atomic rename, so a concurrent reader sees either the
-        old file or the new one, never a half-written mix.
+        live key.  Lines a load skips are dropped: both parse a line with
+        ``_parse_line``, so compact keeps exactly what a load serves.  The
+        rewrite goes through a temp file + atomic rename, so a concurrent
+        reader sees either the old file or the new one, never a half-written mix.
 
         A live writer (a sweep appending results) is tolerated: after the
         main pass, any bytes appended since are drained into the rewrite —
@@ -127,7 +132,7 @@ class ResultCache:
         """
         if self._path is None:
             raise ValueError("compact needs a disk-backed cache (pass cache_dir)")
-        latest: Dict[str, str] = {}  # key digest → latest raw line (last one wins)
+        latest: Dict[str, str] = {}  # key digest → latest valid line (last one wins)
         counts = {"invalid": 0, "total": 0}
         pending = b""  # a trailing fragment without its newline yet
 
@@ -139,18 +144,15 @@ class ResultCache:
                 lines.append(pending)
                 pending = b""
             for raw in lines:
-                line = raw.decode("utf-8", errors="replace").strip()
-                if not line:
+                line = raw.decode("utf-8", errors="replace")
+                if not line.strip():
                     continue
                 counts["total"] += 1
-                try:
-                    record = json.loads(line)
-                    if not isinstance(record, dict) or record.get("schema") != CACHE_SCHEMA_VERSION:
-                        counts["invalid"] += 1
-                        continue
-                    latest[str(record["key"])] = line
-                except (ValueError, KeyError, TypeError):
+                entry = _parse_line(line)
+                if entry is None:
                     counts["invalid"] += 1
+                else:
+                    latest[entry[0]] = line.strip()
 
         offset = 0
         if self._path.exists():

@@ -242,8 +242,7 @@ def memoized_payload(obj: Any) -> Tuple[Any, bool]:
 
 
 def payload_memo_stats() -> Dict[str, int]:
-    """Hit/miss/size counters of the payload memo (observable in tests and
-    micro-benchmarks)."""
+    """Hit/miss/size counters of the payload memo (observable in tests)."""
     return {
         "hits": _payload_memo.hits,
         "misses": _payload_memo.misses,

@@ -16,6 +16,7 @@ The guarantees pinned here:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 from datetime import datetime, timedelta, timezone
@@ -39,6 +40,7 @@ from repro.runtime import (
     merge_runs,
     payload_memo_stats,
 )
+from repro.runtime.spec import TRIAL_KEY_SCHEMA, _package_version, build_trial_specs, derive_trial_seed
 
 
 def _metrics(success: bool = True, cc_simulation: int = 100) -> RunMetrics:
@@ -393,6 +395,21 @@ class TestGcRunsEdgeCases:
         assert {row["run_id"] for row in store.list_runs()} == on_disk
 
 
+def _fingerprint_unmemoized(spec: TrialSpec) -> str:
+    """``fingerprint_trial``'s digest with every ingredient canonicalised
+    afresh: the reference the memo must reproduce."""
+    payload = {
+        "schema": TRIAL_KEY_SCHEMA,
+        "version": _package_version(),
+        "workload": canonical_payload(spec.workload)[0],
+        "scheme": canonical_payload(spec.scheme)[0],
+        "adversary_factory": canonical_payload(spec.adversary_factory)[0],
+        "seed": spec.seed,
+    }
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 class TestFingerprintMemoization:
     def test_memoized_payload_matches_cold_canonicalisation(self):
         clear_payload_memo()
@@ -417,6 +434,24 @@ class TestFingerprintMemoization:
         assert stats["misses"] == 3                 # workload, scheme, factory
         assert stats["hits"] == 3 * 49
         assert len({key.digest for key in keys}) == 50  # seeds still differentiate
+
+    def test_fingerprint_memoization_on_a_large_grid(self):
+        """A 300-trial sweep grid: three walks in all, and the digests that
+        canonicalising every ingredient per trial gives."""
+        clear_payload_memo()
+        seeds = [derive_trial_seed(0, trial) for trial in range(300)]
+        specs = build_trial_specs(
+            gossip_workload(topology="line", num_nodes=6, phases=10),
+            algorithm_a(),
+            RandomNoiseFactory(fraction=0.004),
+            seeds,
+        )
+        keys = [fingerprint_trial(spec) for spec in specs]
+        stats = payload_memo_stats()
+        assert stats["misses"] == 3
+        assert stats["hits"] == 3 * 299
+        assert all(key.stable for key in keys)
+        assert [key.digest for key in keys] == [_fingerprint_unmemoized(spec) for spec in specs]
 
     def test_trial_key_is_interned_on_the_spec(self):
         spec = TrialSpec(
@@ -531,7 +566,7 @@ class TestRunsCliAnalytics:
         assert "error:" in capsys.readouterr().err
 
     def test_legacy_bench_records_stay_browsable(self, tmp_path, capsys):
-        """A store written when pytest-benchmark sessions were still recorded
+        """A store written when benchmark timing sessions were still recorded
         keeps working: its ``bench`` documents list, show as raw JSON and
         count for gc, and diffing them is a friendly refusal."""
         from repro.cli import main

@@ -1,4 +1,10 @@
-"""Tests for the uncoded, repetition and fully-utilised baselines."""
+"""Tests for the uncoded, repetition and fully-utilised baselines.
+
+They also pin the motivation of §1: ordinary protocols break under a handful
+of targeted insertion/deletion errors that Algorithm A absorbs, per-bit
+redundancy is no substitute for interactive coding, and converting a sparse
+protocol to the fully-utilised model multiplies its communication by 2m.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +14,16 @@ from repro.adversary.strategies import DeletionAdversary, LinkTargetedAdversary
 from repro.baselines.fully_utilized import fully_utilized_overhead
 from repro.baselines.repetition import run_repetition
 from repro.baselines.uncoded import run_uncoded
+from repro.core.engine import simulate
+from repro.core.parameters import algorithm_a
+from repro.experiments.workloads import aggregation_workload, gossip_workload
+
+
+def _burst(seed: int) -> LinkTargetedAdversary:
+    """Three targeted errors on one link's simulation (or baseline) traffic."""
+    return LinkTargetedAdversary(
+        target=(1, 0), phases=("simulation", "baseline"), max_corruptions=3, seed=seed
+    )
 
 
 class TestUncoded:
@@ -38,6 +54,11 @@ class TestUncoded:
     def test_metrics_name(self, gossip_line5):
         assert run_uncoded(gossip_line5, name="plain").metrics.scheme == "plain"
 
+    def test_uncoded_fails_where_algorithm_a_succeeds(self):
+        workload = gossip_workload(topology="line", num_nodes=5, phases=10, seed=0)
+        assert not run_uncoded(workload.protocol, adversary=_burst(1)).success
+        assert simulate(workload.protocol, scheme=algorithm_a(), adversary=_burst(1), seed=5).success
+
 
 class TestRepetition:
     def test_clean_channel_succeeds_with_3x_overhead(self, gossip_line5):
@@ -58,6 +79,13 @@ class TestRepetition:
         result = run_repetition(gossip_line5, adversary=adversary, repetitions=3)
         assert not result.success
 
+    def test_repetition_fails_under_targeted_burst(self):
+        # Per-bit redundancy triples the cost and still loses to a burst.
+        workload = gossip_workload(topology="line", num_nodes=5, phases=10, seed=0)
+        result = run_repetition(workload.protocol, adversary=_burst(2), repetitions=3)
+        assert not result.success
+        assert result.metrics.overhead == pytest.approx(3.0)
+
     def test_invalid_repetitions(self, gossip_line5):
         with pytest.raises(ValueError):
             run_repetition(gossip_line5, repetitions=0)
@@ -76,6 +104,11 @@ class TestFullyUtilizedConversion:
         conversion = fully_utilized_overhead(aggregation_line6)
         # one transmission per round over m=5 links -> conversion costs 2m
         assert conversion.overhead == pytest.approx(2 * aggregation_line6.graph.num_edges)
+
+    def test_fully_utilised_conversion_cost(self):
+        workload = aggregation_workload(topology="line", num_nodes=6, value_bits=6, seed=0)
+        conversion = fully_utilized_overhead(workload.protocol)
+        assert conversion.overhead == pytest.approx(2 * workload.graph.num_edges)
 
     def test_converted_communication_formula(self, aggregation_line6):
         conversion = fully_utilized_overhead(aggregation_line6)

@@ -129,3 +129,18 @@ class TestPlanes:
         tail = 0b101 << code.codeword_bits
         present = (1 << (code.codeword_bits + 3)) - 1
         assert code.decode(codeword | tail, present) == 0xDEADBEEF
+
+    def test_randomness_exchange_seed_survives_mixed_noise(self):
+        """Theorem 2.1: a 128-bit seed survives 3% erasures and substitutions."""
+        code = BinaryBlockCode(message_bits=128)
+        rng = random.Random(1)
+        message = rng.getrandbits(128)
+        width = code.codeword_bits
+        bits, present = code.encode(message), (1 << width) - 1
+        for index in rng.sample(range(width), int(0.03 * width)):
+            if rng.random() < 0.5:  # erasure
+                bits &= ~(1 << index)
+                present &= ~(1 << index)
+            else:  # substitution
+                bits ^= 1 << index
+        assert code.decode(bits, present) == message

@@ -16,7 +16,7 @@ from repro.baselines.repetition import run_repetition
 from repro.baselines.uncoded import run_uncoded
 from repro.core.engine import InteractiveCodingSimulator, simulate
 from repro.core.parameters import algorithm_a, algorithm_b, algorithm_c, crs_oblivious_scheme
-from repro.experiments.workloads import gossip_workload
+from repro.experiments.workloads import aggregation_workload, gossip_workload
 from repro.network.topologies import ring_topology, star_topology
 from repro.protocols.random_protocol import RandomProtocol
 from repro.protocols.token_ring import TokenRingProtocol
@@ -36,6 +36,11 @@ class TestNoiselessCorrectness:
         result = simulate(aggregation_line6, scheme=crs_oblivious_scheme(), seed=3)
         assert result.success
         assert all(value == aggregation_line6.expected_total() for value in result.outputs.values())
+
+    def test_simulate_sparse_aggregation(self):
+        # A sparse protocol on a 3x3 grid.
+        workload = aggregation_workload(topology="grid", num_nodes=9, value_bits=8, seed=0)
+        assert simulate(workload.protocol, scheme=crs_oblivious_scheme(), seed=3).success
 
     def test_line_example(self, line_example6):
         result = simulate(line_example6, scheme=crs_oblivious_scheme(), seed=4)
@@ -61,6 +66,13 @@ class TestNoiselessCorrectness:
     def test_all_schemes_noiseless(self, scheme_factory, gossip_line5):
         result = simulate(gossip_line5, scheme=scheme_factory(), seed=8)
         assert result.success
+
+    @pytest.mark.parametrize(
+        "scheme_factory", [crs_oblivious_scheme, algorithm_a, algorithm_c], ids=["crs", "algorithm_a", "algorithm_c"]
+    )
+    def test_simulate_gossip_noiseless(self, scheme_factory):
+        workload = gossip_workload(topology="line", num_nodes=5, phases=12, seed=0)
+        assert simulate(workload.protocol, scheme=scheme_factory(), seed=1).success
 
 
 class TestNoiselessBehaviour:

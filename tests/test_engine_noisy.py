@@ -14,6 +14,8 @@ from repro.adversary.strategies import (
 )
 from repro.core.engine import simulate
 from repro.core.parameters import crs_oblivious_scheme
+from repro.experiments.factories import RandomNoiseFactory
+from repro.experiments.workloads import gossip_workload
 
 
 class TestRandomNoiseRecovery:
@@ -42,6 +44,15 @@ class TestRandomNoiseRecovery:
         assert noisy.success
         assert noisy.iterations_run >= clean.iterations_run
         assert noisy.metrics.corruptions > 0
+
+    def test_noise_sweep_cell_at_nominal_level(self):
+        """The noise sweep's clique cell: insertions, deletions and
+        substitutions at the nominal fraction, three seeds, all recovered."""
+        workload = gossip_workload(topology="clique", num_nodes=8, phases=6, seed=0)
+        scheme = crs_oblivious_scheme()
+        factory = RandomNoiseFactory(fraction=scheme.nominal_noise_fraction(workload.graph))
+        for seed in range(3):
+            assert simulate(workload.protocol, scheme=scheme, adversary=factory(seed), seed=seed).success
 
     def test_excessive_noise_fails(self, gossip_line5):
         adversary = RandomNoiseAdversary(corruption_probability=0.08, seed=7)

@@ -12,6 +12,7 @@ from repro.adversary.strategies import (
 )
 from repro.core.engine import simulate
 from repro.core.parameters import algorithm_a, algorithm_b, algorithm_c, crs_oblivious_scheme
+from repro.experiments.workloads import gossip_workload
 from repro.network.topologies import complete_topology, star_topology
 from repro.protocols.gossip import ParityGossipProtocol
 
@@ -72,6 +73,12 @@ class TestAlgorithmB:
         result = simulate(gossip_line5, scheme=algorithm_b(), adversary=adversary, seed=41)
         assert result.success
 
+    def test_random_noise_at_nominal_level(self):
+        workload = gossip_workload(topology="line", num_nodes=5, phases=8, seed=0)
+        fraction = algorithm_b().nominal_noise_fraction(workload.graph)
+        adversary = RandomNoiseAdversary(corruption_probability=fraction, seed=2)
+        assert simulate(workload.protocol, scheme=algorithm_b(), adversary=adversary, seed=2).success
+
     def test_adaptive_rotating_attack(self, gossip_star5):
         graph = gossip_star5.graph
         fraction = algorithm_b().nominal_noise_fraction(graph, epsilon=0.01)
@@ -109,6 +116,12 @@ class TestCrossSchemeShape:
             < algorithm_c().scale_k(graph)
             < algorithm_b().scale_k(graph)
         )
+
+    def test_scheme_b_uses_larger_scale_and_hashes(self):
+        # Theorem 1.2's defence against adaptivity: larger chunks and hashes.
+        graph = complete_topology(6)
+        assert algorithm_b().scale_k(graph) > algorithm_a().scale_k(graph)
+        assert algorithm_b().hash_output_bits(graph) >= algorithm_a().hash_output_bits(graph)
 
     def test_nominal_noise_ordering_matches_table1(self):
         graph = complete_topology(6)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from contextlib import nullcontext
 
 import pytest
 
@@ -354,6 +355,42 @@ class TestForensicsEndToEnd:
         for dump in dumps:
             if dump["trial"]["success"]:
                 assert dump["events"] == []
+
+    def test_recording_is_bit_identical_and_bounded(self):
+        """Recording buys dumps, never behaviour, and its memory is bounded:
+        a tiny ring keeps at most ``capacity`` events per trial while the
+        totals keep counting, and the results stay bit-identical."""
+        workload = gossip_workload(topology="line", num_nodes=5, phases=8, seed=0)
+        scheme = algorithm_a()
+        factory = RandomNoiseFactory(fraction=scheme.nominal_noise_fraction(workload.graph))
+
+        def cell(recorder=None):
+            scope = use_obs(recorder=recorder) if recorder is not None else nullcontext()
+            with scope:
+                trial_set = run_trials(
+                    workload, scheme, adversary_factory=factory, trials=4, base_seed=3,
+                    backend=SerialBackend(), cache=None, store=None,
+                )
+            return [run.to_payload() for run in trial_set.runs], trial_set.forensics
+
+        plain_result, no_forensics = cell()
+        recorded_result, forensics = cell(FlightRecorder(capacity=4096))
+        assert no_forensics is None
+        assert recorded_result == plain_result
+        assert forensics is not None and len(forensics) == 4
+
+        tiny = 8
+        tiny_result, tiny_forensics = cell(FlightRecorder(capacity=tiny))
+        assert tiny_result == plain_result
+        assert [dump["trial"]["seed"] for dump in tiny_forensics] == [
+            dump["trial"]["seed"] for dump in forensics
+        ]
+        for full_dump, tiny_dump in zip(forensics, tiny_forensics):
+            assert tiny_dump["events_kept"] <= tiny
+            assert tiny_dump["events_recorded"] == full_dump["events_recorded"]
+        assert any(dump["events_recorded"] > tiny for dump in tiny_forensics), (
+            "the cell must overflow the tiny ring for this to prove boundedness"
+        )
 
     def test_forensics_round_trip_through_the_store(self, tmp_path):
         store = RunStore(tmp_path)

@@ -80,19 +80,27 @@ class TestInnerProductHash:
         for value, count in counts.items():
             assert 120 < count < 280  # expected 200 each
 
-    def test_collision_probability_close_to_nominal(self):
-        """Distinct inputs collide with probability about 2^-tau over the seed."""
-        hasher = InnerProductHash(4)
-        rng = random.Random(9)
-        x = fingerprint_bits(b"left")
-        y = fingerprint_bits(b"right")
+    @staticmethod
+    def _collision_rate(hasher, left, right, trials, rng):
+        x, y = fingerprint_bits(left), fingerprint_bits(right)
         collisions = 0
-        trials = 600
         for _ in range(trials):
             seed = rng.getrandbits(hasher.seed_bits_required(FINGERPRINT_BITS))
             if hasher.digest(x, FINGERPRINT_BITS, seed) == hasher.digest(y, FINGERPRINT_BITS, seed):
                 collisions += 1
-        assert collisions / trials < 4 * hasher.collision_probability()
+        return collisions / trials
+
+    def test_collision_probability_close_to_nominal(self):
+        """Distinct inputs collide with probability about 2^-tau over the seed."""
+        hasher = InnerProductHash(4)
+        rate = self._collision_rate(hasher, b"left", b"right", 600, random.Random(9))
+        assert rate < 4 * hasher.collision_probability()
+
+    def test_inner_product_hash_collision_rate(self):
+        """Lemma 2.3 at tau = 8: two transcripts collide about 2^-8 of the time."""
+        hasher = InnerProductHash(8)
+        rate = self._collision_rate(hasher, b"transcript-one", b"transcript-two", 400, random.Random(0))
+        assert rate <= 6 * hasher.collision_probability()
 
     def test_collision_probability_property(self):
         assert InnerProductHash(8).collision_probability() == pytest.approx(1 / 256)

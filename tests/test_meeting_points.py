@@ -53,8 +53,8 @@ def _exchange(
     return outcome_u, outcome_v
 
 
-def _run_until_consistent(transcript_u, transcript_v, max_phases=64, tau=12):
-    session_u, session_v = _session_pair(tau=tau)
+def _run_until_consistent(transcript_u, transcript_v, max_phases=64, tau=12, master_seed=99):
+    session_u, session_v = _session_pair(tau=tau, master_seed=master_seed)
     for iteration in range(max_phases):
         outcome_u, outcome_v = _exchange(session_u, session_v, transcript_u, transcript_v, iteration)
         if outcome_u.status == STATUS_SIMULATE and outcome_v.status == STATUS_SIMULATE:
@@ -142,6 +142,19 @@ class TestConvergence:
         # divergence B = 1; the final length must not be rolled back by more
         # than O(B) chunks past the common prefix (here: at most 2 chunks).
         assert len(transcript_u) >= len(common) - 2
+
+
+    @pytest.mark.parametrize("divergence", [1, 2, 4])
+    def test_convergence_cost_scales_with_divergence(self, divergence):
+        """§4.2 / Appendix A: a divergence of B chunks reconverges within
+        O(B) exchanges and truncates O(B) chunks past the common prefix."""
+        common_length = 8
+        transcript_u = _transcript(0, 1, [1] * common_length + [0] * divergence)  # views (1, 0) then (0, 0)
+        transcript_v = _transcript(1, 0, [1] * common_length + [3] * divergence)  # views (1, 0) then (1, 1)
+        phases = _run_until_consistent(transcript_u, transcript_v, max_phases=200, master_seed=5)
+        assert phases is not None, "meeting points never converged"
+        assert phases <= 8 * divergence + 8
+        assert common_length - len(transcript_u) <= 2 * divergence + 2
 
 
 class TestCounterResynchronisation:

@@ -229,6 +229,27 @@ class TestEngineInstrumentation:
             run.to_payload() for run in observed.runs
         ]
 
+    def test_metrics_only_and_full_tracing_are_bit_identical(self):
+        """Observation buys data, never behaviour: a metrics-only scope and a
+        full-sampling trace give the plain run's results, on a cell at
+        Algorithm A's nominal noise."""
+        workload = gossip_workload(topology="line", num_nodes=5, phases=8, seed=0)
+        scheme = algorithm_a()
+        factory = RandomNoiseFactory(fraction=scheme.nominal_noise_fraction(workload.graph))
+
+        def cell():
+            trial_set = run_trials(
+                workload, scheme, adversary_factory=factory, trials=4, base_seed=3,
+                backend=SerialBackend(), cache=None, store=None,
+            )
+            return [run.to_payload() for run in trial_set.runs]
+
+        plain = cell()
+        with use_obs(metrics=MetricsRegistry(), tracer=None):
+            assert cell() == plain
+        with use_obs(metrics=MetricsRegistry(), tracer=Tracer(sample_every=1)):
+            assert cell() == plain
+
     def test_fingerprints_are_obs_invisible(self):
         workload, scheme, factory = _cell()
         specs = build_trial_specs(workload, scheme, factory, [derive_trial_seed(3, 0)])

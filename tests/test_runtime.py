@@ -77,6 +77,37 @@ class TestSerialParallelDeterminism:
         assert serial.runs == parallel.runs          # RunMetrics are frozen dataclasses
         assert serial.aggregate == parallel.aggregate
 
+    def test_pool_and_cache_run_each_trial_once(self):
+        """Six seeded trials through the serial backend, a 2-worker pool and
+        a cached serial re-run: one set of metrics, each backend executes
+        every trial, and the re-run executes none."""
+
+        def sweep(backend, cache=None):
+            return run_trials(
+                gossip_workload(topology="line", num_nodes=5, phases=6),
+                algorithm_a(),
+                adversary_factory=RandomNoiseFactory(fraction=0.004),
+                trials=6,
+                backend=backend,
+                cache=cache,
+            )
+
+        serial_backend = SerialBackend()
+        serial = sweep(serial_backend)
+        with ProcessPoolBackend(max_workers=2) as pool_backend:
+            pooled = sweep(pool_backend)
+        assert pooled.runs == serial.runs
+        assert pooled.aggregate == serial.aggregate
+        assert serial_backend.trials_executed == pool_backend.trials_executed == 6
+
+        cache = ResultCache()
+        cached_backend = SerialBackend()
+        sweep(cached_backend, cache=cache)
+        executed_after_warmup = cached_backend.trials_executed
+        rerun = sweep(cached_backend, cache=cache)
+        assert cached_backend.trials_executed == executed_after_warmup
+        assert rerun.runs == serial.runs
+
     def test_every_workload_survives_pickling_through_the_pool(self):
         """Every built-in workload must execute under a process pool."""
         backend = ProcessPoolBackend(max_workers=2, chunk_size=1)
@@ -659,6 +690,28 @@ class TestCacheCompaction:
         assert result["kept"] == keep
         assert result["dropped_invalid"] == 1
         assert len(ResultCache(tmp_path)) == keep
+
+    def test_compact_keeps_exactly_what_load_serves(self, tmp_path):
+        """A valid line, then the same key with a wrong-typed field, then an
+        int key: load serves only the first, and compact keeps only it."""
+        good = {"schema": CACHE_SCHEMA_VERSION, "key": "k", "metrics": _metrics_payload()}
+        wrong_typed = dict(good, metrics=dict(good["metrics"], success="yes"))
+        int_key = dict(good, key=12345)
+        lines = [json.dumps(record) for record in (good, wrong_typed, int_key)]
+        (tmp_path / "trials.jsonl").write_text("\n".join(lines) + "\n")
+        before = ResultCache(tmp_path)._memory
+        assert before == {"k": RunMetrics.from_payload(good["metrics"])}
+        assert ResultCache(tmp_path).compact() == {
+            "kept": 1, "dropped_superseded": 0, "dropped_invalid": 2,
+        }
+        assert ResultCache(tmp_path)._memory == before
+
+    def test_a_non_utf8_line_is_skipped_not_fatal(self, tmp_path):
+        good = {"schema": CACHE_SCHEMA_VERSION, "key": "k", "metrics": _metrics_payload()}
+        (tmp_path / "trials.jsonl").write_bytes(b"\xff\xfe garbage\n" + json.dumps(good).encode() + b"\n")
+        assert len(ResultCache(tmp_path)) == 1
+        assert ResultCache(tmp_path).compact() == {"kept": 1, "dropped_superseded": 0, "dropped_invalid": 1}
+        assert len(ResultCache(tmp_path)) == 1
 
     def test_compact_requires_a_disk_backed_cache(self):
         with pytest.raises(ValueError):

@@ -91,6 +91,13 @@ class TestBias:
             biases.append(empirical_bias(generator.bits(0, 1500)))
         assert sum(biases) / len(biases) < 0.06
 
+    def test_small_bias_generator_quality(self):
+        # Lemma 2.5: one 128-bit seed's 2000-bit prefix is nearly balanced.
+        generator = SmallBiasGenerator(seed_bits=random.Random(3).getrandbits(128), field_degree=64)
+        bits = generator.bits(0, 2000)
+        assert len(bits) == 2000
+        assert empirical_bias(bits) < 0.12
+
     def test_parity_of_linear_combinations_is_balanced(self):
         """δ-bias is about parities of arbitrary index subsets, not just single bits."""
         rng = random.Random(11)

@@ -1,4 +1,5 @@
-"""Hypothesis fuzz of the run store's index (``index.json``) and run documents.
+"""Hypothesis fuzz of the run store's index (``index.json``) and run documents,
+and of the result cache's ``trials.jsonl``.
 
 A store may be left truncated by a crash, overwritten with garbage, or
 written by another version with a different layout.  Whatever ``index.json``
@@ -6,6 +7,10 @@ and the run documents hold, ``list_runs``, ``query`` and ``resolve`` either
 heal (rebuild the index from the documents) or raise ``KeyError`` for a
 reference past the history — never another exception — and every row they
 list is the summary of a valid run document on disk.
+
+Whatever lines ``trials.jsonl`` holds, the cache serves the last valid entry
+per ``str`` key and nothing else, and ``compact`` keeps exactly what a load
+serves.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -20,7 +26,8 @@ from hypothesis import strategies as st
 
 from repro.analysis.metrics import RunMetrics, summarize_runs
 from repro.experiments.reporting import ExperimentReport
-from repro.runtime import RunStore
+from repro.runtime import ResultCache, RunStore
+from repro.runtime.cache import CACHE_SCHEMA_VERSION
 from repro.runtime.store import STORE_SCHEMA_VERSION
 
 RUN_IDS = ("run-000001", "run-000002", "run-000003")
@@ -185,3 +192,92 @@ def test_listing_heals_or_raises_key_error(index_damage, bad_summary, doc_damage
                 assert int(ref.partition("~")[2] or 0) >= len(listed)
         # The healed index serves a fresh handle the same rows.
         assert RunStore(root).list_runs() == rows
+
+
+# ------------------------------------------------------------ result cache --
+
+#: Values of the wrong type for each ``RunMetrics`` field annotation.
+_WRONG_TYPED = {
+    "str": [7, None, True],
+    "bool": ["yes", 1, None],
+    "int": ["10", 3.5, True, None],
+    "float": ["0.1", None, True, [1]],
+    "Dict[str, int]": [5, [1], {"a": "1"}, {"a": True}],
+}
+_METRIC_FIELDS = [(spec.name, spec.type) for spec in fields(RunMetrics)]
+
+_VALID_METRICS = st.builds(
+    RunMetrics,
+    scheme=st.sampled_from(["algorithm_a", "crs"]),
+    success=st.booleans(),
+    protocol_communication=st.integers(0, 50),
+    simulation_communication=st.integers(0, 500),
+    corruptions=st.integers(0, 5),
+    noise_fraction=st.sampled_from([0.0, 0.25, 1]),
+    iterations_run=st.integers(0, 9),
+    iterations_budget=st.integers(0, 9),
+    communication_by_phase=st.dictionaries(st.sampled_from(["simulation", "rewind"]), st.integers(0, 9), max_size=2),
+)
+
+
+_KEYS = st.sampled_from("abc")
+#: ``(field, value)``: one ``RunMetrics`` field and a value of the wrong type for it.
+_SKEW = st.sampled_from(_METRIC_FIELDS).flatmap(
+    lambda spec: st.tuples(st.just(spec[0]), st.sampled_from(_WRONG_TYPED[spec[1]]))
+)
+
+
+def _line(key, run: RunMetrics, **changes) -> str:
+    record = {"schema": CACHE_SCHEMA_VERSION, "key": key, "metrics": run.to_payload()}
+    return json.dumps(dict(record, **changes), sort_keys=True)
+
+
+def _skewed(key, run: RunMetrics, skew) -> str:
+    field, value = skew
+    return _line(key, run, metrics=dict(run.to_payload(), **{field: value}))
+
+
+def _truncated(key, run: RunMetrics, cut: float) -> str:
+    line = _line(key, run)
+    return line[: max(1, int(len(line) * cut))]
+
+
+#: Lines the cache must refuse: a wrong-typed metrics field, a non-``str``
+#: key, another schema, a line cut short by a crash mid-append, and JSON
+#: values that are not objects.
+_REFUSED_LINE = st.one_of(
+    st.builds(_skewed, _KEYS, _VALID_METRICS, _SKEW),
+    st.builds(_line, st.sampled_from([12345, None, ["a"], {"k": 1}, 3.5, True]), _VALID_METRICS),
+    st.builds(lambda schema, key, run: _line(key, run, schema=schema),
+              st.sampled_from([1, 3, "2", None]), _KEYS, _VALID_METRICS),
+    st.builds(_truncated, _KEYS, _VALID_METRICS, st.floats(0.0, 0.99)),
+    _JSON.filter(lambda value: not isinstance(value, dict)).map(json.dumps),
+)
+
+#: ``(line, entry)``: one ``trials.jsonl`` line and the ``(key, RunMetrics)``
+#: entry it carries, or None for a line the cache must refuse.
+_CACHE_LINE = st.one_of(
+    st.builds(lambda key, run: (_line(key, run), (key, run)), _KEYS, _VALID_METRICS),
+    _REFUSED_LINE.map(lambda line: (line, None)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(_CACHE_LINE, max_size=10))
+def test_cache_serves_the_last_valid_entry_per_key_before_and_after_compact(lines):
+    expected = {}
+    for _, entry in lines:
+        if entry is not None:
+            expected[entry[0]] = entry[1]
+    refused = sum(1 for _, entry in lines if entry is None)
+    with tempfile.TemporaryDirectory() as directory:
+        (Path(directory) / "trials.jsonl").write_text("".join(line + "\n" for line, _ in lines))
+        loaded = ResultCache(directory)._memory
+        assert all(isinstance(key, str) and isinstance(value, RunMetrics) for key, value in loaded.items())
+        assert loaded == expected
+        assert ResultCache(directory).compact() == {
+            "kept": len(expected),
+            "dropped_superseded": len(lines) - refused - len(expected),
+            "dropped_invalid": refused,
+        }
+        assert ResultCache(directory)._memory == loaded
