@@ -16,8 +16,8 @@ The package provides:
   baselines, the Table-1 harness and theorem-validation sweeps;
 * :mod:`repro.runtime` — the trial execution engine: serial / process-pool
   backends (bit-identical results), content-addressed result caching, a
-  persistent run store and cross-run analytics (``diff_runs`` /
-  ``merge_runs`` / ``gc_runs``, surfaced as ``repro runs diff|merge|gc``).
+  persistent run store and cross-run comparison (``diff_runs``, surfaced as
+  ``repro runs diff``).
 
 Quick start — one protected simulation::
 
@@ -70,9 +70,7 @@ from repro.runtime import (
     diff_runs,
     execute_trials,
     fingerprint_trial,
-    gc_runs,
     get_runtime,
-    merge_runs,
     set_default_runtime,
     use_runtime,
 )
@@ -114,8 +112,6 @@ __all__ = [
     "use_runtime",
     # run analytics
     "diff_runs",
-    "merge_runs",
-    "gc_runs",
     "RegressionThresholds",
     "__version__",
 ]

@@ -1,34 +1,23 @@
 """Noise models: oblivious and non-oblivious adversaries plus budgeting."""
 
 from repro.adversary.base import Adversary, NoiseBudget, NoiselessAdversary
-from repro.adversary.contract import ContractReport, ContractViolation, check_contract
-from repro.adversary.oblivious import AdditiveObliviousAdversary, FixingObliviousAdversary
+from repro.adversary.oblivious import AdditiveObliviousAdversary
 from repro.adversary.strategies import (
     BurstAdversary,
     CompositeAdversary,
-    DeletionAdversary,
-    EchoSpoofingAdversary,
     LinkTargetedAdversary,
     PhaseTargetedAdaptiveAdversary,
     RandomNoiseAdversary,
-    RotatingLinkAdaptiveAdversary,
 )
 
 __all__ = [
     "Adversary",
-    "ContractReport",
-    "ContractViolation",
     "NoiseBudget",
     "NoiselessAdversary",
-    "check_contract",
     "AdditiveObliviousAdversary",
-    "FixingObliviousAdversary",
     "BurstAdversary",
     "CompositeAdversary",
-    "DeletionAdversary",
-    "EchoSpoofingAdversary",
     "LinkTargetedAdversary",
     "PhaseTargetedAdaptiveAdversary",
     "RandomNoiseAdversary",
-    "RotatingLinkAdaptiveAdversary",
 ]

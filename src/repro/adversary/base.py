@@ -4,7 +4,8 @@ The paper distinguishes:
 
 * **oblivious** adversaries — the noise pattern is fixed before the protocol
   starts, independently of the parties' randomness (the *additive* adversary
-  of §2.1 and the *fixing* adversary of Remark 1);
+  of §2.1; the *fixing* adversary of Remark 1 lives in the test suite,
+  ``tests/adversaries.py``);
 * **non-oblivious** adversaries — the noise may adapt to everything observed
   on the wire (but not to private coins tossed later).
 
@@ -15,10 +16,10 @@ kernel on top of it: ``corrupt_window`` takes one exchange, a window of
 links × rounds, as a link-major ``(bits, present)`` plane.  The base kernel
 is the per-slot ``corrupt`` + ``notify_delivery`` loop in plane order, so an
 adversary that only writes ``corrupt`` works everywhere.  A native kernel
-must be bit-identical to the base one it replaces;
-``repro.adversary.check_contract`` probes that.  Corruption accounting is
-done by the transport, not by the adversary, so an adversary cannot
-under-report its own noise.
+must be bit-identical to the base one it replaces; ``check_contract`` in
+``tests/adversaries.py`` probes that.  Corruption accounting is done by the
+transport, not by the adversary, so an adversary cannot under-report its own
+noise.
 
 The theorems bound the noise as a *fraction of the actual communication* of
 the executed instance, which is not known in advance.  :class:`NoiseBudget`
@@ -209,11 +210,11 @@ class Adversary(abc.ABC):
         :meth:`notify_delivery` per slot, in position order, skipping silent
         slots when :attr:`may_insert` is ``False``.  Native overrides must be
         bit-identical to it: same delivered plane, same RNG stream
-        consumption, same budget accounting, for every input
-        (``check_contract``'s window law).  They must also stay linear in the
-        plane: no per-slot shift or mask of a whole-plane integer.  A native
-        kernel is only trusted by the class that wrote it; see
-        :meth:`__init_subclass__`.
+        consumption, same budget accounting, for every input (the window
+        law that ``check_contract`` in ``tests/adversaries.py`` probes).
+        They must also stay linear in the plane: no per-slot shift or mask
+        of a whole-plane integer.  A native kernel is only trusted by the
+        class that wrote it; see :meth:`__init_subclass__`.
         """
         return corrupt_slots(self, ctx, bits, present, 0, ctx.width)
 

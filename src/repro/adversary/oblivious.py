@@ -7,7 +7,8 @@ vector ``e`` indexed by (round, directed link) with entries in ``{0, 1, 2}``;
 the symbol actually delivered is ``received = sent + e (mod 3)`` over the
 alphabet ``{0, 1, *}``.  Remark 1 also discusses the stronger **fixing**
 adversary, which pins the channel output of a corrupted slot to a
-predetermined value; we implement both.
+predetermined value; no experiment uses it, so it lives in the test suite
+(``tests/adversaries.py``) on top of the pattern helpers here.
 
 Because the pattern is indexed by absolute round numbers, an oblivious
 adversary has no knowledge of what the slot carries — exactly the oblivious
@@ -141,43 +142,4 @@ class AdditiveObliviousAdversary(Adversary):
         return len(self.pattern)
 
     def reset(self) -> None:  # the pattern is immutable state; nothing to do
-        return None
-
-
-@dataclass
-class FixingObliviousAdversary(Adversary):
-    """The "fixing" oblivious adversary of Remark 1.
-
-    ``pattern`` maps slots to the symbol the receiver will observe (0, 1 or
-    ``None`` for "force silence").  A fixed slot only counts as a corruption
-    if it actually differs from what was sent; this matches the remark's
-    discussion that fixing the channel to the honest value is not an error.
-    """
-
-    pattern: Dict[SlotKey, Symbol] = field(default_factory=dict)
-    name: str = "oblivious-fixing"
-    oblivious: bool = True
-
-    def __post_init__(self) -> None:
-        for key, value in self.pattern.items():
-            if value not in (0, 1, None):
-                raise ValueError(f"pattern value for slot {key} must be 0, 1 or None")
-        self.may_insert = any(value is not None for value in self.pattern.values())
-        self._pattern_by_link = _index_pattern_by_link(self.pattern)
-
-    def corrupt(self, ctx: TransmissionContext, sent: Symbol) -> Symbol:
-        key = slot_key(ctx)
-        if key in self.pattern:
-            return self.pattern[key]
-        return sent
-
-    def corrupt_window(self, ctx: WindowContext, bits: int, present: int) -> Tuple[int, int]:
-        return _rewrite_window(
-            self._pattern_by_link, ctx, bits, present, lambda sent, fixed: fixed
-        )
-
-    def planned_corruptions(self) -> int:
-        return len(self.pattern)
-
-    def reset(self) -> None:
         return None

@@ -24,11 +24,11 @@ import random
 import struct
 from dataclasses import dataclass
 from itertools import compress, islice
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.adversary.base import Adversary, NoiseBudget, corrupt_slots
 from repro.network.channel import Symbol, TransmissionContext, WindowContext
-from repro.utils.bitstring import flip_planes, plane_digits, positions_to_int, set_positions
+from repro.utils.bitstring import flip_planes, plane_digits, set_positions
 from repro.utils.rng import make_rng
 
 
@@ -429,76 +429,6 @@ class BurstAdversary(Adversary):
 
 
 @dataclass
-class DeletionAdversary(Adversary):
-    """Delete each transmitted symbol independently with a fixed probability.
-
-    Useful for isolating the insertion/deletion aspect of the noise model
-    (e.g. to show that baselines relying purely on timing fail).
-    """
-
-    deletion_probability: float = 0.0
-    seed: int = 0
-    budget: Optional[NoiseBudget] = None
-    name: str = "deletion"
-    oblivious: bool = True
-    may_insert: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.deletion_probability <= 1.0:
-            raise ValueError("deletion_probability must lie in [0, 1]")
-        self._rng = make_rng(self.seed)
-
-    def corrupt(self, ctx: TransmissionContext, sent: Symbol) -> Symbol:
-        if sent is None:
-            return sent
-        if self.budget is not None:
-            self.budget.observe_transmission()
-        if self._rng.random() >= self.deletion_probability:
-            return sent
-        if self.budget is not None:
-            if not self.budget.can_spend():
-                return sent
-            self.budget.spend()
-        return None
-
-    def corrupt_window(self, ctx: WindowContext, bits: int, present: int) -> Tuple[int, int]:
-        # Deletions only ever clear plane bits, so the kernel walks the
-        # transmitted slots in plane order (preserving the draw sequence),
-        # collects the deleted ones and clears them in one pass.  Per-slot
-        # ``corrupt`` draws once per transmitted slot even at probability 0,
-        # so the loop below must too.
-        probability = self.deletion_probability
-        rand = self._rng.random
-        budget = self.budget
-        slots = set_positions(present)
-        if budget is None:
-            deleted = [slot for slot in slots if rand() < probability]
-        else:
-            deleted = []
-            seen = budget.transmissions_seen
-            spent = budget.corruptions_spent
-            fraction = budget.fraction
-            allowance = budget.absolute_allowance
-            allowance_at = budget.allowance_at
-            for slot in slots:
-                seen += 1
-                if rand() < probability and spent + 1 <= allowance_at(fraction, seen, allowance):
-                    deleted.append(slot)
-                    spent += 1
-            budget.transmissions_seen = seen
-            budget.corruptions_spent = spent
-        if not deleted:
-            return bits, present
-        mask = positions_to_int(deleted, ctx.width)
-        return bits & ~mask, present ^ mask
-
-    def reset(self) -> None:
-        self._rng = make_rng(self.seed)
-        if self.budget is not None:
-            self.budget.reset()
-
-
-@dataclass
 class CompositeAdversary(Adversary):
     """Apply several adversaries in sequence to every slot.
 
@@ -655,122 +585,3 @@ class PhaseTargetedAdaptiveAdversary(Adversary):
     def reset(self) -> None:
         self._rng = make_rng(self.seed)
         self._budget.reset()
-
-
-@dataclass
-class RotatingLinkAdaptiveAdversary(Adversary):
-    """A non-oblivious adversary that keeps moving its attack across links.
-
-    Every time its budget allows another corruption it targets the next
-    directed link in a round-robin order, corrupting the first transmitted
-    symbol it sees there.  Spreading single errors across many links maximises
-    the number of (iteration, link) pairs that need local correction, which is
-    the stress case for the global flag-passing/rewind machinery.
-    """
-
-    links: Sequence[Tuple[int, int]] = ()
-    fraction: float = 0.0
-    seed: int = 0
-    name: str = "adaptive-rotating-link"
-    oblivious: bool = False
-    may_insert: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.links:
-            raise ValueError("RotatingLinkAdaptiveAdversary needs a non-empty link list")
-        self.links = tuple(_as_link(link, "every rotating link") for link in self.links)
-        self._rng = make_rng(self.seed)
-        self._budget = NoiseBudget(fraction=self.fraction)
-        self._cursor = 0
-
-    def corrupt(self, ctx: TransmissionContext, sent: Symbol) -> Symbol:
-        if sent is not None:
-            self._budget.observe_transmission()
-        if sent is None:
-            return sent
-        if (ctx.sender, ctx.receiver) != self.links[self._cursor]:
-            return sent
-        if not self._budget.can_spend():
-            return sent
-        self._budget.spend()
-        self._cursor = (self._cursor + 1) % len(self.links)
-        return _corrupt_randomly(self._rng, sent)
-
-    def corrupt_window(self, ctx: WindowContext, bits: int, present: int) -> Tuple[int, int]:
-        return _attack_links(self, self._budget, ctx, bits, present, self._targets(ctx))
-
-    def _targets(self, ctx: WindowContext) -> Iterator[int]:
-        """The current target's position while it lies ahead of the walk.
-
-        The cursor only moves when the target is attacked, so once the
-        target is behind the walk (or off the graph) no later link of this
-        window is attacked.
-        """
-        start = 0
-        while True:
-            position = ctx.index.get(self.links[self._cursor])
-            if position is None or position < start:
-                return
-            yield position
-            start = position + 1
-
-    def reset(self) -> None:
-        self._rng = make_rng(self.seed)
-        self._budget.reset()
-        self._cursor = 0
-
-
-@dataclass
-class EchoSpoofingAdversary(Adversary):
-    """The synchronisation attack of BGMO17 adapted to our model.
-
-    Whenever it can afford two corruptions it deletes a symbol travelling in
-    one direction of the target link and inserts a spoofed symbol in the
-    opposite direction within the same window, driving the two endpoints out
-    of sync — the attack that makes insertion/deletion noise strictly harder
-    than substitutions.  Non-oblivious (it reacts to observed traffic).
-    """
-
-    target: Tuple[int, int] = (0, 1)
-    fraction: float = 0.0
-    seed: int = 0
-    name: str = "echo-spoofing"
-    oblivious: bool = False
-    may_insert: bool = True
-
-    def __post_init__(self) -> None:
-        self.target = _as_link(self.target, "target")
-        self._rng = make_rng(self.seed)
-        self._budget = NoiseBudget(fraction=self.fraction)
-        self._pending_spoof = False
-
-    def corrupt(self, ctx: TransmissionContext, sent: Symbol) -> Symbol:
-        if sent is not None:
-            self._budget.observe_transmission()
-        forward = (ctx.sender, ctx.receiver) == self.target
-        backward = (ctx.receiver, ctx.sender) == self.target
-        if forward and sent is not None and self._budget.can_spend(2):
-            self._budget.spend()
-            self._pending_spoof = True
-            return None  # deletion
-        if backward and sent is None and self._pending_spoof:
-            self._pending_spoof = False
-            self._budget.spend()
-            return self._rng.choice([0, 1])  # spoofed reply (insertion)
-        return sent
-
-    def corrupt_window(self, ctx: WindowContext, bits: int, present: int) -> Tuple[int, int]:
-        # Only the two directions of the target link can change; every other
-        # link is bulk-observed.
-        sender, receiver = self.target
-        index = ctx.index
-        targets = sorted(
-            {position for position in (index.get(self.target), index.get((receiver, sender)))
-             if position is not None}
-        )
-        return _attack_links(self, self._budget, ctx, bits, present, targets)
-
-    def reset(self) -> None:
-        self._rng = make_rng(self.seed)
-        self._budget.reset()
-        self._pending_spoof = False

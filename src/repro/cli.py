@@ -14,14 +14,13 @@ writing any Python:
   ``trace`` / ``metrics`` render observability records captured under
   ``--trace`` / ``--obs``, ``explain`` / ``flight`` read the flight-recorder
   dumps captured under ``--forensics`` (failure taxonomy / one trial's event
-  timeline), ``merge`` trial sets of the same cell, ``gc`` old runs,
+  timeline),
 * ``cache``         — trial-cache hygiene: ``cache compact`` rewrites the
   JSONL mirror keeping only the latest entry per trial key.
 
-``runs diff|show|merge`` accept either literal run ids (``run-000042``) or the
+``runs diff|show`` accept either literal run ids (``run-000042``) or the
 symbolic references ``latest`` / ``latest~N`` — the N-th newest run, after the
-filters the command offers (``runs diff`` takes ``--kind``/``--experiment``;
-``runs merge`` resolves against trial_set records only).
+filters the command offers (``runs diff`` takes ``--kind``/``--experiment``).
 
 Every command prints a fixed-width table and can also write a JSON or Markdown
 report via ``--output``.  Each experiment runs in one scope that owns its
@@ -104,8 +103,6 @@ from repro.runtime import (
     RunStore,
     SerialBackend,
     diff_runs,
-    gc_runs,
-    merge_runs,
     use_runtime,
 )
 
@@ -604,45 +601,6 @@ def _cmd_runs_flight(args: argparse.Namespace) -> None:
         print(render_event(event))
 
 
-def _cmd_runs_merge(args: argparse.Namespace) -> None:
-    store = RunStore(args.store_dir)
-    refs: List[str] = []
-    for ref in args.run_ids:
-        try:
-            refs.append(store.resolve(ref, kind="trial_set"))
-        except KeyError as exc:
-            raise _fail(str(exc.args[0]))
-    try:
-        result = merge_runs(store, refs, label=args.label)
-    except KeyError as exc:
-        raise _fail(str(exc.args[0]))
-    except ValueError as exc:
-        raise _fail(str(exc))
-    for run_id in result.created:
-        print(f"merged run persisted as {run_id} in {store.root}")
-    if result.skipped:
-        print(f"skipped (no partner cell): {', '.join(result.skipped)}")
-    if not result.created:
-        raise _fail("nothing merged: no two input runs share an (experiment, label) cell")
-
-
-def _cmd_runs_gc(args: argparse.Namespace) -> None:
-    store = RunStore(args.store_dir)
-    try:
-        result = gc_runs(
-            store,
-            max_age_days=args.max_age_days,
-            keep_count=args.keep,
-            dry_run=args.dry_run,
-        )
-    except ValueError as exc:
-        raise _fail(str(exc))
-    verb = "would delete" if args.dry_run else "deleted"
-    print(f"{verb} {len(result.deleted)} run(s), kept {len(result.kept)} in {store.root}")
-    for run_id in result.deleted:
-        print(f"  {verb}: {run_id}")
-
-
 def _cmd_cache_compact(args: argparse.Namespace) -> None:
     cache = ResultCache(args.cache_dir)
     try:
@@ -810,27 +768,6 @@ def build_parser() -> argparse.ArgumentParser:
              "— obs counters are deterministic, any increase regresses)",
     )
     runs_diff.set_defaults(func=_cmd_runs_diff)
-
-    runs_merge = runs_sub.add_parser(
-        "merge", help="union trial sets of identical cells into a new, larger run"
-    )
-    runs_merge.add_argument("run_ids", nargs="+", metavar="run_id",
-                            help="two or more trial_set run ids (or latest / latest~N)")
-    runs_merge.add_argument("--store-dir", default=DEFAULT_STORE_DIR)
-    runs_merge.add_argument("--label", default=None, help="label for the merged run(s)")
-    runs_merge.set_defaults(func=_cmd_runs_merge)
-
-    runs_gc = runs_sub.add_parser(
-        "gc", help="prune old runs (never drops the latest run of an experiment)"
-    )
-    runs_gc.add_argument("--store-dir", default=DEFAULT_STORE_DIR)
-    runs_gc.add_argument("--max-age-days", type=float, default=None,
-                         help="delete runs older than this many days")
-    runs_gc.add_argument("--keep", type=int, default=None,
-                         help="keep only the N newest runs")
-    runs_gc.add_argument("--dry-run", action="store_true",
-                         help="report what would be deleted without deleting")
-    runs_gc.set_defaults(func=_cmd_runs_gc)
 
     return parser
 

@@ -54,19 +54,6 @@ def gf_mul(a: int, b: int) -> int:
     return EXP[LOG[a] + LOG[b]]
 
 
-def gf_pow(a: int, exponent: int) -> int:
-    """``a`` raised to an integer power (negative exponents via inversion)."""
-    if a == 0:
-        if exponent == 0:
-            return 1
-        if exponent < 0:
-            raise ZeroDivisionError("cannot raise 0 to a negative power in GF(256)")
-        return 0
-    log_a = LOG[a]
-    exponent = exponent % (FIELD_SIZE - 1)
-    return EXP[(log_a * exponent) % (FIELD_SIZE - 1)]
-
-
 def gf_inv(a: int) -> int:
     """Multiplicative inverse in GF(256)."""
     if a == 0:

@@ -140,12 +140,6 @@ class ReedSolomonCode:
                 raise ValueError(f"message symbol {symbol} outside GF(256)")
         return list(self._parity(bytes(message))) + message
 
-    def extract_message(self, codeword: Sequence[int]) -> List[int]:
-        """Read the systematic message symbols out of a codeword."""
-        if len(codeword) != self.block_length:
-            raise ValueError("codeword has the wrong length")
-        return list(codeword[self.parity_length:])
-
     # -- decoding ---------------------------------------------------------------
 
     def syndromes(self, received: Sequence[int]) -> List[int]:

@@ -18,7 +18,7 @@ from repro.experiments.factories import (
 )
 from repro.experiments.harness import TrialSet, format_table, noiseless_factory, run_trials, sweep
 from repro.experiments.noise_sweep import NoiseSweepPoint, crossover_multiplier, noise_sweep
-from repro.experiments.reporting import ExperimentReport, load_report
+from repro.experiments.reporting import ExperimentReport
 from repro.experiments.table1 import ANALYTICAL_ROWS, TABLE1_COLUMNS, build_table1, default_cells, measure_cell
 from repro.experiments.theorem_validation import (
     SeriesPoint,
@@ -59,7 +59,6 @@ __all__ = [
     "crossover_multiplier",
     "noise_sweep",
     "ExperimentReport",
-    "load_report",
     "ANALYTICAL_ROWS",
     "TABLE1_COLUMNS",
     "build_table1",

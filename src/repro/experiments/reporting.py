@@ -75,14 +75,3 @@ class ExperimentReport:
         else:
             path.write_text(self.to_json(), encoding="utf-8")
         return path
-
-
-def load_report(path: Union[str, Path]) -> ExperimentReport:
-    """Read a JSON report written by :meth:`ExperimentReport.save`."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return ExperimentReport(
-        experiment=data["experiment"],
-        rows=list(data["rows"]),
-        parameters=dict(data.get("parameters", {})),
-        generated_at=data.get("generated_at"),
-    )

@@ -23,9 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
-
-from repro.utils.bitstring import bits_to_int
+from typing import Sequence, Tuple
 
 #: Width (in bits) of the pre-hash transcript fingerprint.
 FINGERPRINT_BITS = 128
@@ -105,14 +103,6 @@ class InnerProductHash:
                 if (block & value).bit_count() & 1:
                     outs[index] |= bit
         return tuple(outs)
-
-    def digest_bits(self, bits: Sequence[int], seed: int) -> List[int]:
-        """Hash a bit list; returns the output as a bit list (LSB first)."""
-        if not bits:
-            raise ValueError("cannot hash an empty bit sequence")
-        packed = bits_to_int(list(bits))
-        out = self.digest(packed, len(bits), seed)
-        return [(out >> j) & 1 for j in range(self.output_bits)]
 
     def collision_probability(self) -> float:
         """The nominal collision probability 2^-τ for distinct inputs under uniform seeds."""

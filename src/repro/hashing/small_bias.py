@@ -329,19 +329,6 @@ class SmallBiasGenerator:
         # Past ``_known`` an eventually-zero stream (no jumps) reads zeros.
         return (self._stream >> offset) & ((1 << count) - 1)
 
-    @classmethod
-    def from_bit_list(cls, bits: List[int], field_degree: int = 64) -> "SmallBiasGenerator":
-        """Build a generator from an explicit list of seed bits (LSB first)."""
-        if len(bits) < seed_length_bits(field_degree):
-            raise ValueError(
-                f"need {seed_length_bits(field_degree)} seed bits, got {len(bits)}"
-            )
-        value = 0
-        for index, bit in enumerate(bits[: seed_length_bits(field_degree)]):
-            if bit:
-                value |= 1 << index
-        return cls(seed_bits=value, field_degree=field_degree)
-
     # -- bit access ---------------------------------------------------------------
 
     def bit(self, index: int) -> int:

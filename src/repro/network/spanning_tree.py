@@ -61,14 +61,3 @@ class SpanningTree:
     def nodes_top_down(self) -> List[int]:
         """Nodes ordered by increasing level (root towards the leaves)."""
         return sorted(self.graph.nodes, key=lambda node: self.level[node])
-
-    def subtree_nodes(self, node: int) -> List[int]:
-        """All nodes in the subtree rooted at ``node`` (including ``node``)."""
-        out = [node]
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            for child in self.children[current]:
-                out.append(child)
-                stack.append(child)
-        return sorted(out)

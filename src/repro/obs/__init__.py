@@ -31,7 +31,7 @@ Enable from the CLI with ``--obs`` / ``--trace``, or in code::
     print(registry.flat_snapshot())
 """
 
-from repro.obs.context import DISABLED, UNSET, ObsContext, get_obs, set_default_obs, use_obs
+from repro.obs.context import DISABLED, UNSET, ObsContext, get_obs, use_obs
 from repro.obs.metrics import MetricsRegistry, counters_delta, format_metrics_rows
 from repro.obs.recorder import EVENT_KINDS, FlightRecorder, classify_slot, link_label
 from repro.obs.surface import critical_path, render_critical_path, render_trace_tree
@@ -42,7 +42,6 @@ __all__ = [
     "DISABLED",
     "UNSET",
     "get_obs",
-    "set_default_obs",
     "use_obs",
     "MetricsRegistry",
     "counters_delta",

@@ -6,11 +6,11 @@ context is disabled.  That keeps instrumentation fingerprint-invisible (no
 constructor signatures change, no scheme fields appear, ``TrialKey`` digests
 are untouched) and keeps the disabled cost to one attribute read.
 
-Unlike the runtime context, the override is **thread-local** with a
-process-wide default underneath: a per-thread :func:`use_obs` lets code on
-one thread record into its own tracer without trampling another thread's
-scope.  ``ProcessPoolBackend`` worker *processes* do not inherit the context
-at all; each pool chunk runs through
+Unlike the runtime context, the override is **thread-local** over the
+disabled default: a per-thread :func:`use_obs` lets code on one thread
+record into its own tracer without trampling another thread's scope.
+``ProcessPoolBackend`` worker *processes* do not inherit the context at all;
+each pool chunk runs through
 :func:`~repro.runtime.backends.run_chunk` under fresh local instruments
 matching the caller's and hands its counters, spans and dumps back, so every
 backend records the same thing.
@@ -45,31 +45,16 @@ class ObsContext:
         return self.metrics is not None or self.tracer is not None or self.recorder is not None
 
 
-#: The shared disabled context — the process-wide default until configured.
+#: The shared disabled context — what :func:`get_obs` returns outside any
+#: :func:`use_obs` block.
 DISABLED = ObsContext()
 
-_default = DISABLED
 _local = threading.local()
 
 
 def get_obs() -> ObsContext:
     """The active observability context (thread override, else the default)."""
-    return getattr(_local, "active", None) or _default
-
-
-def set_default_obs(metrics=_UNSET, tracer=_UNSET, recorder=_UNSET) -> ObsContext:
-    """Replace fields of the process-wide default context.
-
-    Unset arguments keep the current value; pass ``metrics=None`` /
-    ``tracer=None`` / ``recorder=None`` explicitly to switch a field off.
-    """
-    global _default
-    _default = ObsContext(
-        metrics=_default.metrics if metrics is _UNSET else metrics,
-        tracer=_default.tracer if tracer is _UNSET else tracer,
-        recorder=_default.recorder if recorder is _UNSET else recorder,
-    )
-    return _default
+    return getattr(_local, "active", None) or DISABLED
 
 
 @contextmanager

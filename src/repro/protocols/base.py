@@ -129,15 +129,6 @@ class Protocol(abc.ABC):
         """CC(Π): the total number of transmissions (= bits, since Σ = {0,1})."""
         return sum(len(transmissions) for transmissions in self.schedule())
 
-    def transmissions_on_link(self, u: int, v: int) -> int:
-        """Number of transmissions scheduled on the undirected link {u, v}."""
-        count = 0
-        for transmissions in self.schedule():
-            for sender, receiver in transmissions:
-                if {sender, receiver} == {u, v}:
-                    count += 1
-        return count
-
     # -- reference execution ------------------------------------------------------------
 
     def run_noiseless(self) -> "NoiselessExecution":

@@ -13,10 +13,8 @@ The runtime is the layer between the experiment harnesses (which decide
   optionally persisted to disk;
 * :class:`~repro.runtime.store.RunStore` — a queryable on-disk history of
   every run;
-* :mod:`~repro.runtime.analytics` — cross-run comparison
-  (:func:`~repro.runtime.analytics.diff_runs`), aggregation
-  (:func:`~repro.runtime.analytics.merge_runs`) and pruning
-  (:func:`~repro.runtime.analytics.gc_runs`) over a store;
+* :func:`~repro.runtime.analytics.diff_runs` — cross-run comparison over a
+  store;
 * :func:`~repro.runtime.context.use_runtime` — ambient configuration so deep
   call stacks (CLI → experiment → harness) share one backend/cache/store.
 
@@ -31,13 +29,9 @@ Typical use::
 
 from repro.runtime.analytics import (
     CellDelta,
-    GCResult,
-    MergeResult,
     RegressionThresholds,
     RunDiff,
     diff_runs,
-    gc_runs,
-    merge_runs,
 )
 from repro.runtime.backends import ExecutionBackend, ProcessPoolBackend, SerialBackend, execute_trial
 from repro.runtime.cache import CACHE_SCHEMA_VERSION, CacheStats, ResultCache
@@ -83,10 +77,6 @@ __all__ = [
     "RunDiff",
     "RegressionThresholds",
     "diff_runs",
-    "MergeResult",
-    "merge_runs",
-    "GCResult",
-    "gc_runs",
     "RuntimeContext",
     "get_runtime",
     "set_default_runtime",

@@ -1,15 +1,9 @@
 """Cross-run analytics over a :class:`~repro.runtime.store.RunStore`.
 
-The store remembers runs; this module compares, combines and prunes them:
-
-* :func:`diff_runs` — per-cell success-rate and wall-clock deltas between two
-  persisted runs, classified against configurable
-  :class:`RegressionThresholds` so CI can gate on the result (`repro runs
-  diff` exits non-zero when any cell regresses);
-* :func:`merge_runs` — union the trial sets of identical cells across runs,
-  growing the effective sample size without re-running a single simulation;
-* :func:`gc_runs` — age/count-based pruning that never drops the latest run
-  of any experiment, so a store can run unattended without growing forever.
+The store remembers runs; :func:`diff_runs` compares two of them: per-cell
+success-rate and wall-clock deltas, classified against configurable
+:class:`RegressionThresholds` so CI can gate on the result (`repro runs diff`
+exits non-zero when any cell regresses).
 
 A *cell* is the unit of comparison: for ``trial_set`` records it is the
 record's label (one record is one experimental cell), and for ``report``
@@ -22,11 +16,9 @@ different kinds is refused — the metrics are not comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.analysis.metrics import summarize_runs
-from repro.runtime.store import RunStore, StoredRun
+from repro.runtime.store import RunStore
 
 #: Cell statuses a :class:`CellDelta` can carry.  Only ``regression`` makes
 #: :attr:`RunDiff.has_regression` true; cells present in a single run are
@@ -320,193 +312,3 @@ def diff_runs(
         rows=rows,
     )
 
-
-# -- merging ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MergeResult:
-    """Outcome of :func:`merge_runs`: new run ids plus the inputs that had no
-    partner cell to merge with."""
-
-    created: List[str]
-    skipped: List[str]
-
-
-def _union_trials(group: Sequence[StoredRun]) -> Tuple[list, list, bool]:
-    """Union the trials of one cell, deduplicating by seed where the seed
-    schedule was recorded (the same seed of the same cell is the same trial —
-    counting it twice would inflate the sample without adding information).
-
-    Returns ``(runs, seeds, all_aligned)``; ``all_aligned`` is False when any
-    member lacks a seed schedule matching its trial list, in which case the
-    returned seeds are partial and must not be recorded as the merged run's
-    schedule.
-    """
-    merged_runs: list = []
-    merged_seeds: list = []
-    seen_seeds = set()
-    all_aligned = True
-    for stored in group:
-        seeds = stored.parameters.get("seeds")
-        aligned = isinstance(seeds, list) and len(seeds) == len(stored.runs)
-        all_aligned = all_aligned and aligned
-        for index, metrics in enumerate(stored.runs):
-            if aligned:
-                seed = seeds[index]
-                if seed in seen_seeds:
-                    continue
-                seen_seeds.add(seed)
-                merged_seeds.append(seed)
-            merged_runs.append(metrics)
-    return merged_runs, merged_seeds, all_aligned
-
-
-def merge_runs(
-    store: RunStore,
-    run_ids: Sequence[str],
-    label: Optional[str] = None,
-) -> MergeResult:
-    """Merge ``trial_set`` runs of identical cells into new, larger records.
-
-    Runs are grouped by cell — ``(experiment, label)`` plus the recorded
-    scheme and workload, so two runs that merely share a custom label can
-    never be mixed — and every group with at least two members is unioned
-    (:func:`_union_trials`), re-aggregated and written back as a new
-    ``trial_set`` carrying ``merged_from`` provenance.  Non-trial-set runs
-    and schema-mismatched or wrong-typed documents are refused outright
-    (``ValueError``) — merging across layouts could silently mix
-    incompatible metrics.
-    Duplicate run ids are collapsed before grouping.
-    """
-    run_ids = list(dict.fromkeys(run_ids))  # same id twice is one run, not two samples
-    if len(run_ids) < 2:
-        raise ValueError("merge needs at least two distinct run ids")
-    loaded: List[StoredRun] = []
-    for run_id in run_ids:
-        payload = store.load(run_id)  # raises KeyError/ValueError on missing/schema mismatch
-        if payload.get("kind") != "trial_set":
-            raise ValueError(
-                f"run {run_id!r} is a {payload.get('kind')!r}; only trial_set runs can be merged"
-            )
-        try:
-            loaded.append(RunStore.trial_set_from_payload(payload))
-        except TypeError as exc:
-            raise ValueError(f"run {run_id!r} is unreadable: {exc}") from exc
-
-    def cell_key(stored: StoredRun) -> Tuple[str, str, str, str]:
-        return (
-            stored.experiment,
-            stored.label,
-            str(stored.parameters.get("scheme", stored.aggregate.scheme)),
-            str(stored.parameters.get("workload", "")),
-        )
-
-    groups: Dict[Tuple[str, str, str, str], List[StoredRun]] = {}
-    for stored in loaded:
-        groups.setdefault(cell_key(stored), []).append(stored)
-
-    created: List[str] = []
-    skipped: List[str] = []
-    for (experiment, cell_label, _, _), group in groups.items():
-        if len(group) < 2:
-            skipped.extend(stored.run_id for stored in group)
-            continue
-        merged_runs, merged_seeds, all_aligned = _union_trials(group)
-        aggregate = summarize_runs(merged_runs, scheme=group[0].aggregate.scheme)
-        parameters = dict(group[0].parameters)
-        if all_aligned and merged_seeds:
-            parameters["seeds"] = merged_seeds
-        else:
-            # A partial schedule would misdescribe the merged trial list (and
-            # silently disable seed-dedup in any later merge of this record).
-            parameters.pop("seeds", None)
-        parameters["merged_from"] = [stored.run_id for stored in group]
-        created.append(
-            store.record_trial_set(
-                label=label if label is not None else cell_label,
-                runs=merged_runs,
-                aggregate=aggregate,
-                experiment=experiment,
-                parameters=parameters,
-            )
-        )
-    return MergeResult(created=created, skipped=skipped)
-
-
-# -- pruning ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GCResult:
-    """Outcome of :func:`gc_runs` (``deleted`` lists what *would* be deleted
-    under ``dry_run``)."""
-
-    deleted: List[str]
-    kept: List[str]
-    dry_run: bool = False
-
-
-def _parse_timestamp(value: object) -> Optional[datetime]:
-    try:
-        parsed = datetime.fromisoformat(str(value))
-    except (TypeError, ValueError):
-        return None
-    if parsed.tzinfo is None:
-        parsed = parsed.replace(tzinfo=timezone.utc)
-    return parsed
-
-
-def gc_runs(
-    store: RunStore,
-    max_age_days: Optional[float] = None,
-    keep_count: Optional[int] = None,
-    now: Optional[datetime] = None,
-    dry_run: bool = False,
-) -> GCResult:
-    """Prune old runs from a store.
-
-    A run is deleted when it is older than ``max_age_days`` *or* outside the
-    ``keep_count`` newest runs — except that the latest run of every
-    experiment is always kept (the whole point of the store is that the most
-    recent result of each experiment stays auditable, and ``runs diff
-    latest~1 latest`` needs a baseline).  Runs whose timestamp cannot be
-    parsed are never age-pruned.  ``dry_run`` reports without deleting.
-    """
-    if max_age_days is None and keep_count is None:
-        raise ValueError("gc needs max_age_days and/or keep_count")
-    if max_age_days is not None and max_age_days < 0:
-        raise ValueError("max_age_days must be >= 0")
-    if keep_count is not None and keep_count < 0:
-        raise ValueError("keep_count must be >= 0")
-    now = now or datetime.now(timezone.utc)
-
-    rows = store.list_runs()  # ordered oldest → newest by run id
-    protected = {
-        max(
-            (row for row in rows if row["experiment"] == experiment),
-            key=lambda row: str(row["run_id"]),
-        )["run_id"]
-        for experiment in {row["experiment"] for row in rows}
-    }
-
-    deleted: List[str] = []
-    kept: List[str] = []
-    cutoff = now - timedelta(days=max_age_days) if max_age_days is not None else None
-    for position, row in enumerate(rows):
-        run_id = str(row["run_id"])
-        newest_rank = len(rows) - position  # 1 = newest
-        too_old = False
-        if cutoff is not None:
-            created_at = _parse_timestamp(row.get("created_at"))
-            too_old = created_at is not None and created_at < cutoff
-        beyond_count = keep_count is not None and newest_rank > keep_count
-        if (too_old or beyond_count) and run_id not in protected:
-            deleted.append(run_id)
-        else:
-            kept.append(run_id)
-
-    if not dry_run:
-        for run_id in deleted:
-            store.delete(run_id)
-    return GCResult(deleted=deleted, kept=kept, dry_run=dry_run)

@@ -22,12 +22,11 @@ Three kinds of records exist:
 Every document carries ``schema`` so future layouts can evolve; loading
 raises on an unknown schema instead of silently misreading it.  Run ids are
 monotonically increasing per store directory.  :mod:`repro.runtime.analytics`
-builds cross-run comparison (``diff``), aggregation (``merge``) and pruning
-(``gc``) on top of these records.
+builds cross-run comparison (``diff``) on top of these records.
 
 Listing does not scan every document: the store maintains ``index.json``
 (run id → the summary row ``list_runs`` returns), updated on every write and
-delete and rebuilt lazily whenever it is missing or disagrees with the run
+rebuilt lazily whenever it is missing or disagrees with the run
 files actually on disk — so a hand-deleted file, a crashed writer or an
 older-version store heals on the next ``list``.  All metadata writes go
 through atomic renames, and run ids are claimed with an exclusive hard link,
@@ -264,13 +263,6 @@ class RunStore:
         }
         self._write_index(runs)
 
-    def _index_remove(self, run_id: str) -> None:
-        runs = self._read_index()
-        if runs is None:
-            return  # next list_runs rebuilds from the files
-        runs.pop(run_id, None)
-        self._write_index(runs)
-
     def _rebuild_index(self) -> Dict[str, Dict[str, object]]:
         """Re-derive the index by scanning every run document (the slow path
         the index exists to avoid; taken only when missing or stale)."""
@@ -463,16 +455,6 @@ class RunStore:
                 f"{ref!r} needs {offset + 1} run(s){constraint} in {self.root}, found {len(rows)}"
             )
         return str(rows[-1 - offset]["run_id"])
-
-    # -- pruning -----------------------------------------------------------
-
-    def delete(self, run_id: str) -> None:
-        """Remove one run document; raises ``KeyError`` if absent."""
-        path = self.root / f"{run_id}.json"
-        if not path.exists():
-            raise KeyError(f"no run {run_id!r} in {self.root}")
-        path.unlink()
-        self._index_remove(run_id)
 
     def query(
         self,

@@ -1,34 +1,23 @@
 """Shared low-level utilities (bit manipulation, reproducible randomness)."""
 
 from repro.utils.bitstring import (
-    bits_to_bytes,
     bits_to_int,
-    bytes_to_bits,
-    hamming_distance,
     int_to_bits,
-    longest_common_prefix_length,
     parity,
     symbol_to_bit,
     symbols_to_bits,
-    xor_bits,
 )
-from repro.utils.rng import fork, fork_seed, make_rng, random_bits, random_bitstring_int, stable_label_hash
+from repro.utils.rng import fork, fork_seed, make_rng, random_bits, stable_label_hash
 
 __all__ = [
-    "bits_to_bytes",
     "bits_to_int",
-    "bytes_to_bits",
-    "hamming_distance",
     "int_to_bits",
-    "longest_common_prefix_length",
     "parity",
     "symbol_to_bit",
     "symbols_to_bits",
-    "xor_bits",
     "fork",
     "fork_seed",
     "make_rng",
     "random_bits",
-    "random_bitstring_int",
     "stable_label_hash",
 ]

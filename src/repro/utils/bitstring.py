@@ -56,47 +56,9 @@ def int_to_bits(value: int, width: int) -> List[Bit]:
     return [(value >> i) & 1 for i in range(width)]
 
 
-def bytes_to_bits(data: bytes) -> List[Bit]:
-    """Expand ``data`` into bits, LSB-first within each byte."""
-    bits: List[Bit] = []
-    for byte in data:
-        for i in range(8):
-            bits.append((byte >> i) & 1)
-    return bits
-
-
-def bits_to_bytes(bits: Sequence[Bit]) -> bytes:
-    """Pack bits (LSB-first within each byte) into bytes, zero-padding the tail."""
-    out = bytearray()
-    for start in range(0, len(bits), 8):
-        byte = 0
-        for offset, bit in enumerate(bits[start:start + 8]):
-            if bit:
-                byte |= 1 << offset
-        out.append(byte)
-    return bytes(out)
-
-
 def parity(value: int) -> Bit:
     """Parity (XOR of all bits) of a non-negative integer."""
     return value.bit_count() & 1
-
-
-def hamming_distance(a: Sequence[Bit], b: Sequence[Bit]) -> int:
-    """Number of positions where ``a`` and ``b`` differ.
-
-    Sequences must have equal length.
-    """
-    if len(a) != len(b):
-        raise ValueError("sequences must have equal length")
-    return sum(1 for x, y in zip(a, b) if x != y)
-
-
-def xor_bits(a: Sequence[Bit], b: Sequence[Bit]) -> List[Bit]:
-    """Element-wise XOR of two equal-length bit sequences."""
-    if len(a) != len(b):
-        raise ValueError("sequences must have equal length")
-    return [x ^ y for x, y in zip(a, b)]
 
 
 def symbol_to_bit(symbol: Symbol, erasure_fill: Bit = 0) -> Bit:
@@ -118,15 +80,6 @@ def symbols_to_bits(symbols: Iterable[Symbol], erasure_fill: Bit = 0) -> List[Bi
     rewind the inconsistency.
     """
     return [erasure_fill if s is None else int(s) for s in symbols]
-
-
-def longest_common_prefix_length(a: Sequence, b: Sequence) -> int:
-    """Length of the longest common prefix of two sequences."""
-    n = min(len(a), len(b))
-    for i in range(n):
-        if a[i] != b[i]:
-            return i
-    return n
 
 
 def pack_symbols(symbols: Sequence[Symbol]) -> Tuple[int, int]:

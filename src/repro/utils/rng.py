@@ -57,12 +57,3 @@ def random_bits(rng: random.Random, count: int) -> List[int]:
         raise ValueError("count must be non-negative")
     words = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
     return [high >> 7 for high in words[3::4]]
-
-
-def random_bitstring_int(rng: random.Random, count: int) -> int:
-    """Draw ``count`` uniform bits packed into an integer."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    if count == 0:
-        return 0
-    return rng.getrandbits(count)

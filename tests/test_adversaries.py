@@ -8,21 +8,25 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from adversaries import (
+    ContractViolation,
+    DeletionAdversary,
+    EchoSpoofingAdversary,
+    FixingObliviousAdversary,
+    RotatingLinkAdaptiveAdversary,
+    _state_snapshot,
+    check_contract,
+)
 from oracle import PerSlotNetwork, link_major_plane
 
-from repro.adversary import ContractViolation, check_contract
 from repro.adversary.base import Adversary, NoiseBudget, NoiselessAdversary, corrupt_slots
-from repro.adversary.contract import _state_snapshot
-from repro.adversary.oblivious import AdditiveObliviousAdversary, FixingObliviousAdversary
+from repro.adversary.oblivious import AdditiveObliviousAdversary
 from repro.adversary.strategies import (
     BurstAdversary,
     CompositeAdversary,
-    DeletionAdversary,
-    EchoSpoofingAdversary,
     LinkTargetedAdversary,
     PhaseTargetedAdaptiveAdversary,
     RandomNoiseAdversary,
-    RotatingLinkAdaptiveAdversary,
 )
 from repro.experiments.table1 import _adaptive_factory, _oblivious_factory
 from repro.network.channel import Symbol, TransmissionContext, WindowContext
@@ -885,7 +889,8 @@ def test_reset_returns_a_used_adversary_to_its_fresh_state(case):
 
 
 class TestCheckContract:
-    """`repro.adversary.check_contract` conformance over every stock adversary."""
+    """`check_contract` (tests/adversaries.py) conformance over every stock and
+    test-side adversary."""
 
     @pytest.mark.parametrize(
         "builder", list(STOCK_CONTRACT_CASES.values()), ids=list(STOCK_CONTRACT_CASES)

@@ -1,16 +1,12 @@
-"""Tests for the run-analytics layer: diff, merge, gc, fingerprint memo, CLI.
+"""Tests for the run-analytics layer: diff, fingerprint memo, CLI.
 
 The guarantees pinned here:
 
 1. ``diff_runs`` reports per-cell success-rate and wall-clock deltas,
    classifies them against the thresholds, and treats disjoint cells as
    informative rather than as regressions;
-2. ``merge_runs`` unions trial sets of the same cell (deduplicating shared
-   seeds) and refuses non-trial-set inputs and schema-mismatched documents;
-3. ``gc_runs`` never deletes the latest run of any experiment, whatever the
-   age/count pressure;
-4. fingerprint memoization changes timings, never digests;
-5. the ``repro runs`` CLI surfaces all of it with friendly errors and the
+2. fingerprint memoization changes timings, never digests;
+3. the ``repro runs`` CLI surfaces all of it with friendly errors and the
    exit codes CI needs (1 on regression, 1 on unreadable/missing runs).
 """
 
@@ -18,8 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
-from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -35,9 +29,7 @@ from repro.runtime import (
     clear_payload_memo,
     diff_runs,
     fingerprint_trial,
-    gc_runs,
     memoized_payload,
-    merge_runs,
     payload_memo_stats,
 )
 from repro.runtime.spec import TRIAL_KEY_SCHEMA, _package_version, build_trial_specs, derive_trial_seed
@@ -159,240 +151,6 @@ class TestDiffRuns:
         cold_a = record(1.0, cached_trials=0)
         cold_b = record(10.0, cached_trials=0)
         assert diff_runs(store.load(cold_a), store.load(cold_b)).has_regression
-
-class TestMergeRuns:
-    def test_merge_unions_trials_and_dedupes_shared_seeds(self, tmp_path):
-        store = RunStore(tmp_path)
-        a = _record_cell(store, successes=(True, True), seeds=[17, 1017])
-        b = _record_cell(store, successes=(True, False), seeds=[1017, 2017])
-        result = merge_runs(store, [a, b])
-        assert result.skipped == []
-        (merged_id,) = result.created
-        merged = store.load_trial_set(merged_id)
-        # 17, 1017 from a; 1017 deduplicated; 2017 from b.
-        assert merged.parameters["seeds"] == [17, 1017, 2017]
-        assert merged.aggregate.trials == 3
-        assert merged.parameters["merged_from"] == [a, b]
-
-    def test_merged_aggregate_is_recomputed(self, tmp_path):
-        store = RunStore(tmp_path)
-        a = _record_cell(store, successes=(True, True), seeds=[1, 2])
-        b = _record_cell(store, successes=(False, False), seeds=[3, 4])
-        (merged_id,) = merge_runs(store, [a, b]).created
-        merged = store.load_trial_set(merged_id)
-        assert merged.aggregate.trials == 4
-        assert merged.aggregate.success_rate == 0.5
-
-    def test_distinct_cells_are_skipped_not_mixed(self, tmp_path):
-        store = RunStore(tmp_path)
-        a = _record_cell(store, label="cell-a")
-        b = _record_cell(store, label="cell-b")
-        result = merge_runs(store, [a, b])
-        assert result.created == []
-        assert sorted(result.skipped) == sorted([a, b])
-
-    def test_wrong_typed_trial_set_is_refused(self, tmp_path):
-        store = RunStore(tmp_path)
-        a = _record_cell(store, seeds=[1, 2])
-        b = _record_cell(store, seeds=[3, 4])
-        path = tmp_path / f"{b}.json"
-        payload = json.loads(path.read_text())
-        payload["aggregate"]["trials"] = "3"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=f"run {b!r} is unreadable: AggregateMetrics.trials"):
-            merge_runs(store, [a, b])
-
-    def test_schema_mismatch_is_refused(self, tmp_path):
-        store = RunStore(tmp_path)
-        a = _record_cell(store)
-        (tmp_path / "run-000999.json").write_text(
-            json.dumps({"schema": 999, "run_id": "run-000999", "kind": "trial_set"})
-        )
-        with pytest.raises(ValueError, match="schema"):
-            merge_runs(store, [a, "run-000999"])
-
-    def test_duplicate_run_ids_collapse_to_one_sample(self, tmp_path):
-        store = RunStore(tmp_path)
-        a = _record_cell(store)
-        with pytest.raises(ValueError, match="distinct"):
-            merge_runs(store, [a, a])
-
-    def test_same_label_different_cell_is_never_mixed(self, tmp_path):
-        """A shared custom label must not let different scheme/workload cells
-        merge into one corrupt record."""
-        store = RunStore(tmp_path)
-        runs = [_metrics()]
-        ids = [
-            store.record_trial_set(
-                label="exp", runs=runs, aggregate=summarize_runs(runs),
-                experiment="run_trials",
-                parameters={"scheme": scheme, "workload": workload, "seeds": [1]},
-            )
-            for scheme, workload in [("algorithm_a", "w1"), ("algorithm_b", "w2")]
-        ]
-        result = merge_runs(store, ids)
-        assert result.created == []
-        assert sorted(result.skipped) == sorted(ids)
-
-    def test_mixed_seed_alignment_drops_the_seed_schedule(self, tmp_path):
-        """Merging an aligned run with a seedless one must not record a
-        partial (misaligned) seed schedule on the merged record."""
-        store = RunStore(tmp_path)
-        a = _record_cell(store, seeds=[1, 2])
-        runs = [_metrics()]
-        b = store.record_trial_set(
-            label="cell-a", runs=runs, aggregate=summarize_runs(runs),
-            experiment="run_trials",
-            parameters={"scheme": "algorithm_a", "workload": "cell-a"},  # no seeds
-        )
-        (merged_id,) = merge_runs(store, [a, b]).created
-        merged = store.load_trial_set(merged_id)
-        assert merged.aggregate.trials == 3
-        assert "seeds" not in merged.parameters
-
-    def test_non_trial_set_inputs_are_refused(self, tmp_path):
-        store = RunStore(tmp_path)
-        a = _record_cell(store)
-        b = store.record_report(_FakeReport([_table1_row()]))
-        with pytest.raises(ValueError, match="only trial_set"):
-            merge_runs(store, [a, b])
-        with pytest.raises(ValueError, match="at least two"):
-            merge_runs(store, [a])
-
-
-def _set_created_at(store: RunStore, run_id: str, created_at: datetime) -> None:
-    path = store.root / f"{run_id}.json"
-    payload = json.loads(path.read_text())
-    payload["created_at"] = created_at.isoformat()
-    path.write_text(json.dumps(payload))
-
-
-class TestGcRuns:
-    def test_keep_count_never_drops_the_latest_per_experiment(self, tmp_path):
-        store = RunStore(tmp_path)
-        for _ in range(3):
-            _record_cell(store, experiment="exp-a")
-        newest_a = _record_cell(store, experiment="exp-a")
-        newest_b = _record_cell(store, experiment="exp-b")
-        for _ in range(2):
-            _record_cell(store, experiment="exp-c")
-        newest_c = _record_cell(store, experiment="exp-c")
-
-        result = gc_runs(store, keep_count=1)
-        survivors = {row["run_id"] for row in store.list_runs()}
-        assert {newest_a, newest_b, newest_c} <= survivors
-        assert set(result.kept) == survivors
-        assert len(result.deleted) == 5  # 8 runs − latest of each of 3 experiments
-
-    def test_age_based_gc_respects_the_latest_invariant(self, tmp_path):
-        store = RunStore(tmp_path)
-        old = [_record_cell(store, experiment="exp-a") for _ in range(3)]
-        ancient = datetime.now(timezone.utc) - timedelta(days=365)
-        for run_id in old:
-            _set_created_at(store, run_id, ancient)
-        result = gc_runs(store, max_age_days=30)
-        assert set(result.deleted) == set(old[:-1])  # the newest old run survives
-        assert store.load(old[-1])
-
-    def test_unparsable_timestamps_are_never_age_pruned(self, tmp_path):
-        store = RunStore(tmp_path)
-        a = _record_cell(store)
-        _record_cell(store)
-        path = store.root / f"{a}.json"
-        payload = json.loads(path.read_text())
-        payload["created_at"] = "not a timestamp"
-        path.write_text(json.dumps(payload))
-        result = gc_runs(store, max_age_days=0.0)
-        assert a not in result.deleted
-
-    def test_dry_run_deletes_nothing(self, tmp_path):
-        store = RunStore(tmp_path)
-        for _ in range(3):
-            _record_cell(store)
-        before = {row["run_id"] for row in store.list_runs()}
-        result = gc_runs(store, keep_count=1, dry_run=True)
-        assert result.dry_run and result.deleted
-        assert {row["run_id"] for row in store.list_runs()} == before
-
-    def test_gc_without_criteria_is_refused(self, tmp_path):
-        with pytest.raises(ValueError):
-            gc_runs(RunStore(tmp_path))
-
-
-class TestGcRunsEdgeCases:
-    """gc against stores that never saw a trial set, and gc racing writers."""
-
-    def test_bench_only_store_keeps_the_latest_session(self, tmp_path):
-        store = RunStore(tmp_path)
-        old = [store.record_report(_FakeReport([_table1_row()])) for _ in range(3)]
-        newest = store.record_report(_FakeReport([_table1_row()]))
-        result = gc_runs(store, keep_count=0)  # maximum pressure
-        assert newest in result.kept
-        assert set(result.deleted) == set(old)
-        assert [row["run_id"] for row in store.list_runs()] == [newest]
-
-    def test_bench_only_store_age_prune_never_empties_it(self, tmp_path):
-        store = RunStore(tmp_path)
-        runs = [store.record_report(_FakeReport([_table1_row()])) for _ in range(2)]
-        ancient = datetime.now(timezone.utc) - timedelta(days=365)
-        for run_id in runs:
-            _set_created_at(store, run_id, ancient)
-        result = gc_runs(store, max_age_days=30)
-        assert result.deleted == [runs[0]]  # the newest report survives, however old
-        assert store.load(runs[-1])
-
-    def test_gc_leaves_a_concurrent_writers_staging_file_alone(self, tmp_path):
-        store = RunStore(tmp_path)
-        a = _record_cell(store)
-        b = _record_cell(store)
-        # A concurrent _write() in flight: its document is staged but not yet
-        # hard-linked onto a run id.  gc must neither delete nor index it.
-        staging = tmp_path / ".staging-racer.json"
-        staging.write_text("{}")
-        result = gc_runs(store, keep_count=1)
-        assert staging.exists()
-        assert a in result.deleted and b in result.kept
-        assert {row["run_id"] for row in store.list_runs()} == {b}
-
-    def test_gc_discovers_a_claimed_but_unindexed_run(self, tmp_path):
-        store = RunStore(tmp_path)
-        a = _record_cell(store)
-        # A writer that claimed its id (the hard link landed) but crashed
-        # before updating index.json: the document exists, the index does not
-        # know it.  gc must see it via the rebuild — and protect it, because
-        # it is now the newest run of the experiment.
-        payload = json.loads((tmp_path / f"{a}.json").read_text())
-        payload["run_id"] = "run-000099"
-        (tmp_path / "run-000099.json").write_text(json.dumps(payload))
-        result = gc_runs(store, keep_count=1)
-        assert "run-000099" in result.kept
-        assert a in result.deleted
-
-    def test_gc_races_a_live_writer_without_corruption(self, tmp_path):
-        store = RunStore(tmp_path)
-        for _ in range(5):
-            _record_cell(store)
-        errors: list = []
-
-        def writer() -> None:
-            other = RunStore(tmp_path)  # separate handle, like a second process
-            try:
-                for _ in range(10):
-                    _record_cell(other)
-            except Exception as exc:  # pragma: no cover - failure detail
-                errors.append(exc)
-
-        thread = threading.Thread(target=writer)
-        thread.start()
-        try:
-            for _ in range(5):
-                gc_runs(store, keep_count=3)
-        finally:
-            thread.join()
-        assert not errors
-        # Whatever interleaving happened, the index self-heals to match disk.
-        on_disk = {path.stem for path in tmp_path.glob("run-*.json")}
-        assert {row["run_id"] for row in store.list_runs()} == on_disk
 
 
 def _fingerprint_unmemoized(spec: TrialSpec) -> str:
@@ -538,37 +296,10 @@ class TestRunsCliAnalytics:
         err = capsys.readouterr().err
         assert "error:" in err and "unreadable" in err
 
-    def test_merge_and_gc_round_trip_through_the_cli(self, tmp_path, capsys):
-        from repro.cli import main
-
-        store = RunStore(tmp_path)
-        a = _record_cell(store, seeds=[1, 2])
-        b = _record_cell(store, seeds=[3, 4])
-        assert main(["runs", "merge", a, b, "--store-dir", str(tmp_path)]) == 0
-        assert "merged run persisted" in capsys.readouterr().out
-        merged_id = store.query(kind="trial_set")[-1]["run_id"]
-        assert store.load_trial_set(merged_id).aggregate.trials == 4
-
-        assert main(["runs", "gc", "--keep", "1", "--dry-run", "--store-dir", str(tmp_path)]) == 0
-        assert "would delete" in capsys.readouterr().out
-        assert len(store.list_runs()) == 3  # dry run deleted nothing
-
-        assert main(["runs", "gc", "--keep", "1", "--store-dir", str(tmp_path)]) == 0
-        survivors = store.list_runs()
-        assert [row["run_id"] for row in survivors] == [merged_id]
-
-    def test_gc_without_criteria_is_a_friendly_exit(self, tmp_path, capsys):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main(["runs", "gc", "--store-dir", str(tmp_path)])
-        assert excinfo.value.code == 1
-        assert "error:" in capsys.readouterr().err
-
     def test_legacy_bench_records_stay_browsable(self, tmp_path, capsys):
         """A store written when benchmark timing sessions were still recorded
-        keeps working: its ``bench`` documents list, show as raw JSON and
-        count for gc, and diffing them is a friendly refusal."""
+        keeps working: its ``bench`` documents list and show as raw JSON, and
+        diffing them is a friendly refusal."""
         from repro.cli import main
 
         store = RunStore(tmp_path)
@@ -593,9 +324,25 @@ class TestRunsCliAnalytics:
             main(["runs", "diff", "run-000001", "run-000002", "--store-dir", str(tmp_path)])
         assert excinfo.value.code == 1
         assert "not diffable" in capsys.readouterr().err
+        assert {row["run_id"] for row in store.list_runs()} == {"run-000001", "run-000002", cell}
 
-        assert main(["runs", "gc", "--keep", "0", "--store-dir", str(tmp_path)]) == 0
-        assert {row["run_id"] for row in store.list_runs()} == {"run-000002", cell}
+    def test_merged_records_still_load_and_show(self, tmp_path, capsys):
+        """Stores written while ``runs merge`` existed hold trial sets with
+        ``merged_from`` provenance; they load, show and diff like any other."""
+        from repro.cli import main
+
+        store = RunStore(tmp_path)
+        a = _record_cell(store, seeds=[1, 2])
+        runs = [_metrics(), _metrics(), _metrics(success=False)]
+        merged = store.record_trial_set(
+            label="cell-a", runs=runs, aggregate=summarize_runs(runs), experiment="run_trials",
+            parameters={"scheme": "algorithm_a", "workload": "cell-a", "seeds": [1, 2, 3],
+                        "merged_from": [a, "run-000000"]},
+        )
+        assert store.load_trial_set(merged).parameters["merged_from"] == [a, "run-000000"]
+        assert main(["runs", "show", merged, "--store-dir", str(tmp_path)]) == 0
+        assert '"merged_from": ["run-000001", "run-000000"]' in capsys.readouterr().out
+        assert main(["runs", "diff", a, merged, "--store-dir", str(tmp_path)]) == 1
 
 
 class _FakeReport:

@@ -9,8 +9,9 @@ protocol to the fully-utilised model multiplies its communication by 2m.
 from __future__ import annotations
 
 import pytest
+from adversaries import DeletionAdversary
 
-from repro.adversary.strategies import DeletionAdversary, LinkTargetedAdversary
+from repro.adversary.strategies import LinkTargetedAdversary
 from repro.baselines.fully_utilized import fully_utilized_overhead
 from repro.baselines.repetition import run_repetition
 from repro.baselines.uncoded import run_uncoded
@@ -118,7 +119,8 @@ class TestFullyUtilizedConversion:
 
 
 def _baseline_adversaries():
-    from repro.adversary.oblivious import FixingObliviousAdversary
+    from adversaries import FixingObliviousAdversary
+
     from repro.adversary.strategies import RandomNoiseAdversary
 
     return {
@@ -137,9 +139,8 @@ def _baseline_adversaries():
 @pytest.mark.parametrize("adversary_name", sorted(_baseline_adversaries()))
 def test_baselines_match_per_slot_delivery(run, adversary_name, gossip_line5, monkeypatch):
     """The baselines' plane transport delivers what slot-by-slot delivery does."""
+    from adversaries import _state_snapshot
     from oracle import PerSlotNetwork
-
-    from repro.adversary.contract import _state_snapshot
 
     build = _baseline_adversaries()[adversary_name]
     production_adversary = build()

@@ -7,14 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.utils.bitstring import (
-    bits_to_bytes,
     bits_to_int,
-    bytes_to_bits,
     flip_planes,
-    hamming_distance,
     int_to_bits,
     join_windows,
-    longest_common_prefix_length,
     pack_slots,
     pack_symbols,
     parity,
@@ -25,7 +21,6 @@ from repro.utils.bitstring import (
     symbol_to_bit,
     symbols_to_bits,
     unpack_symbols,
-    xor_bits,
 )
 
 symbol_windows = st.lists(st.sampled_from([0, 1, None]), max_size=96)
@@ -59,39 +54,11 @@ class TestBitsIntConversion:
         assert bits_to_int(int_to_bits(value, 48)) == value
 
 
-class TestByteConversion:
-    def test_bytes_to_bits_length(self):
-        assert len(bytes_to_bits(b"ab")) == 16
-
-    def test_roundtrip_bytes(self):
-        data = b"hello world"
-        assert bits_to_bytes(bytes_to_bits(data)) == data
-
-    @given(st.binary(max_size=64))
-    def test_roundtrip_random(self, data):
-        assert bits_to_bytes(bytes_to_bits(data)) == data
-
-
 class TestParityAndDistance:
     def test_parity(self):
         assert parity(0) == 0
         assert parity(0b1011) == 1
         assert parity(0b11) == 0
-
-    def test_hamming_distance(self):
-        assert hamming_distance([0, 1, 1], [0, 0, 1]) == 1
-        assert hamming_distance([], []) == 0
-
-    def test_hamming_distance_length_mismatch(self):
-        with pytest.raises(ValueError):
-            hamming_distance([0], [0, 1])
-
-    def test_xor_bits(self):
-        assert xor_bits([1, 0, 1], [1, 1, 0]) == [0, 1, 1]
-
-    def test_xor_bits_length_mismatch(self):
-        with pytest.raises(ValueError):
-            xor_bits([1], [1, 0])
 
 
 class TestSymbolsAndPrefix:
@@ -103,18 +70,6 @@ class TestSymbolsAndPrefix:
         for symbol in (0, 1, None):
             assert [symbol_to_bit(symbol)] == symbols_to_bits([symbol])
         assert symbol_to_bit(None, erasure_fill=1) == 1
-
-    def test_longest_common_prefix(self):
-        assert longest_common_prefix_length("abcd", "abxy") == 2
-        assert longest_common_prefix_length([1, 2], [1, 2, 3]) == 2
-        assert longest_common_prefix_length([], [1]) == 0
-
-    @given(st.lists(st.integers(0, 3)), st.lists(st.integers(0, 3)))
-    def test_prefix_is_common(self, a, b):
-        k = longest_common_prefix_length(a, b)
-        assert a[:k] == b[:k]
-        if k < min(len(a), len(b)):
-            assert a[k] != b[k]
 
 
 class TestPackedSymbolPlanes:

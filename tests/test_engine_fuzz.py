@@ -59,14 +59,13 @@ from contextlib import nullcontext
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from adversaries import DeletionAdversary, FixingObliviousAdversary, _state_snapshot
 from oracle import use_oracles
 
 from repro.adversary.base import NoiseBudget, NoiselessAdversary
-from repro.adversary.contract import _state_snapshot
-from repro.adversary.oblivious import AdditiveObliviousAdversary, FixingObliviousAdversary
+from repro.adversary.oblivious import AdditiveObliviousAdversary
 from repro.adversary.strategies import (
     BurstAdversary,
-    DeletionAdversary,
     LinkTargetedAdversary,
     PhaseTargetedAdaptiveAdversary,
     RandomNoiseAdversary,

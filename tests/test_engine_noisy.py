@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from adversaries import DeletionAdversary
 
 from repro.adversary.oblivious import AdditiveObliviousAdversary
 from repro.adversary.strategies import (
     BurstAdversary,
     CompositeAdversary,
-    DeletionAdversary,
     LinkTargetedAdversary,
     RandomNoiseAdversary,
 )

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from adversaries import RotatingLinkAdaptiveAdversary
 
 from repro.adversary.strategies import (
     LinkTargetedAdversary,
     PhaseTargetedAdaptiveAdversary,
     RandomNoiseAdversary,
-    RotatingLinkAdaptiveAdversary,
 )
 from repro.core.engine import simulate
 from repro.core.parameters import algorithm_a, algorithm_b, algorithm_c, crs_oblivious_scheme

@@ -11,7 +11,6 @@ from repro.coding.gf256 import (
     gf_div,
     gf_inv,
     gf_mul,
-    gf_pow,
     poly_add,
     poly_deg,
     poly_divmod,
@@ -62,17 +61,6 @@ class TestFieldAxioms:
     @given(nonzero, nonzero)
     def test_division(self, a, b):
         assert gf_mul(gf_div(a, b), b) == a
-
-    @given(nonzero, st.integers(0, 600))
-    def test_pow_matches_repeated_multiplication(self, a, exponent):
-        expected = 1
-        for _ in range(exponent % 255):
-            expected = gf_mul(expected, a)
-        assert gf_pow(a, exponent) == expected
-
-    def test_pow_of_zero(self):
-        assert gf_pow(0, 0) == 1
-        assert gf_pow(0, 5) == 0
 
 
 class TestPolynomials:

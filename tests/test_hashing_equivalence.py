@@ -25,9 +25,10 @@ from functools import partial
 from itertools import product
 
 import pytest
+from adversaries import DeletionAdversary
 from oracle import build_message_per_call, use_oracles
 
-from repro.adversary.strategies import DeletionAdversary, RandomNoiseAdversary
+from repro.adversary.strategies import RandomNoiseAdversary
 from repro.core.engine import InteractiveCodingSimulator
 from repro.core.meeting_points import MeetingPointsSession
 from repro.core.parameters import algorithm_a, algorithm_b, crs_oblivious_scheme

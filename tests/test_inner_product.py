@@ -59,15 +59,6 @@ class TestInnerProductHash:
             y = rng.getrandbits(64)
             assert hasher.digest(x, 64, seed) ^ hasher.digest(y, 64, seed) == hasher.digest(x ^ y, 64, seed)
 
-    def test_digest_bits_interface(self):
-        hasher = InnerProductHash(5)
-        seed = random.Random(1).getrandbits(hasher.seed_bits_required(8))
-        bits = hasher.digest_bits([1, 0, 1, 1, 0, 0, 0, 1], seed)
-        assert len(bits) == 5
-        assert set(bits) <= {0, 1}
-        with pytest.raises(ValueError):
-            hasher.digest_bits([], seed)
-
     def test_uniform_output_for_nonzero_input(self):
         """Lemma 2.3: over a uniform seed, the output of a fixed non-zero input is uniform."""
         hasher = InnerProductHash(2)

@@ -40,9 +40,13 @@ def test_success_vs_noise_curve():
 
 @pytest.mark.parametrize("scheme_factory", [algorithm_b, algorithm_c])
 def test_adaptive_attack_on_control_traffic(scheme_factory):
+    """At ε = 0.03 the adversary spends a real budget: it corrupts hashes,
+    flags and simulated bits, every trial sees hash mismatches and rewinds,
+    and every trial still succeeds.  (At ε = 0.01 it could afford at most two
+    corruptions, too few to reach the recovery machinery.)"""
     workload = gossip_workload(topology="star", num_nodes=5, phases=10, seed=1)
     scheme = scheme_factory()
-    fraction = scheme.nominal_noise_fraction(workload.graph, epsilon=0.01)
+    fraction = scheme.nominal_noise_fraction(workload.graph, epsilon=0.03)
 
     def factory(seed: int):
         return PhaseTargetedAdaptiveAdversary(
@@ -50,6 +54,10 @@ def test_adaptive_attack_on_control_traffic(scheme_factory):
         )
 
     trial_set = run_trials(workload, scheme, adversary_factory=factory, trials=2, base_seed=3)
+    for run in trial_set.runs:
+        assert run.corruptions > 0
+        assert run.hash_mismatches_detected > 0
+        assert run.rewinds_sent > 0
     assert trial_set.aggregate.success_rate == 1.0
 
 

@@ -73,10 +73,6 @@ class TestDerivedQuantities:
         assert gossip_line5.communication_complexity() == 48
         assert gossip_line5.num_rounds == 6
 
-    def test_transmissions_on_link(self, gossip_line5):
-        assert gossip_line5.transmissions_on_link(0, 1) == 12
-        assert gossip_line5.transmissions_on_link(1, 0) == 12
-
     def test_schedule_is_cached(self, gossip_line5):
         assert gossip_line5.schedule() is gossip_line5.schedule()
 

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from adversaries import DeletionAdversary
 
-from repro.adversary.strategies import DeletionAdversary, LinkTargetedAdversary, RandomNoiseAdversary
+from repro.adversary.strategies import LinkTargetedAdversary, RandomNoiseAdversary
 from repro.core.randomness_exchange import run_randomness_exchange
 from repro.hashing.seeds import ExchangedSeedSource
 from repro.hashing.small_bias import SmallBiasGenerator

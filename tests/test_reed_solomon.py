@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coding.gf256 import poly_eval, gf_pow, GENERATOR
+from repro.coding.gf256 import GENERATOR, gf_mul, poly_eval
 from repro.coding.reed_solomon import DecodingError, ReedSolomonCode
 
 
@@ -27,8 +27,10 @@ class TestParameters:
     def test_generator_polynomial_roots(self):
         code = ReedSolomonCode(12, 8)
         generator = code.generator_polynomial()
-        for i in range(code.parity_length):
-            assert poly_eval(generator, gf_pow(GENERATOR, i)) == 0
+        root = 1  # alpha^0, then alpha^1, ... alpha^(p-1)
+        for _ in range(code.parity_length):
+            assert poly_eval(generator, root) == 0
+            root = gf_mul(root, GENERATOR)
 
 
 class TestEncoding:
@@ -37,7 +39,7 @@ class TestEncoding:
         message = [1, 2, 3, 4]
         codeword = code.encode(message)
         assert len(codeword) == 10
-        assert code.extract_message(codeword) == message
+        assert codeword[code.parity_length:] == message
 
     def test_codeword_has_zero_syndromes(self):
         code = ReedSolomonCode(20, 11)

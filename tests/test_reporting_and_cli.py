@@ -12,7 +12,7 @@ import pytest
 
 
 from repro.cli import build_parser, main
-from repro.experiments.reporting import ExperimentReport, load_report
+from repro.experiments.reporting import ExperimentReport
 
 
 class TestExperimentReport:
@@ -23,10 +23,10 @@ class TestExperimentReport:
     def test_json_roundtrip(self, tmp_path):
         report = ExperimentReport("demo", rows=[{"a": 1}], parameters={"n": 5})
         path = report.save(tmp_path / "out.json")
-        loaded = load_report(path)
-        assert loaded.experiment == "demo"
-        assert loaded.rows == [{"a": 1}]
-        assert loaded.parameters == {"n": 5}
+        loaded = json.loads(path.read_text())
+        assert loaded["experiment"] == "demo"
+        assert loaded["rows"] == [{"a": 1}]
+        assert loaded["parameters"] == {"n": 5}
 
     def test_markdown_rendering(self, tmp_path):
         report = ExperimentReport("demo", rows=[{"a": 1.5}], parameters={"n": 5})

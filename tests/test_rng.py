@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.utils.bitstring import bits_to_int
-from repro.utils.rng import fork, fork_seed, make_rng, random_bits, random_bitstring_int, stable_label_hash
+from repro.utils.rng import fork, fork_seed, make_rng, random_bits, stable_label_hash
 
 
 class TestStability:
@@ -36,18 +36,6 @@ class TestBitGeneration:
     def test_random_bits_negative_count(self):
         with pytest.raises(ValueError):
             random_bits(make_rng(0), -1)
-
-    def test_random_bitstring_int_width(self):
-        value = random_bitstring_int(make_rng(0), 40)
-        assert 0 <= value < (1 << 40)
-
-    def test_random_bitstring_int_zero(self):
-        assert random_bitstring_int(make_rng(0), 0) == 0
-
-    def test_random_bitstring_roughly_balanced(self):
-        value = random_bitstring_int(make_rng(5), 4096)
-        ones = value.bit_count()
-        assert 1500 < ones < 2600
 
     @pytest.mark.parametrize("count", [0, 1, 31, 128, 1000])
     def test_random_bits_matches_one_getrandbits_per_bit(self, count):

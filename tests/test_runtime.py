@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.metrics import AggregateMetrics, RunMetrics
+from repro.analysis.metrics import AggregateMetrics, RunMetrics, summarize_runs
 from repro.core.parameters import algorithm_a, crs_oblivious_scheme
 from repro.experiments.factories import (
     NoiselessFactory,
@@ -638,6 +638,69 @@ class TestRunStoreIndex:
             ids.append(store.list_runs()[-1]["run_id"])
         assert len(set(ids)) == 4
         assert {row["run_id"] for row in first.list_runs()} == set(ids)
+
+    @staticmethod
+    def _record(store):
+        runs = [RunMetrics(scheme="crs", success=True, protocol_communication=1,
+                           simulation_communication=2, corruptions=0, noise_fraction=0.0,
+                           iterations_run=1, iterations_budget=1)]
+        return store.record_trial_set(label="cell", runs=runs, aggregate=summarize_runs(runs))
+
+    def test_listing_ignores_a_staged_document(self, tmp_path):
+        """A concurrent writer's document is staged under ``.staging-*`` until
+        its id is claimed; listing neither indexes nor removes it."""
+        store = RunStore(tmp_path)
+        first = self._record(store)
+        staging = tmp_path / ".staging-racer.json"
+        staging.write_text("{}")
+        second = self._record(store)
+        assert [row["run_id"] for row in store.list_runs()] == [first, second]
+        (tmp_path / "index.json").unlink()
+        assert [row["run_id"] for row in store.list_runs()] == [first, second]
+        assert staging.exists()
+
+    def test_rebuild_finds_a_claimed_but_unindexed_run(self, tmp_path):
+        """A writer that claimed its id (the hard link landed) but crashed
+        before updating index.json: the next listing finds the document."""
+        store = RunStore(tmp_path)
+        first = self._record(store)
+        payload = json.loads((tmp_path / f"{first}.json").read_text())
+        payload["run_id"] = "run-000099"
+        (tmp_path / "run-000099.json").write_text(json.dumps(payload))
+        assert [row["run_id"] for row in store.list_runs()] == [first, "run-000099"]
+        assert store.resolve("latest") == "run-000099"
+
+    def test_threaded_writers_leave_the_index_equal_to_disk(self, tmp_path):
+        """Handles recording at once, like separate processes: whatever the
+        interleaving, every run lands and the listing matches the files."""
+        import sys
+        import threading
+
+        errors: list = []
+
+        def writer() -> None:
+            store = RunStore(tmp_path)  # one handle per writer
+            try:
+                for _ in range(10):
+                    self._record(store)
+            except Exception as exc:  # pragma: no cover - failure detail
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so writes interleave
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        on_disk = {path.stem for path in tmp_path.glob("run-*.json")}
+        assert len(on_disk) == 30
+        assert {row["run_id"] for row in RunStore(tmp_path).list_runs()} == on_disk
 
     def test_listing_a_nonexistent_store_creates_nothing(self, tmp_path):
         root = tmp_path / "never-created"

@@ -32,15 +32,6 @@ class TestParameters:
     def test_seed_length(self):
         assert seed_length_bits(64) == 128
 
-    def test_from_bit_list(self):
-        bits = [1] * 128
-        generator = SmallBiasGenerator.from_bit_list(bits, field_degree=64)
-        assert generator.x == (1 << 64) - 1
-
-    def test_from_bit_list_too_short(self):
-        with pytest.raises(ValueError):
-            SmallBiasGenerator.from_bit_list([1, 0, 1], field_degree=64)
-
 
 class TestGeneration:
     def test_deterministic(self):

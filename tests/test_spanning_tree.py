@@ -60,8 +60,3 @@ class TestOrderingsAndSubtrees:
         tree = SpanningTree(star_topology(4), root=0)
         assert not tree.is_leaf(0)
         assert tree.is_leaf(3)
-
-    def test_subtree_nodes(self):
-        tree = SpanningTree(line_topology(5), root=0)
-        assert tree.subtree_nodes(2) == [2, 3, 4]
-        assert tree.subtree_nodes(0) == [0, 1, 2, 3, 4]

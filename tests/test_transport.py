@@ -15,19 +15,22 @@ from __future__ import annotations
 import random
 
 import pytest
+from adversaries import (
+    DeletionAdversary,
+    EchoSpoofingAdversary,
+    FixingObliviousAdversary,
+    RotatingLinkAdaptiveAdversary,
+)
 from oracle import PerSlotNetwork, link_major_plane
 
 from repro.adversary.base import Adversary, NoiseBudget, NoiselessAdversary
-from repro.adversary.oblivious import AdditiveObliviousAdversary, FixingObliviousAdversary
+from repro.adversary.oblivious import AdditiveObliviousAdversary
 from repro.adversary.strategies import (
     BurstAdversary,
     CompositeAdversary,
-    DeletionAdversary,
-    EchoSpoofingAdversary,
     LinkTargetedAdversary,
     PhaseTargetedAdaptiveAdversary,
     RandomNoiseAdversary,
-    RotatingLinkAdaptiveAdversary,
 )
 from repro.core.engine import InteractiveCodingSimulator
 from repro.core.parameters import crs_oblivious_scheme
