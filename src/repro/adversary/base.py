@@ -11,15 +11,14 @@ The paper distinguishes:
 
 All of them implement :class:`Adversary`.  The semantic contract is
 ``corrupt``: what the receiver sees on one channel slot (one round, one
-directed link), followed by ``notify_delivery``.  The transport calls one
-kernel on top of it: ``corrupt_window`` takes one exchange, a window of
-links × rounds, as a link-major ``(bits, present)`` plane.  The base kernel
-is the per-slot ``corrupt`` + ``notify_delivery`` loop in plane order, so an
-adversary that only writes ``corrupt`` works everywhere.  A native kernel
-must be bit-identical to the base one it replaces; ``check_contract`` in
-``tests/adversaries.py`` probes that.  Corruption accounting is done by the
-transport, not by the adversary, so an adversary cannot under-report its own
-noise.
+directed link).  The transport calls one kernel on top of it:
+``corrupt_window`` takes one exchange, a window of links × rounds, as a
+link-major ``(bits, present)`` plane.  The base kernel is the per-slot
+``corrupt`` loop in plane order, so an adversary that only writes
+``corrupt`` works everywhere.  A native kernel must be bit-identical to the
+base one it replaces; ``check_contract`` in ``tests/adversaries.py`` probes
+that.  Corruption accounting is done by the transport, not by the
+adversary, so an adversary cannot under-report its own noise.
 
 The theorems bound the noise as a *fraction of the actual communication* of
 the executed instance, which is not known in advance.  :class:`NoiseBudget`
@@ -110,11 +109,6 @@ class NoiseBudget:
         self.corruptions_spent = 0
 
 
-#: The per-slot methods a native kernel stands in for (see
-#: :meth:`Adversary.__init_subclass__`).
-_KERNEL_INPUTS = ("corrupt", "notify_delivery")
-
-
 def _owner(cls: type, name: str) -> type:
     """The class in ``cls``'s MRO whose body defines ``name``."""
     return next(klass for klass in cls.__mro__ if name in klass.__dict__)
@@ -125,10 +119,10 @@ def corrupt_slots(
 ) -> Tuple[int, int]:
     """The per-slot loop over plane positions ``[start, stop)``.
 
-    :meth:`Adversary.corrupt` then :meth:`Adversary.notify_delivery` per
-    slot, in position order, skipping silent slots when the adversary cannot
-    insert.  Returns the planes with that range replaced by what was
-    delivered; every other position passes through.
+    :meth:`Adversary.corrupt` per slot, in position order, skipping silent
+    slots when the adversary cannot insert.  Returns the planes with that
+    range replaced by what was delivered; every other position passes
+    through.
     """
     width = stop - start
     mask = ((1 << width) - 1) << start
@@ -136,7 +130,6 @@ def corrupt_slots(
     present_digits = plane_digits(window_present, width)
     bit_digits = plane_digits((bits & mask) >> start, width)
     corrupt = adversary.corrupt
-    notify = adversary.notify_delivery
     slot_ctx = ctx.slot
     ones: List[int] = []
     delivered: List[int] = []
@@ -145,11 +138,9 @@ def corrupt_slots(
             sent: Symbol = 1 if bit_digits[offset] == "1" else 0
         else:
             sent = None
-        slot = slot_ctx(start + offset)
-        received = corrupt(slot, sent)
+        received = corrupt(slot_ctx(start + offset), sent)
         if received not in (0, 1, None):
             raise ValueError(f"adversary produced invalid symbol {received!r}")
-        notify(slot, sent, received)
         if received is not None:
             delivered.append(offset)
             if received:
@@ -206,9 +197,9 @@ class Adversary(abc.ABC):
         plane pair.
 
         This base implementation is the per-slot loop
-        (:func:`corrupt_slots` over the whole plane): :meth:`corrupt` then
-        :meth:`notify_delivery` per slot, in position order, skipping silent
-        slots when :attr:`may_insert` is ``False``.  Native overrides must be
+        (:func:`corrupt_slots` over the whole plane): :meth:`corrupt` per
+        slot, in position order, skipping silent slots when
+        :attr:`may_insert` is ``False``.  Native overrides must be
         bit-identical to it: same delivered plane, same RNG stream
         consumption, same budget accounting, for every input (the window
         law that ``check_contract`` in ``tests/adversaries.py`` probes).
@@ -221,11 +212,11 @@ class Adversary(abc.ABC):
     def __init_subclass__(cls, **kwargs: object) -> None:
         """Demote a native kernel the subclass may have outgrown.
 
-        A native :meth:`corrupt_window` encodes what :meth:`corrupt` and
-        :meth:`notify_delivery` do in the class that wrote it.  If a subclass
-        overrides one of those but inherits the kernel, the kernel would
-        silently keep the old behaviour, so the subclass gets the base loop
-        instead, which calls the overridden methods.
+        A native :meth:`corrupt_window` encodes what :meth:`corrupt` does in
+        the class that wrote it.  If a subclass overrides :meth:`corrupt` but
+        inherits the kernel, the kernel would silently keep the old
+        behaviour, so the subclass gets the base loop instead, which calls
+        the overridden method.
         """
         super().__init_subclass__(**kwargs)
         kernel_owner = _owner(cls, "corrupt_window")
@@ -233,11 +224,8 @@ class Adversary(abc.ABC):
             return
         # An MRO walk, not issubclass: ABC subclass checks are not ready while
         # the class is still being created.
-        if any(_owner(cls, name) not in kernel_owner.__mro__ for name in _KERNEL_INPUTS):
+        if _owner(cls, "corrupt") not in kernel_owner.__mro__:
             cls.corrupt_window = Adversary.corrupt_window
-
-    def notify_delivery(self, ctx: TransmissionContext, sent: Symbol, received: Symbol) -> None:
-        """Hook called after every slot; adaptive adversaries may record state."""
 
     def reset(self) -> None:
         """Reset mutable state so the same adversary object can be reused."""

@@ -14,9 +14,10 @@ Because the pattern is indexed by absolute round numbers, an oblivious
 adversary has no knowledge of what the slot carries — exactly the oblivious
 guarantee the analysis of Section 4 relies on.
 
-Concrete pattern generators (uniformly random slots, bursts on one link,
-attacks on the randomness-exchange prefix, ...) live in
-:mod:`repro.adversary.strategies`.
+The content-oblivious strategies of :mod:`repro.adversary.strategies`
+(random noise, a targeted link, a burst) are oblivious in the same sense,
+but draw their noise lazily from a seeded generator instead of holding an
+explicit pattern.
 """
 
 from __future__ import annotations

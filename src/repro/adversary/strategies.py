@@ -66,13 +66,6 @@ def _draw_words(getrandbits: Callable[[int], int], raw: bytes, at: int, certain:
     return kept + getrandbits(32 * fresh).to_bytes(4 * fresh, "little")
 
 
-def _ones(data: bytes, start: int, stop: int) -> int:
-    """How many of the bits at positions ``[start, stop)`` of the
-    little-endian ``data`` are set, in time linear in ``stop - start``."""
-    span = int.from_bytes(data[start >> 3 : (stop + 7) >> 3], "little") >> (start & 7)
-    return (span & ((1 << (stop - start)) - 1)).bit_count()
-
-
 def _corrupt_randomly(rng: random.Random, symbol: Symbol) -> Symbol:
     """Pick a uniformly random corruption of ``symbol`` (always a real change)."""
     if symbol is None:
@@ -160,7 +153,6 @@ class RandomNoiseAdversary(Adversary):
     corruption_probability: float = 0.0
     insertion_probability: float = 0.0
     seed: int = 0
-    budget: Optional[NoiseBudget] = None
     name: str = "random-noise"
     oblivious: bool = True
 
@@ -176,17 +168,10 @@ class RandomNoiseAdversary(Adversary):
         )
 
     def corrupt(self, ctx: TransmissionContext, sent: Symbol) -> Symbol:
-        if self.budget is not None and sent is not None:
-            self.budget.observe_transmission()
         probability = self.insertion_probability if sent is None else self.corruption_probability
         if probability <= 0.0 or self._rng.random() >= probability:
             return sent
-        if self.budget is not None and not self.budget.can_spend():
-            return sent
-        corrupted = _corrupt_randomly(self._rng, sent)
-        if self.budget is not None:
-            self.budget.spend()
-        return corrupted
+        return _corrupt_randomly(self._rng, sent)
 
     def corrupt_window(self, ctx: WindowContext, bits: int, present: int) -> Tuple[int, int]:
         """The native kernel: the per-slot loop's draws, read in bulk.
@@ -202,10 +187,8 @@ class RandomNoiseAdversary(Adversary):
         rest.  A corruption's ``choice`` between two symbols reads the next
         words as ``choice`` does: ``word >> 30``, rejecting 2 and 3.  A block
         never holds more words than the slots still to visit are certain to
-        draw, so the generator ends in the state the per-slot loop leaves;
-        a spending decision sees the budget's transmissions counted up to
-        its slot, and the rest are added once at the end.  :meth:`corrupt`
-        stays the semantics this kernel must equal.
+        draw, so the generator ends in the state the per-slot loop leaves.
+        :meth:`corrupt` stays the semantics this kernel must equal.
         """
         probability = self.corruption_probability
         insertion = self.insertion_probability
@@ -230,8 +213,6 @@ class RandomNoiseAdversary(Adversary):
         present_bytes = bit_bytes = located = None
         bit_flips: List[int] = []
         present_flips: List[int] = []
-        budget = self.budget
-        observed = counted = 0  # transmissions among plane positions [0, counted)
         while visited < draws:
             if words - at < 2:
                 raw = _draw_words(getrandbits, raw, at, 2 * (draws - visited))
@@ -266,15 +247,6 @@ class RandomNoiseAdversary(Adversary):
             sent = present_bytes[slot >> 3] >> (slot & 7) & 1
             if draw >= (probability if sent else insertion) * 9007199254740992.0:
                 continue
-            if budget is not None:
-                observed += _ones(present_bytes, counted, slot + 1)
-                counted = slot + 1
-                seen = budget.transmissions_seen + observed
-                if budget.corruptions_spent + 1 > budget.allowance_at(
-                    budget.fraction, seen, budget.absolute_allowance
-                ):
-                    continue
-                budget.corruptions_spent += 1
             while True:  # ``choice`` of two: the next word below 2**31
                 if at == words:
                     raw = _draw_words(getrandbits, raw, at, 1 + 2 * (draws - visited))
@@ -297,14 +269,10 @@ class RandomNoiseAdversary(Adversary):
             else:  # substitution
                 bit_flips.append(slot)
         assert at == words, "the noise kernel drew words the per-slot loop does not"
-        if budget is not None:
-            budget.transmissions_seen += transmitted
         return flip_planes(bits, present, bit_flips, present_flips, count)
 
     def reset(self) -> None:
         self._rng = make_rng(self.seed)
-        if self.budget is not None:
-            self.budget.reset()
 
 
 @dataclass
@@ -448,38 +416,6 @@ class CompositeAdversary(Adversary):
             raise ValueError("CompositeAdversary needs at least one component")
         self.oblivious = all(component.oblivious for component in self.components)
         self.may_insert = any(component.may_insert for component in self.components)
-        # The kernels run each component over a whole window before the next
-        # one sees it, mirroring budget counters locally per component.  That
-        # is only equivalent to the per-slot interleaving when every
-        # component owns its budget, so a shared NoiseBudget object is
-        # rejected rather than silently diverging from the per-slot fallback.
-        seen_budgets = set()
-        for component in self._flattened():
-            budget = getattr(component, "budget", None)
-            if budget is None:
-                continue
-            if id(budget) in seen_budgets:
-                raise ValueError(
-                    "CompositeAdversary components must not share a NoiseBudget instance"
-                )
-            seen_budgets.add(id(budget))
-        # A component that records state via notify_delivery must be replayed
-        # slot by slot: the per-slot path notifies every component with the
-        # ORIGINAL sent and FINAL received symbol of each slot, interleaved
-        # between slots, which chaining whole windows cannot reproduce.
-        # Whole-window chaining is used only when every leaf's notify hook is
-        # the base no-op (true for all stock adversaries).
-        self._chain_windows = all(
-            type(component).notify_delivery is Adversary.notify_delivery
-            for component in self._flattened()
-        )
-
-    def _flattened(self) -> Iterable[Adversary]:
-        for component in self.components:
-            if isinstance(component, CompositeAdversary):
-                yield from component._flattened()
-            else:
-                yield component
 
     def corrupt(self, ctx: TransmissionContext, sent: Symbol) -> Symbol:
         symbol = sent
@@ -489,24 +425,15 @@ class CompositeAdversary(Adversary):
 
     def corrupt_window(self, ctx: WindowContext, bits: int, present: int) -> Tuple[int, int]:
         # Chaining whole planes is bit-identical to chaining per slot: each
-        # component owns its RNG/budget, and its state when reaching slot i
+        # component owns its RNG and budget (no stock adversary takes either
+        # from outside), and its state when reaching slot i
         # depends only on the slots it already processed (0..i-1 of this
         # plane in both orders) — the interleaving with other components is
         # unobservable.  A non-inserting component treats a silent slot as a
         # no-op, so its own skip of silent slots matches the composite's.
-        # Components with a real notify_delivery hook break that argument,
-        # so they take the per-slot loop (which chains ``corrupt`` per slot
-        # and forwards the original/final symbols through
-        # ``notify_delivery``).
-        if not self._chain_windows:
-            return super().corrupt_window(ctx, bits, present)
         for component in self.components:
             bits, present = component.corrupt_window(ctx, bits, present)
         return bits, present
-
-    def notify_delivery(self, ctx: TransmissionContext, sent: Symbol, received: Symbol) -> None:
-        for component in self.components:
-            component.notify_delivery(ctx, sent, received)
 
     def reset(self) -> None:
         for component in self.components:
@@ -528,7 +455,6 @@ class PhaseTargetedAdaptiveAdversary(Adversary):
     fraction: float = 0.0
     phases: Sequence[str] = ("meeting_points", "flag_passing")
     seed: int = 0
-    max_iteration: Optional[int] = None
     name: str = "adaptive-phase-targeted"
     oblivious: bool = False
     may_insert: bool = False
@@ -544,8 +470,6 @@ class PhaseTargetedAdaptiveAdversary(Adversary):
             return sent
         if ctx.phase not in self.phases:
             return sent
-        if self.max_iteration is not None and ctx.iteration > self.max_iteration:
-            return sent
         if not self._budget.can_spend():
             return sent
         self._budget.spend()
@@ -557,9 +481,7 @@ class PhaseTargetedAdaptiveAdversary(Adversary):
         if not present:
             return bits, present
         budget = self._budget
-        if ctx.phase not in self.phases or (
-            self.max_iteration is not None and ctx.iteration > self.max_iteration
-        ):
+        if ctx.phase not in self.phases:
             budget.observe_transmissions(present.bit_count())
             return bits, present
         rng = self._rng

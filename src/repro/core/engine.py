@@ -289,10 +289,6 @@ class InteractiveCodingSimulator:
         counters["hashing.session_truncations"] = truncations
         counters["hashing.session_resets"] = resets
         counters["hashing.seed_derivations"] = derivations
-        budget = getattr(self.adversary, "budget", None)
-        if budget is not None:
-            counters["adversary.transmissions_seen"] = getattr(budget, "transmissions_seen", 0)
-            counters["adversary.corruptions_spent"] = getattr(budget, "corruptions_spent", 0)
         self._obs.metrics.inc_many(counters)
 
     # ------------------------------------------------------ initialisation --

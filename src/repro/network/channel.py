@@ -58,7 +58,6 @@ class TransmissionContext:
     receiver: int
     phase: str
     iteration: int = -1
-    slot_index: int = 0
 
 
 class WindowContext:
@@ -111,8 +110,18 @@ class WindowContext:
             receiver=receiver,
             phase=self.phase,
             iteration=self.iteration,
-            slot_index=offset,
         )
+
+    def link_positions(self, plane: int) -> List[int]:
+        """The positions in ``links`` of the links with a set slot in
+        ``plane``, ascending; only the set slots are visited."""
+        rounds = self.rounds
+        positions: List[int] = []
+        for slot in set_positions(plane):
+            position = slot // rounds
+            if not positions or positions[-1] != position:
+                positions.append(position)
+        return positions
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -132,7 +141,6 @@ class ChannelStats:
     insertions: int = 0
     transmissions_by_phase: Dict[str, int] = field(default_factory=dict)
     corruptions_by_phase: Dict[str, int] = field(default_factory=dict)
-    corruptions_by_link: Dict[tuple, int] = field(default_factory=dict)
 
     @property
     def corruptions(self) -> int:
@@ -152,18 +160,16 @@ class ChannelStats:
         sent_present: int,
         received_bits: int,
         received_present: int,
-    ) -> List[int]:
-        """Account one window; return the positions (in ``ctx.links``) of its
-        corrupted links, ascending.
+    ) -> int:
+        """Account one window; return the plane of its corrupted slots.
 
         ``(bits, present)`` planes follow the
         :func:`~repro.utils.bitstring.pack_symbols` convention (``bits`` is a
         subset of ``present``; a cleared ``present`` bit is silence).  A
         substitution is a slot present on both sides with differing bits, a
         deletion is present→absent, an insertion is absent→present; each
-        corrupted slot counts once in the totals and in the per-phase and
-        per-link breakdowns.  Totals and per-phase counts are popcounts; only
-        the corrupted slots are visited, in link-major order.
+        corrupted slot counts once in the totals and in the per-phase
+        breakdown.  Every count is a popcount; no slot is visited.
         """
         phase = ctx.phase
         flipped = (sent_bits ^ received_bits) & sent_present & received_present
@@ -177,7 +183,7 @@ class ChannelStats:
             phase_counts[phase] = phase_counts.get(phase, 0) + transmissions
         corrupted = flipped | deleted | inserted
         if not corrupted:
-            return []
+            return 0
         substitutions = flipped.bit_count()
         deletions = deleted.bit_count()
         insertions = inserted.bit_count()
@@ -188,17 +194,7 @@ class ChannelStats:
         phase_corruptions[phase] = (
             phase_corruptions.get(phase, 0) + substitutions + deletions + insertions
         )
-        link_corruptions = self.corruptions_by_link
-        links = ctx.links
-        rounds = ctx.rounds
-        positions: List[int] = []
-        for slot in set_positions(corrupted):
-            position = slot // rounds
-            link = links[position]
-            link_corruptions[link] = link_corruptions.get(link, 0) + 1
-            if not positions or positions[-1] != position:
-                positions.append(position)
-        return positions
+        return corrupted
 
     def snapshot(self) -> Dict[str, float]:
         """A plain-dict summary convenient for reports and benchmarks."""

@@ -18,9 +18,9 @@ over ``graph.directed_edges()`` (position ``j * rounds + t`` is link ``j`` in
 round ``current_round + t``), makes one
 :meth:`~repro.adversary.base.Adversary.corrupt_window` call, accounts it
 with one popcount pass
-(:meth:`~repro.network.channel.ChannelStats.record_window`) and visits only
-the corrupted links for the per-link counts and the flight recorder.  A
-lockstep round (flag passing, simulation, rewind) is the case
+(:meth:`~repro.network.channel.ChannelStats.record_window`); only a flight
+recorder makes it visit the corrupted links.  A lockstep round (flag
+passing, simulation, rewind) is the case
 ``rounds = 1``; the meeting-points exchange and the randomness exchange use
 wider windows.  The baselines send one window of ``repetitions`` rounds per
 protocol round; the uncoded baseline is repetition with one copy, so it
@@ -102,10 +102,10 @@ class NoisyNetwork:
         *insert* symbols on idle links, exactly as in the paper's noise
         model.  The adversary sees the whole plane in one
         :meth:`~repro.adversary.base.Adversary.corrupt_window` call; totals
-        and per-phase counts are popcounts, and only corrupted links are
-        visited for ``corruptions_by_link`` and the flight recorder (one
-        ``record_window`` event batch per link, in link order).  Returns the
-        delivered plane and advances the clock by ``rounds``.
+        and per-phase counts are popcounts, and only a flight recorder makes
+        the transport visit the corrupted links (one ``record_window`` event
+        batch per link, in link order).  Returns the delivered plane and
+        advances the clock by ``rounds``.
 
         Deliveries, statistics, recorder events and clock are those of
         per-slot delivery in plane order (``tests/test_transport.py`` pins
@@ -128,7 +128,7 @@ class NoisyNetwork:
         if corrupted and recorder is not None:
             sent = unpack_symbols(bits, present, width)
             received = unpack_symbols(dbits, dpresent, width)
-            for position in corrupted:
+            for position in ctx.link_positions(corrupted):
                 start = position * rounds
                 recorder.record_window(
                     link_label(*links[position]), phase, iteration, base_round,
@@ -138,9 +138,6 @@ class NoisyNetwork:
         return dbits, dpresent
 
     # -- convenience ----------------------------------------------------------
-
-    def noise_fraction(self) -> float:
-        return self.stats.noise_fraction()
 
     def communication(self) -> int:
         """Total number of transmissions so far (= communication in bits)."""

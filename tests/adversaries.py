@@ -15,10 +15,9 @@ because they reach corners the stock ones do not:
 :func:`check_contract` probes the one law that ties an adversary's native
 kernel to its per-slot semantics, the **window law**: ``corrupt_window``
 must deliver the same plane (and leave the same state: RNG stream
-consumption, budget accounting) as the base per-slot loop, ``corrupt`` then
-``notify_delivery`` per slot in plane order.  The kernel is only legal
-because the corruption mask it applies is the one per-slot delivery would
-have produced.  The probe runs deterministic fuzz windows of several widths
+consumption, budget accounting) as the base per-slot loop, ``corrupt`` per
+slot in plane order.  The kernel is only legal because the corruption mask
+it applies is the one per-slot delivery would have produced.  The probe runs deterministic fuzz windows of several widths
 (one round, as in a lockstep round, and wider, as in the meeting-points
 exchange), ending with one 56-link × 32-round plane, the shape of a
 meeting-points window on the 8-clique, and raises :class:`ContractViolation`

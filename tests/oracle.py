@@ -5,7 +5,7 @@ optimisation of it:
 
 * :class:`PerSlotNetwork` — a :class:`~repro.network.transport.NoisyNetwork`
   whose ``exchange_window`` delivers slot by slot through the adversary's
-  ``corrupt`` and ``notify_delivery``: directed links in
+  ``corrupt``: directed links in
   ``graph.directed_edges()`` order, then rounds in order, skipping silent
   slots when the adversary cannot insert.  It accounts each slot on its own
   (:func:`record_slot`) and emits one flight-recorder event per corrupted
@@ -56,7 +56,7 @@ def link_major_plane(graph, messages, rounds):
 
 def record_slot(stats: ChannelStats, ctx: TransmissionContext, sent: Symbol, received: Symbol) -> None:
     """Account one channel slot: a transmission per sent symbol, one
-    corruption per changed slot, with per-phase and per-link breakdowns."""
+    corruption per changed slot, with per-phase breakdowns."""
     if sent is not None:
         stats.transmissions += 1
         stats.transmissions_by_phase[ctx.phase] = stats.transmissions_by_phase.get(ctx.phase, 0) + 1
@@ -72,8 +72,6 @@ def record_slot(stats: ChannelStats, ctx: TransmissionContext, sent: Symbol, rec
     else:
         stats.insertions += 1
     stats.corruptions_by_phase[ctx.phase] = stats.corruptions_by_phase.get(ctx.phase, 0) + 1
-    link = (ctx.sender, ctx.receiver)
-    stats.corruptions_by_link[link] = stats.corruptions_by_link.get(link, 0) + 1
 
 
 class PerSlotNetwork(NoisyNetwork):
@@ -94,7 +92,7 @@ class PerSlotNetwork(NoisyNetwork):
                 continue
             ctx = TransmissionContext(
                 round_index=self.current_round + offset, sender=sender, receiver=receiver,
-                phase=phase, iteration=iteration, slot_index=offset,
+                phase=phase, iteration=iteration,
             )
             received = adversary.corrupt(ctx, symbol)
             if received not in (0, 1, None):
@@ -104,7 +102,6 @@ class PerSlotNetwork(NoisyNetwork):
                 self.recorder.record_window(
                     link_label(sender, receiver), phase, iteration, ctx.round_index, (symbol,), (received,)
                 )
-            adversary.notify_delivery(ctx, symbol, received)
             delivered.append(received)
         self.current_round += rounds
         return pack_symbols(delivered)

@@ -17,7 +17,7 @@ from adversaries import (
     _state_snapshot,
     check_contract,
 )
-from oracle import PerSlotNetwork, link_major_plane
+from oracle import link_major_plane
 
 from repro.adversary.base import Adversary, NoiseBudget, NoiselessAdversary, corrupt_slots
 from repro.adversary.oblivious import AdditiveObliviousAdversary
@@ -28,6 +28,7 @@ from repro.adversary.strategies import (
     PhaseTargetedAdaptiveAdversary,
     RandomNoiseAdversary,
 )
+from repro.experiments.factories import LinkTargetedFactory
 from repro.experiments.table1 import _adaptive_factory, _oblivious_factory
 from repro.network.channel import Symbol, TransmissionContext, WindowContext
 from repro.network.topologies import line_topology, random_connected_topology
@@ -140,12 +141,6 @@ class TestRandomNoise:
     def test_full_probability_always_corrupts(self):
         adversary = RandomNoiseAdversary(corruption_probability=1.0, seed=1)
         assert all(adversary.corrupt(_ctx(round_index=i), 1) != 1 for i in range(50))
-
-    def test_budget_capped(self):
-        budget = NoiseBudget(fraction=0.0, absolute_allowance=2)
-        adversary = RandomNoiseAdversary(corruption_probability=1.0, seed=1, budget=budget)
-        corrupted = sum(1 for i in range(20) if adversary.corrupt(_ctx(round_index=i), 1) != 1)
-        assert corrupted == 2
 
     def test_reset_restores_stream(self):
         adversary = RandomNoiseAdversary(corruption_probability=0.5, seed=3)
@@ -342,34 +337,6 @@ class TestComposite:
         )
         assert composite.oblivious is False
 
-    def test_rejects_shared_noise_budget(self):
-        """A budget shared between components would make the window kernels
-        diverge from per-slot delivery (they mirror counters locally per
-        component), so the unsupported configuration fails loudly."""
-        shared = NoiseBudget(fraction=0.1)
-        with pytest.raises(ValueError, match="share a NoiseBudget"):
-            CompositeAdversary(
-                components=(
-                    RandomNoiseAdversary(corruption_probability=0.5, seed=0, budget=shared),
-                    DeletionAdversary(deletion_probability=0.5, seed=1, budget=shared),
-                )
-            )
-        # distinct budgets are fine, including across nesting levels
-        CompositeAdversary(
-            components=(
-                RandomNoiseAdversary(
-                    corruption_probability=0.5, seed=0, budget=NoiseBudget(fraction=0.1)
-                ),
-                CompositeAdversary(
-                    components=(
-                        DeletionAdversary(
-                            deletion_probability=0.5, seed=1, budget=NoiseBudget(fraction=0.1)
-                        ),
-                    )
-                ),
-            )
-        )
-
 
 class TestMayInsertContract:
     """`may_insert` is a real, documented attribute of every stock adversary."""
@@ -418,53 +385,6 @@ class TestMayInsertContract:
         )
 
 
-class _NotifyDependentAdversary(Adversary):
-    """Corrupts a slot iff the previous notification showed a clean delivery.
-
-    Implements only `corrupt` + `notify_delivery` — the documented per-slot
-    pattern — so composites containing it must fall back to slot-by-slot
-    replay to stay bit-identical between the transmission paths.
-    """
-
-    name = "notify-dependent"
-    may_insert = False
-
-    def __init__(self):
-        self.last_was_clean = False
-
-    def corrupt(self, ctx, sent):
-        if sent is not None and self.last_was_clean:
-            return 1 - sent
-        return sent
-
-    def notify_delivery(self, ctx, sent, received):
-        self.last_was_clean = sent == received
-
-    def reset(self):
-        self.last_was_clean = False
-
-
-def test_composite_with_notify_using_component_stays_bit_identical():
-    def build():
-        return CompositeAdversary(
-            components=(
-                RandomNoiseAdversary(corruption_probability=0.3, seed=9),
-                _NotifyDependentAdversary(),
-            )
-        )
-
-    graph = line_topology(3)
-    planes = NoisyNetwork(graph, adversary=build())
-    per_slot = PerSlotNetwork(graph, adversary=build())
-    window = link_major_plane(graph, {(0, 1): [1, 1, 0, 1, 0, 1], (1, 2): [0, 1, 1, None, 1, 0]}, 6)
-    for network in (planes, per_slot):
-        network.exchange_window(*window, 6, phase="simulation")
-        network.exchange_window(0b0101, 0b1111, 1, phase="rewind")
-    assert planes.stats == per_slot.stats
-    assert planes.current_round == per_slot.current_round == 7
-    assert _state_snapshot(planes.adversary) == _state_snapshot(per_slot.adversary)
-
-
 class _PerSlotOnlyAdversary(Adversary):
     """A custom adversary that only implements `corrupt` (fallback coverage)."""
 
@@ -473,16 +393,12 @@ class _PerSlotOnlyAdversary(Adversary):
 
     def __init__(self):
         self.calls = []
-        self.notified = []
 
     def corrupt(self, ctx: TransmissionContext, sent: Symbol) -> Symbol:
-        self.calls.append((ctx.round_index, ctx.slot_index, sent))
+        self.calls.append((ctx.round_index, sent))
         if sent is None:
             return None
         return 1 - sent
-
-    def notify_delivery(self, ctx, sent, received):
-        self.notified.append((ctx.slot_index, sent, received))
 
 
 class TestCorruptWindow:
@@ -497,10 +413,7 @@ class TestCorruptWindow:
             if sent is None and not adversary.may_insert:
                 delivered.append(None)
                 continue
-            slot = ctx.slot(offset)
-            received = adversary.corrupt(slot, sent)
-            adversary.notify_delivery(slot, sent, received)
-            delivered.append(received)
+            delivered.append(adversary.corrupt(ctx.slot(offset), sent))
         return adversary, delivered
 
     @pytest.mark.parametrize(
@@ -511,11 +424,6 @@ class TestCorruptWindow:
             lambda: FixingObliviousAdversary(pattern={(1, 0, 1): None, (3, 0, 1): 1}),
             lambda: RandomNoiseAdversary(
                 corruption_probability=0.4, insertion_probability=0.2, seed=11
-            ),
-            lambda: RandomNoiseAdversary(
-                corruption_probability=0.9,
-                seed=5,
-                budget=NoiseBudget(fraction=0.3, absolute_allowance=1),
             ),
             lambda: LinkTargetedAdversary(target=(0, 1), fraction=0.5, seed=3),
             lambda: BurstAdversary(start_round=1, end_round=4, max_corruptions=2, seed=9),
@@ -534,7 +442,6 @@ class TestCorruptWindow:
             "additive",
             "fixing",
             "random-noise",
-            "random-noise-budgeted",
             "link-targeted",
             "burst",
             "deletion",
@@ -558,17 +465,15 @@ class TestCorruptWindow:
         ctx = _window_ctx(3, link=(0, 1), base_round=10)
         delivered = adversary.corrupt_window(ctx, *pack_symbols([1, None, 0]))
         assert unpack_symbols(*delivered, 3) == [0, None, 1]
-        # the fallback materialised one per-slot context per slot, in order,
-        # and interleaved the notification hook exactly like the slot path
-        assert adversary.calls == [(10, 0, 1), (11, 1, None), (12, 2, 0)]
-        assert adversary.notified == [(0, 1, 0), (1, None, None), (2, 0, 1)]
+        # the fallback materialised one per-slot context per slot, in order
+        assert adversary.calls == [(10, 1), (11, None), (12, 0)]
 
     def test_fallback_skips_silent_slots_for_non_inserting_adversaries(self):
         adversary = _PerSlotOnlyAdversary()
         adversary.may_insert = False
         delivered = adversary.corrupt_window(_window_ctx(3), *pack_symbols([None, 1, None]))
         assert unpack_symbols(*delivered, 3) == [None, 0, None]
-        assert adversary.calls == [(1, 1, 1)]
+        assert adversary.calls == [(1, 1)]
 
     def test_fallback_rejects_invalid_symbols(self):
         class Sevens(_PerSlotOnlyAdversary):
@@ -584,10 +489,10 @@ class TestCorruptWindow:
         ctx = _links_ctx(((0, 1), (3, 5)), 6, phase="rewind", iteration=7, base_round=100)
         assert ctx.width == 12
         assert ctx.slot(6 + 4) == TransmissionContext(
-            round_index=104, sender=3, receiver=5, phase="rewind", iteration=7, slot_index=4
+            round_index=104, sender=3, receiver=5, phase="rewind", iteration=7
         )
         assert ctx.slot(5) == TransmissionContext(
-            round_index=105, sender=0, receiver=1, phase="rewind", iteration=7, slot_index=5
+            round_index=105, sender=0, receiver=1, phase="rewind", iteration=7
         )
 
 
@@ -608,7 +513,6 @@ class TestRandomNoiseKernel:
     @given(
         probability=st.sampled_from(_KERNEL_PROBABILITIES),
         insertion=st.sampled_from(("off", "quarter", "above")),
-        budget=st.sampled_from((None, (0.0, 2), (0.002, 0), (0.2, 1))),
         widths=st.lists(
             st.one_of(st.integers(1, 64), st.integers(1000, 25_000)), min_size=1, max_size=3
         ),
@@ -616,7 +520,7 @@ class TestRandomNoiseKernel:
         seed=st.integers(0, 2**16),
     )
     def test_bulk_kernel_matches_the_per_slot_loop(
-        self, probability, insertion, budget, widths, density, seed
+        self, probability, insertion, widths, density, seed
     ):
         insertion_probability = {
             "off": 0.0,
@@ -629,7 +533,6 @@ class TestRandomNoiseKernel:
                 corruption_probability=probability,
                 insertion_probability=insertion_probability,
                 seed=seed,
-                budget=None if budget is None else NoiseBudget(*budget),
             )
 
         kernel, reference = build(), build()
@@ -641,16 +544,6 @@ class TestRandomNoiseKernel:
             delivered = kernel.corrupt_window(ctx, bits, present)
             assert delivered == corrupt_slots(reference, ctx, bits, present, 0, width)
             assert _state_snapshot(kernel) == _state_snapshot(reference)
-
-    def test_a_binding_budget_stops_the_corruptions(self):
-        """At probability 1 every slot hits, so the allowance alone decides."""
-        kernel = RandomNoiseAdversary(corruption_probability=1.0, seed=3, budget=NoiseBudget(0.1, 2))
-        reference = RandomNoiseAdversary(corruption_probability=1.0, seed=3, budget=NoiseBudget(0.1, 2))
-        ctx = _window_ctx(5000)
-        present = (1 << 5000) - 1
-        assert kernel.corrupt_window(ctx, 0, present) == corrupt_slots(reference, ctx, 0, present, 0, 5000)
-        assert kernel.budget.corruptions_spent == 2 + 500
-        assert _state_snapshot(kernel) == _state_snapshot(reference)
 
 
 #: Every stock adversary in every shipped mode, as fresh-instance builders.
@@ -667,13 +560,13 @@ STOCK_CONTRACT_CASES = {
     "random-noise": lambda: RandomNoiseAdversary(
         corruption_probability=0.3, insertion_probability=0.2, seed=1
     ),
-    "random-noise-budgeted": lambda: RandomNoiseAdversary(
-        corruption_probability=0.4, seed=2, budget=NoiseBudget(fraction=0.2)
-    ),
     "deletion": lambda: DeletionAdversary(deletion_probability=0.3, seed=3),
     "link-targeted": lambda: LinkTargetedAdversary(
         target=(0, 1), fraction=0.3, corruption_probability=0.8, seed=4
     ),
+    # What ``LinkTargetedFactory`` builds: a ``max_corruptions`` cap on the
+    # simulation phase of ``(0, 1)``.
+    "link-targeted-capped": lambda: LinkTargetedFactory(errors=4)(16),
     "burst": lambda: BurstAdversary(start_round=10, end_round=40, max_corruptions=6, seed=5),
     "composite-stateful": lambda: CompositeAdversary(
         components=(
@@ -689,19 +582,20 @@ STOCK_CONTRACT_CASES = {
 }
 
 
-#: Configurations the kernels must also get right on one-round planes: a
-#: budgeted inserting ``RandomNoise`` (the budget mirror runs through silent
-#: slots) and the two Table 1 composites, whose ``LinkTargeted`` leg attacks
-#: ``(0, 1)`` in the simulation phase.
+#: The composites the experiments build, which the kernels must also get
+#: right on one-round planes: the two Table 1 composites, whose
+#: ``LinkTargeted`` leg attacks ``(0, 1)`` in the simulation phase, and the
+#: uncoded baseline's noise in ``theorem_validation.scheme_comparison``:
+#: inserting random noise plus one additive error on ``(1, 0)`` in round 0.
 ROUND_FRAME_EXTRA_CASES = {
-    "random-noise-budgeted-inserting": lambda: RandomNoiseAdversary(
-        corruption_probability=0.5,
-        insertion_probability=0.3,
-        seed=12,
-        budget=NoiseBudget(fraction=0.3, absolute_allowance=1),
-    ),
     "table1-oblivious": lambda: _oblivious_factory(13, 0.3),
     "table1-adaptive": lambda: _adaptive_factory(14, 0.3),
+    "theorem-uncoded": lambda: CompositeAdversary(
+        components=(
+            RandomNoiseAdversary(corruption_probability=0.3, insertion_probability=0.075, seed=12),
+            AdditiveObliviousAdversary(pattern={(0, 1, 0): 1}),
+        )
+    ),
 }
 ROUND_FRAME_CASES = {**STOCK_CONTRACT_CASES, **ROUND_FRAME_EXTRA_CASES}
 
@@ -791,7 +685,7 @@ class TestRoundFrame:
         adversary = Inherits(corruption_probability=0.0, seed=0)
         assert adversary.corrupt_window(ctx, 0b0101, 0b0111) == (0, 0)
 
-    @pytest.mark.parametrize("override", ["corrupt", "notify_delivery"])
+    @pytest.mark.parametrize("override", ["corrupt"])
     def test_every_kernel_input_demotes(self, override):
         namespace = {override: getattr(Adversary, override)}
         subclass = type("Override", (PhaseTargetedAdaptiveAdversary,), namespace)
@@ -820,25 +714,15 @@ class TestRoundFrame:
 
 
 class TestStaleKernels:
-    """A subclass that overrides ``corrupt`` or ``notify_delivery`` of a stock
-    adversary gets the base kernels, so its override is honoured on every
-    transport path."""
+    """A subclass that overrides ``corrupt`` of a stock adversary gets the
+    base kernel, so its override is honoured on every transport path."""
 
     class AlwaysDelete(RandomNoiseAdversary):
         def corrupt(self, ctx, sent):
             return None
 
-    class Watching(RandomNoiseAdversary):
-        def __init__(self, **kwargs):
-            super().__init__(**kwargs)
-            self.seen = []
-
-        def notify_delivery(self, ctx, sent, received):
-            self.seen.append((ctx.round_index, ctx.sender, ctx.receiver, sent, received))
-
     def test_stock_kernels_are_demoted(self):
-        for klass in (self.AlwaysDelete, self.Watching):
-            assert klass.corrupt_window is Adversary.corrupt_window
+        assert self.AlwaysDelete.corrupt_window is Adversary.corrupt_window
         assert RandomNoiseAdversary.corrupt_window is not Adversary.corrupt_window
 
     def test_corrupt_override_deletes_on_both_plane_paths(self):
@@ -849,20 +733,6 @@ class TestStaleKernels:
         assert network.exchange_window(0b0011, 0b0111, 1, "simulation") == (0, 0)
         assert network.stats.deletions == 3 + 3
         assert network.stats.transmissions == 3 + 3
-
-    def test_notify_override_sees_every_slot(self):
-        graph = line_topology(3)  # directed links (0, 1), (1, 0), (1, 2), (2, 1)
-        adversary = self.Watching(corruption_probability=0.0, seed=0)
-        network = NoisyNetwork(graph, adversary=adversary)
-        network.exchange_window(*link_major_plane(graph, {(0, 1): [0, 1], (2, 1): [1]}, 2), 2, "meeting_points")
-        network.exchange_window(0b0100, 0b0110, 1, "simulation")
-        assert adversary.seen == [
-            (0, 0, 1, 0, 0),
-            (1, 0, 1, 1, 1),
-            (0, 2, 1, 1, 1),
-            (2, 1, 0, 0, 0),
-            (2, 1, 2, 1, 1),
-        ]
 
 
 #: Every stock adversary with and without a budget, for the reset law.

@@ -89,10 +89,13 @@ class TestChannelStats:
         assert stats.corruptions_by_phase == {"simulation": 1}
 
     def test_per_link_accounting(self):
+        """The corrupted plane names the corrupted links: two slots on link
+        ``(2, 3)``, none on ``(0, 1)``."""
+        ctx = _window_ctx([(0, 1), (2, 3)], 2)
         stats = ChannelStats()
-        _record(stats, _ctx(sender=2, receiver=3), 1, 0)
-        _record(stats, _ctx(sender=2, receiver=3), 0, 1)
-        assert stats.corruptions_by_link == {(2, 3): 2}
+        corrupted = stats.record_window(ctx, *pack_symbols([1, 1, 1, 0]), *pack_symbols([1, 1, 0, 1]))
+        assert ctx.link_positions(corrupted) == [1]
+        assert stats.corruptions == 2
 
     def test_snapshot_keys(self):
         stats = ChannelStats()
@@ -113,7 +116,9 @@ class TestRecordWindow:
         sent = [1, 0, None, 1, None, 0]
         received = [1, 1, None, None, 0, 0]
         windowed = ChannelStats()
-        corrupted = windowed.record_window(ctx, *pack_symbols(sent), *pack_symbols(received))
+        corrupted = ctx.link_positions(
+            windowed.record_window(ctx, *pack_symbols(sent), *pack_symbols(received))
+        )
         per_slot = ChannelStats()
         for position, (s, r) in enumerate(zip(sent, received)):
             record_slot(per_slot, ctx.slot(position), s, r)
@@ -122,11 +127,11 @@ class TestRecordWindow:
         assert windowed.transmissions == 4
         assert windowed.delivered_symbols == 4
         assert windowed.corruptions == 3
-        assert windowed.corruptions_by_link == {(0, 1): 1, (1, 0): 2}
 
     def test_all_silent_window_is_a_no_op(self):
         stats = ChannelStats()
-        assert stats.record_window(_window_ctx(self._LINKS, 5), 0, 0, 0, 0) == []
+        ctx = _window_ctx(self._LINKS, 5)
+        assert ctx.link_positions(stats.record_window(ctx, 0, 0, 0, 0)) == []
         assert stats == ChannelStats()
 
     def test_matches_per_slot_on_random_windows(self):
@@ -143,7 +148,9 @@ class TestRecordWindow:
             width = len(links) * rounds
             sent = [rng.choice([0, 1, None]) for _ in range(width)]
             received = [rng.choice([0, 1, None]) for _ in range(width)]
-            corrupted = windowed.record_window(ctx, *pack_symbols(sent), *pack_symbols(received))
+            corrupted = ctx.link_positions(
+                windowed.record_window(ctx, *pack_symbols(sent), *pack_symbols(received))
+            )
             changed = set()
             for position, (s, r) in enumerate(zip(sent, received)):
                 record_slot(per_slot, ctx.slot(position), s, r)
@@ -151,4 +158,3 @@ class TestRecordWindow:
                     changed.add(position // rounds)
             assert corrupted == sorted(changed)
         assert windowed == per_slot
-        assert list(windowed.corruptions_by_link.items()) == list(per_slot.corruptions_by_link.items())

@@ -5,7 +5,7 @@ not "statistically equivalent", but the same ``SimulationResult``, the same
 :class:`~repro.network.channel.ChannelStats` counters, the same round clock
 and the same adversary end state (RNG stream positions, budget counters).
 The oracles in ``tests/oracle.py`` are the reference: per-slot delivery
-through ``corrupt`` and ``notify_delivery`` (``PerSlotNetwork``), per-call
+through ``corrupt`` (``PerSlotNetwork``), per-call
 hashing (``build_message_per_call``) and full-rescan rewind bookkeeping
 (``rewind_phase_full_scan``, ``same_records_per_record``).  Production runs
 every exchange as one link-major plane with one ``corrupt_window`` call (a
@@ -16,8 +16,9 @@ This suite pins that claim differentially: hypothesis draws a workload
 (scheme x topology x stock adversary x seed x observability mode), runs it
 in production and with every oracle substituted in (``monkeypatch``), and
 requires every observable to match exactly.  The adversaries are the ones
-production builds: the oblivious pattern adversaries, the budgeted stock
-strategies (insertions on) and both Table 1 composites.
+production builds: the oblivious pattern adversaries, the stock strategies
+(random noise with insertions on, the budgeted targeted ones) and both
+Table 1 composites, plus the test-side budgeted deletion adversary.
 
 The observability mode covers the flight recorder too: a run under an
 ambient :class:`~repro.obs.recorder.FlightRecorder` must stay bit-identical,
@@ -125,7 +126,6 @@ _ADVERSARIES = {
         corruption_probability=0.02,
         insertion_probability=0.005,
         seed=seed,
-        budget=_budget(),
     ),
     "deletion": lambda graph, seed: DeletionAdversary(
         deletion_probability=0.02, seed=seed, budget=_budget()
@@ -324,7 +324,7 @@ _CASCADES = (
     ("algorithm_crs", "ring5", "deletion", 2),
     ("algorithm_crs", "line4", "fixing", 0),
     ("algorithm_a", "ring5", "random-noise", 1),
-    ("algorithm_crs", "random5", "random-noise", 0),
+    ("algorithm_crs", "random5", "random-noise", 3),
 )
 
 
