@@ -57,7 +57,7 @@ from repro.core import (
     scheme_by_name,
     simulate,
 )
-from repro.experiments.harness import TrialSet, run_trials, sweep
+from repro.experiments.harness import TrialSet, run_trials
 from repro.runtime import (
     ExecutionBackend,
     ProcessPoolBackend,
@@ -71,7 +71,6 @@ from repro.runtime import (
     execute_trials,
     fingerprint_trial,
     get_runtime,
-    set_default_runtime,
     use_runtime,
 )
 
@@ -96,7 +95,6 @@ __all__ = [
     # experiment harness
     "TrialSet",
     "run_trials",
-    "sweep",
     # runtime
     "ExecutionBackend",
     "SerialBackend",
@@ -108,7 +106,6 @@ __all__ = [
     "execute_trials",
     "fingerprint_trial",
     "get_runtime",
-    "set_default_runtime",
     "use_runtime",
     # run analytics
     "diff_runs",

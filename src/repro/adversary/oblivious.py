@@ -38,7 +38,7 @@ from repro.utils.bitstring import flip_planes, plane_digits
 SlotKey = Tuple[int, int, int]  # (round_index, sender, receiver)
 
 
-def _index_pattern_by_link(pattern: Dict[SlotKey, object]) -> Dict[Tuple[int, int], Dict[int, object]]:
+def _group_pattern_by_link(pattern: Dict[SlotKey, object]) -> Dict[Tuple[int, int], Dict[int, object]]:
     """Group an oblivious pattern by directed link (round -> value).
 
     Built once at construction time: the pattern is immutable, so the index
@@ -128,7 +128,7 @@ class AdditiveObliviousAdversary(Adversary):
                 raise ValueError(f"pattern offset for slot {key} must be 1 or 2, got {offset}")
         # Insertions only happen on slots the pattern touches.
         self.may_insert = bool(self.pattern)
-        self._pattern_by_link = _index_pattern_by_link(self.pattern)
+        self._pattern_by_link = _group_pattern_by_link(self.pattern)
 
     def corrupt(self, ctx: TransmissionContext, sent: Symbol) -> Symbol:
         offset = self.pattern.get(slot_key(ctx), 0)

@@ -16,7 +16,7 @@ from repro.experiments.factories import (
     PhaseTargetedFactory,
     RandomNoiseFactory,
 )
-from repro.experiments.harness import TrialSet, format_table, noiseless_factory, run_trials, sweep
+from repro.experiments.harness import TrialSet, format_table, noiseless_factory, run_trials
 from repro.experiments.noise_sweep import NoiseSweepPoint, crossover_multiplier, noise_sweep
 from repro.experiments.reporting import ExperimentReport
 from repro.experiments.table1 import ANALYTICAL_ROWS, TABLE1_COLUMNS, build_table1, default_cells, measure_cell
@@ -54,7 +54,6 @@ __all__ = [
     "format_table",
     "noiseless_factory",
     "run_trials",
-    "sweep",
     "NoiseSweepPoint",
     "crossover_multiplier",
     "noise_sweep",

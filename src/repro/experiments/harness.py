@@ -1,11 +1,10 @@
-"""Generic experiment harness: repeated randomised trials and sweeps.
+"""Generic experiment harness: repeated randomised trials.
 
 Every experiment in this package reduces to: pick a workload, a scheme and an
 adversary *factory* (a callable that builds a fresh adversary per trial, so
 each trial sees fresh noise randomness), run several seeds, and aggregate the
 outcomes.  ``run_trials`` does exactly that and returns both the individual
-:class:`RunMetrics` and the :class:`AggregateMetrics` summary; ``sweep`` maps
-the same procedure over a parameter grid.
+:class:`RunMetrics` and the :class:`AggregateMetrics` summary.
 
 Execution is delegated to :mod:`repro.runtime`: trials run on the backend of
 the active runtime context (serial by default, a process pool under
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.adversary.base import Adversary
 from repro.analysis.metrics import AggregateMetrics, RunMetrics, summarize_runs
@@ -163,24 +162,6 @@ def run_trials(
                     parameters={"scheme": scheme.name, "workload": workload.name},
                 )
     return trial_set
-
-
-def sweep(
-    cells: Iterable[Dict[str, object]],
-    runner: Callable[..., TrialSet],
-    backend: Optional[ExecutionBackend] = None,
-    cache=_UNSET,
-) -> List[TrialSet]:
-    """Run a list of keyword-argument cells through ``runner`` and collect results.
-
-    ``backend``/``cache`` install a runtime override for the duration of the
-    sweep, so a runner that routes through :func:`run_trials` (directly or via
-    the experiment modules) picks them up without signature changes.
-    """
-    from repro.runtime import use_runtime
-
-    with use_runtime(backend=backend, cache=cache):
-        return [runner(**cell) for cell in cells]
 
 
 def format_table(rows: Sequence[Dict[str, object]], columns: Sequence[str]) -> str:

@@ -47,7 +47,7 @@ class Graph:
         # must stay invisible to dataclass-field walkers such as the trial
         # fingerprinter.
         self._directed_cache: Optional[Tuple[DirectedEdge, ...]] = None
-        self._directed_index_cache: Optional[Dict[DirectedEdge, int]] = None
+        self._directed_position_cache: Optional[Dict[DirectedEdge, int]] = None
 
     # -- construction -----------------------------------------------------
 
@@ -68,7 +68,7 @@ class Graph:
         self._adjacency[u].add(v)
         self._adjacency[v].add(u)
         self._directed_cache = None
-        self._directed_index_cache = None
+        self._directed_position_cache = None
 
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.num_nodes:
@@ -105,9 +105,9 @@ class Graph:
         Link ``j`` of a transport window is ``directed_edges()[j]``; this maps
         a link back to ``j``.
         """
-        cached = self._directed_index_cache
+        cached = self._directed_position_cache
         if cached is None:
-            cached = self._directed_index_cache = {
+            cached = self._directed_position_cache = {
                 link: position for position, link in enumerate(self.directed_edges())
             }
         return cached

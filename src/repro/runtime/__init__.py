@@ -35,7 +35,7 @@ from repro.runtime.analytics import (
 )
 from repro.runtime.backends import ExecutionBackend, ProcessPoolBackend, SerialBackend, execute_trial
 from repro.runtime.cache import CACHE_SCHEMA_VERSION, CacheStats, ResultCache
-from repro.runtime.context import RuntimeContext, get_runtime, set_default_runtime, use_runtime
+from repro.runtime.context import RuntimeContext, get_runtime, use_runtime
 from repro.runtime.executor import execute_trials
 from repro.runtime.spec import (
     TRIAL_KEY_SCHEMA,
@@ -79,6 +79,5 @@ __all__ = [
     "diff_runs",
     "RuntimeContext",
     "get_runtime",
-    "set_default_runtime",
     "use_runtime",
 ]

@@ -47,17 +47,19 @@ def get_runtime() -> RuntimeContext:
     return _active
 
 
-def set_default_runtime(
+@contextmanager
+def use_runtime(
     backend: Optional[ExecutionBackend] = None,
     cache=_UNSET,
     store=_UNSET,
-) -> RuntimeContext:
-    """Replace fields of the process-wide default context.
+) -> Iterator[RuntimeContext]:
+    """Temporarily override the runtime context (restored on exit).
 
     ``backend=None`` keeps the current backend; pass ``cache=None`` /
     ``store=None`` explicitly to clear those fields.
     """
     global _active
+    previous = _active
     updates = {}
     if backend is not None:
         updates["backend"] = backend
@@ -66,19 +68,7 @@ def set_default_runtime(
     if store is not _UNSET:
         updates["store"] = store
     _active = replace(_active, **updates)
-    return _active
-
-
-@contextmanager
-def use_runtime(
-    backend: Optional[ExecutionBackend] = None,
-    cache=_UNSET,
-    store=_UNSET,
-) -> Iterator[RuntimeContext]:
-    """Temporarily override the runtime context (restored on exit)."""
-    global _active
-    previous = _active
     try:
-        yield set_default_runtime(backend=backend, cache=cache, store=store)
+        yield _active
     finally:
         _active = previous

@@ -24,14 +24,13 @@ raises on an unknown schema instead of silently misreading it.  Run ids are
 monotonically increasing per store directory.  :mod:`repro.runtime.analytics`
 builds cross-run comparison (``diff``) on top of these records.
 
-Listing does not scan every document: the store maintains ``index.json``
-(run id → the summary row ``list_runs`` returns), updated on every write and
-rebuilt lazily whenever it is missing or disagrees with the run
-files actually on disk — so a hand-deleted file, a crashed writer or an
-older-version store heals on the next ``list``.  All metadata writes go
-through atomic renames, and run ids are claimed with an exclusive hard link,
-so two processes recording into the same store cannot tear a document or
-silently overwrite each other's runs.
+Listing reads the run documents themselves, in run-id order: a document
+that is not a current-schema run (truncated, hand-edited, written by another
+version) drops out of the listing.  ``latest`` references walk the same
+documents newest-first and stop at their match.  Documents are staged in a
+temp file and run ids are claimed with an exclusive hard link, so two
+processes recording into the same store cannot tear a document or silently
+overwrite each other's runs.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.analysis.metrics import AggregateMetrics, RunMetrics
 from repro.obs import get_obs
@@ -56,29 +55,12 @@ from repro.obs import get_obs
 STORE_SCHEMA_VERSION = 1
 
 _RUN_PREFIX = "run-"
-_INDEX_NAME = "index.json"
 #: The text fields of a summary row; ``trials`` and ``success_rate`` complete it.
 _SUMMARY_TEXT = ("run_id", "kind", "experiment", "label", "created_at")
 
 
 def _is_count(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def _valid_summary(run_id: str, summary: object) -> bool:
-    """Whether an ``index.json`` summary has the shape :meth:`RunStore._summarize`
-    writes for run ``run_id`` (``None`` marks an unreadable run file)."""
-    if summary is None:
-        return True
-    if not isinstance(summary, dict) or set(summary) != {*_SUMMARY_TEXT, "trials", "success_rate"}:
-        return False
-    rate = summary["success_rate"]
-    return (
-        summary["run_id"] == run_id
-        and all(isinstance(summary[key], str) for key in _SUMMARY_TEXT)
-        and _is_count(summary["trials"])
-        and (rate == "" or (isinstance(rate, (int, float)) and not isinstance(rate, bool)))
-    )
 
 
 @dataclass(frozen=True)
@@ -104,11 +86,6 @@ class RunStore:
         # The directory is created on first write, not here: read-only
         # commands (``repro runs list``) must not litter the working tree.
         self.root = Path(root)
-        # Parsed-index memo, validated against the index file's stat token:
-        # a sweep writing hundreds of records re-parses the index zero times
-        # instead of once per write (another process's update changes the
-        # token and invalidates the memo).
-        self._index_memo: Optional[Tuple[List[int], Dict[str, Dict[str, object]]]] = None
 
     # -- writing -----------------------------------------------------------
 
@@ -155,16 +132,13 @@ class RunStore:
                     continue  # lost the race for this id — rescan and retry
         finally:
             temp.unlink(missing_ok=True)
-        self._index_put(run_id, self._summarize(payload, run_id))
         return run_id
-
-    # -- index maintenance -------------------------------------------------
 
     @staticmethod
     def _summarize(payload: Dict[str, object], run_id: str) -> Optional[Dict[str, object]]:
-        """The summary row ``list_runs`` returns (and ``index.json`` stores),
-        or ``None`` — like an unparseable file — when a field the row reads
-        has the wrong type or the document names another run id."""
+        """The summary row ``list_runs`` returns, or ``None`` — like an
+        unparseable file — when a field the row reads has the wrong type or
+        the document names another run id."""
         summary: Dict[str, object] = {
             "run_id": payload.get("run_id", run_id),
             "kind": payload.get("kind", "?"),
@@ -190,100 +164,6 @@ class RunStore:
             summary["trials"] = len(counted)
             summary["success_rate"] = ""
         return summary
-
-    def _index_path(self) -> Path:
-        return self.root / _INDEX_NAME
-
-    @staticmethod
-    def _stat_token(path: Path) -> Optional[List[int]]:
-        """A cheap change detector for one run file: ``[size, mtime_ns]``."""
-        try:
-            stat = path.stat()
-        except OSError:
-            return None
-        return [stat.st_size, stat.st_mtime_ns]
-
-    def _read_index(self) -> Optional[Dict[str, Dict[str, object]]]:
-        """The ``run id → {"stat", "summary"}`` map, or None when the index
-        is missing/corrupt/foreign or holds a summary of the wrong shape.  A
-        ``None`` summary marks a run file that could not be read as a run —
-        remembered, so a permanently corrupt file does not force a rebuild
-        on every list."""
-        token = self._stat_token(self._index_path())
-        if token is None:
-            self._index_memo = None
-            return None
-        if self._index_memo is not None and self._index_memo[0] == token:
-            return dict(self._index_memo[1])
-        try:
-            payload = json.loads(self._index_path().read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-        if not isinstance(payload, dict) or payload.get("schema") != STORE_SCHEMA_VERSION:
-            return None
-        runs = payload.get("runs")
-        if not isinstance(runs, dict) or not all(
-            isinstance(entry, dict) and _valid_summary(run_id, entry.get("summary"))
-            for run_id, entry in runs.items()
-        ):
-            return None
-        self._index_memo = (token, dict(runs))
-        return dict(runs)
-
-    def _write_index(self, runs: Dict[str, Dict[str, object]]) -> None:
-        """Atomic-rename write, so a concurrent reader sees old or new index,
-        never a torn one.  (Two concurrent writers can still lose one entry
-        to a read-modify-write race; the staleness check in :meth:`list_runs`
-        detects exactly that and rebuilds, so the index self-heals.)"""
-        if not self.root.is_dir():
-            return  # never create the store root just to cache a listing
-        temp = self._index_path().with_name(f".{_INDEX_NAME}.{os.getpid()}")
-        try:
-            temp.write_text(
-                json.dumps({"schema": STORE_SCHEMA_VERSION, "runs": runs}, sort_keys=True),
-                encoding="utf-8",
-            )
-            os.replace(temp, self._index_path())
-        except OSError:
-            # A concurrent gc may sweep the temp file (it matches the
-            # stale-temp pattern) or the store root between our existence
-            # check and the rename.  The index is only a cache: drop the
-            # write and let the next list_runs rebuild it.
-            return
-        self._index_memo = (self._stat_token(self._index_path()), dict(runs))
-
-    def _index_put(self, run_id: str, summary: Optional[Dict[str, object]]) -> None:
-        runs = self._read_index()
-        if runs is None:
-            self._rebuild_index()
-            return
-        runs[run_id] = {
-            "stat": self._stat_token(self.root / f"{run_id}.json"),
-            "summary": summary,
-        }
-        self._write_index(runs)
-
-    def _rebuild_index(self) -> Dict[str, Dict[str, object]]:
-        """Re-derive the index by scanning every run document (the slow path
-        the index exists to avoid; taken only when missing or stale)."""
-        registry = get_obs().metrics
-        if registry is not None:
-            registry.inc("store.index_rebuilds")
-        runs: Dict[str, Dict[str, object]] = {}
-        for path in sorted(self.root.glob(f"{_RUN_PREFIX}*.json")):
-            token = self._stat_token(path)  # before the read: a racing write
-            # makes the token stale, which the next list detects and heals
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                runs[path.stem] = {"stat": token, "summary": None}
-                continue
-            if not isinstance(payload, dict) or payload.get("schema") != STORE_SCHEMA_VERSION:
-                runs[path.stem] = {"stat": token, "summary": None}
-                continue
-            runs[path.stem] = {"stat": token, "summary": self._summarize(payload, path.stem)}
-        self._write_index(runs)
-        return runs
 
     def record_trial_set(
         self,
@@ -386,10 +266,6 @@ class RunStore:
             )
         return payload
 
-    def load_trial_set(self, run_id: str) -> StoredRun:
-        """Load a ``trial_set`` record back into metrics objects."""
-        return self.trial_set_from_payload(self.load(run_id))
-
     @staticmethod
     def trial_set_from_payload(payload: Dict[str, object]) -> StoredRun:
         """Rehydrate an already-loaded ``trial_set`` document."""
@@ -407,27 +283,33 @@ class RunStore:
             wall_clock_seconds=payload.get("wall_clock_seconds"),
         )
 
-    def list_runs(self) -> List[Dict[str, object]]:
-        """One summary row per stored run, ordered by run id.
+    def _rows(
+        self,
+        kind: Optional[str] = None,
+        experiment: Optional[str] = None,
+        newest_first: bool = False,
+    ) -> Iterator[Dict[str, object]]:
+        """The summary row of every current-schema run document matching
+        ``kind`` / ``experiment``, read lazily in run-id order (or its
+        reverse); documents that do not summarise are skipped."""
+        for path in sorted(self.root.glob(f"{_RUN_PREFIX}*.json"), reverse=newest_first):
+            try:
+                payload = json.loads(path.read_text(encoding="utf-8"))
+            except (OSError, ValueError):
+                continue
+            if not isinstance(payload, dict) or payload.get("schema") != STORE_SCHEMA_VERSION:
+                continue
+            row = self._summarize(payload, path.stem)
+            if (
+                row is not None
+                and kind in (None, row["kind"])
+                and experiment in (None, row["experiment"])
+            ):
+                yield row
 
-        Served from ``index.json`` when it agrees with the run files on disk
-        (a per-file ``[size, mtime]`` comparison — documents are stat'ed,
-        never opened); any disagreement (hand-added/-deleted/-edited files, a
-        lost index race, an index written by an incompatible version)
-        triggers a full rebuild."""
-        on_disk = {
-            path.stem: self._stat_token(path)
-            for path in self.root.glob(f"{_RUN_PREFIX}*.json")
-        }
-        runs = self._read_index()
-        if runs is None or {run_id: entry.get("stat") for run_id, entry in runs.items()} != on_disk:
-            runs = self._rebuild_index()
-        return [
-            # Copies, so a caller mutating a row can never corrupt the memo.
-            dict(entry["summary"])
-            for _, entry in sorted(runs.items())
-            if entry.get("summary") is not None
-        ]
+    def list_runs(self) -> List[Dict[str, object]]:
+        """One summary row per stored run, ordered by run id."""
+        return list(self._rows())
 
     def resolve(
         self,
@@ -439,8 +321,9 @@ class RunStore:
 
         ``ref`` is either a literal run id (``run-000042``) or the symbolic
         form ``latest`` / ``latest~N`` — the newest (N-th newest) run,
-        optionally restricted to a ``kind`` / ``experiment``.  Raises
-        ``KeyError`` when the reference points past the available history.
+        optionally restricted to a ``kind`` / ``experiment``.  Documents are
+        read newest-first up to the match.  Raises ``KeyError`` when the
+        reference points past the available history.
         """
         if not ref.startswith("latest"):
             return ref
@@ -448,26 +331,14 @@ class RunStore:
         if match is None:
             raise KeyError(f"unrecognised run reference {ref!r} (expected 'latest' or 'latest~N')")
         offset = int(match.group(1) or 0)
-        rows = self.query(kind=kind, experiment=experiment)
-        if offset >= len(rows):
-            constraint = f" of kind {kind!r}" if kind else ""
-            raise KeyError(
-                f"{ref!r} needs {offset + 1} run(s){constraint} in {self.root}, found {len(rows)}"
-            )
-        return str(rows[-1 - offset]["run_id"])
+        found = 0
+        for row in self._rows(kind, experiment, newest_first=True):
+            if found == offset:
+                return str(row["run_id"])
+            found += 1
+        constraint = f" of kind {kind!r}" if kind else ""
+        raise KeyError(f"{ref!r} needs {offset + 1} run(s){constraint} in {self.root}, found {found}")
 
-    def query(
-        self,
-        kind: Optional[str] = None,
-        experiment: Optional[str] = None,
-        label_contains: Optional[str] = None,
-    ) -> List[Dict[str, object]]:
-        """Filter :meth:`list_runs` by kind / experiment / label substring."""
-        rows = self.list_runs()
-        if kind is not None:
-            rows = [row for row in rows if row["kind"] == kind]
-        if experiment is not None:
-            rows = [row for row in rows if row["experiment"] == experiment]
-        if label_contains is not None:
-            rows = [row for row in rows if label_contains in str(row["label"])]
-        return rows
+    def query(self, kind: Optional[str] = None, experiment: Optional[str] = None) -> List[Dict[str, object]]:
+        """:meth:`list_runs` filtered by kind / experiment."""
+        return list(self._rows(kind, experiment))

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.adversary.base import Adversary, NoiseBudget
-from repro.adversary.oblivious import SlotKey, _index_pattern_by_link, _rewrite_window, slot_key
+from repro.adversary.oblivious import SlotKey, _group_pattern_by_link, _rewrite_window, slot_key
 from repro.adversary.strategies import _as_link, _attack_links, _corrupt_randomly
 from repro.network.channel import Symbol, TransmissionContext, WindowContext
 from repro.network.topologies import complete_topology
@@ -239,7 +239,7 @@ class FixingObliviousAdversary(Adversary):
             if value not in (0, 1, None):
                 raise ValueError(f"pattern value for slot {key} must be 0, 1 or None")
         self.may_insert = any(value is not None for value in self.pattern.values())
-        self._pattern_by_link = _index_pattern_by_link(self.pattern)
+        self._pattern_by_link = _group_pattern_by_link(self.pattern)
 
     def corrupt(self, ctx: TransmissionContext, sent: Symbol) -> Symbol:
         key = slot_key(ctx)

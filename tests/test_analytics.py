@@ -339,7 +339,7 @@ class TestRunsCliAnalytics:
             parameters={"scheme": "algorithm_a", "workload": "cell-a", "seeds": [1, 2, 3],
                         "merged_from": [a, "run-000000"]},
         )
-        assert store.load_trial_set(merged).parameters["merged_from"] == [a, "run-000000"]
+        assert RunStore.trial_set_from_payload(store.load(merged)).parameters["merged_from"] == [a, "run-000000"]
         assert main(["runs", "show", merged, "--store-dir", str(tmp_path)]) == 0
         assert '"merged_from": ["run-000001", "run-000000"]' in capsys.readouterr().out
         assert main(["runs", "diff", a, merged, "--store-dir", str(tmp_path)]) == 1

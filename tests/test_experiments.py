@@ -18,7 +18,7 @@ from repro.experiments.ablations import (
     rewind_ablation,
     single_error_cost,
 )
-from repro.experiments.harness import format_table, run_trials, sweep
+from repro.experiments.harness import format_table, run_trials
 from repro.experiments.noise_sweep import crossover_multiplier, noise_sweep
 from repro.experiments.table1 import (
     ANALYTICAL_ROWS,
@@ -76,15 +76,6 @@ class TestHarness:
             trials=2,
         )
         assert 0.0 <= trial_set.aggregate.success_rate <= 1.0
-
-    def test_sweep_maps_cells(self):
-        workload = pairwise_workload()
-        cells = [
-            {"workload": workload, "scheme": crs_oblivious_scheme(), "trials": 1, "base_seed": i}
-            for i in range(2)
-        ]
-        results = sweep(cells, run_trials)
-        assert len(results) == 2
 
     def test_format_table(self):
         rows = [{"a": 1, "b": 2.5}, {"a": 10, "b": 0.123456}]

@@ -357,7 +357,7 @@ class TestRunStore:
         assert summaries[0]["kind"] == "trial_set"
         assert summaries[0]["trials"] == 3
 
-        stored = store.load_trial_set(summaries[0]["run_id"])
+        stored = RunStore.trial_set_from_payload(store.load(summaries[0]["run_id"]))
         assert stored.label == trial_set.label
         assert stored.runs == trial_set.runs
         assert stored.aggregate == trial_set.aggregate
@@ -444,8 +444,8 @@ class TestRunStore:
         run_trials(workload, crs_oblivious_scheme(), trials=1, cache=None, store=store)
         assert store.query(kind="trial_set")
         assert not store.query(kind="report")
-        assert store.query(label_contains="pairwise")
-        assert not store.query(label_contains="nonexistent")
+        assert store.query(experiment="run_trials")
+        assert not store.query(experiment="nonexistent")
 
 
 class TestMetricsPayloadRoundTrip:
@@ -566,8 +566,9 @@ class TestRunsCli:
         assert "seed: 4" in capsys.readouterr().out
 
 
-class TestRunStoreIndex:
-    """list/resolve are served from index.json; the index heals itself."""
+class TestRunStoreListing:
+    """list/resolve read the run documents: nothing else is written, and the
+    listing follows whatever is on disk."""
 
     def _store_with_runs(self, tmp_path, count=3):
         store = RunStore(tmp_path)
@@ -575,26 +576,6 @@ class TestRunStoreIndex:
         for _ in range(count):
             run_trials(workload, crs_oblivious_scheme(), trials=1, cache=None, store=store)
         return store
-
-    def test_index_file_is_maintained_on_write(self, tmp_path):
-        store = self._store_with_runs(tmp_path, count=2)
-        index = json.loads((tmp_path / "index.json").read_text())
-        assert index["schema"] == 1
-        assert set(index["runs"]) == {row["run_id"] for row in store.list_runs()}
-
-    def test_listing_is_served_from_the_index_without_reading_documents(self, tmp_path):
-        """With a fresh index, list_runs stats the run files but never parses
-        them — proven by replacing every document with same-sized garbage
-        (mtime restored) and still getting the indexed summaries back."""
-        import os
-
-        store = self._store_with_runs(tmp_path, count=2)
-        expected = store.list_runs()
-        for path in tmp_path.glob("run-*.json"):
-            stat = path.stat()
-            path.write_bytes(b"#" * stat.st_size)  # same size, unparseable
-            os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
-        assert store.list_runs() == expected
 
     def test_hand_deleted_run_file_heals_on_next_list(self, tmp_path):
         store = self._store_with_runs(tmp_path, count=3)
@@ -614,18 +595,50 @@ class TestRunStoreIndex:
         labels = {row["run_id"]: row["label"] for row in store.list_runs()}
         assert labels[target] == "edited-behind-the-stores-back"
 
-    def test_deleted_index_is_rebuilt(self, tmp_path):
+    def test_a_leftover_index_file_is_ignored_and_kept(self, tmp_path):
+        """Older builds kept a listing cache in ``index.json``: whatever it
+        holds, listing and ``latest`` follow the documents and leave it be."""
         store = self._store_with_runs(tmp_path, count=2)
         before = store.list_runs()
-        (tmp_path / "index.json").unlink()
-        assert store.list_runs() == before
-        assert (tmp_path / "index.json").exists()
+        stale = json.dumps({"schema": 1, "runs": {"run-000001": {"stat": [1, 1], "summary": None}}})
+        for leftover in (stale, "} definitely not json {"):
+            (tmp_path / "index.json").write_text(leftover)
+            assert store.list_runs() == before
+            assert store.resolve("latest") == before[-1]["run_id"]
+            assert (tmp_path / "index.json").read_text() == leftover
 
-    def test_corrupt_index_is_rebuilt(self, tmp_path):
+    def test_store_root_holds_only_run_documents(self, tmp_path):
         store = self._store_with_runs(tmp_path, count=2)
-        before = store.list_runs()
-        (tmp_path / "index.json").write_text("} definitely not json {")
-        assert store.list_runs() == before
+        self._record(store)
+        store.list_runs()
+        store.resolve("latest", kind="trial_set")
+        names = sorted(path.name for path in tmp_path.iterdir())
+        assert names == ["run-000001.json", "run-000002.json", "run-000003.json"]
+
+    def test_resolve_reads_newest_first_up_to_its_match(self, tmp_path, monkeypatch):
+        from pathlib import Path
+
+        from repro.experiments.reporting import ExperimentReport
+
+        store = self._store_with_runs(tmp_path, count=2)
+        store.record_report(ExperimentReport(experiment="noise_sweep", rows=[{"x": 1}], parameters={}))
+        store.record_report(ExperimentReport(experiment="noise_sweep", rows=[{"x": 2}], parameters={}))
+        read = []
+        original = Path.read_text
+
+        def counting_read_text(path, *args, **kwargs):
+            read.append(path.name)
+            return original(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting_read_text)
+        assert store.resolve("latest") == "run-000004"
+        assert read == ["run-000004.json"]
+        read.clear()
+        assert store.resolve("latest", kind="trial_set") == "run-000002"
+        assert read == ["run-000004.json", "run-000003.json", "run-000002.json"]
+        read.clear()
+        assert store.resolve("latest~1", kind="report") == "run-000003"
+        assert read == ["run-000004.json", "run-000003.json"]
 
     def test_concurrent_writers_never_overwrite_each_other(self, tmp_path):
         """Two store handles on the same directory interleave run ids instead
@@ -648,20 +661,18 @@ class TestRunStoreIndex:
 
     def test_listing_ignores_a_staged_document(self, tmp_path):
         """A concurrent writer's document is staged under ``.staging-*`` until
-        its id is claimed; listing neither indexes nor removes it."""
+        its id is claimed; listing neither lists nor removes it."""
         store = RunStore(tmp_path)
         first = self._record(store)
         staging = tmp_path / ".staging-racer.json"
         staging.write_text("{}")
         second = self._record(store)
         assert [row["run_id"] for row in store.list_runs()] == [first, second]
-        (tmp_path / "index.json").unlink()
-        assert [row["run_id"] for row in store.list_runs()] == [first, second]
         assert staging.exists()
 
-    def test_rebuild_finds_a_claimed_but_unindexed_run(self, tmp_path):
-        """A writer that claimed its id (the hard link landed) but crashed
-        before updating index.json: the next listing finds the document."""
+    def test_listing_finds_a_run_claimed_by_another_writer(self, tmp_path):
+        """A document another writer claimed (the hard link landed) behind
+        this handle's back: the next listing and ``latest`` find it."""
         store = RunStore(tmp_path)
         first = self._record(store)
         payload = json.loads((tmp_path / f"{first}.json").read_text())
@@ -670,7 +681,7 @@ class TestRunStoreIndex:
         assert [row["run_id"] for row in store.list_runs()] == [first, "run-000099"]
         assert store.resolve("latest") == "run-000099"
 
-    def test_threaded_writers_leave_the_index_equal_to_disk(self, tmp_path):
+    def test_threaded_writers_leave_the_listing_equal_to_disk(self, tmp_path):
         """Handles recording at once, like separate processes: whatever the
         interleaving, every run lands and the listing matches the files."""
         import sys

@@ -1,12 +1,12 @@
-"""Hypothesis fuzz of the run store's index (``index.json``) and run documents,
-and of the result cache's ``trials.jsonl``.
+"""Hypothesis fuzz of the run store's documents, and of the result cache's
+``trials.jsonl``.
 
-A store may be left truncated by a crash, overwritten with garbage, or
-written by another version with a different layout.  Whatever ``index.json``
-and the run documents hold, ``list_runs``, ``query`` and ``resolve`` either
-heal (rebuild the index from the documents) or raise ``KeyError`` for a
-reference past the history — never another exception — and every row they
-list is the summary of a valid run document on disk.
+A run document may be left truncated by a crash, overwritten with garbage,
+or written by another version with a different layout.  Whatever the
+documents hold, ``list_runs``, ``query`` and ``resolve`` skip the damaged
+ones or raise ``KeyError`` for a reference past the history — never another
+exception — and every row they list is the summary of a valid run document
+on disk.
 
 Whatever lines ``trials.jsonl`` holds, the cache serves the last valid entry
 per ``str`` key and nothing else, and ``compact`` keeps exactly what a load
@@ -16,11 +16,11 @@ serves.
 from __future__ import annotations
 
 import json
-import os
 import tempfile
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,19 +37,6 @@ _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
     lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=8), children, max_size=3),
     max_leaves=8,
-)
-
-_NOT_TEXT = [None, 3.5, [1], {"a": 1}, True]
-
-#: Index summaries of the wrong shape: foreign values, partial rows, and
-#: full rows with one wrong-typed field or another run's id.
-_BAD_SUMMARIES = st.one_of(
-    st.sampled_from(["garbage", 7, [1, 2], {"run_id": "x"}, {}]),
-    _JSON.filter(lambda value: value is not None),
-    st.tuples(st.sampled_from(["kind", "experiment", "label", "created_at"]), st.sampled_from(_NOT_TEXT)),
-    st.tuples(st.just("run_id"), st.sampled_from(_NOT_TEXT + ["run-000099"])),
-    st.tuples(st.just("trials"), st.sampled_from([None, 3.5, "3", True, -1, [1]])),
-    st.tuples(st.just("success_rate"), st.sampled_from([None, "x", True, [1]])),
 )
 
 #: Per seeded run, replacements for one field its summary reads that no
@@ -121,35 +108,25 @@ def _skew_document(payload: dict, field: str, value) -> dict:
     return payload
 
 
-def _skew_summary(summary: dict, bad) -> object:
-    if isinstance(bad, tuple):
-        field, value = bad
-        return dict(summary, **{field: value})
-    return bad
-
-
-def _write_changed(path: Path, data: bytes) -> None:
-    """Overwrite ``path`` and move its mtime on, so its stat token changes
-    even when the new bytes have the old size."""
-    before = path.stat().st_mtime_ns
-    path.write_bytes(data)
-    os.utime(path, ns=(before + 5 * 10**9, before + 5 * 10**9))
+def _assert_resolves(store: RunStore, run_ids, kind=None) -> None:
+    """``latest~N`` (restricted to ``kind``) names the N-th newest of
+    ``run_ids``, and a reference past them raises ``KeyError``."""
+    for offset in range(len(RUN_IDS)):
+        ref = f"latest~{offset}" if offset else "latest"
+        if offset < len(run_ids):
+            assert store.resolve(ref, kind=kind) == run_ids[-1 - offset]
+        else:
+            with pytest.raises(KeyError):
+                store.resolve(ref, kind=kind)
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    index_damage=st.none() | _DAMAGE,
-    bad_summary=_BAD_SUMMARIES,
-    doc_damage=st.none() | _DAMAGE,
-    index_victim=st.sampled_from(RUN_IDS),
-    doc_victim=_DOC_VICTIM,
-)
-def test_listing_heals_or_raises_key_error(index_damage, bad_summary, doc_damage, index_victim, doc_victim):
+@given(doc_damage=st.none() | _DAMAGE, doc_victim=_DOC_VICTIM)
+def test_listing_heals_or_raises_key_error(doc_damage, doc_victim):
     doc_victim, skewed_field = doc_victim
     with tempfile.TemporaryDirectory() as directory:
         root = Path(directory)
-        _seed_store(root).list_runs()
-        index_path = root / "index.json"
+        _seed_store(root)
         broken = set()
         if doc_damage is not None:
             path = root / f"{doc_victim}.json"
@@ -158,21 +135,8 @@ def test_listing_heals_or_raises_key_error(index_damage, bad_summary, doc_damage
                 data = json.dumps(_skew_document(json.loads(text), *skewed_field)).encode("utf-8")
             else:
                 data = _damaged(text, doc_damage)
-            _write_changed(path, data)
+            path.write_bytes(data)
             broken.add(doc_victim)
-        if index_damage is not None:
-            text = index_path.read_text(encoding="utf-8")
-            if index_damage[0] == "skew":
-                # Stat tokens still match the files: only the summary is off.
-                index = json.loads(text)
-                entry = index["runs"][index_victim]
-                if doc_damage is not None and index_victim == doc_victim:
-                    entry["stat"] = [(root / f"{doc_victim}.json").stat().st_size,
-                                     (root / f"{doc_victim}.json").stat().st_mtime_ns]
-                entry["summary"] = _skew_summary(entry["summary"] or {}, bad_summary)
-                index_path.write_text(json.dumps(index), encoding="utf-8")
-            else:
-                index_path.write_bytes(_damaged(text, index_damage))
 
         store = RunStore(root)
         rows = store.list_runs()
@@ -183,15 +147,11 @@ def test_listing_heals_or_raises_key_error(index_damage, bad_summary, doc_damage
             payload = store.load(row["run_id"])
             for field in ("run_id", "kind", "experiment", "label", "created_at"):
                 assert row[field] == payload[field]
+        _assert_resolves(store, listed)
         for kind in ("trial_set", "trace", "report"):
-            assert store.query(kind=kind) == [row for row in rows if row["kind"] == kind]
-        for ref in ("latest", "latest~1", "latest~2"):
-            try:
-                assert store.resolve(ref) in listed
-            except KeyError:
-                assert int(ref.partition("~")[2] or 0) >= len(listed)
-        # The healed index serves a fresh handle the same rows.
-        assert RunStore(root).list_runs() == rows
+            of_kind = [row for row in rows if row["kind"] == kind]
+            assert store.query(kind=kind) == of_kind
+            _assert_resolves(store, [row["run_id"] for row in of_kind], kind=kind)
 
 
 # ------------------------------------------------------------ result cache --
