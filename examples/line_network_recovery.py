@@ -11,7 +11,8 @@ simulation.  This example shows
 2. how much a single corrupted transmission costs, with and without the
    flag-passing phase — the measurable version of the paper's "a single error
    can waste Θ(m·n) communication without global coordination" discussion;
-3. the per-iteration progress trace (the analysis' G*, H*, B* quantities).
+3. the per-iteration progress trace (the analysis' G*, H*, B* quantities),
+   read from the flight recorder's ``potential`` events.
 
 Run with:  python examples/line_network_recovery.py
 """
@@ -22,6 +23,24 @@ from repro import InteractiveCodingSimulator, crs_oblivious_scheme
 from repro.adversary import LinkTargetedAdversary
 from repro.experiments import single_error_cost
 from repro.experiments.workloads import line_example_workload
+from repro.obs import FlightRecorder, use_obs
+
+
+class PotentialLog(FlightRecorder):
+    """A flight recorder that also keeps every ``potential`` event.
+
+    The ring drops old events and a successful trial's dump keeps only
+    counts, so the per-iteration Φ snapshots are copied out as they arrive.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.potential = []
+
+    def emit(self, kind: str, **fields) -> None:
+        super().emit(kind, **fields)
+        if kind == "potential":
+            self.potential.append(fields)
 
 
 def traced_run() -> None:
@@ -29,14 +48,15 @@ def traced_run() -> None:
     adversary = LinkTargetedAdversary(
         target=(0, 1), phases=("simulation",), max_corruptions=1, seed=3
     )
-    scheme = crs_oblivious_scheme(trace_potential=True, iteration_factor=8.0)
-    simulator = InteractiveCodingSimulator(workload.protocol, scheme=scheme, adversary=adversary, seed=0)
-    result = simulator.run()
+    scheme = crs_oblivious_scheme(iteration_factor=8.0)
+    log = PotentialLog()
+    with use_obs(recorder=log):
+        simulator = InteractiveCodingSimulator(workload.protocol, scheme=scheme, adversary=adversary, seed=0)
+        result = simulator.run()
 
     print(f"single corrupted transmission on link (0, 1); success={result.success}")
     print("iteration   G*   H*   B*")
-    for snapshot in result.potential_trace.snapshots:
-        row = snapshot.as_dict()
+    for row in log.potential:
         print(f"{row['iteration']:9d}  {row['G_star']:3d}  {row['H_star']:3d}  {row['B_star']:3d}")
     print(f"iterations used: {result.iterations_run} / {result.iterations_budget}, "
           f"overhead {result.overhead:.1f}x\n")

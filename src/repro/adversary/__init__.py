@@ -3,7 +3,6 @@
 from repro.adversary.base import Adversary, NoiseBudget, NoiselessAdversary
 from repro.adversary.oblivious import AdditiveObliviousAdversary
 from repro.adversary.strategies import (
-    BurstAdversary,
     CompositeAdversary,
     LinkTargetedAdversary,
     PhaseTargetedAdaptiveAdversary,
@@ -15,7 +14,6 @@ __all__ = [
     "NoiseBudget",
     "NoiselessAdversary",
     "AdditiveObliviousAdversary",
-    "BurstAdversary",
     "CompositeAdversary",
     "LinkTargetedAdversary",
     "PhaseTargetedAdaptiveAdversary",

@@ -139,8 +139,5 @@ class AdditiveObliviousAdversary(Adversary):
     def corrupt_window(self, ctx: WindowContext, bits: int, present: int) -> Tuple[int, int]:
         return _rewrite_window(self._pattern_by_link, ctx, bits, present, apply_additive_noise)
 
-    def planned_corruptions(self) -> int:
-        return len(self.pattern)
-
     def reset(self) -> None:  # the pattern is immutable state; nothing to do
         return None

@@ -17,7 +17,6 @@ from repro.analysis.forensics import (
 from repro.analysis.metrics import AggregateMetrics, RunMetrics, summarize_runs
 from repro.analysis.potential import (
     PotentialSnapshot,
-    PotentialTrace,
     compute_snapshot,
     link_agreement,
     link_divergence,
@@ -28,7 +27,6 @@ __all__ = [
     "RunMetrics",
     "summarize_runs",
     "PotentialSnapshot",
-    "PotentialTrace",
     "compute_snapshot",
     "link_agreement",
     "link_divergence",

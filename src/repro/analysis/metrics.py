@@ -24,11 +24,12 @@ _Payload = TypeVar("_Payload")
 
 
 def _is_count(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    """Whether a payload value is a count: a non-negative int, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-#: What a payload value must be for each field annotation: a bool is not a
-#: count, and a count is a valid real.
+#: What a payload value must be for each field annotation: an ``int`` field
+#: holds a count (never negative, never a bool), and a count is a valid real.
 _FIELD_CHECKS: Dict[str, Callable[[object], bool]] = {
     "str": lambda value: isinstance(value, str),
     "bool": lambda value: isinstance(value, bool),

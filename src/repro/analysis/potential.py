@@ -9,7 +9,7 @@ proof constants C₁…C₇ that the paper never instantiates.
 
 This module computes the *measurable* part of that potential from the ground
 truth the simulator has (it can see both endpoints' transcripts), which is
-what the theorem-validation experiments plot:
+what the flight recorder's per-iteration ``potential`` events carry:
 
 * per-link ``G_{u,v}`` and ``B_{u,v}``,
 * global ``G*``, ``H*``, ``B*``,
@@ -22,8 +22,8 @@ them (parties cannot see each other's transcripts).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping, Tuple
 
 from repro.core.transcript import LinkTranscript
 from repro.network.graph import Graph
@@ -96,24 +96,3 @@ def compute_snapshot(
         global_divergence=b_star,
         simplified_potential=phi,
     )
-
-
-@dataclass
-class PotentialTrace:
-    """A per-iteration series of potential snapshots."""
-
-    snapshots: List[PotentialSnapshot] = field(default_factory=list)
-
-    def record(self, snapshot: PotentialSnapshot) -> None:
-        self.snapshots.append(snapshot)
-
-    def series(self, key: str) -> List[float]:
-        """Extract one column ("G_star", "H_star", "B_star", "phi") as a list."""
-        return [snapshot.as_dict()[key] for snapshot in self.snapshots]
-
-    def is_monotone_nondecreasing(self, key: str) -> bool:
-        values = self.series(key)
-        return all(b >= a for a, b in zip(values, values[1:]))
-
-    def __len__(self) -> int:
-        return len(self.snapshots)

@@ -327,13 +327,12 @@ def _load_run(
     kind: Optional[str] = None,
     experiment: Optional[str] = None,
 ) -> Dict[str, object]:
-    """Resolve + load one run, translating every failure mode (missing id,
+    """Load the run ``ref`` names, translating every failure mode (missing id,
     corrupt JSON, unknown schema, unreadable file, a run that is not of
     ``kind``, a trial set with a missing or wrong-typed field) into a
     friendly exit."""
     try:
-        run_id = store.resolve(ref, kind=kind, experiment=experiment)
-        payload = store.load(run_id)
+        payload = store.load(ref, kind=kind, experiment=experiment)
     except KeyError as exc:
         raise _fail(str(exc.args[0]))
     except ValueError as exc:
@@ -341,7 +340,7 @@ def _load_run(
     except OSError as exc:
         raise _fail(f"cannot read run {ref!r} from {store.root}: {exc}")
     if kind is not None and payload.get("kind") != kind:
-        raise _fail(f"run {run_id!r} is a {payload.get('kind')!r} run, not a {kind!r} run")
+        raise _fail(f"run {payload.get('run_id', ref)!r} is a {payload.get('kind')!r} run, not a {kind!r} run")
     if payload.get("kind") == "trial_set":
         try:
             RunStore.trial_set_from_payload(payload)

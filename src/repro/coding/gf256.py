@@ -42,11 +42,6 @@ def _build_tables() -> tuple:
 EXP, LOG = _build_tables()
 
 
-def gf_add(a: int, b: int) -> int:
-    """Addition (= subtraction) in GF(256)."""
-    return a ^ b
-
-
 def gf_mul(a: int, b: int) -> int:
     """Multiplication in GF(256)."""
     if a == 0 or b == 0:
@@ -59,11 +54,6 @@ def gf_inv(a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("0 has no inverse in GF(256)")
     return EXP[(FIELD_SIZE - 1) - LOG[a]]
-
-
-def gf_div(a: int, b: int) -> int:
-    """Division in GF(256)."""
-    return gf_mul(a, gf_inv(b))
 
 
 # -- polynomial helpers (coefficients listed lowest degree first) -------------
@@ -99,11 +89,6 @@ def poly_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
         for j, log_b in logs_b:
             out[i + j] ^= EXP[log_a + log_b]
     return poly_trim(out)
-
-
-def poly_scale(poly: Sequence[int], scalar: int) -> List[int]:
-    """Multiply every coefficient by a field scalar."""
-    return poly_trim([gf_mul(coeff, scalar) for coeff in poly])
 
 
 def poly_eval(poly: Sequence[int], x: int) -> int:

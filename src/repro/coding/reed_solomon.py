@@ -107,10 +107,6 @@ class ReedSolomonCode:
     def rate(self) -> float:
         return self.message_length / self.block_length
 
-    def generator_polynomial(self) -> List[int]:
-        """g(x) = prod_{i=0}^{p-1} (x - alpha^i), low-degree-first."""
-        return list(_generator(self.parity_length))
-
     # -- encoding ---------------------------------------------------------------
 
     def _parity(self, message: bytes) -> bytes:

@@ -160,10 +160,6 @@ class ChunkedProtocol:
         """The fixed length of the simulation window (longest chunk, in rounds)."""
         return max((chunk.num_rounds for chunk in self.chunks), default=0)
 
-    def chunk_bits(self, chunk_index: int) -> int:
-        """Number of transmissions scheduled inside the chunk."""
-        return sum(len(links) for links in self.chunk_round_links(chunk_index))
-
     def communication_complexity(self) -> int:
         """CC(Π) — communication of the underlying protocol."""
         return sum(len(transmissions) for transmissions in self.schedule)

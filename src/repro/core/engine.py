@@ -18,15 +18,15 @@ corruption accounting used by the theorems is collected in one place.
 Engineering notes:
 
 * The iteration budget defaults to a small multiple of |Π| instead of the
-  paper's ``100·|Π|`` — the analysis constants are loose.  With
-  ``early_stop=True`` (default) the run also ends as soon as every link's
-  facing transcripts agree on all real chunks; this is an observer-level
-  shortcut that can only shorten runs (success is always re-validated by
-  comparing final party outputs with the noiseless reference execution).
+  paper's ``100·|Π|`` — the analysis constants are loose.  The run also
+  ends as soon as every link's facing transcripts agree on all real chunks;
+  this is an observer-level shortcut that can only shorten runs (success is
+  always re-validated by comparing final party outputs with the noiseless
+  reference execution).
 * Parties never read each other's state: every decision a party makes uses
   only its own transcripts, its hash seeds and what it received on the wire.
-  Ground-truth quantities (potential, hash-collision counts, success) are
-  computed by the surrounding harness for reporting only.
+  Ground-truth quantities (hash-collision counts, success and, when a flight
+  recorder is installed, the potential Φ) are computed for reporting only.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.adversary.base import Adversary, NoiselessAdversary
 from repro.analysis.metrics import RunMetrics
-from repro.analysis.potential import PotentialTrace, compute_snapshot
+from repro.analysis.potential import compute_snapshot
 from repro.core.meeting_points import (
     STATUS_MEETING_POINTS,
     STATUS_SIMULATE,
@@ -145,7 +145,6 @@ class InteractiveCodingSimulator:
         self.adversary.reset()
         self._initialize_state()
 
-        trace = PotentialTrace() if self.scheme.trace_potential else None
         tracer = self._obs.tracer
         recorder = self._obs.recorder
         phase_rounds: Optional[Dict[str, int]] = {} if self._obs.metrics is not None else None
@@ -153,17 +152,14 @@ class InteractiveCodingSimulator:
         for iteration in range(self.iterations_budget):
             iterations_run = iteration + 1
             self._run_iteration(iteration, tracer, phase_rounds)
-            if trace is not None or recorder is not None:
+            if recorder is not None:
+                # Ground-truth Φ trajectory (reporting only: the parties
+                # never see it).
                 snapshot = compute_snapshot(
                     self.graph, self._all_transcripts(), iteration, self.scale_k
                 )
-                if trace is not None:
-                    trace.record(snapshot)
-                if recorder is not None:
-                    # Ground-truth Φ trajectory (reporting only, like the
-                    # potential trace itself: the parties never see it).
-                    recorder.emit("potential", **snapshot.as_dict())
-            if self.scheme.early_stop and self._simulation_complete():
+                recorder.emit("potential", **snapshot.as_dict())
+            if self._simulation_complete():
                 break
 
         outputs = self._extract_outputs()
@@ -180,16 +176,9 @@ class InteractiveCodingSimulator:
             outputs=outputs,
             reference_outputs=reference_outputs,
             metrics=metrics,
-            channel_summary=self.network.stats.snapshot(),
             iterations_run=iterations_run,
             iterations_budget=self.iterations_budget,
             num_real_chunks=self.chunked.num_real_chunks,
-            final_link_agreement={
-                edge: self._transcript(edge[0], edge[1]).common_prefix_chunks(self._transcript(edge[1], edge[0]))
-                for edge in self.graph.edges
-            },
-            potential_trace=trace,
-            randomness_exchange_agreed=dict(self._randomness_agreed),
         )
 
     # ------------------------------------------------------ observability --
@@ -239,9 +228,8 @@ class InteractiveCodingSimulator:
         One bulk :meth:`~repro.obs.metrics.MetricsRegistry.inc_many` per trial
         (a single lock acquisition), fed from the plain integer counters the
         hot paths maintained: engine diagnostics, transport dispatch shapes,
-        :class:`~repro.network.channel.ChannelStats` totals, hashing-session
-        build paths and seed-source derivations, and the adversary's budget
-        consumption when it has one.
+        :class:`~repro.network.channel.ChannelStats` totals, and
+        hashing-session build paths and seed-source derivations.
         """
         network = self.network
         stats = network.stats

@@ -72,19 +72,14 @@ class SchemeParameters:
 
     #: Iteration budget: ``ceil(iteration_factor * |Π|) + 6`` iterations, at
     #: least 8.  The paper uses factor 100 and no early stop; the default is
-    #: far smaller because the analysis constants are loose.
+    #: far smaller because the analysis constants are loose, and a run stops
+    #: as soon as every link transcript correctly contains all real chunks
+    #: (see the engine docs).
     iteration_factor: float = 4.0
-
-    #: Stop as soon as every link transcript correctly contains all real
-    #: chunks (engineering optimisation; see engine docs).
-    early_stop: bool = True
 
     #: Ablation switches (see :mod:`repro.experiments.ablations`).
     enable_flag_passing: bool = True
     enable_rewind_phase: bool = True
-
-    #: Record the potential-function trace every iteration (costs time).
-    trace_potential: bool = False
 
     # -- derived quantities ----------------------------------------------------
 

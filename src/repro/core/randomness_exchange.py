@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.coding.block_code import BinaryBlockCode, DecodingError
 from repro.hashing.seeds import ExchangedSeedSource, SeedSource
@@ -47,10 +47,6 @@ class RandomnessExchangeReport:
     agreed: Dict[Tuple[int, int], bool] = field(default_factory=dict)
     #: Total bits transmitted during the exchange.
     communication: int = 0
-
-    @property
-    def corrupted_links(self) -> List[Tuple[int, int]]:
-        return sorted(edge for edge, ok in self.agreed.items() if not ok)
 
 
 def run_randomness_exchange(

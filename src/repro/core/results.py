@@ -2,21 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.analysis.metrics import RunMetrics
-from repro.analysis.potential import PotentialTrace
 from repro.core.parameters import SchemeParameters
 
 
 @dataclass
 class SimulationResult:
-    """Everything observable about one run of the noise-resilient simulation.
+    """What one run of the noise-resilient simulation returns: the parties'
+    outputs, the noiseless reference outputs and the run's
+    :class:`~repro.analysis.metrics.RunMetrics`.
 
     ``success`` is the paper's notion of correct simulation: every party's
     output under the coding scheme equals its output in the noiseless
-    reference execution of Π.
+    reference execution of Π.  Ground truth beyond the metrics (the
+    potential Φ, per-link transcripts) is not part of the result: Φ comes
+    from a flight recorder's ``potential`` events, and the transcripts stay
+    on the simulator.
     """
 
     scheme: SchemeParameters
@@ -24,13 +28,9 @@ class SimulationResult:
     outputs: Dict[int, object]
     reference_outputs: Dict[int, object]
     metrics: RunMetrics
-    channel_summary: Dict[str, float]
     iterations_run: int
     iterations_budget: int
     num_real_chunks: int
-    final_link_agreement: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    potential_trace: Optional[PotentialTrace] = None
-    randomness_exchange_agreed: Dict[Tuple[int, int], bool] = field(default_factory=dict)
 
     def failed_parties(self) -> List[int]:
         """Parties whose simulated output differs from the noiseless one."""

@@ -3,7 +3,7 @@
 from repro.hashing.gf2m import GF2m, carryless_multiply
 from repro.hashing.inner_product import FINGERPRINT_BITS, InnerProductHash, fingerprint_bits
 from repro.hashing.seeds import CrsSeedSource, ExchangedSeedSource, SeedSource
-from repro.hashing.small_bias import SmallBiasGenerator, empirical_bias, required_field_degree, seed_length_bits
+from repro.hashing.small_bias import SmallBiasGenerator, required_field_degree, seed_length_bits
 
 __all__ = [
     "GF2m",
@@ -15,7 +15,6 @@ __all__ = [
     "ExchangedSeedSource",
     "SeedSource",
     "SmallBiasGenerator",
-    "empirical_bias",
     "required_field_degree",
     "seed_length_bits",
 ]

@@ -103,7 +103,3 @@ class InnerProductHash:
                 if (block & value).bit_count() & 1:
                     outs[index] |= bit
         return tuple(outs)
-
-    def collision_probability(self) -> float:
-        """The nominal collision probability 2^-τ for distinct inputs under uniform seeds."""
-        return 2.0 ** (-self.output_bits)

@@ -379,10 +379,3 @@ class SmallBiasGenerator:
             position = offset + count
         return tuple(values)
 
-
-def empirical_bias(bits: List[int]) -> float:
-    """|Pr[parity = 0] - 1/2| of the given sample — used by the tests."""
-    if not bits:
-        raise ValueError("need at least one bit")
-    zeros = sum(1 for bit in bits if bit == 0)
-    return abs(zeros / len(bits) - 0.5)

@@ -195,14 +195,3 @@ class ChannelStats:
             phase_corruptions.get(phase, 0) + substitutions + deletions + insertions
         )
         return corrupted
-
-    def snapshot(self) -> Dict[str, float]:
-        """A plain-dict summary convenient for reports and benchmarks."""
-        return {
-            "transmissions": self.transmissions,
-            "corruptions": self.corruptions,
-            "substitutions": self.substitutions,
-            "deletions": self.deletions,
-            "insertions": self.insertions,
-            "noise_fraction": self.noise_fraction(),
-        }

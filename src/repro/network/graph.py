@@ -124,9 +124,6 @@ class Graph:
         self._check_node(node)
         return len(self._adjacency[node])
 
-    def max_degree(self) -> int:
-        return max(self.degree(node) for node in self.nodes)
-
     def __contains__(self, edge: Tuple[int, int]) -> bool:
         return self.has_edge(*edge)
 

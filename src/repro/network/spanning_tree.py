@@ -47,13 +47,6 @@ class SpanningTree:
         """d(T): the maximum level over all nodes (a single vertex has depth 1)."""
         return max(self.level.values())
 
-    def is_leaf(self, node: int) -> bool:
-        return not self.children[node]
-
-    def tree_edges(self) -> List[tuple]:
-        """The (parent, child) edges of the tree."""
-        return [(par, node) for node, par in self.parent.items() if par is not None]
-
     def nodes_bottom_up(self) -> List[int]:
         """Nodes ordered by decreasing level (leaves towards the root)."""
         return sorted(self.graph.nodes, key=lambda node: -self.level[node])

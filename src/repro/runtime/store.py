@@ -42,9 +42,9 @@ import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.metrics import AggregateMetrics, RunMetrics
+from repro.analysis.metrics import AggregateMetrics, RunMetrics, _is_count
 from repro.obs import get_obs
 
 #: Bump when the run-document layout changes incompatibly.  Deliberately NOT
@@ -57,10 +57,6 @@ STORE_SCHEMA_VERSION = 1
 _RUN_PREFIX = "run-"
 #: The text fields of a summary row; ``trials`` and ``success_rate`` complete it.
 _SUMMARY_TEXT = ("run_id", "kind", "experiment", "label", "created_at")
-
-
-def _is_count(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 @dataclass(frozen=True)
@@ -250,19 +246,35 @@ class RunStore:
 
     # -- reading -----------------------------------------------------------
 
-    def load(self, run_id: str) -> Dict[str, object]:
-        """The raw JSON document of one run; raises ``KeyError`` if absent
-        and ``ValueError`` if it is not a current-schema JSON object."""
-        path = self.root / f"{run_id}.json"
+    def load(
+        self,
+        ref: str,
+        kind: Optional[str] = None,
+        experiment: Optional[str] = None,
+    ) -> Dict[str, object]:
+        """The raw JSON document of the run ``ref`` names.
+
+        ``ref`` is either a literal run id (``run-000042``) or the symbolic
+        form ``latest`` / ``latest~N`` — the newest (N-th newest) run,
+        optionally restricted to a ``kind`` / ``experiment``.  A symbolic
+        reference reads documents newest-first up to its match and returns
+        the match as parsed, without reading it again.  Raises ``KeyError``
+        for an absent run or a reference past the available history, and
+        ``ValueError`` if a literal id's document is not a current-schema
+        JSON object.
+        """
+        if ref.startswith("latest"):
+            return self._latest(ref, kind, experiment)
+        path = self.root / f"{ref}.json"
         if not path.exists():
-            raise KeyError(f"no run {run_id!r} in {self.root}")
+            raise KeyError(f"no run {ref!r} in {self.root}")
         payload = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(payload, dict):
-            raise ValueError(f"run {run_id!r} is not a JSON object")
+            raise ValueError(f"run {ref!r} is not a JSON object")
         schema = payload.get("schema")
         if schema != STORE_SCHEMA_VERSION:
             raise ValueError(
-                f"run {run_id!r} has schema {schema!r}; this build reads schema {STORE_SCHEMA_VERSION}"
+                f"run {ref!r} has schema {schema!r}; this build reads schema {STORE_SCHEMA_VERSION}"
             )
         return payload
 
@@ -288,10 +300,11 @@ class RunStore:
         kind: Optional[str] = None,
         experiment: Optional[str] = None,
         newest_first: bool = False,
-    ) -> Iterator[Dict[str, object]]:
-        """The summary row of every current-schema run document matching
-        ``kind`` / ``experiment``, read lazily in run-id order (or its
-        reverse); documents that do not summarise are skipped."""
+    ) -> Iterator[Tuple[Dict[str, object], Dict[str, object]]]:
+        """The summary row and parsed document of every current-schema run
+        document matching ``kind`` / ``experiment``, read lazily in run-id
+        order (or its reverse); documents that do not summarise are
+        skipped."""
         for path in sorted(self.root.glob(f"{_RUN_PREFIX}*.json"), reverse=newest_first):
             try:
                 payload = json.loads(path.read_text(encoding="utf-8"))
@@ -305,40 +318,26 @@ class RunStore:
                 and kind in (None, row["kind"])
                 and experiment in (None, row["experiment"])
             ):
-                yield row
+                yield row, payload
 
-    def list_runs(self) -> List[Dict[str, object]]:
-        """One summary row per stored run, ordered by run id."""
-        return list(self._rows())
-
-    def resolve(
-        self,
-        ref: str,
-        kind: Optional[str] = None,
-        experiment: Optional[str] = None,
-    ) -> str:
-        """Resolve a run reference to a concrete run id.
-
-        ``ref`` is either a literal run id (``run-000042``) or the symbolic
-        form ``latest`` / ``latest~N`` — the newest (N-th newest) run,
-        optionally restricted to a ``kind`` / ``experiment``.  Documents are
-        read newest-first up to the match.  Raises ``KeyError`` when the
-        reference points past the available history.
-        """
-        if not ref.startswith("latest"):
-            return ref
+    def _latest(self, ref: str, kind: Optional[str], experiment: Optional[str]) -> Dict[str, object]:
+        """The document a ``latest`` / ``latest~N`` reference names."""
         match = re.fullmatch(r"latest(?:~(\d+))?", ref)
         if match is None:
             raise KeyError(f"unrecognised run reference {ref!r} (expected 'latest' or 'latest~N')")
         offset = int(match.group(1) or 0)
         found = 0
-        for row in self._rows(kind, experiment, newest_first=True):
+        for _, payload in self._rows(kind, experiment, newest_first=True):
             if found == offset:
-                return str(row["run_id"])
+                return payload
             found += 1
         constraint = f" of kind {kind!r}" if kind else ""
         raise KeyError(f"{ref!r} needs {offset + 1} run(s){constraint} in {self.root}, found {found}")
 
+    def list_runs(self) -> List[Dict[str, object]]:
+        """One summary row per stored run, ordered by run id."""
+        return self.query()
+
     def query(self, kind: Optional[str] = None, experiment: Optional[str] = None) -> List[Dict[str, object]]:
         """:meth:`list_runs` filtered by kind / experiment."""
-        return list(self._rows(kind, experiment))
+        return [row for row, _ in self._rows(kind, experiment)]

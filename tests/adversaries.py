@@ -1,12 +1,15 @@
 """Test-side adversaries and the adversary contract checker.
 
-Nothing in ``src/`` builds these: the experiments, factories and goldens use
-the stock adversaries of :mod:`repro.adversary`.  The suite keeps them
-because they reach corners the stock ones do not:
+Nothing in ``src/`` builds these: the experiments and factories use the
+stock adversaries of :mod:`repro.adversary`.  The suite keeps them because
+they reach corners the stock ones do not (the goldens grid pins the burst
+case too):
 
 * :class:`FixingObliviousAdversary` — Remark 1's fixing adversary (pins a
   slot's output; can force silence or insert);
 * :class:`DeletionAdversary` — deletions only, optionally budgeted;
+* :class:`BurstAdversary` — every transmission inside a window of absolute
+  rounds, up to a cap (the "all the noise in one short interval" case);
 * :class:`RotatingLinkAdaptiveAdversary` — one corruption per link in
   round-robin order, the stress case for flag passing and rewind;
 * :class:`EchoSpoofingAdversary` — delete one way, spoof the reply the
@@ -252,9 +255,6 @@ class FixingObliviousAdversary(Adversary):
             self._pattern_by_link, ctx, bits, present, lambda sent, fixed: fixed
         )
 
-    def planned_corruptions(self) -> int:
-        return len(self.pattern)
-
     def reset(self) -> None:
         return None
 
@@ -329,6 +329,57 @@ class DeletionAdversary(Adversary):
             self.budget.reset()
 
 
+@dataclass
+class BurstAdversary(Adversary):
+    """Corrupt every transmission inside a window of absolute rounds.
+
+    Models the "all the noise lands in one short interval" worst case; the
+    total damage is still capped by ``max_corruptions`` so experiments can
+    relate it to a noise fraction after the fact.
+    """
+
+    start_round: int = 0
+    end_round: int = 0
+    max_corruptions: int = 0
+    seed: int = 0
+    name: str = "burst"
+    oblivious: bool = True
+    may_insert: bool = False
+
+    def __post_init__(self) -> None:
+        if self.end_round < self.start_round:
+            raise ValueError("end_round must be >= start_round")
+        if not isinstance(self.max_corruptions, int):
+            raise TypeError(f"max_corruptions must be an int, got {self.max_corruptions!r}")
+        self._rng = make_rng(self.seed)
+        self._spent = 0
+
+    def corrupt(self, ctx: TransmissionContext, sent: Symbol) -> Symbol:
+        if sent is None:
+            return sent
+        if not self.start_round <= ctx.round_index <= self.end_round:
+            return sent
+        if self._spent >= self.max_corruptions:
+            return sent
+        self._spent += 1
+        return _corrupt_randomly(self._rng, sent)
+
+    def corrupt_window(self, ctx: WindowContext, bits: int, present: int) -> Tuple[int, int]:
+        # Windows disjoint from the burst interval (or after the cap is
+        # exhausted) pass their planes straight through; overlapping windows
+        # take the per-slot loop.
+        last_round = ctx.base_round + ctx.rounds - 1
+        if (
+            self._spent >= self.max_corruptions
+            or last_round < self.start_round
+            or ctx.base_round > self.end_round
+        ):
+            return bits, present
+        return super().corrupt_window(ctx, bits, present)
+
+    def reset(self) -> None:
+        self._rng = make_rng(self.seed)
+        self._spent = 0
 
 
 @dataclass

@@ -25,10 +25,11 @@ from pathlib import Path
 from typing import Callable, Dict, List, Tuple
 from unittest import mock
 
+from adversaries import BurstAdversary
+
 from repro.adversary.base import Adversary, NoiselessAdversary
 from repro.adversary.oblivious import AdditiveObliviousAdversary
 from repro.adversary.strategies import (
-    BurstAdversary,
     LinkTargetedAdversary,
     PhaseTargetedAdaptiveAdversary,
     RandomNoiseAdversary,

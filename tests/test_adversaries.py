@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from adversaries import (
+    BurstAdversary,
     ContractViolation,
     DeletionAdversary,
     EchoSpoofingAdversary,
@@ -22,7 +23,6 @@ from oracle import link_major_plane
 from repro.adversary.base import Adversary, NoiseBudget, NoiselessAdversary, corrupt_slots
 from repro.adversary.oblivious import AdditiveObliviousAdversary
 from repro.adversary.strategies import (
-    BurstAdversary,
     CompositeAdversary,
     LinkTargetedAdversary,
     PhaseTargetedAdaptiveAdversary,
@@ -115,10 +115,6 @@ class TestAdditiveOblivious:
     def test_rejects_zero_offset(self):
         with pytest.raises(ValueError):
             AdditiveObliviousAdversary(pattern={(0, 0, 1): 0})
-
-    def test_planned_corruptions(self):
-        adversary = AdditiveObliviousAdversary(pattern={(0, 0, 1): 1, (3, 1, 0): 2})
-        assert adversary.planned_corruptions() == 2
 
 
 class TestFixingOblivious:

@@ -97,14 +97,6 @@ class TestChannelStats:
         assert ctx.link_positions(corrupted) == [1]
         assert stats.corruptions == 2
 
-    def test_snapshot_keys(self):
-        stats = ChannelStats()
-        _record(stats, _ctx(), 1, 1)
-        snapshot = stats.snapshot()
-        assert snapshot["transmissions"] == 1
-        assert snapshot["corruptions"] == 0
-        assert "noise_fraction" in snapshot
-
 
 class TestRecordWindow:
     _LINKS = ((0, 1), (1, 0), (1, 2), (2, 1))

@@ -46,12 +46,13 @@ def test_engine_config_never_enters_the_fingerprint(cell, monkeypatch):
     """The key of a fixed trial is a pinned digest, and routing execution
     through the oracles does not move it.  The digest moves only when the
     canonical payload does (it last moved when ``SchemeParameters`` lost
-    the six fields no caller set)."""
+    ``early_stop`` and ``trace_potential``, the two fields only tests
+    set)."""
     workload, scheme, factory = cell
     spec = TrialSpec(workload=workload, scheme=scheme, adversary_factory=factory, seed=17)
     key = fingerprint_trial(spec)
     assert key.stable
-    assert key.digest == "8d912b9a76ba30f53590945bc68187b382079aa09ef3cf0583b1af687f8c597e"
+    assert key.digest == "8aa36f45306abb83817282eaedb4bf66b2273054bc96ebac9dd42d22187b142f"
     use_oracles(monkeypatch, bookkeeping=True)
     rebuilt = build_trial_specs(workload, scheme, factory, [17])[0]
     assert fingerprint_trial(rebuilt) == key
@@ -85,8 +86,9 @@ def test_reference_and_default_profiles_bit_identical(scheme_name, monkeypatch):
     factory = RandomNoiseFactory(fraction=fraction)
 
     def run():
-        result = simulate(workload.protocol, scheme=scheme, adversary=factory(3), seed=3)
-        return result.success, result.metrics.as_dict(), result.channel_summary
+        simulator = InteractiveCodingSimulator(workload.protocol, scheme=scheme, adversary=factory(3), seed=3)
+        result = simulator.run()
+        return result.success, result.metrics.as_dict(), vars(simulator.network.stats)
 
     default = run()
     use_oracles(monkeypatch, bookkeeping=True)

@@ -60,13 +60,12 @@ from contextlib import nullcontext
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from adversaries import DeletionAdversary, FixingObliviousAdversary, _state_snapshot
+from adversaries import BurstAdversary, DeletionAdversary, FixingObliviousAdversary, _state_snapshot
 from oracle import use_oracles
 
 from repro.adversary.base import NoiseBudget, NoiselessAdversary
 from repro.adversary.oblivious import AdditiveObliviousAdversary
 from repro.adversary.strategies import (
-    BurstAdversary,
     LinkTargetedAdversary,
     PhaseTargetedAdaptiveAdversary,
     RandomNoiseAdversary,
@@ -185,26 +184,32 @@ def _run(scheme_name, topology_name, adversary_name, seed, oracle, obs_mode="dar
     return simulator, result, recorder
 
 
-def _result_fingerprint(result):
+def _result_fingerprint(simulator, result):
+    """The result's fields plus the simulator state it summarises: channel
+    totals, every link's transcript records and each link's randomness
+    exchange agreement."""
     return (
         result.success,
         result.outputs,
         result.reference_outputs,
         result.metrics,
-        result.channel_summary,
+        vars(simulator.network.stats),
         result.iterations_run,
         result.iterations_budget,
         result.num_real_chunks,
-        result.final_link_agreement,
-        result.randomness_exchange_agreed,
+        {
+            (party, neighbor): transcript.records
+            for party, runtime in simulator.runtimes.items()
+            for neighbor, transcript in runtime.transcripts.items()
+        },
+        simulator._randomness_agreed,
     )
 
 
 def _assert_bit_identical(reference_run, default_run):
     reference_sim, reference = reference_run[:2]
     default_sim, default = default_run[:2]
-    assert _result_fingerprint(default) == _result_fingerprint(reference)
-    assert vars(default_sim.network.stats) == vars(reference_sim.network.stats)
+    assert _result_fingerprint(default_sim, default) == _result_fingerprint(reference_sim, reference)
     assert default_sim.network.current_round == reference_sim.network.current_round
     # RNG stream positions and budget counters: production must consume the
     # adversary's state exactly like per-slot delivery did.
@@ -263,8 +268,7 @@ class TestEngineDifferential:
         """Observability (metrics or recorder) must not perturb a run."""
         dark_run = _run("algorithm_crs", "ring5", adversary_name, seed, False)
         observed_run = _run("algorithm_crs", "ring5", adversary_name, seed, False, obs_mode)
-        assert _result_fingerprint(observed_run[1]) == _result_fingerprint(dark_run[1])
-        assert vars(observed_run[0].network.stats) == vars(dark_run[0].network.stats)
+        assert _result_fingerprint(*observed_run[:2]) == _result_fingerprint(*dark_run[:2])
         assert _state_snapshot(observed_run[0].adversary) == _state_snapshot(dark_run[0].adversary)
 
 

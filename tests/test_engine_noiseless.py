@@ -12,6 +12,7 @@ import weakref
 
 import pytest
 
+from repro.analysis.potential import compute_snapshot
 from repro.baselines.repetition import run_repetition
 from repro.baselines.uncoded import run_uncoded
 from repro.core.engine import InteractiveCodingSimulator, simulate
@@ -80,11 +81,6 @@ class TestNoiselessBehaviour:
         result = simulate(gossip_line5, scheme=crs_oblivious_scheme(), seed=1)
         assert result.iterations_run < result.iterations_budget
 
-    def test_without_early_stop_all_iterations_run(self, pairwise_line4):
-        scheme = crs_oblivious_scheme(early_stop=False, iteration_factor=1.0)
-        result = simulate(pairwise_line4, scheme=scheme, seed=1)
-        assert result.iterations_run == result.iterations_budget
-
     def test_overhead_is_finite_and_recorded(self, gossip_line5):
         result = simulate(gossip_line5, scheme=crs_oblivious_scheme(), seed=1)
         assert result.overhead > 1.0
@@ -99,21 +95,19 @@ class TestNoiselessBehaviour:
         assert result.metrics.hash_collisions_observed == 0
 
     def test_final_link_agreement_covers_all_chunks(self, gossip_line5):
-        result = simulate(gossip_line5, scheme=crs_oblivious_scheme(), seed=1)
-        assert all(value >= result.num_real_chunks for value in result.final_link_agreement.values())
+        simulator = InteractiveCodingSimulator(gossip_line5, scheme=crs_oblivious_scheme(), seed=1)
+        result = simulator.run()
+        snapshot = compute_snapshot(
+            simulator.graph, simulator._all_transcripts(), result.iterations_run - 1, simulator.scale_k
+        )
+        # G* is the least agreement over the links.
+        assert snapshot.global_agreement >= result.num_real_chunks
 
     def test_deterministic_given_seed(self, gossip_line5):
         first = simulate(gossip_line5, scheme=crs_oblivious_scheme(), seed=12)
         second = simulate(gossip_line5, scheme=crs_oblivious_scheme(), seed=12)
         assert first.metrics.simulation_communication == second.metrics.simulation_communication
         assert first.outputs == second.outputs
-
-    def test_trace_potential_records_snapshots(self, gossip_line5):
-        scheme = crs_oblivious_scheme(trace_potential=True)
-        result = simulate(gossip_line5, scheme=scheme, seed=1)
-        assert result.potential_trace is not None
-        assert len(result.potential_trace) == result.iterations_run
-        assert result.potential_trace.is_monotone_nondecreasing("G_star")
 
     def test_crs_mode_has_no_randomness_exchange_traffic(self, gossip_line5):
         result = simulate(gossip_line5, scheme=crs_oblivious_scheme(), seed=1)

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import pytest
-from adversaries import DeletionAdversary
+from adversaries import BurstAdversary, DeletionAdversary
 
 from repro.adversary.oblivious import AdditiveObliviousAdversary
 from repro.adversary.strategies import (
-    BurstAdversary,
     CompositeAdversary,
     LinkTargetedAdversary,
     RandomNoiseAdversary,

@@ -9,7 +9,8 @@ The guarantees pinned here:
    in one of the four taxonomy causes, never "unknown" — and each cause is
    reachable;
 3. the recorded Φ trajectory matches a hand-computed reference on a small
-   scripted trial (and the engine's own ``PotentialTrace`` on a noisy one);
+   scripted trial, and on a noisy one it ends at the Φ of the simulator's
+   final transcripts;
 4. a seeded noise sweep with failures yields a concrete taxonomy cause for
    every failed trial, round-trips through the :class:`RunStore`, and
    renders via ``repro runs explain`` / ``repro runs flight``;
@@ -40,6 +41,7 @@ from repro.analysis.forensics import (
     render_trajectory,
     rewind_depth_trajectory,
 )
+from repro.analysis.potential import compute_snapshot
 from repro.core.engine import InteractiveCodingSimulator
 from repro.core.parameters import algorithm_a
 from repro.experiments.factories import RandomNoiseFactory
@@ -308,31 +310,29 @@ class TestPhiTrajectory:
             assert event["B_star"] == 0
             assert event["phi"] == pytest.approx(scale_k * (index + 1))
 
-    def test_noisy_trajectory_matches_the_engines_own_potential_trace(self):
-        """Under noise the trajectory is not hand-computable, but the engine
-        can compute it twice: the recorder's ``potential`` events must equal
-        the scheme-level ``PotentialTrace`` snapshot for snapshot."""
-        import dataclasses
-
+    def test_noisy_trajectory_ends_at_the_final_transcripts_potential(self):
+        """Under noise the trajectory is not hand-computable, but its last
+        point is: the final ``potential`` event must equal the snapshot
+        computed afresh from the transcripts the simulator ends with."""
         graph = line_topology(4)
         protocol = RandomProtocol(
             graph, {party: party + 1 for party in graph.nodes},
             num_rounds=24, density=0.5, seed=2,
         )
-        scheme = dataclasses.replace(algorithm_a(), trace_potential=True)
         adversary = RandomNoiseFactory(fraction=0.02)(5)
         recorder = FlightRecorder()
         with use_obs(recorder=recorder):
             simulator = InteractiveCodingSimulator(
-                protocol, scheme=scheme, adversary=adversary, seed=5
+                protocol, scheme=algorithm_a(), adversary=adversary, seed=5
             )
             result = simulator.run()
+        assert result.metrics.corruptions > 0
         events = [event for event in recorder._events if event["kind"] == "potential"]
-        reference = [
-            dict(snapshot.as_dict(), kind="potential")
-            for snapshot in result.potential_trace.snapshots
-        ]
-        assert events == reference
+        assert [event["iteration"] for event in events] == list(range(result.iterations_run))
+        final = compute_snapshot(
+            graph, simulator._all_transcripts(), result.iterations_run - 1, simulator.scale_k
+        )
+        assert events[-1] == dict(final.as_dict(), kind="potential")
 
 
 class TestForensicsEndToEnd:

@@ -296,15 +296,23 @@ def test_session_fast_path_is_bit_identical_to_reference(source_kind):
 # ------------------------------------------------------------ trial-level runs --
 
 
-def _trial_fingerprint(result):
+def _trial_fingerprint(simulator):
+    """Run ``simulator`` and fingerprint its result together with the state
+    it leaves: channel totals, every link's transcript records and each
+    link's randomness exchange agreement."""
+    result = simulator.run()
     return (
         result.success,
         result.outputs,
         result.metrics,
-        result.channel_summary,
+        vars(simulator.network.stats),
         result.iterations_run,
-        result.final_link_agreement,
-        result.randomness_exchange_agreed,
+        {
+            (party, neighbor): transcript.records
+            for party, runtime in simulator.runtimes.items()
+            for neighbor, transcript in runtime.transcripts.items()
+        },
+        simulator._randomness_agreed,
     )
 
 
@@ -329,18 +337,17 @@ def test_full_trial_bit_identity_across_fast_path_switches(case, gossip_clique4,
     def run(network_oracle: bool, hashing_oracle: bool, bookkeeping_oracle: bool):
         with monkeypatch.context() as patched:
             use_oracles(patched, network=network_oracle, hashing=hashing_oracle, bookkeeping=bookkeeping_oracle)
-            simulator = InteractiveCodingSimulator(
+            return _trial_fingerprint(InteractiveCodingSimulator(
                 gossip_clique4,
                 scheme=scheme_factory(),
                 adversary=adversary_factory(),
                 seed=7,
-            )
-            return simulator.run()
+            ))
 
     switches = list(product((False, True), repeat=3))
-    production = _trial_fingerprint(run(*switches[0]))
+    production = run(*switches[0])
     for oracles in switches[1:]:
-        assert _trial_fingerprint(run(*oracles)) == production, (case, oracles)
+        assert run(*oracles) == production, (case, oracles)
 
 
 @pytest.mark.parametrize("case", sorted(_TRIAL_CASES))
@@ -348,22 +355,22 @@ def test_full_trial_bit_identity_with_obs_on_and_off(case, gossip_clique4, monke
     """Observability is a pure reader: metrics + tracing change nothing.
 
     The tracer draws its ids from ``os.urandom`` and the registry flush runs
-    after the simulation, so every field of the result — outputs, metrics,
-    channel summary — must match the uninstrumented run bit for bit, with
-    production hashing and with the per-call hashing oracle.
+    after the simulation, so every field of the result — outputs, metrics —
+    and the channel totals and transcripts it leaves must match the
+    uninstrumented run bit for bit, with production hashing and with the
+    per-call hashing oracle.
     """
     from repro.obs import MetricsRegistry, Tracer, use_obs
 
     scheme_factory, adversary_factory = _TRIAL_CASES[case]
 
     def run():
-        simulator = InteractiveCodingSimulator(
+        return InteractiveCodingSimulator(
             gossip_clique4,
             scheme=scheme_factory(),
             adversary=adversary_factory(),
             seed=7,
         )
-        return simulator.run()
 
     for hashing_oracle in (False, True):
         with monkeypatch.context() as patched:

@@ -85,16 +85,13 @@ class TestInnerProductHash:
         """Distinct inputs collide with probability about 2^-tau over the seed."""
         hasher = InnerProductHash(4)
         rate = self._collision_rate(hasher, b"left", b"right", 600, random.Random(9))
-        assert rate < 4 * hasher.collision_probability()
+        assert rate < 4 * 2.0 ** -hasher.output_bits
 
     def test_inner_product_hash_collision_rate(self):
         """Lemma 2.3 at tau = 8: two transcripts collide about 2^-8 of the time."""
         hasher = InnerProductHash(8)
         rate = self._collision_rate(hasher, b"transcript-one", b"transcript-two", 400, random.Random(0))
-        assert rate <= 6 * hasher.collision_probability()
-
-    def test_collision_probability_property(self):
-        assert InnerProductHash(8).collision_probability() == pytest.approx(1 / 256)
+        assert rate <= 6 * 2.0 ** -hasher.output_bits
 
     @given(st.integers(1, 2**32 - 1), st.integers(0, 2**32 - 1))
     @settings(max_examples=30)

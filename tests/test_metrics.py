@@ -83,13 +83,18 @@ class TestPayloadTypes:
             ("scheme", 7),
             ("communication_by_phase", {"simulation": "4"}),
             ("corruptions_by_phase", [1, 2]),
+            ("corruptions", -3),
+            ("simulation_communication", -5),
+            ("communication_by_phase", {"simulation": -4}),
         ],
     )
     def test_run_metrics_reject_a_wrong_typed_field(self, field, value):
         with pytest.raises(TypeError, match=f"RunMetrics.{field} must be"):
             RunMetrics.from_payload(dict(_run().to_payload(), **{field: value}))
 
-    @pytest.mark.parametrize("field, value", [("trials", "3"), ("successes", True), ("mean_overhead", "5")])
+    @pytest.mark.parametrize(
+        "field, value", [("trials", "3"), ("successes", True), ("mean_overhead", "5"), ("trials", -3)]
+    )
     def test_aggregate_metrics_reject_a_wrong_typed_field(self, field, value):
         payload = dict(summarize_runs([_run()]).to_payload(), **{field: value})
         with pytest.raises(TypeError, match=f"AggregateMetrics.{field} must be"):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 
 from repro.analysis.potential import (
-    PotentialTrace,
     compute_snapshot,
     link_agreement,
     link_divergence,
@@ -70,26 +69,3 @@ class TestSnapshot:
         diverged = compute_snapshot(graph, _line3_transcripts([1, 1], [1, 0], [1, 0], [1, 0]), 0, scale_k=2)
         assert diverged.simplified_potential < clean.simplified_potential
 
-
-class TestTrace:
-    def test_series_and_monotonicity(self):
-        graph = line_topology(3)
-        trace = PotentialTrace()
-        for step in range(3):
-            payload = [1] * (step + 1)
-            trace.record(
-                compute_snapshot(graph, _line3_transcripts(payload, payload, payload, payload), step, 2)
-            )
-        assert len(trace) == 3
-        assert trace.series("G_star") == [1, 2, 3]
-        assert trace.is_monotone_nondecreasing("G_star")
-        assert trace.is_monotone_nondecreasing("phi")
-
-    def test_non_monotone_detected(self):
-        graph = line_topology(3)
-        trace = PotentialTrace()
-        long = _line3_transcripts([1, 1], [1, 1], [1, 1], [1, 1])
-        short = _line3_transcripts([1], [1], [1], [1])
-        trace.record(compute_snapshot(graph, long, 0, 2))
-        trace.record(compute_snapshot(graph, short, 1, 2))
-        assert not trace.is_monotone_nondecreasing("G_star")

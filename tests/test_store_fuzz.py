@@ -114,10 +114,10 @@ def _assert_resolves(store: RunStore, run_ids, kind=None) -> None:
     for offset in range(len(RUN_IDS)):
         ref = f"latest~{offset}" if offset else "latest"
         if offset < len(run_ids):
-            assert store.resolve(ref, kind=kind) == run_ids[-1 - offset]
+            assert store.load(ref, kind=kind)["run_id"] == run_ids[-1 - offset]
         else:
             with pytest.raises(KeyError):
-                store.resolve(ref, kind=kind)
+                store.load(ref, kind=kind)
 
 
 @settings(max_examples=150, deadline=None)

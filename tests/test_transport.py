@@ -16,6 +16,7 @@ import random
 
 import pytest
 from adversaries import (
+    BurstAdversary,
     DeletionAdversary,
     EchoSpoofingAdversary,
     FixingObliviousAdversary,
@@ -26,7 +27,6 @@ from oracle import PerSlotNetwork, link_major_plane
 from repro.adversary.base import Adversary, NoiseBudget, NoiselessAdversary
 from repro.adversary.oblivious import AdditiveObliviousAdversary
 from repro.adversary.strategies import (
-    BurstAdversary,
     CompositeAdversary,
     LinkTargetedAdversary,
     PhaseTargetedAdaptiveAdversary,
