@@ -20,6 +20,18 @@ base one it replaces; ``check_contract`` in ``tests/adversaries.py`` probes
 that.  Corruption accounting is done by the transport, not by the
 adversary, so an adversary cannot under-report its own noise.
 
+An adversary class may declare itself **symbol-blind**
+(:attr:`Adversary.symbol_blind`): what it does to a plane depends on which
+slots are present, never on the bits they carry.  Fed two planes with the
+same ``present`` from the same state, it delivers the same ``present``, the
+delivered bits differ exactly by the sent-bit difference on the slots that
+were sent and delivered, and it ends in the same state.  The engine then
+lets the two endpoints of a link that would send each other the same
+meeting-points message send a placeholder instead and read the noise off
+the delivered placeholder (:mod:`repro.core.meeting_points`).
+``check_contract`` in ``tests/adversaries.py`` probes this law for every
+class that declares it.
+
 The theorems bound the noise as a *fraction of the actual communication* of
 the executed instance, which is not known in advance.  :class:`NoiseBudget`
 implements that accounting: adaptive adversaries ask it whether another
@@ -32,7 +44,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import ClassVar, List, Tuple
 
 from repro.network.channel import Symbol, TransmissionContext, WindowContext
 from repro.utils.bitstring import plane_digits, positions_to_int, set_positions
@@ -176,6 +188,13 @@ class Adversary(abc.ABC):
     #: not guaranteed to see silent slots at all.
     may_insert: bool = True
 
+    #: Whether the class obeys the symbol-blind law of the module docstring.
+    #: A class attribute, never a field: it is a property of the class's
+    #: :meth:`corrupt`, so a subclass that overrides :meth:`corrupt` is
+    #: demoted to ``False`` unless it declares it again
+    #: (:meth:`__init_subclass__`).
+    symbol_blind: ClassVar[bool] = False
+
     @abc.abstractmethod
     def corrupt(self, ctx: TransmissionContext, sent: Symbol) -> Symbol:
         """Return the symbol delivered to the receiver for this slot.
@@ -210,15 +229,18 @@ class Adversary(abc.ABC):
         return corrupt_slots(self, ctx, bits, present, 0, ctx.width)
 
     def __init_subclass__(cls, **kwargs: object) -> None:
-        """Demote a native kernel the subclass may have outgrown.
+        """Demote what the subclass may have outgrown.
 
         A native :meth:`corrupt_window` encodes what :meth:`corrupt` does in
         the class that wrote it.  If a subclass overrides :meth:`corrupt` but
         inherits the kernel, the kernel would silently keep the old
         behaviour, so the subclass gets the base loop instead, which calls
-        the overridden method.
+        the overridden method.  The same override drops an inherited
+        :attr:`symbol_blind` declaration.
         """
         super().__init_subclass__(**kwargs)
+        if "corrupt" in cls.__dict__ and "symbol_blind" not in cls.__dict__:
+            cls.symbol_blind = False
         kernel_owner = _owner(cls, "corrupt_window")
         if kernel_owner is Adversary:
             return
@@ -237,6 +259,7 @@ class NoiselessAdversary(Adversary):
     name = "noiseless"
     oblivious = True
     may_insert = False
+    symbol_blind = True
 
     def corrupt(self, ctx: TransmissionContext, sent: Symbol) -> Symbol:
         return sent

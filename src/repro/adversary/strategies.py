@@ -24,7 +24,7 @@ import random
 import struct
 from dataclasses import dataclass
 from itertools import compress, islice
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Iterable, List, Optional, Sequence, Tuple
 
 from repro.adversary.base import Adversary, NoiseBudget, corrupt_slots
 from repro.network.channel import Symbol, TransmissionContext, WindowContext
@@ -155,6 +155,10 @@ class RandomNoiseAdversary(Adversary):
     seed: int = 0
     name: str = "random-noise"
     oblivious: bool = True
+    #: Whether a slot draws depends on its presence only, and a
+    #: corruption's ``choice`` picks flip or delete (insert 0 or 1) by
+    #: index, whatever the bit.
+    symbol_blind: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.corruption_probability <= 1.0:

@@ -80,9 +80,11 @@ def compute_snapshot(
     divergence: Dict[Tuple[int, int], int] = {}
     longest = 0
     for u, v in graph.edges:
-        agreement[(u, v)] = link_agreement(transcripts, u, v)
-        divergence[(u, v)] = link_divergence(transcripts, u, v)
-        longest = max(longest, transcripts[(u, v)].num_chunks, transcripts[(v, u)].num_chunks)
+        # link_divergence, from the agreement already computed.
+        agreed = agreement[(u, v)] = link_agreement(transcripts, u, v)
+        length = max(transcripts[(u, v)].num_chunks, transcripts[(v, u)].num_chunks)
+        divergence[(u, v)] = length - agreed
+        longest = max(longest, length)
     g_star = min(agreement.values()) if agreement else 0
     b_star = longest - g_star
     m = max(1, graph.num_edges)

@@ -6,8 +6,8 @@ that code as a Reed–Solomon code over GF(256); this module provides the
 finite-field arithmetic it needs.
 
 The field is GF(2)[x] / (x^8 + x^4 + x^3 + x^2 + 1) (the 0x11D polynomial
-familiar from CCSDS / QR-code Reed–Solomon).  Multiplication and inversion go
-through log/antilog tables built once at import time from the generator
+familiar from CCSDS / QR-code Reed–Solomon).  Multiplication goes through
+log/antilog tables built once at import time from the generator
 element 2; the polynomial helpers index the tables inline.
 """
 
@@ -47,13 +47,6 @@ def gf_mul(a: int, b: int) -> int:
     if a == 0 or b == 0:
         return 0
     return EXP[LOG[a] + LOG[b]]
-
-
-def gf_inv(a: int) -> int:
-    """Multiplicative inverse in GF(256)."""
-    if a == 0:
-        raise ZeroDivisionError("0 has no inverse in GF(256)")
-    return EXP[(FIELD_SIZE - 1) - LOG[a]]
 
 
 # -- polynomial helpers (coefficients listed lowest degree first) -------------

@@ -338,17 +338,24 @@ class InteractiveCodingSimulator:
         makes one ``corrupt_window`` call for the whole plane, and each reply
         window feeds
         :meth:`~repro.core.meeting_points.MeetingPointsSession.process_reply_packed`
-        directly.
+        directly.  A clean link (:meth:`_clean_links`) only advances ``k``,
+        sends the zero placeholder and reads its reply with
+        :meth:`~repro.core.meeting_points.MeetingPointsSession.process_clean_reply`.
         """
         rounds = 4 * self.hasher.output_bits
         link_bit = self._link_bit
+        clean = self._clean_links()
         messages = [0] * len(self._links)
         for runtime in self.runtimes.values():
             for neighbor in runtime.neighbors():
                 session = runtime.sessions[neighbor]
-                messages[link_bit[(runtime.party, neighbor)]] = session.build_message_packed(
-                    iteration, runtime.transcripts[neighbor]
-                )
+                transcript = runtime.transcripts[neighbor]
+                if (runtime.party, neighbor) in clean:
+                    session.advance(transcript)
+                else:
+                    messages[link_bit[(runtime.party, neighbor)]] = session.build_message_packed(
+                        iteration, transcript
+                    )
         width = len(messages) * rounds
         bits, present = self.network.exchange_window(
             join_windows(messages, rounds), (1 << width) - 1, rounds, "meeting_points", iteration
@@ -360,10 +367,39 @@ class InteractiveCodingSimulator:
                 session = runtime.sessions[neighbor]
                 transcript = runtime.transcripts[neighbor]
                 position = link_bit[(neighbor, runtime.party)]
-                outcome = session.process_reply_packed(
-                    iteration, transcript, reply_bits[position], reply_present[position]
-                )
+                if (runtime.party, neighbor) in clean:
+                    process = session.process_clean_reply
+                else:
+                    process = session.process_reply_packed
+                outcome = process(iteration, transcript, reply_bits[position], reply_present[position])
                 self._apply_mp_outcome(iteration, runtime, neighbor, transcript, outcome)
+
+    def _clean_links(self) -> Set[Tuple[int, int]]:
+        """The directed links whose two endpoints would send each other the
+        same meeting-points message this phase (:mod:`repro.core.meeting_points`).
+
+        Both endpoints hold the same seed source object, the same ``k`` and
+        byte-equal transcripts, the adversary's class is symbol-blind and no
+        flight recorder is installed (it records the sent bits).  Read
+        before the sessions advance: each advances ``k`` by one, so equal
+        counters stay equal.  Both directions of an edge are clean or
+        neither is.
+        """
+        clean: Set[Tuple[int, int]] = set()
+        if not type(self.adversary).symbol_blind or self._obs.recorder is not None:
+            return clean
+        runtimes = self.runtimes
+        for u, v in self.graph.edges:
+            mine, theirs = runtimes[u], runtimes[v]
+            session, other = mine.sessions[v], theirs.sessions[u]
+            if (
+                session.seed_source is other.seed_source
+                and session.k == other.k
+                and mine.transcripts[v].same_records(theirs.transcripts[u])
+            ):
+                clean.add((u, v))
+                clean.add((v, u))
+        return clean
 
     def _apply_mp_outcome(
         self,

@@ -43,6 +43,23 @@ the message is one integer whose bit ``i`` is wire bit ``i``, and the reply
 arrives as a ``(bits, present)`` plane pair.  ``tests/test_hashing_equivalence.py`` pins
 the wire bits and decisions against a per-call hashing oracle
 (``tests/oracle.py``).
+
+A hash only has to tell two *different* inputs apart (Definition 2.2,
+Lemma 2.5).  When both endpoints of a link hold the same seed source, the
+same ``k`` and byte-equal transcripts, their two messages are equal, so
+every comparison depends only on what the channel did to the window.  The
+engine calls such a link *clean* when, in addition, the adversary's class
+is symbol-blind (:attr:`~repro.adversary.base.Adversary.symbol_blind`) and
+no flight recorder is installed.  A clean link only advances ``k``
+(:meth:`MeetingPointsSession.advance`) and puts a zero placeholder on the
+wire; its reply goes to :meth:`MeetingPointsSession.process_clean_reply`.
+A reply that arrives whole and unflipped is a full match, decided without
+reading a seed or a transcript fingerprint.  Any other reply is
+*materialised*: the session builds its own message, which is also the
+message the other side would have sent, and the symbol-blind law turns the
+delivered placeholder into the reply that message would have produced,
+``(own ^ delivered) & present``, before the unchanged decision.  Every
+other link builds and hashes as above, so results are bit-identical.
 """
 
 from __future__ import annotations
@@ -128,18 +145,22 @@ class MeetingPointsSession:
     def build_message_packed(self, iteration: int, transcript: LinkTranscript) -> int:
         """Advance ``k`` and produce this phase's outgoing hash message as one
         integer (bit ``i`` of the result is wire bit ``i``)."""
-        length = self._advance(transcript)
-        self.builds += 1
-        return self._build_message(iteration, transcript, length)
+        self.advance(transcript)
+        return self._own_message(iteration, transcript)
 
-    def _advance(self, transcript: LinkTranscript) -> int:
-        """Advance ``k`` and recompute this phase's meeting points."""
+    def advance(self, transcript: LinkTranscript) -> None:
+        """Advance ``k`` and recompute this phase's meeting points (all a
+        clean link does before its reply arrives)."""
         self.k += 1
         self._k_tilde = 1 << (self.k - 1).bit_length()
         length = transcript.num_chunks
         self._mp1 = self._k_tilde * (length // self._k_tilde)
         self._mp2 = max(self._mp1 - self._k_tilde, 0)
-        return length
+
+    def _own_message(self, iteration: int, transcript: LinkTranscript) -> int:
+        """This phase's message, ``k`` already advanced."""
+        self.builds += 1
+        return self._build_message(iteration, transcript, transcript.num_chunks)
 
     def _build_message(
         self, iteration: int, transcript: LinkTranscript, length: int
@@ -209,6 +230,27 @@ class MeetingPointsSession:
                 groups.append((bits >> start) & mask)
         return self._decide(iteration, groups[0], groups[1], groups[2], groups[3])
 
+    def process_clean_reply(
+        self,
+        iteration: int,
+        transcript: LinkTranscript,
+        bits: int,
+        present: int,
+    ) -> MeetingPointsOutcome:
+        """Decide on the reply of a clean link (module docstring), ``k``
+        already advanced.
+
+        Both sides sent a zero placeholder for the message they share, so
+        ``(bits, present)`` is the noise alone: a whole, unflipped window is
+        a full match; any other is materialised into the reply the shared
+        message would have produced and goes through
+        :meth:`process_reply_packed`.
+        """
+        if not bits and present == (1 << self.message_bits) - 1:
+            return self._full_match(iteration, k_agreed=True)
+        own = self._own_message(iteration, transcript)
+        return self.process_reply_packed(iteration, transcript, (own ^ bits) & present, present)
+
     def _decide(
         self,
         iteration: int,
@@ -229,18 +271,7 @@ class MeetingPointsSession:
         # endpoints had drifted apart in their meeting-points counters (which
         # happens when noise corrupted one direction of a previous exchange).
         if their_full is not None and their_full == self._own_full_hash:
-            outcome.status = STATUS_SIMULATE
-            outcome.full_match = True
-            if recorder is not None and self.k > 1:
-                # A real search (k > 1) just recovered; steady-state matches
-                # at k = 1 are not transitions and stay out of the ring.
-                recorder.emit(
-                    "meeting_point", event="recovered", link=self.link,
-                    iteration=iteration, k=self.k,
-                )
-            self._reset_counters()
-            self.status = STATUS_SIMULATE
-            return outcome
+            return self._full_match(iteration, outcome.k_agreed)
         if recorder is not None and was_simulating:
             recorder.emit(
                 "meeting_point", event="diverged", link=self.link,
@@ -304,6 +335,19 @@ class MeetingPointsSession:
         return outcome
 
     # -- internals ----------------------------------------------------------------
+
+    def _full_match(self, iteration: int, k_agreed: bool) -> MeetingPointsOutcome:
+        """The full-transcript digests agree: back to simulating."""
+        if self.recorder is not None and self.k > 1:
+            # A real search (k > 1) just recovered; steady-state matches
+            # at k = 1 are not transitions and stay out of the ring.
+            self.recorder.emit(
+                "meeting_point", event="recovered", link=self.link,
+                iteration=iteration, k=self.k,
+            )
+        self._reset_counters()
+        self.status = STATUS_SIMULATE
+        return MeetingPointsOutcome(status=STATUS_SIMULATE, k_agreed=k_agreed, full_match=True)
 
     def _reset_counters(self) -> None:
         self.k = 0

@@ -12,13 +12,23 @@ Entries carry a schema version; lines written by an incompatible version (or
 corrupted, e.g. truncated by a crash mid-append) are skipped on load rather
 than poisoning the cache.  Unstable keys — specs containing lambdas/closures
 that have no canonical fingerprint — always miss and are never stored.
+
+The in-memory map holds each result as one flat, immutable row (:func:`_row`:
+the field values in order, each per-phase dict spelled out as its length and
+its items, marshalled to bytes), and equal results share one row: many
+trials of a sweep end alike, and a row carries none of the instance and
+per-phase dicts a :class:`RunMetrics` holds.  A hit rebuilds the
+:class:`RunMetrics` from its row.  Rows never leave the process, so marshal
+only ever reads bytes it wrote.
 """
 
 from __future__ import annotations
 
 import json
+import marshal
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import islice
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
@@ -48,6 +58,38 @@ def _parse_line(line: str) -> Optional[Tuple[str, RunMetrics]]:
         return None
 
 
+def _row(metrics: RunMetrics) -> bytes:
+    """``metrics`` as one flat row: each field value in field order, a
+    per-phase dict as its length followed by its keys and values in turn,
+    marshalled.  Marshal spells each value's type, so equal rows are equal
+    results down to ``1`` against ``1.0``; format version 2 writes no
+    back-references or interning flags, so equal results give equal rows
+    whichever objects hold their values."""
+    row = []
+    for spec in fields(RunMetrics):
+        value = getattr(metrics, spec.name)
+        if spec.default_factory is dict:
+            row.append(len(value))
+            for item in value.items():
+                row.extend(item)
+        else:
+            row.append(value)
+    return marshal.dumps(tuple(row), 2)
+
+
+def _from_row(row: bytes) -> RunMetrics:
+    """The :class:`RunMetrics` :func:`_row` flattened."""
+    cells = iter(marshal.loads(row))
+    values = {}
+    for spec in fields(RunMetrics):
+        value = next(cells)
+        if spec.default_factory is dict:
+            items = islice(cells, 2 * value)
+            value = dict(zip(items, items))
+        values[spec.name] = value
+    return RunMetrics(**values)
+
+
 @dataclass
 class CacheStats:
     """Hit/miss/store counters, reset per :class:`ResultCache` instance."""
@@ -64,7 +106,10 @@ class ResultCache:
     """In-memory trial-result cache with an optional JSON-lines disk mirror."""
 
     def __init__(self, cache_dir: Optional[Union[str, Path]] = None) -> None:
-        self._memory: Dict[str, RunMetrics] = {}
+        #: Key digest -> row (:func:`_row`); equal rows are one object, the
+        #: one ``_rows`` maps them to.
+        self._memory: Dict[str, bytes] = {}
+        self._rows: Dict[bytes, bytes] = {}
         self.stats = CacheStats()
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self._path: Optional[Path] = None
@@ -78,7 +123,14 @@ class ResultCache:
             return
         # Lines split on "\n" alone and decode as in compact(), so both parse the same lines.
         with self._path.open("r", encoding="utf-8", errors="replace", newline="\n") as handle:
-            self._memory.update(entry for entry in map(_parse_line, handle) if entry is not None)
+            for entry in map(_parse_line, handle):
+                if entry is not None:
+                    self._remember(*entry)
+
+    def _remember(self, digest: str, metrics: RunMetrics) -> None:
+        """Map ``digest`` to the shared row of ``metrics``."""
+        row = _row(metrics)
+        self._memory[digest] = self._rows.setdefault(row, row)
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -88,18 +140,18 @@ class ResultCache:
         if not key.stable:
             self.stats.misses += 1
             return None
-        hit = self._memory.get(key.digest)
-        if hit is None:
+        row = self._memory.get(key.digest)
+        if row is None:
             self.stats.misses += 1
-        else:
-            self.stats.hits += 1
-        return hit
+            return None
+        self.stats.hits += 1
+        return _from_row(row)
 
     def put(self, key: TrialKey, metrics: RunMetrics) -> None:
         """Store a freshly computed result (no-op for unstable keys)."""
         if not key.stable:
             return
-        self._memory[key.digest] = metrics
+        self._remember(key.digest, metrics)
         self.stats.stores += 1
         if self._path is not None:
             record = {
@@ -197,5 +249,6 @@ class ResultCache:
     def clear(self) -> None:
         """Drop the in-memory map and the disk mirror (if any)."""
         self._memory.clear()
+        self._rows.clear()
         if self._path is not None and self._path.exists():
             self._path.unlink()

@@ -20,7 +20,12 @@ kernel to its per-slot semantics, the **window law**: ``corrupt_window``
 must deliver the same plane (and leave the same state: RNG stream
 consumption, budget accounting) as the base per-slot loop, ``corrupt`` per
 slot in plane order.  The kernel is only legal because the corruption mask
-it applies is the one per-slot delivery would have produced.  The probe runs deterministic fuzz windows of several widths
+it applies is the one per-slot delivery would have produced.  A class that
+declares itself symbol-blind (``Adversary.symbol_blind``) is also held to
+the **symbol-blind law**: two copies in one state, fed the probe plane and
+its complement on the same ``present``, deliver the same ``present``,
+delivered bits that differ exactly on the slots that were sent and
+delivered, and end in the same state.  The probe runs deterministic fuzz windows of several widths
 (one round, as in a lockstep round, and wider, as in the meeting-points
 exchange), ending with one 56-link × 32-round plane, the shape of a
 meeting-points window on the 8-clique, and raises :class:`ContractViolation`
@@ -67,6 +72,7 @@ _CLIQUE_LINKS = complete_topology(8).directed_edges()
 _CLIQUE_ROUNDS = 32
 
 LAW = "window"
+SYMBOL_BLIND_LAW = "symbol-blind"
 
 
 class ContractViolation(AssertionError):
@@ -190,6 +196,40 @@ def _check_window_law(adv: Adversary, probes: Sequence[Tuple[WindowContext, int,
             )
 
 
+def _check_symbol_blind_law(adv: Adversary, probes: Sequence[Tuple[WindowContext, int, int]]) -> None:
+    """Fed complementary bits on the same ``present``, two copies in one
+    state deliver the same ``present``, bits that differ exactly on the
+    slots sent and delivered, and end in the same state."""
+    first = copy.deepcopy(adv)
+    second = copy.deepcopy(adv)
+    first.reset()
+    second.reset()
+    name = type(adv).__name__
+    for ctx, bits, present in probes:
+        complement = ~bits & present
+        got_bits, got_present = first.corrupt_window(ctx, bits, present)
+        other_bits, other_present = second.corrupt_window(ctx, complement, present)
+        if got_present != other_present:
+            raise ContractViolation(
+                SYMBOL_BLIND_LAW,
+                f"{name} delivers present {got_present:#x} for bits {bits:#x} but "
+                f"{other_present:#x} for their complement on {ctx!r}",
+            )
+        if got_bits ^ other_bits != present & got_present:
+            raise ContractViolation(
+                SYMBOL_BLIND_LAW,
+                f"{name}'s delivered bits for bits {bits:#x} and their complement differ on "
+                f"{got_bits ^ other_bits:#x}, not on the delivered sent slots "
+                f"{present & got_present:#x}, on {ctx!r}",
+            )
+        if _state_snapshot(first) != _state_snapshot(second):
+            raise ContractViolation(
+                SYMBOL_BLIND_LAW,
+                f"{name} ends in different states for bits {bits:#x} and their "
+                f"complement on {ctx!r}",
+            )
+
+
 def check_contract(
     adv: Adversary,
     *,
@@ -199,7 +239,8 @@ def check_contract(
     windows: int = 8,
     seed: int = 2024,
 ) -> ContractReport:
-    """Probe ``adv`` against the window law.
+    """Probe ``adv`` against the window law, and against the symbol-blind
+    law when its class declares it.
 
     ``windows`` probe windows over ``links`` alternate between
     ``window_rounds`` rounds and one round; they are deterministic in
@@ -217,7 +258,11 @@ def check_contract(
     probe_phases = tuple(phases) if phases is not None else _DEFAULT_PHASES
     probes = _probe_windows(probe_links, probe_phases, window_rounds, windows, seed)
     _check_window_law(adv, probes)
-    return ContractReport(adversary=adv.name, windows_probed=len(probes), laws=(LAW,))
+    laws: Tuple[str, ...] = (LAW,)
+    if type(adv).symbol_blind:
+        _check_symbol_blind_law(adv, probes)
+        laws += (SYMBOL_BLIND_LAW,)
+    return ContractReport(adversary=adv.name, windows_probed=len(probes), laws=laws)
 
 
 # -- test-only adversaries --------------------------------------------------

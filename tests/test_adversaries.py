@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 
@@ -570,6 +571,14 @@ STOCK_CONTRACT_CASES = {
             BurstAdversary(start_round=20, end_round=50, max_corruptions=3, seed=7),
         )
     ),
+    # Deletion then insertion fixes a slot's symbol, whatever was sent: a
+    # composite of symbol-blind, inserting components is not symbol-blind.
+    "composite-inserting": lambda: CompositeAdversary(
+        components=(
+            RandomNoiseAdversary(corruption_probability=0.3, insertion_probability=0.3, seed=11),
+            RandomNoiseAdversary(corruption_probability=0.3, insertion_probability=0.3, seed=12),
+        )
+    ),
     "echo-spoofing": lambda: EchoSpoofingAdversary(target=(0, 1), fraction=0.4, seed=8),
     "phase-targeted": lambda: PhaseTargetedAdaptiveAdversary(fraction=0.3, seed=9),
     "rotating-link": lambda: RotatingLinkAdaptiveAdversary(
@@ -765,8 +774,68 @@ class TestCheckContract:
         adversary = builder()
         report = check_contract(adversary)
         assert report.adversary == adversary.name
-        assert report.laws == ("window",)
+        symbol_blind = ("symbol-blind",) if type(adversary).symbol_blind else ()
+        assert report.laws == ("window", *symbol_blind)
         assert report.windows_probed == 9
+
+    def test_only_random_noise_and_the_identity_declare_symbol_blindness(self):
+        declared = {
+            type(builder()).__name__
+            for builder in ROUND_FRAME_CASES.values()
+            if type(builder()).symbol_blind
+        }
+        assert declared == {"NoiselessAdversary", "RandomNoiseAdversary"}
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            # A Z3 offset turns a sent 0 into a flip and a sent 1 into a deletion.
+            "additive",
+            # Deletion then insertion fixes the symbol.
+            "composite-inserting",
+            # A fixed slot delivers the same symbol whatever was sent.
+            "fixing",
+        ],
+    )
+    def test_rejects_a_false_symbol_blind_declaration(self, case):
+        adversary = STOCK_CONTRACT_CASES[case]()
+        declared = type("Declared", (type(adversary),), {"symbol_blind": True})
+        impostor = copy.deepcopy(adversary)
+        impostor.__class__ = declared
+        with pytest.raises(ContractViolation, match="symbol-blind"):
+            check_contract(impostor)
+
+    def test_overriding_corrupt_drops_the_declaration(self):
+        """A ``corrupt`` override may look at the bits: the subclass is not
+        symbol-blind until it says so again, and its subclasses inherit
+        whatever it says."""
+
+        class Overrides(RandomNoiseAdversary):
+            def corrupt(self, ctx, sent):
+                return sent
+
+        class Redeclares(RandomNoiseAdversary):
+            symbol_blind = True
+
+            def corrupt(self, ctx, sent):
+                return sent
+
+        class Inherits(RandomNoiseAdversary):
+            pass
+
+        class InheritsTheOverride(Overrides):
+            pass
+
+        class IdentityOverride(NoiselessAdversary):
+            def corrupt(self, ctx, sent):
+                return sent
+
+        assert not Overrides.symbol_blind
+        assert not InheritsTheOverride.symbol_blind
+        assert not IdentityOverride.symbol_blind
+        assert Redeclares.symbol_blind
+        assert Inherits.symbol_blind
+        assert RandomNoiseAdversary.symbol_blind and NoiselessAdversary.symbol_blind
 
     def test_checker_does_not_mutate_the_subject(self):
         adversary = RandomNoiseAdversary(corruption_probability=0.5, seed=42)

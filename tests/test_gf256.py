@@ -7,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.coding.gf256 import (
-    gf_inv,
+    EXP,
+    FIELD_SIZE,
+    LOG,
     gf_mul,
     poly_add,
     poly_deg,
@@ -16,6 +18,14 @@ from repro.coding.gf256 import (
     poly_mul,
     poly_trim,
 )
+
+def gf_inv(a: int) -> int:
+    """Multiplicative inverse in GF(256), read off the log tables (the
+    library inverts only inline, in ``poly_divmod``)."""
+    if a == 0:
+        raise ZeroDivisionError("0 has no inverse in GF(256)")
+    return EXP[(FIELD_SIZE - 1) - LOG[a]]
+
 
 elements = st.integers(0, 255)
 nonzero = st.integers(1, 255)

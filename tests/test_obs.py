@@ -31,6 +31,7 @@ from repro.experiments.harness import run_trials
 from repro.experiments.workloads import gossip_workload
 from repro.obs import (
     DISABLED,
+    FlightRecorder,
     MetricsRegistry,
     Tracer,
     counters_delta,
@@ -211,15 +212,23 @@ class TestEngineInstrumentation:
     @pytest.mark.parametrize("preset", sorted(SCHEME_PRESETS))
     @pytest.mark.parametrize("topology", ["clique", "line"])
     def test_seed_derivations_count_each_link_once(self, preset, topology):
-        """A noiseless trial derives two seed slots per link per iteration:
+        """A noiseless trial derives no seed slot: every link is clean and
+        every reply arrives whole.  With a flight recorder installed every
+        link hashes, and derives two seed slots per link per iteration:
         both endpoints of a CRS or agreed link read one source."""
         workload = gossip_workload(topology, 5, 6, seed=1)
+        scheme = SCHEME_PRESETS[preset]()
         registry = MetricsRegistry()
         with use_obs(metrics=registry):
-            result = simulate(workload.protocol, scheme=SCHEME_PRESETS[preset](), seed=1)
+            plain = simulate(workload.protocol, scheme=scheme, seed=1)
+        assert registry.snapshot()["counters"].get("hashing.seed_derivations", 0) == 0
+        registry = MetricsRegistry()
+        with use_obs(metrics=registry, recorder=FlightRecorder()):
+            recorded = simulate(workload.protocol, scheme=scheme, seed=1)
+        assert recorded.metrics == plain.metrics
         links = workload.protocol.graph.num_edges
         derivations = registry.snapshot()["counters"]["hashing.seed_derivations"]
-        assert derivations == 2 * links * result.iterations_run
+        assert derivations == 2 * links * recorded.iterations_run
 
     def test_results_are_bit_identical_with_obs_on_and_off(self):
         plain = _run(trials=3)

@@ -69,3 +69,26 @@ class TestSnapshot:
         diverged = compute_snapshot(graph, _line3_transcripts([1, 1], [1, 0], [1, 0], [1, 0]), 0, scale_k=2)
         assert diverged.simplified_potential < clean.simplified_potential
 
+
+    def test_one_agreement_walk_per_edge(self, monkeypatch):
+        """A snapshot walks each edge's common prefix once: the divergence
+        comes from the agreement already computed, with the values the
+        per-link functions give."""
+        graph = line_topology(3)
+        transcripts = _line3_transcripts([1, 0, 1, 1], [1, 0], [1, 1], [0, 1, 1])
+        expected_agreement = {edge: link_agreement(transcripts, *edge) for edge in graph.edges}
+        expected_divergence = {edge: link_divergence(transcripts, *edge) for edge in graph.edges}
+        calls = []
+        walk = LinkTranscript.common_prefix_chunks
+
+        def counted(self, other):
+            calls.append((self.owner, self.neighbor))
+            return walk(self, other)
+
+        monkeypatch.setattr(LinkTranscript, "common_prefix_chunks", counted)
+        snapshot = compute_snapshot(graph, transcripts, iteration=2, scale_k=2)
+        assert sorted(calls) == sorted(graph.edges)
+        assert snapshot.link_agreement == expected_agreement == {(0, 1): 2, (1, 2): 0}
+        assert snapshot.link_divergence == expected_divergence == {(0, 1): 2, (1, 2): 3}
+        assert (snapshot.global_agreement, snapshot.global_longest, snapshot.global_divergence) == (0, 4, 4)
+        assert snapshot.simplified_potential == (2 / 2) * 2 - 2.0 * 2 * 4

@@ -43,7 +43,7 @@ from repro.runtime import (
     use_runtime,
 )
 from repro.runtime.cache import CACHE_SCHEMA_VERSION
-from repro.runtime.spec import build_trial_specs, derive_trial_seed
+from repro.runtime.spec import TrialKey, build_trial_specs, derive_trial_seed
 from repro.runtime.store import STORE_SCHEMA_VERSION
 
 #: Arbitrary JSON documents (objects, arrays and scalars, nested).
@@ -801,12 +801,19 @@ class TestCacheCompaction:
         int_key = dict(good, key=12345)
         lines = [json.dumps(record) for record in (good, wrong_typed, int_key)]
         (tmp_path / "trials.jsonl").write_text("\n".join(lines) + "\n")
-        before = ResultCache(tmp_path)._memory
-        assert before == {"k": RunMetrics.from_payload(good["metrics"])}
+
+        def served():
+            cache = ResultCache(tmp_path)
+            assert len(cache) == 1
+            assert cache.get(TrialKey("12345", True)) is None
+            return cache.get(TrialKey("k", True))
+
+        before = served()
+        assert before == RunMetrics.from_payload(good["metrics"])
         assert ResultCache(tmp_path).compact() == {
             "kept": 1, "dropped_superseded": 0, "dropped_invalid": 2,
         }
-        assert ResultCache(tmp_path)._memory == before
+        assert served() == before
 
     def test_a_non_utf8_line_is_skipped_not_fatal(self, tmp_path):
         good = {"schema": CACHE_SCHEMA_VERSION, "key": "k", "metrics": _metrics_payload()}

@@ -15,6 +15,7 @@ serves.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import tempfile
 from dataclasses import fields
@@ -28,6 +29,7 @@ from repro.analysis.metrics import RunMetrics, summarize_runs
 from repro.experiments.reporting import ExperimentReport
 from repro.runtime import ResultCache, RunStore
 from repro.runtime.cache import CACHE_SCHEMA_VERSION
+from repro.runtime.spec import TrialKey
 from repro.runtime.store import STORE_SCHEMA_VERSION
 
 RUN_IDS = ("run-000001", "run-000002", "run-000003")
@@ -180,7 +182,8 @@ _VALID_METRICS = st.builds(
 )
 
 
-_KEYS = st.sampled_from("abc")
+_KEY_ALPHABET = "abc"
+_KEYS = st.sampled_from(_KEY_ALPHABET)
 #: ``(field, value)``: one ``RunMetrics`` field and a value of the wrong type for it.
 _SKEW = st.sampled_from(_METRIC_FIELDS).flatmap(
     lambda spec: st.tuples(st.just(spec[0]), st.sampled_from(_WRONG_TYPED[spec[1]]))
@@ -232,12 +235,117 @@ def test_cache_serves_the_last_valid_entry_per_key_before_and_after_compact(line
     refused = sum(1 for _, entry in lines if entry is None)
     with tempfile.TemporaryDirectory() as directory:
         (Path(directory) / "trials.jsonl").write_text("".join(line + "\n" for line, _ in lines))
-        loaded = ResultCache(directory)._memory
-        assert all(isinstance(key, str) and isinstance(value, RunMetrics) for key, value in loaded.items())
+        loaded = _served(ResultCache(directory))
+        assert all(isinstance(value, RunMetrics) for value in loaded.values())
         assert loaded == expected
         assert ResultCache(directory).compact() == {
             "kept": len(expected),
             "dropped_superseded": len(lines) - refused - len(expected),
             "dropped_invalid": refused,
         }
-        assert ResultCache(directory)._memory == loaded
+        assert _served(ResultCache(directory)) == loaded
+
+
+def _served(cache: ResultCache) -> dict:
+    """What ``cache`` serves, by key: every entry it holds has a ``_KEYS`` key."""
+    served = {key: cache.get(TrialKey(key, True)) for key in _KEY_ALPHABET}
+    served = {key: value for key, value in served.items() if value is not None}
+    assert len(cache) == len(served)
+    return served
+
+
+#: Every ``RunMetrics`` field, per-phase dicts empty or of several phases,
+#: and both spellings of a whole noise fraction (``1`` and ``1.0``), which
+#: compare equal but must each be served as stored.
+_PHASE_COUNTS = st.dictionaries(
+    st.sampled_from(["randomness_exchange", "meeting_points", "flag_passing", "simulation", "rewind"]),
+    st.integers(0, 10**6),
+    max_size=5,
+)
+_ANY_METRICS = st.builds(
+    RunMetrics,
+    scheme=st.sampled_from(["algorithm_a", "crs"]),
+    success=st.booleans(),
+    protocol_communication=st.integers(0, 10**6),
+    simulation_communication=st.integers(0, 10**7),
+    corruptions=st.integers(0, 3),
+    noise_fraction=st.sampled_from([0.0, 0.5, 1.0, 1, 0]),
+    iterations_run=st.integers(0, 3),
+    iterations_budget=st.integers(0, 3),
+    communication_by_phase=_PHASE_COUNTS,
+    corruptions_by_phase=_PHASE_COUNTS,
+    meeting_point_truncations=st.integers(0, 2),
+    rewinds_sent=st.integers(0, 2),
+    hash_mismatches_detected=st.integers(0, 2),
+    hash_collisions_observed=st.integers(0, 1),
+    randomness_exchange_failures=st.integers(0, 1),
+)
+
+
+def _text(run: RunMetrics, sort_keys: bool) -> str:
+    """The payload as text: ``1`` and ``1.0`` differ, and so does the order
+    of a per-phase dict unless ``sort_keys``."""
+    return json.dumps(run.to_payload(), sort_keys=sort_keys)
+
+
+def _respelled(run: RunMetrics) -> RunMetrics:
+    """``run`` with a whole noise fraction in its other spelling (``1`` for
+    ``1.0`` and back): equal to ``run``, but not the same payload."""
+    value = run.noise_fraction
+    if isinstance(value, int):
+        return dataclasses.replace(run, noise_fraction=float(value))
+    return dataclasses.replace(run, noise_fraction=int(value)) if value.is_integer() else run
+
+
+def _rebuilt(run: RunMetrics) -> RunMetrics:
+    """An equal ``run`` whose values are all new objects."""
+    return RunMetrics.from_payload(json.loads(_text(run, sort_keys=False)))
+
+
+#: How a repeated result is stored again: the same object, an equal one
+#: built anew, or the other spelling of its noise fraction.
+_REPEATS = {"same": lambda run: run, "rebuilt": _rebuilt, "respelled": _respelled}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    runs=st.lists(_ANY_METRICS, min_size=1, max_size=8),
+    repeats=st.lists(st.tuples(st.integers(0, 7), st.sampled_from(sorted(_REPEATS))), max_size=8),
+)
+def test_cache_rows_round_trip_and_equal_results_share_one(runs, repeats):
+    """``get`` serves exactly what ``put`` stored, from memory and after a
+    disk load; results with the same payload share one row, and only they.
+    The disk mirror writes sorted keys, so a load serves each per-phase dict
+    in key order."""
+    runs = runs + [_REPEATS[how](runs[index % len(runs)]) for index, how in repeats]
+    keys = [TrialKey(f"key-{index}", True) for index in range(len(runs))]
+    with tempfile.TemporaryDirectory() as directory:
+        cache = ResultCache(directory)
+        for key, run in zip(keys, runs):
+            cache.put(key, run)
+        for served_by, from_disk in ((cache, False), (ResultCache(directory), True)):
+            assert len(served_by) == len(runs)
+            rows = {}
+            for key, run in zip(keys, runs):
+                served = served_by.get(key)
+                assert served == run
+                assert _text(served, sort_keys=from_disk) == _text(run, sort_keys=from_disk)
+                rows.setdefault(_text(run, sort_keys=from_disk), set()).add(id(served_by._memory[key.digest]))
+            assert all(len(shared) == 1 for shared in rows.values())
+            assert len(set().union(*rows.values())) == len(rows)
+
+
+def test_equal_results_share_a_row_whatever_objects_hold_them():
+    """One int object in two fields, or two equal ones: the same row."""
+    count = 10**6 + 1
+    aliased = RunMetrics(
+        scheme="crs", success=True, protocol_communication=count, simulation_communication=count,
+        corruptions=0, noise_fraction=0.0, iterations_run=1, iterations_budget=2,
+        communication_by_phase={"simulation": count},
+    )
+    fresh = _rebuilt(aliased)
+    assert fresh == aliased and fresh.protocol_communication is not fresh.simulation_communication
+    cache = ResultCache()
+    cache.put(TrialKey("a", True), aliased)
+    cache.put(TrialKey("b", True), fresh)
+    assert cache._memory["a"] is cache._memory["b"]
