@@ -28,9 +28,16 @@ delivered bits differ exactly by the sent-bit difference on the slots that
 were sent and delivered, and it ends in the same state.  The engine then
 lets the two endpoints of a link that would send each other the same
 meeting-points message send a placeholder instead and read the noise off
-the delivered placeholder (:mod:`repro.core.meeting_points`).
-``check_contract`` in ``tests/adversaries.py`` probes this law for every
-class that declares it.
+the delivered placeholder (:mod:`repro.core.meeting_points`).  Every stock
+class but the additive adversary declares it.
+
+The flag is read from the instance, so an instance may narrow its class's
+declaration.  :class:`~repro.adversary.strategies.CompositeAdversary` does:
+a chain obeys the law when every component does and no component after the
+first may insert, since a deletion followed by an insertion fixes the
+slot's symbol whatever was sent.  ``check_contract`` in
+``tests/adversaries.py`` probes this law for every adversary that declares
+it.
 
 The theorems bound the noise as a *fraction of the actual communication* of
 the executed instance, which is not known in advance.  :class:`NoiseBudget`
@@ -43,8 +50,9 @@ adaptive-length settings discussed in §2.1.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
-from typing import ClassVar, List, Tuple
+from typing import ClassVar, List, Optional, Tuple
 
 from repro.network.channel import Symbol, TransmissionContext, WindowContext
 from repro.utils.bitstring import plane_digits, positions_to_int, set_positions
@@ -94,6 +102,30 @@ class NoiseBudget:
         path.
         """
         return int(fraction * transmissions_seen) + absolute_allowance
+
+    @staticmethod
+    def next_spend(fraction: float, absolute_allowance: int, spent: int, seen: int, last: int) -> Optional[int]:
+        """The least transmission count ``n`` in ``(seen, last]`` at which
+        one more corruption is affordable after ``spent``, or ``None``.
+
+        The allowance never falls as ``n`` grows (a float product is
+        monotone in ``n`` for ``fraction >= 0``), so one test at ``last``
+        rules a range out.  Otherwise ``ceil(need / fraction)`` seeds the
+        search within a step of the answer and :meth:`allowance_at` settles
+        it, so the seed's rounding cannot move a spend.
+        """
+        allowance_at = NoiseBudget.allowance_at
+        target = spent + 1
+        if seen >= last or allowance_at(fraction, last, absolute_allowance) < target:
+            return None
+        low = seen + 1
+        need = target - absolute_allowance
+        count = low if need <= 0 else min(last, max(low, math.ceil(need / fraction)))
+        while count > low and allowance_at(fraction, count - 1, absolute_allowance) >= target:
+            count -= 1
+        while allowance_at(fraction, count, absolute_allowance) < target:
+            count += 1
+        return count
 
     @property
     def allowed(self) -> int:
@@ -188,11 +220,12 @@ class Adversary(abc.ABC):
     #: not guaranteed to see silent slots at all.
     may_insert: bool = True
 
-    #: Whether the class obeys the symbol-blind law of the module docstring.
-    #: A class attribute, never a field: it is a property of the class's
-    #: :meth:`corrupt`, so a subclass that overrides :meth:`corrupt` is
-    #: demoted to ``False`` unless it declares it again
-    #: (:meth:`__init_subclass__`).
+    #: Whether the adversary obeys the symbol-blind law of the module
+    #: docstring.  Declared as a class attribute, never a field: it is a
+    #: property of the class's :meth:`corrupt`, so a subclass that overrides
+    #: :meth:`corrupt` is demoted to ``False`` unless it declares it again
+    #: (:meth:`__init_subclass__`).  Readers take it from the instance,
+    #: which may narrow it (a composite, by its components).
     symbol_blind: ClassVar[bool] = False
 
     @abc.abstractmethod

@@ -302,6 +302,10 @@ class LinkTargetedAdversary(Adversary):
     name: str = "link-targeted"
     oblivious: bool = True
     may_insert: bool = False
+    #: Whether a slot draws depends on its presence, link and phase and the
+    #: budget only, and a corruption's ``choice`` picks flip or delete by
+    #: index, whatever the bit.
+    symbol_blind: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         self.target = _as_link(self.target, "target")
@@ -361,12 +365,22 @@ class CompositeAdversary(Adversary):
 
     components: Sequence[Adversary] = ()
     name: str = "composite"
+    #: Chaining keeps the symbol-blind law when every component obeys it and
+    #: none after the first inserts: a deletion followed by an insertion
+    #: fixes the slot's symbol.  Each instance narrows the flag to its
+    #: components in :meth:`__post_init__`.
+    symbol_blind: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         if not self.components:
             raise ValueError("CompositeAdversary needs at least one component")
         self.oblivious = all(component.oblivious for component in self.components)
         self.may_insert = any(component.may_insert for component in self.components)
+        self.symbol_blind = (
+            type(self).symbol_blind
+            and all(component.symbol_blind for component in self.components)
+            and not any(component.may_insert for component in self.components[1:])
+        )
 
     def corrupt(self, ctx: TransmissionContext, sent: Symbol) -> Symbol:
         symbol = sent
@@ -409,6 +423,10 @@ class PhaseTargetedAdaptiveAdversary(Adversary):
     name: str = "adaptive-phase-targeted"
     oblivious: bool = False
     may_insert: bool = False
+    #: Whether a slot is spent on depends on its presence, phase and the
+    #: budget only, and a corruption's ``choice`` picks flip or delete by
+    #: index, whatever the bit.
+    symbol_blind: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         self._rng = make_rng(self.seed)
@@ -427,33 +445,37 @@ class PhaseTargetedAdaptiveAdversary(Adversary):
         return _corrupt_randomly(self._rng, sent)
 
     def corrupt_window(self, ctx: WindowContext, bits: int, present: int) -> Tuple[int, int]:
-        """One popcount off target, else one pass over the transmitted slots
-        with the budget counters mirrored locally."""
+        """One popcount when no spend falls in the window; else a jump from
+        spend to spend over the transmitted slots (:meth:`NoiseBudget.next_spend`),
+        the budget counters mirrored locally.  The generator draws only on
+        a spend, as in :meth:`corrupt`."""
         if not present:
             return bits, present
         budget = self._budget
-        if ctx.phase not in self.phases:
-            budget.observe_transmissions(present.bit_count())
-            return bits, present
-        rng = self._rng
         seen = budget.transmissions_seen
-        spent = budget.corruptions_spent
+        last = seen + present.bit_count()
+        budget.transmissions_seen = last
+        if ctx.phase not in self.phases:
+            return bits, present
         fraction = budget.fraction
         allowance = budget.absolute_allowance
-        allowance_at = budget.allowance_at
-        count = ctx.width
-        bit_digits = plane_digits(bits, count)
+        spent = budget.corruptions_spent
+        next_spend = budget.next_spend
+        count = next_spend(fraction, allowance, spent, seen, last)
+        if count is None:
+            return bits, present
+        rng = self._rng
+        positions = set_positions(present)  # the slot of count ``seen + 1 + i`` is ``positions[i]``
+        bit_digits = plane_digits(bits, ctx.width)
         bit_flips: List[int] = []
         present_flips: List[int] = []
-        for slot in set_positions(present):
-            seen += 1
-            if spent + 1 > allowance_at(fraction, seen, allowance):
-                continue
+        while count is not None:
+            slot = positions[count - seen - 1]
             spent += 1
             _corrupt_slot(rng, slot, bit_digits[slot] == "1", bit_flips, present_flips)
-        budget.transmissions_seen = seen
+            count = next_spend(fraction, allowance, spent, count, last)
         budget.corruptions_spent = spent
-        return flip_planes(bits, present, bit_flips, present_flips, count)
+        return flip_planes(bits, present, bit_flips, present_flips, ctx.width)
 
     def reset(self) -> None:
         self._rng = make_rng(self.seed)

@@ -379,14 +379,14 @@ class InteractiveCodingSimulator:
         same meeting-points message this phase (:mod:`repro.core.meeting_points`).
 
         Both endpoints hold the same seed source object, the same ``k`` and
-        byte-equal transcripts, the adversary's class is symbol-blind and no
+        byte-equal transcripts, the adversary is symbol-blind and no
         flight recorder is installed (it records the sent bits).  Read
         before the sessions advance: each advances ``k`` by one, so equal
         counters stay equal.  Both directions of an edge are clean or
         neither is.
         """
         clean: Set[Tuple[int, int]] = set()
-        if not type(self.adversary).symbol_blind or self._obs.recorder is not None:
+        if not self.adversary.symbol_blind or self._obs.recorder is not None:
             return clean
         runtimes = self.runtimes
         for u, v in self.graph.edges:

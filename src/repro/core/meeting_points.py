@@ -48,9 +48,9 @@ A hash only has to tell two *different* inputs apart (Definition 2.2,
 Lemma 2.5).  When both endpoints of a link hold the same seed source, the
 same ``k`` and byte-equal transcripts, their two messages are equal, so
 every comparison depends only on what the channel did to the window.  The
-engine calls such a link *clean* when, in addition, the adversary's class
-is symbol-blind (:attr:`~repro.adversary.base.Adversary.symbol_blind`) and
-no flight recorder is installed.  A clean link only advances ``k``
+engine calls such a link *clean* when, in addition, the adversary is
+symbol-blind (:attr:`~repro.adversary.base.Adversary.symbol_blind`) and no
+flight recorder is installed.  A clean link only advances ``k``
 (:meth:`MeetingPointsSession.advance`) and puts a zero placeholder on the
 wire; its reply goes to :meth:`MeetingPointsSession.process_clean_reply`.
 A reply that arrives whole and unflipped is a full match, decided without

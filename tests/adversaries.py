@@ -20,12 +20,12 @@ kernel to its per-slot semantics, the **window law**: ``corrupt_window``
 must deliver the same plane (and leave the same state: RNG stream
 consumption, budget accounting) as the base per-slot loop, ``corrupt`` per
 slot in plane order.  The kernel is only legal because the corruption mask
-it applies is the one per-slot delivery would have produced.  A class that
-declares itself symbol-blind (``Adversary.symbol_blind``) is also held to
-the **symbol-blind law**: two copies in one state, fed the probe plane and
-its complement on the same ``present``, deliver the same ``present``,
-delivered bits that differ exactly on the slots that were sent and
-delivered, and end in the same state.  The probe runs deterministic fuzz windows of several widths
+it applies is the one per-slot delivery would have produced.  An adversary
+that declares itself symbol-blind (``Adversary.symbol_blind``, read from the
+instance) is also held to the **symbol-blind law**: two copies in one state,
+fed the probe plane and its complement on the same ``present``, deliver the
+same ``present``, delivered bits that differ exactly on the slots that were
+sent and delivered, and end in the same state.  The probe runs deterministic fuzz windows of several widths
 (one round, as in a lockstep round, and wider, as in the meeting-points
 exchange), ending with one 56-link × 32-round plane, the shape of a
 meeting-points window on the 8-clique, and raises :class:`ContractViolation`
@@ -41,7 +41,7 @@ from __future__ import annotations
 import copy
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.adversary.base import Adversary, NoiseBudget
 from repro.adversary.oblivious import SlotKey, _group_pattern_by_link, _rewrite_window, slot_key
@@ -240,7 +240,7 @@ def check_contract(
     seed: int = 2024,
 ) -> ContractReport:
     """Probe ``adv`` against the window law, and against the symbol-blind
-    law when its class declares it.
+    law when it declares it (read from the instance, as the engine does).
 
     ``windows`` probe windows over ``links`` alternate between
     ``window_rounds`` rounds and one round; they are deterministic in
@@ -259,7 +259,7 @@ def check_contract(
     probes = _probe_windows(probe_links, probe_phases, window_rounds, windows, seed)
     _check_window_law(adv, probes)
     laws: Tuple[str, ...] = (LAW,)
-    if type(adv).symbol_blind:
+    if adv.symbol_blind:
         _check_symbol_blind_law(adv, probes)
         laws += (SYMBOL_BLIND_LAW,)
     return ContractReport(adversary=adv.name, windows_probed=len(probes), laws=laws)
@@ -318,6 +318,8 @@ class DeletionAdversary(Adversary):
     name: str = "deletion"
     oblivious: bool = True
     may_insert: bool = False
+    #: Every transmitted slot draws once, whatever its bit.
+    symbol_blind: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.deletion_probability <= 1.0:
@@ -390,6 +392,9 @@ class BurstAdversary(Adversary):
     name: str = "burst"
     oblivious: bool = True
     may_insert: bool = False
+    #: A slot is hit by its round and the cap, and a corruption's ``choice``
+    #: picks flip or delete by index, whatever the bit.
+    symbol_blind: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         if self.end_round < self.start_round:

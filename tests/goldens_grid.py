@@ -6,6 +6,10 @@ ambient flight recorder) and is reduced to a handful of readable fields.
 ``tests/test_goldens.py`` requires a fresh run to reproduce them exactly, so a
 refactor that moves any number fails with the trial and field that moved.
 
+A recorder switches the meeting-points clean-link path off (it records the
+sent bits), so every engine trial also runs without one, the path a plain
+run takes, and must give the same fields (:func:`split_paths`).
+
 Grid: 4 schemes + the uncoded and repetition(3) baselines
 × {line, star, clique, binary_tree} (5 nodes, 6-phase parity gossip)
 × {noiseless, random ins/del/sub, link-targeted, phase-targeted adaptive,
@@ -46,7 +50,8 @@ from repro.utils.rng import make_rng
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "grid.json"
 
-SCHEMES = ("algorithm_crs", "algorithm_a", "algorithm_b", "algorithm_c", "uncoded", "repetition3")
+ENGINE_SCHEMES = ("algorithm_crs", "algorithm_a", "algorithm_b", "algorithm_c")
+SCHEMES = (*ENGINE_SCHEMES, "uncoded", "repetition3")
 TOPOLOGIES = ("line", "star", "clique", "binary_tree")
 SEEDS = (1, 2)
 NODES = 5
@@ -90,11 +95,21 @@ def trial_id(scheme: str, topology: str, adversary: str, seed: int) -> str:
     return f"{scheme}/{topology}/{adversary}/seed{seed}"
 
 
-def run_trial(scheme: str, topology: str, adversary_name: str, seed: int) -> Dict[str, object]:
-    """One grid trial reduced to its golden fields."""
+#: The one golden field that only a recorded run has.
+RECORDER_FIELD = "recorder_corruption_events"
+
+
+def run_trial(
+    scheme: str, topology: str, adversary_name: str, seed: int, record: bool = True
+) -> Dict[str, object]:
+    """One grid trial reduced to its golden fields.
+
+    ``record=False`` runs it without a flight recorder and leaves out
+    :data:`RECORDER_FIELD`.
+    """
     workload = gossip_workload(topology, NODES, PHASES, seed=seed)
     adversary = ADVERSARIES[adversary_name](workload.graph, seed)
-    recorder = FlightRecorder(capacity=1_000_000)
+    recorder = FlightRecorder(capacity=1_000_000) if record else None
     networks: List[NoisyNetwork] = []
 
     class CapturedNetwork(NoisyNetwork):
@@ -104,7 +119,8 @@ def run_trial(scheme: str, topology: str, adversary_name: str, seed: int) -> Dic
 
     # Both baselines run through ``run_repetition`` (uncoded is one copy).
     with use_obs(recorder=recorder), mock.patch.object(repetition, "NoisyNetwork", CapturedNetwork):
-        recorder.begin_trial()
+        if recorder is not None:
+            recorder.begin_trial()
         if scheme == "uncoded":
             metrics = uncoded.run_uncoded(workload.protocol, adversary).metrics
         elif scheme == "repetition3":
@@ -115,10 +131,10 @@ def run_trial(scheme: str, topology: str, adversary_name: str, seed: int) -> Dic
             )
             metrics = simulator.run().metrics
             networks.append(simulator.network)
-        dump = recorder.finish_trial(success=metrics.success)
+        dump = recorder.finish_trial(success=metrics.success) if recorder is not None else None
     (network,) = networks
     stats = network.stats
-    return {
+    fields: Dict[str, object] = {
         "success": metrics.success,
         "transmissions": stats.transmissions,
         "substitutions": stats.substitutions,
@@ -130,19 +146,40 @@ def run_trial(scheme: str, topology: str, adversary_name: str, seed: int) -> Dic
         "rewinds": metrics.rewinds_sent,
         "hash_collisions": metrics.hash_collisions_observed,
         "randomness_exchange_failures": metrics.randomness_exchange_failures,
-        "recorder_corruption_events": dump["event_counts"].get("corruption", 0),
     }
+    if dump is not None:
+        fields[RECORDER_FIELD] = dump["event_counts"].get("corruption", 0)
+    return fields
 
 
-def run_grid() -> Dict[str, Dict[str, object]]:
-    """Every trial of the grid, keyed by :func:`trial_id`, in grid order."""
+def run_grid(schemes: Tuple[str, ...] = SCHEMES, record: bool = True) -> Dict[str, Dict[str, object]]:
+    """Every trial of the grid over ``schemes``, keyed by :func:`trial_id`,
+    in grid order."""
     return {
-        trial_id(scheme, topology, adversary, seed): run_trial(scheme, topology, adversary, seed)
-        for scheme in SCHEMES
+        trial_id(scheme, topology, adversary, seed): run_trial(scheme, topology, adversary, seed, record)
+        for scheme in schemes
         for topology in TOPOLOGIES
         for adversary in ADVERSARIES
         for seed in SEEDS
     }
+
+
+def run_unrecorded() -> Dict[str, Dict[str, object]]:
+    """Every engine trial of the grid, run without a flight recorder."""
+    return run_grid(ENGINE_SCHEMES, record=False)
+
+
+def split_paths(recorded: Dict[str, Dict[str, object]], unrecorded: Dict[str, Dict[str, object]]) -> List[str]:
+    """One line per (trial, field) where a run without a recorder differs
+    from the recorded run of the same trial; trials ``unrecorded`` lacks are
+    not compared."""
+    lines = []
+    for key, fields in unrecorded.items():
+        for name in sorted(recorded[key].keys() - {RECORDER_FIELD} | fields.keys()):
+            before, after = recorded[key].get(name), fields.get(name)
+            if before != after:
+                lines.append(f"{key}: {name} {before!r} with a recorder, {after!r} without")
+    return lines
 
 
 def dumps(grid: Dict[str, Dict[str, object]]) -> str:

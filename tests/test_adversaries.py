@@ -93,6 +93,29 @@ class TestNoiseBudget:
         with pytest.raises(RuntimeError):
             budget.spend(3)
 
+    @pytest.mark.parametrize(
+        "fraction",
+        # ``TestAdaptiveKernel``'s fractions, then two one float step below 5/6
+        # and 3/59, where ``ceil(need / fraction)`` lands one count past the
+        # first affordable one (need 5 and 3), so the settling must step back.
+        [0.0, 1e-4, 0.005, 1 / 3, 1.0, 0.8333333333333333, 0.05084745762711864],
+    )
+    def test_next_spend_is_the_first_affordable_count(self, fraction):
+        allowance_at = NoiseBudget.allowance_at
+        for allowance in (0, 2):
+            for spent in range(40):
+                for seen in (0, 5, 57):
+                    last = seen + 200
+                    first = next(
+                        (
+                            count
+                            for count in range(seen + 1, last + 1)
+                            if spent + 1 <= allowance_at(fraction, count, allowance)
+                        ),
+                        None,
+                    )
+                    assert NoiseBudget.next_spend(fraction, allowance, spent, seen, last) == first
+
 
 class TestNoiseless:
     def test_identity(self):
@@ -543,6 +566,62 @@ class TestRandomNoiseKernel:
             assert _state_snapshot(kernel) == _state_snapshot(reference)
 
 
+class TestAdaptiveKernel:
+    """The phase-targeted kernel jumps from one affordable spend to the next;
+    the per-slot loop asks the budget at every transmitted slot.  Both must
+    spend on the same slots and leave the same counters and generator."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        fraction=st.sampled_from((0.0, 1e-4, 0.005, 1 / 3, 1.0)),
+        absolute_allowance=st.sampled_from((0, 2)),
+        seen=st.integers(0, 60_000),
+        lag=st.integers(-4, 4),
+        windows=st.lists(
+            st.tuples(
+                st.sampled_from(("empty", "full", "single", "mixed")),
+                st.integers(1, 400),
+                st.sampled_from(("meeting_points", "simulation")),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_jumping_kernel_matches_the_per_slot_loop(
+        self, fraction, absolute_allowance, seen, lag, windows, seed
+    ):
+        # ``lag`` puts the spent counter near the allowance, where the next
+        # spend is a few transmissions away (or already affordable).
+        allowed = NoiseBudget.allowance_at(fraction, seen, absolute_allowance)
+        spent = max(0, allowed + lag)
+
+        def build():
+            adversary = PhaseTargetedAdaptiveAdversary(fraction=fraction, seed=seed)
+            adversary._budget.absolute_allowance = absolute_allowance
+            adversary._budget.transmissions_seen = seen
+            adversary._budget.corruptions_spent = spent
+            return adversary
+
+        kernel, reference = build(), build()
+        planes = random.Random(seed)
+        base_round = 0
+        for kind, width, phase in windows:
+            present = {
+                "empty": 0,
+                "full": (1 << width) - 1,
+                "single": 1 << planes.randrange(width),
+                "mixed": planes.getrandbits(width),
+            }[kind]
+            bits = planes.getrandbits(width) & present
+            ctx = _window_ctx(width, phase=phase, base_round=base_round)
+            base_round += width
+            delivered = kernel.corrupt_window(ctx, bits, present)
+            assert delivered == Adversary.corrupt_window(reference, ctx, bits, present)
+            assert _state_snapshot(kernel._budget) == _state_snapshot(reference._budget)
+            assert kernel._rng.getstate() == reference._rng.getstate()
+
+
 #: Every stock adversary in every shipped mode, as fresh-instance builders.
 #: The round-/link-keyed ones are configured to overlap the conformance
 #: checker's default probe region so the interesting branches execute.
@@ -584,17 +663,20 @@ STOCK_CONTRACT_CASES = {
     "rotating-link": lambda: RotatingLinkAdaptiveAdversary(
         links=((0, 1), (1, 2)), fraction=0.3, seed=10
     ),
+    # The two Table 1 composites, whose ``LinkTargeted`` leg attacks
+    # ``(0, 1)`` in the simulation phase.
+    "table1-oblivious": lambda: _oblivious_factory(13, 0.3),
+    "table1-adaptive": lambda: _adaptive_factory(14, 0.3),
 }
 
 
 #: The composites the experiments build, which the kernels must also get
-#: right on one-round planes: the two Table 1 composites, whose
-#: ``LinkTargeted`` leg attacks ``(0, 1)`` in the simulation phase, and the
-#: uncoded baseline's noise in ``theorem_validation.scheme_comparison``:
-#: inserting random noise plus one additive error on ``(1, 0)`` in round 0.
+#: right on one-round planes: the two Table 1 composites and the uncoded
+#: baseline's noise in ``theorem_validation.scheme_comparison``: inserting
+#: random noise plus one additive error on ``(1, 0)`` in round 0.
 ROUND_FRAME_EXTRA_CASES = {
-    "table1-oblivious": lambda: _oblivious_factory(13, 0.3),
-    "table1-adaptive": lambda: _adaptive_factory(14, 0.3),
+    "table1-oblivious": STOCK_CONTRACT_CASES["table1-oblivious"],
+    "table1-adaptive": STOCK_CONTRACT_CASES["table1-adaptive"],
     "theorem-uncoded": lambda: CompositeAdversary(
         components=(
             RandomNoiseAdversary(corruption_probability=0.3, insertion_probability=0.075, seed=12),
@@ -631,7 +713,9 @@ class TestRoundFrame:
     def test_round_frame_law_holds(self, builder):
         # check_contract probes one-round planes; the stock configurations
         # run it in TestCheckContract.
-        assert check_contract(builder()).laws == ("window",)
+        adversary = builder()
+        symbol_blind = ("symbol-blind",) if adversary.symbol_blind else ()
+        assert check_contract(adversary).laws == ("window", *symbol_blind)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -774,17 +858,57 @@ class TestCheckContract:
         adversary = builder()
         report = check_contract(adversary)
         assert report.adversary == adversary.name
-        symbol_blind = ("symbol-blind",) if type(adversary).symbol_blind else ()
+        symbol_blind = ("symbol-blind",) if adversary.symbol_blind else ()
         assert report.laws == ("window", *symbol_blind)
         assert report.windows_probed == 9
 
-    def test_only_random_noise_and_the_identity_declare_symbol_blindness(self):
-        declared = {
-            type(builder()).__name__
-            for builder in ROUND_FRAME_CASES.values()
-            if type(builder()).symbol_blind
+    def test_which_adversaries_declare_symbol_blindness(self):
+        """Every stock class but the additive one declares the law, and so
+        do the test-side deletion and burst adversaries; a composite
+        declares it when its components allow (both Table 1 composites)."""
+        declared = {case for case, builder in ROUND_FRAME_CASES.items() if builder().symbol_blind}
+        assert declared == {
+            "noiseless",
+            "random-noise",
+            "deletion",
+            "link-targeted",
+            "link-targeted-capped",
+            "burst",
+            "composite-stateful",
+            "phase-targeted",
+            "table1-oblivious",
+            "table1-adaptive",
         }
-        assert declared == {"NoiselessAdversary", "RandomNoiseAdversary"}
+
+    def test_a_composite_declares_only_what_its_chain_keeps(self):
+        """Deleting then inserting fixes a slot's symbol, so a composite
+        with an inserting component after the first does not declare; an
+        inserting first component is fine.  A non-declaring component or a
+        ``corrupt`` override withholds the declaration too."""
+        deleting = lambda: DeletionAdversary(deletion_probability=0.5, seed=1)
+        inserting = lambda: RandomNoiseAdversary(
+            corruption_probability=0.2, insertion_probability=0.3, seed=2
+        )
+
+        class Overrides(CompositeAdversary):
+            def corrupt(self, ctx, sent):
+                return sent
+
+        insert_after_delete = CompositeAdversary(components=(deleting(), inserting()))
+        assert not insert_after_delete.symbol_blind
+        impostor = copy.deepcopy(insert_after_delete)
+        impostor.symbol_blind = True
+        with pytest.raises(ContractViolation, match="symbol-blind"):
+            check_contract(impostor)
+        insert_then_delete = CompositeAdversary(components=(inserting(), deleting()))
+        assert insert_then_delete.symbol_blind
+        assert check_contract(insert_then_delete).laws == ("window", "symbol-blind")
+        additive = AdditiveObliviousAdversary(pattern={(3, 0, 1): 1})
+        assert not CompositeAdversary(components=(deleting(), additive)).symbol_blind
+        assert not Overrides(components=(deleting(),)).symbol_blind
+        nested = CompositeAdversary(components=(insert_then_delete, deleting()))
+        assert nested.symbol_blind
+        assert not CompositeAdversary(components=(insert_after_delete, deleting())).symbol_blind
 
     @pytest.mark.parametrize(
         "case",
@@ -802,6 +926,8 @@ class TestCheckContract:
         declared = type("Declared", (type(adversary),), {"symbol_blind": True})
         impostor = copy.deepcopy(adversary)
         impostor.__class__ = declared
+        # A composite narrows the flag on the instance: drop that too.
+        vars(impostor).pop("symbol_blind", None)
         with pytest.raises(ContractViolation, match="symbol-blind"):
             check_contract(impostor)
 

@@ -7,7 +7,8 @@ and reads the noise off it instead of hashing.  :class:`EagerRandomNoise`
 draws exactly what :class:`RandomNoiseAdversary` draws but does not declare
 itself symbol-blind, so every link under it hashes: the two runs must end
 with the same ``RunMetrics``, the same channel totals and the same
-adversary generator state.
+adversary generator state.  The Table 1 composites are run as built and
+with their declaration withheld on the instance, to the same effect.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import pytest
 from repro.adversary.strategies import RandomNoiseAdversary
 from repro.core.engine import InteractiveCodingSimulator
 from repro.core.parameters import SCHEME_PRESETS, algorithm_a
+from repro.experiments.table1 import _adaptive_factory, _oblivious_factory
 from repro.experiments.workloads import gossip_workload
 from repro.obs import FlightRecorder, MetricsRegistry, use_obs
 
@@ -29,6 +31,7 @@ class EagerRandomNoise(RandomNoiseAdversary):
 
 MULTIPLIERS = (1.0, 4.0, 16.0)
 SEEDS = range(8)
+TABLE1_FACTORIES = {"oblivious": _oblivious_factory, "adaptive": _adaptive_factory}
 
 
 def _workload(topology):
@@ -41,9 +44,16 @@ def _run(workload, scheme, adversary_class, fraction, seed):
     adversary = adversary_class(
         corruption_probability=fraction, insertion_probability=fraction / 4, seed=seed
     )
+    simulator, (metrics, stats) = _trial(workload, scheme, adversary, seed)
+    return simulator, (metrics, stats, adversary._rng.getstate())
+
+
+def _trial(workload, scheme, adversary, seed):
+    """The simulator after one trial under ``adversary``, its ``RunMetrics``
+    and its channel totals."""
     simulator = InteractiveCodingSimulator(workload.protocol, scheme=scheme, adversary=adversary, seed=seed)
     result = simulator.run()
-    return simulator, (result.metrics, vars(simulator.network.stats), adversary._rng.getstate())
+    return simulator, (result.metrics, vars(simulator.network.stats))
 
 
 @pytest.mark.parametrize("topology", ["line", "star", "clique"])
@@ -62,6 +72,33 @@ def test_clean_links_match_hashing_every_link(preset, topology):
             assert lazy[0].to_payload() == eager[0].to_payload(), cell
             assert lazy[1] == eager[1], cell
             assert lazy[2] == eager[2], cell
+
+
+@pytest.mark.parametrize("topology", ["line", "star", "clique"])
+@pytest.mark.parametrize("preset", sorted(SCHEME_PRESETS))
+@pytest.mark.parametrize("factory", sorted(TABLE1_FACTORIES))
+def test_table1_composites_match_hashing_every_link(factory, preset, topology):
+    """Both Table 1 composites × CRS/A/B/C × line/star/clique × 4 seeds at
+    the scheme's nominal noise, as built and with ``symbol_blind`` withheld
+    on the instance; the declared runs must build fewer packed hashes."""
+    scheme = SCHEME_PRESETS[preset]()
+    workload = _workload(topology)
+    fraction = scheme.nominal_noise_fraction(workload.graph)
+    outcomes = {}
+    builds = {}
+    for withheld in (False, True):
+        registry = MetricsRegistry()
+        outcomes[withheld] = []
+        with use_obs(metrics=registry):
+            for seed in range(4):
+                adversary = TABLE1_FACTORIES[factory](seed, fraction)
+                assert adversary.symbol_blind
+                if withheld:
+                    adversary.symbol_blind = False
+                outcomes[withheld].append(_trial(workload, scheme, adversary, seed)[1])
+        builds[withheld] = registry.snapshot()["counters"]["hashing.packed_builds"]
+    assert outcomes[False] == outcomes[True]
+    assert builds[False] < builds[True]
 
 
 def test_a_failed_randomness_exchange_keeps_its_link_hashing():

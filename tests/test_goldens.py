@@ -18,6 +18,25 @@ def test_grid_matches_goldens():
     assert not changes, "golden results moved:\n" + "\n".join(changes[:50])
 
 
+def test_unrecorded_engine_runs_match_the_goldens():
+    """A flight recorder switches the meeting-points clean-link path off, so
+    the grid's recorded trials never take it.  Run without a recorder,
+    every engine trial must give every golden field but the recorder's."""
+    split = goldens_grid.split_paths(goldens_grid.load(), goldens_grid.run_unrecorded())
+    assert not split, "runs without a recorder differ:\n" + "\n".join(split[:50])
+
+
+def test_split_paths_names_the_trial_and_field():
+    """The recorder's own field is not compared; any other difference is
+    one line naming the trial and field, which the regeneration script
+    prints before it refuses to write."""
+    recorded = {"t": {"rewinds": 2, "success": True, goldens_grid.RECORDER_FIELD: 5}}
+    assert goldens_grid.split_paths(recorded, {"t": {"rewinds": 2, "success": True}}) == []
+    assert goldens_grid.split_paths(recorded, {"t": {"rewinds": 3, "success": True}}) == [
+        "t: rewinds 2 with a recorder, 3 without"
+    ]
+
+
 def test_golden_file_is_canonical():
     """The committed text is exactly what the regeneration script writes."""
     golden = goldens_grid.load()
