@@ -12,6 +12,11 @@ If a trial run without a recorder differs from its recorded run (a
 recorder switches the meeting-points clean-link path off), the script
 names the trial and field, writes nothing and exits 1.
 
+It then prints the file's SHA-256.  Trial keys hash
+``repro.runtime.spec.REALISATION``, and ``tests/goldens/realisations.json``
+binds each value to one golden file, so when the SHA-256 is not the current
+entry's the script prints the ``REALISATION`` bump and the table line to add.
+
 To only check the file, run ``pytest tests/test_goldens.py``.
 A golden change is a behaviour change: record why in CHANGES.md.
 """
@@ -24,6 +29,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 import goldens_grid
+
+from repro.runtime.spec import REALISATION
 
 
 def main() -> int:
@@ -43,6 +50,14 @@ def main() -> int:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(goldens_grid.dumps(new))
     print(f"wrote {path}")
+    sha = goldens_grid.golden_sha256()
+    print(f"sha256 {sha}")
+    realisations = goldens_grid.load_realisations()
+    if realisations.get(REALISATION) != sha:
+        bump = max(realisations) + 1
+        print(f"the goldens are not REALISATION {REALISATION}'s: set REALISATION = {bump} in src/repro/runtime/spec.py")
+        print(f"and add this line to {goldens_grid.REALISATIONS_PATH}:")
+        print(f'  "{bump}": "{sha}"')
     return 0
 
 

@@ -65,7 +65,6 @@ from repro.runtime import (
     ResultCache,
     RunStore,
     SerialBackend,
-    TrialKey,
     TrialSpec,
     diff_runs,
     execute_trials,
@@ -78,8 +77,8 @@ from repro.runtime import (
 # SmallBiasGenerator.packed_slots (same expansion contract as
 # ExchangedSeedSource) with hasher-derived slot capacities, so CRS-scheme
 # transcripts and golden fingerprints differ from 1.x.  The version string is
-# part of every trial fingerprint (repro.runtime.spec), so 1.x cached results
-# can never be served for 2.x trials.
+# not part of any trial key: repro.runtime.spec.REALISATION, bound to the
+# golden grid's bytes, is what keeps results of changed code from being served.
 __version__ = "2.0.0"
 
 __all__ = [
@@ -102,7 +101,6 @@ __all__ = [
     "ResultCache",
     "RunStore",
     "TrialSpec",
-    "TrialKey",
     "execute_trials",
     "fingerprint_trial",
     "get_runtime",

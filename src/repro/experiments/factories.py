@@ -1,17 +1,19 @@
-"""Picklable, fingerprintable adversary factories.
+"""Picklable adversary factories that declare their trial key.
 
-The experiment harnesses used to build adversaries from closures and lambdas
-captured inside experiment functions.  That worked for in-process execution
-but breaks both pillars of the runtime:
+The runtime needs two things of a factory:
 
-* the :class:`~repro.runtime.backends.ProcessPoolBackend` must *pickle* the
-  factory to ship it to worker processes, and
-* the :class:`~repro.runtime.cache.ResultCache` must *fingerprint* it to
-  content-address the trial.
+* the :class:`~repro.runtime.backends.ProcessPoolBackend` must *pickle* it
+  to ship it to worker processes, and
+* :func:`~repro.runtime.spec.fingerprint_trial` keys the trial on the
+  factory's class and fields (``dataclasses.asdict``), so the factory must
+  be a dataclass.  A callable in a field is keyed by its import path, so it
+  must be a module-level function, not a lambda or a local function;
+  :func:`~repro.runtime.spec.build_trial_specs` raises ``TypeError``
+  otherwise.
 
 Each factory here is a small frozen dataclass whose fields are exactly the
-parameters the closure used to capture, so equality, pickling and canonical
-fingerprints all come for free.
+parameters of the adversary it builds, so equality, pickling and the key
+all come for free.
 """
 
 from __future__ import annotations

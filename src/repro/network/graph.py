@@ -44,8 +44,7 @@ class Graph:
         # Lazy caches of the directed-edge view; the transport asks for it
         # once per window exchange, so it must not be rebuilt per call.
         # Deliberately plain attributes (not dataclass fields): derived state
-        # must stay invisible to dataclass-field walkers such as the trial
-        # fingerprinter.
+        # stays out of equality and ``repr``.
         self._directed_cache: Optional[Tuple[DirectedEdge, ...]] = None
         self._directed_position_cache: Optional[Dict[DirectedEdge, int]] = None
 

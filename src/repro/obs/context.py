@@ -3,8 +3,8 @@
 Instrumented code never takes a registry or tracer argument — it asks
 :func:`get_obs` for the active :class:`ObsContext` and does nothing when the
 context is disabled.  That keeps instrumentation fingerprint-invisible (no
-constructor signatures change, no scheme fields appear, ``TrialKey`` digests
-are untouched) and keeps the disabled cost to one attribute read.
+constructor signatures change, no scheme fields appear, trial keys are
+untouched) and keeps the disabled cost to one attribute read.
 
 Unlike the runtime context, the override is **thread-local** over the
 disabled default: a per-thread :func:`use_obs` lets code on one thread

@@ -21,7 +21,7 @@ implementations honest about using only causally available information
 Everything a protocol derives from its graph and inputs alone — the schedule,
 the chunk plans, the flag-passing spanning tree and the noiseless reference
 run — is built once and cached in ``_``-prefixed attributes, so every trial
-over the same protocol object reuses it and trial fingerprints never see it.
+over the same protocol object reuses it.
 No cached value refers back to the protocol, so a discarded workload is
 freed by reference counting, not left to the cycle collector.
 """

@@ -7,8 +7,9 @@ The runtime is the layer between the experiment harnesses (which decide
   :class:`~repro.runtime.backends.SerialBackend` and
   :class:`~repro.runtime.backends.ProcessPoolBackend` (bit-identical results
   on one core or many — see README.md in this directory);
-* :class:`~repro.runtime.spec.TrialSpec` / :class:`~repro.runtime.spec.TrialKey`
-  — content-addressed trial fingerprints;
+* :class:`~repro.runtime.spec.TrialSpec` /
+  :func:`~repro.runtime.spec.fingerprint_trial` — trial keys hashed from
+  what determines a trial's result;
 * :class:`~repro.runtime.cache.ResultCache` — skip already-computed trials,
   optionally persisted to disk;
 * :class:`~repro.runtime.store.RunStore` — a queryable on-disk history of
@@ -38,16 +39,12 @@ from repro.runtime.cache import CACHE_SCHEMA_VERSION, CacheStats, ResultCache
 from repro.runtime.context import RuntimeContext, get_runtime, use_runtime
 from repro.runtime.executor import execute_trials
 from repro.runtime.spec import (
+    REALISATION,
     TRIAL_KEY_SCHEMA,
-    TrialKey,
     TrialSpec,
     build_trial_specs,
-    canonical_payload,
-    clear_payload_memo,
     derive_trial_seed,
     fingerprint_trial,
-    memoized_payload,
-    payload_memo_stats,
 )
 from repro.runtime.store import STORE_SCHEMA_VERSION, RunStore, StoredRun
 
@@ -58,13 +55,9 @@ __all__ = [
     "execute_trial",
     "execute_trials",
     "TrialSpec",
-    "TrialKey",
     "TRIAL_KEY_SCHEMA",
+    "REALISATION",
     "build_trial_specs",
-    "canonical_payload",
-    "memoized_payload",
-    "payload_memo_stats",
-    "clear_payload_memo",
     "derive_trial_seed",
     "fingerprint_trial",
     "ResultCache",

@@ -17,9 +17,9 @@ a trial runs, never *what* it computes.  (``tests/test_runtime.py`` asserts
 this equality directly.)
 
 Pickling contract: the pool backend ships specs to worker processes with
-pickle, so workloads, schemes and adversary factories must be module-level
-importables or dataclasses — no lambdas or closures
-(:mod:`repro.experiments.factories` provides picklable factory classes).
+pickle, so workloads, schemes and adversary factories must pickle.  Trial
+keys already demand it: a factory is a dataclass whose callable fields are
+module-level functions (:mod:`repro.experiments.factories`).
 """
 
 from __future__ import annotations

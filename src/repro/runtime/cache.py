@@ -1,8 +1,9 @@
 """Content-addressed caching of trial results.
 
-A trial's result is a pure function of its :class:`~repro.runtime.spec.TrialKey`
-(see the determinism contract in :mod:`repro.runtime.backends`), so finished
-trials can be skipped on re-run.  :class:`ResultCache` keeps an in-memory map
+A trial's result is a pure function of its key
+(:func:`~repro.runtime.spec.fingerprint_trial`; see the determinism contract
+in :mod:`repro.runtime.backends`), so finished trials can be skipped on
+re-run.  :class:`ResultCache` keeps an in-memory map
 and, when given a directory, mirrors every stored result to an append-only
 JSON-lines file so the cache survives across processes:
 
@@ -10,8 +11,7 @@ JSON-lines file so the cache survives across processes:
 
 Entries carry a schema version; lines written by an incompatible version (or
 corrupted, e.g. truncated by a crash mid-append) are skipped on load rather
-than poisoning the cache.  Unstable keys — specs containing lambdas/closures
-that have no canonical fingerprint — always miss and are never stored.
+than poisoning the cache.
 
 The in-memory map holds each result as one flat, immutable row (:func:`_row`:
 the field values in order, each per-phase dict spelled out as its length and
@@ -34,7 +34,6 @@ from typing import Dict, Optional, Tuple, Union
 
 from repro.analysis.metrics import RunMetrics
 from repro.obs import get_obs
-from repro.runtime.spec import TrialKey
 
 #: Bump when the on-disk entry format changes incompatibly.
 #: 2 = the 2.0.0 CRS seed-derivation break: entries written by pre-break
@@ -135,28 +134,23 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._memory)
 
-    def get(self, key: TrialKey) -> Optional[RunMetrics]:
-        """The cached result for ``key``, or None (unstable keys always miss)."""
-        if not key.stable:
-            self.stats.misses += 1
-            return None
-        row = self._memory.get(key.digest)
+    def get(self, key: str) -> Optional[RunMetrics]:
+        """The cached result for the trial key ``key``, or None."""
+        row = self._memory.get(key)
         if row is None:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
         return _from_row(row)
 
-    def put(self, key: TrialKey, metrics: RunMetrics) -> None:
-        """Store a freshly computed result (no-op for unstable keys)."""
-        if not key.stable:
-            return
-        self._remember(key.digest, metrics)
+    def put(self, key: str, metrics: RunMetrics) -> None:
+        """Store a freshly computed result under the trial key ``key``."""
+        self._remember(key, metrics)
         self.stats.stores += 1
         if self._path is not None:
             record = {
                 "schema": CACHE_SCHEMA_VERSION,
-                "key": key.digest,
+                "key": key,
                 "metrics": metrics.to_payload(),
             }
             with self._path.open("a", encoding="utf-8") as handle:

@@ -51,7 +51,8 @@ from repro.obs import get_obs
 #: bumped for the 2.0.0 CRS break: stored runs are historical observations,
 #: never re-served as results, so pre-break history stays browsable and
 #: diffable.  Only the result *cache* (CACHE_SCHEMA_VERSION) and trial
-#: fingerprints (TRIAL_KEY_SCHEMA) reject pre-break entries.
+#: keys (TRIAL_KEY_SCHEMA and REALISATION in ``runtime/spec.py``) reject
+#: entries of older code.
 STORE_SCHEMA_VERSION = 1
 
 _RUN_PREFIX = "run-"

@@ -24,6 +24,7 @@ Every regeneration that changes the file needs a CHANGES.md line saying why.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 from typing import Callable, Dict, List, Tuple
@@ -49,6 +50,9 @@ from repro.obs.recorder import FlightRecorder
 from repro.utils.rng import make_rng
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "grid.json"
+#: ``REALISATION`` (``repro.runtime.spec``) -> SHA-256 of the golden file's
+#: bytes under it.  A regeneration that changes the file adds an entry.
+REALISATIONS_PATH = Path(__file__).parent / "goldens" / "realisations.json"
 
 ENGINE_SCHEMES = ("algorithm_crs", "algorithm_a", "algorithm_b", "algorithm_c")
 SCHEMES = (*ENGINE_SCHEMES, "uncoded", "repetition3")
@@ -190,6 +194,15 @@ def dumps(grid: Dict[str, Dict[str, object]]) -> str:
 
 def load() -> Dict[str, Dict[str, object]]:
     return json.loads(GOLDEN_PATH.read_text())
+
+
+def golden_sha256() -> str:
+    """SHA-256 of the golden file's bytes."""
+    return hashlib.sha256(GOLDEN_PATH.read_bytes()).hexdigest()
+
+
+def load_realisations() -> Dict[int, str]:
+    return {int(realisation): sha for realisation, sha in json.loads(REALISATIONS_PATH.read_text()).items()}
 
 
 def diff(old: Dict[str, Dict[str, object]], new: Dict[str, Dict[str, object]]) -> List[str]:

@@ -1,38 +1,28 @@
-"""Tests for the run-analytics layer: diff, fingerprint memo, CLI.
+"""Tests for the run-analytics layer: diff, trial keys, CLI.
 
 The guarantees pinned here:
 
 1. ``diff_runs`` reports per-cell success-rate and wall-clock deltas,
    classifies them against the thresholds, and treats disjoint cells as
    informative rather than as regressions;
-2. fingerprint memoization changes timings, never digests;
+2. a trial key is computed afresh on every call, so a factory with no
+   stable key is refused however many keyable trials came before it;
 3. the ``repro runs`` CLI surfaces all of it with friendly errors and the
    exit codes CI needs (1 on regression, 1 on unreadable/missing runs).
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 import pytest
 
 from repro.analysis.metrics import RunMetrics, summarize_runs
 from repro.core.parameters import algorithm_a
-from repro.experiments.factories import RandomNoiseFactory
+from repro.experiments.factories import BoundFractionFactory, RandomNoiseFactory
+from repro.experiments.table1 import _oblivious_factory
 from repro.experiments.workloads import gossip_workload
-from repro.runtime import (
-    RegressionThresholds,
-    RunStore,
-    TrialSpec,
-    canonical_payload,
-    clear_payload_memo,
-    diff_runs,
-    fingerprint_trial,
-    memoized_payload,
-    payload_memo_stats,
-)
-from repro.runtime.spec import TRIAL_KEY_SCHEMA, _package_version, build_trial_specs, derive_trial_seed
+from repro.runtime import RegressionThresholds, RunStore, TrialSpec, diff_runs, fingerprint_trial
 
 
 def _metrics(success: bool = True, cc_simulation: int = 100) -> RunMetrics:
@@ -153,77 +143,24 @@ class TestDiffRuns:
         assert diff_runs(store.load(cold_a), store.load(cold_b)).has_regression
 
 
-def _fingerprint_unmemoized(spec: TrialSpec) -> str:
-    """``fingerprint_trial``'s digest with every ingredient canonicalised
-    afresh: the reference the memo must reproduce."""
-    payload = {
-        "schema": TRIAL_KEY_SCHEMA,
-        "version": _package_version(),
-        "workload": canonical_payload(spec.workload)[0],
-        "scheme": canonical_payload(spec.scheme)[0],
-        "adversary_factory": canonical_payload(spec.adversary_factory)[0],
-        "seed": spec.seed,
-    }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 class TestFingerprintMemoization:
-    def test_memoized_payload_matches_cold_canonicalisation(self):
-        clear_payload_memo()
-        workload = gossip_workload(topology="line", num_nodes=4, phases=6)
-        cold = canonical_payload(workload)
-        warm_miss = memoized_payload(workload)
-        warm_hit = memoized_payload(workload)
-        assert cold == warm_miss == warm_hit
-        stats = payload_memo_stats()
-        assert stats["misses"] == 1 and stats["hits"] == 1
-
-    def test_grid_canonicalises_each_unique_object_once(self):
-        clear_payload_memo()
-        workload = gossip_workload(topology="line", num_nodes=4, phases=6)
-        scheme = algorithm_a()
-        factory = RandomNoiseFactory(fraction=0.004)
-        keys = [
-            fingerprint_trial(TrialSpec(workload, scheme, factory, seed))
-            for seed in range(50)
-        ]
-        stats = payload_memo_stats()
-        assert stats["misses"] == 3                 # workload, scheme, factory
-        assert stats["hits"] == 3 * 49
-        assert len({key.digest for key in keys}) == 50  # seeds still differentiate
-
-    def test_fingerprint_memoization_on_a_large_grid(self):
-        """A 300-trial sweep grid: three walks in all, and the digests that
-        canonicalising every ingredient per trial gives."""
-        clear_payload_memo()
-        seeds = [derive_trial_seed(0, trial) for trial in range(300)]
-        specs = build_trial_specs(
-            gossip_workload(topology="line", num_nodes=6, phases=10),
-            algorithm_a(),
-            RandomNoiseFactory(fraction=0.004),
-            seeds,
-        )
-        keys = [fingerprint_trial(spec) for spec in specs]
-        stats = payload_memo_stats()
-        assert stats["misses"] == 3
-        assert stats["hits"] == 3 * 299
-        assert all(key.stable for key in keys)
-        assert [key.digest for key in keys] == [_fingerprint_unmemoized(spec) for spec in specs]
-
-    def test_trial_key_is_interned_on_the_spec(self):
-        spec = TrialSpec(
-            gossip_workload(), algorithm_a(), RandomNoiseFactory(fraction=0.004), 17
-        )
-        first = fingerprint_trial(spec)
-        assert fingerprint_trial(spec) is first
-
     def test_unstable_specs_stay_unstable_through_the_memo(self):
-        clear_payload_memo()
-        key = fingerprint_trial(
-            TrialSpec(gossip_workload(), algorithm_a(), lambda seed: None, 17)
-        )
-        assert not key.stable
+        """Keying a spec remembers nothing: after keyable trials of the same
+        cell (and of the same factory class), a spec built by hand around
+        a lambda is still refused, every time it is keyed."""
+        workload, scheme = gossip_workload(), algorithm_a()
+        for good, bad in (
+            (RandomNoiseFactory(fraction=0.004), lambda seed: None),
+            (
+                BoundFractionFactory(_oblivious_factory, 0.01),
+                BoundFractionFactory(lambda seed, fraction: None, 0.01),
+            ),
+        ):
+            keys = {fingerprint_trial(TrialSpec(workload, scheme, good, seed)) for seed in (17, 17, 18)}
+            assert len(keys) == 2
+            for _ in range(2):
+                with pytest.raises(TypeError):
+                    fingerprint_trial(TrialSpec(workload, scheme, bad, 17))
 
 
 class TestRunsCliAnalytics:

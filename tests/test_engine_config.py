@@ -44,15 +44,13 @@ def cell():
 
 def test_engine_config_never_enters_the_fingerprint(cell, monkeypatch):
     """The key of a fixed trial is a pinned digest, and routing execution
-    through the oracles does not move it.  The digest moves only when the
-    canonical payload does (it last moved when ``SchemeParameters`` lost
-    ``early_stop`` and ``trace_potential``, the two fields only tests
-    set)."""
+    through the oracles does not move it.  The digest moves only when a
+    declaration the key hashes does (it last moved when keys began to hash
+    declarations and ``REALISATION`` at ``TRIAL_KEY_SCHEMA`` 3)."""
     workload, scheme, factory = cell
     spec = TrialSpec(workload=workload, scheme=scheme, adversary_factory=factory, seed=17)
     key = fingerprint_trial(spec)
-    assert key.stable
-    assert key.digest == "8aa36f45306abb83817282eaedb4bf66b2273054bc96ebac9dd42d22187b142f"
+    assert key == "54499d5f9da2d730774263878fcd48e37ac190339cb5fcbd3d3a6313a312b35c"
     use_oracles(monkeypatch, bookkeeping=True)
     rebuilt = build_trial_specs(workload, scheme, factory, [17])[0]
     assert fingerprint_trial(rebuilt) == key
@@ -155,7 +153,7 @@ def test_major_version_and_schemas_reflect_the_crs_break():
 
     assert repro.__version__.split(".")[0] == "2"
     assert CACHE_SCHEMA_VERSION == 2
-    assert TRIAL_KEY_SCHEMA == 2
+    assert TRIAL_KEY_SCHEMA == 3  # 3 = keys hash declarations, not objects
     # The run store is history, not reusable results: schema deliberately kept.
     assert STORE_SCHEMA_VERSION == 1
 

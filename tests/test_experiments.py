@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.adversary.strategies import RandomNoiseAdversary
 from repro.core.parameters import algorithm_a, crs_oblivious_scheme
 from repro.experiments.ablations import (
     chunk_size_ablation,
@@ -18,6 +17,7 @@ from repro.experiments.ablations import (
     rewind_ablation,
     single_error_cost,
 )
+from repro.experiments.factories import NoiseOrNoiselessFactory
 from repro.experiments.harness import format_table, run_trials
 from repro.experiments.noise_sweep import crossover_multiplier, noise_sweep
 from repro.experiments.table1 import (
@@ -72,7 +72,7 @@ class TestHarness:
         trial_set = run_trials(
             workload,
             crs_oblivious_scheme(),
-            adversary_factory=lambda seed: RandomNoiseAdversary(corruption_probability=0.002, seed=seed),
+            adversary_factory=NoiseOrNoiselessFactory(fraction=0.002),
             trials=2,
         )
         assert 0.0 <= trial_set.aggregate.success_rate <= 1.0

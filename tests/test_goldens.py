@@ -2,13 +2,15 @@
 ``tests/goldens/grid.json`` exactly.
 
 A failure lists every (trial, field) that moved.  If the change is intended,
-regenerate with ``PYTHONPATH=src python scripts/regen_goldens.py`` and say
-why in CHANGES.md.
+regenerate with ``PYTHONPATH=src python scripts/regen_goldens.py``, bump
+``REALISATION`` as it prints, and say why in CHANGES.md.
 """
 
 from __future__ import annotations
 
 import goldens_grid
+
+from repro.runtime.spec import REALISATION
 
 
 def test_grid_matches_goldens():
@@ -35,6 +37,18 @@ def test_split_paths_names_the_trial_and_field():
     assert goldens_grid.split_paths(recorded, {"t": {"rewinds": 3, "success": True}}) == [
         "t: rewinds 2 with a recorder, 3 without"
     ]
+
+
+def test_realisation_binds_the_golden_bytes():
+    """Trial keys hash ``REALISATION``, so goldens that move under an
+    unchanged ``REALISATION`` would let a cache serve the old results as
+    hits.  The table names one golden file per realisation."""
+    realisations = goldens_grid.load_realisations()
+    assert len(set(realisations.values())) == len(realisations), "two realisations share one golden hash"
+    assert realisations.get(REALISATION) == goldens_grid.golden_sha256(), (
+        f"tests/goldens/grid.json is not REALISATION {REALISATION}'s: "
+        "bump REALISATION and add the line scripts/regen_goldens.py prints"
+    )
 
 
 def test_golden_file_is_canonical():

@@ -7,7 +7,7 @@ The guarantees pinned here:
 2. the :class:`Tracer` nests spans per thread, samples trials, adopts a pool
    chunk's spans onto its own trace id, and drains destructively;
 3. the ambient :func:`use_obs` scope is thread-local and fingerprint-neutral
-   (no ``TrialKey`` change, bit-identical results with obs on and off);
+   (no trial key change, bit-identical results with obs on and off);
 4. an instrumented engine run flushes the documented counter families
    (``engine.*``, ``transport.*``, ``hashing.*``);
 5. traces persist to the :class:`RunStore` and render via ``repro runs
@@ -262,10 +262,10 @@ class TestEngineInstrumentation:
     def test_fingerprints_are_obs_invisible(self):
         workload, scheme, factory = _cell()
         specs = build_trial_specs(workload, scheme, factory, [derive_trial_seed(3, 0)])
-        cold = fingerprint_trial(specs[0]).digest
+        cold = fingerprint_trial(specs[0])
         with use_obs(metrics=MetricsRegistry(), tracer=Tracer()):
             specs_obs = build_trial_specs(workload, scheme, factory, [derive_trial_seed(3, 0)])
-            assert fingerprint_trial(specs_obs[0]).digest == cold
+            assert fingerprint_trial(specs_obs[0]) == cold
 
     def test_tracer_records_the_trial_phase_hierarchy(self):
         tracer = Tracer()

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.adversary.strategies import PhaseTargetedAdaptiveAdversary
 from repro.core.parameters import algorithm_b, algorithm_c, crs_oblivious_scheme
+from repro.experiments.factories import PhaseTargetedFactory
 from repro.experiments.harness import run_trials
 from repro.experiments.noise_sweep import crossover_multiplier, noise_sweep
 from repro.experiments.table1 import build_table1
@@ -48,11 +48,7 @@ def test_adaptive_attack_on_control_traffic(scheme_factory):
     scheme = scheme_factory()
     fraction = scheme.nominal_noise_fraction(workload.graph, epsilon=0.03)
 
-    def factory(seed: int):
-        return PhaseTargetedAdaptiveAdversary(
-            fraction=fraction, phases=("meeting_points", "flag_passing", "simulation"), seed=seed
-        )
-
+    factory = PhaseTargetedFactory(fraction=fraction)
     trial_set = run_trials(workload, scheme, adversary_factory=factory, trials=2, base_seed=3)
     for run in trial_set.runs:
         assert run.corruptions > 0

@@ -14,6 +14,7 @@ subsystem) are pinned here:
 
 from __future__ import annotations
 
+import inspect
 import json
 import tempfile
 from pathlib import Path
@@ -25,11 +26,13 @@ from hypothesis import strategies as st
 from repro.analysis.metrics import AggregateMetrics, RunMetrics, summarize_runs
 from repro.core.parameters import algorithm_a, crs_oblivious_scheme
 from repro.experiments.factories import (
+    BoundFractionFactory,
     NoiselessFactory,
     RandomNoiseFactory,
 )
 from repro.experiments.harness import run_trials
 from repro.experiments.noise_sweep import noise_sweep
+from repro.experiments.table1 import _adaptive_factory, _oblivious_factory
 from repro.experiments.workloads import WORKLOAD_BUILDERS, gossip_workload, pairwise_workload
 from repro.runtime import (
     ProcessPoolBackend,
@@ -37,13 +40,12 @@ from repro.runtime import (
     RunStore,
     SerialBackend,
     TrialSpec,
-    execute_trials,
     fingerprint_trial,
     get_runtime,
     use_runtime,
 )
 from repro.runtime.cache import CACHE_SCHEMA_VERSION
-from repro.runtime.spec import TrialKey, build_trial_specs, derive_trial_seed
+from repro.runtime.spec import build_trial_specs, derive_trial_seed
 from repro.runtime.store import STORE_SCHEMA_VERSION
 
 #: Arbitrary JSON documents (objects, arrays and scalars, nested).
@@ -142,14 +144,32 @@ class TestSerialParallelDeterminism:
             ProcessPoolBackend(chunk_size=0)
 
 
+def _changed(value):
+    """Another valid value of a workload builder's argument."""
+    if isinstance(value, str):
+        return "line" if value == "star" else "star"
+    return value + 1 if isinstance(value, int) else value + 0.1
+
+
+def _argument_changes():
+    """One case per (builder, keyword argument): that argument changed, every
+    other at its default."""
+    for name, builder in sorted(WORKLOAD_BUILDERS.items()):
+        for argument, parameter in inspect.signature(builder).parameters.items():
+            changed = {argument: _changed(parameter.default)}
+            yield pytest.param(
+                lambda w, s, f, builder=builder, changed=changed: (builder(**changed), s, f, 17),
+                id=f"{name}-{argument}",
+            )
+
+
 class TestTrialKeys:
     def test_identical_specs_fingerprint_identically(self):
         scheme = algorithm_a()
         factory = RandomNoiseFactory(fraction=0.004)
         key_a = fingerprint_trial(TrialSpec(gossip_workload(), scheme, factory, 17))
         key_b = fingerprint_trial(TrialSpec(gossip_workload(), scheme, factory, 17))
-        assert key_a.stable and key_b.stable
-        assert key_a.digest == key_b.digest
+        assert key_a == key_b
 
     def test_fingerprint_is_invariant_under_use(self):
         """Using a workload must not change its fingerprint (protocol lazy
@@ -164,7 +184,7 @@ class TestTrialKeys:
             fresh = WORKLOAD_BUILDERS[name]()
             key_used = fingerprint_trial(TrialSpec(used, scheme, factory, 17))
             key_fresh = fingerprint_trial(TrialSpec(fresh, scheme, factory, 17))
-            assert key_used.digest == key_fresh.digest, name
+            assert key_used == key_fresh, name
         # ... and a full noisy simulation does not change it either, nor does
         # a second one, which reuses the workload's cached plan (chunk plan,
         # reference run, spanning tree) and must still match a fresh workload.
@@ -172,10 +192,10 @@ class TestTrialKeys:
         run_trials(used, scheme, adversary_factory=factory, trials=1, cache=None)
         key_used = fingerprint_trial(TrialSpec(used, scheme, factory, 17))
         key_fresh = fingerprint_trial(TrialSpec(gossip_workload(), scheme, factory, 17))
-        assert key_used.digest == key_fresh.digest
+        assert key_used == key_fresh
         again = run_trials(used, scheme, adversary_factory=factory, seeds=[1017], cache=None)
         fresh = run_trials(gossip_workload(), scheme, adversary_factory=factory, seeds=[1017], cache=None)
-        assert fingerprint_trial(TrialSpec(used, scheme, factory, 17)).digest == key_fresh.digest
+        assert fingerprint_trial(TrialSpec(used, scheme, factory, 17)) == key_fresh
         assert again.runs == fresh.runs
 
     @pytest.mark.parametrize(
@@ -185,19 +205,49 @@ class TestTrialKeys:
             lambda w, s, f: (w, s.with_overrides(chunk_multiplier=7), f, 17),  # scheme
             lambda w, s, f: (w, s, RandomNoiseFactory(fraction=0.005), 17),  # adversary
             lambda w, s, f: (gossip_workload(phases=9), s, f, 17),           # workload
+            pytest.param(
+                lambda w, s, f: (w, s, BoundFractionFactory(_adaptive_factory, 0.01), 17),
+                id="table1-adaptive-for-oblivious",
+            ),
+            *_argument_changes(),
         ],
     )
     def test_any_ingredient_change_changes_the_digest(self, mutate):
-        workload, scheme, factory = gossip_workload(), algorithm_a(), RandomNoiseFactory(fraction=0.004)
-        base = fingerprint_trial(TrialSpec(workload, scheme, factory, 17))
-        changed = fingerprint_trial(TrialSpec(*mutate(workload, scheme, factory)))
-        assert base.digest != changed.digest
+        """Against the trial with every default (Table 1's oblivious factory
+        where the change swaps in the adaptive one), any one change moves the
+        key, whichever builder the changed workload comes from."""
+        scheme = algorithm_a()
+        factory = RandomNoiseFactory(fraction=0.004)
+        changed = TrialSpec(*mutate(gossip_workload(), scheme, factory))
+        builder = WORKLOAD_BUILDERS[changed.workload.declaration[0]]
+        if isinstance(changed.adversary_factory, BoundFractionFactory):
+            factory = BoundFractionFactory(_oblivious_factory, 0.01)
+        assert fingerprint_trial(TrialSpec(builder(), scheme, factory, 17)) != fingerprint_trial(changed)
+
+    @pytest.mark.parametrize("name", sorted(WORKLOAD_BUILDERS))
+    def test_spelled_out_defaults_key_equal(self, name):
+        builder = WORKLOAD_BUILDERS[name]
+        defaults = {argument: parameter.default for argument, parameter in inspect.signature(builder).parameters.items()}
+        scheme, factory = algorithm_a(), RandomNoiseFactory(fraction=0.004)
+        assert fingerprint_trial(TrialSpec(builder(), scheme, factory, 17)) == fingerprint_trial(
+            TrialSpec(builder(**defaults), scheme, factory, 17)
+        )
 
     def test_lambda_factories_are_unstable(self):
-        key = fingerprint_trial(
-            TrialSpec(gossip_workload(), algorithm_a(), lambda seed: None, 17)
-        )
-        assert not key.stable
+        """A trial is keyed on its factory's class and fields, so a factory
+        that is not a dataclass, or holds a callable with no import path,
+        has no stable key and is refused when the cell is built."""
+
+        def local_factory(seed):
+            return NoiselessFactory()(seed)
+
+        for factory in (
+            lambda seed: NoiselessFactory()(seed),
+            local_factory,
+            BoundFractionFactory(lambda seed, fraction: NoiselessFactory()(seed), 0.01),
+        ):
+            with pytest.raises(TypeError):
+                build_trial_specs(pairwise_workload(), crs_oblivious_scheme(), factory, [17])
 
 
 class TestResultCache:
@@ -284,16 +334,19 @@ class TestResultCache:
             assert again.runs == first.runs
 
     def test_unstable_keys_bypass_the_cache(self):
+        """A factory with no stable key never reaches the backend or the
+        cache: the cell is refused before any trial runs, cache or not."""
         workload = pairwise_workload()
         scheme = crs_oblivious_scheme()
         backend = SerialBackend()
         cache = ResultCache()
         factory = lambda seed: NoiselessFactory()(seed)  # noqa: E731 — deliberately unstable
-        specs = build_trial_specs(workload, scheme, factory, [17, 1017])
-        execute_trials(specs, backend=backend, cache=cache)
-        execute_trials(specs, backend=backend, cache=cache)
-        assert backend.trials_executed == 4              # nothing was cached
-        assert cache.stats.stores == 0
+        for active_cache in (cache, None):
+            with pytest.raises(TypeError):
+                run_trials(workload, scheme, adversary_factory=factory, seeds=[17, 1017],
+                           backend=backend, cache=active_cache, store=None)
+        assert backend.trials_executed == 0
+        assert cache.stats.stores == 0 and len(cache) == 0
 
     def test_sweep_level_caching_through_the_context(self):
         workload = gossip_workload(topology="line", num_nodes=4, phases=6)
@@ -805,8 +858,8 @@ class TestCacheCompaction:
         def served():
             cache = ResultCache(tmp_path)
             assert len(cache) == 1
-            assert cache.get(TrialKey("12345", True)) is None
-            return cache.get(TrialKey("k", True))
+            assert cache.get("12345") is None
+            return cache.get("k")
 
         before = served()
         assert before == RunMetrics.from_payload(good["metrics"])

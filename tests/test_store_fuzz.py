@@ -29,7 +29,6 @@ from repro.analysis.metrics import RunMetrics, summarize_runs
 from repro.experiments.reporting import ExperimentReport
 from repro.runtime import ResultCache, RunStore
 from repro.runtime.cache import CACHE_SCHEMA_VERSION
-from repro.runtime.spec import TrialKey
 from repro.runtime.store import STORE_SCHEMA_VERSION
 
 RUN_IDS = ("run-000001", "run-000002", "run-000003")
@@ -248,7 +247,7 @@ def test_cache_serves_the_last_valid_entry_per_key_before_and_after_compact(line
 
 def _served(cache: ResultCache) -> dict:
     """What ``cache`` serves, by key: every entry it holds has a ``_KEYS`` key."""
-    served = {key: cache.get(TrialKey(key, True)) for key in _KEY_ALPHABET}
+    served = {key: cache.get(key) for key in _KEY_ALPHABET}
     served = {key: value for key, value in served.items() if value is not None}
     assert len(cache) == len(served)
     return served
@@ -318,7 +317,7 @@ def test_cache_rows_round_trip_and_equal_results_share_one(runs, repeats):
     The disk mirror writes sorted keys, so a load serves each per-phase dict
     in key order."""
     runs = runs + [_REPEATS[how](runs[index % len(runs)]) for index, how in repeats]
-    keys = [TrialKey(f"key-{index}", True) for index in range(len(runs))]
+    keys = [f"key-{index}" for index in range(len(runs))]
     with tempfile.TemporaryDirectory() as directory:
         cache = ResultCache(directory)
         for key, run in zip(keys, runs):
@@ -330,7 +329,7 @@ def test_cache_rows_round_trip_and_equal_results_share_one(runs, repeats):
                 served = served_by.get(key)
                 assert served == run
                 assert _text(served, sort_keys=from_disk) == _text(run, sort_keys=from_disk)
-                rows.setdefault(_text(run, sort_keys=from_disk), set()).add(id(served_by._memory[key.digest]))
+                rows.setdefault(_text(run, sort_keys=from_disk), set()).add(id(served_by._memory[key]))
             assert all(len(shared) == 1 for shared in rows.values())
             assert len(set().union(*rows.values())) == len(rows)
 
@@ -346,6 +345,6 @@ def test_equal_results_share_a_row_whatever_objects_hold_them():
     fresh = _rebuilt(aliased)
     assert fresh == aliased and fresh.protocol_communication is not fresh.simulation_communication
     cache = ResultCache()
-    cache.put(TrialKey("a", True), aliased)
-    cache.put(TrialKey("b", True), fresh)
+    cache.put("a", aliased)
+    cache.put("b", fresh)
     assert cache._memory["a"] is cache._memory["b"]
